@@ -592,10 +592,10 @@ func defectSweepShort() scenarios.Sweep {
 // BenchmarkDefectSweepLaned measures what lane-batched evaluation buys on a
 // dynamics-varying sweep: Laned steps four variants in lockstep through one
 // widened simulation (one commit, one compiled-program pass and one observer
-// dispatch per tick for the whole batch); Scalar simulates every variant
-// separately, the pre-lane behaviour.  Identical results either way — the
-// differential tests prove byte equality — so the ratio is the amortized
-// per-tick overhead.
+// dispatch per tick for the whole batch); Scalar (WithLanes(1)) simulates
+// every variant separately as a one-lane batch.  Identical results either
+// way — the differential tests prove byte equality — so the ratio is the
+// amortized per-tick overhead.
 func BenchmarkDefectSweepLaned(b *testing.B) {
 	sweep := defectSweepShort()
 	for _, mode := range []struct {

@@ -294,7 +294,7 @@ func run(args []string, w io.Writer) error {
 // counters, what dynamics-grouped execution did (groups formed, variants
 // carried, simulation passes actually run and thereby saved) and what lane
 // batching did on top (widened runs executed, dynamics groups they carried
-// as lockstep lanes, and batches that fell back to the scalar path).
+// as lockstep lanes, and ragged batches that ran a single group).
 func engineStats(engine *scenarios.Engine) string {
 	hits, misses := engine.CacheStats()
 	gs := engine.GroupStats()

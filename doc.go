@@ -43,13 +43,13 @@
 // observation (the hit-matching tolerance), with reflection guard tests
 // forcing every Scenario and Options field to be classified into exactly one
 // side.  The Engine batches consecutive jobs with equal DynamicsKeys into
-// one group per worker and simulates the trajectory once: the compiled
-// suite observes the single pass and each job's summary is classified from
-// the recorded violation intervals at that job's own tolerance
-// (monitor.Suite.FastSummaryAt — sound because the tolerance parameterizes
-// only interval matching, never which intervals a run records), so a
-// K-tolerance sweep does ceil(variants/K) simulation passes instead of
-// one per variant.  Every result still streams under its own Job.Key in
+// one group and simulates the trajectory once: the lane suite observes the
+// single pass and each job's summary is classified from the recorded
+// violation intervals at that job's own tolerance (FastSummaryAt — sound
+// because the tolerance parameterizes only interval matching, never which
+// intervals a run records), so a K-tolerance sweep does ceil(variants/K)
+// simulation passes instead of one per variant.  Every result still streams
+// under its own Job.Key in
 // source order — sharding, caching, dedup and the distributed merge are
 // byte-identical with grouping on or off — and Engine.GroupStats reports
 // groups formed, variants carried and simulation passes saved.
@@ -63,12 +63,15 @@
 // every lane — and monitor.LaneSuite folds mask diffs into per-lane
 // violation intervals, touching per-lane state only on ticks where some
 // lane's verdict changed.  The Engine's dispatcher batches consecutive
-// equal-duration dynamics groups into lane tasks (WithLanes, on by default
-// for summary-only runs; ragged remainders fall back to the scalar arena),
-// per-lane stop masks retire collided lanes early, and differential tests
-// prove the laned stream byte-identical to the scalar one across the full
-// evaluation.  Engine.LaneStats reports batches widened, lanes carried and
-// ragged fallbacks; BENCH_9.json records the speedup.
+// equal-duration dynamics groups into lane tasks (WithLanes, default width
+// 4), and grouped summary-only runs are lane batches at every width: a
+// ragged remainder or WithLanes(1) simply runs one active lane.  Per-lane
+// stop masks retire collided lanes early.  WithGrouping(false) is the
+// per-job reference — every job runs on its own through the path
+// RunWithOptions uses, sharing nothing with lane execution — and
+// differential tests prove the laned stream byte-identical to it across the
+// full evaluation.  Engine.LaneStats reports batches widened, lanes carried
+// and ragged (single-group) batches; BENCH_9.json records the speedup.
 //
 // Monitoring is evaluated as one composed artifact: temporal.Program
 // compiles every goal and subgoal formula of a monitor suite into a single

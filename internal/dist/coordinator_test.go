@@ -36,10 +36,11 @@ func testSweep(t *testing.T) scenarios.Sweep {
 
 // singleProcess evaluates src in one process and returns the NDJSON run
 // lines plus the aggregate — the reference every distributed run must match
-// byte for byte.
+// byte for byte.  It runs the engine's per-job path (WithGrouping(false)),
+// which shares nothing with the grouped lane batches the workers execute.
 func singleProcess(t *testing.T, src scenarios.JobSource) ([]byte, AggregateReport) {
 	t.Helper()
-	engine := scenarios.NewEngine(scenarios.WithRetention(scenarios.SummaryOnly))
+	engine := scenarios.NewEngine(scenarios.WithRetention(scenarios.SummaryOnly), scenarios.WithGrouping(false))
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	var acc scenarios.Accumulator

@@ -10,13 +10,12 @@ import (
 // analyzerHotPathAlloc checks the zero-allocation invariant of the per-step
 // hot path: every function statically reachable from the hot roots — the
 // register-plane commit (Registers.CopyFrom, Bus.Commit), the shared
-// evaluation program (Program.Step, CompiledSuite.Observe), the engine
-// arena's observer fan-out (runArena.Observe, the per-step seam of grouped
-// execution) and the summary-only classification (Suite.FastSummary and the
-// tolerance-overriding Suite.FastSummaryAt) — must not contain
-// allocating constructs.  The runtime AllocsPerRun gates prove particular
-// benchmarks allocation-free; this analyzer proves the property for every
-// path through the source, including ones no benchmark exercises.
+// evaluation program (Program.Step, Program.StepLanes, CompiledSuite.Observe,
+// LaneSuite.ObserveLanes) and the summary-only classification
+// (Suite.FastSummary and the tolerance-overriding FastSummaryAt) — must not
+// contain allocating constructs.  The runtime AllocsPerRun gates prove
+// particular benchmarks allocation-free; this analyzer proves the property
+// for every path through the source, including ones no benchmark exercises.
 //
 // Flagged constructs: make/new, slice and map composite literals, &composite
 // literals, func literals (closures), append that does not reassign its own
@@ -29,6 +28,9 @@ import (
 // remain the backstop for those edges.  Additional roots are declared with
 // //lint:hotroot on the function; deliberate exceptions (such as the
 // register file's schema-growth slow path) carry //lint:allocok <reason>.
+// A well-known root that no longer resolves to a function in its loaded
+// package is itself a finding: a deleted or renamed root would otherwise
+// silently drop its whole call tree from the check.
 func analyzerHotPathAlloc() *Analyzer {
 	return &Analyzer{
 		Name: "hotpathalloc",
@@ -42,7 +44,6 @@ func hotRootKeys(modPath string) [][3]string {
 	sim := modPath + "/internal/sim"
 	temporal := modPath + "/internal/temporal"
 	monitor := modPath + "/internal/monitor"
-	scenarios := modPath + "/internal/scenarios"
 	return [][3]string{
 		{temporal, "Registers", "CopyFrom"},
 		{sim, "Bus", "Commit"},
@@ -56,8 +57,32 @@ func hotRootKeys(modPath string) [][3]string {
 		{monitor, "Suite", "FastSummaryAt"},
 		{monitor, "CompiledSuite", "FastSummaryAt"},
 		{monitor, "LaneSuite", "FastSummaryAt"},
-		{scenarios, "runArena", "Observe"},
 	}
+}
+
+// unresolvedRoots reports every well-known root whose package is loaded but
+// which resolved to no function in it.  A root in a package the program does
+// not contain (a partial load) is not reported.  The finding sits on the
+// package clause of the package's first file.
+func unresolvedRoots(prog *Program, keys [][3]string, resolved map[[3]string]bool) []Diagnostic {
+	var diags []Diagnostic
+	for _, k := range keys {
+		pkg := prog.Package(k[0])
+		if resolved[k] || pkg == nil || len(pkg.Files) == 0 {
+			continue
+		}
+		name := k[2]
+		if k[1] != "" {
+			name = k[1] + "." + k[2]
+		}
+		diags = append(diags, Diagnostic{
+			Pos:      prog.Position(pkg.Files[0].Package),
+			Analyzer: "hotpathalloc",
+			Message: fmt.Sprintf("well-known hot root %s.%s no longer resolves to a function; "+
+				"update hotRootKeys in internal/lint/hotpathalloc.go", k[0], name),
+		})
+	}
+	return diags
 }
 
 // funcNode pairs a function's type object with its declaration site.
@@ -68,6 +93,11 @@ type funcNode struct {
 }
 
 func runHotPathAlloc(prog *Program) []Diagnostic {
+	return hotPathAlloc(prog, hotRootKeys(prog.ModulePath))
+}
+
+// hotPathAlloc runs the analysis from the given well-known roots.
+func hotPathAlloc(prog *Program, keys [][3]string) []Diagnostic {
 	index := make(map[*types.Func]*funcNode)
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
@@ -85,16 +115,18 @@ func runHotPathAlloc(prog *Program) []Diagnostic {
 
 	// Roots: the well-known entry points plus //lint:hotroot annotations.
 	wellKnown := make(map[[3]string]bool)
-	for _, k := range hotRootKeys(prog.ModulePath) {
+	for _, k := range keys {
 		wellKnown[k] = true
 	}
-	var diags []Diagnostic
+	resolved := make(map[[3]string]bool)
 	var queue []*funcNode
 	rootOf := make(map[*types.Func]string)
 	for fn, node := range index {
 		key, ok := calleeKey(fn)
 		isRoot := ok && wellKnown[key]
-		if !isRoot {
+		if isRoot {
+			resolved[key] = true
+		} else {
 			file := fileFor(node.pkg, node.decl.Pos())
 			if _, found := node.pkg.Directives.lookup(prog.Fset, file, node.decl.Pos(), "hotroot"); found {
 				isRoot = true
@@ -105,6 +137,8 @@ func runHotPathAlloc(prog *Program) []Diagnostic {
 			queue = append(queue, node)
 		}
 	}
+
+	diags := unresolvedRoots(prog, keys, resolved)
 
 	// Breadth-first reachability over static call edges, pruned at
 	// //lint:allocok functions, checking each function body once.

@@ -413,22 +413,6 @@ func Summarize(ds []Detection) Summary {
 	return s
 }
 
-// SummarizeMap counts detections by kind across a whole classification map,
-// as produced by Suite.Classify.  Note the map is keyed by parent goal name,
-// so if two hierarchies monitor the same goal only the last one's detections
-// are present.
-//
-// Deprecated: use Suite.ClassifyAll (or CompiledSuite.ClassifyAll), which
-// sums over the hierarchies themselves and therefore counts every hierarchy
-// even when several share a parent goal name, in one classification pass.
-func SummarizeMap(m map[string][]Detection) Summary {
-	var s Summary
-	for _, ds := range m {
-		s = s.Add(Summarize(ds))
-	}
-	return s
-}
-
 // Add accumulates another summary into this one and returns the result.
 func (s Summary) Add(o Summary) Summary {
 	s.Hits += o.Hits

@@ -94,28 +94,32 @@ func TestZeroAllocProgramObserve(t *testing.T) {
 	}
 }
 
-// TestArenaVariantSteadyStateAllocs gates the arena-reused per-variant path:
-// rewinding the arena, re-initialising the bus and simulating a 2 000-step
-// variant end to end must cost O(1) allocations — the final bus snapshot and
-// nothing proportional to the step count.  The bound of 16 objects per
-// variant is ~0.008 per step; any per-step allocation would blow through it
-// three orders of magnitude over.
+// TestArenaVariantSteadyStateAllocs gates the arena-reused per-batch path:
+// rewinding a lane arena, re-initialising every lane's bus view and
+// simulating a 2 000-step batch end to end must cost O(1) allocations —
+// nothing proportional to the step count.  It runs at width 1 (one variant
+// per batch) and at the default width (a full batch of distinct thesis
+// scenarios).  The bound of 16 objects per batch is ~0.008 per step; any
+// per-step allocation would blow through it three orders of magnitude over.
 func TestArenaVariantSteadyStateAllocs(t *testing.T) {
 	skipIfAllocCountsUnreliable(t)
-	sc, ok := ScenarioByNumber(1)
-	if !ok {
-		t.Fatal("scenario 1 missing")
-	}
-	sc.Duration = 2 * time.Second
-	arena := newRunArena()
-	// Warm-up: compile the suite, intern the vocabulary, grow the recorder
-	// and scratch capacities to this variant's watermark.
-	for i := 0; i < 2; i++ {
-		arena.run(sc, Options{})
-	}
-	allocs := testing.AllocsPerRun(3, func() { arena.run(sc, Options{}) })
-	if allocs > 16 {
-		t.Errorf("arena-reused variant allocates %v objects/run over %d steps, want O(1) (<= 16)",
-			allocs, int(sc.Duration/Period))
+	jobs := thesisScenarioJobs(2 * time.Second)
+	for _, width := range arenaWidths {
+		a := newLaneArena(width)
+		groups := make([][]Job, width)
+		for l := range groups {
+			groups[l] = []Job{jobs[l]}
+		}
+		out := make([]Result, width)
+		// Warm-up: intern the vocabulary, grow the recorder and scratch
+		// capacities to this batch's watermark.
+		for i := 0; i < 2; i++ {
+			a.run(groups, out)
+		}
+		allocs := testing.AllocsPerRun(3, func() { a.run(groups, out) })
+		if allocs > 16 {
+			t.Errorf("width %d: arena-reused batch allocates %v objects/run over %d steps, want O(1) (<= 16)",
+				width, allocs, int(jobs[0].Scenario.Duration/Period))
+		}
 	}
 }

@@ -1,12 +1,14 @@
 package scenarios
 
-// Differential tests for the run arena: the same variant executed on a
-// reused arena — one schema, bus, component set and compiled program,
-// rewound between runs — must be indistinguishable from a fresh, fully
-// rebuilt run.  The arena is deliberately reused across every variant of a
-// sweep, exactly as an Engine worker reuses it, so these tests prove that
-// Simulation.Reset, the component Reset paths and the absolute
-// reconfiguration in vehicleSet.configure leave no state behind.
+// Differential tests for the lane arena: the same variant executed on a
+// reused arena — one lane-widened bus, per-lane component sets and one
+// compiled lane program, rewound between batches — must be indistinguishable
+// from a fresh, fully rebuilt per-job run.  Each arena is deliberately reused
+// across every batch of a sweep, exactly as an Engine worker reuses it, so
+// these tests prove that LaneSim.Reset, LaneSuite.Reset, the component Reset
+// paths and the absolute reconfiguration in vehicleSet.configure leave no
+// state behind — at width 1 (the WithLanes(1) layout) and at the default
+// width, where every lane follows a differently configured one.
 
 import (
 	"context"
@@ -14,58 +16,84 @@ import (
 	"time"
 )
 
-// assertArenaMatchesFresh runs one job both ways and compares everything a
-// summary-only Result retains.
-func assertArenaMatchesFresh(t *testing.T, arena *runArena, sc Scenario, opts Options) {
+// arenaWidths are the lane widths the reuse differentials drive.
+var arenaWidths = []int{1, defaultLaneWidth}
+
+// newTestArenas builds one reusable lane arena per width in arenaWidths.
+func newTestArenas() []*laneArena {
+	arenas := make([]*laneArena, len(arenaWidths))
+	for i, w := range arenaWidths {
+		arenas[i] = newLaneArena(w)
+	}
+	return arenas
+}
+
+// assertArenasMatchFresh runs jobs — every job its own dynamics group — on
+// each reused arena in consecutive batches of the arena's width, and compares
+// everything each summary-only Result retains with a fresh runJob of the
+// same job.  The jobs must share one scheduled duration, as the dispatcher
+// guarantees for a lane batch.
+func assertArenasMatchFresh(t *testing.T, arenas []*laneArena, jobs []Job) {
 	t.Helper()
-	got := arena.run(sc, opts)
-	want := runJob(sc, opts, SummaryOnly)
-	if got.Summary != want.Summary {
-		t.Errorf("%s (%s): arena summary %v != fresh summary %v",
-			sc.Name, opts.Label(), got.Summary, want.Summary)
+	want := make([]string, len(jobs))
+	for i, j := range jobs {
+		want[i] = mustJSON(t, runJob(j.Scenario, j.Options, SummaryOnly))
 	}
-	if got.Steps != want.Steps {
-		t.Errorf("%s (%s): arena steps %d != fresh steps %d",
-			sc.Name, opts.Label(), got.Steps, want.Steps)
-	}
-	if got.Collision != want.Collision {
-		t.Errorf("%s (%s): arena collision %v != fresh collision %v",
-			sc.Name, opts.Label(), got.Collision, want.Collision)
-	}
-	if got.TerminatedEarly() != want.TerminatedEarly() {
-		t.Errorf("%s (%s): arena early-termination %v != fresh %v",
-			sc.Name, opts.Label(), got.TerminatedEarly(), want.TerminatedEarly())
+	for _, a := range arenas {
+		for lo := 0; lo < len(jobs); lo += a.lanes {
+			hi := min(lo+a.lanes, len(jobs))
+			groups := make([][]Job, 0, hi-lo)
+			for _, j := range jobs[lo:hi] {
+				groups = append(groups, []Job{j})
+			}
+			got := make([]Result, len(groups))
+			a.run(groups, got)
+			for i, res := range got {
+				j := jobs[lo+i]
+				if g := mustJSON(t, res); g != want[lo+i] {
+					t.Errorf("width %d, lane %d, %s (%s): arena result differs from fresh\n arena: %s\n fresh: %s",
+						a.lanes, i, j.Scenario.Name, j.Options.Label(), g, want[lo+i])
+				}
+			}
+		}
 	}
 }
 
 // TestArenaMatchesFreshThesisScenarios proves arena-reuse equivalence on the
-// ten thesis scenarios in both defect configurations, interleaved so every
-// run follows a differently configured one.  -short trims the durations; the
-// full 20 s runs execute in CI.
+// ten thesis scenarios in both defect configurations.  Each subtest batches
+// its scenario with the next one, so a four-lane batch mixes four distinct
+// trajectories and every batch follows a differently configured one.  -short
+// trims the durations; the full 20 s runs execute in CI.
 func TestArenaMatchesFreshThesisScenarios(t *testing.T) {
-	arena := newRunArena()
-	for _, sc := range Scenarios() {
-		sc := sc
+	arenas := newTestArenas()
+	all := Scenarios()
+	for i, sc := range all {
+		next := all[(i+1)%len(all)]
 		if testing.Short() {
-			sc.Duration = 2 * time.Second
+			sc.Duration, next.Duration = 2*time.Second, 2*time.Second
+		}
+		jobs := []Job{
+			{Scenario: sc},
+			{Scenario: sc, Options: Options{CorrectDefects: true}},
+			{Scenario: next},
+			{Scenario: next, Options: Options{CorrectDefects: true}},
 		}
 		t.Run(sc.Name, func(t *testing.T) {
-			assertArenaMatchesFresh(t, arena, sc, Options{})
-			assertArenaMatchesFresh(t, arena, sc, Options{CorrectDefects: true})
+			assertArenasMatchFresh(t, arenas, jobs)
 		})
 	}
 }
 
 // TestArenaMatchesFreshSweeps extends the equivalence proof across every
 // variant of the sweep presets an Engine worker actually runs the arena
-// over: the 120-variant DefaultSweep, the tolerance sweep (which switches
-// compiled programs inside one arena) and the defect sweep (per-feature
-// corrections and perturbed driver schedules).
+// over: the 120-variant DefaultSweep, the tolerance sweep (which classifies
+// neighbouring lanes at different tolerances) and the defect sweep
+// (per-feature corrections and perturbed driver schedules).
 func TestArenaMatchesFreshSweeps(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs three full sweep presets through one arena")
+		t.Skip("runs three full sweep presets through the arenas")
 	}
-	arena := newRunArena()
+	arenas := newTestArenas()
 	for _, preset := range []struct {
 		name  string
 		sweep Sweep
@@ -81,18 +109,18 @@ func TestArenaMatchesFreshSweeps(t *testing.T) {
 				sw.Families[i].Base.Duration = 1 * time.Second
 			}
 			src := sw.Source()
-			runs := 0
+			var jobs []Job
 			for {
 				job, ok := src.Next()
 				if !ok {
 					break
 				}
-				assertArenaMatchesFresh(t, arena, job.Scenario, job.Options)
-				runs++
+				jobs = append(jobs, job)
 			}
-			if runs != sw.Size() {
-				t.Fatalf("arena differential executed %d variants, want %d", runs, sw.Size())
+			if len(jobs) != sw.Size() {
+				t.Fatalf("sweep source yielded %d variants, want %d", len(jobs), sw.Size())
 			}
+			assertArenasMatchFresh(t, arenas, jobs)
 		})
 	}
 }

@@ -127,9 +127,9 @@ func Tee(sinks ...ResultSink) ResultSink {
 // NewEngine and functional options; the zero-value-equivalent NewEngine() is
 // ready to use.
 //
-// Every job is fully isolated (each run owns its sim engine, bus and monitor
-// suite), so jobs execute concurrently without synchronisation; the sink is
-// invoked from a single collector goroutine.
+// Every task is fully isolated (each worker owns its simulation, bus and
+// monitor suites), so tasks execute concurrently without synchronisation;
+// the sink is invoked from a single collector goroutine.
 type Engine struct {
 	workers   int
 	retention Retention
@@ -189,7 +189,9 @@ func WithResultCache() EngineOption {
 // caches, sharding and the distributed merge observe byte-identical output
 // either way (the grouped-vs-ungrouped differential tests are the proof).
 // Grouping applies only under SummaryOnly retention; KeepTrace results own
-// their suites and always run per job.
+// their suites and always run per job.  With grouping disabled every job
+// runs on its own through the path RunWithOptions uses, which shares nothing
+// with grouped lane execution and is the reference it is tested against.
 func WithGrouping(enabled bool) EngineOption { return func(e *Engine) { e.grouping = enabled } }
 
 // defaultLaneWidth is the lane-batch width summary-only engines use unless
@@ -206,13 +208,14 @@ const defaultLaneWidth = 4
 // trajectory (speed/distance/defect axes): N variants pay one commit, one
 // lane-program step and one observer dispatch per tick between them.
 //
-// Lane batching rides on grouped dispatch and applies only under SummaryOnly
-// retention, where it is ON by default at defaultLaneWidth; n <= 1 disables
-// it (every group runs on the scalar arena path) and widths above
-// temporal.MaxLanes are clamped.  Results stream under each job's original
-// index and Job.Key either way, so sinks, caches, sharding and the
-// distributed merge observe byte-identical output — the laned-vs-scalar
-// differential tests are the proof.
+// Grouped summary-only runs are lane batches at every width: the default is
+// defaultLaneWidth, n <= 1 runs each dynamics group as a one-lane batch, and
+// widths above temporal.MaxLanes are clamped.  The width is inert when
+// grouping is disabled or under KeepTrace retention, where every job runs on
+// its own.  Results stream under each job's original index and Job.Key at
+// every width, so sinks, caches, sharding and the distributed merge observe
+// byte-identical output — the laned-vs-per-job differential tests are the
+// proof.
 func WithLanes(n int) EngineOption {
 	return func(e *Engine) {
 		if n < 1 {
@@ -252,25 +255,20 @@ func (e *Engine) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// laneWidth resolves the effective lane-batch width: lane batching rides on
-// grouped summary-only dispatch and is otherwise inert.
-func (e *Engine) laneWidth() int {
-	if e.lanes > 1 && e.grouping && e.retention == SummaryOnly {
-		return e.lanes
-	}
-	return 1
+// grouped reports whether jobs are dispatched as dynamics groups batched
+// into lane tasks.  Grouping applies only under SummaryOnly retention; every
+// other configuration runs job by job.
+func (e *Engine) grouped() bool {
+	return e.grouping && e.retention == SummaryOnly
 }
 
-// task is one dispatched unit of work.  A grouped task is a run of
-// consecutive jobs sharing a DynamicsKey (one job when grouping is off or
-// the stream's neighbours differ); a lane-batched task (groups != nil) is a
-// run of consecutive dynamics groups with equal scheduled duration, executed
-// as one lane-widened simulation.  idx is the source index of the first job;
-// a task's jobs are contiguous in source order either way, so job i of the
+// task is one dispatched unit of work: a run of consecutive dynamics groups
+// with equal scheduled duration, executed as one lane batch.  Per-job
+// dispatch sends one group holding one job.  idx is the source index of the
+// first job; a task's jobs are contiguous in source order, so job i of the
 // flattened task streams under index idx+i.
 type task struct {
 	idx    int
-	jobs   []Job
 	groups [][]Job
 }
 
@@ -317,17 +315,18 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 	// per job, released when the job's result is delivered, so dispatch can
 	// run at most window jobs ahead of in-order delivery.  Without it one
 	// slow run would let faster workers race ahead and the out-of-order
-	// buffer would grow O(completed), not O(workers).  The extra tokens
-	// cover the dispatcher's pending work, whose jobs hold tokens before
-	// they are dispatched — one dynamics group, or with lane batching up to
-	// e.lanes groups accumulating toward one widened task: even if all of it
-	// is pending, 2*workers tokens remain in circulation, so batching can
-	// never starve the window.
+	// buffer would grow O(completed), not O(workers).  Under grouped
+	// dispatch the extra tokens cover the dispatcher's pending work, whose
+	// jobs hold tokens before they are dispatched — up to e.lanes groups
+	// accumulating toward one lane task: even if all of it is pending,
+	// 2*workers tokens remain in circulation, so batching can never starve
+	// the window.  Per-job dispatch never holds a job back and reserves
+	// nothing extra.
 	var window chan struct{}
 	if e.ordered {
-		pendingCap := maxGroupWidth
-		if e.laneWidth() > 1 {
-			pendingCap = e.laneWidth() * maxGroupWidth
+		pendingCap := 0
+		if e.grouped() {
+			pendingCap = e.lanes * maxGroupWidth
 		}
 		window = make(chan struct{}, 2*workers+pendingCap)
 	}
@@ -341,16 +340,14 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 	// Dispatcher: the only goroutine that touches src.  With grouping
 	// active it batches consecutive jobs whose DynamicsKeys match into one
 	// group; a group closes when the key changes, the width bound is
-	// reached, or the source ends.  With lane batching active, closed
-	// groups additionally accumulate into a lane batch — up to laneWidth
-	// consecutive groups with equal scheduled duration, dispatched as one
-	// widened task; a duration change or the source's end flushes the
-	// partial batch.  Dispatch order (and therefore result order) is
-	// exactly source order in every mode.
+	// reached, or the source ends.  Closed groups accumulate into a lane
+	// batch — up to e.lanes consecutive groups with equal scheduled
+	// duration, dispatched as one task; a duration change or the source's
+	// end flushes the partial batch.  Dispatch order (and therefore result
+	// order) is exactly source order in every mode.
 	go func() {
 		defer close(tasks)
-		grouped := e.grouping && e.retention == SummaryOnly
-		laneWidth := e.laneWidth()
+		grouped := e.grouped()
 		var (
 			group    []Job
 			groupKey string
@@ -379,17 +376,12 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 			batch = nil
 			return send(t)
 		}
-		// flush closes the pending group: dispatched directly in grouped
-		// mode, folded into the lane batch (flushing it on a scheduled-
-		// duration mismatch or at full width) in laned mode.
+		// flush closes the pending group and folds it into the lane batch,
+		// flushing the batch on a scheduled-duration mismatch or at full
+		// width.
 		flush := func() bool {
 			if len(group) == 0 {
 				return true
-			}
-			if laneWidth <= 1 {
-				t := task{idx: start, jobs: group}
-				group = nil
-				return send(t)
 			}
 			d := scheduledDuration(group[0].Scenario)
 			if len(batch) > 0 && d != batchDur {
@@ -402,7 +394,7 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 			}
 			batch = append(batch, group)
 			group = nil
-			if len(batch) == laneWidth {
+			if len(batch) == e.lanes {
 				return sendBatch()
 			}
 			return true
@@ -433,7 +425,7 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 				return
 			}
 			if !grouped {
-				if !send(task{idx: idx, jobs: []Job{job}}) {
+				if !send(task{idx: idx, groups: [][]Job{{job}}}) {
 					return
 				}
 				continue
@@ -524,16 +516,14 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 	return ctx.Err()
 }
 
-// arenaPool recycles run arenas across Stream calls and Engine lifetimes:
-// an arena's schema, handle table and compiled programs depend on nothing
-// job-specific, so a worker borrows one for the duration of a stream and
-// returns it, and repeated sweeps (tests, benchmarks, a long-lived service
-// evaluating batch after batch) skip the per-worker setup entirely.
-var arenaPool = sync.Pool{New: func() any { return newRunArena() }}
-
-// laneArenaPool recycles lane arenas the same way.  Widths can differ across
-// Engines, so the pool is width-checked on borrow: a mismatched arena is
-// dropped (for the GC) and a fresh one built at the requested width.
+// laneArenaPool recycles lane arenas across Stream calls and Engine
+// lifetimes: an arena's schema, handle tables and compiled lane program
+// depend on nothing job-specific, so a worker borrows one for the duration of
+// a stream and returns it, and repeated sweeps (tests, benchmarks, a
+// long-lived service evaluating batch after batch) skip the per-worker setup
+// entirely.  Widths can differ across Engines, so the pool is width-checked
+// on borrow: a mismatched arena is dropped (for the GC) and a fresh one built
+// at the requested width.
 var laneArenaPool sync.Pool
 
 // borrowLaneArena fetches a lane arena of the given width from the pool,
@@ -545,95 +535,44 @@ func borrowLaneArena(lanes int) *laneArena {
 	return newLaneArena(lanes)
 }
 
-// runWorker executes dispatched jobs until the task channel closes.  Under
-// SummaryOnly retention the worker borrows a run arena — one schema, bus,
-// component set and compiled program per tolerance, rewound between variants
-// — so the per-variant cost is the simulation itself, not its construction.
-// KeepTrace runs build fresh state per job (the Result retains the trace and
-// suite) and reuse only the compiled monitor suites via the suite cache.
+// runWorker executes dispatched tasks until the task channel closes.  The
+// Engine has exactly two execution paths.  Grouped summary-only tasks run on
+// a borrowed lane arena — per-lane component sets over one lane-widened bus
+// and one compiled lane program, rewound between batches — so the per-variant
+// cost is the simulation itself, not its construction.  Every other job
+// (KeepTrace, or grouping disabled) runs on its own through runJobCached,
+// the code RunWithOptions uses, reusing only the worker's compiled monitor
+// suites; it shares nothing with lane execution, which makes it the
+// reference the laned and grouped differentials compare against.
 func (e *Engine) runWorker(tasks <-chan task, results chan<- StreamResult) {
-	if e.retention == SummaryOnly {
-		arena := arenaPool.Get().(*runArena)
-		defer arenaPool.Put(arena)
-		// The lane arena is borrowed lazily on the first lane-batched task:
-		// a stream whose batches all degenerate to scalar dispatch (lanes
-		// disabled, ragged tails) never pays for one.
-		var lanes *laneArena
-		defer func() {
-			if lanes != nil {
-				laneArenaPool.Put(lanes)
-			}
-		}()
+	if e.grouped() {
+		la := borrowLaneArena(e.lanes)
+		defer laneArenaPool.Put(la)
 		for t := range tasks {
-			if t.groups != nil {
-				if lanes == nil {
-					lanes = borrowLaneArena(e.laneWidth())
-				}
-				e.runLaneTask(arena, lanes, t, results)
-				continue
-			}
-			e.runGroupTask(arena, t, results)
+			e.runLaneTask(la, t, results)
 		}
 		return
 	}
 	cache := make(suiteCache)
 	for t := range tasks {
-		for i, job := range t.jobs {
-			res := runJobCached(job.Scenario, job.Options, e.retention, cache)
-			results <- StreamResult{Index: t.idx + i, Job: job, Result: res}
-		}
+		job := t.groups[0][0]
+		results <- StreamResult{Index: t.idx, Job: job, Result: e.runSingle(job, cache)}
 	}
 }
 
-// runGroupTask executes one dispatched dynamics group on the worker's arena.
-// Cache hits are resolved per job first; the remaining jobs run as one
-// simulation pass (arena.runGroup) and are stored back, and every job's
-// result streams under its own index and key — the collector, the result
-// cache and the distributed protocol never see grouping at all.
-func (e *Engine) runGroupTask(arena *runArena, t task, results chan<- StreamResult) {
-	if len(t.jobs) == 1 {
-		// Width-1 groups (grouping off, or no equal-dynamics neighbour) take
-		// the exact per-variant path of ungrouped execution.
-		job := t.jobs[0]
-		res, hit := e.cache.lookup(job)
-		sims := 0
-		if !hit {
-			res = arena.run(job.Scenario, job.Options)
-			e.cache.store(job, res)
-			sims = 1
-		}
-		e.recordGroup(1, sims)
-		results <- StreamResult{Index: t.idx, Job: job, Result: res}
-		return
+// runSingle executes one job on its own.  Summary-only results go through
+// the result cache; a KeepTrace Result owns its trace and suite and is never
+// memoized.
+func (e *Engine) runSingle(job Job, cache suiteCache) Result {
+	if e.retention != SummaryOnly {
+		return runJobCached(job.Scenario, job.Options, e.retention, cache)
 	}
-
-	out := make([]Result, len(t.jobs))
-	var missJobs []Job
-	var missIdx []int
-	for i, job := range t.jobs {
-		if res, hit := e.cache.lookup(job); hit {
-			out[i] = res
-		} else {
-			missJobs = append(missJobs, job)
-			missIdx = append(missIdx, i)
-		}
+	if res, hit := e.cache.lookup(job); hit {
+		return res
 	}
-	sims := 0
-	if len(missJobs) > 0 {
-		// The misses are a subset of one dynamics group, so they still share
-		// a DynamicsKey and one pass serves them all.
-		miss := make([]Result, len(missJobs))
-		arena.runGroup(missJobs, miss)
-		sims = 1
-		for k, i := range missIdx {
-			out[i] = miss[k]
-			e.cache.store(missJobs[k], miss[k])
-		}
-	}
-	e.recordGroup(len(t.jobs), sims)
-	for i, job := range t.jobs {
-		results <- StreamResult{Index: t.idx + i, Job: job, Result: out[i]}
-	}
+	res := runJobCached(job.Scenario, job.Options, e.retention, cache)
+	e.cache.store(job, res)
+	return res
 }
 
 // runLaneTask executes one lane batch — consecutive dynamics groups with
@@ -641,13 +580,11 @@ func (e *Engine) runGroupTask(arena *runArena, t task, results chan<- StreamResu
 // resolved per job first; a group whose jobs all hit drops out of the batch
 // entirely.  The surviving groups' miss subsets (each still sharing its
 // group's DynamicsKey) run as ONE lane-widened simulation, one group per
-// lane; when at most one group survives, the batch falls back to the scalar
-// arena path (a ragged batch — the lane harness would be stepping a single
-// lane).  Every job's result streams under its own index and key, and
-// GroupStats are recorded per group exactly as grouped dispatch records
-// them, so laning is invisible to the collector, the cache, sharding and
-// the distributed merge.
-func (e *Engine) runLaneTask(arena *runArena, la *laneArena, t task, results chan<- StreamResult) {
+// lane; a batch with a single survivor runs with one active lane.  Every
+// job's result streams under its own index and key, and GroupStats are
+// recorded per group, so batching is invisible to the collector, the cache,
+// sharding and the distributed merge.
+func (e *Engine) runLaneTask(la *laneArena, t task, results chan<- StreamResult) {
 	total := 0
 	for _, g := range t.groups {
 		total += len(g)
@@ -683,20 +620,7 @@ func (e *Engine) runLaneTask(arena *runArena, la *laneArena, t task, results cha
 		e.recordGroup(len(g), sims)
 	}
 
-	switch {
-	case len(live) == 0:
-		// Fully cached batch: nothing to simulate.
-	case len(live) == 1:
-		// Ragged: one surviving group widens nothing; the scalar grouped
-		// path is the faster (and identical) execution.
-		miss := make([]Result, len(live[0]))
-		arena.runGroup(live[0], miss)
-		for k, fi := range liveIdx[0] {
-			out[fi] = miss[k]
-			e.cache.store(live[0][k], miss[k])
-		}
-		e.recordLaneBatch(0, 0, 1)
-	default:
+	if len(live) > 0 {
 		miss := make([]Result, misses)
 		la.run(live, miss)
 		mi := 0
@@ -707,7 +631,7 @@ func (e *Engine) runLaneTask(arena *runArena, la *laneArena, t task, results cha
 				mi++
 			}
 		}
-		e.recordLaneBatch(1, len(live), 0)
+		e.recordLaneBatch(len(live))
 	}
 
 	flat = 0
@@ -857,37 +781,45 @@ func (g GroupStats) MeanWidth() float64 {
 // GroupStats returns the Engine's dynamics-grouping counters.  They stay
 // zero when grouping is disabled (WithGrouping(false)) and under KeepTrace
 // retention, where every job runs individually.  Sims counts per-trajectory
-// simulations whether a group ran on the scalar arena or as one lane of a
-// widened batch; LaneStats describes how those trajectories were batched.
+// simulations, one per lane a group occupied; LaneStats describes how those
+// trajectories were batched.
 func (e *Engine) GroupStats() GroupStats {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
 	return e.stats
 }
 
-// recordLaneBatch folds one lane-batched task's execution into the Engine's
-// LaneStats: batches/lanes count widened runs and the dynamics groups they
-// carried, ragged counts batches that fell back to the scalar path.
-func (e *Engine) recordLaneBatch(batches, lanes, ragged int) {
+// recordLaneBatch folds one executed lane batch carrying `live` dynamics
+// groups into the Engine's LaneStats: a multi-group batch is a widened run,
+// a single-group batch is ragged.  At width 1 every batch carries one group
+// by construction, so nothing is recorded and LaneStats stays zero.
+func (e *Engine) recordLaneBatch(live int) {
+	if e.lanes <= 1 {
+		return
+	}
 	e.statsMu.Lock()
-	e.laneStats.Batches += batches
-	e.laneStats.Lanes += lanes
-	e.laneStats.Ragged += ragged
+	if live > 1 {
+		e.laneStats.Batches++
+		e.laneStats.Lanes += live
+	} else {
+		e.laneStats.Ragged++
+	}
 	e.statsMu.Unlock()
 }
 
 // LaneStats counts what lane-batched execution did over an Engine's lifetime
 // (accumulated across streams, like GroupStats and the cache counters).
 type LaneStats struct {
-	// Batches is the number of lane-widened simulations executed.
+	// Batches is the number of lane-widened simulations executed: batches
+	// that ran more than one dynamics group.
 	Batches int
 	// Lanes is the number of dynamics groups those batches carried — each a
-	// trajectory that would otherwise have been its own scalar pass.
+	// trajectory that would otherwise have been its own simulation pass.
 	Lanes int
-	// Ragged is the number of dispatched lane batches that fell back to the
-	// scalar path because at most one group survived cache resolution (or
-	// the batch was dispatched at width 1: a ragged remainder of the
-	// stream's grouping structure).
+	// Ragged is the number of lane batches that ran a single group with one
+	// active lane: the batch was dispatched with one group (a ragged
+	// remainder of the stream's grouping structure) or only one group
+	// survived cache resolution.
 	Ragged int
 }
 
@@ -900,9 +832,9 @@ func (s LaneStats) MeanWidth() float64 {
 	return float64(s.Lanes) / float64(s.Batches)
 }
 
-// LaneStats returns the Engine's lane-batching counters.  They stay zero
-// when lane batching is inert (WithLanes(1), grouping disabled, or KeepTrace
-// retention).
+// LaneStats returns the Engine's lane-batching counters.  They stay zero at
+// WithLanes(1), where every batch is one group wide, and when grouping is
+// disabled or under KeepTrace retention, where no lane batch runs.
 func (e *Engine) LaneStats() LaneStats {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()

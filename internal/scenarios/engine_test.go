@@ -593,14 +593,14 @@ func TestEngineCompletedStreamIgnoresLateCancel(t *testing.T) {
 
 // TestEngineOrderedBackpressure checks the ordered-mode window: when the
 // first job is much slower than the rest, dispatch stalls instead of letting
-// the out-of-order buffer grow O(completed).  With a window of 2*workers, at
-// most 2*workers results can complete before the head of the line delivers.
+// the out-of-order buffer grow O(completed).
 //
-// The engine runs at WithLanes(1): this test pins the scalar window bound,
-// and lane batching deliberately holds a closed dynamics group back (waiting
-// for equal-duration siblings to widen the batch), so under lanes the head
-// group legitimately dispatches later and the window carries extra pending
-// capacity (2*workers + lanes*maxGroupWidth).
+// Per-job dispatch (WithGrouping(false)) never holds a job back, so its
+// window is exactly 2*workers: at most 2*workers results can complete before
+// the head of the line delivers.  Grouped dispatch legitimately holds closed
+// dynamics groups back (waiting for equal-duration siblings to fill a lane
+// batch), so its window carries lanes*maxGroupWidth extra pending
+// capacity — and that is the bound it must still honour.
 func TestEngineOrderedBackpressure(t *testing.T) {
 	base, ok := ScenarioByNumber(7)
 	if !ok {
@@ -610,42 +610,54 @@ func TestEngineOrderedBackpressure(t *testing.T) {
 	slow.Duration = 2 * time.Second
 	fast.Duration = 10 * time.Millisecond
 
-	jobs := make([]Job, 64)
-	jobs[0] = Job{Scenario: slow}
-	for i := 1; i < len(jobs); i++ {
-		jobs[i] = Job{Scenario: fast}
-	}
-
 	const workers = 4
-	var pulled atomic.Int64
-	inner := SliceSource(jobs)
-	src := SourceFunc(func() (Job, bool) {
-		j, ok := inner.Next()
-		if ok {
-			pulled.Add(1)
-		}
-		return j, ok
-	})
-
-	pulledAtHead := int64(-1)
-	err := NewEngine(WithWorkers(workers), WithRetention(SummaryOnly), WithLanes(1)).Stream(
-		context.Background(), src, SinkFunc(func(sr StreamResult) error {
-			if sr.Index == 0 {
-				// The head of the line delivers ~2 s in, long after every
-				// fast job would have been pulled and completed were there
-				// no backpressure.  The window must have held dispatch to
-				// at most 2*workers jobs ahead.
-				pulledAtHead = pulled.Load()
+	for _, tc := range []struct {
+		name   string
+		jobs   int
+		opts   []EngineOption
+		window int
+	}{
+		{"per-job", 64, []EngineOption{WithGrouping(false)}, 2 * workers},
+		{"grouped", 160, nil, 2*workers + defaultLaneWidth*maxGroupWidth},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs := make([]Job, tc.jobs)
+			jobs[0] = Job{Scenario: slow}
+			for i := 1; i < len(jobs); i++ {
+				jobs[i] = Job{Scenario: fast}
 			}
-			return nil
-		}))
-	if err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
-	if pulledAtHead < 0 {
-		t.Fatal("index 0 never delivered")
-	}
-	if max := int64(2*workers + 1); pulledAtHead > max {
-		t.Errorf("dispatcher pulled %d jobs while the head of the line was running, want <= %d (window bound)", pulledAtHead, max)
+
+			var pulled atomic.Int64
+			inner := SliceSource(jobs)
+			src := SourceFunc(func() (Job, bool) {
+				j, ok := inner.Next()
+				if ok {
+					pulled.Add(1)
+				}
+				return j, ok
+			})
+
+			pulledAtHead := int64(-1)
+			opts := append([]EngineOption{WithWorkers(workers), WithRetention(SummaryOnly)}, tc.opts...)
+			err := NewEngine(opts...).Stream(context.Background(), src, SinkFunc(func(sr StreamResult) error {
+				if sr.Index == 0 {
+					// The head of the line delivers ~2 s in, long after
+					// every fast job would have been pulled and completed
+					// were there no backpressure.  The window must have
+					// held dispatch to at most window jobs ahead.
+					pulledAtHead = pulled.Load()
+				}
+				return nil
+			}))
+			if err != nil {
+				t.Fatalf("Stream: %v", err)
+			}
+			if pulledAtHead < 0 {
+				t.Fatal("index 0 never delivered")
+			}
+			if max := int64(tc.window + 1); pulledAtHead > max {
+				t.Errorf("dispatcher pulled %d jobs while the head of the line was running, want <= %d (window bound)", pulledAtHead, max)
+			}
+		})
 	}
 }

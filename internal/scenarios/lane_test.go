@@ -1,12 +1,13 @@
 package scenarios
 
 // Differential tests for lane-batched execution: an Engine at the default
-// lane width must produce byte-identical output — every StreamResult, in the
-// same order, under the same index and Job.Key, folding to the same
-// aggregate — as the same Engine at WithLanes(1), whose dispatch and
-// execution are exactly the PR 8 scalar grouped path.  The laned path steps
-// several dynamics groups in lockstep through one widened simulation, so
-// these tests are the proof that widening is unobservable downstream.
+// lane width and at WithLanes(1) must produce byte-identical output — every
+// StreamResult, in the same order, under the same index and Job.Key,
+// folding to the same aggregate — as the same Engine at WithGrouping(false),
+// whose per-job execution (runJobCached, the code RunWithOptions uses)
+// shares nothing with lane batching.  The laned path steps several dynamics
+// groups in lockstep through one widened simulation, so these tests are the
+// proof that widening is unobservable downstream.
 
 import (
 	"bytes"
@@ -19,20 +20,23 @@ import (
 	"repro/internal/vehicle"
 )
 
-// assertLanedMatchesScalar is the core differential: one sweep, two engines
-// differing only in lane width, byte-identical stream and aggregate.
+// assertLanedMatchesScalar is the core differential: one sweep streamed by
+// grouped engines at the default lane width and at width 1, each
+// byte-identical in stream and aggregate to the per-job reference engine.
 func assertLanedMatchesScalar(t *testing.T, src func() JobSource, opts ...EngineOption) {
 	t.Helper()
 	base := append([]EngineOption{WithRetention(SummaryOnly)}, opts...)
-	gotStream, gotAgg := streamBytes(t, src(), base...)
-	wantStream, wantAgg := streamBytes(t, src(), append(base, WithLanes(1))...)
-	if !bytes.Equal(gotStream, wantStream) {
-		t.Errorf("laned result stream differs from scalar (%d vs %d bytes)",
-			len(gotStream), len(wantStream))
-	}
-	if !bytes.Equal(gotAgg, wantAgg) {
-		t.Errorf("laned aggregate differs from scalar:\n laned:  %s\n scalar: %s",
-			gotAgg, wantAgg)
+	wantStream, wantAgg := streamBytes(t, src(), append(base, WithGrouping(false))...)
+	for _, width := range []int{defaultLaneWidth, 1} {
+		gotStream, gotAgg := streamBytes(t, src(), append(base, WithLanes(width))...)
+		if !bytes.Equal(gotStream, wantStream) {
+			t.Errorf("width %d: laned result stream differs from per-job (%d vs %d bytes)",
+				width, len(gotStream), len(wantStream))
+		}
+		if !bytes.Equal(gotAgg, wantAgg) {
+			t.Errorf("width %d: laned aggregate differs from per-job:\n laned:   %s\n per-job: %s",
+				width, gotAgg, wantAgg)
+		}
 	}
 }
 
@@ -51,7 +55,7 @@ func thesisScenarioJobs(d time.Duration) []Job {
 
 // TestLanedMatchesScalarScenarios proves lane batching on the ten thesis
 // scenarios: ten width-1 dynamics groups with equal durations batch into
-// 4+4+2 lanes, and the widened runs must reproduce the scalar stream byte
+// 4+4+2 lanes, and the widened runs must reproduce the per-job stream byte
 // for byte — including each scenario's own collision step and summary.
 func TestLanedMatchesScalarScenarios(t *testing.T) {
 	jobs := thesisScenarioJobs(1 * time.Second)
@@ -89,17 +93,16 @@ func TestLanedMatchesScalarSweeps(t *testing.T) {
 }
 
 // TestLanedMatchesScalarWithCache layers the result cache over lane-batched
-// execution: a first pass primes half the stream, so the second pass
-// dispatches batches whose groups are fully cached, partially cached and
-// uncached — exercising the per-job hit resolution, the miss-subset lanes
-// and the single-survivor scalar fallback — and must still match the scalar
-// engine byte for byte.
+// execution: a first pass primes the first seven jobs, so the second pass
+// dispatches a fully cached batch (nothing simulated), a batch with a single
+// surviving group (one active lane, counted as ragged) and an uncached
+// two-lane batch — and must still match the per-job engine byte for byte.
 func TestLanedMatchesScalarWithCache(t *testing.T) {
 	jobs := thesisScenarioJobs(500 * time.Millisecond)
-	half := jobs[:len(jobs)/2]
+	primed := jobs[:7]
 
 	laned := NewEngine(WithRetention(SummaryOnly), WithResultCache())
-	scalar := NewEngine(WithRetention(SummaryOnly), WithResultCache(), WithLanes(1))
+	perJob := NewEngine(WithRetention(SummaryOnly), WithResultCache(), WithGrouping(false))
 	collect := func(e *Engine, js []Job) []byte {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
@@ -111,45 +114,20 @@ func TestLanedMatchesScalarWithCache(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	collect(laned, half)
-	collect(scalar, half)
-	g, s := collect(laned, jobs), collect(scalar, jobs)
+	collect(laned, primed)
+	collect(perJob, primed)
+	g, s := collect(laned, jobs), collect(perJob, jobs)
 	if !bytes.Equal(g, s) {
-		t.Fatal("laned+cache stream differs from scalar+cache")
+		t.Fatal("laned+cache stream differs from per-job+cache")
 	}
-	wantHits, wantMisses := len(half), len(jobs)
+	wantHits, wantMisses := len(primed), len(jobs)
 	if hits, misses := laned.CacheStats(); hits != wantHits || misses != wantMisses {
 		t.Fatalf("laned cache stats hits=%d misses=%d, want %d/%d", hits, misses, wantHits, wantMisses)
 	}
-}
-
-// TestLaneArenaMatchesScalarArena drives the lane harness directly, outside
-// the Engine: every 4-lane batch of thesis-scenario groups must produce, per
-// lane, the Steps, Summary and Collision runArena.runGroup computes for that
-// group on its own.
-func TestLaneArenaMatchesScalarArena(t *testing.T) {
-	jobs := thesisScenarioJobs(1 * time.Second)
-	scalar := newRunArena()
-	la := newLaneArena(4)
-	for lo := 0; lo < len(jobs); lo += 4 {
-		hi := lo + 4
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		groups := make([][]Job, 0, hi-lo)
-		for _, j := range jobs[lo:hi] {
-			groups = append(groups, []Job{j})
-		}
-		got := make([]Result, len(groups))
-		la.run(groups, got)
-		for i, g := range groups {
-			want := make([]Result, 1)
-			scalar.runGroup(g, want)
-			if gj, wj := mustJSON(t, got[i]), mustJSON(t, want[0]); gj != wj {
-				t.Errorf("lane %d (%s): laned result differs\n laned:  %s\n scalar: %s",
-					i, g[0].Scenario.Name, gj, wj)
-			}
-		}
+	// Priming ran 4+3 lanes; the second pass adds the one-survivor batch as
+	// ragged and the 2-lane tail as a widened run.
+	if want, ls := (LaneStats{Batches: 3, Lanes: 9, Ragged: 1}), laned.LaneStats(); ls != want {
+		t.Fatalf("laned+cache LaneStats = %+v, want %+v", ls, want)
 	}
 }
 
@@ -166,7 +144,7 @@ func mustJSON(t *testing.T, v any) string {
 // colliding trajectory (scenario 7 with seeded defects) and non-colliding
 // ones must retire only the colliding lane — its Steps stop at the collision
 // and TerminatedEarly holds — while sibling lanes run their full schedule,
-// all byte-identical to scalar execution.
+// all byte-identical to per-job execution.
 func TestLaneEarlyStopPerLane(t *testing.T) {
 	sc7, ok := ScenarioByNumber(7)
 	if !ok {
@@ -195,17 +173,17 @@ func TestLaneEarlyStopPerLane(t *testing.T) {
 		}
 		return out
 	}
-	laned, scalar := collect(), collect(WithLanes(1))
+	laned, perJob := collect(), collect(WithGrouping(false))
 
 	early := 0
 	for i := range jobs {
-		l, s := laned[i], scalar[i]
+		l, s := laned[i], perJob[i]
 		if l.Result.Steps != s.Result.Steps || l.Result.Collision != s.Result.Collision {
-			t.Errorf("job %d: laned Steps=%d Collision=%v, scalar Steps=%d Collision=%v",
+			t.Errorf("job %d: laned Steps=%d Collision=%v, per-job Steps=%d Collision=%v",
 				i, l.Result.Steps, l.Result.Collision, s.Result.Steps, s.Result.Collision)
 		}
 		if l.Result.TerminatedEarly() != s.Result.TerminatedEarly() {
-			t.Errorf("job %d: laned TerminatedEarly=%v, scalar %v",
+			t.Errorf("job %d: laned TerminatedEarly=%v, per-job %v",
 				i, l.Result.TerminatedEarly(), s.Result.TerminatedEarly())
 		}
 		if l.Result.TerminatedEarly() {
@@ -222,7 +200,7 @@ func TestLaneEarlyStopPerLane(t *testing.T) {
 
 // TestLaneStatsCounters pins the lane-batching arithmetic: ten equal-duration
 // width-1 groups batch as 4+4+2 (three widened runs, ten lanes, no ragged
-// fallback), and the counters stay zero when lane batching is inert.
+// batch), and the counters stay zero at width 1.
 func TestLaneStatsCounters(t *testing.T) {
 	jobs := thesisScenarioJobs(500 * time.Millisecond)
 
@@ -250,7 +228,7 @@ func TestLaneStatsCounters(t *testing.T) {
 	}
 
 	// A duration mismatch splits batches: alternating 500 ms / 1 s jobs can
-	// never widen, so every batch is dispatched ragged at width 1.
+	// never widen, so every batch is dispatched ragged with one group.
 	mixed := thesisScenarioJobs(500 * time.Millisecond)
 	for i := 1; i < len(mixed); i += 2 {
 		mixed[i].Scenario.Duration = 1 * time.Second

@@ -9,7 +9,7 @@ import (
 	"repro/internal/vehicle"
 )
 
-// laneArena is the lane-batched counterpart of runArena: K independent
+// laneArena is the Engine's reusable summary-only simulation: K independent
 // vehicle component sets — one per lane, each bound to its own lane view of
 // a shared lane-widened bus — stepped in lockstep by one sim.LaneSim and
 // observed by one monitor.LaneSuite, whose lane program evaluates every
@@ -18,10 +18,12 @@ import (
 // commit, one program step and one observer dispatch per tick instead of one
 // per variant.  Lanes that collide are retired from the active mask
 // individually (their intervals closed at their own step count), so an
-// early-stopping variant never desynchronizes the batch.
+// early-stopping variant never desynchronizes the batch.  Every grouped
+// summary-only run executes here: at width 1, and for a batch with a single
+// group, the batch simply has one active lane.
 //
-// Like runArena, a laneArena is built once per worker and rewound between
-// batches; it is not safe for concurrent use.
+// A laneArena is built once per worker and rewound between batches; it is
+// not safe for concurrent use.
 type laneArena struct {
 	lanes int
 	sim   *sim.LaneSim
@@ -66,10 +68,14 @@ func newLaneArena(lanes int) *laneArena {
 
 // run executes a lane batch: groups[l] is one dynamics group (jobs sharing a
 // DynamicsKey) assigned to lane l, every group scheduled for the same
-// duration.  out receives one Result per job, in group order then job order —
-// exactly what runArena.runGroup would have produced for each group on its
-// own.  Groups beyond len(groups) lanes are the caller's problem; unused
-// lanes stay inert for the batch.
+// duration.  The group's trajectory is simulated once and each job's summary
+// is classified from the lane's recorded violation intervals at that job's
+// own tolerance (FastSummaryAt) — sound because the tolerance parameterizes
+// only the final interval matching, never which intervals a run records.
+// out receives one Result per job, in group order then job order, exactly
+// what runJob would produce for each job on its own.  Groups beyond
+// len(groups) lanes are the caller's problem; unused lanes stay inert for
+// the batch.
 func (a *laneArena) run(groups [][]Job, out []Result) {
 	k := len(groups)
 	a.sim.Reset()

@@ -445,8 +445,7 @@ func initVehicleBus(bus *sim.Bus, sc Scenario) {
 // component set with the configured defects, sharing one resolved handle
 // table.  It is the setup half of runJob, exposed for callers that attach
 // their own observers — the differential tests and the substrate benchmarks.
-// Sweep workers reuse one simulation across variants through a runArena
-// instead.
+// Grouped summary-only Engine workers run on a reused lane arena instead.
 func NewSimulation(sc Scenario, opts Options) *sim.Simulation {
 	s := sim.New(Period)
 	initVehicleBus(s.Bus, sc)
