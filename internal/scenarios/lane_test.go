@@ -131,6 +131,37 @@ func TestLanedMatchesScalarWithCache(t *testing.T) {
 	}
 }
 
+// TestLaneArenaMatchesScalarArena drives the lane harness directly, outside
+// the Engine: every 4-lane batch of thesis-scenario groups (4+4+2, so the
+// last batch is ragged) must produce, per lane, the Steps, Summary and
+// Collision a width-1 lane arena — the scalar layout — computes for that
+// group on its own.
+func TestLaneArenaMatchesScalarArena(t *testing.T) {
+	jobs := thesisScenarioJobs(1 * time.Second)
+	scalar := newLaneArena(1)
+	la := newLaneArena(4)
+	for lo := 0; lo < len(jobs); lo += 4 {
+		hi := min(lo+4, len(jobs))
+		groups := make([][]Job, 0, hi-lo)
+		for _, j := range jobs[lo:hi] {
+			groups = append(groups, []Job{j})
+		}
+		got := make([]Result, len(groups))
+		la.run(groups, got)
+		for i, g := range groups {
+			want := make([]Result, 1)
+			scalar.run([][]Job{g}, want)
+			if got[i].Steps == 0 {
+				t.Errorf("lane %d (%s): no steps executed", i, g[0].Scenario.Name)
+			}
+			if gj, wj := mustJSON(t, got[i]), mustJSON(t, want[0]); gj != wj {
+				t.Errorf("lane %d (%s): laned result differs\n laned:  %s\n scalar: %s",
+					i, g[0].Scenario.Name, gj, wj)
+			}
+		}
+	}
+}
+
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
