@@ -21,12 +21,9 @@
 // line — so downstream tooling can consume results while the sweep is still
 // running.
 //
-// -shard i/n restricts the evaluation to the i-th of n deterministic variant
-// shards (stable FNV-1a partition of the variant key; see internal/dist), so
-// this binary unchanged is the worker of a distributed sweep — cmd/sweepd is
-// the matching coordinator.  -seed-results loads a ProvedResult NDJSON file
-// into the engine's result cache, so a re-queued shard replays
-// already-proved variants instead of re-simulating them.
+// This binary is the single-process evaluator: its -sweep -stream output is
+// the reference a distributed sweep (cmd/sweepd coordinating cmd/sweepworker
+// shards) must reproduce byte for byte.
 //
 // -cpuprofile and -memprofile write pprof profiles of the evaluation, so
 // sweep hot spots can be inspected without editing code.
@@ -35,7 +32,6 @@
 //
 //	scenarios [-n number] [-detail] [-table53] [-goals] [-corrected]
 //	          [-workers n] [-timeout d] [-sweep] [-sweep-size s]
-//	          [-shard i/n] [-seed-results f]
 //	          [-json] [-stream] [-cache-stats]
 //	          [-cpuprofile f] [-memprofile f]
 package main
@@ -77,8 +73,6 @@ func run(args []string, w io.Writer) error {
 	timeout := fs.Duration("timeout", 0, "bound the whole evaluation; on expiry in-flight runs drain and the partial aggregate is reported (0 = no bound)")
 	sweep := fs.Bool("sweep", false, "evaluate a parameter sweep instead of the ten fixed scenarios")
 	sweepSize := fs.String("sweep-size", "default", "sweep grid preset: default (120 variants), wide (360, adds object speeds), huge (1296, adds speeds, distances and gears where meaningful), tolerance (30, varies the hit-matching window) or defects (120, per-feature defect subsets under perturbed driver schedules)")
-	shard := fs.String("shard", "", "evaluate only shard i/n of the job stream (e.g. 0/3): the deterministic variant-key partition used by distributed sweeps (empty = everything)")
-	seedResults := fs.String("seed-results", "", "load a ProvedResult NDJSON file into the result cache so already-proved variants replay without simulation (requires -sweep, -json or -stream)")
 	cacheStats := fs.Bool("cache-stats", false, "memoize summary-only results by variant label (Engine result cache) and report the hit/miss and dynamics-grouping counters on stderr after the run")
 	asJSON := fs.Bool("json", false, "emit a machine-readable JSON summary instead of the rendered tables")
 	stream := fs.Bool("stream", false, "emit NDJSON: one line per completed run, then a final aggregate line")
@@ -94,17 +88,6 @@ func run(args []string, w io.Writer) error {
 	}
 	if *cacheStats && !*sweep && !*asJSON && !*stream {
 		return fmt.Errorf("-cache-stats requires -sweep, -json or -stream: rendered-table runs retain full traces and never consult the summary-only result cache")
-	}
-	if *seedResults != "" && !*sweep && !*asJSON && !*stream {
-		return fmt.Errorf("-seed-results requires -sweep, -json or -stream: rendered-table runs retain full traces and never consult the summary-only result cache")
-	}
-	shardIndex, shardTotal := 0, 1
-	if *shard != "" {
-		var err error
-		shardIndex, shardTotal, err = dist.ParseShard(*shard)
-		if err != nil {
-			return fmt.Errorf("-shard: %w", err)
-		}
 	}
 
 	// Profiling hooks, so sweep hot spots can be inspected without editing
@@ -158,8 +141,8 @@ func run(args []string, w io.Writer) error {
 	switch {
 	case *sweep:
 		// The selection resolves through the same scenarios.SweepSourceFor
-		// that cmd/sweepd and cmd/sweepworker use, which is what keeps a
-		// worker's enumeration identical to its coordinator's.
+		// that cmd/sweepd and cmd/sweepworker use, so this single-process
+		// reference enumerates exactly the grid a distributed sweep does.
 		source, err := scenarios.SweepSourceFor(*sweepSize, *number, *corrected)
 		if err != nil {
 			return err
@@ -178,11 +161,6 @@ func run(args []string, w io.Writer) error {
 		}
 		src = scenarios.SliceSource(jobs)
 	}
-	// Sharding composes with every source: each worker of a distributed
-	// sweep enumerates the identical full stream and keeps only the variants
-	// it owns, so no coordination is needed to agree on the partition.
-	src = scenarios.ShardSource(src, shardIndex, shardTotal)
-
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -202,24 +180,10 @@ func run(args []string, w io.Writer) error {
 		scenarios.WithWorkers(*workers),
 		scenarios.WithRetention(retention),
 	}
-	if *cacheStats || *seedResults != "" {
+	if *cacheStats {
 		engineOpts = append(engineOpts, scenarios.WithResultCache())
 	}
 	engine := scenarios.NewEngine(engineOpts...)
-	if *seedResults != "" {
-		f, err := os.Open(*seedResults)
-		if err != nil {
-			return fmt.Errorf("-seed-results: %w", err)
-		}
-		proved, err := dist.ReadProved(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("-seed-results: %w", err)
-		}
-		for _, p := range proved {
-			engine.SeedResult(p.Job(), p.Result)
-		}
-	}
 	if *cacheStats {
 		// The counters are reported however the evaluation path returns, on
 		// stderr so they never corrupt -json/-stream output.

@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -264,167 +261,6 @@ func TestRunTimeoutJSONPartialAggregate(t *testing.T) {
 	}
 	if rep.Runs >= 12 {
 		t.Errorf("a 1ms timeout should not complete all 12 variants, got %d", rep.Runs)
-	}
-}
-
-// TestRunShardFlagValidation checks -shard and -seed-results argument
-// validation: malformed or out-of-range shard specs and seed files outside
-// the machine-readable modes are rejected before anything runs.
-func TestRunShardFlagValidation(t *testing.T) {
-	for _, spec := range []string{"banana", "3/3", "-1/3", "0/0", "1"} {
-		if err := run([]string{"-sweep", "-stream", "-shard", spec}, io.Discard); err == nil {
-			t.Errorf("-shard %s should be rejected", spec)
-		}
-	}
-	if err := run([]string{"-n", "7", "-seed-results", "nope.ndjson"}, io.Discard); err == nil {
-		t.Error("-seed-results without -sweep/-json/-stream should be rejected")
-	}
-	if err := run([]string{"-sweep", "-stream", "-seed-results", "definitely-missing.ndjson"}, io.Discard); err == nil {
-		t.Error("a missing -seed-results file should be an error")
-	}
-}
-
-// TestRunShardPartition runs every shard of a 3-way split and checks the
-// shard streams are disjoint, cover the unsharded run exactly, and sum to
-// the same aggregate — the worker-side half of the distributed contract.
-func TestRunShardPartition(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the scenario-7 corrected family four times")
-	}
-	base := []string{"-sweep", "-n", "7", "-corrected", "-stream"}
-
-	var full bytes.Buffer
-	if err := run(base, &full); err != nil {
-		t.Fatalf("unsharded run: %v", err)
-	}
-	fullLines := strings.Split(strings.TrimSpace(full.String()), "\n")
-	var fullAgg dist.AggregateReport
-	if err := json.Unmarshal([]byte(fullLines[len(fullLines)-1]), &fullAgg); err != nil {
-		t.Fatalf("unsharded aggregate: %v", err)
-	}
-	want := make(map[string]string) // name -> run line
-	for _, line := range fullLines[:len(fullLines)-1] {
-		var r dist.RunReport
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			t.Fatalf("unsharded run line: %v", err)
-		}
-		want[r.Name] = line
-	}
-
-	const n = 3
-	got := make(map[string]string)
-	var summed dist.AggregateReport
-	for shard := 0; shard < n; shard++ {
-		var buf bytes.Buffer
-		spec := fmt.Sprintf("%d/%d", shard, n)
-		if err := run(append(append([]string{}, base...), "-shard", spec), &buf); err != nil {
-			t.Fatalf("shard %s: %v", spec, err)
-		}
-		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-		var agg dist.AggregateReport
-		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &agg); err != nil {
-			t.Fatalf("shard %s aggregate: %v", spec, err)
-		}
-		summed.Runs += agg.Runs
-		summed.Collisions += agg.Collisions
-		summed.EarlyTerminations += agg.EarlyTerminations
-		summed.Aggregate.Hits += agg.Aggregate.Hits
-		summed.Aggregate.FalseNegatives += agg.Aggregate.FalseNegatives
-		summed.Aggregate.FalsePositives += agg.Aggregate.FalsePositives
-		for _, line := range lines[:len(lines)-1] {
-			var r dist.RunReport
-			if err := json.Unmarshal([]byte(line), &r); err != nil {
-				t.Fatalf("shard %s run line: %v", spec, err)
-			}
-			if _, dup := got[r.Name]; dup {
-				t.Errorf("variant %s appears in two shards; the partition must be disjoint", r.Name)
-			}
-			got[r.Name] = line
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("shards delivered %d variants, unsharded run %d", len(got), len(want))
-	}
-	for name, line := range want {
-		if got[name] != line {
-			t.Errorf("variant %s: shard line %s != unsharded line %s", name, got[name], line)
-		}
-	}
-	if summed.Runs != fullAgg.Runs || summed.Aggregate != fullAgg.Aggregate ||
-		summed.Collisions != fullAgg.Collisions || summed.EarlyTerminations != fullAgg.EarlyTerminations {
-		t.Errorf("summed shard aggregates %+v != unsharded aggregate %+v", summed, fullAgg)
-	}
-}
-
-// TestRunSeedResults replays a run entirely from a seed file: the second run
-// must be byte-identical to the first, with every variant a cache hit.
-func TestRunSeedResults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the scenario-7 corrected family")
-	}
-	base := []string{"-sweep", "-n", "7", "-corrected", "-stream"}
-	var first bytes.Buffer
-	if err := run(base, &first); err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
-
-	// Rebuild ProvedResults from the baseline stream, exactly as the
-	// coordinator does: enumerate the same source, map each report back to
-	// its job, and reconstitute the summary-only Result.
-	sw, err := scenarios.SweepBySize("default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kept []scenarios.Family
-	for _, f := range sw.Families {
-		if f.Base.Number == 7 {
-			f.OptionSets = []scenarios.Options{{CorrectDefects: true}}
-			kept = append(kept, f)
-		}
-	}
-	sw.Families = kept
-	byName := make(map[string]scenarios.Job)
-	src := sw.Source()
-	for {
-		job, ok := src.Next()
-		if !ok {
-			break
-		}
-		byName[job.Scenario.Name] = job
-	}
-	var proved []dist.ProvedResult
-	for _, line := range strings.Split(strings.TrimSpace(first.String()), "\n") {
-		rep, ok, err := dist.ParseResultLine([]byte(line))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			continue
-		}
-		job, found := byName[rep.Name]
-		if !found {
-			t.Fatalf("baseline reported unknown variant %s", rep.Name)
-		}
-		proved = append(proved, dist.ProvedResult{Options: job.Options, Result: rep.Result(job)})
-	}
-	seedFile := filepath.Join(t.TempDir(), "seed.ndjson")
-	f, err := os.Create(seedFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dist.WriteProved(f, proved); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var second bytes.Buffer
-	if err := run(append(append([]string{}, base...), "-seed-results", seedFile), &second); err != nil {
-		t.Fatalf("seeded run: %v", err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Errorf("seeded replay differs from baseline:\n--- baseline ---\n%s\n--- seeded ---\n%s", first.String(), second.String())
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command sweepd coordinates a distributed parameter sweep: it drives N
-// shard workers — local `scenarios -shard i/n -stream` processes, or remote
+// shard workers — local `sweepworker -stdio` processes, or remote
 // sweepworker HTTP daemons — and merges their NDJSON result streams back
 // into the single-process output contract.  The merged stream (and the
 // final aggregate) is byte-identical to `scenarios -sweep -stream` over the
@@ -16,8 +16,9 @@
 //	       [-backoff d] [-backoff-max d] [-seed s] [-allow-partial]
 //	       [-chaos kinds] [-chaos-seed s] [-timeout d] [-stream]
 //
-// -transport exec (default) spawns local worker processes (-worker names
-// the scenarios binary, resolved via PATH).  -transport http drives the
+// -transport exec (default) spawns one local `sweepworker -stdio` process
+// per shard attempt (-worker names the sweepworker binary, resolved via
+// PATH) and writes the shard spec to its stdin.  -transport http drives the
 // sweepworker daemons listed in -hosts; shard i goes to host i mod len.
 // Each shard may consume up to -max-attempts workers; -allow-partial turns
 // an exhausted shard into a partial aggregate (flagged, with a per-shard
@@ -53,13 +54,13 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
 	transport := fs.String("transport", "exec", "worker transport: exec (local child processes) or http (remote sweepworker daemons)")
-	worker := fs.String("worker", "scenarios", "exec transport: path to the scenarios worker binary")
+	worker := fs.String("worker", "sweepworker", "exec transport: path to the sweepworker binary, run as sweepworker -stdio")
 	hosts := fs.String("hosts", "", "http transport: comma-separated sweepworker hosts (host:port or http://host:port)")
 	workers := fs.Int("workers", 3, "number of workers (= shard count)")
 	sweepSize := fs.String("sweep-size", "default", "sweep grid preset, as in scenarios -sweep-size")
 	number := fs.Int("n", 0, "sweep only the given thesis scenario's family (0 = all)")
 	corrected := fs.Bool("corrected", false, "ablation: sweep only the corrected configuration")
-	workerPool := fs.Int("worker-pool", 0, "per-worker engine pool size, passed through as scenarios -workers (0 = worker default)")
+	workerPool := fs.Int("worker-pool", 0, "per-worker engine pool size, passed through as sweepworker -workers (0 = worker default)")
 	stallTimeout := fs.Duration("stall-timeout", 2*time.Minute, "kill and re-queue a worker silent for this long (0 disables)")
 	maxAttempts := fs.Int("max-attempts", 3, "workers (first + replacements) allowed per shard before it fails")
 	backoff := fs.Duration("backoff", 500*time.Millisecond, "base delay before re-queuing a failed shard; doubles per attempt with seeded jitter (0 = immediate)")
@@ -165,7 +166,7 @@ func buildTransport(kind, worker, hosts, sweepSize string, number int, corrected
 	case "exec":
 		// Build the worker argv from the exact flags that shape the
 		// coordinator's own enumeration, so both sides agree on the grid.
-		argv := []string{worker, "-sweep", "-sweep-size", sweepSize, "-stream"}
+		argv := []string{worker, "-stdio", "-sweep-size", sweepSize}
 		if number != 0 {
 			argv = append(argv, "-n", strconv.Itoa(number))
 		}

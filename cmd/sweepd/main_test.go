@@ -41,13 +41,15 @@ func TestRunDistributedSummary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the 12-variant scenario-7 family twice across processes")
 	}
-	bin := filepath.Join(t.TempDir(), "scenarios")
-	cmd := exec.Command("go", "build", "-o", bin, "repro/cmd/scenarios")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building scenarios worker: %v\n%s", err, out)
+	dir := t.TempDir()
+	for _, name := range []string{"scenarios", "sweepworker"} {
+		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, name), "repro/cmd/"+name)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("building %s: %v\n%s", name, err, out)
+		}
 	}
 
-	single := exec.Command(bin, "-sweep", "-n", "7")
+	single := exec.Command(filepath.Join(dir, "scenarios"), "-sweep", "-n", "7")
 	var want bytes.Buffer
 	single.Stdout = &want
 	if err := single.Run(); err != nil {
@@ -55,7 +57,7 @@ func TestRunDistributedSummary(t *testing.T) {
 	}
 
 	var got bytes.Buffer
-	if err := run([]string{"-worker", bin, "-workers", "2", "-n", "7"}, &got); err != nil {
+	if err := run([]string{"-worker", filepath.Join(dir, "sweepworker"), "-workers", "2", "-n", "7"}, &got); err != nil {
 		t.Fatalf("distributed sweep: %v", err)
 	}
 	if got.String() != want.String() {

@@ -12,14 +12,15 @@ import (
 	"repro/internal/scenarios"
 )
 
-// buildScenariosBinary compiles cmd/scenarios into a temp dir, so the chaos
-// test exercises the real worker binary, not an in-process stand-in.
-func buildScenariosBinary(t *testing.T) string {
+// buildBinary compiles the named command into a temp dir, so the chaos test
+// exercises the real worker and reference binaries, not in-process
+// stand-ins.
+func buildBinary(t *testing.T, name string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "scenarios")
-	cmd := exec.Command("go", "build", "-o", bin, "repro/cmd/scenarios")
+	bin := filepath.Join(t.TempDir(), name)
+	cmd := exec.Command("go", "build", "-o", bin, "repro/cmd/"+name)
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building scenarios worker: %v\n%s", err, out)
+		t.Fatalf("building %s: %v\n%s", name, err, out)
 	}
 	return bin
 }
@@ -35,7 +36,8 @@ func TestChaosSIGKILLWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the 120-variant default sweep twice across processes")
 	}
-	bin := buildScenariosBinary(t)
+	scenariosBin := buildBinary(t, "scenarios")
+	workerBin := buildBinary(t, "sweepworker")
 
 	// The acceptance-scale run — the 1296-variant huge sweep — takes minutes
 	// on a small machine, so the default is the 120-variant grid; set
@@ -45,8 +47,8 @@ func TestChaosSIGKILLWorker(t *testing.T) {
 		size = s
 	}
 
-	// Single-process reference, through the same binary the workers run.
-	single := exec.Command(bin, "-sweep", "-sweep-size", size, "-stream")
+	// Single-process reference: the ordinary scenarios CLI.
+	single := exec.Command(scenariosBin, "-sweep", "-sweep-size", size, "-stream")
 	var want bytes.Buffer
 	single.Stdout = &want
 	if err := single.Run(); err != nil {
@@ -63,9 +65,9 @@ func TestChaosSIGKILLWorker(t *testing.T) {
 	victimResults := 0
 	killed := false
 	coord, err := New(Options{
-		Workers:    3,
-		MaxRetries: 2,
-		Transport:  &ExecTransport{Argv: []string{bin, "-sweep", "-sweep-size", size, "-stream"}},
+		Workers:     3,
+		MaxAttempts: 3,
+		Transport:   &ExecTransport{Argv: []string{workerBin, "-stdio", "-sweep-size", size}},
 		Hooks: Hooks{
 			OnSpawn: func(shard, attempt int, w Worker) { workers[shard] = w },
 			OnResult: func(shard, attempt int, key string) {

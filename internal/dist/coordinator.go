@@ -41,12 +41,9 @@ type Options struct {
 	// MaxAttempts bounds the total workers (first spawn plus replacements)
 	// spent on one shard; a shard that exhausts the budget fails the run
 	// with an error matching ErrShardFailed — or, under AllowPartial, is
-	// retired and reported in the Outcome's completion map.  Zero derives
-	// the budget from the legacy MaxRetries knob (MaxRetries+1 attempts).
+	// retired and reported in the Outcome's completion map.  Values below
+	// 1 mean a single attempt: no replacements.
 	MaxAttempts int
-	// MaxRetries is the legacy budget knob: replacement workers per shard.
-	// Superseded by MaxAttempts; consulted only when MaxAttempts is zero.
-	MaxRetries int
 	// RetryBackoff is the base delay before re-queuing a failed shard:
 	// replacement k waits RetryBackoff<<(k-1), capped at RetryBackoffMax,
 	// scaled by a jitter factor in [0.5,1.5) drawn from the seeded RNG —
@@ -75,9 +72,6 @@ type Options struct {
 func (o Options) maxAttempts() int {
 	if o.MaxAttempts > 0 {
 		return o.MaxAttempts
-	}
-	if o.MaxRetries > 0 {
-		return o.MaxRetries + 1
 	}
 	return 1
 }
@@ -165,9 +159,6 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	if opts.Workers < 1 {
 		opts.Workers = 1
-	}
-	if opts.MaxRetries < 0 {
-		opts.MaxRetries = 0
 	}
 	if opts.RetryBackoff > 0 && opts.RetryBackoffMax <= 0 {
 		opts.RetryBackoffMax = 16 * opts.RetryBackoff

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -140,10 +141,10 @@ func TestCoordinatorKillRequeue(t *testing.T) {
 	killed := false
 	seeded := -1
 	gotStream, gotAgg := distributed(t, Options{
-		Workers:    n,
-		MaxRetries: 2,
+		Workers:     n,
+		MaxAttempts: 3,
 		Transport: &seedSpyTransport{
-			inner: &LocalTransport{Source: sw.Source},
+			inner: &holdTransport{inner: &LocalTransport{Source: sw.Source}, hold: victim},
 			onSeed: func(shard, seedLen int) {
 				if shard == victim {
 					seeded = seedLen
@@ -170,6 +171,52 @@ func TestCoordinatorKillRequeue(t *testing.T) {
 	} else if seeded == 0 {
 		t.Error("the replacement worker was seeded with nothing; proved results should carry over")
 	}
+}
+
+// holdTransport passes only the first output line of shard hold's first
+// worker and then holds that stream open until the worker is killed, so a
+// kill on the first result always lands with the shard unfinished, however
+// fast the worker would otherwise run the rest of it.
+type holdTransport struct {
+	inner Transport
+	hold  int
+
+	mu   sync.Mutex
+	used bool
+}
+
+func (t *holdTransport) Start(ctx context.Context, spec ShardSpec) (Worker, error) {
+	w, err := t.inner.Start(ctx, spec)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err != nil || spec.Index != t.hold || t.used {
+		return w, err
+	}
+	t.used = true
+	pr, pw := io.Pipe()
+	go func() {
+		line, err := bufio.NewReader(w.Output()).ReadBytes('\n')
+		if err != nil {
+			pw.CloseWithError(err)
+			return
+		}
+		pw.Write(line)
+	}()
+	return &heldWorker{Worker: w, out: pr, pw: pw}, nil
+}
+
+// heldWorker is a worker whose output holdTransport cut after one line.
+type heldWorker struct {
+	Worker
+	out *io.PipeReader
+	pw  *io.PipeWriter
+}
+
+func (w *heldWorker) Output() io.Reader { return w.out }
+
+func (w *heldWorker) Kill() error {
+	w.pw.CloseWithError(errWorkerKilled)
+	return w.Worker.Kill()
 }
 
 // seedSpyTransport reports the seed size of each respawn.
@@ -222,12 +269,17 @@ func TestCoordinatorStallRequeue(t *testing.T) {
 	sw := testSweep(t)
 	wantStream, wantAgg := singleProcess(t, sw.Source())
 	// The timeout must outlast one honest variant simulation on a loaded
-	// 1-CPU machine, or the healthy replacement gets killed too.
+	// 1-CPU machine, or the healthy replacement gets killed too; the race
+	// detector slows simulation ~10x, so the budget scales with it.
+	stall := 2 * time.Second
+	if raceEnabled {
+		stall = 20 * time.Second
+	}
 	ft := &flakyTransport{inner: &LocalTransport{Source: sw.Source}, hangFirst: 0}
 	gotStream, gotAgg := distributed(t, Options{
 		Workers:      3,
-		MaxRetries:   2,
-		StallTimeout: 2 * time.Second,
+		MaxAttempts:  3,
+		StallTimeout: stall,
 		Transport:    ft,
 	}, sw.Source())
 	requireIdentical(t, wantStream, wantAgg, gotStream, gotAgg)
@@ -299,9 +351,9 @@ func TestCoordinatorMaxRetriesExceeded(t *testing.T) {
 	}
 	sw := testSweep(t)
 	coord, err := New(Options{
-		Workers:    3,
-		MaxRetries: 1,
-		Transport:  &brokenShardTransport{inner: &LocalTransport{Source: sw.Source}, broken: 0},
+		Workers:     3,
+		MaxAttempts: 2,
+		Transport:   &brokenShardTransport{inner: &LocalTransport{Source: sw.Source}, broken: 0},
 	})
 	if err != nil {
 		t.Fatal(err)

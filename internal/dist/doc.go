@@ -18,24 +18,27 @@
 // the FNV-1a hash of that key mod the worker count.  Both are pure functions
 // of the variant, independent of process, platform and Go version, so the
 // coordinator and every worker agree on the partition without communicating:
-// a worker is just the ordinary scenarios binary running
-// `-shard i/n`, which wraps its own enumeration of the same source in
-// scenarios.ShardSource.  The contract requires variant keys to be unique
-// within a source (every sweep generator guarantees this); the coordinator
-// rejects sources that violate it.
+// a worker receives only a ShardSpec (index, total, proved seed results) and
+// wraps its own enumeration of the same source in scenarios.ShardSource.
+// The contract requires variant keys to be unique within a source (every
+// sweep generator guarantees this); the coordinator rejects sources that
+// violate it.
 //
 // # Coordinated merge
 //
 // The Coordinator spawns one worker per shard through a small Transport
-// interface.  Four implementations ship, all speaking the same NDJSON
-// protocol, so the coordinator's merge path is identical whichever carries
-// the bytes:
+// interface.  Every worker is the same shard evaluator, WorkerServer.Serve,
+// and every worker's input is the same JSON ShardSpec, read by the one
+// decoder DecodeShardSpec.  Four transports ship; they differ only in how
+// the spec and the NDJSON stream travel, so the coordinator's merge path is
+// identical whichever carries the bytes:
 //
-//   - ExecTransport runs local `scenarios -shard i/n` child processes;
-//     Kill is SIGKILL.
-//   - LocalTransport runs in-process engines over an io.Pipe; Kill cancels
-//     the engine's context.  No processes, no sockets — the fast path for
-//     tests and single-machine runs.
+//   - ExecTransport runs local `sweepworker -stdio` child processes, the
+//     spec written to stdin and the stream read from stdout; Kill is
+//     SIGKILL.
+//   - LocalTransport runs WorkerServer in-process over an io.Pipe; Kill
+//     cancels the engine's context.  No processes, no sockets — the fast
+//     path for tests and single-machine runs.
 //   - HTTPTransport POSTs the ShardSpec (shard index, total, proved seed
 //     results) as JSON to long-running sweepworker daemons (see
 //     cmd/sweepworker) and reads the chunked NDJSON response; Kill cancels
@@ -58,10 +61,10 @@
 // Worker loss is detected two ways: process exit with the shard incomplete,
 // and a per-shard stall timeout (no output line for StallTimeout).  Either
 // way the shard is re-queued: a replacement worker is spawned for the same
-// `-shard i/n` slice, seeded (ProvedResult NDJSON via `-seed-results`) with
-// every variant any worker already proved, so the engine's result cache
-// replays the proved prefix instead of re-simulating it and only the
-// genuinely unfinished variants cost simulation time.  Re-delivery is
+// shard, its ShardSpec.Seed holding (as ProvedResults) every variant any
+// worker already proved, so the engine's result cache replays the proved
+// prefix instead of re-simulating it and only the genuinely unfinished
+// variants cost simulation time.  Re-delivery is
 // harmless by construction: results are idempotent by variant key, and a
 // slow-then-recovered worker's duplicates are dropped at the coordinator's
 // dedup sink.  Every variant therefore reaches the output exactly once, in

@@ -1,22 +1,23 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"os/exec"
 )
 
-// ExecTransport runs each shard as a local child process: the ordinary
-// scenarios binary with `-shard i/n` appended, streaming NDJSON on stdout.
-// It is the "local os/exec first" transport of the dist design; anything
-// that can spawn-and-stream the same protocol can replace it.
+// ExecTransport runs each shard as a local child process: a
+// `sweepworker -stdio` worker reads the JSON ShardSpec on stdin and streams
+// the worker protocol on stdout.  It is the "local os/exec first" transport
+// of the dist design; anything that can spawn-and-stream the same protocol
+// can replace it.
 type ExecTransport struct {
-	// Argv is the worker command line producing a full (unsharded) NDJSON
-	// stream, e.g. ["./scenarios", "-sweep", "-sweep-size", "huge",
-	// "-stream"].  The transport appends -shard and, on re-queues,
-	// -seed-results.
+	// Argv is the worker command line, e.g. ["./sweepworker", "-stdio",
+	// "-sweep-size", "huge"].  It is run unchanged for every shard; the
+	// shard and its seed travel on stdin.
 	Argv []string
 	// Dir is the working directory for workers ("" inherits the
 	// coordinator's).
@@ -31,68 +32,35 @@ func (t *ExecTransport) Start(ctx context.Context, spec ShardSpec) (Worker, erro
 	if len(t.Argv) == 0 {
 		return nil, fmt.Errorf("dist: ExecTransport needs a worker command")
 	}
-	args := make([]string, 0, len(t.Argv)+3)
-	args = append(args, t.Argv[1:]...)
-	args = append(args, "-shard", spec.String())
-
-	seedFile := ""
-	if len(spec.Seed) > 0 {
-		f, err := os.CreateTemp("", "sweep-seed-*.ndjson")
-		if err != nil {
-			return nil, fmt.Errorf("dist: seed file: %w", err)
-		}
-		seedFile = f.Name()
-		err = WriteProved(f, spec.Seed)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			os.Remove(seedFile)
-			return nil, fmt.Errorf("dist: writing seed file: %w", err)
-		}
-		args = append(args, "-seed-results", seedFile)
+	body, err := json.Marshal(spec)
+	if err != nil {
+		return nil, fmt.Errorf("dist: encoding shard %s spec: %w", spec, err)
 	}
-
-	cmd := exec.CommandContext(ctx, t.Argv[0], args...)
+	cmd := exec.CommandContext(ctx, t.Argv[0], t.Argv[1:]...)
 	cmd.Dir = t.Dir
+	cmd.Stdin = bytes.NewReader(body)
 	cmd.Stderr = t.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		removeIfSet(seedFile)
 		return nil, fmt.Errorf("dist: worker stdout: %w", err)
 	}
 	if err := cmd.Start(); err != nil {
-		removeIfSet(seedFile)
 		return nil, fmt.Errorf("dist: starting worker shard %s: %w", spec, err)
 	}
-	return &execWorker{cmd: cmd, out: stdout, seedFile: seedFile}, nil
-}
-
-// removeIfSet deletes a temp seed file if one was created.
-func removeIfSet(path string) {
-	if path != "" {
-		os.Remove(path)
-	}
+	return &execWorker{cmd: cmd, out: stdout}, nil
 }
 
 // execWorker wraps one child process.
 type execWorker struct {
-	cmd      *exec.Cmd
-	out      io.ReadCloser
-	seedFile string
+	cmd *exec.Cmd
+	out io.ReadCloser
 }
 
 // Output implements Worker.
 func (w *execWorker) Output() io.Reader { return w.out }
 
-// Wait implements Worker.  The seed file lives until the process has
-// terminated: the worker reads it at startup, but only Wait proves startup
-// is over.
-func (w *execWorker) Wait() error {
-	err := w.cmd.Wait()
-	removeIfSet(w.seedFile)
-	return err
-}
+// Wait implements Worker.
+func (w *execWorker) Wait() error { return w.cmd.Wait() }
 
 // Kill implements Worker, delivering SIGKILL: worker death must look exactly
 // like the crash it simulates, with no chance for a graceful flush.

@@ -22,8 +22,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/scenarios"
 )
 
 // workerErrTrailer is the HTTP trailer a worker uses to report an evaluation
@@ -175,33 +173,11 @@ func (w *httpWorker) Kill() error {
 	return nil
 }
 
-// maxShardSpecBytes bounds a POSTed ShardSpec.  A seed of every variant of
-// the 1296-variant huge sweep is on the order of a megabyte; 64 MiB of
-// headroom rejects runaway bodies without constraining real sweeps.
-const maxShardSpecBytes = 64 << 20
-
-// WorkerServer serves shard evaluations over HTTP: cmd/sweepworker mounts it
-// on DefaultShardPath.  Each POST carries a ShardSpec; the response streams
-// the exact single-process NDJSON protocol — one RunReport line per variant
-// of the shard, flushed as produced so the coordinator's stall detection
-// sees liveness, then the aggregate trailer line.  Request cancellation
-// (client gone, coordinator Kill) cancels the evaluation through the
-// engine's ordinary context path.
-//
-// The server and the coordinator must be configured with the same sweep
-// selection: a mismatched server reports variants the coordinator never
-// enumerated, which poisons the attempt and, once the budget is exhausted,
-// fails the shard with the offending variant named.
-type WorkerServer struct {
-	// Source returns a fresh enumeration of the full job stream, exactly as
-	// a local worker process would enumerate it.  Required.
-	Source func() scenarios.JobSource
-	// Workers sizes each request's engine pool (non-positive defaults to
-	// GOMAXPROCS).
-	Workers int
-}
-
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler: cmd/sweepworker mounts it on
+// DefaultShardPath.  Each POST carries a ShardSpec and the response is
+// Serve's stream, flushed line by line so the coordinator's stall detection
+// sees liveness.  Request cancellation (client gone, coordinator Kill)
+// cancels the evaluation through the engine's ordinary context path.
 func (s *WorkerServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "shard requests are POST", http.StatusMethodNotAllowed)
@@ -211,48 +187,34 @@ func (s *WorkerServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "worker has no job source configured", http.StatusInternalServerError)
 		return
 	}
-	var spec ShardSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxShardSpecBytes)).Decode(&spec); err != nil {
-		http.Error(w, fmt.Sprintf("malformed shard spec: %v", err), http.StatusBadRequest)
-		return
-	}
-	if spec.Total < 1 || spec.Index < 0 || spec.Index >= spec.Total {
-		http.Error(w, fmt.Sprintf("invalid shard %d/%d", spec.Index, spec.Total), http.StatusBadRequest)
+	spec, err := DecodeShardSpec(r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Trailer", workerErrTrailer)
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	engine := scenarios.NewEngine(
-		scenarios.WithWorkers(s.Workers),
-		scenarios.WithRetention(scenarios.SummaryOnly),
-		scenarios.WithResultCache(),
-	)
-	for _, p := range spec.Seed {
-		engine.SeedResult(p.Job(), p.Result)
+	var out io.Writer = w
+	if f, ok := w.(http.Flusher); ok {
+		out = flushWriter{w, f}
 	}
-
-	enc := json.NewEncoder(w)
-	var acc scenarios.Accumulator
-	src := scenarios.ShardSource(s.Source(), spec.Index, spec.Total)
-	err := engine.Stream(r.Context(), src, scenarios.Tee(&acc, scenarios.SinkFunc(
-		func(sr scenarios.StreamResult) error {
-			if err := enc.Encode(NewRunReport(sr)); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		})))
-	if err == nil {
-		err = enc.Encode(NewAggregateReport(&acc))
-	}
-	if err != nil {
+	if err := s.Serve(r.Context(), spec, out); err != nil {
 		// Headers are long sent; the trailer is the only channel left.
 		w.Header().Set(workerErrTrailer, err.Error())
 	}
+}
+
+// flushWriter flushes after every Write.  Serve's encoder writes each NDJSON
+// line with exactly one Write, so every line leaves as soon as it is encoded.
+type flushWriter struct {
+	io.Writer
+	f http.Flusher
+}
+
+func (w flushWriter) Write(p []byte) (int, error) {
+	n, err := w.Writer.Write(p)
+	w.f.Flush()
+	return n, err
 }

@@ -2,26 +2,16 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
-
-	"repro/internal/scenarios"
 )
 
-// LocalTransport runs each shard as an in-process streaming Engine writing
+// LocalTransport runs each shard through an in-process WorkerServer writing
 // the worker protocol into a pipe.  It exercises every coordinator code path
 // — sharded enumeration, seeded caches, kills, re-queues — without spawning
 // processes, so coordinator logic is testable (and benchmarkable) at full
-// fidelity; ExecTransport is the same contract with a process boundary.
-type LocalTransport struct {
-	// Source returns a fresh enumeration of the full job stream, exactly as
-	// each worker process would enumerate it itself.
-	Source func() scenarios.JobSource
-	// Workers sizes each in-process engine's pool (non-positive defaults to
-	// GOMAXPROCS).
-	Workers int
-}
+// fidelity; ExecTransport is the same evaluator behind a process boundary.
+type LocalTransport WorkerServer
 
 // errWorkerKilled is the terminal error of a killed local worker.
 var errWorkerKilled = errors.New("dist: local worker killed")
@@ -36,19 +26,7 @@ func (t *LocalTransport) Start(ctx context.Context, spec ShardSpec) (Worker, err
 	w := &localWorker{out: pr, cancel: cancel, done: make(chan struct{})}
 	go func() {
 		defer close(w.done)
-		engine := scenarios.NewEngine(
-			scenarios.WithWorkers(t.Workers),
-			scenarios.WithRetention(scenarios.SummaryOnly),
-			scenarios.WithResultCache(),
-		)
-		for _, p := range spec.Seed {
-			engine.SeedResult(p.Job(), p.Result)
-		}
-		enc := json.NewEncoder(pw)
-		src := scenarios.ShardSource(t.Source(), spec.Index, spec.Total)
-		w.err = engine.Stream(wctx, src, scenarios.SinkFunc(func(sr scenarios.StreamResult) error {
-			return enc.Encode(NewRunReport(sr))
-		}))
+		w.err = (*WorkerServer)(t).Serve(wctx, spec, pw)
 		pw.Close()
 	}()
 	return w, nil

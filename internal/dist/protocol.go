@@ -1,10 +1,8 @@
 package dist
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/monitor"
@@ -156,11 +154,9 @@ func truncateForError(line []byte) string {
 
 // ProvedResult is one memoized variant on the wire: the run options together
 // with the summary-only result, which between them carry the full variant
-// key (scenario name, effective duration, options label).  Seed files —
-// `-seed-results` on cmd/scenarios, ShardSpec.Seed on a Transport — are
-// NDJSON streams of ProvedResult lines; a re-queued worker loads them into
-// its engine's result cache so already-proved variants replay without
-// simulation.
+// key (scenario name, effective duration, options label).  ShardSpec.Seed
+// carries them to a re-queued worker, which loads them into its engine's
+// result cache so already-proved variants replay without simulation.
 type ProvedResult struct {
 	Options scenarios.Options `json:"options"`
 	Result  scenarios.Result  `json:"result"`
@@ -172,40 +168,7 @@ func (p ProvedResult) Job() scenarios.Job {
 	return scenarios.Job{Scenario: p.Result.Scenario, Options: p.Options}
 }
 
-// WriteProved writes proved results as NDJSON, one ProvedResult per line.
-func WriteProved(w io.Writer, proved []ProvedResult) error {
-	enc := json.NewEncoder(w)
-	for i, p := range proved {
-		if err := enc.Encode(p); err != nil {
-			return fmt.Errorf("dist: encoding proved result %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// ReadProved reads a ProvedResult NDJSON stream, tolerating blank lines.
-func ReadProved(r io.Reader) ([]ProvedResult, error) {
-	var proved []ProvedResult
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(strings.TrimSpace(string(line))) == 0 {
-			continue
-		}
-		var p ProvedResult
-		if err := json.Unmarshal(line, &p); err != nil {
-			return nil, fmt.Errorf("dist: proved result line %d: %w", len(proved)+1, err)
-		}
-		proved = append(proved, p)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dist: reading proved results: %w", err)
-	}
-	return proved, nil
-}
-
 // maxLineBytes bounds one protocol line.  Run reports are a few hundred
-// bytes and proved results a few kilobytes; a megabyte of headroom means a
-// malformed stream fails with a parse error rather than a scanner overflow.
+// bytes; a megabyte of headroom means a malformed stream fails with a parse
+// error rather than a scanner overflow.
 const maxLineBytes = 1 << 20

@@ -95,26 +95,26 @@ func TestRunReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProvedResultRoundTrip checks the seed-file format: write → read
-// preserves every proved result and Job() reassembles the original variant
-// key, which is what the cache seeds under.
+// TestProvedResultRoundTrip checks the seed wire format: proved results
+// carried in a ShardSpec survive encode → DecodeShardSpec, and Job()
+// reassembles the original variant key, which is what the cache seeds under.
 func TestProvedResultRoundTrip(t *testing.T) {
 	sr := runScenario7(t, scenarios.SummaryOnly)
 	proved := []ProvedResult{
 		{Options: sr.Job.Options, Result: sr.Result},
 		{Options: scenarios.Options{CorrectDefects: true}, Result: sr.Result},
 	}
-	var buf bytes.Buffer
-	if err := WriteProved(&buf, proved); err != nil {
-		t.Fatal(err)
-	}
-	withBlanks := "\n" + strings.Replace(buf.String(), "\n", "\n\n", 1)
-	back, err := ReadProved(strings.NewReader(withBlanks))
+	body, err := json.Marshal(ShardSpec{Index: 1, Total: 2, Seed: proved})
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec, err := DecodeShardSpec(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := spec.Seed
 	if len(back) != len(proved) {
-		t.Fatalf("read %d proved results, wrote %d", len(back), len(proved))
+		t.Fatalf("decoded %d proved results, encoded %d", len(back), len(proved))
 	}
 	for i := range proved {
 		if back[i].Job().Key() != proved[i].Job().Key() {
@@ -123,10 +123,6 @@ func TestProvedResultRoundTrip(t *testing.T) {
 		if back[i].Result.Summary != proved[i].Result.Summary {
 			t.Errorf("proved result %d: summary %+v != original %+v", i, back[i].Result.Summary, proved[i].Result.Summary)
 		}
-	}
-
-	if _, err := ReadProved(strings.NewReader("not json\n")); err == nil {
-		t.Error("corrupt seed files must be an error")
 	}
 }
 
@@ -157,22 +153,6 @@ func TestParseResultLine(t *testing.T) {
 	}
 	if _, _, err := ParseResultLine([]byte(`{"neither":"run nor trailer"}`)); err == nil {
 		t.Error("unrecognized JSON must be an error")
-	}
-}
-
-// TestParseShard pins the -shard syntax validation.
-func TestParseShard(t *testing.T) {
-	i, n, err := ParseShard("2/5")
-	if err != nil || i != 2 || n != 5 {
-		t.Errorf("ParseShard(2/5) = %d,%d,%v", i, n, err)
-	}
-	for _, bad := range []string{"", "2", "a/b", "5/5", "-1/5", "0/0", "1/-3"} {
-		if _, _, err := ParseShard(bad); err == nil {
-			t.Errorf("ParseShard(%q) should fail", bad)
-		}
-	}
-	if got := (ShardSpec{Index: 2, Total: 5}).String(); got != "2/5" {
-		t.Errorf("ShardSpec.String() = %q, want 2/5", got)
 	}
 }
 

@@ -2,17 +2,17 @@ package dist
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // ShardSpec addresses one unit of distributed work: the Index-th of Total
 // deterministic variant shards, plus the already-proved results the worker
 // should seed its result cache with (empty on a first attempt, the proved
 // prefix on a re-queue).
-// The JSON form is the body of an HTTPTransport shard request.
+// The JSON form is the worker's whole input on every transport: the body of
+// an HTTPTransport shard request and the stdin of an ExecTransport worker;
+// DecodeShardSpec is its one decoder.
 type ShardSpec struct {
 	// Index is the 0-based shard index.
 	Index int `json:"index"`
@@ -23,32 +23,8 @@ type ShardSpec struct {
 	Seed []ProvedResult `json:"seed,omitempty"`
 }
 
-// String renders the spec in the -shard flag syntax.
+// String renders the spec as "i/n", the form error messages name shards by.
 func (s ShardSpec) String() string { return strconv.Itoa(s.Index) + "/" + strconv.Itoa(s.Total) }
-
-// ParseShard parses the -shard flag syntax "i/n" (0-based index, 1-based
-// total) into a validated index/total pair.
-func ParseShard(s string) (index, total int, err error) {
-	i, n, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("shard %q: want i/n (e.g. 0/3)", s)
-	}
-	index, err = strconv.Atoi(strings.TrimSpace(i))
-	if err != nil {
-		return 0, 0, fmt.Errorf("shard %q: index: %w", s, err)
-	}
-	total, err = strconv.Atoi(strings.TrimSpace(n))
-	if err != nil {
-		return 0, 0, fmt.Errorf("shard %q: total: %w", s, err)
-	}
-	if total < 1 {
-		return 0, 0, fmt.Errorf("shard %q: total must be at least 1", s)
-	}
-	if index < 0 || index >= total {
-		return 0, 0, fmt.Errorf("shard %q: index must be in [0,%d)", s, total)
-	}
-	return index, total, nil
-}
 
 // Worker is one running constituent of a distributed sweep, however the
 // Transport realizes it (child process, goroutine, remote host).
