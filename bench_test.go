@@ -9,6 +9,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -617,6 +618,144 @@ func BenchmarkDefectSweepLaned(b *testing.B) {
 					b.Fatalf("ran %d of %d variants", acc.Runs(), sweep.Size())
 				}
 			}
+		})
+	}
+}
+
+// stepLanesDuration is the length of each variant's recorded trajectory in
+// BenchmarkStepLanes.
+const stepLanesDuration = 4 * time.Second
+
+// laneWrite is one recorded register change of a lane trajectory: the
+// physical lane-state index, the new kind and the payload (the number, 0/1
+// for a bool, or the interned enumeration id).
+type laneWrite struct {
+	idx  int32
+	kind temporal.Kind
+	val  float64
+}
+
+// laneTrajectory is a recorded lane-major trajectory stored as per-tick
+// register changes, so a replay keeps one cache-resident live state — as a
+// lane bus does — instead of streaming a full widened state per tick.
+type laneTrajectory struct {
+	schema *temporal.Schema
+	lanes  int
+	ticks  [][]laneWrite
+}
+
+// apply writes tick t's register changes into the live lane state.
+func (tr *laneTrajectory) apply(st temporal.State, t int) {
+	for _, w := range tr.ticks[t] {
+		switch w.kind {
+		case temporal.KindNumber:
+			st.SetSlotNumber(int(w.idx), w.val)
+		case temporal.KindBool:
+			st.SetSlotBool(int(w.idx), w.val != 0)
+		case temporal.KindString:
+			st.SetSlotStringID(int(w.idx), int32(w.val))
+		default:
+			st.SetSlot(int(w.idx), temporal.Value{})
+		}
+	}
+}
+
+// defectLaneTrajectory simulates the first lanes distinct-dynamics variants
+// of the defect sweep for d each and records them as one lane trajectory:
+// lane l carries variant l's committed states, exactly what a lane batch of
+// those variants hands the monitoring program tick by tick.
+func defectLaneTrajectory(lanes int, d time.Duration) *laneTrajectory {
+	tr := &laneTrajectory{schema: temporal.NewSchema(), lanes: lanes, ticks: make([][]laneWrite, int(d/scenarios.Period))}
+	seen := map[string]bool{}
+	src := scenarios.DefectSweep().Source()
+	for lane := 0; lane < lanes; {
+		job, ok := src.Next()
+		if !ok {
+			panic("defect sweep has fewer distinct dynamics than lanes")
+		}
+		if seen[job.DynamicsKey()] {
+			continue
+		}
+		seen[job.DynamicsKey()] = true
+		s := scenarios.NewSimulation(job.Scenario, job.Options)
+		var slots []int // variant slot -> trajectory slot
+		var prev temporal.State
+		t := 0
+		l := lane
+		s.OnStep(func(_ time.Duration, st temporal.State) {
+			if prev == nil {
+				prev = temporal.NewStateWith(st.Schema())
+			}
+			for i := len(slots); i < st.Schema().Len(); i++ {
+				slots = append(slots, tr.schema.Intern(st.Schema().Name(i)))
+			}
+			for i, j := range slots {
+				k := st.SlotKind(i)
+				same := k == prev.SlotKind(i)
+				w := laneWrite{idx: int32(j*lanes + l), kind: k}
+				switch k {
+				case temporal.KindNumber, temporal.KindBool:
+					w.val = st.SlotNumber(i) // bools as 0/1
+					same = same && w.val == prev.SlotNumber(i)
+				case temporal.KindString:
+					w.val = float64(tr.schema.InternString(st.SlotString(i)))
+					same = same && st.SlotStringID(i) == prev.SlotStringID(i)
+				}
+				if !same {
+					tr.ticks[t] = append(tr.ticks[t], w)
+				}
+			}
+			prev.CopyFrom(st)
+			t++
+		})
+		s.RunDiscard(d)
+		lane++
+	}
+	return tr
+}
+
+// vehiclePlanProgram compiles every goal and subgoal formula of the Table 5.3
+// monitoring plan into one program.
+func vehiclePlanProgram(schema *temporal.Schema) *temporal.Program {
+	p := temporal.NewProgram(scenarios.Period, schema)
+	for _, spec := range scenarios.MonitoringPlan() {
+		p.MustAdd(spec.Parent.Goal.Formal)
+		for _, c := range spec.Children {
+			p.MustAdd(c.Goal.Formal)
+		}
+	}
+	return p
+}
+
+// BenchmarkStepLanes measures Program.StepLanes on the vehicle monitoring
+// plan, replaying recorded defect-sweep trajectories at width 1 (one variant)
+// and width 4 (the production lane batch).  One op is one whole replay: the
+// program and the live state are Reset, as a lane arena does between
+// batches, and every tick's register changes are written before the tick is
+// stepped; ns/tick reports the per-tick cost.  The replayed states change
+// from tick to tick the way a real sweep's do, so the benchmark charges
+// change-driven evaluation for every verdict flip a run produces.
+func BenchmarkStepLanes(b *testing.B) {
+	for _, lanes := range []int{1, 4} {
+		lanes := lanes
+		b.Run(fmt.Sprintf("l%d", lanes), func(b *testing.B) {
+			tr := defectLaneTrajectory(lanes, stepLanesDuration)
+			p := vehiclePlanProgram(tr.schema)
+			if err := p.SetLanes(lanes); err != nil {
+				b.Fatal(err)
+			}
+			live := temporal.NewStateWithLanes(tr.schema, lanes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				live.Reset()
+				p.Reset()
+				for t := range tr.ticks {
+					tr.apply(live, t)
+					p.StepLanes(live)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.ticks)), "ns/tick")
 		})
 	}
 }

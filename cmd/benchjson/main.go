@@ -14,7 +14,9 @@
 // BenchmarkSuiteObserve (the compiled monitoring plan against one state) and
 // BenchmarkDistSweep (the 1296-variant huge sweep single-process versus
 // through the distributed coordinator, recording the protocol-and-merge
-// overhead of multi-worker execution).
+// overhead of multi-worker execution) and BenchmarkStepLanes (the lane
+// monitoring program on a replayed defect-sweep trajectory at widths 1 and
+// 4, the evaluation layer of the lane batches).
 //
 // Usage:
 //
@@ -35,7 +37,7 @@ import (
 )
 
 // defaultBenchRegex selects the headline benchmarks of the perf contract.
-const defaultBenchRegex = "BenchmarkRunSweepSummaryOnly$|BenchmarkToleranceSweepGrouped$|BenchmarkDefectSweepLaned$|BenchmarkBusCommit$|BenchmarkSuiteObserve$|BenchmarkDistSweep$"
+const defaultBenchRegex = "BenchmarkRunSweepSummaryOnly$|BenchmarkToleranceSweepGrouped$|BenchmarkDefectSweepLaned$|BenchmarkBusCommit$|BenchmarkSuiteObserve$|BenchmarkDistSweep$|BenchmarkStepLanes$"
 
 // Benchmark is one parsed benchmark result line.
 type Benchmark struct {

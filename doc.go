@@ -59,10 +59,12 @@
 // packed at bit slot*lanes+lane), so up to 64 distinct trajectories occupy
 // one widened Registers and a single pointer-free commit advances all of
 // them.  A lane-mode temporal.Program (StepLanes) evaluates each node to a
-// per-lane uint64 verdict mask — one pass over the shared node array serves
-// every lane — and monitor.LaneSuite folds mask diffs into per-lane
-// violation intervals, touching per-lane state only on ticks where some
-// lane's verdict changed.  The Engine's dispatcher batches consecutive
+// per-lane uint64 verdict mask: typed atom kernels read whole lane groups of
+// the planes, and change propagation re-evaluates only the connectives whose
+// children's masks changed (plus the stateful temporal operators), so a
+// quiet tick costs little more than its atoms.  monitor.LaneSuite folds mask
+// diffs into per-lane violation intervals, touching per-lane state only on
+// ticks where some lane's verdict changed.  The Engine's dispatcher batches consecutive
 // equal-duration dynamics groups into lane tasks (WithLanes, default width
 // 4), and grouped summary-only runs are lane batches at every width: a
 // ragged remainder or WithLanes(1) simply runs one active lane.  Per-lane

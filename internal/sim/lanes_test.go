@@ -90,6 +90,37 @@ func TestLaneBusEnumInterningShared(t *testing.T) {
 	}
 }
 
+// TestStringVarIDs checks the bind-time interning path: an id from EnumID
+// on one lane view is valid on every view, WriteID publishes exactly what
+// Write of the same string does, and ReadID compares equal to the bound id
+// (-1 before the signal holds a string).
+func TestStringVarIDs(t *testing.T) {
+	lb := NewLaneBus(2)
+	acc := lb.Lane(0).EnumID("ACC")
+	if got := lb.Lane(1).EnumID("ACC"); got != acc {
+		t.Fatalf("lane views interned ACC to different ids %d and %d", acc, got)
+	}
+	v0, v1 := lb.Lane(0).StringVar("src"), lb.Lane(1).StringVar("src")
+	if id := v0.ReadID(); id != -1 {
+		t.Fatalf("ReadID before any write = %d, want -1", id)
+	}
+	v0.WriteID(acc)
+	v1.Write("ACC")
+	lb.Commit()
+	for l, v := range []StringVar{v0, v1} {
+		if got := v.Read(); got != "ACC" {
+			t.Errorf("lane %d: Read = %q, want ACC", l, got)
+		}
+		if got := v.ReadID(); got != acc {
+			t.Errorf("lane %d: ReadID = %d, want %d", l, got, acc)
+		}
+	}
+	lb.Reset()
+	if got := lb.Lane(0).EnumID("ACC"); got != acc {
+		t.Errorf("EnumID after Reset = %d, want the bound id %d", got, acc)
+	}
+}
+
 // TestLaneBusHoldSemantics checks per-lane hold-on-commit: a lane that writes
 // nothing this tick keeps its previous committed value while its siblings
 // move — the property that lets a retired lane's signals freeze without any

@@ -207,10 +207,27 @@ func (b *Bus) StringVar(name string) StringVar {
 // Read returns the visible value of the signal ("" when absent).
 func (v StringVar) Read() string { return v.read.SlotString(v.slot) }
 
+// ReadID returns the interned enumeration id of the visible value (-1 when
+// the signal does not hold a string): comparing it with an id from EnumID
+// is Read() == s without a string compare.
+func (v StringVar) ReadID() int32 { return v.read.SlotStringID(v.slot) }
+
 // Write buffers a new value; it becomes visible after the next commit.
 // Enumeration strings are interned in the bus schema, so a repeated write is
-// a map read plus two plane stores.
+// a map read plus two plane stores.  Hot components bind their values' ids
+// once with EnumID and use WriteID.
 func (v StringVar) Write(s string) { v.write.SetSlotString(v.slot, s) }
+
+// WriteID buffers an enumeration value by its interned id, which must come
+// from EnumID on this bus (or any lane view sharing its schema): two plane
+// stores, no map read.
+func (v StringVar) WriteID(id int32) { v.write.SetSlotStringID(v.slot, id) }
+
+// EnumID interns an enumeration value in the bus schema and returns its id.
+// Ids are stable for the schema's lifetime — across Reset and shared by
+// every lane view of a LaneBus — so a component interns its values once
+// when it binds its handles and writes ids with StringVar.WriteID.
+func (b *Bus) EnumID(s string) int32 { return b.schema.InternString(s) }
 
 // Resetter is implemented by components that can rewind themselves to their
 // initial conditions, so a fully built simulation — bus, schema, resolved

@@ -56,6 +56,22 @@ type Program struct {
 	lmask []uint64
 	lbool []uint64
 	lcnt  [][]int32
+
+	// Lane-mode lowering (program_lanes.go): the typed atom kernels bound to
+	// lschema, the CSR parent adjacency (node i's parents are
+	// lpar[lparAt[i]:lparAt[i+1]]), and node bitsets — lops (every
+	// connective and temporal node, a full pass), lalways (the stateful
+	// temporal nodes, evaluated every step) and ldirty (nodes whose inputs
+	// changed this step).  lfull forces a full pass on the next StepLanes.
+	latoms  []laneAtom
+	latomAt [atomOther + 2]int // latoms[latomAt[k]:latomAt[k+1]] have kind k
+	lschema *Schema
+	lpar    []int32
+	lparAt  []int32
+	lops    []uint64
+	lalways []uint64
+	ldirty  []uint64
+	lfull   bool
 }
 
 // Tap is a handle to one registered formula's per-step output.
@@ -259,8 +275,7 @@ func (p *Program) Stats() ProgramStats {
 		AtomRefs: p.atomRefs,
 	}
 	for i := range p.nodes {
-		switch p.nodes[i].op {
-		case opConst, opVar, opCompareNum, opCompareStrEq, opCompareVarsNum, opCompareVars, opPred:
+		if p.nodes[i].op.isAtom() {
 			s.Atoms++
 		}
 	}
@@ -291,6 +306,13 @@ const (
 	opPrevWithin
 	opInitially
 )
+
+// isAtom reports whether the op reads the state (the ops up to opPred).
+func (op progOp) isAtom() bool { return op <= opPred }
+
+// isTemporal reports whether the op carries per-run operator state (the ops
+// from opPrev on).
+func (op progOp) isTemporal() bool { return op >= opPrev }
 
 // pnode is one node of the flat program: its operator, operand node indices
 // (always smaller than the node's own index) and the per-run operator state.

@@ -1,6 +1,11 @@
 package temporal
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+	"sort"
+)
 
 // Lane-batched program evaluation.
 //
@@ -8,28 +13,72 @@ import "fmt"
 // Step.  In lane mode the same node array evaluates N independent traces in
 // lockstep against one lane-widened State (NewStateWithLanes): each node
 // produces a uint64 output mask whose bit l is the node's verdict for lane l,
-// so the boolean connectives collapse to single word operations and each atom
-// becomes a tight loop over the contiguous lane group of its register slot.
-// Temporal operators keep per-lane state — a mask register for the
-// single-bit operators (prev/once/historically/became/initially) and a small
-// per-lane counter array for the bounded-past operators — and advance all
-// lanes exactly once per StepLanes, so lane l's mask bit sequence is
-// identical to feeding lane l's trace through a scalar Program.
+// so the boolean connectives collapse to single word operations.  Temporal
+// operators keep per-lane state — a mask register for the single-bit
+// operators (prev/once/historically/became/initially) and a small per-lane
+// counter array for the bounded-past operators — and advance all lanes
+// exactly once per StepLanes, so lane l's mask bit sequence is identical to
+// feeding lane l's trace through a scalar Program.
 //
-// Lane mode is an additive evaluation surface: SetLanes allocates the lane
-// registers, StepLanes advances them, OutputMask reads a tap's per-lane
-// verdicts, and Reset clears lane state alongside the scalar state.  A
-// program in lane mode is still not safe for concurrent use.
+// SetLanes lowers the node array into two parts:
+//
+//   - Typed atom kernels.  Every atom becomes a laneAtom, sorted by kind and
+//     comparison operator.  A boolean variable is one bit-plane word extract
+//     when every lane holds a bool and the slot's lane group sits inside one
+//     word; a numeric comparison is one branch-free loop per CompareOp over
+//     the slot's contiguous float lane vector; enumeration ==/!= compares the
+//     id plane.  Lanes of mixed kinds fall back to the per-lane
+//     SlotBool/SlotNumberOK semantics, and a slot beyond the state's width
+//     (a name interned after the state was sized) reads as absent on every
+//     lane, exactly as scalar Step treats it.
+//   - Change propagation.  A CSR parent adjacency and an "always" bitset of
+//     the stateful temporal nodes.  Each StepLanes runs every atom kernel and
+//     marks the parents of every atom whose mask changed in a dirty bitset;
+//     it then walks the dirty and always bits in ascending node index (which
+//     is topological order), re-evaluates only those nodes, and marks the
+//     parents of every node whose mask changed.  A connective is a pure
+//     function of its children's masks, so an unmarked connective's stored
+//     mask is already what a full pass would compute: OutputMask is
+//     bit-identical to evaluating every node, at the cost of what changed.
+//     The first StepLanes after SetLanes or Reset, and after the observed
+//     state's schema changes, evaluates every node.
+//
+// SetLanes allocates everything lane mode needs; StepLanes allocates
+// nothing.  A program in lane mode is still not safe for concurrent use.
 
 // MaxLanes is the widest supported lane batch: one bit per lane in the
 // uint64 node masks.
 const MaxLanes = 64
 
+// atomKind selects the lane kernel an atom node is lowered to.
+type atomKind uint8
+
+const (
+	atomBool  atomKind = iota // opVar: bit-plane word extract
+	atomNum                   // opCompareNum: float lane loop per CompareOp
+	atomEnum                  // opCompareStrEq: id-plane compare
+	atomOther                 // opConst, opCompareVarsNum, opCompareVars: per-lane Value semantics
+)
+
+// laneAtom is one atom node lowered to a lane kernel.  base is the physical
+// register index of lane 0 of the operand slot in the schema the kernels are
+// bound to (-1 for the nil State); id is the enumeration constant's interned
+// id in that schema.
+type laneAtom struct {
+	node int
+	kind atomKind
+	cmp  CompareOp
+	c    float64
+	base int
+	id   int32
+}
+
 // SetLanes switches the program into lane mode at the given width,
-// allocating per-node lane registers.  It fails for programs containing
-// predicate atoms (opaque func(State) bool closures cannot be evaluated
-// per lane) and for widths outside [1, MaxLanes].  All formulas must be
-// registered before SetLanes; Add after SetLanes is rejected by StepLanes.
+// allocating per-node lane registers, the atom kernels and the change
+// propagation tables.  It fails for programs containing predicate atoms
+// (opaque func(State) bool closures cannot be evaluated per lane) and for
+// widths outside [1, MaxLanes].  All formulas must be registered before
+// SetLanes; Add after SetLanes is rejected by StepLanes.
 func (p *Program) SetLanes(lanes int) error {
 	if lanes < 1 || lanes > MaxLanes {
 		return fmt.Errorf("temporal: lane width %d outside [1, %d]", lanes, MaxLanes)
@@ -39,18 +88,83 @@ func (p *Program) SetLanes(lanes int) error {
 			return fmt.Errorf("temporal: program contains a predicate atom; predicates cannot be lane-stepped")
 		}
 	}
+	n := len(p.nodes)
+	words := bitWords(n)
 	p.lanes = lanes
-	p.lmask = make([]uint64, len(p.nodes))
-	p.lbool = make([]uint64, len(p.nodes))
-	p.lcnt = make([][]int32, len(p.nodes))
+	p.lmask = make([]uint64, n)
+	p.lbool = make([]uint64, n)
+	p.lcnt = make([][]int32, n)
+	p.latoms = p.latoms[:0]
+	p.lops = make([]uint64, words)
+	p.lalways = make([]uint64, words)
+	p.ldirty = make([]uint64, words)
+	p.lparAt = make([]int32, n+1)
 	for i := range p.nodes {
-		switch p.nodes[i].op {
+		nd := &p.nodes[i]
+		if nd.op.isAtom() {
+			a := laneAtom{node: i, kind: atomOther, cmp: nd.cmp, c: nd.cval}
+			switch nd.op {
+			case opVar:
+				a.kind = atomBool
+			case opCompareNum:
+				a.kind = atomNum
+			case opCompareStrEq:
+				a.kind = atomEnum
+			}
+			p.latoms = append(p.latoms, a)
+			continue
+		}
+		p.lops[i>>6] |= 1 << (uint(i) & 63)
+		if nd.op.isTemporal() {
+			p.lalways[i>>6] |= 1 << (uint(i) & 63)
+		}
+		switch nd.op {
 		case opPrevFor, opPrevWithin:
 			p.lcnt[i] = make([]int32, lanes)
 		}
+		p.forKids(i, func(k int) { p.lparAt[k+1]++ })
+	}
+	sort.SliceStable(p.latoms, func(i, j int) bool {
+		a, b := &p.latoms[i], &p.latoms[j]
+		if a.kind != b.kind {
+			return a.kind < b.kind
+		}
+		return a.cmp < b.cmp
+	})
+	for k := range p.latomAt {
+		p.latomAt[k] = sort.Search(len(p.latoms), func(i int) bool { return p.latoms[i].kind >= atomKind(k) })
+	}
+	for i := 0; i < n; i++ {
+		p.lparAt[i+1] += p.lparAt[i]
+	}
+	p.lpar = make([]int32, p.lparAt[n])
+	fill := append([]int32(nil), p.lparAt[:n]...)
+	for i := range p.nodes {
+		p.forKids(i, func(k int) {
+			p.lpar[fill[k]] = int32(i)
+			fill[k]++
+		})
 	}
 	p.resetLanes()
 	return nil
+}
+
+// forKids calls fn with each child node index of node i (a child shared
+// twice, as in And(a, a), is visited twice).
+func (p *Program) forKids(i int, fn func(k int)) {
+	n := &p.nodes[i]
+	switch {
+	case n.op.isAtom():
+	case n.op == opAnd || n.op == opOr:
+		for _, k := range n.kids {
+			fn(k)
+		}
+	case n.op == opImplies || n.op == opIff:
+		fn(n.a)
+		fn(n.b)
+	default:
+		fn(n.a)
+	}
 }
 
 // Lanes returns the lane width set by SetLanes (0 when the program is not in
@@ -65,10 +179,15 @@ func (p *Program) laneFull() uint64 {
 }
 
 // resetLanes rewinds all per-lane operator state, mirroring Reset's per-op
-// clearing with masks and counters.
+// clearing with masks and counters, and schedules a full pass for the next
+// StepLanes (the cleared masks are no longer a function of their children).
 func (p *Program) resetLanes() {
 	if p.lanes == 0 {
 		return
+	}
+	p.lfull = true
+	for w := range p.ldirty {
+		p.ldirty[w] = 0
 	}
 	full := p.laneFull()
 	for i := range p.nodes {
@@ -92,175 +211,326 @@ func (p *Program) resetLanes() {
 	}
 }
 
-// StepLanes evaluates every node against the next lane-widened state, in
-// topological order, and advances all per-lane temporal operator state by one
-// step.  The state must carry at least Lanes() lanes.  It shares the step
-// counter with Step; a program is driven through exactly one of the two per
-// run.
+// bindAtoms resolves every atom kernel's operand slot and enumeration id
+// against st's schema.
+func (p *Program) bindAtoms(st State) {
+	sc := st.Schema()
+	p.lschema = sc
+	for i := range p.latoms {
+		a := &p.latoms[i]
+		n := &p.nodes[a.node]
+		a.base = -1
+		if a.kind == atomOther {
+			continue // evaluated through the node's own slot references
+		}
+		if slot, ok := n.ref.resolve(st); ok {
+			a.base = slot * p.lanes
+		}
+		if a.kind == atomEnum && sc != nil {
+			a.id = n.eref.idIn(sc)
+		}
+	}
+}
+
+// StepLanes evaluates the program against the next lane-widened state and
+// advances all per-lane temporal operator state by one step: every atom
+// kernel runs, then every node whose inputs changed and every stateful
+// temporal node is re-evaluated in topological order.  The state must carry
+// at least Lanes() lanes.  It shares the step counter with Step; a program is
+// driven through exactly one of the two per run.
 func (p *Program) StepLanes(st State) {
 	lanes := p.lanes
 	if lanes == 0 || len(p.lmask) != len(p.nodes) {
 		panic("temporal: StepLanes before SetLanes (or formulas added after SetLanes)")
 	}
-	full := p.laneFull()
-	steps := p.steps
+	full := p.lfull
+	if full || st.Schema() != p.lschema {
+		p.bindAtoms(st)
+		full = true
+	}
+	p.lfull = false
 	masks := p.lmask
-	for i := range p.nodes {
-		n := &p.nodes[i]
+	dirty := p.ldirty
+	if full {
+		copy(dirty, p.lops)
+	}
+
+	var kinds []uint8
+	var nums []float64
+	var strs []int32
+	var bitp []uint64
+	if st != nil {
+		kinds, nums, strs, bitp = st.kinds, st.nums, st.strs, st.bits
+	}
+	fullMask := p.laneFull()
+	at := &p.latomAt
+
+	bools := p.latoms[at[atomBool]:at[atomBool+1]]
+	for i := range bools {
+		a := &bools[i]
 		var out uint64
-		switch n.op {
-		case opConst:
-			if n.bstate {
-				out = full
-			}
-		case opVar:
-			if slot, ok := n.ref.resolve(st); ok {
-				base := slot * lanes
+		if base, end := a.base, a.base+lanes; base >= 0 && end <= len(kinds) {
+			off := uint(base) & 63
+			if uniform(kinds[base:end], KindBool) && int(off)+lanes <= 64 {
+				out = bitp[base>>6] >> off & fullMask
+			} else {
 				for l := 0; l < lanes; l++ {
-					if st.SlotBool(base + l) {
-						out |= 1 << uint(l)
-					}
+					out |= b2u(st.SlotBool(base+l)) << (uint(l) & 63)
 				}
 			}
-		case opCompareNum:
-			// The hot atom: when every lane of the slot holds a number (the
-			// steady state for the signal planes a sweep varies), the
-			// comparison is one tight loop over the contiguous lane vector of
-			// the float plane.  Mixed-kind lanes fall back to the per-lane
-			// SlotNumberOK path, which reproduces the scalar semantics bit for
-			// bit (bools as 0/1, strings as NaN — still a valid operand, so
-			// OpNe holds — and absent values as false).
-			if slot, ok := n.ref.resolve(st); ok {
-				base := slot * lanes
-				allNum := true
-				for _, k := range st.kinds[base : base+lanes] {
-					if Kind(k) != KindNumber {
-						allNum = false
-						break
-					}
-				}
-				if allNum {
-					vec := st.nums[base : base+lanes]
-					for l, f := range vec {
-						if compareNumbers(f, n.cval, n.cmp) {
-							out |= 1 << uint(l)
-						}
-					}
-				} else {
-					for l := 0; l < lanes; l++ {
-						if f, valid := st.SlotNumberOK(base + l); valid && compareNumbers(f, n.cval, n.cmp) {
-							out |= 1 << uint(l)
-						}
-					}
-				}
-			}
-		case opCompareStrEq:
-			if slot, ok := n.ref.resolve(st); ok {
-				id := n.eref.idIn(st.Schema())
-				base := slot * lanes
-				for l := 0; l < lanes; l++ {
-					k := Kind(st.kinds[base+l])
-					if k == KindInvalid {
-						continue
-					}
-					match := k == KindString && st.strs[base+l] == id
-					if match == (n.cmp == OpEq) {
-						out |= 1 << uint(l)
-					}
-				}
-			}
-		case opCompareVarsNum:
-			lslot, lok := n.ref.resolve(st)
-			rslot, rok := n.ref2.resolve(st)
-			if lok && rok {
-				lbase, rbase := lslot*lanes, rslot*lanes
-				for l := 0; l < lanes; l++ {
-					lf, lv := st.SlotNumberOK(lbase + l)
-					rf, rv := st.SlotNumberOK(rbase + l)
-					if lv && rv && compareNumbers(lf, rf, n.cmp) {
-						out |= 1 << uint(l)
-					}
-				}
-			}
-		case opCompareVars:
-			lslot, lok := n.ref.resolve(st)
-			rslot, rok := n.ref2.resolve(st)
-			if lok && rok {
-				lbase, rbase := lslot*lanes, rslot*lanes
-				for l := 0; l < lanes; l++ {
-					lv, rv := st.Slot(lbase+l), st.Slot(rbase+l)
-					if lv.IsValid() && rv.IsValid() && compareValues(lv, rv, n.cmp) {
-						out |= 1 << uint(l)
-					}
-				}
-			}
-		case opPred:
-			// Rejected by SetLanes; unreachable in lane mode.
-			panic("temporal: predicate atom in lane-stepped program")
-		case opNot:
-			out = ^masks[n.a] & full
-		case opAnd:
-			out = full
-			for _, k := range n.kids {
-				out &= masks[k]
-			}
-		case opOr:
-			for _, k := range n.kids {
-				out |= masks[k]
-			}
-		case opImplies:
-			out = (^masks[n.a] | masks[n.b]) & full
-		case opIff:
-			out = ^(masks[n.a] ^ masks[n.b]) & full
-		case opPrev:
-			if steps > 0 {
-				out = p.lbool[i]
-			}
-			p.lbool[i] = masks[n.a]
-		case opOnce:
-			out = p.lbool[i]
-			p.lbool[i] |= masks[n.a]
-		case opHist:
-			out = p.lbool[i]
-			p.lbool[i] &= masks[n.a]
-		case opBecame:
-			cur := masks[n.a]
-			out = cur &^ p.lbool[i]
-			p.lbool[i] = cur
-		case opPrevFor:
-			cur := masks[n.a]
-			cnt := p.lcnt[i]
-			win := int32(n.n)
-			for l := 0; l < lanes; l++ {
-				if n.n == 0 || (steps >= n.n && cnt[l] >= win) {
-					out |= 1 << uint(l)
-				}
-				if cur&(1<<uint(l)) != 0 {
-					cnt[l]++
-				} else {
-					cnt[l] = 0
-				}
-			}
-		case opPrevWithin:
-			cur := masks[n.a]
-			cnt := p.lcnt[i]
-			for l := 0; l < lanes; l++ {
-				if cnt[l] >= 0 && steps-int(cnt[l]) <= n.n {
-					out |= 1 << uint(l)
-				}
-				if cur&(1<<uint(l)) != 0 {
-					cnt[l] = int32(steps)
-				}
-			}
-		case opInitially:
-			if steps == 0 {
-				p.lbool[i] = masks[n.a]
-			}
-			out = p.lbool[i]
 		}
-		masks[i] = out
+		p.setAtomMask(a.node, out)
+	}
+
+	numbers := p.latoms[at[atomNum]:at[atomNum+1]]
+	for i := range numbers {
+		a := &numbers[i]
+		var out uint64
+		if base, end := a.base, a.base+lanes; base >= 0 && end <= len(kinds) {
+			if uniform(kinds[base:end], KindNumber) {
+				out = compareLanes(nums[base:end], a.c, a.cmp)
+			} else {
+				// Bools compare as 0/1, strings as NaN (still a valid
+				// operand, so != holds) and absent values as false.
+				for l := 0; l < lanes; l++ {
+					if f, ok := st.SlotNumberOK(base + l); ok {
+						out |= b2u(compareNumbers(f, a.c, a.cmp)) << (uint(l) & 63)
+					}
+				}
+			}
+		}
+		p.setAtomMask(a.node, out)
+	}
+
+	enums := p.latoms[at[atomEnum]:at[atomEnum+1]]
+	for i := range enums {
+		a := &enums[i]
+		var out uint64
+		if base, end := a.base, a.base+lanes; base >= 0 && end <= len(kinds) {
+			eq := a.cmp == OpEq
+			if uniform(kinds[base:end], KindString) {
+				for l, id := range strs[base:end] {
+					out |= b2u(id == a.id) << (uint(l) & 63)
+				}
+				if !eq {
+					out = ^out & fullMask
+				}
+			} else {
+				for l, k := range kinds[base:end] {
+					if Kind(k) != KindInvalid {
+						match := Kind(k) == KindString && strs[base+l] == a.id
+						out |= b2u(match == eq) << (uint(l) & 63)
+					}
+				}
+			}
+		}
+		p.setAtomMask(a.node, out)
+	}
+
+	for _, a := range p.latoms[at[atomOther]:at[atomOther+1]] {
+		p.setAtomMask(a.node, p.otherAtomLanes(a.node, st))
+	}
+
+	always := p.lalways
+	for w := range dirty {
+		pending := dirty[w] | always[w]
+		dirty[w] = 0
+		for pending != 0 {
+			i := w<<6 | bits.TrailingZeros64(pending)
+			pending &= pending - 1
+			out := p.nodeLanes(i, fullMask)
+			if out == masks[i] {
+				continue
+			}
+			masks[i] = out
+			// Parents have larger indices: those in this word join the
+			// pending set, later words are picked up by the outer loop.
+			for _, j := range p.lpar[p.lparAt[i]:p.lparAt[i+1]] {
+				if int(j)>>6 == w {
+					pending |= 1 << (uint(j) & 63)
+				} else {
+					dirty[j>>6] |= 1 << (uint(j) & 63)
+				}
+			}
+		}
 	}
 	p.steps++
+}
+
+// setAtomMask stores atom node i's mask for this step and, when it changed,
+// schedules every parent of the atom for re-evaluation.
+func (p *Program) setAtomMask(i int, out uint64) {
+	if out == p.lmask[i] {
+		return
+	}
+	p.lmask[i] = out
+	for _, j := range p.lpar[p.lparAt[i]:p.lparAt[i+1]] {
+		p.ldirty[j>>6] |= 1 << (uint(j) & 63)
+	}
+}
+
+// otherAtomLanes evaluates the atoms without a typed kernel (constants and
+// variable-to-variable comparisons) lane by lane through the range-checked
+// per-slot accessors.
+func (p *Program) otherAtomLanes(i int, st State) uint64 {
+	n := &p.nodes[i]
+	lanes := p.lanes
+	var out uint64
+	switch n.op {
+	case opConst:
+		if n.bstate {
+			out = p.laneFull()
+		}
+	case opCompareVarsNum:
+		lslot, lok := n.ref.resolve(st)
+		rslot, rok := n.ref2.resolve(st)
+		if lok && rok {
+			lbase, rbase := lslot*lanes, rslot*lanes
+			for l := 0; l < lanes; l++ {
+				lf, lv := st.SlotNumberOK(lbase + l)
+				rf, rv := st.SlotNumberOK(rbase + l)
+				out |= b2u(lv && rv && compareNumbers(lf, rf, n.cmp)) << (uint(l) & 63)
+			}
+		}
+	case opCompareVars:
+		lslot, lok := n.ref.resolve(st)
+		rslot, rok := n.ref2.resolve(st)
+		if lok && rok {
+			lbase, rbase := lslot*lanes, rslot*lanes
+			for l := 0; l < lanes; l++ {
+				lv, rv := st.Slot(lbase+l), st.Slot(rbase+l)
+				out |= b2u(lv.IsValid() && rv.IsValid() && compareValues(lv, rv, n.cmp)) << (uint(l) & 63)
+			}
+		}
+	}
+	return out
+}
+
+// nodeLanes evaluates connective or temporal node i from its children's
+// current masks, advancing the node's per-lane temporal state.
+func (p *Program) nodeLanes(i int, full uint64) uint64 {
+	n := &p.nodes[i]
+	masks := p.lmask
+	steps := p.steps
+	var out uint64
+	switch n.op {
+	case opNot:
+		out = ^masks[n.a] & full
+	case opAnd:
+		out = full
+		for _, k := range n.kids {
+			out &= masks[k]
+		}
+	case opOr:
+		for _, k := range n.kids {
+			out |= masks[k]
+		}
+	case opImplies:
+		out = (^masks[n.a] | masks[n.b]) & full
+	case opIff:
+		out = ^(masks[n.a] ^ masks[n.b]) & full
+	case opPrev:
+		if steps > 0 {
+			out = p.lbool[i]
+		}
+		p.lbool[i] = masks[n.a]
+	case opOnce:
+		out = p.lbool[i]
+		p.lbool[i] |= masks[n.a]
+	case opHist:
+		out = p.lbool[i]
+		p.lbool[i] &= masks[n.a]
+	case opBecame:
+		cur := masks[n.a]
+		out = cur &^ p.lbool[i]
+		p.lbool[i] = cur
+	case opPrevFor:
+		cur := masks[n.a]
+		cnt := p.lcnt[i]
+		win := int32(n.n)
+		for l := range cnt {
+			out |= b2u(n.n == 0 || (steps >= n.n && cnt[l] >= win)) << (uint(l) & 63)
+			if cur&(1<<uint(l)) != 0 {
+				cnt[l]++
+			} else {
+				cnt[l] = 0
+			}
+		}
+	case opPrevWithin:
+		cur := masks[n.a]
+		cnt := p.lcnt[i]
+		for l := range cnt {
+			out |= b2u(cnt[l] >= 0 && steps-int(cnt[l]) <= n.n) << (uint(l) & 63)
+			if cur&(1<<uint(l)) != 0 {
+				cnt[l] = int32(steps)
+			}
+		}
+	case opInitially:
+		if steps == 0 {
+			p.lbool[i] = masks[n.a]
+		}
+		out = p.lbool[i]
+	}
+	return out
+}
+
+// uniform reports whether every register kind in ks is k; the scalar width
+// and the production lane width (4) check the lane group with one load.
+func uniform(ks []uint8, k Kind) bool {
+	switch len(ks) {
+	case 1:
+		return Kind(ks[0]) == k
+	case 4:
+		return binary.LittleEndian.Uint32(ks) == uint32(k)*0x01010101
+	}
+	for _, x := range ks {
+		if Kind(x) != k {
+			return false
+		}
+	}
+	return true
+}
+
+// b2u converts a bool to 0/1 without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// compareLanes compares every lane of a float lane vector with the constant
+// c: bit l of the result is vec[l] op c.  Each operator is one branch-free
+// loop.
+func compareLanes(vec []float64, c float64, op CompareOp) uint64 {
+	var out uint64
+	switch op {
+	case OpEq:
+		for l, f := range vec {
+			out |= b2u(f == c) << (uint(l) & 63)
+		}
+	case OpNe:
+		for l, f := range vec {
+			out |= b2u(f != c) << (uint(l) & 63)
+		}
+	case OpLt:
+		for l, f := range vec {
+			out |= b2u(f < c) << (uint(l) & 63)
+		}
+	case OpLe:
+		for l, f := range vec {
+			out |= b2u(f <= c) << (uint(l) & 63)
+		}
+	case OpGt:
+		for l, f := range vec {
+			out |= b2u(f > c) << (uint(l) & 63)
+		}
+	case OpGe:
+		for l, f := range vec {
+			out |= b2u(f >= c) << (uint(l) & 63)
+		}
+	}
+	return out
 }
 
 // OutputMask reads the per-lane verdict mask a tap's formula produced for the

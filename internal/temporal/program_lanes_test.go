@@ -25,15 +25,20 @@ func randomLaneFormula(r *rand.Rand, depth int, pool *[]Formula) Formula {
 
 // setRandomLaneVar writes one variable's value for one lane of the widened
 // state and the same value into that lane's scalar shadow state.  With small
-// probability the value is absent or of a surprising kind (a string in a
-// numeric slot, a number in the enum slot), so the mixed-kind fallbacks and
-// the unknown-state-is-false convention are covered.
+// probability the value is absent (the slot is cleared) or of a surprising
+// kind (a string in a numeric slot, a number in the enum slot), so the
+// mixed-kind fallbacks and the unknown-state-is-false convention are covered.
 func setRandomLaneVar(r *rand.Rand, wide State, lane int, scalar State, name string) {
 	slot := wide.Schema().Intern(name)
+	absent := func() {
+		wide.SetSlot(wide.laneIndex(slot, lane), Value{})
+		scalar.SetSlot(slot, Value{})
+	}
 	switch name {
 	case "A", "B", "C":
 		if r.Intn(12) == 0 {
-			return // absent
+			absent()
+			return
 		}
 		b := r.Intn(2) == 0
 		wide.SetSlotBoolLane(slot, lane, b)
@@ -41,7 +46,7 @@ func setRandomLaneVar(r *rand.Rand, wide State, lane int, scalar State, name str
 	case "N", "M":
 		switch r.Intn(12) {
 		case 0:
-			return // absent
+			absent()
 		case 1:
 			wide.SetSlotStringLane(slot, lane, "oops")
 			scalar.SetSlotString(slot, "oops")
@@ -53,7 +58,7 @@ func setRandomLaneVar(r *rand.Rand, wide State, lane int, scalar State, name str
 	case "S":
 		switch r.Intn(12) {
 		case 0:
-			return // absent
+			absent()
 		case 1:
 			f := float64(r.Intn(3))
 			wide.SetSlotNumberLane(slot, lane, f)
@@ -67,68 +72,189 @@ func setRandomLaneVar(r *rand.Rand, wide State, lane int, scalar State, name str
 	}
 }
 
+// laneDiff configures one lane-versus-scalar differential run.
+type laneDiff struct {
+	seed  int64
+	lanes int
+	steps int
+	// hold returns how many steps a freshly drawn variable value is held;
+	// nil re-randomises every variable of every lane on every step.
+	hold func() int
+	// resetAt and swapAt are the steps (-1: never) before which every
+	// program is Reset, and before which the trace moves to a fresh schema
+	// that interns the vocabulary at different slots.
+	resetAt, swapAt int
+}
+
+// laneVars is the variable vocabulary of the lane differentials.
+var laneVars = []string{"A", "B", "C", "N", "M", "S"}
+
+// run evaluates a batch of overlapping random formulas — plus bounded-past
+// wrappers whose windows are both shorter and longer than the input holds —
+// over d.lanes independent random traces, once through a lane-stepped program
+// over the widened state and once through one scalar program per lane fed
+// that lane's trace, and fails on the first differing verdict.
+func (d laneDiff) run(t testing.TB) {
+	t.Helper()
+	r := rand.New(rand.NewSource(d.seed))
+	schema := NewSchema()
+	laneProg := NewProgram(time.Millisecond, schema)
+
+	var pool []Formula
+	var formulas []Formula
+	for i := 0; i < 8; i++ {
+		formulas = append(formulas, randomLaneFormula(r, 3, &pool))
+	}
+	for i := 0; i < 4; i++ {
+		w := time.Duration(1+r.Intn(4)) * time.Millisecond
+		if i%2 == 1 {
+			w = time.Duration(20+r.Intn(60)) * time.Millisecond
+		}
+		sub := pool[r.Intn(len(pool))]
+		if i < 2 {
+			formulas = append(formulas, PrevFor(sub, w))
+		} else {
+			formulas = append(formulas, PrevWithin(sub, w))
+		}
+	}
+	var taps []Tap
+	for _, f := range formulas {
+		taps = append(taps, laneProg.MustAdd(f))
+	}
+	if err := laneProg.SetLanes(d.lanes); err != nil {
+		t.Fatalf("seed %d: SetLanes(%d): %v", d.seed, d.lanes, err)
+	}
+
+	scalars := make([]*Program, d.lanes)
+	scalarTaps := make([][]Tap, d.lanes)
+	for l := range scalars {
+		scalars[l] = NewProgram(time.Millisecond, schema)
+		for _, f := range formulas {
+			scalarTaps[l] = append(scalarTaps[l], scalars[l].MustAdd(f))
+		}
+	}
+
+	var wide State
+	shadows := make([]State, d.lanes)
+	fresh := func(sc *Schema) {
+		wide = NewStateWithLanes(sc, d.lanes)
+		for l := range shadows {
+			shadows[l] = NewStateWith(sc)
+		}
+	}
+	fresh(schema)
+	held := make([][]int, d.lanes) // steps left before a variable is redrawn
+	for l := range held {
+		held[l] = make([]int, len(laneVars))
+	}
+
+	for step := 0; step < d.steps; step++ {
+		if step == d.swapAt {
+			sc := NewSchema()
+			sc.Intern("pad")
+			for i := len(laneVars) - 1; i >= 0; i-- {
+				sc.Intern(laneVars[i])
+			}
+			fresh(sc)
+			for l := range held {
+				for v := range held[l] {
+					held[l][v] = 0
+				}
+			}
+		}
+		if step == d.resetAt {
+			laneProg.Reset()
+			for _, p := range scalars {
+				p.Reset()
+			}
+		}
+		if d.hold == nil {
+			wide.Reset()
+		}
+		for l := 0; l < d.lanes; l++ {
+			if d.hold == nil {
+				shadows[l].Reset()
+			}
+			for v, name := range laneVars {
+				if held[l][v] > 0 {
+					held[l][v]--
+					continue
+				}
+				setRandomLaneVar(r, wide, l, shadows[l], name)
+				if d.hold != nil {
+					held[l][v] = d.hold() - 1
+				}
+			}
+		}
+		laneProg.StepLanes(wide)
+		for l := 0; l < d.lanes; l++ {
+			scalars[l].Step(shadows[l])
+			for i := range formulas {
+				want := scalars[l].Output(scalarTaps[l][i])
+				got := laneProg.OutputMask(taps[i])&(1<<uint(l)) != 0
+				if got != want {
+					t.Fatalf("seed %d step %d lane %d/%d: lane output %v != scalar %v for %s",
+						d.seed, step, l, d.lanes, got, want, formulas[i])
+				}
+			}
+		}
+	}
+}
+
 // TestStepLanesMatchesScalarPrograms is the lane mode's differential test:
 // a batch of overlapping random formulas evaluated over L independent random
 // traces must produce, via one lane-stepped program over the widened state,
 // exactly the per-step verdicts of L scalar programs each fed its own lane's
-// trace.
+// trace.  Every variable is redrawn on every step.
 func TestStepLanesMatchesScalarPrograms(t *testing.T) {
-	widths := []int{1, 2, 3, 5, 8, 64}
-	for seed := int64(0); seed < 24; seed++ {
-		lanes := widths[int(seed)%len(widths)]
-		r := rand.New(rand.NewSource(seed))
-		schema := NewSchema()
-		laneProg := NewProgram(time.Millisecond, schema)
+	widths := []int{1, 2, 3, 4, 5, 8, 64}
+	for seed := int64(0); seed < 28; seed++ {
+		laneDiff{seed: seed, lanes: widths[int(seed)%len(widths)], steps: 60, resetAt: -1, swapAt: -1}.run(t)
+	}
+}
 
-		var pool []Formula
-		var formulas []Formula
-		var taps []Tap
-		for i := 0; i < 8; i++ {
-			f := randomLaneFormula(r, 3, &pool)
-			formulas = append(formulas, f)
-			taps = append(taps, laneProg.MustAdd(f))
-		}
-		if err := laneProg.SetLanes(lanes); err != nil {
-			t.Fatalf("seed %d: SetLanes(%d): %v", seed, lanes, err)
-		}
+// TestStepLanesMatchesScalarHeldInputs is the differential in the quiet
+// regime change-driven evaluation relies on: each variable holds its value
+// for 1-50 steps, so most steps change few atoms and the bounded-past windows
+// (1-4 and 20-79 steps) run both shorter and longer than the holds; midway
+// the trace moves to a fresh schema, and later every program is Reset.
+func TestStepLanesMatchesScalarHeldInputs(t *testing.T) {
+	widths := []int{1, 2, 3, 4, 5, 8, 64}
+	for seed := int64(0); seed < 28; seed++ {
+		r := rand.New(rand.NewSource(seed + 1000))
+		laneDiff{
+			seed:    seed,
+			lanes:   widths[int(seed)%len(widths)],
+			steps:   300,
+			hold:    func() int { return 1 + r.Intn(50) },
+			resetAt: 200,
+			swapAt:  100,
+		}.run(t)
+	}
+}
 
-		scalars := make([]*Program, lanes)
-		scalarTaps := make([][]Tap, lanes)
-		for l := 0; l < lanes; l++ {
-			scalars[l] = NewProgram(time.Millisecond, schema)
-			for _, f := range formulas {
-				scalarTaps[l] = append(scalarTaps[l], scalars[l].MustAdd(f))
-			}
-		}
-
-		wide := NewStateWithLanes(schema, lanes)
-		shadows := make([]State, lanes)
-		for l := range shadows {
-			shadows[l] = NewStateWith(schema)
-		}
-		names := []string{"A", "B", "C", "N", "M", "S"}
-
-		for step := 0; step < 60; step++ {
-			wide.Reset()
-			for l := 0; l < lanes; l++ {
-				shadows[l].Reset()
-				for _, name := range names {
-					setRandomLaneVar(r, wide, l, shadows[l], name)
-				}
-			}
-			laneProg.StepLanes(wide)
-			for l := 0; l < lanes; l++ {
-				scalars[l].Step(shadows[l])
-				for i := range formulas {
-					want := scalars[l].Output(scalarTaps[l][i])
-					got := laneProg.OutputMask(taps[i])&(1<<uint(l)) != 0
-					if got != want {
-						t.Fatalf("seed %d step %d lane %d/%d: lane output %v != scalar %v for %s",
-							seed, step, l, lanes, got, want, formulas[i])
-					}
-				}
-			}
-		}
+// TestStepLanesStateNarrowerThanSchema pins the out-of-range slot rule: a
+// name interned after the lane state was sized reads as absent on every lane
+// — what scalar Step does — instead of slicing past the state's planes.
+func TestStepLanesStateNarrowerThanSchema(t *testing.T) {
+	schema := NewSchema()
+	wide := NewStateWithLanes(schema, 4)
+	narrow := NewStateWith(schema)
+	f := MustParse("!(N < 3) & !A & !(S == 'red')")
+	lanes := NewProgram(time.Millisecond, schema)
+	tap := lanes.MustAdd(f)
+	if err := lanes.SetLanes(4); err != nil {
+		t.Fatal(err)
+	}
+	scalar := NewProgram(time.Millisecond, schema)
+	stap := scalar.MustAdd(f)
+	scalar.Step(narrow)
+	if !scalar.Output(stap) {
+		t.Fatalf("scalar %s over absent variables = false, want true", f)
+	}
+	lanes.StepLanes(wide)
+	if got := lanes.OutputMask(tap); got != 0b1111 {
+		t.Fatalf("lane %s over a state narrower than its schema = %04b, want 1111", f, got)
 	}
 }
 

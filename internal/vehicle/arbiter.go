@@ -8,24 +8,12 @@ import (
 
 // Arbitration source sentinels: features are identified by index into
 // FeatureNames on the hot path; the driver and the absent source use
-// negative sentinels and are translated to their string tags only when the
-// source signal is published.
+// negative sentinels and are translated to their tags' interned ids
+// (busVars.sourceID) only when the source signal is published.
 const (
 	srcNone   = -1
 	srcDriver = -2
 )
-
-// sourceTag translates an arbitration source index to its string tag.
-func sourceTag(src int) string {
-	switch src {
-	case srcNone:
-		return SourceNone
-	case srcDriver:
-		return SourceDriver
-	default:
-		return FeatureNames[src]
-	}
-}
 
 // Arbiter selects the sources of the vehicle acceleration and steering
 // commands from the feature subsystem requests and the driver's inputs
@@ -103,7 +91,7 @@ func (a *Arbiter) Step(now time.Duration, bus *sim.Bus) {
 		a.prevCandidate = srcNone
 	}
 	dt := v.stepSeconds()
-	reverse := v.gear.Read() == "R"
+	reverse := v.reverse()
 
 	// ----- Stage 1: acceleration arbitration ---------------------------
 	driverRequest, driverRequesting := a.driverAccelRequest(v, reverse)
@@ -209,14 +197,14 @@ func (a *Arbiter) Step(now time.Duration, bus *sim.Bus) {
 	}
 
 	v.accelCommand.Write(finalCommand)
-	v.accelSource.Write(sourceTag(finalSource))
+	v.accelSource.WriteID(v.sourceID(finalSource))
 	v.accelFromSubsystem.Write(fromSubsystem)
 	v.accelCommandJerk.Write(commandJerk)
 	v.selectedRequestValue.Write(accelRequest)
 	v.selectedSoftFwd.Write(fromSubsystem && accelRequest > HardBrakeThreshold)
 	v.selectedSoftBwd.Write(fromSubsystem && accelRequest < -HardBrakeThreshold)
 	v.steerCommand.Write(steerRequest)
-	v.steerSource.Write(sourceTag(steerSource))
+	v.steerSource.WriteID(v.sourceID(steerSource))
 	v.steerFromSubsystem.Write(steerSource >= 0)
 	v.agreement.Write(agreement)
 }

@@ -161,7 +161,7 @@ func (d *Driver) Step(now time.Duration, bus *sim.Bus) {
 	v.steeringActive.Write(d.steering != 0)
 	v.steeringInput.Write(d.steering)
 	v.pedalApplied.Write(d.throttle > 0.02 || d.brake > 0.02)
-	v.gear.Write(d.gear)
+	v.gear.WriteID(v.gearID(d.gear))
 
 	v.caEnabled.Write(d.caEnabled)
 	v.rcaEnabled.Write(d.rcaEnabled)

@@ -91,7 +91,7 @@ func (c *CollisionAvoidance) Step(now time.Duration, bus *sim.Bus) {
 	enabled := v.caEnabled.Read()
 	speed := v.speed.Read()
 	distance := v.objectDistance.Read()
-	forward := v.gear.Read() != "R"
+	forward := !v.reverse()
 
 	shouldBrake := false
 	if enabled && forward && !math.IsNaN(distance) && !math.IsNaN(speed) && speed > 0.2 {
@@ -163,7 +163,7 @@ func (c *RearCollisionAvoidance) Step(_ time.Duration, bus *sim.Bus) {
 	v := c.on(bus)
 	c.out.idx = idxRCA
 	enabled := v.rcaEnabled.Read()
-	reverse := v.gear.Read() == "R"
+	reverse := v.reverse()
 	speed := v.speed.Read()
 	rearDistance := v.rearObjectDistance.Read()
 
@@ -246,7 +246,7 @@ func (c *AdaptiveCruiseControl) Step(_ time.Duration, bus *sim.Bus) {
 		// defect); engagement at a standstill was rejected (Scenario 10).
 		canEngage := math.Abs(speed) > 1.0
 		if !c.EngageWithoutChecks {
-			canEngage = canEngage && v.gear.Read() == "D" && speed > 0
+			canEngage = canEngage && v.gear.ReadID() == v.gearDID && speed > 0
 		}
 		if canEngage {
 			c.engaged = true

@@ -106,6 +106,13 @@ type busVars struct {
 	selectedRequestValue sim.NumVar
 
 	features [numFeatures]featureVars
+
+	// Interned enumeration ids of the published source tags (featureIDs
+	// indexed like FeatureNames) and of the two gear selections, bound once
+	// so the per-step writes and gear checks compare ids, not strings.
+	featureIDs       [numFeatures]int32
+	noneID, driverID int32
+	gearDID, gearRID int32
 }
 
 // bindVars resolves every vehicle signal against the bus schema.  It runs
@@ -163,6 +170,11 @@ func bindVars(bus *sim.Bus) *busVars {
 		selectedSoftFwd:      bus.BoolVar(SigSelectedSoftRequestFwd),
 		selectedSoftBwd:      bus.BoolVar(SigSelectedSoftRequestBwd),
 		selectedRequestValue: bus.NumVar(SigSelectedRequestValue),
+
+		noneID:   bus.EnumID(SourceNone),
+		driverID: bus.EnumID(SourceDriver),
+		gearDID:  bus.EnumID("D"),
+		gearRID:  bus.EnumID("R"),
 	}
 	for i, f := range FeatureNames {
 		v.features[i] = featureVars{
@@ -174,9 +186,40 @@ func bindVars(bus *sim.Bus) *busVars {
 			requestJerk:     bus.NumVar(SigRequestJerk(f)),
 			selected:        bus.BoolVar(SigSelected(f)),
 		}
+		v.featureIDs[i] = bus.EnumID(f)
 	}
 	return v
 }
+
+// sourceID translates an arbitration source index to the interned
+// enumeration id of its string tag (SourceNone, SourceDriver or the feature
+// name).
+func (v *busVars) sourceID(src int) int32 {
+	switch src {
+	case srcNone:
+		return v.noneID
+	case srcDriver:
+		return v.driverID
+	default:
+		return v.featureIDs[src]
+	}
+}
+
+// gearID returns the interned id of a gear selection; the two thesis gears
+// are bound ids, any other scheduled string is interned on the bus.
+func (v *busVars) gearID(gear string) int32 {
+	switch gear {
+	case "D":
+		return v.gearDID
+	case "R":
+		return v.gearRID
+	default:
+		return v.bus.EnumID(gear)
+	}
+}
+
+// reverse reports whether the committed gear is "R".
+func (v *busVars) reverse() bool { return v.gear.ReadID() == v.gearRID }
 
 // binding caches a component's busVars; components embed it and call on()
 // at the top of Step.  The pointer guard re-binds when the component is

@@ -258,7 +258,7 @@ func (d *Dynamics) Step(_ time.Duration, bus *sim.Bus) {
 	dt := v.stepSeconds()
 	cmd := number(v.accelCommand)
 	source := v.accelSource.Read()
-	reverse := v.gear.Read() == "R"
+	reverse := v.reverse()
 
 	// Automatic-transmission creep: with no command and no pedal, the
 	// vehicle slowly creeps in the direction of the gear.
