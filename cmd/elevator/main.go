@@ -14,19 +14,20 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/elevator"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("elevator", flag.ContinueOnError)
 	scenarioName := fs.String("scenario", "", "run only the named scenario (default: all)")
 	showICPA := fs.Bool("icpa", false, "print the elevator ICPA tables before running")
@@ -36,8 +37,8 @@ func run(args []string) error {
 	}
 
 	if *showICPA {
-		fmt.Println(elevator.DoorDriveICPA().Render())
-		fmt.Println(elevator.HoistwayICPA().Render())
+		fmt.Fprintln(w, elevator.DoorDriveICPA().Render())
+		fmt.Fprintln(w, elevator.HoistwayICPA().Render())
 	}
 
 	ran := 0
@@ -47,23 +48,23 @@ func run(args []string) error {
 		}
 		ran++
 		res := elevator.Run(sc)
-		fmt.Printf("=== Scenario %q: %s\n", sc.Name, sc.Description)
-		fmt.Printf("    simulated %d states; final position %.2f m, speed %.3f m/s\n",
+		fmt.Fprintf(w, "=== Scenario %q: %s\n", sc.Name, sc.Description)
+		fmt.Fprintf(w, "    simulated %d states; final position %.2f m, speed %.3f m/s\n",
 			res.Trace.Len(),
 			res.Trace.Last().Number(elevator.SigElevatorPosition),
 			res.Trace.Last().Number(elevator.SigElevatorSpeed))
-		fmt.Printf("    classification: %s\n", res.Summary)
+		fmt.Fprintf(w, "    classification: %s\n", res.Summary)
 		for _, row := range res.Suite.Report() {
-			fmt.Printf("    %s\n", row)
+			fmt.Fprintf(w, "    %s\n", row)
 		}
 		if *verbose {
 			for goalName, ds := range res.Detections {
 				for _, d := range ds {
-					fmt.Printf("    [%s] %s at %s (%s)\n", d.Kind, goalName, d.Interval, d.Location)
+					fmt.Fprintf(w, "    [%s] %s at %s (%s)\n", d.Kind, goalName, d.Interval, d.Location)
 				}
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if ran == 0 {
 		return fmt.Errorf("no scenario named %q", *scenarioName)

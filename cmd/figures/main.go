@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,13 +18,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	id := fs.String("id", "", "regenerate only the figure with this thesis number (e.g. 5.4)")
 	dir := fs.String("dir", "", "write one CSV file per figure into this directory instead of stdout")
@@ -35,7 +36,7 @@ func run(args []string) error {
 	figs := scenarios.Figures()
 	if *list {
 		for _, f := range figs {
-			fmt.Printf("%-6s scenario %-2d  %s\n", f.ID, f.Scenario, f.Title)
+			fmt.Fprintf(w, "%-6s scenario %-2d  %s\n", f.ID, f.Scenario, f.Title)
 		}
 		return nil
 	}
@@ -63,8 +64,8 @@ func run(args []string) error {
 		matched++
 		csv := scenarios.RenderFigureCSV(results[f.Scenario], f)
 		if *dir == "" {
-			fmt.Print(csv)
-			fmt.Println()
+			fmt.Fprint(w, csv)
+			fmt.Fprintln(w)
 			continue
 		}
 		if err := os.MkdirAll(*dir, 0o755); err != nil {
@@ -74,7 +75,7 @@ func run(args []string) error {
 		if err := os.WriteFile(name, []byte(csv), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", name)
+		fmt.Fprintf(w, "wrote %s\n", name)
 	}
 	if matched == 0 {
 		return fmt.Errorf("no figure with id %q", *id)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,31 @@ import (
 	"repro/internal/dist"
 	"repro/internal/scenarios"
 )
+
+// TestDetailGolden pins the rendered violation tables with per-detection
+// classification details — every interval of every monitor of the ten thesis
+// scenarios, with and without the seeded defects — byte for byte.
+func TestDetailGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"testdata/detail.golden", []string{"-detail"}},
+		{"testdata/corrected-detail.golden", []string{"-corrected", "-detail"}},
+	} {
+		var got bytes.Buffer
+		if err := run(tc.args, &got); err != nil {
+			t.Fatalf("run(%v): %v", tc.args, err)
+		}
+		want, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("scenarios %v output differs from %s", tc.args, tc.golden)
+		}
+	}
+}
 
 func TestRunSingleScenario(t *testing.T) {
 	if err := run([]string{"-n", "7"}, io.Discard); err != nil {

@@ -17,8 +17,8 @@
 // a kind plane, a []float64 number plane, a packed boolean bit plane and a
 // small-int enumeration plane.  A bus commit is a few pointer-free memmoves
 // (~13 bytes per slot, no GC write barriers), a snapshot clones the planes,
-// and goal monitors compiled with temporal.CompileWithSchema evaluate their
-// atoms directly on the planes — a numeric comparison is one float compare,
+// and goal formulas compiled into a temporal.Program evaluate their atoms
+// directly on the planes — a numeric comparison is one float compare,
 // equality against an enumeration constant one int compare, and no string is
 // hashed or Value constructed anywhere on the per-step path.  Components
 // address signals through typed handles (sim.Bus.NumVar/BoolVar/StringVar);
@@ -81,13 +81,16 @@
 // hash-consed away, so each shared atom and subformula is evaluated exactly
 // once per observed state however many formulas reference it (the vehicle
 // plan's 49 formulas collapse from 360 node references to 159 nodes).
-// monitor.CompiledSuite feeds the program's per-formula verdicts into
-// lightweight interval recorders and reuses the Hierarchy / Classify /
-// Report machinery unchanged; Reset makes one compiled program serve run
-// after run, which is how a sweep worker monitors every variant it executes
-// with a single compilation.  The per-monitor (scenarios.BuildSuite) and
-// string-keyed (temporal.CompileReference) paths remain as reference
-// implementations that differential tests compare the program against.
+// The program has one evaluator, the lane kernels of Program.StepLanes:
+// Program.Step is its width-1 case over a scalar state, and
+// monitor.CompiledSuite is a width-1 monitor.LaneSuite that feeds the
+// per-formula verdicts into lightweight interval recorders and reuses the
+// Hierarchy / Classify / Report machinery unchanged; Reset makes one
+// compiled program serve run after run, which is how a sweep worker
+// monitors every variant it executes with a single compilation.  The
+// string-keyed, tree-walking temporal.Stepper (temporal.CompileReference,
+// monitor.NewReference) is the one independent reference implementation
+// the differential tests compare the program against.
 //
 // Scenario evaluation is built around the streaming scenarios.Engine: jobs
 // are pulled lazily from a JobSource (Family and Sweep expose generator

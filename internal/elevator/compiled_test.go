@@ -3,7 +3,32 @@ package elevator
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/monitor"
 )
+
+// referenceSuite instantiates the elevator plan as one reference monitor per
+// goal: each evaluates its formula through the string-keyed
+// temporal.Stepper, sharing no evaluation code with the compiled suite.
+func referenceSuite(t *testing.T) *monitor.Suite {
+	t.Helper()
+	ref := func(g monitor.GoalAt) *monitor.Monitor {
+		m, err := monitor.NewReference(g.Goal, g.Location, DefaultPeriod)
+		if err != nil {
+			t.Fatalf("reference monitor %q: %v", g.Goal.Name, err)
+		}
+		return m
+	}
+	suite := monitor.NewSuite()
+	for _, h := range elevatorPlan() {
+		children := make([]*monitor.Monitor, len(h.children))
+		for i, c := range h.children {
+			children[i] = ref(c)
+		}
+		suite.Add(monitor.NewHierarchy(ref(h.parent), matchTolerance, children...))
+	}
+	return suite
+}
 
 // TestCompiledSuiteMatchesPerMonitor replays each monitored run's trace
 // through the per-monitor reference suite and requires the classifications to
@@ -15,7 +40,7 @@ func TestCompiledSuiteMatchesPerMonitor(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			res := Run(sc)
 
-			plain := BuildSuite(DefaultPeriod)
+			plain := referenceSuite(t)
 			for i := 0; i < res.Trace.Len(); i++ {
 				plain.Observe(res.Trace.At(i))
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/temporal"
 )
 
 func TestFloorPosition(t *testing.T) {
@@ -380,7 +381,7 @@ func TestScenarioCatalogue(t *testing.T) {
 }
 
 func TestBuildSuite(t *testing.T) {
-	suite := BuildSuite(DefaultPeriod)
+	suite := BuildSuiteWithSchema(DefaultPeriod, temporal.NewSchema()).Suite()
 	if got := len(suite.Hierarchies()); got != 3 {
 		t.Errorf("suite hierarchies = %d, want 3 (one per system goal)", got)
 	}

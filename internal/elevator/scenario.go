@@ -174,24 +174,6 @@ func elevatorPlan() []hierarchySpec {
 	}
 }
 
-// BuildSuite constructs the hierarchical monitor suite for the elevator as
-// individual per-monitor steppers.  Monitor atoms resolve their
-// state-variable slots on the first observed state.  It is the per-monitor
-// reference; Run evaluates the plan through BuildSuiteWithSchema's shared
-// program instead.
-func BuildSuite(period time.Duration) *monitor.Suite {
-	suite := monitor.NewSuite()
-	for _, h := range elevatorPlan() {
-		parent := monitor.MustNew(h.parent.Goal, h.parent.Location, period)
-		children := make([]*monitor.Monitor, len(h.children))
-		for i, c := range h.children {
-			children[i] = monitor.MustNew(c.Goal, c.Location, period)
-		}
-		suite.Add(monitor.NewHierarchy(parent, matchTolerance, children...))
-	}
-	return suite
-}
-
 // BuildSuiteWithSchema compiles the elevator monitoring plan into one shared
 // evaluation program against a run's symbol table: every goal atom is a
 // register-slot load from the first observation and the plan's overlapping

@@ -23,11 +23,13 @@
 //     fires.  Escape hatch: //lint:slotbindok reason on the call line.
 //
 //   - hotpathalloc: functions statically reachable from the per-step hot
-//     roots (Registers.CopyFrom, Bus.Commit, Program.Step,
-//     CompiledSuite.Observe, Suite.FastSummary) must not contain allocating
-//     constructs, complementing the runtime AllocsPerRun gates with a
+//     roots (Registers.CopyFrom, Bus.Commit, Program.Step and StepLanes,
+//     CompiledSuite.Observe, LaneSuite.ObserveLanes, Suite.FastSummary) must
+//     not contain allocating constructs or string-keyed map index
+//     expressions, complementing the runtime AllocsPerRun gates with a
 //     source-level proof.  Escape hatch: //lint:allocok reason on the
-//     function; //lint:hotroot marks additional roots.
+//     function (the one-time lowering, a cold schema rebind);
+//     //lint:hotroot marks additional roots.
 //
 //   - determinism: the simulation kernel and the component packages must
 //     not read wall-clock time, use the global math/rand source, launch

@@ -19,11 +19,14 @@ import (
 //
 // Flagged constructs: make/new, slice and map composite literals, &composite
 // literals, func literals (closures), append that does not reassign its own
-// first argument, string concatenation, string<->byte-slice conversions, and
-// interface boxing of non-pointer-shaped values.  Two capacity-safe idioms
-// are recognised: self-append (x = append(x, ...)), whose amortised growth
-// is retained across runs by the arenas, and make guarded by a cap/len check
-// (grow-only scratch buffers).  Calls through interfaces and function values
+// first argument, string concatenation, string<->byte-slice conversions,
+// interface boxing of non-pointer-shaped values, and string-keyed map index
+// expressions (reads and assignments alike): the hot path resolves a name to
+// a register slot once, and a per-step string hash is the regression the
+// slot-indexed state removed.  Two capacity-safe idioms are recognised:
+// self-append (x = append(x, ...)), whose amortised growth is retained
+// across runs by the arenas, and make guarded by a cap/len check (grow-only
+// scratch buffers).  Calls through interfaces and function values
 // cannot be resolved statically and are not traversed; the runtime gates
 // remain the backstop for those edges.  Additional roots are declared with
 // //lint:hotroot on the function; deliberate exceptions (such as the
@@ -223,6 +226,15 @@ func checkAllocFree(prog *Program, node *funcNode, root string) []Diagnostic {
 				if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
 					report(x.Pos(), "address of composite literal")
 				}
+			}
+		case *ast.IndexExpr:
+			if m, ok := pkg.Info.TypeOf(x.X).Underlying().(*types.Map); ok && isStringType(m.Key()) {
+				diags = append(diags, Diagnostic{
+					Pos:      prog.Position(x.Pos()),
+					Analyzer: "hotpathalloc",
+					Message: fmt.Sprintf("string-keyed map index in %s, reachable from hot-path root %s; the per-step hot path must read resolved slots, not hash a name (//lint:allocok <reason> on the function to exempt a cold path)",
+						node.fn.FullName(), root),
+				})
 			}
 		case *ast.BinaryExpr:
 			if x.Op == token.ADD && isStringType(pkg.Info.TypeOf(x)) {

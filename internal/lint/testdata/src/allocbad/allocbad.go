@@ -8,7 +8,17 @@ package allocbad
 //lint:hotroot fixture entry point standing in for the engine's per-step path
 func Step(vals []float64, out []float64) ([]float64, string, any) {
 	acc := accumulate(vals, out)
+	record(counts, "x")
 	return acc, label("x"), box(1.5)
+}
+
+// counts is a name-keyed table the hot path must not consult per step.
+var counts = map[string]int{}
+
+// record reads and writes a string-keyed map: a name hash on every call.
+func record(m map[string]int, name string) {
+	n := m[name]    // want "string-keyed map index"
+	m[name] = n + 1 // want "string-keyed map index"
 }
 
 func accumulate(vals []float64, out []float64) []float64 {

@@ -11,6 +11,9 @@ type sample struct {
 type arena struct {
 	buf     []float64
 	samples []sample
+	bySlot  map[int]float64
+	slots   map[string]int
+	last    string
 }
 
 // Step stands in for the engine's per-step entry point.
@@ -18,8 +21,9 @@ type arena struct {
 //lint:hotroot fixture entry point standing in for the engine's per-step path
 func Step(a *arena, vals []float64) float64 {
 	a.ensure(len(vals))
+	a.bind("speed")
+	total := a.bySlot[len(vals)] // an int-keyed index hashes no name
 	copy(a.buf, vals)
-	total := 0.0
 	for i, v := range a.buf {
 		s := sample{step: i, value: v}
 		a.samples = append(a.samples, s)
@@ -35,6 +39,17 @@ func (a *arena) ensure(n int) {
 		a.buf = make([]float64, n)
 	}
 	a.buf = a.buf[:n]
+}
+
+// bind resolves a name through the string-keyed table only when it changed:
+// the documented cold rebind the hot path tolerates.
+//
+//lint:allocok name rebind through the string-keyed table; runs when the bound name changes, never in steady state
+func (a *arena) bind(name string) {
+	if name != a.last {
+		a.last = name
+		a.slots[name] = len(a.slots)
+	}
 }
 
 // Rebuild is the documented slow path: it reallocates the arena wholesale

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/goals"
@@ -20,24 +19,23 @@ type GoalAt struct {
 // CompiledSuite is a monitor suite whose goal formulas are all compiled into
 // one shared temporal.Program: every state is evaluated in a single pass over
 // the program's hash-consed node array (each shared atom and subformula read
-// once), and the per-formula verdicts feed the same lightweight interval
-// recorders, Hierarchy matching and Classify machinery a per-monitor Suite
-// uses.  The detections, summaries and reports are identical to a Suite built
-// from individual monitors over the same plan; only the evaluation cost per
-// state changes.
+// once), and the per-formula verdicts feed the same interval recorders,
+// Hierarchy matching and Classify machinery a per-monitor Suite uses.  The
+// detections, summaries and reports are identical to a Suite built from
+// individual monitors over the same plan; only the evaluation cost per state
+// changes.
+//
+// It is a LaneSuite of width 1 observing scalar states: one evaluator and one
+// interval recorder serve both.  The plan is lowered to its lane tables on
+// the first Observe or Reset, so building a suite costs only the formula
+// compilation; AddHierarchy after that is an error.
 //
 // A CompiledSuite is reusable: Reset clears the program's operator state and
 // every recorder, so a sweep worker compiles the suite once and monitors run
-// after run with it instead of rebuilding 30+ steppers per variant.  Like the
-// monitors it replaces, it is not safe for concurrent use.
+// after run with it instead of rebuilding 30+ evaluators per variant.  Like
+// the monitors it replaces, it is not safe for concurrent use.
 type CompiledSuite struct {
-	period  time.Duration
-	program *temporal.Program
-	//lint:resetok the hierarchy registry is construction state written only by AddHierarchy; Reset rewinds its monitors' recorders through the monitors slice
-	suite    *Suite
-	monitors []*Monitor
-	//lint:resetok program output taps are assigned at compile time and never move; each run writes fresh verdicts through them
-	taps []temporal.Tap
+	lanes *LaneSuite
 }
 
 // NewCompiledSuite returns an empty compiled suite.  The period converts
@@ -45,53 +43,16 @@ type CompiledSuite struct {
 // schema resolves every goal atom to its register slot at compile time, as
 // NewWithSchema does for individual monitors.
 func NewCompiledSuite(period time.Duration, schema *temporal.Schema) *CompiledSuite {
-	if period <= 0 {
-		period = time.Millisecond
-	}
-	return &CompiledSuite{
-		period:  period,
-		program: temporal.NewProgram(period, schema),
-		suite:   NewSuite(),
-	}
+	return &CompiledSuite{lanes: NewLaneSuite(period, schema, 1)}
 }
 
 // AddHierarchy compiles a parent goal and its subgoals into the shared
 // program and registers the hierarchy with the given matching tolerance.  On
 // error nothing is registered: every goal is validated before any of them is
 // compiled into the shared program, so a rejected hierarchy leaves no orphan
-// nodes behind.
+// nodes behind.  It fails once the suite has observed a state or been Reset.
 func (cs *CompiledSuite) AddHierarchy(parent GoalAt, tolerance int, children ...GoalAt) error {
-	all := make([]GoalAt, 0, 1+len(children))
-	all = append(all, parent)
-	all = append(all, children...)
-
-	for _, g := range all {
-		if g.Goal.Formal == nil {
-			return fmt.Errorf("monitor: goal %q has no formal definition", g.Goal.Name)
-		}
-		if !temporal.IsPastTime(g.Goal.Formal) {
-			return fmt.Errorf("monitor: goal %q: formula %q contains future-time operators and cannot be compiled to a run-time monitor",
-				g.Goal.Name, g.Goal.Formal)
-		}
-	}
-
-	ms := make([]*Monitor, len(all))
-	taps := make([]temporal.Tap, len(all))
-	for i, g := range all {
-		tap, err := cs.program.Add(g.Goal.Formal)
-		if err != nil {
-			return fmt.Errorf("monitor: goal %q: %w", g.Goal.Name, err)
-		}
-		// A program-fed monitor records verdicts but owns no stepper; the
-		// Hierarchy/Classify/Report layer reads only its recorded intervals.
-		ms[i] = &Monitor{Goal: g.Goal, Location: g.Location, period: cs.period}
-		taps[i] = tap
-	}
-
-	cs.monitors = append(cs.monitors, ms...)
-	cs.taps = append(cs.taps, taps...)
-	cs.suite.Add(NewHierarchy(ms[0], tolerance, ms[1:]...))
-	return nil
+	return cs.lanes.AddHierarchy(parent, tolerance, children...)
 }
 
 // MustAddHierarchy is like AddHierarchy but panics on error; for statically
@@ -102,68 +63,77 @@ func (cs *CompiledSuite) MustAddHierarchy(parent GoalAt, tolerance int, children
 	}
 }
 
-// Observe evaluates the shared program once against the state and feeds each
-// monitor its formula's verdict.
-func (cs *CompiledSuite) Observe(st temporal.State) {
-	cs.program.Step(st)
-	for i, m := range cs.monitors {
-		m.recordVerdict(cs.program.Output(cs.taps[i]))
+// seal lowers the plan to width 1 on the first Observe or Reset.
+//
+//lint:allocok one-time width-1 lowering of the plan on the suite's first observation; later observations reuse its tables
+func (cs *CompiledSuite) seal() {
+	if err := cs.lanes.Seal(); err != nil {
+		panic(err) // width 1 lane-steps every plan
 	}
 }
 
+// Observe evaluates the shared program once against the state and records
+// each goal's verdict.
+func (cs *CompiledSuite) Observe(st temporal.State) {
+	if !cs.lanes.sealed {
+		cs.seal()
+	}
+	cs.lanes.ObserveLanes(st)
+}
+
 // Finish closes any open violation interval on every monitor.
-func (cs *CompiledSuite) Finish() { cs.suite.Finish() }
+func (cs *CompiledSuite) Finish() { cs.lanes.Finish() }
 
 // Reset clears the program's temporal operator state and every monitor's
 // recorded intervals, making the suite ready to observe a new run.  Atoms
 // re-resolve their register slots against the next run's schema on the first
 // observation, so one compiled suite serves many scenario variants.
 func (cs *CompiledSuite) Reset() {
-	cs.program.Reset()
-	for _, m := range cs.monitors {
-		m.Reset()
+	if !cs.lanes.sealed {
+		cs.seal()
 	}
+	cs.lanes.Reset(1)
 }
 
 // Classify classifies every hierarchy and returns the detections keyed by
 // parent goal name.
-func (cs *CompiledSuite) Classify() map[string][]Detection { return cs.suite.Classify() }
+func (cs *CompiledSuite) Classify() map[string][]Detection { return cs.Suite().Classify() }
 
 // ClassifyAll classifies every hierarchy exactly once and returns the
 // detections keyed by parent goal name together with the aggregate summary.
 func (cs *CompiledSuite) ClassifyAll() (map[string][]Detection, Summary) {
-	return cs.suite.ClassifyAll()
+	return cs.Suite().ClassifyAll()
 }
 
 // Summary aggregates the classification of all hierarchies.
-func (cs *CompiledSuite) Summary() Summary { return cs.suite.Summary() }
+func (cs *CompiledSuite) Summary() Summary { return cs.Suite().Summary() }
 
 // FastSummary computes the classification summary without materializing
 // detections; see Suite.FastSummary.
-func (cs *CompiledSuite) FastSummary() Summary { return cs.suite.FastSummary() }
+func (cs *CompiledSuite) FastSummary() Summary { return cs.Suite().FastSummary() }
 
 // FastSummaryAt computes the classification summary with the hit-matching
 // tolerance overridden per call; see Suite.FastSummaryAt.  The recorded
 // violation intervals are read, never modified, so one observed run can be
 // classified at any number of tolerances in sequence.
 func (cs *CompiledSuite) FastSummaryAt(tolerance int) Summary {
-	return cs.suite.FastSummaryAt(tolerance)
+	return cs.lanes.FastSummaryAt(0, tolerance)
 }
 
 // Report collects the violation-report rows of every monitor that recorded a
 // violation, sorted by goal name then location.
-func (cs *CompiledSuite) Report() []ViolationReport { return cs.suite.Report() }
+func (cs *CompiledSuite) Report() []ViolationReport { return cs.Suite().Report() }
 
 // Monitors returns every monitor in the suite (parents then children, per
 // hierarchy).
-func (cs *CompiledSuite) Monitors() []*Monitor { return cs.suite.Monitors() }
+func (cs *CompiledSuite) Monitors() []*Monitor { return cs.Suite().Monitors() }
 
 // Suite returns the underlying hierarchy suite, for consumers of the
 // classification and reporting API (tables, figures, summaries).  Its
 // monitors are program-fed: calling Observe on them (or on the returned
 // suite) panics, because their verdicts come from the shared program.
-func (cs *CompiledSuite) Suite() *Suite { return cs.suite }
+func (cs *CompiledSuite) Suite() *Suite { return cs.lanes.LaneSuiteOf(0) }
 
 // Program returns the shared evaluation program, exposing its sharing
 // statistics.
-func (cs *CompiledSuite) Program() *temporal.Program { return cs.program }
+func (cs *CompiledSuite) Program() *temporal.Program { return cs.lanes.Program() }

@@ -48,20 +48,31 @@ func compiledRandState(r *rand.Rand) temporal.State {
 		SetNumber("req", r.Float64()*4)
 }
 
-// TestCompiledSuiteMatchesSuite drives a per-monitor Suite and a
-// CompiledSuite over identical random observations and requires identical
-// detections, summaries and reports — the package-level form of the scenario
-// differential tests.
+// mustReference builds a reference monitor (string-keyed temporal.Stepper)
+// for a plan cell.
+func mustReference(t *testing.T, g GoalAt) *Monitor {
+	t.Helper()
+	m, err := NewReference(g.Goal, g.Location, time.Millisecond)
+	if err != nil {
+		t.Fatalf("NewReference(%s): %v", g.Goal.Name, err)
+	}
+	return m
+}
+
+// TestCompiledSuiteMatchesSuite drives a per-monitor Suite of reference
+// monitors and a CompiledSuite over identical random observations and
+// requires identical detections, summaries and reports — the package-level
+// form of the scenario differential tests.
 func TestCompiledSuiteMatchesSuite(t *testing.T) {
 	const tolerance = 4
 	for seed := int64(0); seed < 10; seed++ {
 		plain := NewSuite()
 		compiled := NewCompiledSuite(time.Millisecond, nil)
 		for _, h := range compiledPlan() {
-			parent := MustNew(h.parent.Goal, h.parent.Location, time.Millisecond)
+			parent := mustReference(t, h.parent)
 			children := make([]*Monitor, len(h.children))
 			for i, c := range h.children {
-				children[i] = MustNew(c.Goal, c.Location, time.Millisecond)
+				children[i] = mustReference(t, c)
 			}
 			plain.Add(NewHierarchy(parent, tolerance, children...))
 			if err := compiled.AddHierarchy(h.parent, tolerance, h.children...); err != nil {
@@ -192,6 +203,29 @@ func TestCompiledSuiteErrors(t *testing.T) {
 		}
 	}()
 	cs.MustAddHierarchy(GoalAt{Goal: goals.Goal{Name: "bad"}, Location: "Vehicle"}, 1)
+}
+
+// TestCompiledSuiteAddAfterLowering pins the lowering boundary: the plan is
+// lowered on the first Observe or Reset, after which AddHierarchy fails and
+// registers nothing.
+func TestCompiledSuiteAddAfterLowering(t *testing.T) {
+	g := GoalAt{Goal: goals.MustParse("G", "", "A"), Location: "Vehicle"}
+	for name, lower := range map[string]func(*CompiledSuite){
+		"Observe": func(cs *CompiledSuite) { cs.Observe(temporal.NewState()) },
+		"Reset":   func(cs *CompiledSuite) { cs.Reset() },
+	} {
+		cs := NewCompiledSuite(time.Millisecond, nil)
+		if err := cs.AddHierarchy(g, 1); err != nil {
+			t.Fatalf("%s: AddHierarchy before lowering: %v", name, err)
+		}
+		lower(cs)
+		if err := cs.AddHierarchy(g, 1); err == nil {
+			t.Errorf("AddHierarchy after %s succeeded", name)
+		}
+		if n := len(cs.Monitors()); n != 1 {
+			t.Errorf("after %s: %d monitors registered, want 1", name, n)
+		}
+	}
 }
 
 // TestProgramFedMonitorObservePanics pins the guard: the monitors inside a

@@ -19,9 +19,10 @@ import (
 //
 // Lanes correspond to scenario variants with different trajectories; each
 // lane's recorded intervals (and its FastSummaryAt classification) are
-// step-for-step identical to observing that lane's run with a scalar
-// CompiledSuite.  A LaneSuite is reusable across batches via Reset and is
-// not safe for concurrent use.
+// step-for-step identical to observing that lane's run with a per-monitor
+// reference suite.  Width 1 over scalar states is CompiledSuite.  A
+// LaneSuite is reusable across batches via Reset and is not safe for
+// concurrent use.
 type LaneSuite struct {
 	period  time.Duration
 	lanes   int
@@ -68,10 +69,11 @@ func (ls *LaneSuite) Lanes() int { return ls.lanes }
 
 // AddHierarchy compiles a parent goal and its subgoals into the shared lane
 // program and registers the hierarchy — with per-lane interval recorders —
-// at the given matching tolerance, mirroring CompiledSuite.AddHierarchy.
+// at the given matching tolerance.  On error nothing is registered: every
+// goal is validated before any of them is compiled into the shared program.
 func (ls *LaneSuite) AddHierarchy(parent GoalAt, tolerance int, children ...GoalAt) error {
 	if ls.sealed {
-		return fmt.Errorf("monitor: AddHierarchy after Seal")
+		return fmt.Errorf("monitor: AddHierarchy after Seal (a CompiledSuite seals on its first Observe or Reset)")
 	}
 	all := make([]GoalAt, 0, 1+len(children))
 	all = append(all, parent)

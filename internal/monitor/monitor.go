@@ -66,7 +66,9 @@ type Monitor struct {
 	// (e.g. "Vehicle", "Arbiter", "CA"); see thesis Table 5.3.
 	Location string
 
-	stepper     *temporal.Stepper
+	// eval is the monitor's own goal evaluator; nil for the monitors a
+	// CompiledSuite or LaneSuite records verdicts into.
+	eval        evaluator
 	period      time.Duration
 	step        int
 	inViolation bool
@@ -88,37 +90,68 @@ func New(g goals.Goal, location string, period time.Duration) (*Monitor, error) 
 // NewWithSchema is New with the scenario's symbol table: every atom of the
 // goal formula is resolved to its register slot when the monitor is built,
 // so monitoring cost is a constant number of array loads per state from the
-// very first observation.
+// very first observation.  The goal is evaluated by a one-formula
+// temporal.Program, the evaluator every monitor suite runs.
 func NewWithSchema(g goals.Goal, location string, period time.Duration, schema *temporal.Schema) (*Monitor, error) {
-	return build(g, location, period, func(f temporal.Formula) (*temporal.Stepper, error) {
-		return temporal.CompileWithSchema(f, period, schema)
+	return build(g, location, period, func(f temporal.Formula) (evaluator, error) {
+		p := temporal.NewProgram(period, schema)
+		tap, err := p.Add(f)
+		if err != nil {
+			return nil, err
+		}
+		return &programEval{p: p, tap: tap}, nil
 	})
 }
 
-// NewReference creates a monitor whose goal stepper evaluates atoms through
-// the string-keyed State API on every observation — the behaviour of the
-// map-backed state representation.  It exists for differential tests that
-// prove the slot-indexed monitors detect exactly the same violations.
+// NewReference creates a monitor whose goal is evaluated by the reference
+// temporal.Stepper, which reads atoms through the string-keyed State API on
+// every observation — the behaviour of the map-backed state representation.
+// It exists for differential tests that prove the program-evaluated monitors
+// and suites detect exactly the same violations.
 func NewReference(g goals.Goal, location string, period time.Duration) (*Monitor, error) {
-	return build(g, location, period, func(f temporal.Formula) (*temporal.Stepper, error) {
-		return temporal.CompileReference(f, period)
+	return build(g, location, period, func(f temporal.Formula) (evaluator, error) {
+		s, err := temporal.CompileReference(f, period)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
 	})
 }
+
+// evaluator steps one goal formula: a one-formula Program or the reference
+// Stepper.
+type evaluator interface {
+	Step(temporal.State) bool
+	Reset()
+}
+
+// programEval is a one-formula Program read through its single tap.
+type programEval struct {
+	p   *temporal.Program
+	tap temporal.Tap
+}
+
+func (e *programEval) Step(st temporal.State) bool {
+	e.p.Step(st)
+	return e.p.Output(e.tap)
+}
+
+func (e *programEval) Reset() { e.p.Reset() }
 
 func build(g goals.Goal, location string, period time.Duration,
-	compile func(temporal.Formula) (*temporal.Stepper, error)) (*Monitor, error) {
+	compile func(temporal.Formula) (evaluator, error)) (*Monitor, error) {
 
 	if g.Formal == nil {
 		return nil, fmt.Errorf("monitor: goal %q has no formal definition", g.Name)
 	}
-	st, err := compile(g.Formal)
+	ev, err := compile(g.Formal)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: goal %q: %w", g.Name, err)
 	}
 	if period <= 0 {
 		period = time.Millisecond
 	}
-	return &Monitor{Goal: g, Location: location, stepper: st, period: period}, nil
+	return &Monitor{Goal: g, Location: location, eval: ev, period: period}, nil
 }
 
 // MustNew is like New but panics on error; for statically known goals.
@@ -130,31 +163,16 @@ func MustNew(g goals.Goal, location string, period time.Duration) *Monitor {
 	return m
 }
 
-// MustNewWithSchema is like NewWithSchema but panics on error; for
-// statically known goals compiled against a run's schema.
-func MustNewWithSchema(g goals.Goal, location string, period time.Duration, schema *temporal.Schema) *Monitor {
-	m, err := NewWithSchema(g, location, period, schema)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Observe evaluates the goal on the next state and returns true when the
-// goal holds at that state.  It panics on a program-fed monitor (one built by
-// a CompiledSuite): those monitors have no stepper of their own and receive
-// their verdicts from the shared evaluation program instead.
+// Observe evaluates the goal on the next state, folds the verdict into the
+// violation intervals and returns true when the goal holds at that state.
+// It panics on a program-fed monitor (one built by a CompiledSuite or
+// LaneSuite): those monitors have no evaluator of their own and receive
+// their verdicts from the suite's shared program instead.
 func (m *Monitor) Observe(s temporal.State) bool {
-	if m.stepper == nil {
-		panic("monitor: Observe on a program-fed monitor; verdicts come from its CompiledSuite")
+	if m.eval == nil {
+		panic("monitor: Observe on a program-fed monitor; verdicts come from its suite's shared program")
 	}
-	return m.recordVerdict(m.stepper.Step(s))
-}
-
-// recordVerdict folds one per-state verdict into the violation intervals.  It
-// is the recording half of Observe, decoupled from formula evaluation so a
-// suite-level program can drive many monitors from one shared pass.
-func (m *Monitor) recordVerdict(ok bool) bool {
+	ok := m.eval.Step(s)
 	if !ok && !m.inViolation {
 		m.inViolation = true
 		m.current = Interval{Start: m.step}
@@ -183,8 +201,8 @@ func (m *Monitor) Finish() {
 // runs of a sweep (e.g. inside an Engine worker's arena) records the next
 // run's intervals without reallocating.
 func (m *Monitor) Reset() {
-	if m.stepper != nil {
-		m.stepper.Reset()
+	if m.eval != nil {
+		m.eval.Reset()
 	}
 	m.step = 0
 	m.inViolation = false
@@ -234,8 +252,8 @@ func (m *Monitor) String() string {
 // panics on a program-fed monitor (one retained from a CompiledSuite run):
 // such monitors cannot re-evaluate their goal on their own.
 func (m *Monitor) RunTrace(tr *temporal.Trace) []Interval {
-	if m.stepper == nil {
-		panic("monitor: RunTrace on a program-fed monitor; its goal is evaluated by its CompiledSuite")
+	if m.eval == nil {
+		panic("monitor: RunTrace on a program-fed monitor; its goal is evaluated by its suite's shared program")
 	}
 	m.Reset()
 	for i := 0; i < tr.Len(); i++ {

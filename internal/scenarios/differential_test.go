@@ -1,14 +1,15 @@
 package scenarios
 
 // Differential tests for the monitoring substrate: the same simulation is
-// observed simultaneously by three monitor suites — the compiled-program
-// suite (every goal formula lowered into one shared, hash-consed evaluation
-// program, the production path), a per-monitor slot-indexed suite (one
-// Stepper per goal), and a reference suite whose atoms evaluate through the
-// string-keyed State API on every step.  Identical classifications across the
-// ten thesis scenarios, the 120-variant DefaultSweep and the tolerance sweep
-// prove the suite-level CSE and the per-worker program reuse changed the
-// evaluation strategy, not the results.
+// observed simultaneously by two monitor suites — the compiled-program suite
+// (every goal formula lowered into one shared, hash-consed evaluation
+// program, the production path) and a reference suite of one
+// temporal.Stepper per goal whose atoms evaluate through the string-keyed
+// State API on every step, sharing no evaluation code with the program.
+// Identical classifications across the ten thesis scenarios, the 120-variant
+// DefaultSweep, the tolerance sweep and the defect sweep prove the
+// suite-level CSE, the lane kernels and the per-worker program reuse changed
+// the evaluation strategy, not the results.
 
 import (
 	"reflect"
@@ -43,7 +44,7 @@ func buildReferenceSuite(t *testing.T, period time.Duration, tolerance int) *mon
 	return suite
 }
 
-// runDifferential executes one scenario with all three suites attached to the
+// runDifferential executes one scenario with both suites attached to the
 // same simulation and asserts identical detections and summaries.  A non-nil
 // cache reuses one compiled program per tolerance across calls — exactly the
 // Engine worker's reuse pattern — so the sweep-shaped tests also prove Reset
@@ -53,7 +54,6 @@ func runDifferential(t *testing.T, sc Scenario, opts Options, cache suiteCache) 
 
 	s := NewSimulation(sc, opts)
 	tol := opts.tolerance()
-	slotSuite := buildSuite(Period, s.Bus.Schema(), tol)
 	refSuite := buildReferenceSuite(t, Period, tol)
 
 	var compiled *monitor.CompiledSuite
@@ -72,7 +72,6 @@ func runDifferential(t *testing.T, sc Scenario, opts Options, cache suiteCache) 
 
 	s.Observe(compiled)
 	s.OnStep(func(_ time.Duration, st temporal.State) {
-		slotSuite.Observe(st)
 		refSuite.Observe(st)
 	})
 	collision := s.Bus.Schema().Intern(vehicle.SigCollision)
@@ -85,32 +84,22 @@ func runDifferential(t *testing.T, sc Scenario, opts Options, cache suiteCache) 
 		duration = 20 * time.Second
 	}
 	s.RunDiscard(duration)
-	slotSuite.Finish()
 	refSuite.Finish()
 	compiled.Finish()
 
-	slotDetections, slotSummary := slotSuite.ClassifyAll()
 	refDetections, refSummary := refSuite.ClassifyAll()
 	progDetections, progSummary := compiled.ClassifyAll()
 
-	if slotSummary != refSummary {
-		t.Errorf("%s (%s): slot-indexed summary %v != reference summary %v",
-			sc.Name, opts.Label(), slotSummary, refSummary)
+	if progSummary != refSummary {
+		t.Errorf("%s (%s): compiled-program summary %v != reference summary %v",
+			sc.Name, opts.Label(), progSummary, refSummary)
 	}
-	if !reflect.DeepEqual(slotDetections, refDetections) {
-		t.Errorf("%s (%s): slot-indexed detections diverge from the string-keyed reference\nslot: %#v\nref:  %#v",
-			sc.Name, opts.Label(), slotDetections, refDetections)
+	if !reflect.DeepEqual(progDetections, refDetections) {
+		t.Errorf("%s (%s): compiled-program detections diverge from the string-keyed reference\nprogram: %#v\nref:     %#v",
+			sc.Name, opts.Label(), progDetections, refDetections)
 	}
-	if progSummary != slotSummary {
-		t.Errorf("%s (%s): compiled-program summary %v != per-monitor summary %v",
-			sc.Name, opts.Label(), progSummary, slotSummary)
-	}
-	if !reflect.DeepEqual(progDetections, slotDetections) {
-		t.Errorf("%s (%s): compiled-program detections diverge from the per-monitor suite\nprogram: %#v\nmonitors: %#v",
-			sc.Name, opts.Label(), progDetections, slotDetections)
-	}
-	if got, want := compiled.Report(), slotSuite.Report(); !reflect.DeepEqual(got, want) {
-		t.Errorf("%s (%s): compiled-program violation report diverges from the per-monitor suite",
+	if got, want := compiled.Report(), refSuite.Report(); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s (%s): compiled-program violation report diverges from the reference suite",
 			sc.Name, opts.Label())
 	}
 	// The counting classifier used by summary-only runs must agree with the
@@ -119,9 +108,9 @@ func runDifferential(t *testing.T, sc Scenario, opts Options, cache suiteCache) 
 		t.Errorf("%s (%s): FastSummary %v != ClassifyAll summary %v",
 			sc.Name, opts.Label(), got, progSummary)
 	}
-	if got := slotSuite.FastSummary(); got != slotSummary {
-		t.Errorf("%s (%s): per-monitor FastSummary %v != ClassifyAll summary %v",
-			sc.Name, opts.Label(), got, slotSummary)
+	if got := refSuite.FastSummary(); got != refSummary {
+		t.Errorf("%s (%s): reference FastSummary %v != ClassifyAll summary %v",
+			sc.Name, opts.Label(), got, refSummary)
 	}
 }
 
@@ -194,7 +183,7 @@ func TestDifferentialDefaultSweep(t *testing.T) {
 }
 
 // TestDifferentialToleranceSweep extends the equivalence proof to the
-// monitor-tolerance axis: a non-default matching window must shift all three
+// monitor-tolerance axis: a non-default matching window must shift both
 // implementations' classifications identically, with the compiled program
 // reused per tolerance.
 func TestDifferentialToleranceSweep(t *testing.T) {

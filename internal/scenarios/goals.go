@@ -346,15 +346,6 @@ func buildMonitoringPlan() []HierarchySpec {
 // through Options.MatchTolerance / Family.Tolerances.
 const matchTolerance = 150
 
-// BuildSuite instantiates the monitoring plan as individual per-monitor
-// steppers with the default matching tolerance.  Monitor atoms resolve their
-// state-variable slots on the first observed state.  It is the per-monitor
-// reference implementation; the evaluation paths use BuildSuiteWithSchema,
-// which compiles the whole plan into one shared program.
-func BuildSuite(period time.Duration) *monitor.Suite {
-	return buildSuite(period, nil, matchTolerance)
-}
-
 // BuildSuiteWithSchema compiles the full monitoring plan into one shared
 // evaluation program (suite-level CSE over every goal and subgoal formula)
 // against the scenario's symbol table (typically sim.Bus.Schema()): the ~30
@@ -363,24 +354,6 @@ func BuildSuite(period time.Duration) *monitor.Suite {
 // runs via Reset.
 func BuildSuiteWithSchema(period time.Duration, schema *temporal.Schema) *monitor.CompiledSuite {
 	return buildCompiledSuite(period, schema, matchTolerance)
-}
-
-// buildSuite instantiates the plan as individual monitors — the per-monitor
-// reference the differential tests compare the compiled program against.
-func buildSuite(period time.Duration, schema *temporal.Schema, tolerance int) *monitor.Suite {
-	if tolerance <= 0 {
-		tolerance = matchTolerance
-	}
-	suite := monitor.NewSuite()
-	for _, spec := range monitoringPlan() {
-		parent := monitor.MustNewWithSchema(spec.Parent.Goal, spec.Parent.Location, period, schema)
-		children := make([]*monitor.Monitor, 0, len(spec.Children))
-		for _, c := range spec.Children {
-			children = append(children, monitor.MustNewWithSchema(c.Goal, c.Location, period, schema))
-		}
-		suite.Add(monitor.NewHierarchy(parent, tolerance, children...))
-	}
-	return suite
 }
 
 // buildCompiledSuite compiles the plan into one shared program with the given

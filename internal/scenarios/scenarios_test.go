@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/monitor"
+	"repro/internal/temporal"
 	"repro/internal/vehicle"
 )
 
@@ -141,7 +142,7 @@ func TestTable5_3_MonitoringLocations(t *testing.T) {
 }
 
 func TestBuildSuiteMatchesPlan(t *testing.T) {
-	suite := BuildSuite(Period)
+	suite := BuildSuiteWithSchema(Period, temporal.NewSchema()).Suite()
 	if got := len(suite.Hierarchies()); got != 9 {
 		t.Errorf("suite hierarchies = %d, want 9", got)
 	}

@@ -63,7 +63,7 @@ func NewBus() *Bus {
 
 // Schema returns the bus' symbol table, shared by every state snapshot of
 // the run.  Monitors compiled against it resolve their atoms at compile
-// time (temporal.CompileWithSchema).
+// time (temporal.NewProgram with this schema).
 func (b *Bus) Schema() *temporal.Schema { return b.schema }
 
 // physOf maps a schema slot onto the physical register index this bus view
@@ -339,9 +339,10 @@ func (s *Simulation) Run(d time.Duration) *temporal.Trace {
 //
 // Observers registered on a discarding run must treat the state as valid only
 // for the duration of the call: it is mutated in place by the next commit.
-// Incremental monitors (temporal.Stepper and everything built on it) already
-// satisfy this — they evaluate atoms immediately and retain only operator
-// state — which is what makes trace-free sweeps possible.
+// Incremental monitors (temporal.Program, the reference temporal.Stepper and
+// everything built on them) already satisfy this — they evaluate atoms
+// immediately and retain only operator state — which is what makes
+// trace-free sweeps possible.
 func (s *Simulation) RunDiscard(d time.Duration) (steps int, last temporal.State) {
 	_, steps, last = s.run(d, false)
 	return steps, last

@@ -58,13 +58,13 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzStepLanesMatchesScalar is the lane differential under fuzzer-chosen
+// FuzzStepLanesMatchesReference is the lane differential under fuzzer-chosen
 // inputs: seed picks the random formulas and traces, width the lane count
 // (1-8) and holds the sequence of input hold lengths (each byte 1-64 steps,
 // cycled; empty redraws every variable every step).  The lane-stepped program
-// must match one scalar Program per lane on every step, across a mid-trace
-// schema swap and a Reset.
-func FuzzStepLanesMatchesScalar(f *testing.F) {
+// must match each formula's reference Stepper on every lane and every step,
+// across a mid-trace schema swap and a Reset.
+func FuzzStepLanesMatchesReference(f *testing.F) {
 	f.Add(int64(0), uint8(3), []byte{1, 10, 50})
 	f.Add(int64(7), uint8(0), []byte{})
 	f.Add(int64(42), uint8(7), []byte{63, 2, 2, 30})

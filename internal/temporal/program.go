@@ -20,13 +20,15 @@ import (
 // executable.
 //
 // Formulas are registered with Add, which returns a Tap — a stable handle to
-// the formula's per-step boolean output.  Each Step evaluates every node once
-// (children always precede their parents in the array, so a single forward
-// pass suffices) and Output reads a tap's verdict for that state.  Semantics
-// are identical to compiling each formula to its own Stepper and stepping
-// them in lockstep: every temporal operator node advances its internal state
-// exactly once per step, and sharing is sound because a node's output is a
-// deterministic function of its children's per-step values and its own state.
+// the formula's per-step boolean output.  Step evaluates the program against
+// the next state and Output reads a tap's verdict for that state.  There is
+// one evaluator: Step is the width-1 case of lane-batched evaluation
+// (program_lanes.go), StepLanes over the scalar state with the verdict in bit
+// 0 of each tap's mask.  Semantics are identical to compiling each formula to
+// its own reference Stepper and stepping them in lockstep: every temporal
+// operator node advances its internal state exactly once per step, and
+// sharing is sound because a node's output is a deterministic function of its
+// children's per-step values and its own state.
 //
 // Reset clears all operator state so one compiled Program can monitor run
 // after run: a sweep worker compiles the suite once and re-resolves each
@@ -38,7 +40,6 @@ type Program struct {
 	schema *Schema
 
 	nodes []pnode
-	vals  []bool
 	roots []int
 
 	intern map[string]int
@@ -47,11 +48,13 @@ type Program struct {
 	nodeRefs int
 	atomRefs int
 
-	// Lane mode (SetLanes/StepLanes): per-node lane registers.  lmask holds
-	// each node's per-lane output mask for the last StepLanes, lbool the mask
-	// analogue of pnode.bstate, and lcnt the per-lane counters of the
-	// bounded-past operators (run length for PrevFor, last-true step for
-	// PrevWithin; nil for every other op).
+	// Lane registers (SetLanes): lmask holds each node's per-lane output
+	// mask for the last step, lbool the single-bit operator state (the
+	// previous child value for prev, the seen flag for once, the
+	// all-previous flag for historically, the previous-true flag for became,
+	// the captured initial verdict for initially), and lcnt the per-lane
+	// counters of the bounded-past operators (run length for PrevFor,
+	// last-true step for PrevWithin; nil for every other op).
 	lanes int
 	lmask []uint64
 	lbool []uint64
@@ -80,7 +83,7 @@ type Tap int
 // NewProgram returns an empty program.  The period converts bounded-past
 // operator durations into step counts (a non-positive period defaults to the
 // thesis' 1 ms); a non-nil schema resolves every atom to its register slot at
-// compile time, exactly like CompileWithSchema.
+// compile time, so even the first step is hash-free.
 func NewProgram(period time.Duration, schema *Schema) *Program {
 	if period <= 0 {
 		period = time.Millisecond
@@ -90,7 +93,7 @@ func NewProgram(period time.Duration, schema *Schema) *Program {
 
 // Add compiles a formula into the program, sharing every node an earlier
 // formula already contributed, and returns the tap its verdict is read from.
-// Like Compile, it rejects formulas containing future-time operators.
+// It rejects formulas containing future-time operators.
 func (p *Program) Add(f Formula) (Tap, error) {
 	if !IsPastTime(f) {
 		return 0, fmt.Errorf("temporal: formula %q contains future-time operators and cannot be compiled to a run-time monitor", f)
@@ -113,112 +116,34 @@ func (p *Program) MustAdd(f Formula) Tap {
 	return t
 }
 
-// Step evaluates every node against the next state, in topological order, and
-// advances all temporal operator state by one step.
+// Step evaluates the program against the next state and advances all
+// temporal operator state by one step.  It is StepLanes at width 1: the first
+// Step lowers the program to one lane — and lowers it again when formulas
+// were added since, which mid-run requires a Reset first — and every later
+// Step runs the lane kernels over the scalar state.  A program set to a wider
+// lane mode must be driven through StepLanes.
 func (p *Program) Step(st State) {
-	steps := p.steps
-	vals := p.vals
-	for i := range p.nodes {
-		n := &p.nodes[i]
-		var out bool
-		switch n.op {
-		case opConst:
-			out = n.bstate
-		case opVar:
-			out = n.ref.boolAt(st)
-		case opCompareNum:
-			// All comparisons against a non-string constant — and ordered
-			// comparisons against any constant — reduce to one float compare
-			// on the number plane (AsNumber maps bools to 0/1 and strings to
-			// NaN, which no comparison or inequality misclassifies).
-			if f, ok := n.ref.numberOK(st); ok {
-				out = compareNumbers(f, n.cval, n.cmp)
-			}
-		case opCompareStrEq:
-			// Equality against an enumeration constant is an id compare on
-			// the enumeration plane.
-			if slot, ok := n.ref.resolve(st); ok {
-				if k := st.SlotKind(slot); k != KindInvalid {
-					match := k == KindString && st.SlotStringID(slot) == n.eref.idIn(st.Schema())
-					out = match == (n.cmp == OpEq)
-				}
-			}
-		case opCompareVarsNum:
-			lf, lok := n.ref.numberOK(st)
-			rf, rok := n.ref2.numberOK(st)
-			out = lok && rok && compareNumbers(lf, rf, n.cmp)
-		case opCompareVars:
-			lv, rv := n.ref.value(st), n.ref2.value(st)
-			if lv.IsValid() && rv.IsValid() {
-				out = compareValues(lv, rv, n.cmp)
-			}
-		case opPred:
-			out = n.fn(st)
-		case opNot:
-			out = !vals[n.a]
-		case opAnd:
-			out = true
-			for _, k := range n.kids {
-				if !vals[k] {
-					out = false
-					break // children are already evaluated; no state is skipped
-				}
-			}
-		case opOr:
-			for _, k := range n.kids {
-				if vals[k] {
-					out = true
-					break
-				}
-			}
-		case opImplies:
-			out = !vals[n.a] || vals[n.b]
-		case opIff:
-			out = vals[n.a] == vals[n.b]
-		case opPrev:
-			out = steps > 0 && n.bstate
-			n.bstate = vals[n.a]
-		case opOnce:
-			out = n.bstate
-			if vals[n.a] {
-				n.bstate = true
-			}
-		case opHist:
-			out = n.bstate
-			if !vals[n.a] {
-				n.bstate = false
-			}
-		case opBecame:
-			cur := vals[n.a]
-			out = cur && !n.bstate
-			n.bstate = cur
-		case opPrevFor:
-			out = n.n == 0 || (steps >= n.n && n.run >= n.n)
-			if vals[n.a] {
-				n.run++
-			} else {
-				n.run = 0
-			}
-		case opPrevWithin:
-			out = n.lastTrue >= 0 && steps-n.lastTrue <= n.n
-			if vals[n.a] {
-				n.lastTrue = steps
-			}
-		case opInitially:
-			cur := vals[n.a]
-			if !n.have {
-				n.bstate = cur
-				n.have = true
-			}
-			out = n.bstate
-		}
-		vals[i] = out
+	if p.lanes != 1 || len(p.lmask) != len(p.nodes) {
+		p.lowerScalar()
 	}
-	p.steps++
+	p.StepLanes(st)
+}
+
+// lowerScalar switches the program to lane width 1 before its first Step.
+//
+//lint:allocok one-time width-1 lowering before the first step of a program; steady-state Steps reuse its tables
+func (p *Program) lowerScalar() {
+	switch {
+	case p.lanes > 1:
+		panic(fmt.Sprintf("temporal: Step on a program in %d-lane mode; use StepLanes", p.lanes))
+	case p.steps > 0:
+		panic("temporal: formulas added after the first Step; Reset before stepping again")
+	}
+	_ = p.SetLanes(1) // width 1 accepts every program
 }
 
 // Output reads the verdict a tap's formula produced for the last Step.
-func (p *Program) Output(t Tap) bool { return p.vals[t] }
+func (p *Program) Output(t Tap) bool { return p.lmask[t]&1 != 0 }
 
 // Steps returns the number of states consumed since the last Reset.
 func (p *Program) Steps() int { return p.steps }
@@ -231,21 +156,6 @@ func (p *Program) Period() time.Duration { return p.period }
 // node at once.
 func (p *Program) Reset() {
 	p.steps = 0
-	for i := range p.nodes {
-		n := &p.nodes[i]
-		switch n.op {
-		case opPrev, opOnce, opBecame:
-			n.bstate = false
-		case opHist:
-			n.bstate = true
-		case opPrevFor:
-			n.run = 0
-		case opPrevWithin:
-			n.lastTrue = -1
-		case opInitially:
-			n.bstate, n.have = false, false
-		}
-	}
 	p.resetLanes()
 }
 
@@ -315,28 +225,20 @@ func (op progOp) isAtom() bool { return op <= opPred }
 func (op progOp) isTemporal() bool { return op >= opPrev }
 
 // pnode is one node of the flat program: its operator, operand node indices
-// (always smaller than the node's own index) and the per-run operator state.
-// bstate is the operator's single boolean register: the previous child value
-// for prev, the seen flag for once, the all-previous flag for hist, the
-// previous-true flag for became, the captured initial verdict for initially,
-// and the constant itself for const nodes.
+// (always smaller than the node's own index) and the lowered atom operands.
+// The per-run operator state lives in the program's lane registers.
 type pnode struct {
-	op   progOp
-	a, b int
-	kids []int
-	ref  slotRef
-	ref2 slotRef
-	cmp  CompareOp
-	val  Value
-	cval float64 // val.AsNumber(), precomputed for opCompareNum
-	eref enumRef // val's interned id, for opCompareStrEq
-	fn   func(State) bool
-	n    int
-
-	bstate   bool
-	have     bool
-	run      int
-	lastTrue int
+	op    progOp
+	a, b  int
+	kids  []int
+	ref   slotRef
+	ref2  slotRef
+	cmp   CompareOp
+	cval  float64 // the constant's AsNumber, for opCompareNum
+	eref  enumRef // the constant's interned id, for opCompareStrEq
+	konst bool    // the value of an opConst node
+	fn    func(State) bool
+	n     int
 }
 
 // compile lowers one formula node, hash-consing it against every node the
@@ -348,7 +250,7 @@ func (p *Program) compile(f Formula) (int, error) {
 	case constFormula:
 		p.atomRefs++
 		return p.internNode("c|"+strconv.FormatBool(bool(ff)),
-			pnode{op: opConst, bstate: bool(ff)}), nil
+			pnode{op: opConst, konst: bool(ff)}), nil
 	case varFormula:
 		p.atomRefs++
 		return p.internNode("v|"+ff.name,
@@ -356,9 +258,14 @@ func (p *Program) compile(f Formula) (int, error) {
 	case compareFormula:
 		p.atomRefs++
 		key := "k|" + ff.name + "|" + strconv.Itoa(int(ff.op)) + "|" + valueKey(ff.val)
-		node := pnode{op: opCompareNum, ref: p.newSlotRef(ff.name), cmp: ff.op, val: ff.val, cval: ff.val.AsNumber()}
+		// All comparisons against a non-string constant — and ordered
+		// comparisons against any constant — reduce to one float compare on
+		// the number plane (AsNumber maps bools to 0/1 and strings to NaN,
+		// which no comparison or inequality misclassifies); equality against
+		// an enumeration constant is an id compare on the enumeration plane.
+		node := pnode{op: opCompareNum, ref: p.newSlotRef(ff.name), cmp: ff.op, cval: ff.val.AsNumber()}
 		if ff.val.kind == KindString && (ff.op == OpEq || ff.op == OpNe) {
-			node = pnode{op: opCompareStrEq, ref: p.newSlotRef(ff.name), cmp: ff.op, val: ff.val, eref: p.newEnumRef(ff.val.s)}
+			node = pnode{op: opCompareStrEq, ref: p.newSlotRef(ff.name), cmp: ff.op, eref: p.newEnumRef(ff.val.s)}
 		}
 		return p.internNode(key, node), nil
 	case compareVarsFormula:
@@ -438,14 +345,7 @@ func (p *Program) compileUnary(op progOp, tag string, child Formula, n int) (int
 	if n != 0 {
 		key += "|" + strconv.Itoa(n)
 	}
-	node := pnode{op: op, a: a, n: n}
-	switch op {
-	case opHist:
-		node.bstate = true
-	case opPrevWithin:
-		node.lastTrue = -1
-	}
-	return p.internNode(key, node), nil
+	return p.internNode(key, pnode{op: op, a: a, n: n}), nil
 }
 
 // compileNary interns an and/or node over its children's node indices.  The
@@ -483,14 +383,12 @@ func (p *Program) internNode(key string, n pnode) int {
 func (p *Program) appendNode(n pnode) int {
 	i := len(p.nodes)
 	p.nodes = append(p.nodes, n)
-	p.vals = append(p.vals, false)
 	return i
 }
 
-// newSlotRef resolves an atom's variable name against the program's schema,
-// exactly as the per-formula compiler does: resolved at compile time when the
-// schema is known, re-resolved lazily (one pointer compare per step, one name
-// lookup per schema change) otherwise.
+// newSlotRef resolves an atom's variable name against the program's schema:
+// at compile time when the schema is known, lazily (one pointer compare per
+// step, one name lookup per schema change) otherwise.
 func (p *Program) newSlotRef(name string) slotRef {
 	r := slotRef{name: name}
 	if p.schema != nil {
@@ -518,4 +416,69 @@ func (p *Program) newEnumRef(s string) enumRef {
 // but harmless either way).
 func valueKey(v Value) string {
 	return strconv.Itoa(int(v.kind)) + ":" + v.String()
+}
+
+// stepsFor converts a bounded-past operator's duration into a whole number of
+// steps at the given period, rounding up so the window is never
+// under-approximated.
+func stepsFor(d, period time.Duration) int {
+	if d <= 0 {
+		return 0
+	}
+	steps := int((d + period - 1) / period)
+	if steps < 1 {
+		steps = 1
+	}
+	return steps
+}
+
+// slotRef is a variable reference resolved to a register slot.  The slot is
+// bound to one Schema: when a state from a different schema is observed (the
+// program was compiled without a schema, or is reused across scenarios) the
+// name is re-resolved once and cached, so steady-state evaluation is an
+// array load guarded by one pointer compare.
+type slotRef struct {
+	name   string
+	schema *Schema
+	slot   int
+}
+
+// resolve returns the register slot of the reference for st's schema,
+// re-resolving (and caching) on a schema change.  ok is false only for the
+// nil State, whose variables are all absent.
+func (r *slotRef) resolve(st State) (int, bool) {
+	if sc := st.Schema(); sc != r.schema {
+		if sc == nil {
+			return 0, false
+		}
+		r.rebind(sc)
+	}
+	return r.slot, true
+}
+
+// rebind resolves the name against a new schema.
+//
+//lint:allocok schema rebind through Schema.Intern; runs on the first observation of a schema, never in steady state
+func (r *slotRef) rebind(sc *Schema) {
+	r.schema = sc
+	r.slot = sc.Intern(r.name)
+}
+
+// enumRef is an enumeration-string constant resolved to its per-schema
+// interned id, guarded by the same pointer compare as slotRef, so equality
+// against the constant is an int compare on the enumeration plane.
+type enumRef struct {
+	s      string
+	schema *Schema
+	id     int32
+}
+
+// idIn returns the constant's interned id in sc, re-resolving on a schema
+// change.
+func (e *enumRef) idIn(sc *Schema) int32 {
+	if sc != e.schema {
+		e.schema = sc
+		e.id = sc.InternString(e.s)
+	}
+	return e.id
 }

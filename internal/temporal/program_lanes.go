@@ -9,16 +9,16 @@ import (
 
 // Lane-batched program evaluation.
 //
-// A Program compiled for a monitor suite normally consumes one State per
-// Step.  In lane mode the same node array evaluates N independent traces in
-// lockstep against one lane-widened State (NewStateWithLanes): each node
-// produces a uint64 output mask whose bit l is the node's verdict for lane l,
-// so the boolean connectives collapse to single word operations.  Temporal
-// operators keep per-lane state — a mask register for the single-bit
-// operators (prev/once/historically/became/initially) and a small per-lane
-// counter array for the bounded-past operators — and advance all lanes
-// exactly once per StepLanes, so lane l's mask bit sequence is identical to
-// feeding lane l's trace through a scalar Program.
+// This is the Program's only evaluator.  In lane mode the node array
+// evaluates N independent traces in lockstep against one lane-widened State
+// (NewStateWithLanes): each node produces a uint64 output mask whose bit l is
+// the node's verdict for lane l, so the boolean connectives collapse to
+// single word operations.  Temporal operators keep per-lane state — a mask
+// register for the single-bit operators (prev/once/historically/became/
+// initially) and a small per-lane counter array for the bounded-past
+// operators — and advance all lanes exactly once per StepLanes, so lane l's
+// mask bit sequence is identical to feeding lane l's trace through the
+// formula's reference Stepper.  Width 1 over a scalar State is Program.Step.
 //
 // SetLanes lowers the node array into two parts:
 //
@@ -30,7 +30,9 @@ import (
 //     id plane.  Lanes of mixed kinds fall back to the per-lane
 //     SlotBool/SlotNumberOK semantics, and a slot beyond the state's width
 //     (a name interned after the state was sized) reads as absent on every
-//     lane, exactly as scalar Step treats it.
+//     lane, exactly as the string-keyed reference treats it.  Constants,
+//     variable-to-variable comparisons and (at width 1 only) predicates
+//     evaluate lane by lane through the per-slot accessors.
 //   - Change propagation.  A CSR parent adjacency and an "always" bitset of
 //     the stateful temporal nodes.  Each StepLanes runs every atom kernel and
 //     marks the parents of every atom whose mask changed in a dirty bitset;
@@ -57,7 +59,7 @@ const (
 	atomBool  atomKind = iota // opVar: bit-plane word extract
 	atomNum                   // opCompareNum: float lane loop per CompareOp
 	atomEnum                  // opCompareStrEq: id-plane compare
-	atomOther                 // opConst, opCompareVarsNum, opCompareVars: per-lane Value semantics
+	atomOther                 // opConst, opCompareVarsNum, opCompareVars, opPred: per-lane Value semantics
 )
 
 // laneAtom is one atom node lowered to a lane kernel.  base is the physical
@@ -75,17 +77,18 @@ type laneAtom struct {
 
 // SetLanes switches the program into lane mode at the given width,
 // allocating per-node lane registers, the atom kernels and the change
-// propagation tables.  It fails for programs containing predicate atoms
-// (opaque func(State) bool closures cannot be evaluated per lane) and for
-// widths outside [1, MaxLanes].  All formulas must be registered before
-// SetLanes; Add after SetLanes is rejected by StepLanes.
+// propagation tables.  It fails for widths outside [1, MaxLanes] and, above
+// width 1, for programs containing predicate atoms (an opaque
+// func(State) bool closure reads a scalar State, not one lane of a widened
+// one).  All formulas must be registered before SetLanes; Add after SetLanes
+// is rejected by StepLanes.
 func (p *Program) SetLanes(lanes int) error {
 	if lanes < 1 || lanes > MaxLanes {
 		return fmt.Errorf("temporal: lane width %d outside [1, %d]", lanes, MaxLanes)
 	}
 	for i := range p.nodes {
-		if p.nodes[i].op == opPred {
-			return fmt.Errorf("temporal: program contains a predicate atom; predicates cannot be lane-stepped")
+		if lanes > 1 && p.nodes[i].op == opPred {
+			return fmt.Errorf("temporal: program contains a predicate atom; predicates cannot be lane-stepped above width 1")
 		}
 	}
 	n := len(p.nodes)
@@ -167,8 +170,8 @@ func (p *Program) forKids(i int, fn func(k int)) {
 	}
 }
 
-// Lanes returns the lane width set by SetLanes (0 when the program is not in
-// lane mode).
+// Lanes returns the lane width set by SetLanes or by the first Step (0
+// before either).
 func (p *Program) Lanes() int { return p.lanes }
 
 // laneFull returns the mask with one bit set per configured lane.
@@ -213,6 +216,8 @@ func (p *Program) resetLanes() {
 
 // bindAtoms resolves every atom kernel's operand slot and enumeration id
 // against st's schema.
+//
+//lint:allocok schema rebind through Schema.Intern and InternString; runs on the first step after SetLanes or Reset and on a schema change, never in steady state
 func (p *Program) bindAtoms(st State) {
 	sc := st.Schema()
 	p.lschema = sc
@@ -236,8 +241,7 @@ func (p *Program) bindAtoms(st State) {
 // advances all per-lane temporal operator state by one step: every atom
 // kernel runs, then every node whose inputs changed and every stateful
 // temporal node is re-evaluated in topological order.  The state must carry
-// at least Lanes() lanes.  It shares the step counter with Step; a program is
-// driven through exactly one of the two per run.
+// at least Lanes() lanes.
 func (p *Program) StepLanes(st State) {
 	lanes := p.lanes
 	if lanes == 0 || len(p.lmask) != len(p.nodes) {
@@ -369,18 +373,21 @@ func (p *Program) setAtomMask(i int, out uint64) {
 	}
 }
 
-// otherAtomLanes evaluates the atoms without a typed kernel (constants and
-// variable-to-variable comparisons) lane by lane through the range-checked
-// per-slot accessors.
+// otherAtomLanes evaluates the atoms without a typed kernel (constants,
+// variable-to-variable comparisons and predicates) lane by lane through the
+// range-checked per-slot accessors.  A predicate reads the whole State, which
+// SetLanes allows only at width 1.
 func (p *Program) otherAtomLanes(i int, st State) uint64 {
 	n := &p.nodes[i]
 	lanes := p.lanes
 	var out uint64
 	switch n.op {
 	case opConst:
-		if n.bstate {
+		if n.konst {
 			out = p.laneFull()
 		}
+	case opPred:
+		out = b2u(n.fn(st))
 	case opCompareVarsNum:
 		lslot, lok := n.ref.resolve(st)
 		rslot, rok := n.ref2.resolve(st)

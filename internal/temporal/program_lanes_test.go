@@ -24,7 +24,8 @@ func randomLaneFormula(r *rand.Rand, depth int, pool *[]Formula) Formula {
 }
 
 // setRandomLaneVar writes one variable's value for one lane of the widened
-// state and the same value into that lane's scalar shadow state.  With small
+// state and the same value into that lane's scalar shadow state (the state
+// the lane's reference steppers read).  With small
 // probability the value is absent (the slot is cleared) or of a surprising
 // kind (a string in a numeric slot, a number in the enum slot), so the
 // mixed-kind fallbacks and the unknown-state-is-false convention are covered.
@@ -72,7 +73,7 @@ func setRandomLaneVar(r *rand.Rand, wide State, lane int, scalar State, name str
 	}
 }
 
-// laneDiff configures one lane-versus-scalar differential run.
+// laneDiff configures one lane-versus-reference differential run.
 type laneDiff struct {
 	seed  int64
 	lanes int
@@ -80,9 +81,10 @@ type laneDiff struct {
 	// hold returns how many steps a freshly drawn variable value is held;
 	// nil re-randomises every variable of every lane on every step.
 	hold func() int
-	// resetAt and swapAt are the steps (-1: never) before which every
-	// program is Reset, and before which the trace moves to a fresh schema
-	// that interns the vocabulary at different slots.
+	// resetAt and swapAt are the steps (-1: never) before which the program
+	// and every reference stepper are Reset, and before which the trace
+	// moves to a fresh schema that interns the vocabulary at different
+	// slots.
 	resetAt, swapAt int
 }
 
@@ -92,8 +94,9 @@ var laneVars = []string{"A", "B", "C", "N", "M", "S"}
 // run evaluates a batch of overlapping random formulas — plus bounded-past
 // wrappers whose windows are both shorter and longer than the input holds —
 // over d.lanes independent random traces, once through a lane-stepped program
-// over the widened state and once through one scalar program per lane fed
-// that lane's trace, and fails on the first differing verdict.
+// over the widened state and once through one string-keyed reference Stepper
+// per formula per lane fed that lane's trace, and fails on the first
+// differing verdict.
 func (d laneDiff) run(t testing.TB) {
 	t.Helper()
 	r := rand.New(rand.NewSource(d.seed))
@@ -125,12 +128,10 @@ func (d laneDiff) run(t testing.TB) {
 		t.Fatalf("seed %d: SetLanes(%d): %v", d.seed, d.lanes, err)
 	}
 
-	scalars := make([]*Program, d.lanes)
-	scalarTaps := make([][]Tap, d.lanes)
-	for l := range scalars {
-		scalars[l] = NewProgram(time.Millisecond, schema)
+	refs := make([][]*Stepper, d.lanes) // refs[l][i]: formula i on lane l
+	for l := range refs {
 		for _, f := range formulas {
-			scalarTaps[l] = append(scalarTaps[l], scalars[l].MustAdd(f))
+			refs[l] = append(refs[l], mustReference(t, f))
 		}
 	}
 
@@ -164,8 +165,10 @@ func (d laneDiff) run(t testing.TB) {
 		}
 		if step == d.resetAt {
 			laneProg.Reset()
-			for _, p := range scalars {
-				p.Reset()
+			for _, lane := range refs {
+				for _, s := range lane {
+					s.Reset()
+				}
 			}
 		}
 		if d.hold == nil {
@@ -188,12 +191,11 @@ func (d laneDiff) run(t testing.TB) {
 		}
 		laneProg.StepLanes(wide)
 		for l := 0; l < d.lanes; l++ {
-			scalars[l].Step(shadows[l])
-			for i := range formulas {
-				want := scalars[l].Output(scalarTaps[l][i])
+			for i, s := range refs[l] {
+				want := s.Step(shadows[l])
 				got := laneProg.OutputMask(taps[i])&(1<<uint(l)) != 0
 				if got != want {
-					t.Fatalf("seed %d step %d lane %d/%d: lane output %v != scalar %v for %s",
+					t.Fatalf("seed %d step %d lane %d/%d: lane output %v != reference %v for %s",
 						d.seed, step, l, d.lanes, got, want, formulas[i])
 				}
 			}
@@ -201,24 +203,25 @@ func (d laneDiff) run(t testing.TB) {
 	}
 }
 
-// TestStepLanesMatchesScalarPrograms is the lane mode's differential test:
-// a batch of overlapping random formulas evaluated over L independent random
+// TestStepLanesMatchesReference is the lane mode's differential test: a
+// batch of overlapping random formulas evaluated over L independent random
 // traces must produce, via one lane-stepped program over the widened state,
-// exactly the per-step verdicts of L scalar programs each fed its own lane's
-// trace.  Every variable is redrawn on every step.
-func TestStepLanesMatchesScalarPrograms(t *testing.T) {
+// exactly the per-step verdicts of each formula's reference Stepper fed each
+// lane's trace.  Width 1 is Program.Step.  Every variable is redrawn on every
+// step.
+func TestStepLanesMatchesReference(t *testing.T) {
 	widths := []int{1, 2, 3, 4, 5, 8, 64}
 	for seed := int64(0); seed < 28; seed++ {
 		laneDiff{seed: seed, lanes: widths[int(seed)%len(widths)], steps: 60, resetAt: -1, swapAt: -1}.run(t)
 	}
 }
 
-// TestStepLanesMatchesScalarHeldInputs is the differential in the quiet
+// TestStepLanesHeldInputsMatchesReference is the differential in the quiet
 // regime change-driven evaluation relies on: each variable holds its value
 // for 1-50 steps, so most steps change few atoms and the bounded-past windows
 // (1-4 and 20-79 steps) run both shorter and longer than the holds; midway
-// the trace moves to a fresh schema, and later every program is Reset.
-func TestStepLanesMatchesScalarHeldInputs(t *testing.T) {
+// the trace moves to a fresh schema, and later every evaluator is Reset.
+func TestStepLanesHeldInputsMatchesReference(t *testing.T) {
 	widths := []int{1, 2, 3, 4, 5, 8, 64}
 	for seed := int64(0); seed < 28; seed++ {
 		r := rand.New(rand.NewSource(seed + 1000))
@@ -235,7 +238,7 @@ func TestStepLanesMatchesScalarHeldInputs(t *testing.T) {
 
 // TestStepLanesStateNarrowerThanSchema pins the out-of-range slot rule: a
 // name interned after the lane state was sized reads as absent on every lane
-// — what scalar Step does — instead of slicing past the state's planes.
+// — what the reference does — instead of slicing past the state's planes.
 func TestStepLanesStateNarrowerThanSchema(t *testing.T) {
 	schema := NewSchema()
 	wide := NewStateWithLanes(schema, 4)
@@ -246,11 +249,8 @@ func TestStepLanesStateNarrowerThanSchema(t *testing.T) {
 	if err := lanes.SetLanes(4); err != nil {
 		t.Fatal(err)
 	}
-	scalar := NewProgram(time.Millisecond, schema)
-	stap := scalar.MustAdd(f)
-	scalar.Step(narrow)
-	if !scalar.Output(stap) {
-		t.Fatalf("scalar %s over absent variables = false, want true", f)
+	if !mustReference(t, f).Step(narrow) {
+		t.Fatalf("reference %s over absent variables = false, want true", f)
 	}
 	lanes.StepLanes(wide)
 	if got := lanes.OutputMask(tap); got != 0b1111 {
@@ -294,12 +294,15 @@ func TestStepLanesResetReuse(t *testing.T) {
 }
 
 // TestSetLanesRejects covers the lane-mode guards: predicate atoms cannot be
-// lane-stepped, and widths outside [1, MaxLanes] are invalid.
+// lane-stepped above width 1, and widths outside [1, MaxLanes] are invalid.
 func TestSetLanesRejects(t *testing.T) {
 	p := NewProgram(time.Millisecond, NewSchema())
 	p.MustAdd(Pred("custom", nil, func(State) bool { return true }))
 	if err := p.SetLanes(4); err == nil {
-		t.Fatal("SetLanes accepted a program with a predicate atom")
+		t.Fatal("SetLanes(4) accepted a program with a predicate atom")
+	}
+	if err := p.SetLanes(1); err != nil {
+		t.Fatalf("SetLanes(1) rejected a predicate atom: %v", err)
 	}
 	q := NewProgram(time.Millisecond, NewSchema())
 	q.MustAdd(Var("A"))

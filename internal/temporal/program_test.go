@@ -73,11 +73,22 @@ func randomState(r *rand.Rand, schema *Schema) State {
 	return st
 }
 
-// TestProgramMatchesSteppers is the program's own differential test: a batch
-// of overlapping random formulas compiled once into a shared program and once
-// into independent Steppers must produce identical verdicts on every step of
-// a random trace.
-func TestProgramMatchesSteppers(t *testing.T) {
+// mustReference compiles f to its reference Stepper, failing the test on
+// error.
+func mustReference(t testing.TB, f Formula) *Stepper {
+	t.Helper()
+	s, err := CompileReference(f, time.Millisecond)
+	if err != nil {
+		t.Fatalf("CompileReference(%s): %v", f, err)
+	}
+	return s
+}
+
+// TestProgramMatchesReference is the program's own differential test: a
+// batch of overlapping random formulas compiled once into a shared program
+// and once into independent reference Steppers must produce identical
+// verdicts on every step of a random trace.
+func TestProgramMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		schema := NewSchema()
@@ -93,13 +104,9 @@ func TestProgramMatchesSteppers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: Add(%s): %v", seed, f, err)
 			}
-			s, err := CompileWithSchema(f, time.Millisecond, schema)
-			if err != nil {
-				t.Fatalf("seed %d: Compile(%s): %v", seed, f, err)
-			}
 			formulas = append(formulas, f)
 			taps = append(taps, tap)
-			steppers = append(steppers, s)
+			steppers = append(steppers, mustReference(t, f))
 		}
 
 		for step := 0; step < 60; step++ {
@@ -108,7 +115,7 @@ func TestProgramMatchesSteppers(t *testing.T) {
 			for i, s := range steppers {
 				want := s.Step(st)
 				if got := prog.Output(taps[i]); got != want {
-					t.Fatalf("seed %d step %d: program output %v != stepper %v for %s",
+					t.Fatalf("seed %d step %d: program output %v != reference %v for %s",
 						seed, step, got, want, formulas[i])
 				}
 			}
@@ -149,7 +156,7 @@ func TestProgramSharing(t *testing.T) {
 
 // TestProgramResetReuse runs one program over two traces with different
 // schemas — the per-worker reuse pattern — and checks the second run matches
-// fresh steppers compiled against the second schema.
+// fresh reference steppers.
 func TestProgramResetReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	f1 := MustParse("prevfor[3ms](A) => N <= 2")
@@ -173,16 +180,16 @@ func TestProgramResetReuse(t *testing.T) {
 	schemaB := NewSchema()
 	schemaB.Intern("M")
 	schemaB.Intern("N")
-	s1 := MustCompile(f1, time.Millisecond)
-	s2 := MustCompile(f2, time.Millisecond)
+	s1 := mustReference(t, f1)
+	s2 := mustReference(t, f2)
 	for i := 0; i < 40; i++ {
 		st := randomState(r, schemaB)
 		prog.Step(st)
 		if got, want := prog.Output(t1), s1.Step(st); got != want {
-			t.Fatalf("step %d: reused program output %v != fresh stepper %v for %s", i, got, want, f1)
+			t.Fatalf("step %d: reused program output %v != fresh reference %v for %s", i, got, want, f1)
 		}
 		if got, want := prog.Output(t2), s2.Step(st); got != want {
-			t.Fatalf("step %d: reused program output %v != fresh stepper %v for %s", i, got, want, f2)
+			t.Fatalf("step %d: reused program output %v != fresh reference %v for %s", i, got, want, f2)
 		}
 	}
 }

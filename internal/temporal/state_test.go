@@ -174,10 +174,11 @@ func TestNilStateReads(t *testing.T) {
 		t.Error("cloning the nil state should yield a fresh empty state")
 	}
 
-	// A stepper observing the nil state treats every atom as absent.
-	st := MustCompile(MustParse("x > 1 | flag"), 0)
-	if st.Step(nil) {
-		t.Error("slot stepper over the nil state should be false")
+	// An evaluator observing the nil state treats every atom as absent.
+	p := NewProgram(0, nil)
+	tap := p.MustAdd(MustParse("x > 1 | flag"))
+	if p.Step(nil); p.Output(tap) {
+		t.Error("program over the nil state should be false")
 	}
 	ref, err := CompileReference(MustParse("x > 1 | flag"), 0)
 	if err != nil {

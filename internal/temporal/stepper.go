@@ -5,92 +5,45 @@ import (
 	"time"
 )
 
-// Stepper is an incremental evaluator for a past-time formula.  A Stepper
+// Stepper is the reference incremental evaluator for a past-time formula: it
 // consumes one state per simulation step and reports whether the formula
-// holds at that step, without re-scanning the trace.  Run-time goal monitors
-// are built on Steppers so that monitoring cost is constant per state, which
-// is what makes the thesis' hierarchical monitoring practical in an embedded
-// setting.
-//
-// Atom formulas (variables, comparisons, predicates) are compiled to
-// slot-indexed nodes: the variable name is resolved against the observed
-// state's Schema once — at compile time when CompileWithSchema is given the
-// scenario's schema, otherwise on the first step — and every subsequent step
-// is an array load, never a string hash.
+// holds at that step, without re-scanning the trace.  It walks the formula
+// tree node by node and evaluates every atom through the generic Formula.Eval
+// string-keyed path — the behaviour of the map-backed State representation —
+// so it shares no evaluation code with Program, the production evaluator.
+// It exists as the independent oracle the differential tests compare
+// Program (and every suite built on it) against.
 type Stepper struct {
 	root    stepNode
-	state   State  // the state being evaluated this step
-	scratch *Trace // single reusable state for generic (reference) atoms
+	scratch *Trace // single reusable state the atoms evaluate against
 	steps   int
 }
 
-// Compile builds an incremental evaluator for a past-time formula.  The
+// CompileReference builds a reference Stepper for a past-time formula.  The
 // period is the simulation state period used to convert the bounded-past
-// operators' durations into step counts; a zero period defaults to 1 ms.
-// Compile returns an error when the formula contains future-time operators,
-// which cannot be monitored incrementally.
-//
-// Atoms resolve their slot indices lazily against the schema of the first
-// observed state; monitors that know their scenario's schema up front should
-// use CompileWithSchema, which resolves them at compile time.
-func Compile(f Formula, period time.Duration) (*Stepper, error) {
-	return CompileWithSchema(f, period, nil)
-}
-
-// CompileWithSchema is Compile with the scenario's symbol table: every atom
-// is resolved to its slot index at compile time (interning names the schema
-// has not seen), so even the first step of the monitor is hash-free.
-func CompileWithSchema(f Formula, period time.Duration, schema *Schema) (*Stepper, error) {
-	return compileStepper(f, period, schema, false)
-}
-
-// CompileReference builds a Stepper whose atoms are evaluated through the
-// generic Formula.Eval string-keyed path on every step — the behaviour of
-// the map-backed State representation.  It exists as the reference
-// implementation the differential tests compare the slot-indexed compiler
-// against; hot paths should use Compile or CompileWithSchema.
+// operators' durations into step counts; a zero period defaults to 1 ms.  It
+// returns an error when the formula contains future-time operators, which
+// cannot be monitored incrementally.
 func CompileReference(f Formula, period time.Duration) (*Stepper, error) {
-	return compileStepper(f, period, nil, true)
-}
-
-func compileStepper(f Formula, period time.Duration, schema *Schema, reference bool) (*Stepper, error) {
 	if period <= 0 {
 		period = time.Millisecond
 	}
 	if !IsPastTime(f) {
 		return nil, fmt.Errorf("temporal: formula %q contains future-time operators and cannot be compiled to a run-time monitor", f)
 	}
-	c := &compiler{period: period, schema: schema, reference: reference}
+	c := &compiler{period: period}
 	root, err := c.compile(f)
 	if err != nil {
 		return nil, err
 	}
-	s := &Stepper{root: root}
-	if reference {
-		// Only reference-mode atoms evaluate through Formula.Eval and need
-		// the one-state scratch trace; slot-mode steppers never touch it.
-		s.scratch = NewTrace(period)
-		s.scratch.Append(NewState())
-	}
+	s := &Stepper{root: root, scratch: NewTrace(period)}
+	s.scratch.Append(NewState())
 	return s, nil
-}
-
-// MustCompile is like Compile but panics on error.  It is intended for
-// statically known formulas such as the thesis' goal catalogue.
-func MustCompile(f Formula, period time.Duration) *Stepper {
-	s, err := Compile(f, period)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Step feeds the next state and reports whether the formula holds at it.
 func (s *Stepper) Step(st State) bool {
-	s.state = st
-	if s.scratch != nil {
-		s.scratch.states[0] = st
-	}
+	s.scratch.states[0] = st
 	r := s.root.step(s)
 	s.steps++
 	return r
@@ -112,19 +65,15 @@ type stepNode interface {
 	reset()
 }
 
-// compiler lowers a Formula tree into stepNodes.  When schema is non-nil
-// atoms are resolved to slot indices here, at compile time; when reference is
-// set atoms are lowered to the generic Formula.Eval path instead.
+// compiler lowers a Formula tree into stepNodes.
 type compiler struct {
-	period    time.Duration
-	schema    *Schema
-	reference bool
+	period time.Duration
 }
 
 func (c *compiler) compile(f Formula) (stepNode, error) {
 	switch ff := f.(type) {
 	case constFormula, varFormula, compareFormula, compareVarsFormula, predFormula:
-		return c.compileAtom(f)
+		return &atomNode{f: f}, nil
 	case notFormula:
 		n, err := c.compile(ff.f)
 		if err != nil {
@@ -210,34 +159,6 @@ func (c *compiler) compile(f Formula) (stepNode, error) {
 	}
 }
 
-// compileAtom lowers an atomic formula to a slot-indexed node reading the
-// register planes directly (or to the generic Eval node in reference mode).
-// The lowering mirrors the Program compiler: comparisons against an
-// enumeration-string constant become an id compare on the enumeration plane,
-// every other comparison a float compare on the number plane.
-func (c *compiler) compileAtom(f Formula) (stepNode, error) {
-	if c.reference {
-		return &atomNode{f: f}, nil
-	}
-	switch ff := f.(type) {
-	case constFormula:
-		return constNode(bool(ff)), nil
-	case varFormula:
-		return &varNode{ref: c.slotRef(ff.name)}, nil
-	case compareFormula:
-		if ff.val.kind == KindString && (ff.op == OpEq || ff.op == OpNe) {
-			return &compareStrNode{ref: c.slotRef(ff.name), op: ff.op, eref: c.enumRef(ff.val.s)}, nil
-		}
-		return &compareNode{ref: c.slotRef(ff.name), op: ff.op, cval: ff.val.AsNumber()}, nil
-	case compareVarsFormula:
-		return &compareVarsNode{left: c.slotRef(ff.left), op: ff.op, right: c.slotRef(ff.right)}, nil
-	case predFormula:
-		return &predNode{fn: ff.fn}, nil
-	default:
-		return nil, fmt.Errorf("temporal: cannot compile atom node %T", f)
-	}
-}
-
 func (c *compiler) compileAll(fs []Formula) ([]stepNode, error) {
 	out := make([]stepNode, len(fs))
 	for i, f := range fs {
@@ -250,184 +171,12 @@ func (c *compiler) compileAll(fs []Formula) ([]stepNode, error) {
 	return out, nil
 }
 
-func (c *compiler) slotRef(name string) slotRef {
-	r := slotRef{name: name}
-	if c.schema != nil {
-		r.schema = c.schema
-		r.slot = c.schema.Intern(name)
-	}
-	return r
-}
-
-func (c *compiler) enumRef(s string) enumRef {
-	e := enumRef{s: s}
-	if c.schema != nil {
-		e.schema = c.schema
-		e.id = c.schema.InternString(s)
-	}
-	return e
-}
-
-func stepsFor(d, period time.Duration) int {
-	if d <= 0 {
-		return 0
-	}
-	steps := int((d + period - 1) / period)
-	if steps < 1 {
-		steps = 1
-	}
-	return steps
-}
-
-// slotRef is a variable reference resolved to a register slot.  The slot is
-// bound to one Schema: when a state from a different schema is observed (the
-// Stepper was compiled without a schema, or is reused across scenarios) the
-// name is re-resolved once and cached, so steady-state evaluation is an
-// array load guarded by one pointer compare.
-type slotRef struct {
-	name   string
-	schema *Schema
-	slot   int
-}
-
-func (r *slotRef) value(st State) Value {
-	slot, ok := r.resolve(st)
-	if !ok {
-		return Value{}
-	}
-	return st.Slot(slot)
-}
-
-// resolve returns the register slot of the reference for st's schema,
-// re-resolving (and caching) on a schema change.  ok is false only for the
-// nil State, whose variables are all absent.
-func (r *slotRef) resolve(st State) (int, bool) {
-	if sc := st.Schema(); sc != r.schema {
-		if sc == nil {
-			return 0, false
-		}
-		r.schema = sc
-		r.slot = sc.Intern(r.name)
-	}
-	return r.slot, true
-}
-
-// boolAt reads the referenced variable with AsBool semantics straight from
-// the register planes.
-func (r *slotRef) boolAt(st State) bool {
-	slot, ok := r.resolve(st)
-	return ok && st.SlotBool(slot)
-}
-
-// numberOK reads the referenced variable with AsNumber/IsValid semantics
-// straight from the register planes.
-func (r *slotRef) numberOK(st State) (float64, bool) {
-	slot, ok := r.resolve(st)
-	if !ok {
-		return 0, false
-	}
-	return st.SlotNumberOK(slot)
-}
-
-// enumRef is an enumeration-string constant resolved to its per-schema
-// interned id, guarded by the same pointer compare as slotRef, so equality
-// against the constant is an int compare on the enumeration plane.
-type enumRef struct {
-	s      string
-	schema *Schema
-	id     int32
-}
-
-// idIn returns the constant's interned id in sc, re-resolving on a schema
-// change.
-func (e *enumRef) idIn(sc *Schema) int32 {
-	if sc != e.schema {
-		e.schema = sc
-		e.id = sc.InternString(e.s)
-	}
-	return e.id
-}
-
 // atomNode evaluates an atom through the generic Formula.Eval string-keyed
-// path; it is the reference-mode lowering used by CompileReference.
+// path.
 type atomNode struct{ f Formula }
 
 func (n *atomNode) step(s *Stepper) bool { return n.f.Eval(s.scratch, 0) }
 func (n *atomNode) reset()               {}
-
-type constNode bool
-
-func (n constNode) step(*Stepper) bool { return bool(n) }
-func (n constNode) reset()             {}
-
-type varNode struct{ ref slotRef }
-
-func (n *varNode) step(s *Stepper) bool { return n.ref.boolAt(s.state) }
-func (n *varNode) reset()               {}
-
-// compareNode compares a slot against a non-string constant (or any constant
-// under an ordered operator) as one float compare on the number plane; cval
-// is the constant's AsNumber, so bools compare as 0/1 and string constants
-// as NaN, exactly as compareValues would.
-type compareNode struct {
-	ref  slotRef
-	op   CompareOp
-	cval float64
-}
-
-func (n *compareNode) step(s *Stepper) bool {
-	f, ok := n.ref.numberOK(s.state)
-	return ok && compareNumbers(f, n.cval, n.op)
-}
-func (n *compareNode) reset() {}
-
-// compareStrNode compares a slot for (in)equality against an enumeration
-// constant as an id compare on the enumeration plane.
-type compareStrNode struct {
-	ref  slotRef
-	op   CompareOp
-	eref enumRef
-}
-
-func (n *compareStrNode) step(s *Stepper) bool {
-	slot, ok := n.ref.resolve(s.state)
-	if !ok {
-		return false
-	}
-	st := s.state
-	k := st.SlotKind(slot)
-	if k == KindInvalid {
-		return false
-	}
-	match := k == KindString && st.SlotStringID(slot) == n.eref.idIn(st.Schema())
-	return match == (n.op == OpEq)
-}
-func (n *compareStrNode) reset() {}
-
-type compareVarsNode struct {
-	left  slotRef
-	op    CompareOp
-	right slotRef
-}
-
-func (n *compareVarsNode) step(s *Stepper) bool {
-	if n.op == OpEq || n.op == OpNe {
-		lv, rv := n.left.value(s.state), n.right.value(s.state)
-		if !lv.IsValid() || !rv.IsValid() {
-			return false
-		}
-		return compareValues(lv, rv, n.op)
-	}
-	lf, lok := n.left.numberOK(s.state)
-	rf, rok := n.right.numberOK(s.state)
-	return lok && rok && compareNumbers(lf, rf, n.op)
-}
-func (n *compareVarsNode) reset() {}
-
-type predNode struct{ fn func(State) bool }
-
-func (n *predNode) step(s *Stepper) bool { return n.fn(s.state) }
-func (n *predNode) reset()               {}
 
 type notNode struct{ c stepNode }
 
@@ -498,7 +247,7 @@ func (n *prevNode) step(s *Stepper) bool {
 	n.prev = n.c.step(s)
 	return out
 }
-func (n *prevNode) reset() { n.prev = false }
+func (n *prevNode) reset() { n.prev = false; n.c.reset() }
 
 type onceNode struct {
 	c    stepNode

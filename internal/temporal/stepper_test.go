@@ -8,28 +8,19 @@ import (
 )
 
 func TestCompileRejectsFutureTime(t *testing.T) {
-	if _, err := Compile(Eventually(Var("A")), time.Millisecond); err == nil {
-		t.Fatal("Compile should reject future-time formulas")
+	if _, err := CompileReference(Eventually(Var("A")), time.Millisecond); err == nil {
+		t.Fatal("CompileReference should reject future-time formulas")
 	}
-	if _, err := Compile(Implies(Var("A"), Next(Var("B"))), time.Millisecond); err == nil {
-		t.Fatal("Compile should reject formulas containing next()")
+	if _, err := CompileReference(Implies(Var("A"), Next(Var("B"))), time.Millisecond); err == nil {
+		t.Fatal("CompileReference should reject formulas containing next()")
 	}
-	if _, err := Compile(Always(Var("A")), time.Millisecond); err == nil {
-		t.Fatal("Compile should reject formulas containing always()")
+	if _, err := CompileReference(Always(Var("A")), time.Millisecond); err == nil {
+		t.Fatal("CompileReference should reject formulas containing always()")
 	}
-}
-
-func TestMustCompilePanicsOnFuture(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustCompile should panic for a future-time formula")
-		}
-	}()
-	MustCompile(Eventually(Var("A")), time.Millisecond)
 }
 
 func TestStepperDefaultPeriod(t *testing.T) {
-	s, err := Compile(Var("A"), 0)
+	s, err := CompileReference(Var("A"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,19 +32,25 @@ func TestStepperDefaultPeriod(t *testing.T) {
 	}
 }
 
-// stepperMatchesBatch checks that incremental evaluation matches the batch
-// trace semantics for every index of the trace.
+// stepperMatchesBatch checks that incremental evaluation — the reference
+// Stepper and a one-formula Program — matches the batch trace semantics for
+// every index of the trace.
 func stepperMatchesBatch(t *testing.T, f Formula, tr *Trace) {
 	t.Helper()
-	s, err := Compile(f, tr.Period)
+	s, err := CompileReference(f, tr.Period)
 	if err != nil {
 		t.Fatalf("compile %s: %v", f, err)
 	}
+	p := NewProgram(tr.Period, nil)
+	tap := p.MustAdd(f)
 	for i := 0; i < tr.Len(); i++ {
 		want := f.Eval(tr, i)
-		got := s.Step(tr.At(i))
-		if got != want {
+		if got := s.Step(tr.At(i)); got != want {
 			t.Fatalf("formula %s at index %d: stepper=%v batch=%v", f, i, got, want)
+		}
+		p.Step(tr.At(i))
+		if got := p.Output(tap); got != want {
+			t.Fatalf("formula %s at index %d: program=%v batch=%v", f, i, got, want)
 		}
 	}
 }
@@ -100,7 +97,7 @@ func TestStepperNumericFormulas(t *testing.T) {
 
 func TestStepperReset(t *testing.T) {
 	f := Once(Var("A"))
-	s := MustCompile(f, time.Millisecond)
+	s := mustReference(t, f)
 	s.Step(NewState().SetBool("A", true))
 	if !s.Step(NewState().SetBool("A", false)) {
 		t.Fatal("Once should hold after A was true")
@@ -114,28 +111,33 @@ func TestStepperReset(t *testing.T) {
 	}
 }
 
+// TestStepperResetAllNodeKinds checks Reset rewinds every operator — nested
+// ones included, such as a historically under a prev — by requiring each
+// formula's second pass over the trace to match batch evaluation again.
 func TestStepperResetAllNodeKinds(t *testing.T) {
-	f := And(
+	parts := []Formula{
 		Prev(Var("A")),
 		Or(Once(Var("A")), Historically(Var("B"))),
 		Implies(Became(Var("A")), Var("B")),
 		Iff(Initially(Var("A")), Var("A")),
 		Not(PrevFor(Var("A"), 2*time.Millisecond)),
 		Or(True, PrevWithin(Var("B"), 2*time.Millisecond)),
-	)
+		Prev(Historically(Var("B"))),
+		Prev(Became(Var("A"))),
+	}
 	tr := boolTrace(t, map[string][]bool{
 		"A": {true, false, true, true},
 		"B": {true, true, false, true},
 	})
-	s := MustCompile(f, tr.Period)
-	first := make([]bool, tr.Len())
-	for i := 0; i < tr.Len(); i++ {
-		first[i] = s.Step(tr.At(i))
-	}
-	s.Reset()
-	for i := 0; i < tr.Len(); i++ {
-		if got := s.Step(tr.At(i)); got != first[i] {
-			t.Fatalf("after Reset, step %d = %v, want %v", i, got, first[i])
+	for _, f := range append(parts, And(parts...)) {
+		s := mustReference(t, f)
+		for pass := 0; pass < 2; pass++ {
+			for i := 0; i < tr.Len(); i++ {
+				if got, want := s.Step(tr.At(i)), f.Eval(tr, i); got != want {
+					t.Fatalf("%s pass %d step %d = %v, want %v", f, pass, i, got, want)
+				}
+			}
+			s.Reset()
 		}
 	}
 }
@@ -150,12 +152,16 @@ func TestPropStepperEquivalence(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		tr := randomTrace(r, int(n%64)+1)
-		s, err := Compile(formula, tr.Period)
+		s, err := CompileReference(formula, tr.Period)
 		if err != nil {
 			return false
 		}
+		p := NewProgram(tr.Period, nil)
+		tap := p.MustAdd(formula)
 		for i := 0; i < tr.Len(); i++ {
-			if s.Step(tr.At(i)) != formula.Eval(tr, i) {
+			p.Step(tr.At(i))
+			want := formula.Eval(tr, i)
+			if s.Step(tr.At(i)) != want || p.Output(tap) != want {
 				return false
 			}
 		}
