@@ -477,14 +477,20 @@ func BenchmarkBusCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkStateSnapshot measures cloning the committed state, the per-step
-// cost of trace retention.
+// BenchmarkStateSnapshot measures recording the committed state into a
+// trace, the per-step cost of trace retention.  The trace is replaced every
+// 20 000 snapshots, the length of one thesis run at the 1 ms state period.
 func BenchmarkStateSnapshot(b *testing.B) {
-	bus := vehicleSizedBus()
+	const run = 20000
+	state := vehicleSizedBus().Snapshot()
+	var trace *temporal.Trace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = bus.Snapshot()
+		if i%run == 0 {
+			trace = temporal.NewTraceWithCapacity(time.Millisecond, run)
+		}
+		trace.AppendClone(state)
 	}
 }
 

@@ -11,16 +11,17 @@
 // Chapter 4 distributed elevator and the Chapter 5 semi-autonomous vehicle
 // with its ten evaluation scenarios.
 //
-// State is slot-indexed and stored as struct-of-arrays planes: each scenario
-// run owns a temporal.Schema (an interned name → slot symbol table, plus an
-// interned enumeration-string table) and a temporal.State keeps its slots as
-// a kind plane, a []float64 number plane, a packed boolean bit plane and a
-// small-int enumeration plane.  A bus commit is a few pointer-free memmoves
-// (~13 bytes per slot, no GC write barriers), a snapshot clones the planes,
-// and goal formulas compiled into a temporal.Program evaluate their atoms
-// directly on the planes — a numeric comparison is one float compare,
-// equality against an enumeration constant one int compare, and no string is
-// hashed or Value constructed anywhere on the per-step path.  Components
+// State is slot-indexed and stored as two struct-of-arrays planes: each
+// scenario run owns a temporal.Schema (an interned name → slot symbol table,
+// plus an interned enumeration-string table) and a temporal.State keeps its
+// slots as a kind plane and one []float64 value plane (booleans as 0/1,
+// enumeration strings as their interned id).  A bus commit is two
+// pointer-free memmoves (9 bytes per slot, no GC write barriers), a recorded
+// trace copies each snapshot into chunked slabs instead of allocating one
+// per state, and goal formulas compiled into a temporal.Program evaluate
+// their atoms directly on the value plane — every atom kernel is one float
+// compare per lane, and no string is hashed or Value constructed anywhere on
+// the per-step path.  Components
 // address signals through typed handles (sim.Bus.NumVar/BoolVar/StringVar);
 // the name-keyed bus and state APIs remain as the schema-resolving
 // compatibility path, and differential tests prove the plane-backed and

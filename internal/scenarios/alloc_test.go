@@ -123,3 +123,25 @@ func TestArenaVariantSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceRecordingAllocs gates KeepTrace recording: a reused thesis
+// simulation that records 2 000 more ticks may allocate only the few extra
+// trace chunks those ticks fill (three objects per 512 snapshots), not one
+// register file per tick.  Cloning every tick would add ~10 000.
+func TestTraceRecordingAllocs(t *testing.T) {
+	skipIfAllocCountsUnreliable(t)
+	s := warmSimulation(t)
+	allocsAt := func(d time.Duration) float64 {
+		return testing.AllocsPerRun(3, func() {
+			s.Reset()
+			if n := s.Run(d).Len(); n != int(d/Period) {
+				t.Fatalf("recorded %d states, want %d", n, int(d/Period))
+			}
+		})
+	}
+	short, long := allocsAt(2*time.Second), allocsAt(4*time.Second)
+	if extra := long - short; extra > 16 {
+		t.Errorf("KeepTrace Run allocates %v objects at 2 s and %v at 4 s: the extra 2 000 ticks add %v, want <= 16",
+			short, long, extra)
+	}
+}

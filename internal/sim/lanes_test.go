@@ -1,8 +1,8 @@
 package sim
 
 // Edge-case tests for the lane-widened bus and the lockstep lane kernel:
-// bool bit-plane packing across uint64 word seams, enumeration interning
-// shared across lanes, per-lane hold semantics and per-lane early stop.
+// bool lane addressing at an odd width, enumeration interning shared across
+// lanes, per-lane hold semantics and per-lane early stop.
 
 import (
 	"fmt"
@@ -12,11 +12,10 @@ import (
 	"repro/internal/temporal"
 )
 
-// TestLaneBusBoolWordSeams packs a checkerboard of booleans across enough
-// slots and lanes that the physical bit indices (slot*lanes+lane) straddle
-// several uint64 words of the bit plane — including lane groups split across
-// a word boundary (width 5 puts slots 12 and 25 across the 64- and 128-bit
-// seams) — and checks every lane view reads back exactly its own bit.
+// TestLaneBusBoolWordSeams writes a checkerboard of booleans across 30 slots
+// at the odd width 5 (150 physical indices slot*lanes+lane, lane groups
+// straddling multiples of 64) and checks every lane view reads back exactly
+// its own value.
 func TestLaneBusBoolWordSeams(t *testing.T) {
 	const lanes, slots = 5, 30 // 150 bits: word seams at 64 and 128
 	lb := NewLaneBus(lanes)

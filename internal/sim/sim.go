@@ -363,8 +363,8 @@ func (s *Simulation) run(d time.Duration, retain bool) (*temporal.Trace, int, te
 		s.Bus.Commit()
 		snapshot := s.Bus.current
 		if retain {
-			snapshot = s.Bus.Snapshot()
-			trace.Append(snapshot)
+			trace.AppendClone(snapshot)
+			snapshot = trace.Last()
 		}
 		executed++
 		for _, obs := range s.observers {

@@ -222,6 +222,39 @@ func TestRunDiscardStopAndLastIndependence(t *testing.T) {
 	}
 }
 
+// TestRunTraceSnapshotsIndependentOfLiveBus records a run longer than one
+// trace chunk, with a signal interned mid-run, then mutates and resets the
+// live bus: every recorded snapshot keeps the state it was committed with.
+func TestRunTraceSnapshotsIndependentOfLiveBus(t *testing.T) {
+	s := newCountingSim()
+	s.Add(StepFunc{ComponentName: "late", Fn: func(now time.Duration, b *Bus) {
+		b.WriteBool("odd", int(b.ReadNumber("count"))%2 == 1)
+		if now >= 700*time.Millisecond {
+			b.WriteString("phase", "late")
+		}
+	}})
+	tr := s.Run(time.Second)
+	s.Bus.WriteNumber("count", -1)
+	s.Bus.WriteString("phase", "mutated")
+	s.Bus.Commit()
+	s.Reset()
+	if tr.Len() != 1000 {
+		t.Fatalf("trace length = %d, want 1000", tr.Len())
+	}
+	for i := 0; i < tr.Len(); i++ {
+		st := tr.At(i)
+		if got := st.Number("count"); got != float64(i+1) {
+			t.Fatalf("snapshot %d: count = %v, want %d", i, got, i+1)
+		}
+		if got := st.Bool("odd"); got != (i%2 == 1) {
+			t.Fatalf("snapshot %d: odd = %v", i, got)
+		}
+		if got, want := st.Has("phase"), i >= 700; got != want || (got && st.StringVal("phase") != "late") {
+			t.Fatalf("snapshot %d: phase = %v, want present %v with \"late\"", i, st.Get("phase"), want)
+		}
+	}
+}
+
 // TestBusResetKeepsVocabularyAndHandles checks that Bus.Reset clears every
 // signal while keeping the schema and resolved slot handles valid, so a
 // reused bus carries the next run without re-interning.

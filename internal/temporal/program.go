@@ -260,9 +260,10 @@ func (p *Program) compile(f Formula) (int, error) {
 		key := "k|" + ff.name + "|" + strconv.Itoa(int(ff.op)) + "|" + valueKey(ff.val)
 		// All comparisons against a non-string constant — and ordered
 		// comparisons against any constant — reduce to one float compare on
-		// the number plane (AsNumber maps bools to 0/1 and strings to NaN,
+		// the value plane (AsNumber maps bools to 0/1 and strings to NaN,
 		// which no comparison or inequality misclassifies); equality against
-		// an enumeration constant is an id compare on the enumeration plane.
+		// an enumeration constant compares the interned id the value plane
+		// stores for a string.
 		node := pnode{op: opCompareNum, ref: p.newSlotRef(ff.name), cmp: ff.op, cval: ff.val.AsNumber()}
 		if ff.val.kind == KindString && (ff.op == OpEq || ff.op == OpNe) {
 			node = pnode{op: opCompareStrEq, ref: p.newSlotRef(ff.name), cmp: ff.op, eref: p.newEnumRef(ff.val.s)}
@@ -466,7 +467,7 @@ func (r *slotRef) rebind(sc *Schema) {
 
 // enumRef is an enumeration-string constant resolved to its per-schema
 // interned id, guarded by the same pointer compare as slotRef, so equality
-// against the constant is an int compare on the enumeration plane.
+// against the constant is one compare with the id on the value plane.
 type enumRef struct {
 	s      string
 	schema *Schema

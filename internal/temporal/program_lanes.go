@@ -23,14 +23,14 @@ import (
 // SetLanes lowers the node array into two parts:
 //
 //   - Typed atom kernels.  Every atom becomes a laneAtom, sorted by kind and
-//     comparison operator.  A boolean variable is one bit-plane word extract
-//     when every lane holds a bool and the slot's lane group sits inside one
-//     word; a numeric comparison is one branch-free loop per CompareOp over
-//     the slot's contiguous float lane vector; enumeration ==/!= compares the
-//     id plane.  Lanes of mixed kinds fall back to the per-lane
-//     SlotBool/SlotNumberOK semantics, and a slot beyond the state's width
-//     (a name interned after the state was sized) reads as absent on every
-//     lane, exactly as the string-keyed reference treats it.  Constants,
+//     comparison operator.  Each typed kernel is one branch-free compare per
+//     lane over the slot's contiguous value-plane lane vector when every lane
+//     holds the expected kind: a boolean variable is != 0, a numeric
+//     comparison is its CompareOp against the constant, and enumeration
+//     ==/!= compares the stored ids.  Lanes of mixed kinds fall back to the
+//     per-lane SlotBool/SlotNumberOK semantics, and a slot beyond the state's
+//     width (a name interned after the state was sized) reads as absent on
+//     every lane, exactly as the string-keyed reference treats it.  Constants,
 //     variable-to-variable comparisons and (at width 1 only) predicates
 //     evaluate lane by lane through the per-slot accessors.
 //   - Change propagation.  A CSR parent adjacency and an "always" bitset of
@@ -56,23 +56,22 @@ const MaxLanes = 64
 type atomKind uint8
 
 const (
-	atomBool  atomKind = iota // opVar: bit-plane word extract
-	atomNum                   // opCompareNum: float lane loop per CompareOp
-	atomEnum                  // opCompareStrEq: id-plane compare
+	atomBool  atomKind = iota // opVar: value plane != 0
+	atomNum                   // opCompareNum: value plane CompareOp constant
+	atomEnum                  // opCompareStrEq: value plane ==/!= interned id
 	atomOther                 // opConst, opCompareVarsNum, opCompareVars, opPred: per-lane Value semantics
 )
 
 // laneAtom is one atom node lowered to a lane kernel.  base is the physical
 // register index of lane 0 of the operand slot in the schema the kernels are
-// bound to (-1 for the nil State); id is the enumeration constant's interned
-// id in that schema.
+// bound to (-1 for the nil State); c is the constant operand, for atomEnum
+// the enumeration constant's interned id in that schema.
 type laneAtom struct {
 	node int
 	kind atomKind
 	cmp  CompareOp
 	c    float64
 	base int
-	id   int32
 }
 
 // SetLanes switches the program into lane mode at the given width,
@@ -92,7 +91,7 @@ func (p *Program) SetLanes(lanes int) error {
 		}
 	}
 	n := len(p.nodes)
-	words := bitWords(n)
+	words := (n + 63) / 64
 	p.lanes = lanes
 	p.lmask = make([]uint64, n)
 	p.lbool = make([]uint64, n)
@@ -232,7 +231,7 @@ func (p *Program) bindAtoms(st State) {
 			a.base = slot * p.lanes
 		}
 		if a.kind == atomEnum && sc != nil {
-			a.id = n.eref.idIn(sc)
+			a.c = float64(n.eref.idIn(sc))
 		}
 	}
 }
@@ -260,11 +259,9 @@ func (p *Program) StepLanes(st State) {
 	}
 
 	var kinds []uint8
-	var nums []float64
-	var strs []int32
-	var bitp []uint64
+	var vals []float64
 	if st != nil {
-		kinds, nums, strs, bitp = st.kinds, st.nums, st.strs, st.bits
+		kinds, vals = st.kinds, st.vals
 	}
 	fullMask := p.laneFull()
 	at := &p.latomAt
@@ -274,9 +271,8 @@ func (p *Program) StepLanes(st State) {
 		a := &bools[i]
 		var out uint64
 		if base, end := a.base, a.base+lanes; base >= 0 && end <= len(kinds) {
-			off := uint(base) & 63
-			if uniform(kinds[base:end], KindBool) && int(off)+lanes <= 64 {
-				out = bitp[base>>6] >> off & fullMask
+			if uniform(kinds[base:end], KindBool) {
+				out = ^eqLanes(vals[base:end], 0) & fullMask
 			} else {
 				for l := 0; l < lanes; l++ {
 					out |= b2u(st.SlotBool(base+l)) << (uint(l) & 63)
@@ -292,7 +288,7 @@ func (p *Program) StepLanes(st State) {
 		var out uint64
 		if base, end := a.base, a.base+lanes; base >= 0 && end <= len(kinds) {
 			if uniform(kinds[base:end], KindNumber) {
-				out = compareLanes(nums[base:end], a.c, a.cmp)
+				out = compareLanes(vals[base:end], a.c, a.cmp)
 			} else {
 				// Bools compare as 0/1, strings as NaN (still a valid
 				// operand, so != holds) and absent values as false.
@@ -313,16 +309,14 @@ func (p *Program) StepLanes(st State) {
 		if base, end := a.base, a.base+lanes; base >= 0 && end <= len(kinds) {
 			eq := a.cmp == OpEq
 			if uniform(kinds[base:end], KindString) {
-				for l, id := range strs[base:end] {
-					out |= b2u(id == a.id) << (uint(l) & 63)
-				}
+				out = eqLanes(vals[base:end], a.c)
 				if !eq {
 					out = ^out & fullMask
 				}
 			} else {
 				for l, k := range kinds[base:end] {
 					if Kind(k) != KindInvalid {
-						match := Kind(k) == KindString && strs[base+l] == a.id
+						match := Kind(k) == KindString && vals[base+l] == a.c
 						out |= b2u(match == eq) << (uint(l) & 63)
 					}
 				}
@@ -506,36 +500,47 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
+// eqLanes is compareLanes(vec, c, OpEq) for the bool and enumeration
+// kernels.  It inlines, so at the scalar width, where Program.Step runs those
+// kernels, an atom costs one compare and no call.
+func eqLanes(vec []float64, c float64) uint64 {
+	if len(vec) != 1 {
+		return compareLanes(vec, c, OpEq)
+	}
+	if vec[0] == c {
+		return 1
+	}
+	return 0
+}
+
 // compareLanes compares every lane of a float lane vector with the constant
-// c: bit l of the result is vec[l] op c.  Each operator is one branch-free
-// loop.
+// c: bit l of the result is vec[l] op c.  The scalar width (Program.Step) and
+// the production lane width 4 are branch-free straight-line code; other
+// widths loop over the lanes.
 func compareLanes(vec []float64, c float64, op CompareOp) uint64 {
+	switch len(vec) {
+	case 1:
+		return b2u(compareNumbers(vec[0], c, op))
+	case 4:
+		v := (*[4]float64)(vec)
+		switch op {
+		case OpEq:
+			return b2u(v[0] == c) | b2u(v[1] == c)<<1 | b2u(v[2] == c)<<2 | b2u(v[3] == c)<<3
+		case OpNe:
+			return b2u(v[0] != c) | b2u(v[1] != c)<<1 | b2u(v[2] != c)<<2 | b2u(v[3] != c)<<3
+		case OpLt:
+			return b2u(v[0] < c) | b2u(v[1] < c)<<1 | b2u(v[2] < c)<<2 | b2u(v[3] < c)<<3
+		case OpLe:
+			return b2u(v[0] <= c) | b2u(v[1] <= c)<<1 | b2u(v[2] <= c)<<2 | b2u(v[3] <= c)<<3
+		case OpGt:
+			return b2u(v[0] > c) | b2u(v[1] > c)<<1 | b2u(v[2] > c)<<2 | b2u(v[3] > c)<<3
+		case OpGe:
+			return b2u(v[0] >= c) | b2u(v[1] >= c)<<1 | b2u(v[2] >= c)<<2 | b2u(v[3] >= c)<<3
+		}
+	}
 	var out uint64
-	switch op {
-	case OpEq:
-		for l, f := range vec {
-			out |= b2u(f == c) << (uint(l) & 63)
-		}
-	case OpNe:
-		for l, f := range vec {
-			out |= b2u(f != c) << (uint(l) & 63)
-		}
-	case OpLt:
-		for l, f := range vec {
-			out |= b2u(f < c) << (uint(l) & 63)
-		}
-	case OpLe:
-		for l, f := range vec {
-			out |= b2u(f <= c) << (uint(l) & 63)
-		}
-	case OpGt:
-		for l, f := range vec {
-			out |= b2u(f > c) << (uint(l) & 63)
-		}
-	case OpGe:
-		for l, f := range vec {
-			out |= b2u(f >= c) << (uint(l) & 63)
-		}
+	for l, f := range vec {
+		out |= b2u(compareNumbers(f, c, op)) << (uint(l) & 63)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -314,5 +315,38 @@ func TestSetLanesRejects(t *testing.T) {
 	}
 	if err := q.SetLanes(MaxLanes); err != nil {
 		t.Fatalf("SetLanes(%d): %v", MaxLanes, err)
+	}
+}
+
+// TestCompareLanesMatchesCompareNumbers checks the lane compare kernels —
+// including compareLanes' unrolled widths 1 and 4 and eqLanes — against the
+// scalar compareNumbers for every operator at widths 1-8, over every vector
+// of values below, equal to and above the constant and NaN.
+func TestCompareLanesMatchesCompareNumbers(t *testing.T) {
+	const c = 2.0
+	values := []float64{1, c, 3, math.NaN()}
+	vec := make([]float64, 8)
+	for width := 1; width <= 8; width++ {
+		combos := 1 << (2 * width)
+		for combo := 0; combo < combos; combo++ {
+			for l := 0; l < width; l++ {
+				vec[l] = values[combo>>(2*l)&3]
+			}
+			v := vec[:width]
+			for op := OpEq; op <= OpGe; op++ {
+				var want uint64
+				for l, f := range v {
+					want |= b2u(compareNumbers(f, c, op)) << uint(l)
+				}
+				if got := compareLanes(v, c, op); got != want {
+					t.Fatalf("compareLanes(%v, %v, %v) = %b, want %b", v, c, op, got, want)
+				}
+				if op == OpEq {
+					if got := eqLanes(v, c); got != want {
+						t.Fatalf("eqLanes(%v, %v) = %b, want %b", v, c, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -93,12 +93,9 @@ func TestRegistersInvalidSlotReads(t *testing.T) {
 // TestRegistersSchemaGrowthAfterStates interns names after states were sized
 // and checks that old states keep working: reads of new slots are absent
 // until written, writes grow the planes, and plane copies across different
-// widths preserve the wider state's extra slots — including booleans sharing
-// the last bit-plane word with copied slots.
+// widths preserve the wider state's extra slots.
 func TestRegistersSchemaGrowthAfterStates(t *testing.T) {
 	schema := NewSchema()
-	// 70 names puts the boundary inside the second bit-plane word, so the
-	// narrow copy exercises the partial-word merge.
 	for i := 0; i < 70; i++ {
 		schema.Intern("v" + strconv.Itoa(i))
 	}
@@ -118,7 +115,7 @@ func TestRegistersSchemaGrowthAfterStates(t *testing.T) {
 	}
 
 	// Re-copying the narrow source must not clobber the wide state's extra
-	// slots, which share bit-plane word 1 with slots 64–69.
+	// slots.
 	narrow.SetSlotBool(69, true)
 	wide.CopyFrom(narrow)
 	if !wide.SlotBool(69) {
@@ -167,13 +164,13 @@ func TestRegistersCloneIndependence(t *testing.T) {
 	c.SetString("extra", "X")
 
 	if got := s.Number("n"); got != 1 {
-		t.Errorf("original number plane mutated: %v", got)
+		t.Errorf("original number mutated: %v", got)
 	}
 	if !s.Bool("b") {
-		t.Errorf("original bit plane mutated")
+		t.Errorf("original bool mutated")
 	}
 	if got := s.StringVal("s"); got != "A" {
-		t.Errorf("original string plane mutated: %q", got)
+		t.Errorf("original string mutated: %q", got)
 	}
 	if s.Has("extra") {
 		t.Errorf("original gained a slot written only on the clone")
@@ -239,5 +236,129 @@ func TestSchemaEnumInterning(t *testing.T) {
 	}
 	if !s.Has("x") {
 		t.Errorf("empty-string slot should still be present")
+	}
+}
+
+// slotReads is what every accessor returns for one physical slot.
+type slotReads struct {
+	val    Value
+	num    float64 // SlotNumber
+	okNum  float64 // SlotNumberOK's number
+	ok     bool
+	truthy bool
+	id     int32
+	str    string
+}
+
+func readSlot(s State, i int) slotReads {
+	okNum, ok := s.SlotNumberOK(i)
+	return slotReads{s.Slot(i), s.SlotNumber(i), okNum, ok, s.SlotBool(i), s.SlotStringID(i), s.SlotString(i)}
+}
+
+func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
+// equal compares two reads; Value.String renders NaN, which Value.Equal
+// never equates.
+func (r slotReads) equal(o slotReads) bool {
+	return r.val.Kind() == o.val.Kind() && r.val.String() == o.val.String() &&
+		sameFloat(r.num, o.num) && sameFloat(r.okNum, o.okNum) && r.ok == o.ok &&
+		r.truthy == o.truthy && r.id == o.id && r.str == o.str
+}
+
+// TestRegistersKindCycleEveryAccessor drives one slot through
+// bool → number(NaN) → string → absent → bool at lane widths 1 and 4 and
+// checks every accessor after each write: a bool reads as 0/1, a NaN number
+// is truthy, a string reads as NaN, absent reads as NaN/false, and the
+// neighbouring lanes of the slot's lane group never change.
+func TestRegistersKindCycleEveryAccessor(t *testing.T) {
+	nan := math.NaN()
+	for _, width := range []int{1, 4} {
+		schema := NewSchema()
+		schema.Intern("before")
+		slot := schema.Intern("x")
+		schema.Intern("after")
+		goID := schema.InternString("GO")
+		s := NewStateWithLanes(schema, width)
+		lane := width - 1
+		for l := 0; l < width; l++ {
+			s.SetSlotNumberLane(slot, l, 7)
+		}
+		i := s.laneIndex(slot, lane)
+		steps := []struct {
+			name  string
+			write func()
+			want  slotReads
+		}{
+			{"bool true", func() { s.SetSlotBoolLane(slot, lane, true) },
+				slotReads{Bool(true), 1, 1, true, true, -1, "true"}},
+			{"number NaN", func() { s.SetSlotNumberLane(slot, lane, nan) },
+				slotReads{Number(nan), nan, nan, true, true, -1, "NaN"}},
+			{"string", func() { s.SetSlotStringLane(slot, lane, "GO") },
+				slotReads{String("GO"), nan, nan, true, true, goID, "GO"}},
+			{"empty string", func() { s.SetSlotStringIDLane(slot, lane, 0) },
+				slotReads{String(""), nan, nan, true, false, 0, ""}},
+			{"absent", func() { s.SetSlot(i, Value{}) },
+				slotReads{Value{}, nan, nan, false, false, -1, ""}},
+			{"bool false", func() { s.SetSlotBoolLane(slot, lane, false) },
+				slotReads{Bool(false), 0, 0, true, false, -1, "false"}},
+		}
+		seven := slotReads{Number(7), 7, 7, true, true, -1, "7"}
+		for _, st := range steps {
+			st.write()
+			if got := readSlot(s, i); !got.equal(st.want) {
+				t.Errorf("width %d, %s: reads %+v, want %+v", width, st.name, got, st.want)
+			}
+			for l := 0; l < lane; l++ {
+				if got := readSlot(s, s.laneIndex(slot, l)); !got.equal(seven) {
+					t.Errorf("width %d, %s: neighbour lane %d reads %+v, want %+v", width, st.name, l, got, seven)
+				}
+			}
+		}
+	}
+}
+
+// TestRegistersLargeEnumIDRoundTrips stores ids up to the int32 maximum on
+// the float64 value plane and reads them back exactly.
+func TestRegistersLargeEnumIDRoundTrips(t *testing.T) {
+	s := NewState()
+	slot := s.Schema().Intern("mode")
+	for _, id := range []int32{1, 1<<24 + 1, math.MaxInt32 - 1, math.MaxInt32} {
+		s.SetSlotStringID(slot, id)
+		if got := s.SlotStringID(slot); got != id {
+			t.Errorf("SlotStringID after storing %d = %d", id, got)
+		}
+		if got := s.Clone().SlotStringID(slot); got != id {
+			t.Errorf("cloned SlotStringID after storing %d = %d", id, got)
+		}
+	}
+}
+
+// TestRegistersCopyFromNarrowerKeepsTail copies a state sized before the
+// schema grew into a wider one: the copied slots take the source's values
+// and every tail slot beyond the source's width keeps its own, of every kind.
+func TestRegistersCopyFromNarrowerKeepsTail(t *testing.T) {
+	schema := NewSchema()
+	for i := 0; i < 5; i++ {
+		schema.Intern("v" + strconv.Itoa(i))
+	}
+	narrow := NewStateWith(schema)
+	for i := 0; i < 5; i++ {
+		narrow.SetSlotNumber(i, float64(i))
+	}
+	schema.Intern("tb")
+	schema.Intern("tn")
+	schema.Intern("ts")
+	wide := NewStateWith(schema).SetBool("tb", true).SetNumber("tn", 2.5).SetString("ts", "ACC")
+	for i := 0; i < 5; i++ {
+		wide.SetSlotString(i, "stale")
+	}
+	wide.CopyFrom(narrow)
+	for i := 0; i < 5; i++ {
+		if got := wide.Slot(i); !got.Equal(Number(float64(i))) {
+			t.Errorf("copied slot %d = %v, want %d", i, got, i)
+		}
+	}
+	if !wide.Bool("tb") || wide.Number("tn") != 2.5 || wide.StringVal("ts") != "ACC" {
+		t.Errorf("tail slots clobbered by a narrower CopyFrom: %v", wide)
 	}
 }

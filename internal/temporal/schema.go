@@ -26,7 +26,7 @@ type Schema struct {
 	sorted []int
 
 	// enums / enumIdx intern the enumeration-string values stored in the
-	// register file's small-int plane (e.g. "ACC", "D", "STOP"): each
+	// register file's value plane (e.g. "ACC", "D", "STOP"): each
 	// distinct string is assigned a dense id once, and every State of the
 	// run stores the id.  enums[0] is always "", so a string slot's
 	// truthiness is id != 0.

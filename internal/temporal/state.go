@@ -6,17 +6,18 @@ import (
 	"time"
 )
 
-// Registers is the slot-indexed register file backing a State, stored as
-// typed struct-of-arrays planes indexed by the slots of a Schema: a kind
-// plane tagging each slot's dynamic type, a []float64 plane for numbers, a
-// packed bit plane for booleans and a small-int plane holding per-schema
-// interned enumeration-string ids.  The thesis models the composite system as
+// Registers is the slot-indexed register file backing a State, stored as two
+// struct-of-arrays planes indexed by the slots of a Schema: a kind plane
+// tagging each slot's dynamic type and one []float64 value plane.  A number
+// is stored as itself, a boolean as exactly 0 or 1 and an enumeration string
+// as float64 of its per-schema interned id (exact for every int32), so every
+// kind's truthiness is value != 0.  The thesis models the composite system as
 // a set of named state variables whose values change from state to state;
-// the SoA planes make copying a state a handful of pointer-free memmoves
-// (~13 bytes per slot instead of a 40-byte Value struct, and no GC write
-// barriers, since no plane holds a pointer) and reading a resolved variable
-// a typed array load, which removes both string hashing and Value
-// construction from the simulation and monitoring hot path entirely.
+// the two planes make copying a state two pointer-free memmoves (9 bytes per
+// slot instead of a 40-byte Value struct, and no GC write barriers, since no
+// plane holds a pointer) and reading a resolved variable a typed array load,
+// which removes both string hashing and Value construction from the
+// simulation and monitoring hot path entirely.
 //
 // The name-keyed Value API (Get/Set/Slot/SetSlot) is preserved on top of the
 // planes; hot paths use the typed plane accessors (SlotNumber/SlotBool/
@@ -24,14 +25,9 @@ import (
 type Registers struct {
 	schema *Schema
 	kinds  []uint8   // Kind per slot (KindInvalid = no value)
-	nums   []float64 // number plane
-	bits   []uint64  // packed bool plane, 64 slots per word
-	strs   []int32   // enumeration plane: per-schema interned string ids
+	vals   []float64 // value plane: numbers, bools as 0/1, enumeration ids
 	lanes  int       // lane width; 0 and 1 both mean scalar layout
 }
-
-// bitWords returns the number of bit-plane words covering n slots.
-func bitWords(n int) int { return (n + 63) / 64 }
 
 // State is a snapshot of all system state variables at one instant.  Each
 // simulation step produces one State.  State is a reference type (a pointer
@@ -73,9 +69,7 @@ func NewStateWithLanes(schema *Schema, lanes int) State {
 	return &Registers{
 		schema: schema,
 		kinds:  make([]uint8, n),
-		nums:   make([]float64, n),
-		bits:   make([]uint64, bitWords(n)),
-		strs:   make([]int32, n),
+		vals:   make([]float64, n),
 		lanes:  lanes,
 	}
 }
@@ -148,23 +142,18 @@ func (s *Registers) Clone() State {
 	if s == nil {
 		return NewState()
 	}
-	c := &Registers{
+	return &Registers{
 		schema: s.schema,
-		kinds:  make([]uint8, len(s.kinds)),
-		nums:   make([]float64, len(s.nums)),
-		bits:   make([]uint64, len(s.bits)),
-		strs:   make([]int32, len(s.strs)),
+		kinds:  append([]uint8(nil), s.kinds...),
+		vals:   append([]float64(nil), s.vals...),
 		lanes:  s.lanes,
 	}
-	copy(c.kinds, s.kinds)
-	copy(c.nums, s.nums)
-	copy(c.bits, s.bits)
-	copy(c.strs, s.strs)
-	return c
 }
 
 // grow widens the register file to at least the schema width, for states
-// sized before the schema interned further names.
+// sized before the schema interned further names.  Appending past a plane's
+// capacity reallocates it, and trace snapshots carry capacity-capped
+// sub-slices of a shared slab, so growing one never overwrites a neighbour.
 //
 //lint:allocok schema-growth slow path; runs only when a name was interned after the state was sized, never in steady state
 func (s *Registers) grow() {
@@ -172,27 +161,14 @@ func (s *Registers) grow() {
 	if n <= len(s.kinds) {
 		return
 	}
-	kinds := make([]uint8, n)
-	copy(kinds, s.kinds)
-	s.kinds = kinds
-	nums := make([]float64, n)
-	copy(nums, s.nums)
-	s.nums = nums
-	strs := make([]int32, n)
-	copy(strs, s.strs)
-	s.strs = strs
-	if w := bitWords(n); w > len(s.bits) {
-		bits := make([]uint64, w)
-		copy(bits, s.bits)
-		s.bits = bits
-	}
+	s.kinds = append(s.kinds, make([]uint8, n-len(s.kinds))...)
+	s.vals = append(s.vals, make([]float64, n-len(s.vals))...)
 }
 
-// CopyFrom overwrites this state's registers with src's: a plane-by-plane
-// memmove, every slot of src included.  Both states must share the same
-// Schema.  It is what makes a bus commit a few pointer-free slice copies
-// instead of a map merge; slots beyond src's written range keep their
-// previous value.
+// CopyFrom overwrites this state's registers with src's: two plane memmoves,
+// every slot of src included.  Both states must share the same Schema.  It is
+// what makes a bus commit two pointer-free slice copies instead of a map
+// merge; slots beyond src's width keep their previous value.
 func (s *Registers) CopyFrom(src State) {
 	if src == nil {
 		return
@@ -202,23 +178,14 @@ func (s *Registers) CopyFrom(src State) {
 		s.grow()
 	}
 	copy(s.kinds[:n], src.kinds)
-	copy(s.nums[:n], src.nums)
-	copy(s.strs[:n], src.strs)
-	// The bit plane is copied at word granularity; the last word may be
-	// shared with slots beyond src's range, whose bits must survive.
-	w := n >> 6
-	copy(s.bits[:w], src.bits[:w])
-	if rem := uint(n) & 63; rem != 0 {
-		mask := (uint64(1) << rem) - 1
-		s.bits[w] = (s.bits[w] &^ mask) | (src.bits[w] & mask)
-	}
+	copy(s.vals[:n], src.vals)
 }
 
 // Reset clears every slot to the invalid value while keeping the schema and
 // the plane capacity, so a bus (and the whole simulation arena built on it)
 // can be rewound for the next run without re-interning a name or growing a
-// plane.  Only the kind plane is cleared: stale numbers, bits and string ids
-// are unreachable behind a KindInvalid tag.
+// plane.  Only the kind plane is cleared: stale values are unreachable behind
+// a KindInvalid tag.
 func (s *Registers) Reset() {
 	for i := range s.kinds {
 		s.kinds[i] = 0
@@ -234,11 +201,11 @@ func (s *Registers) Slot(i int) Value {
 	}
 	switch Kind(s.kinds[i]) {
 	case KindBool:
-		return Value{kind: KindBool, b: s.bits[i>>6]&(1<<(uint(i)&63)) != 0}
+		return Value{kind: KindBool, b: s.vals[i] != 0}
 	case KindNumber:
-		return Value{kind: KindNumber, f: s.nums[i]}
+		return Value{kind: KindNumber, f: s.vals[i]}
 	case KindString:
-		return Value{kind: KindString, s: s.schema.EnumString(s.strs[i])}
+		return Value{kind: KindString, s: s.schema.EnumString(int32(s.vals[i]))}
 	default:
 		return Value{}
 	}
@@ -254,20 +221,15 @@ func (s *Registers) SlotKind(i int) Kind {
 }
 
 // SlotNumber reads slot i with Value.AsNumber semantics straight from the
-// planes: numbers load from the float plane, booleans map to 0/1, and
+// planes: numbers and booleans (stored as 0/1) load from the value plane, and
 // strings, absent values, out-of-range slots and the nil State are NaN.
 func (s *Registers) SlotNumber(i int) float64 {
 	if s == nil || i < 0 || i >= len(s.kinds) {
 		return math.NaN()
 	}
 	switch Kind(s.kinds[i]) {
-	case KindNumber:
-		return s.nums[i]
-	case KindBool:
-		if s.bits[i>>6]&(1<<(uint(i)&63)) != 0 {
-			return 1
-		}
-		return 0
+	case KindNumber, KindBool:
+		return s.vals[i]
 	default:
 		return math.NaN()
 	}
@@ -281,13 +243,8 @@ func (s *Registers) SlotNumberOK(i int) (float64, bool) {
 		return math.NaN(), false
 	}
 	switch Kind(s.kinds[i]) {
-	case KindNumber:
-		return s.nums[i], true
-	case KindBool:
-		if s.bits[i>>6]&(1<<(uint(i)&63)) != 0 {
-			return 1, true
-		}
-		return 0, true
+	case KindNumber, KindBool:
+		return s.vals[i], true
 	case KindString:
 		return math.NaN(), true
 	default:
@@ -296,44 +253,33 @@ func (s *Registers) SlotNumberOK(i int) (float64, bool) {
 }
 
 // SlotBool reads slot i with Value.AsBool semantics straight from the
-// planes: booleans load from the bit plane, numbers are truthy when
-// non-zero, strings when non-empty, and absent values are false.
+// planes: every present value is truthy when its value-plane entry is
+// non-zero (a true bool, a non-zero or NaN number, a string other than ""
+// at id 0), and absent values are false.
 func (s *Registers) SlotBool(i int) bool {
 	if s == nil || i < 0 || i >= len(s.kinds) {
 		return false
 	}
-	switch Kind(s.kinds[i]) {
-	case KindBool:
-		return s.bits[i>>6]&(1<<(uint(i)&63)) != 0
-	case KindNumber:
-		return s.nums[i] != 0
-	case KindString:
-		return s.strs[i] != emptyEnumID
-	default:
-		return false
-	}
+	return Kind(s.kinds[i]) != KindInvalid && s.vals[i] != 0
 }
 
-// SlotStringID reads the enumeration plane: the schema-interned id of slot
-// i's string value, or -1 when the slot does not hold a string.  Together
-// with Schema.InternString it lets equality against an enumeration constant
-// compare two small ints instead of two strings.
+// SlotStringID reads the schema-interned id of slot i's string value, or -1
+// when the slot does not hold a string.  Together with Schema.InternString
+// it lets equality against an enumeration constant compare two numbers
+// instead of two strings.
 func (s *Registers) SlotStringID(i int) int32 {
 	if s == nil || i < 0 || i >= len(s.kinds) || Kind(s.kinds[i]) != KindString {
 		return -1
 	}
-	return s.strs[i]
+	return int32(s.vals[i])
 }
 
 // SlotString reads slot i with Value.AsString semantics: interned strings
-// load from the enumeration plane, other kinds are formatted, and absent
+// resolve their id through the schema, other kinds are formatted, and absent
 // values are "".
 func (s *Registers) SlotString(i int) string {
-	if s == nil || i < 0 || i >= len(s.kinds) {
-		return ""
-	}
-	if Kind(s.kinds[i]) == KindString {
-		return s.schema.EnumString(s.strs[i])
+	if id := s.SlotStringID(i); id >= 0 {
+		return s.schema.EnumString(id)
 	}
 	return s.Slot(i).AsString()
 }
@@ -356,27 +302,22 @@ func (s *Registers) SetSlot(i int, v Value) {
 	}
 }
 
-// SetSlotNumber stores a number at slot i on the float plane.
+// SetSlotNumber stores a number at slot i on the value plane.
 func (s *Registers) SetSlotNumber(i int, f float64) {
 	if i >= len(s.kinds) {
 		s.grow()
 	}
 	s.kinds[i] = uint8(KindNumber)
-	s.nums[i] = f
+	s.vals[i] = f
 }
 
-// SetSlotBool stores a boolean at slot i on the packed bit plane.
+// SetSlotBool stores a boolean at slot i on the value plane, as 0 or 1.
 func (s *Registers) SetSlotBool(i int, b bool) {
 	if i >= len(s.kinds) {
 		s.grow()
 	}
 	s.kinds[i] = uint8(KindBool)
-	mask := uint64(1) << (uint(i) & 63)
-	if b {
-		s.bits[i>>6] |= mask
-	} else {
-		s.bits[i>>6] &^= mask
-	}
+	s.vals[i] = float64(b2u(b))
 }
 
 // SetSlotString stores an enumeration string at slot i, interning it in the
@@ -386,7 +327,7 @@ func (s *Registers) SetSlotString(i int, str string) {
 		s.grow()
 	}
 	s.kinds[i] = uint8(KindString)
-	s.strs[i] = s.schema.InternString(str)
+	s.vals[i] = float64(s.schema.InternString(str))
 }
 
 // SetSlotStringID stores an already-interned enumeration id at slot i; the
@@ -396,7 +337,7 @@ func (s *Registers) SetSlotStringID(i int, id int32) {
 		s.grow()
 	}
 	s.kinds[i] = uint8(KindString)
-	s.strs[i] = id
+	s.vals[i] = float64(id)
 }
 
 // Get returns the value of a variable.  Missing variables — and every
@@ -497,7 +438,18 @@ type Trace struct {
 	Period time.Duration
 
 	states []State
+
+	// The unused tail of the current snapshot chunk AppendClone copies
+	// into: register headers plus kind and value slabs, each snapshot
+	// taking width entries of both slabs.
+	regs  []Registers
+	kinds []uint8
+	vals  []float64
+	width int
 }
+
+// traceChunk is the most snapshots one AppendClone chunk holds.
+const traceChunk = 512
 
 // NewTrace returns an empty trace with the given sampling period.  A zero
 // period defaults to one millisecond, the state period used in the thesis.
@@ -524,8 +476,34 @@ func NewTraceWithCapacity(period time.Duration, n int) *Trace {
 // by reference; callers that keep mutating a working state must Clone first.
 func (t *Trace) Append(s State) { t.states = append(t.states, s) }
 
-// AppendClone adds an independent copy of the state to the trace.
-func (t *Trace) AppendClone(s State) { t.states = append(t.states, s.Clone()) }
+// AppendClone adds an independent copy of the state to the trace.  The copy
+// lives in the trace's current chunk: one array of register headers plus one
+// kind slab and one value slab, sized for min(512, remaining capacity)
+// snapshots of the state's width, so recording a run allocates three objects
+// per chunk instead of a register file per state.  A width change (a name interned
+// mid-run) starts a new chunk.  Each snapshot's planes are capacity-capped
+// sub-slices of the slabs, so a later write that grows one snapshot
+// reallocates its planes instead of overwriting its neighbour.
+func (t *Trace) AppendClone(s State) {
+	if s == nil {
+		t.states = append(t.states, s.Clone())
+		return
+	}
+	n := len(s.kinds)
+	if len(t.regs) == 0 || n != t.width {
+		c := min(traceChunk, max(cap(t.states)-len(t.states), 1))
+		t.regs = make([]Registers, c)
+		t.kinds = make([]uint8, c*n)
+		t.vals = make([]float64, c*n)
+		t.width = n
+	}
+	r := &t.regs[0]
+	*r = Registers{schema: s.schema, kinds: t.kinds[:n:n], vals: t.vals[:n:n], lanes: s.lanes}
+	copy(r.kinds, s.kinds)
+	copy(r.vals, s.vals)
+	t.regs, t.kinds, t.vals = t.regs[1:], t.kinds[n:], t.vals[n:]
+	t.states = append(t.states, r)
+}
 
 // Len returns the number of states in the trace.
 func (t *Trace) Len() int { return len(t.states) }
@@ -569,6 +547,9 @@ func (t *Trace) Slice(from, to int) *Trace {
 	}
 	if to > len(t.states) {
 		to = len(t.states)
+	}
+	if to < 0 {
+		to = 0
 	}
 	if from > to {
 		from = to

@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -117,11 +118,96 @@ func TestTraceSlice(t *testing.T) {
 		t.Errorf("Slice At(0).x = %v, want 1", got)
 	}
 	// Out-of-range bounds are clamped rather than panicking.
-	if got := tr.Slice(-2, 100).Len(); got != 5 {
-		t.Errorf("clamped slice len = %d, want 5", got)
+	for _, tt := range []struct{ from, to, len, first int }{
+		{-2, 100, 5, 0},
+		{4, 2, 0, -1},
+		{0, -1, 0, -1},
+		{-3, -1, 0, -1},
+		{3, -5, 0, -1},
+		{7, 9, 0, -1},
+		{2, 99, 3, 2},
+		{-1, 2, 2, 0},
+	} {
+		sub := tr.Slice(tt.from, tt.to)
+		if sub.Len() != tt.len {
+			t.Errorf("Slice(%d, %d) len = %d, want %d", tt.from, tt.to, sub.Len(), tt.len)
+			continue
+		}
+		if tt.first >= 0 && sub.At(0).Number("x") != float64(tt.first) {
+			t.Errorf("Slice(%d, %d) starts at x = %v, want %d", tt.from, tt.to, sub.At(0).Number("x"), tt.first)
+		}
 	}
-	if got := tr.Slice(4, 2).Len(); got != 0 {
-		t.Errorf("inverted slice len = %d, want 0", got)
+}
+
+// TestTraceAppendCloneIndependentOfLive records snapshots of one live state
+// and mutates it after each: every snapshot keeps the values it was recorded
+// with.
+func TestTraceAppendCloneIndependentOfLive(t *testing.T) {
+	live := NewState()
+	tr := NewTraceWithCapacity(time.Millisecond, 3)
+	for i := 0; i < 3; i++ {
+		live.SetNumber("n", float64(i)).SetBool("b", i%2 == 0).SetString("s", "S"+strconv.Itoa(i))
+		tr.AppendClone(live)
+	}
+	live.SetNumber("n", -1).SetBool("b", false).SetString("s", "live")
+	live.Set("n", Value{})
+	for i := 0; i < 3; i++ {
+		want := "{b=" + strconv.FormatBool(i%2 == 0) + ", n=" + strconv.Itoa(i) + ", s='S" + strconv.Itoa(i) + "'}"
+		if got := tr.At(i).String(); got != want {
+			t.Errorf("snapshot %d = %s, want %s", i, got, want)
+		}
+	}
+}
+
+// TestTraceSlabSnapshotGrowKeepsNeighbour grows one snapshot of a chunk (a
+// write to a name interned after it was recorded) and checks that its slab
+// neighbour is untouched.
+func TestTraceSlabSnapshotGrowKeepsNeighbour(t *testing.T) {
+	live := NewState().SetNumber("a", 1).SetString("m", "ACC")
+	tr := NewTraceWithCapacity(time.Millisecond, 2)
+	tr.AppendClone(live)
+	live.SetNumber("a", 2)
+	tr.AppendClone(live)
+
+	first, second := tr.At(0), tr.At(1)
+	first.SetNumber("a", 10)      // in place, inside its own slab range
+	first.SetBool("grown", true)  // interns a name: first's planes grow
+	first.SetNumber("extra", 3.5) // and grow again
+	if got := second.String(); got != "{a=2, m='ACC'}" {
+		t.Errorf("neighbour snapshot = %s, want {a=2, m='ACC'}", got)
+	}
+	if got := first.String(); got != "{a=10, extra=3.5, grown=true, m='ACC'}" {
+		t.Errorf("grown snapshot = %s", got)
+	}
+}
+
+// TestTraceMidRunInternStartsChunk interns a name between recordings: the
+// next snapshot starts a new, wider chunk, and the earlier, narrower
+// snapshots still read their own values and treat the new name as absent.
+func TestTraceMidRunInternStartsChunk(t *testing.T) {
+	live := NewState().SetNumber("x", 0)
+	tr := NewTraceWithCapacity(time.Millisecond, 8)
+	for i := 0; i < 3; i++ {
+		tr.AppendClone(live.SetNumber("x", float64(i)))
+	}
+	if tr.width != 1 || len(tr.regs) != 5 {
+		t.Fatalf("first chunk: width %d with %d free, want width 1 with 5 free", tr.width, len(tr.regs))
+	}
+	live.SetBool("late", true)
+	for i := 3; i < 5; i++ {
+		tr.AppendClone(live.SetNumber("x", float64(i)))
+	}
+	if tr.width != 2 || len(tr.regs) != 3 {
+		t.Errorf("after the intern: width %d with %d free, want a new width-2 chunk with 3 free", tr.width, len(tr.regs))
+	}
+	for i := 0; i < 5; i++ {
+		st := tr.At(i)
+		if got := st.Number("x"); got != float64(i) {
+			t.Errorf("snapshot %d: x = %v, want %d", i, got, i)
+		}
+		if got, want := st.Has("late"), i >= 3; got != want {
+			t.Errorf("snapshot %d: Has(late) = %v, want %v", i, got, want)
+		}
 	}
 }
 
