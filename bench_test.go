@@ -222,7 +222,7 @@ func benchmarkScenario(b *testing.B, number int) {
 		b.Fatalf("no scenario %d", number)
 	}
 	for i := 0; i < b.N; i++ {
-		res := scenarios.Run(sc)
+		res := scenarios.RunWithOptions(sc, scenarios.Options{})
 		_ = scenarios.RenderViolationTable(res)
 	}
 }
@@ -239,14 +239,39 @@ func BenchmarkTableD10_Scenario9(b *testing.B)  { benchmarkScenario(b, 9) }
 func BenchmarkTableD11_Scenario10(b *testing.B) { benchmarkScenario(b, 10) }
 
 // ---------------------------------------------------------------------------
-// Batch scenario execution: the sequential baseline, the parallel Runner and
-// a parameter sweep.  The sequential/parallel pair tracks the wall-clock win
-// of the worker pool on multicore hardware (identical results either way).
+// Batch scenario execution: the sequential baseline, the parallel Engine and
+// a parameter sweep, every KeepTrace result retained.  The
+// sequential/parallel pair tracks the wall-clock win of the worker pool on
+// multicore hardware (identical results either way).
 // ---------------------------------------------------------------------------
+
+// collectAll streams src through engine and retains every Result, as a
+// batch caller that keeps every trace does.
+func collectAll(b *testing.B, engine *scenarios.Engine, src scenarios.JobSource) []scenarios.Result {
+	b.Helper()
+	var out []scenarios.Result
+	err := engine.Stream(context.Background(), src, scenarios.SinkFunc(func(sr scenarios.StreamResult) error {
+		out = append(out, sr.Result)
+		return nil
+	}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out
+}
+
+// thesisJobs returns one default-options job per thesis scenario.
+func thesisJobs() []scenarios.Job {
+	var jobs []scenarios.Job
+	for _, sc := range scenarios.Scenarios() {
+		jobs = append(jobs, scenarios.Job{Scenario: sc})
+	}
+	return jobs
+}
 
 func BenchmarkRunAllSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := scenarios.Runner{Workers: 1}.RunScenarios(scenarios.Scenarios(), scenarios.Options{})
+		results := collectAll(b, scenarios.NewEngine(scenarios.WithWorkers(1)), scenarios.SliceSource(thesisJobs()))
 		if len(results) != 10 {
 			b.Fatal("expected ten results")
 		}
@@ -255,7 +280,7 @@ func BenchmarkRunAllSequential(b *testing.B) {
 
 func BenchmarkRunAllParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := scenarios.RunAll() // default Runner: GOMAXPROCS workers
+		results := collectAll(b, scenarios.NewEngine(), scenarios.SliceSource(thesisJobs())) // GOMAXPROCS workers
 		if len(results) != 10 {
 			b.Fatal("expected ten results")
 		}
@@ -263,14 +288,13 @@ func BenchmarkRunAllParallel(b *testing.B) {
 }
 
 // BenchmarkSweepShortDuration runs a 40-variant sweep of 2 s runs through the
-// parallel Runner, tracking generated-scenario throughput without the cost of
-// full 20 s simulations per iteration.
+// parallel Engine with every trace retained, tracking generated-scenario
+// throughput without the cost of full 20 s simulations per iteration.
 func BenchmarkSweepShortDuration(b *testing.B) {
 	sweep := shortSweep()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := scenarios.Runner{}.RunSweep(sweep)
-		if len(res.Results) != 40 {
+		if res := collectAll(b, scenarios.NewEngine(), scenarios.SliceSource(sweep.Jobs())); len(res) != 40 {
 			b.Fatal("expected 40 sweep results")
 		}
 	}
@@ -291,21 +315,19 @@ func shortSweep() scenarios.Sweep {
 	return scenarios.Sweep{Families: families}
 }
 
-// BenchmarkSweepRetention contrasts the batch path (Runner.RunSweep:
-// materialized jobs, every trace retained) with the streaming Engine under
-// both retention policies over the same 40-variant sweep.  Run with -benchmem:
+// BenchmarkSweepRetention contrasts the batch shape (materialized jobs,
+// every KeepTrace result retained) with the streaming Engine under both
+// retention policies over the same 40-variant sweep.  Run with -benchmem:
 // SummaryOnly skips the per-step state snapshot entirely — the simulation
-// records no trace — so B/op drops by roughly the full trace cost
-// (thousands of map clones per run) versus RunSweep and KeepTrace, which is
-// the allocation evidence that large sweeps can stream with O(workers)
-// memory.
+// records no trace — so B/op drops by roughly the full trace cost versus the
+// batch and KeepTrace runs, which is the allocation evidence that large
+// sweeps can stream with O(workers) memory.
 func BenchmarkSweepRetention(b *testing.B) {
 	sweep := shortSweep()
 	b.Run("RunSweepBatch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res := scenarios.Runner{}.RunSweep(sweep)
-			if len(res.Results) != 40 {
+			if res := collectAll(b, scenarios.NewEngine(), scenarios.SliceSource(sweep.Jobs())); len(res) != 40 {
 				b.Fatal("expected 40 sweep results")
 			}
 		}
@@ -402,7 +424,7 @@ func BenchmarkToleranceSweepGrouped(b *testing.B) {
 func BenchmarkAblation_CorrectedScenario2(b *testing.B) {
 	sc, _ := scenarios.ScenarioByNumber(2)
 	for i := 0; i < b.N; i++ {
-		res := scenarios.RunCorrected(sc)
+		res := scenarios.RunWithOptions(sc, scenarios.Options{CorrectDefects: true})
 		if res.Collision {
 			b.Fatal("the corrected system should avoid the collision")
 		}
@@ -415,7 +437,7 @@ func BenchmarkAblation_CorrectedScenario2(b *testing.B) {
 
 func BenchmarkFigures5_SeriesExtraction(b *testing.B) {
 	sc, _ := scenarios.ScenarioByNumber(1)
-	res := scenarios.Run(sc)
+	res := scenarios.RunWithOptions(sc, scenarios.Options{})
 	figs := scenarios.Figures()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -429,7 +451,7 @@ func BenchmarkFigures5_SeriesExtraction(b *testing.B) {
 
 func BenchmarkViolationClassification(b *testing.B) {
 	sc, _ := scenarios.ScenarioByNumber(2)
-	res := scenarios.Run(sc)
+	res := scenarios.RunWithOptions(sc, scenarios.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = res.Suite.Classify()

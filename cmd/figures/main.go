@@ -52,7 +52,7 @@ func run(args []string, w io.Writer) error {
 			if !ok {
 				return fmt.Errorf("figure %s references unknown scenario %d", f.ID, f.Scenario)
 			}
-			results[f.Scenario] = scenarios.Run(sc)
+			results[f.Scenario] = scenarios.RunWithOptions(sc, scenarios.Options{})
 		}
 	}
 

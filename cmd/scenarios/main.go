@@ -90,10 +90,38 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-cache-stats requires -sweep, -json or -stream: rendered-table runs retain full traces and never consult the summary-only result cache")
 	}
 
+	// Resolve the job source before any output, so a bad selection fails
+	// with nothing written.  Sweeps stay lazy end to end: the grid is
+	// generated variant by variant and never materialized.
+	var src scenarios.JobSource
+	switch {
+	case *sweep:
+		// The selection resolves through the same scenarios.SweepSourceFor
+		// that cmd/sweepd and cmd/sweepworker use, so this single-process
+		// reference enumerates exactly the grid a distributed sweep does.
+		source, err := scenarios.SweepSourceFor(*sweepSize, *number, *corrected)
+		if err != nil {
+			return err
+		}
+		src = source()
+	case *number != 0:
+		sc, ok := scenarios.ScenarioByNumber(*number)
+		if !ok {
+			return fmt.Errorf("no scenario numbered %d", *number)
+		}
+		src = scenarios.SliceSource([]scenarios.Job{{Scenario: sc, Options: opts}})
+	default:
+		var jobs []scenarios.Job
+		for _, sc := range scenarios.Scenarios() {
+			jobs = append(jobs, scenarios.Job{Scenario: sc, Options: opts})
+		}
+		src = scenarios.SliceSource(jobs)
+	}
+
 	// Profiling hooks, so sweep hot spots can be inspected without editing
 	// code: scenarios -sweep -sweep-size huge -cpuprofile cpu.out.  They
-	// start after flag validation so an erroneous invocation never truncates
-	// an existing profile file.
+	// start after flag and selection validation so an erroneous invocation
+	// never truncates an existing profile file.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -135,32 +163,6 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintln(w, scenarios.RenderTable5_3())
 	}
 
-	// Resolve the job source.  Sweeps stay lazy end to end: the grid is
-	// generated variant by variant and never materialized.
-	var src scenarios.JobSource
-	switch {
-	case *sweep:
-		// The selection resolves through the same scenarios.SweepSourceFor
-		// that cmd/sweepd and cmd/sweepworker use, so this single-process
-		// reference enumerates exactly the grid a distributed sweep does.
-		source, err := scenarios.SweepSourceFor(*sweepSize, *number, *corrected)
-		if err != nil {
-			return err
-		}
-		src = source()
-	case *number != 0:
-		sc, ok := scenarios.ScenarioByNumber(*number)
-		if !ok {
-			return fmt.Errorf("no scenario numbered %d", *number)
-		}
-		src = scenarios.SliceSource([]scenarios.Job{{Scenario: sc, Options: opts}})
-	default:
-		var jobs []scenarios.Job
-		for _, sc := range scenarios.Scenarios() {
-			jobs = append(jobs, scenarios.Job{Scenario: sc, Options: opts})
-		}
-		src = scenarios.SliceSource(jobs)
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc

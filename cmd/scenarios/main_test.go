@@ -45,12 +45,23 @@ func TestRunSingleScenario(t *testing.T) {
 	}
 }
 
+// TestRunUnknownScenario checks that a bad selection is an error that
+// writes nothing, even when -table53 or -goals would otherwise print first.
 func TestRunUnknownScenario(t *testing.T) {
-	if err := run([]string{"-n", "99"}, io.Discard); err == nil {
-		t.Fatal("unknown scenario number should be an error")
-	}
-	if err := run([]string{"-sweep", "-n", "99"}, io.Discard); err == nil {
-		t.Fatal("unknown sweep scenario number should be an error")
+	for _, args := range [][]string{
+		{"-n", "99"},
+		{"-sweep", "-n", "99"},
+		{"-table53", "-n", "99"},
+		{"-goals", "-n", "99"},
+		{"-table53", "-sweep", "-sweep-size", "bogus"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
+			t.Errorf("run(%v) should be an error", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) wrote %d bytes before failing, want none", args, out.Len())
+		}
 	}
 }
 

@@ -96,21 +96,22 @@
 // Scenario evaluation is built around the streaming scenarios.Engine: jobs
 // are pulled lazily from a JobSource (Family and Sweep expose generator
 // forms, so a parameter grid of any size never materializes a job slice),
-// each Result is pushed to a ResultSink as it completes — in source order by
-// default — and a trace-retention policy (KeepTrace or SummaryOnly) decides
-// whether sweep memory is O(variants) or O(workers).  Runs are bounded and
-// cancelled through a context.Context; cancellation drains in-flight work
-// and leaves a valid partial aggregate in the Accumulator sink.  The batch
-// entry points (scenarios.Runner, RunAll, RunSweep) remain as thin
-// compatibility wrappers over the Engine.
+// each Result is pushed to a ResultSink in source order, and a
+// trace-retention policy (KeepTrace or SummaryOnly) decides whether sweep
+// memory is O(variants) or O(workers).  Runs are bounded and cancelled
+// through a context.Context; cancellation drains in-flight work and leaves a
+// valid partial aggregate in the Accumulator sink.  Engine.Stream is the one
+// batch entry point: a bounded batch that keeps every trace is a KeepTrace
+// stream into a slice, and scenarios.RunWithOptions runs a single scenario.
 //
 // Sweeps also run distributed (internal/dist): jobs are partitioned across
 // worker processes by a deterministic shard key — the FNV-1a hash of each
 // variant's canonical identity (scenarios.Job.Key), a pure function of the
 // variant, so every process derives the same partition without coordination —
 // and a coordinator (cmd/sweepd) merges the workers' NDJSON streams back
-// through the ordered-sink path, deduplicated by key and folded through
-// Accumulator.Merge, producing output byte-identical to a single process.
+// into source order, dropping any variant key it has already merged and
+// folding per-shard aggregates through Accumulator.Merge, producing output
+// byte-identical to a single process.
 // Dead or stalled workers are re-queued with the proved prefix of their shard
 // seeded into the replacement's result cache, so fault recovery re-simulates
 // only what was genuinely lost; the SIGKILL chaos test proves the merged

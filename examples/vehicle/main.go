@@ -19,7 +19,7 @@ func main() {
 	if !ok {
 		panic("scenario 2 missing")
 	}
-	result := scenarios.Run(sc)
+	result := scenarios.RunWithOptions(sc, scenarios.Options{})
 
 	fmt.Println(scenarios.RenderViolationTable(result))
 	fmt.Println(scenarios.RenderClassificationDetail(result))

@@ -50,9 +50,9 @@
 //
 // Each worker streams RunReport NDJSON lines; the coordinator
 // maps each line back to the job it enumerated itself, rebuilds the
-// scenarios.Result, and delivers it through the ordered ResultSink path —
-// deduplicated by variant key, reordered into global source order, folded
-// into one Accumulator per shard.  When every variant has been delivered the
+// scenarios.Result, and merges it: a variant key already merged is dropped,
+// the rest are folded into one Accumulator per shard and released to the
+// ResultSink in global source order.  When every variant has been delivered the
 // per-shard accumulators are merged (Accumulator.Merge, order-independent)
 // into the final aggregate.
 //
@@ -65,9 +65,9 @@
 // worker already proved, so the engine's result cache replays the proved
 // prefix instead of re-simulating it and only the genuinely unfinished
 // variants cost simulation time.  Re-delivery is
-// harmless by construction: results are idempotent by variant key, and a
-// slow-then-recovered worker's duplicates are dropped at the coordinator's
-// dedup sink.  Every variant therefore reaches the output exactly once, in
+// harmless by construction: results are idempotent by variant key, and the
+// coordinator records every key it has merged, so a slow-then-recovered
+// worker's duplicates are dropped on arrival.  Every variant therefore reaches the output exactly once, in
 // source order, whatever the failure history.
 //
 // # Retry budgets and backoff

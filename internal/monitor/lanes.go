@@ -204,10 +204,6 @@ func (ls *LaneSuite) ObserveLanes(st temporal.State) {
 // the active mask.
 func (ls *LaneSuite) LaneStopped(lane int) { ls.closeLane(lane) }
 
-// DeactivateLane retires a lane mid-batch, closing its open intervals; used
-// both for early-stopped lanes and for unused lanes of a narrow batch.
-func (ls *LaneSuite) DeactivateLane(lane int) { ls.closeLane(lane) }
-
 func (ls *LaneSuite) closeLane(lane int) {
 	bit := uint64(1) << uint(lane)
 	if ls.active&bit == 0 {
@@ -233,12 +229,9 @@ func (ls *LaneSuite) Finish() {
 	}
 }
 
-// LaneStepsObserved returns how many states lane l contributed to the batch.
-func (ls *LaneSuite) LaneStepsObserved(l int) int { return ls.laneSteps[l] }
-
 // FastSummaryAt computes one lane's classification summary at an explicit
 // matching tolerance; see Suite.FastSummaryAt.  Call after Finish (or after
-// the lane was deactivated).
+// the lane stopped).
 func (ls *LaneSuite) FastSummaryAt(lane, tolerance int) Summary {
 	return ls.suites[lane].FastSummaryAt(tolerance)
 }

@@ -15,7 +15,7 @@ import (
 func TestAblationCorrectedDefects(t *testing.T) {
 	t.Run("scenario 2 corrected: CA stops the vehicle", func(t *testing.T) {
 		sc, _ := ScenarioByNumber(2)
-		r := RunCorrected(sc)
+		r := RunWithOptions(sc, Options{CorrectDefects: true})
 		if r.Collision {
 			t.Error("with the arbitration defect removed, CA's braking should prevent the collision")
 		}
@@ -37,7 +37,7 @@ func TestAblationCorrectedDefects(t *testing.T) {
 
 	t.Run("scenario 7 corrected: RCA engages", func(t *testing.T) {
 		sc, _ := ScenarioByNumber(7)
-		r := RunCorrected(sc)
+		r := RunWithOptions(sc, Options{CorrectDefects: true})
 		engaged := false
 		for i := 0; i < r.Trace.Len(); i++ {
 			if r.Trace.At(i).Bool(vehicle.SigActive(vehicle.SourceRCA)) {
@@ -55,7 +55,7 @@ func TestAblationCorrectedDefects(t *testing.T) {
 
 	t.Run("scenario 8 corrected: ACC rejects reverse engagement", func(t *testing.T) {
 		sc, _ := ScenarioByNumber(8)
-		r := RunCorrected(sc)
+		r := RunWithOptions(sc, Options{CorrectDefects: true})
 		if violated(r, Goal9BackwardBlock) {
 			t.Error("goal 9 should not be violated once ACC checks the direction of travel")
 		}
@@ -63,7 +63,7 @@ func TestAblationCorrectedDefects(t *testing.T) {
 
 	t.Run("scenario 9 corrected: PA silent and not mismatched", func(t *testing.T) {
 		sc, _ := ScenarioByNumber(9)
-		r := RunCorrected(sc)
+		r := RunWithOptions(sc, Options{CorrectDefects: true})
 		if violatedAt(r, "Achieve[NoAutoAccelRequestFromStop:PA]", "PA") {
 			// PA still legitimately requests acceleration when engaged from
 			// a stop; the goal-4 chain is a property of the feature design,
@@ -86,7 +86,7 @@ func TestAblationCorrectedDefects(t *testing.T) {
 	t.Run("defect-specific false positives disappear", func(t *testing.T) {
 		sc, _ := ScenarioByNumber(1)
 		defective := cachedRun(t, 1)
-		corrected := RunCorrected(sc)
+		corrected := RunWithOptions(sc, Options{CorrectDefects: true})
 		// The PA spurious-request subgoal violations are pure defect
 		// artefacts and must vanish.
 		if violatedAt(corrected, "Maintain[AutoJerkRequestBelowThreshold:PA]", "PA") {

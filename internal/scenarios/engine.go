@@ -26,8 +26,8 @@ type Retention int
 
 const (
 	// KeepTrace retains the full state trace, monitor suite and detections
-	// on every Result — today's Runner behaviour, required by the figure
-	// extractors and the rendered Appendix D tables.
+	// on every Result, as the figure extractors and the rendered Appendix D
+	// tables require.
 	KeepTrace Retention = iota
 	// SummaryOnly retains only the scenario, step count, collision flag and
 	// classification summary.  The simulation records no trace at all (the
@@ -96,9 +96,10 @@ type StreamResult struct {
 	Result Result
 }
 
-// ResultSink receives completed runs.  The Engine invokes Consume from a
-// single goroutine, so implementations need no internal locking; a non-nil
-// error cancels the stream and is returned from Engine.Stream.
+// ResultSink receives completed runs in source order.  The Engine invokes
+// Consume from a single goroutine, so implementations need no internal
+// locking; a non-nil error cancels the stream and is returned from
+// Engine.Stream.
 type ResultSink interface {
 	Consume(StreamResult) error
 }
@@ -133,10 +134,8 @@ func Tee(sinks ...ResultSink) ResultSink {
 type Engine struct {
 	workers   int
 	retention Retention
-	ordered   bool
 	grouping  bool
 	lanes     int
-	progress  func(completed int)
 	cache     *variantCache
 
 	statsMu   sync.Mutex
@@ -153,13 +152,6 @@ func WithWorkers(n int) EngineOption { return func(e *Engine) { e.workers = n } 
 
 // WithRetention sets the trace-retention policy applied to every Result.
 func WithRetention(r Retention) EngineOption { return func(e *Engine) { e.retention = r } }
-
-// WithProgress registers a callback invoked from the collector goroutine
-// after each result is delivered, with the number of results delivered so
-// far.
-func WithProgress(fn func(completed int)) EngineOption {
-	return func(e *Engine) { e.progress = fn }
-}
 
 // WithResultCache memoizes summary-only Results keyed by the variant label
 // (scenario name, scheduled duration and the full Options label), so a job
@@ -228,19 +220,12 @@ func WithLanes(n int) EngineOption {
 	}
 }
 
-// WithUnordered delivers results to the sink as they complete instead of in
-// source order.  Unordered delivery never buffers completed runs, so a sink
-// sees each result at the earliest possible moment; ordered delivery (the
-// default) preserves the Runner's deterministic input-order guarantee at the
-// cost of buffering at most O(workers) out-of-order results.
-func WithUnordered() EngineOption { return func(e *Engine) { e.ordered = false } }
-
 // NewEngine returns an Engine with the given options applied.  The defaults
-// are GOMAXPROCS workers, KeepTrace retention, ordered delivery,
-// dynamics-grouped execution and lane batching at defaultLaneWidth (active
-// only under SummaryOnly retention).
+// are GOMAXPROCS workers, KeepTrace retention, dynamics-grouped execution and
+// lane batching at defaultLaneWidth (active only under SummaryOnly
+// retention).
 func NewEngine(opts ...EngineOption) *Engine {
-	e := &Engine{ordered: true, grouping: true, lanes: defaultLaneWidth}
+	e := &Engine{grouping: true, lanes: defaultLaneWidth}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -262,8 +247,8 @@ func (e *Engine) grouped() bool {
 	return e.grouping && e.retention == SummaryOnly
 }
 
-// task is one dispatched unit of work: a run of consecutive dynamics groups
-// with equal scheduled duration, executed as one lane batch.  Per-job
+// task is one dispatched unit of work: a batch of consecutive dynamics
+// groups with equal scheduled duration, executed as one lane batch.  Per-job
 // dispatch sends one group holding one job.  idx is the source index of the
 // first job; a task's jobs are contiguous in source order, so job i of the
 // flattened task streams under index idx+i.
@@ -282,17 +267,16 @@ func scheduledDuration(sc Scenario) time.Duration {
 }
 
 // maxGroupWidth bounds how many jobs one dynamics group may carry.  The
-// bound keeps per-group memory O(1) and — because the ordered dispatcher
-// holds one window token per undispatched grouped job — guarantees the
-// window can never be exhausted by the pending group alone, whatever the
-// worker count.
+// bound keeps per-group memory O(1) and — because the dispatcher holds one
+// window token per undispatched job — bounds the window share a pending
+// batch can hold, whatever the worker count.
 const maxGroupWidth = 16
 
 // Stream pulls jobs from src until it is exhausted or ctx is cancelled,
-// executes them on the worker pool, and delivers each Result to sink.  It
-// returns nil once every job has been delivered; a cancellation that fires
-// only after the source is fully consumed does not turn a complete stream
-// into an error.
+// executes them on the worker pool, and delivers each Result to sink in
+// source order.  It returns nil once every job has been delivered; a
+// cancellation that fires only after the source is fully consumed does not
+// turn a complete stream into an error.
 //
 // Cancellation drains cleanly: in-flight jobs finish and their results are
 // still delivered, no goroutine is leaked, and Stream returns ctx.Err() — so
@@ -307,57 +291,58 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 	cancel := func() { stopOnce.Do(func() { close(stop) }) }
 	defer cancel()
 
+	// Every task is a batch of up to width dynamics groups of up to groupCap
+	// jobs each.  Per-job dispatch is the degenerate batch: one group of one
+	// job.
+	groupCap, width := 1, 1
+	if e.grouped() {
+		groupCap, width = maxGroupWidth, e.lanes
+	}
+
 	workers := e.workerCount()
 	tasks := make(chan task)
 	results := make(chan StreamResult, workers)
 
-	// In ordered mode the dispatcher additionally acquires a window token
-	// per job, released when the job's result is delivered, so dispatch can
-	// run at most window jobs ahead of in-order delivery.  Without it one
-	// slow run would let faster workers race ahead and the out-of-order
-	// buffer would grow O(completed), not O(workers).  Under grouped
-	// dispatch the extra tokens cover the dispatcher's pending work, whose
-	// jobs hold tokens before they are dispatched — up to e.lanes groups
-	// accumulating toward one lane task: even if all of it is pending,
-	// 2*workers tokens remain in circulation, so batching can never starve
-	// the window.  Per-job dispatch never holds a job back and reserves
-	// nothing extra.
-	var window chan struct{}
-	if e.ordered {
-		pendingCap := 0
-		if e.grouped() {
-			pendingCap = e.lanes * maxGroupWidth
-		}
-		window = make(chan struct{}, 2*workers+pendingCap)
-	}
+	// The dispatcher acquires a window token per job, released when the
+	// job's result is delivered, so dispatch runs at most len(window) jobs
+	// ahead of in-order delivery.  Without it one slow run would let faster
+	// workers race ahead and the out-of-order buffer would grow O(completed),
+	// not O(workers).  The dispatcher holds back at most width*groupCap-1
+	// jobs (a full batch is sent at once), so even with all of them pending
+	// 2*workers tokens remain in circulation and batching can never starve
+	// the window.  Per-job dispatch holds nothing back.
+	window := make(chan struct{}, 2*workers+width*groupCap-1)
 
 	// exhausted records that the dispatcher consumed the whole source AND
-	// dispatched every job (including a final pending group).  The write is
+	// dispatched every job (including a final pending batch).  The write is
 	// ordered before close(tasks), which is ordered before close(results),
 	// which is ordered before the collector's read below.
 	exhausted := false
 
-	// Dispatcher: the only goroutine that touches src.  With grouping
-	// active it batches consecutive jobs whose DynamicsKeys match into one
-	// group; a group closes when the key changes, the width bound is
-	// reached, or the source ends.  Closed groups accumulate into a lane
-	// batch — up to e.lanes consecutive groups with equal scheduled
-	// duration, dispatched as one task; a duration change or the source's
-	// end flushes the partial batch.  Dispatch order (and therefore result
-	// order) is exactly source order in every mode.
+	// Dispatcher: the only goroutine that touches src.  Consecutive jobs
+	// whose DynamicsKeys match form one group; a group closes when the key
+	// changes, the group reaches groupCap, or the source ends.  Closed groups
+	// accumulate into a batch of up to width groups with equal scheduled
+	// duration, dispatched as one task; a duration change or the source's end
+	// sends the partial batch.  Dispatch order (and therefore result order)
+	// is exactly source order.
 	go func() {
 		defer close(tasks)
-		grouped := e.grouped()
 		var (
-			group    []Job
-			groupKey string
-			start    int
-
-			batch      [][]Job
-			batchStart int
+			group      []Job
+			groupKey   string
+			groupStart int
+			batch      task
 			batchDur   time.Duration
 		)
-		send := func(t task) bool {
+		// sendBatch dispatches the pending batch; its slices are handed to
+		// the worker, never reused.
+		sendBatch := func() bool {
+			if len(batch.groups) == 0 {
+				return true
+			}
+			t := batch
+			batch = task{}
 			select {
 			case tasks <- t:
 				return true
@@ -366,56 +351,34 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 			}
 			return false
 		}
-		// sendBatch dispatches the pending lane batch; the slices are handed
-		// to the worker, never reused.
-		sendBatch := func() bool {
-			if len(batch) == 0 {
-				return true
-			}
-			t := task{idx: batchStart, groups: batch}
-			batch = nil
-			return send(t)
-		}
-		// flush closes the pending group and folds it into the lane batch,
-		// flushing the batch on a scheduled-duration mismatch or at full
+		// flush closes the pending group into the batch, sending the batch
+		// first on a scheduled-duration mismatch and afterwards at full
 		// width.
 		flush := func() bool {
 			if len(group) == 0 {
 				return true
 			}
 			d := scheduledDuration(group[0].Scenario)
-			if len(batch) > 0 && d != batchDur {
-				if !sendBatch() {
-					return false
-				}
+			if len(batch.groups) > 0 && d != batchDur && !sendBatch() {
+				return false
 			}
-			if len(batch) == 0 {
-				batchStart, batchDur = start, d
+			if len(batch.groups) == 0 {
+				batch.idx, batchDur = groupStart, d
 			}
-			batch = append(batch, group)
+			batch.groups = append(batch.groups, group)
 			group = nil
-			if len(batch) == e.lanes {
+			if len(batch.groups) == width {
 				return sendBatch()
 			}
 			return true
 		}
 		for idx := 0; ; idx++ {
-			if e.ordered {
-				select {
-				case window <- struct{}{}:
-				case <-ctx.Done():
-					return
-				case <-stop:
-					return
-				}
-			} else {
-				select {
-				case <-ctx.Done():
-					return
-				case <-stop:
-					return
-				default:
-				}
+			select {
+			case window <- struct{}{}:
+			case <-ctx.Done():
+				return
+			case <-stop:
+				return
 			}
 			job, ok := src.Next()
 			if !ok {
@@ -424,22 +387,22 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 				}
 				return
 			}
-			if !grouped {
-				if !send(task{idx: idx, groups: [][]Job{{job}}}) {
-					return
-				}
-				continue
+			// Single-job groups never compare keys, so per-job dispatch
+			// never derives one.
+			var key string
+			if groupCap > 1 {
+				key = job.DynamicsKey()
 			}
-			key := job.DynamicsKey()
-			if len(group) > 0 && (key != groupKey || len(group) == maxGroupWidth) {
-				if !flush() {
-					return
-				}
+			if len(group) > 0 && key != groupKey && !flush() {
+				return
 			}
 			if len(group) == 0 {
-				start, groupKey = idx, key
+				groupStart, groupKey = idx, key
 			}
 			group = append(group, job)
+			if len(group) == groupCap && !flush() {
+				return
+			}
 		}
 	}()
 
@@ -456,39 +419,14 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 		close(results)
 	}()
 
-	// Collector: the only goroutine that touches the sink.  In ordered mode
-	// out-of-order completions are buffered until the next source index
-	// arrives; dispatched indices are contiguous and every dispatched job
-	// completes, so the buffer always drains (and holds at most O(workers)
-	// entries).
-	var (
-		sinkErr   error
-		delivered int
-		pending   map[int]StreamResult
-		next      int
-	)
-	if e.ordered {
-		pending = make(map[int]StreamResult, workers)
-	}
-	deliver := func(sr StreamResult) {
-		if sinkErr != nil {
-			return
-		}
-		if err := sink.Consume(sr); err != nil {
-			sinkErr = err
-			cancel()
-			return
-		}
-		delivered++
-		if e.progress != nil {
-			e.progress(delivered)
-		}
-	}
+	// Collector: the only goroutine that touches the sink.  Out-of-order
+	// completions are buffered until the next source index arrives;
+	// dispatched indices are contiguous and every dispatched job completes,
+	// so the buffer always drains (and holds at most len(window) entries).
+	var sinkErr error
+	pending := make(map[int]StreamResult, workers)
+	next := 0
 	for sr := range results {
-		if !e.ordered {
-			deliver(sr)
-			continue
-		}
 		pending[sr.Index] = sr
 		for {
 			buffered, ok := pending[next]
@@ -497,7 +435,11 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 			}
 			delete(pending, next)
 			next++
-			deliver(buffered)
+			if sinkErr == nil {
+				if sinkErr = sink.Consume(buffered); sinkErr != nil {
+					cancel()
+				}
+			}
 			// Release the delivered job's window token so the dispatcher
 			// can pull the next one.  Every received result holds exactly
 			// one token, so this never blocks.
@@ -581,9 +523,9 @@ func (e *Engine) runSingle(job Job, cache suiteCache) Result {
 // entirely.  The surviving groups' miss subsets (each still sharing its
 // group's DynamicsKey) run as ONE lane-widened simulation, one group per
 // lane; a batch with a single survivor runs with one active lane.  Every
-// job's result streams under its own index and key, and GroupStats are
-// recorded per group, so batching is invisible to the collector, the cache,
-// sharding and the distributed merge.
+// job's result streams under its own index and key, so batching is invisible
+// to the collector, the cache, sharding and the distributed merge.  The
+// task's GroupStats and LaneStats are recorded in one update.
 func (e *Engine) runLaneTask(la *laneArena, t task, results chan<- StreamResult) {
 	total := 0
 	for _, g := range t.groups {
@@ -596,6 +538,7 @@ func (e *Engine) runLaneTask(la *laneArena, t task, results chan<- StreamResult)
 		live    [][]Job // miss subset per surviving group
 		liveIdx [][]int // flat out-indices of those misses
 		misses  int
+		gs      GroupStats
 	)
 	flat := 0
 	for _, g := range t.groups {
@@ -610,14 +553,14 @@ func (e *Engine) runLaneTask(la *laneArena, t task, results chan<- StreamResult)
 			}
 			flat++
 		}
-		sims := 0
+		gs.Groups++
+		gs.Jobs += len(g)
 		if len(missJobs) > 0 {
-			sims = 1
+			gs.Sims++
 			live = append(live, missJobs)
 			liveIdx = append(liveIdx, missIdx)
 			misses += len(missJobs)
 		}
-		e.recordGroup(len(g), sims)
 	}
 
 	if len(live) > 0 {
@@ -631,8 +574,8 @@ func (e *Engine) runLaneTask(la *laneArena, t task, results chan<- StreamResult)
 				mi++
 			}
 		}
-		e.recordLaneBatch(len(live))
 	}
+	e.recordTask(gs, len(live))
 
 	flat = 0
 	for _, g := range t.groups {
@@ -643,18 +586,24 @@ func (e *Engine) runLaneTask(la *laneArena, t task, results chan<- StreamResult)
 	}
 }
 
-// recordGroup folds one executed group into the Engine's GroupStats.  Only
-// grouped dispatch is recorded: with grouping disabled the stats stay zero,
-// so they always describe what grouping did rather than counting plain
-// per-job execution as width-1 groups.
-func (e *Engine) recordGroup(jobs, sims int) {
-	if !e.grouping {
-		return
-	}
+// recordTask folds one executed lane task into the Engine's counters: its
+// groups into GroupStats, and its lane batch — if `live` groups survived
+// cache resolution — into LaneStats, where a multi-group batch is a widened
+// run and a single-group batch is ragged.  At width 1 every batch carries one
+// group by construction, so LaneStats stays zero.
+func (e *Engine) recordTask(gs GroupStats, live int) {
 	e.statsMu.Lock()
-	e.stats.Groups++
-	e.stats.Jobs += jobs
-	e.stats.Sims += sims
+	e.stats.Groups += gs.Groups
+	e.stats.Jobs += gs.Jobs
+	e.stats.Sims += gs.Sims
+	switch {
+	case e.lanes <= 1 || live == 0:
+	case live > 1:
+		e.laneStats.Batches++
+		e.laneStats.Lanes += live
+	default:
+		e.laneStats.Ragged++
+	}
 	e.statsMu.Unlock()
 }
 
@@ -686,8 +635,8 @@ func newVariantCache() *variantCache { return &variantCache{m: make(map[string]c
 // key identifies a variant.  It is the job's canonical variant key — the
 // scenario name (which every sweep generator derives from the full parameter
 // assignment), the effective duration and the options label — shared with
-// distributed sharding and sink deduplication so "already proved" means the
-// same thing everywhere.
+// distributed sharding and the coordinator's deduplication so "already
+// proved" means the same thing everywhere.
 func (c *variantCache) key(job Job) string { return job.Key() }
 
 // lookup returns the memoized Result for the job's variant label.  A nil
@@ -787,24 +736,6 @@ func (e *Engine) GroupStats() GroupStats {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
 	return e.stats
-}
-
-// recordLaneBatch folds one executed lane batch carrying `live` dynamics
-// groups into the Engine's LaneStats: a multi-group batch is a widened run,
-// a single-group batch is ragged.  At width 1 every batch carries one group
-// by construction, so nothing is recorded and LaneStats stays zero.
-func (e *Engine) recordLaneBatch(live int) {
-	if e.lanes <= 1 {
-		return
-	}
-	e.statsMu.Lock()
-	if live > 1 {
-		e.laneStats.Batches++
-		e.laneStats.Lanes += live
-	} else {
-		e.laneStats.Ragged++
-	}
-	e.statsMu.Unlock()
 }
 
 // LaneStats counts what lane-batched execution did over an Engine's lifetime
@@ -942,8 +873,7 @@ func (a *Accumulator) Summary() monitor.Summary {
 	return a.sum
 }
 
-// SweepResult snapshots the aggregate as a SweepResult.  Jobs and Results are
-// nil: an online accumulator never retains per-run state.
+// SweepResult snapshots the aggregate as a SweepResult.
 func (a *Accumulator) SweepResult() SweepResult {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,15 +30,34 @@ func shortSweep(t *testing.T) Sweep {
 	}}}
 }
 
+// runEach runs every job on its own through RunWithOptions, in order: the
+// per-job reference the Engine's streams are compared against.
+func runEach(jobs []Job) []Result {
+	out := make([]Result, len(jobs))
+	for i, j := range jobs {
+		out[i] = RunWithOptions(j.Scenario, j.Options)
+	}
+	return out
+}
+
+// accumulate folds results into a fresh Accumulator.
+func accumulate(results []Result) *Accumulator {
+	var acc Accumulator
+	for _, r := range results {
+		acc.Add(r)
+	}
+	return &acc
+}
+
 // TestEngineStreamMatchesBatch is the streaming-vs-batch equivalence check:
 // the same jobs produce element-wise identical ordered results and the same
-// aggregate through Engine.Stream (lazy source) as through the batch
-// Runner.Run path.  CI runs it under -race, which is the evidence that the
-// dispatcher / worker / collector split is race-clean.
+// aggregate through Engine.Stream (lazy source) as through per-job
+// RunWithOptions calls.  CI runs it under -race, which is the evidence that
+// the dispatcher / worker / collector split is race-clean.
 func TestEngineStreamMatchesBatch(t *testing.T) {
 	sw := shortSweep(t)
 	jobs := sw.Jobs()
-	batch := Runner{Workers: 2}.Run(jobs)
+	batch := runEach(jobs)
 
 	var streamed []StreamResult
 	err := NewEngine(WithWorkers(4)).Stream(context.Background(), sw.Source(), SinkFunc(
@@ -53,7 +73,7 @@ func TestEngineStreamMatchesBatch(t *testing.T) {
 	}
 	for i, sr := range streamed {
 		if sr.Index != i {
-			t.Fatalf("result %d delivered with index %d: ordered mode must deliver in source order", i, sr.Index)
+			t.Fatalf("result %d delivered with index %d: the Engine must deliver in source order", i, sr.Index)
 		}
 		if sr.Job.Scenario.Name != jobs[i].Scenario.Name || sr.Job.Options != jobs[i].Options {
 			t.Errorf("job %d is %q/%+v, want %q/%+v", i, sr.Job.Scenario.Name, sr.Job.Options, jobs[i].Scenario.Name, jobs[i].Options)
@@ -69,50 +89,15 @@ func TestEngineStreamMatchesBatch(t *testing.T) {
 	for i, sr := range streamed {
 		results[i] = sr.Result
 	}
-	if got, want := Collect(jobs, results), Collect(jobs, batch); got.Aggregate != want.Aggregate ||
-		got.Collisions != want.Collisions || got.EarlyTerminations != want.EarlyTerminations {
+	if got, want := accumulate(results).SweepResult(), accumulate(batch).SweepResult(); got != want {
 		t.Errorf("streamed aggregate %+v != batch aggregate %+v", got, want)
-	}
-}
-
-// TestEngineUnorderedDeliversAll checks that unordered delivery yields every
-// job exactly once with the same per-index results as the ordered path.
-func TestEngineUnorderedDeliversAll(t *testing.T) {
-	sw := shortSweep(t)
-	jobs := sw.Jobs()
-	batch := Runner{Workers: 2}.Run(jobs)
-
-	seen := make(map[int]Result)
-	err := NewEngine(WithWorkers(4), WithUnordered()).Stream(context.Background(), sw.Source(), SinkFunc(
-		func(sr StreamResult) error {
-			if _, dup := seen[sr.Index]; dup {
-				return fmt.Errorf("index %d delivered twice", sr.Index)
-			}
-			seen[sr.Index] = sr.Result
-			return nil
-		}))
-	if err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
-	if len(seen) != len(jobs) {
-		t.Fatalf("delivered %d results, want %d", len(seen), len(jobs))
-	}
-	for i, want := range batch {
-		got, ok := seen[i]
-		if !ok {
-			t.Fatalf("index %d never delivered", i)
-		}
-		if got.Summary != want.Summary || got.Collision != want.Collision {
-			t.Errorf("result %d: unordered (%v,%v) != batch (%v,%v)", i, got.Summary, got.Collision, want.Summary, want.Collision)
-		}
 	}
 }
 
 // TestEngineCancellation cancels a stream mid-sweep and checks the drain is
 // clean: Stream returns the context error, every dispatched job is still
-// delivered (the delivered indices are a contiguous prefix in ordered mode),
-// and the Accumulator holds a valid partial aggregate of exactly the
-// delivered runs.
+// delivered (the delivered indices are a contiguous prefix), and the
+// Accumulator holds a valid partial aggregate of exactly the delivered runs.
 func TestEngineCancellation(t *testing.T) {
 	sw := shortSweep(t)
 	total := sw.Size()
@@ -123,15 +108,14 @@ func TestEngineCancellation(t *testing.T) {
 	var acc Accumulator
 	var delivered []int
 	collisions := 0
-	engine := NewEngine(WithWorkers(1), WithRetention(SummaryOnly), WithProgress(func(completed int) {
-		if completed == 2 {
-			cancel()
-		}
-	}))
+	engine := NewEngine(WithWorkers(1), WithRetention(SummaryOnly))
 	err := engine.Stream(ctx, sw.Source(), Tee(&acc, SinkFunc(func(sr StreamResult) error {
 		delivered = append(delivered, sr.Index)
 		if sr.Result.Collision {
 			collisions++
+		}
+		if len(delivered) == 2 {
+			cancel()
 		}
 		return nil
 	})))
@@ -143,7 +127,7 @@ func TestEngineCancellation(t *testing.T) {
 	}
 	for i, idx := range delivered {
 		if idx != i {
-			t.Errorf("delivered index %d at position %d: a cancelled ordered stream must still be a contiguous prefix", idx, i)
+			t.Errorf("delivered index %d at position %d: a cancelled stream must still be a contiguous prefix", idx, i)
 		}
 	}
 	if acc.Runs() != len(delivered) {
@@ -152,8 +136,8 @@ func TestEngineCancellation(t *testing.T) {
 	if acc.Collisions() != collisions {
 		t.Errorf("accumulator counted %d collisions, sink saw %d", acc.Collisions(), collisions)
 	}
-	if got := acc.SweepResult(); got.Collisions != collisions || got.Jobs != nil || got.Results != nil {
-		t.Errorf("partial SweepResult = %+v, want collision count %d and no retained per-run state", got, collisions)
+	if got := acc.SweepResult(); got.Collisions != collisions {
+		t.Errorf("partial SweepResult = %+v, want collision count %d", got, collisions)
 	}
 }
 
@@ -502,11 +486,11 @@ func TestTee(t *testing.T) {
 }
 
 // TestEngineAccumulate covers the Accumulate convenience wrapper end to end
-// against the batch bookkeeping.
+// against the per-job bookkeeping.
 func TestEngineAccumulate(t *testing.T) {
 	sw := shortSweep(t)
 	jobs := sw.Jobs()
-	want := Collect(jobs, Runner{Workers: 2}.Run(jobs))
+	want := accumulate(runEach(jobs)).SweepResult()
 
 	acc, err := NewEngine(WithWorkers(2), WithRetention(SummaryOnly)).Accumulate(
 		context.Background(), sw.Source())
@@ -541,22 +525,23 @@ func TestEngineLargeSweepStreams(t *testing.T) {
 	if sw.Size() < 1000 {
 		t.Fatalf("huge sweep has %d variants, want >= 1000", sw.Size())
 	}
-	var maxRetained int
-	acc, err := NewEngine(WithRetention(SummaryOnly), WithProgress(func(completed int) {
-		// Nothing outside the Accumulator retains results; track that the
-		// progress stream is monotone while the sweep is in flight.
-		if completed > maxRetained {
-			maxRetained = completed
-		}
-	})).Accumulate(context.Background(), sw.Source())
+	// Nothing outside the Accumulator retains results; the sink only counts
+	// deliveries and checks they arrive in source order.
+	var acc Accumulator
+	delivered := 0
+	err := NewEngine(WithRetention(SummaryOnly)).Stream(context.Background(), sw.Source(), Tee(&acc, SinkFunc(
+		func(sr StreamResult) error {
+			if sr.Index != delivered {
+				return fmt.Errorf("delivery %d carries index %d", delivered, sr.Index)
+			}
+			delivered++
+			return nil
+		})))
 	if err != nil {
-		t.Fatalf("Accumulate: %v", err)
+		t.Fatalf("Stream: %v", err)
 	}
-	if acc.Runs() != sw.Size() {
-		t.Fatalf("streamed %d runs, want %d", acc.Runs(), sw.Size())
-	}
-	if maxRetained != sw.Size() {
-		t.Errorf("progress reached %d, want %d", maxRetained, sw.Size())
+	if acc.Runs() != sw.Size() || delivered != sw.Size() {
+		t.Fatalf("streamed %d runs (%d delivered), want %d", acc.Runs(), delivered, sw.Size())
 	}
 	if acc.Summary().Total() == 0 {
 		t.Error("a huge-sweep population should classify at least one detection")
@@ -575,12 +560,11 @@ func TestEngineCompletedStreamIgnoresLateCancel(t *testing.T) {
 	defer cancel()
 
 	delivered := 0
-	err := NewEngine(WithWorkers(2), WithRetention(SummaryOnly), WithProgress(func(completed int) {
-		if completed == total {
-			cancel() // fires after the last delivery, before Stream returns
-		}
-	})).Stream(ctx, sw.Source(), SinkFunc(func(StreamResult) error {
+	err := NewEngine(WithWorkers(2), WithRetention(SummaryOnly)).Stream(ctx, sw.Source(), SinkFunc(func(StreamResult) error {
 		delivered++
+		if delivered == total {
+			cancel() // fires on the last delivery, before Stream returns
+		}
 		return nil
 	}))
 	if err != nil {
@@ -591,16 +575,16 @@ func TestEngineCompletedStreamIgnoresLateCancel(t *testing.T) {
 	}
 }
 
-// TestEngineOrderedBackpressure checks the ordered-mode window: when the
-// first job is much slower than the rest, dispatch stalls instead of letting
-// the out-of-order buffer grow O(completed).
+// TestEngineOrderedBackpressure checks the delivery window: when the first
+// job is much slower than the rest, dispatch stalls instead of letting the
+// out-of-order buffer grow O(completed).
 //
 // Per-job dispatch (WithGrouping(false)) never holds a job back, so its
 // window is exactly 2*workers: at most 2*workers results can complete before
-// the head of the line delivers.  Grouped dispatch legitimately holds closed
-// dynamics groups back (waiting for equal-duration siblings to fill a lane
-// batch), so its window carries lanes*maxGroupWidth extra pending
-// capacity — and that is the bound it must still honour.
+// the head of the line delivers.  Grouped dispatch legitimately holds jobs
+// back (waiting for equal-duration siblings to fill a lane batch), up to one
+// job short of a full batch, so its window carries lanes*maxGroupWidth-1
+// extra pending capacity — and that is the bound it must still honour.
 func TestEngineOrderedBackpressure(t *testing.T) {
 	base, ok := ScenarioByNumber(7)
 	if !ok {
@@ -618,7 +602,7 @@ func TestEngineOrderedBackpressure(t *testing.T) {
 		window int
 	}{
 		{"per-job", 64, []EngineOption{WithGrouping(false)}, 2 * workers},
-		{"grouped", 160, nil, 2*workers + defaultLaneWidth*maxGroupWidth},
+		{"grouped", 160, nil, 2*workers + defaultLaneWidth*maxGroupWidth - 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			jobs := make([]Job, tc.jobs)
@@ -659,5 +643,61 @@ func TestEngineOrderedBackpressure(t *testing.T) {
 				t.Errorf("dispatcher pulled %d jobs while the head of the line was running, want <= %d (window bound)", pulledAtHead, max)
 			}
 		})
+	}
+}
+
+// TestEngineWorkerCount checks pool sizing and that an empty source streams
+// nothing, on an explicit and on a defaulted pool.
+func TestEngineWorkerCount(t *testing.T) {
+	if got := NewEngine(WithWorkers(8)).workerCount(); got != 8 {
+		t.Errorf("explicit pool size must be honoured, got %d", got)
+	}
+	if got := NewEngine(WithWorkers(-1)).workerCount(); got < 1 {
+		t.Errorf("defaulted pool size must be positive, got %d", got)
+	}
+	for _, n := range []int{4, -1} {
+		delivered := 0
+		err := NewEngine(WithWorkers(n)).Stream(context.Background(), SliceSource(nil), SinkFunc(
+			func(StreamResult) error {
+				delivered++
+				return nil
+			}))
+		if err != nil || delivered != 0 {
+			t.Errorf("WithWorkers(%d): streaming no jobs returned %v after %d deliveries, want nil after none", n, err, delivered)
+		}
+	}
+}
+
+// TestEngineKeepTraceWorkerInvariance streams the ten thesis scenarios under
+// KeepTrace on one worker and on four and requires the rendered Appendix D
+// violation tables, per-detection classifications and cross-scenario
+// summary to be byte-identical.  Together with -race this is the evidence
+// that per-run isolation holds (each run owns its engine, bus and monitor
+// suite) and that delivery order does not depend on the pool size.
+func TestEngineKeepTraceWorkerInvariance(t *testing.T) {
+	render := func(workers int) string {
+		var b strings.Builder
+		var results []Result
+		err := NewEngine(WithWorkers(workers)).Stream(context.Background(), SliceSource(thesisScenarioJobs(DefaultDuration)), SinkFunc(
+			func(sr StreamResult) error {
+				if sr.Result.Scenario.Number != sr.Index+1 {
+					return fmt.Errorf("delivery %d is scenario %d", sr.Index, sr.Result.Scenario.Number)
+				}
+				results = append(results, sr.Result)
+				b.WriteString(RenderViolationTable(sr.Result))
+				b.WriteString(RenderClassificationDetail(sr.Result))
+				return nil
+			}))
+		if err != nil {
+			t.Fatalf("Stream(WithWorkers(%d)): %v", workers, err)
+		}
+		if len(results) != 10 {
+			t.Fatalf("WithWorkers(%d) delivered %d results, want 10", workers, len(results))
+		}
+		b.WriteString(RenderSummary(results))
+		return b.String()
+	}
+	if seq, par := render(1), render(4); seq != par {
+		t.Errorf("rendered output differs between 1 and 4 workers:\n%s\n---\n%s", seq, par)
 	}
 }

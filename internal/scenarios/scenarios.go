@@ -325,15 +325,10 @@ func (o Options) Label() string {
 	return b.String()
 }
 
-// Run executes one scenario with the full Table 5.3 monitoring suite and the
-// thesis' seeded defects in place.
-func Run(sc Scenario) Result { return RunWithOptions(sc, Options{}) }
-
-// RunCorrected executes one scenario with every seeded defect removed.
-func RunCorrected(sc Scenario) Result { return RunWithOptions(sc, Options{CorrectDefects: true}) }
-
-// RunWithOptions executes one scenario with explicit options, retaining the
-// full trace and monitor suite on the Result.
+// RunWithOptions executes one scenario with the full Table 5.3 monitoring
+// suite under explicit options (the zero Options keep the thesis' seeded
+// defects in place), retaining the full trace and monitor suite on the
+// Result.
 func RunWithOptions(sc Scenario, opts Options) Result {
 	return runJob(sc, opts, KeepTrace)
 }

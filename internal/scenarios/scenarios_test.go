@@ -24,7 +24,7 @@ func cachedRun(t *testing.T, number int) Result {
 	if !ok {
 		t.Fatalf("no scenario %d", number)
 	}
-	r := Run(sc)
+	r := RunWithOptions(sc, Options{})
 	resultCache.Store(number, r)
 	return r
 }

@@ -34,12 +34,22 @@ func fnv1a64(s string) uint64 {
 	return h
 }
 
+// Job is one unit of work for the evaluation: a scenario together with the
+// options it should run under.  Distinct jobs may pair the same scenario with
+// different options (e.g. the corrected-defects ablation).
+type Job struct {
+	// Scenario is the configuration to run.
+	Scenario Scenario
+	// Options are the run options (defect correction etc.).
+	Options Options
+}
+
 // Key returns the job's canonical variant identity: the scenario name (which
 // every sweep generator derives from the full parameter assignment), the
 // effective scheduled duration in nanoseconds, and the full options label.
 // Two jobs with equal keys denote the same evaluation — same dynamics, same
 // monitoring configuration — so keys are the unit of idempotence for the
-// result cache, distributed sharding and sink-level deduplication.  A zero
+// result cache, distributed sharding and the coordinator's deduplication.  A zero
 // Duration resolves to the default before keying, matching what the run
 // itself executes.
 //
@@ -87,25 +97,5 @@ func ShardSource(src JobSource, index, total int) JobSource {
 				return j, true
 			}
 		}
-	})
-}
-
-// DedupByKey wraps a sink so that only the first result per variant key is
-// forwarded; later results with a key already seen are dropped.  It is the
-// idempotence layer of distributed merging: a slow worker that recovers
-// after its shard was re-queued may re-deliver variants the replacement has
-// already proved, and the coordinator folds both streams through one dedup
-// sink so every variant reaches the underlying sink exactly once.  The
-// wrapper is as single-goroutine as any other sink; the retained state is
-// one map entry per distinct key.
-func DedupByKey(sink ResultSink) ResultSink {
-	seen := make(map[string]struct{})
-	return SinkFunc(func(sr StreamResult) error {
-		key := sr.Job.Key()
-		if _, dup := seen[key]; dup {
-			return nil
-		}
-		seen[key] = struct{}{}
-		return sink.Consume(sr)
 	})
 }

@@ -125,27 +125,6 @@ func TestShardSourcePreservesOrder(t *testing.T) {
 	}
 }
 
-// TestDedupByKey checks the idempotence layer: re-delivered variants are
-// dropped, distinct variants pass through once each.
-func TestDedupByKey(t *testing.T) {
-	sc, _ := ScenarioByNumber(7)
-	a := StreamResult{Index: 0, Job: Job{Scenario: sc}}
-	b := StreamResult{Index: 1, Job: Job{Scenario: sc, Options: Options{CorrectDefects: true}}}
-	var got []int
-	sink := DedupByKey(SinkFunc(func(sr StreamResult) error {
-		got = append(got, sr.Index)
-		return nil
-	}))
-	for _, sr := range []StreamResult{a, b, a, b, a} {
-		if err := sink.Consume(sr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("dedup delivered %v, want [0 1]", got)
-	}
-}
-
 // TestAccumulatorMergeEquivalence is the merge property test: partition the
 // results of a real sweep into per-shard accumulators, merge them in several
 // orders, and require every merged aggregate to equal the single-process

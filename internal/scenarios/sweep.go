@@ -275,15 +275,8 @@ func (s Sweep) Source() JobSource {
 	return ConcatSources(srcs...)
 }
 
-// SweepResult is the outcome of one sweep: the per-variant results in job
-// order and the cross-variant aggregates.
+// SweepResult is the cross-variant aggregate outcome of one sweep.
 type SweepResult struct {
-	// Jobs are the executed variants, in order (nil when the sweep was
-	// aggregated online, e.g. by Accumulator.SweepResult).
-	Jobs []Job
-	// Results are the per-variant outcomes, index-aligned with Jobs (nil
-	// when the sweep was aggregated online).
-	Results []Result
 	// Aggregate is the hit / false-negative / false-positive classification
 	// summed over every variant — the sweep-level empirical estimate of the
 	// residual emergence X and Y of thesis §3.4.
@@ -293,29 +286,6 @@ type SweepResult struct {
 	// EarlyTerminations counts variants that stopped before their
 	// scheduled duration.
 	EarlyTerminations int
-}
-
-// Collect assembles a SweepResult from executed jobs: the cross-variant
-// aggregate summary and the collision / early-termination counts.  It is the
-// batch form of the online Accumulator, shared by RunSweep and any front-end
-// that runs jobs itself.
-func Collect(jobs []Job, results []Result) SweepResult {
-	var acc Accumulator
-	for _, res := range results {
-		acc.Add(res)
-	}
-	out := acc.SweepResult()
-	out.Jobs = jobs
-	out.Results = results
-	return out
-}
-
-// RunSweep expands and executes a sweep on the runner's worker pool.  It
-// materializes every job and retains every result; large sweeps should use
-// Engine.Stream with Sweep.Source and SummaryOnly retention instead.
-func (r Runner) RunSweep(s Sweep) SweepResult {
-	jobs := s.Jobs()
-	return Collect(jobs, r.Run(jobs))
 }
 
 // DefaultSweep derives the standard evaluation sweep from the ten thesis
@@ -495,9 +465,11 @@ func SweepSourceFor(size string, number int, corrected bool) (func() JobSource, 
 	}
 	if corrected {
 		// Narrow to the ablation configuration instead of the preset's
-		// seeded+corrected pairing.
+		// seeded+corrected pairing.  CorrectDefects overrides every defect
+		// subset, so a defect axis would only repeat the same evaluation.
 		for i := range sw.Families {
 			sw.Families[i].OptionSets = []Options{{CorrectDefects: true}}
+			sw.Families[i].DefectSets = nil
 		}
 	}
 	if number != 0 {
