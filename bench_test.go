@@ -538,13 +538,15 @@ func BenchmarkProgramStep(b *testing.B) {
 
 func BenchmarkMonitorObserve(b *testing.B) {
 	g := scenarios.VehicleGoals().MustGet(scenarios.Goal1AutoAccel)
-	m := monitor.MustNew(g, "Vehicle", time.Millisecond)
+	cs := monitor.NewCompiledSuite(time.Millisecond, nil)
+	cs.MustAddHierarchy(monitor.GoalAt{Goal: g, Location: "Vehicle"}, 0)
 	state := temporal.NewState().
 		SetBool(vehicle.SigAccelFromSubsystem, true).
 		SetNumber(vehicle.SigVehicleAccel, 1.2)
+	cs.Observe(state) // lowers the program; the loop times steady-state observations
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Observe(state)
+		cs.Observe(state)
 	}
 }
 
@@ -664,6 +666,11 @@ func (tr *laneTrajectory) apply(st temporal.State, t int) {
 	}
 }
 
+// observeFunc adapts a closure to sim.StateObserver.
+type observeFunc func(temporal.State)
+
+func (f observeFunc) Observe(st temporal.State) { f(st) }
+
 // defectLaneTrajectory simulates the first lanes distinct-dynamics variants
 // of the defect sweep for d each and records them as one lane trajectory:
 // lane l carries variant l's committed states, exactly what a lane batch of
@@ -686,7 +693,7 @@ func defectLaneTrajectory(lanes int, d time.Duration) *laneTrajectory {
 		var prev temporal.State
 		t := 0
 		l := lane
-		s.OnStep(func(_ time.Duration, st temporal.State) {
+		s.Observe(observeFunc(func(st temporal.State) {
 			if prev == nil {
 				prev = temporal.NewStateWith(st.Schema())
 			}
@@ -711,7 +718,7 @@ func defectLaneTrajectory(lanes int, d time.Duration) *laneTrajectory {
 			}
 			prev.CopyFrom(st)
 			t++
-		})
+		}))
 		s.RunDiscard(d)
 		lane++
 	}

@@ -23,10 +23,11 @@
 // compare per lane, and no string is hashed or Value constructed anywhere on
 // the per-step path.  Components
 // address signals through typed handles (sim.Bus.NumVar/BoolVar/StringVar);
-// the name-keyed bus and state APIs remain as the schema-resolving
-// compatibility path, and differential tests prove the plane-backed and
-// string-keyed evaluations produce identical detections across the full
-// evaluation.
+// the name-keyed state API remains for the reference evaluator, and
+// differential tests prove the plane-backed and string-keyed evaluations
+// produce identical detections across the full evaluation.  Every committed
+// state comes from one per-tick loop, sim.LaneSim.Run: a sim.Simulation is
+// that kernel at width 1, recording each state into a trace.
 //
 // Whole runs are reusable: sim.Simulation.Reset rewinds the bus planes
 // without re-interning and restores every component implementing

@@ -12,6 +12,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -20,7 +22,10 @@ import (
 	"repro/internal/temporal"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the example's three outputs to w.
+func run(w io.Writer) {
 	// 1. Define the system safety goal formally (thesis Eq. 3.4).
 	parent := goals.MustParse("Maintain[StopWhenObjectInPath]",
 		"If an object is in the vehicle path, the vehicle shall be stopped.",
@@ -65,7 +70,7 @@ func main() {
 		Observes:  []string{"ObjectDetected"},
 		Controls:  []string{"BrakeCommand"},
 	})
-	fmt.Println(analysis.Render())
+	fmt.Fprintln(w, analysis.Render())
 
 	// 4. Classify the decomposition (Chapter 3) over its propositional
 	//    content: without the detection assumption the subgoal is not
@@ -82,14 +87,16 @@ func main() {
 			temporal.MustParse("VehicleStopped => ObjectDetected"),
 		},
 	}, space)
-	fmt.Printf("Classification without the detection-completeness assumption: %s\n", withoutAssumption)
+	fmt.Fprintf(w, "Classification without the detection-completeness assumption: %s\n", withoutAssumption)
 
 	// 5. Monitor the goal and the subgoal hierarchically over a recorded
-	//    trace containing a detection fault.
+	//    trace containing a detection fault.  Both formulas compile into
+	//    one shared evaluation program; the subgoal's violations are matched
+	//    against the goal's within a 5-state tolerance.
 	period := 10 * time.Millisecond
-	parentMon := monitor.MustNew(parent, "Vehicle", period)
-	subMon := monitor.MustNew(subgoal, "BrakeController", period)
-	hierarchy := monitor.NewHierarchy(parentMon, 5, subMon)
+	suite := monitor.NewCompiledSuite(period, nil)
+	suite.MustAddHierarchy(monitor.GoalAt{Goal: parent, Location: "Vehicle"}, 5,
+		monitor.GoalAt{Goal: subgoal, Location: "BrakeController"})
 
 	for i := 0; i < 100; i++ {
 		objectPresent := i >= 40 && i < 70
@@ -100,11 +107,11 @@ func main() {
 			SetBool("ObjectDetected", detected).
 			SetString("BrakeCommand", map[bool]string{true: "APPLY", false: "RELEASE"}[detected]).
 			SetBool("VehicleStopped", braked)
-		hierarchy.Observe(state)
+		suite.Observe(state)
 	}
-	hierarchy.Finish()
+	suite.Finish()
 
-	summary := monitor.Summarize(hierarchy.Classify())
-	fmt.Printf("Run-time monitoring: %s\n", summary)
-	fmt.Printf("Interpretation: %s\n", summary.CompositionEvidence())
+	_, summary := suite.ClassifyAll()
+	fmt.Fprintf(w, "Run-time monitoring: %s\n", summary)
+	fmt.Fprintf(w, "Interpretation: %s\n", summary.CompositionEvidence())
 }

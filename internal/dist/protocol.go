@@ -63,9 +63,7 @@ func NewRunReport(sr scenarios.StreamResult) RunReport {
 // the rebuilt StreamResult re-marshals byte-identically.
 func (r RunReport) Result(job scenarios.Job) scenarios.Result {
 	sc := job.Scenario
-	if sc.Duration <= 0 {
-		sc.Duration = scenarios.DefaultDuration
-	}
+	sc.Duration = sc.ScheduledDuration()
 	return scenarios.Result{
 		Scenario:  sc,
 		Steps:     r.Steps,

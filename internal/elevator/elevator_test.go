@@ -141,7 +141,8 @@ func TestDispatchControllerLatchesCalls(t *testing.T) {
 }
 
 func TestDriveControllerDoorInterlock(t *testing.T) {
-	bus := sim.NewBus()
+	s := sim.New(DefaultPeriod)
+	bus := s.Bus
 	bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
 	bus.InitNumber(SigDispatchTarget, 3)
 	bus.InitNumber(SigElevatorPosition, 0)
@@ -151,8 +152,6 @@ func TestDriveControllerDoorInterlock(t *testing.T) {
 
 	c := &DriveController{}
 	// Door open: must command STOP even though a destination is pending.
-	s := sim.New(DefaultPeriod)
-	s.Bus = bus
 	s.Add(c)
 	tr := s.Run(30 * time.Millisecond)
 	if got := tr.Last().StringVal(SigDriveCommand); got != "STOP" {
@@ -175,7 +174,8 @@ func TestDriveControllerDoorInterlock(t *testing.T) {
 }
 
 func TestDriveControllerOverweightAndLimit(t *testing.T) {
-	bus := sim.NewBus()
+	s := sim.New(DefaultPeriod)
+	bus := s.Bus
 	bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
 	bus.InitNumber(SigDispatchTarget, 5)
 	bus.InitNumber(SigElevatorPosition, 0)
@@ -183,8 +183,6 @@ func TestDriveControllerOverweightAndLimit(t *testing.T) {
 	bus.InitString(SigDoorMotorCommand, "CLOSE")
 	bus.InitNumber(SigElevatorWeight, WeightThreshold+100)
 
-	s := sim.New(DefaultPeriod)
-	s.Bus = bus
 	s.Add(&DriveController{})
 	tr := s.Run(30 * time.Millisecond)
 	if got := tr.Last().StringVal(SigDriveCommand); got != "STOP" {
@@ -201,11 +199,10 @@ func TestDriveControllerOverweightAndLimit(t *testing.T) {
 }
 
 func TestEmergencyBrakeLatches(t *testing.T) {
-	bus := sim.NewBus()
+	s := sim.New(DefaultPeriod)
+	bus := s.Bus
 	bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
 	bus.InitNumber(SigElevatorPosition, HoistwayUpperLimit)
-	s := sim.New(DefaultPeriod)
-	s.Bus = bus
 	s.Add(&EmergencyBrake{})
 	tr := s.Run(30 * time.Millisecond)
 	if got := tr.Last().StringVal(SigEmergencyBrake); got != "APPLIED" {
@@ -219,10 +216,8 @@ func TestEmergencyBrakeLatches(t *testing.T) {
 	}
 
 	disabled := &EmergencyBrake{Disabled: true}
-	bus2 := sim.NewBus()
-	bus2.InitNumber(SigElevatorPosition, HoistwayUpperLimit)
 	s2 := sim.New(DefaultPeriod)
-	s2.Bus = bus2
+	s2.Bus.InitNumber(SigElevatorPosition, HoistwayUpperLimit)
 	s2.Add(disabled)
 	tr = s2.Run(30 * time.Millisecond)
 	if got := tr.Last().StringVal(SigEmergencyBrake); got != "RELEASED" {
@@ -282,7 +277,8 @@ func TestGoalsCatalogue(t *testing.T) {
 	}
 	// All catalogued goals are monitorable at run time.
 	for _, g := range r.All() {
-		if _, err := monitor.New(g, "test", DefaultPeriod); err != nil {
+		cs := monitor.NewCompiledSuite(DefaultPeriod, nil)
+		if err := cs.AddHierarchy(monitor.GoalAt{Goal: g, Location: "test"}, 0); err != nil {
 			t.Errorf("goal %s is not monitorable: %v", g.Name, err)
 		}
 	}

@@ -23,8 +23,10 @@
 //     fires.  Escape hatch: //lint:slotbindok reason on the call line.
 //
 //   - hotpathalloc: functions statically reachable from the per-step hot
-//     roots (Registers.CopyFrom, Bus.Commit, Program.Step and StepLanes,
-//     CompiledSuite.Observe, LaneSuite.ObserveLanes, Suite.FastSummary) must
+//     roots (Registers.CopyFrom, Bus.Commit and LaneBus.Commit,
+//     LaneSim.Run, Program.Step and StepLanes, CompiledSuite.Observe,
+//     LaneSuite.ObserveLanes, Suite.FastSummary and the FastSummaryAt
+//     methods) must
 //     not contain allocating constructs or string-keyed map index
 //     expressions, complementing the runtime AllocsPerRun gates with a
 //     source-level proof.  Escape hatch: //lint:allocok reason on the

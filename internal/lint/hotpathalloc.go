@@ -51,12 +51,12 @@ func hotRootKeys(modPath string) [][3]string {
 		{temporal, "Registers", "CopyFrom"},
 		{sim, "Bus", "Commit"},
 		{sim, "LaneBus", "Commit"},
+		{sim, "LaneSim", "Run"},
 		{temporal, "Program", "Step"},
 		{temporal, "Program", "StepLanes"},
 		{monitor, "CompiledSuite", "Observe"},
 		{monitor, "LaneSuite", "ObserveLanes"},
 		{monitor, "Suite", "FastSummary"},
-		{monitor, "CompiledSuite", "FastSummary"},
 		{monitor, "Suite", "FastSummaryAt"},
 		{monitor, "CompiledSuite", "FastSummaryAt"},
 		{monitor, "LaneSuite", "FastSummaryAt"},

@@ -68,11 +68,11 @@ func classifyQuadratic(h *Hierarchy) []Detection {
 func TestClassifySortMergeMatchesQuadratic(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		tolerance := []int{0, 1, 3, 10}[seed%4]
-		parent := MustNew(goals.New("G", "", temporal.Var("p")), "Vehicle", time.Millisecond)
+		parent := referenceMonitor(goals.New("G", "", temporal.Var("p")), "Vehicle", time.Millisecond)
 		children := []*Monitor{
-			MustNew(goals.New("Ga", "", temporal.Var("c0")), "Arbiter", time.Millisecond),
-			MustNew(goals.New("Gb", "", temporal.Var("c1")), "CA", time.Millisecond),
-			MustNew(goals.New("Gc", "", temporal.Var("c2")), "ACC", time.Millisecond),
+			referenceMonitor(goals.New("Ga", "", temporal.Var("c0")), "Arbiter", time.Millisecond),
+			referenceMonitor(goals.New("Gb", "", temporal.Var("c1")), "CA", time.Millisecond),
+			referenceMonitor(goals.New("Gc", "", temporal.Var("c2")), "ACC", time.Millisecond),
 		}
 		h := NewHierarchy(parent, tolerance, children...)
 

@@ -22,8 +22,8 @@ type GoalAt struct {
 // once), and the per-formula verdicts feed the same interval recorders,
 // Hierarchy matching and Classify machinery a per-monitor Suite uses.  The
 // detections, summaries and reports are identical to a Suite built from
-// individual monitors over the same plan; only the evaluation cost per state
-// changes.
+// individual NewReference monitors over the same plan; only the evaluation
+// cost per state changes.
 //
 // It is a LaneSuite of width 1 observing scalar states: one evaluator and one
 // interval recorder serve both.  The plan is lowered to its lane tables on
@@ -40,8 +40,9 @@ type CompiledSuite struct {
 
 // NewCompiledSuite returns an empty compiled suite.  The period converts
 // bounded-past operator durations (non-positive defaults to 1 ms); a non-nil
-// schema resolves every goal atom to its register slot at compile time, as
-// NewWithSchema does for individual monitors.
+// schema resolves every goal atom to its register slot at compile time.  A
+// nil schema (or a state over another schema) rebinds the atoms on the
+// first observation of that schema, so per-state NewState schemas work too.
 func NewCompiledSuite(period time.Duration, schema *temporal.Schema) *CompiledSuite {
 	return &CompiledSuite{lanes: NewLaneSuite(period, schema, 1)}
 }
@@ -95,22 +96,11 @@ func (cs *CompiledSuite) Reset() {
 	cs.lanes.Reset(1)
 }
 
-// Classify classifies every hierarchy and returns the detections keyed by
-// parent goal name.
-func (cs *CompiledSuite) Classify() map[string][]Detection { return cs.Suite().Classify() }
-
 // ClassifyAll classifies every hierarchy exactly once and returns the
 // detections keyed by parent goal name together with the aggregate summary.
 func (cs *CompiledSuite) ClassifyAll() (map[string][]Detection, Summary) {
 	return cs.Suite().ClassifyAll()
 }
-
-// Summary aggregates the classification of all hierarchies.
-func (cs *CompiledSuite) Summary() Summary { return cs.Suite().Summary() }
-
-// FastSummary computes the classification summary without materializing
-// detections; see Suite.FastSummary.
-func (cs *CompiledSuite) FastSummary() Summary { return cs.Suite().FastSummary() }
 
 // FastSummaryAt computes the classification summary with the hit-matching
 // tolerance overridden per call; see Suite.FastSummaryAt.  The recorded
@@ -120,18 +110,11 @@ func (cs *CompiledSuite) FastSummaryAt(tolerance int) Summary {
 	return cs.lanes.FastSummaryAt(0, tolerance)
 }
 
-// Report collects the violation-report rows of every monitor that recorded a
-// violation, sorted by goal name then location.
-func (cs *CompiledSuite) Report() []ViolationReport { return cs.Suite().Report() }
-
-// Monitors returns every monitor in the suite (parents then children, per
-// hierarchy).
-func (cs *CompiledSuite) Monitors() []*Monitor { return cs.Suite().Monitors() }
-
 // Suite returns the underlying hierarchy suite, for consumers of the
-// classification and reporting API (tables, figures, summaries).  Its
-// monitors are program-fed: calling Observe on them (or on the returned
-// suite) panics, because their verdicts come from the shared program.
+// classification and reporting API (Classify, Report, Monitors, tables,
+// figures).  Its monitors are program-fed: calling Observe on them (or on
+// the returned suite) panics, because their verdicts come from the shared
+// program.
 func (cs *CompiledSuite) Suite() *Suite { return cs.lanes.LaneSuiteOf(0) }
 
 // Program returns the shared evaluation program, exposing its sharing

@@ -48,17 +48,6 @@ func compiledRandState(r *rand.Rand) temporal.State {
 		SetNumber("req", r.Float64()*4)
 }
 
-// mustReference builds a reference monitor (string-keyed temporal.Stepper)
-// for a plan cell.
-func mustReference(t *testing.T, g GoalAt) *Monitor {
-	t.Helper()
-	m, err := NewReference(g.Goal, g.Location, time.Millisecond)
-	if err != nil {
-		t.Fatalf("NewReference(%s): %v", g.Goal.Name, err)
-	}
-	return m
-}
-
 // TestCompiledSuiteMatchesSuite drives a per-monitor Suite of reference
 // monitors and a CompiledSuite over identical random observations and
 // requires identical detections, summaries and reports — the package-level
@@ -69,10 +58,10 @@ func TestCompiledSuiteMatchesSuite(t *testing.T) {
 		plain := NewSuite()
 		compiled := NewCompiledSuite(time.Millisecond, nil)
 		for _, h := range compiledPlan() {
-			parent := mustReference(t, h.parent)
+			parent := referenceMonitor(h.parent.Goal, h.parent.Location, time.Millisecond)
 			children := make([]*Monitor, len(h.children))
 			for i, c := range h.children {
-				children[i] = mustReference(t, c)
+				children[i] = referenceMonitor(c.Goal, c.Location, time.Millisecond)
 			}
 			plain.Add(NewHierarchy(parent, tolerance, children...))
 			if err := compiled.AddHierarchy(h.parent, tolerance, h.children...); err != nil {
@@ -97,7 +86,7 @@ func TestCompiledSuiteMatchesSuite(t *testing.T) {
 		if !reflect.DeepEqual(gotD, wantD) {
 			t.Fatalf("seed %d: compiled detections diverge\ncompiled: %#v\nplain:    %#v", seed, gotD, wantD)
 		}
-		if got, want := compiled.Report(), plain.Report(); !reflect.DeepEqual(got, want) {
+		if got, want := compiled.Suite().Report(), plain.Report(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: compiled report diverges\ncompiled: %#v\nplain:    %#v", seed, got, want)
 		}
 	}
@@ -193,8 +182,8 @@ func TestCompiledSuiteErrors(t *testing.T) {
 	if err := cs.AddHierarchy(ok, 1, GoalAt{Goal: future, Location: "CA"}); err == nil {
 		t.Error("future-time child goal should be rejected")
 	}
-	if len(cs.Monitors()) != 0 {
-		t.Errorf("failed AddHierarchy registered %d monitors, want 0", len(cs.Monitors()))
+	if len(cs.Suite().Monitors()) != 0 {
+		t.Errorf("failed AddHierarchy registered %d monitors, want 0", len(cs.Suite().Monitors()))
 	}
 
 	defer func() {
@@ -222,7 +211,7 @@ func TestCompiledSuiteAddAfterLowering(t *testing.T) {
 		if err := cs.AddHierarchy(g, 1); err == nil {
 			t.Errorf("AddHierarchy after %s succeeded", name)
 		}
-		if n := len(cs.Monitors()); n != 1 {
+		if n := len(cs.Suite().Monitors()); n != 1 {
 			t.Errorf("after %s: %d monitors registered, want 1", name, n)
 		}
 	}
@@ -243,5 +232,5 @@ func TestProgramFedMonitorObservePanics(t *testing.T) {
 			t.Fatalf("panic = %v, want the program-fed explanation", r)
 		}
 	}()
-	cs.Monitors()[0].Observe(temporal.NewState())
+	cs.Suite().Monitors()[0].Observe(temporal.NewState())
 }

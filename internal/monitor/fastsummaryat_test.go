@@ -41,24 +41,24 @@ func TestFastSummaryAtMatchesDedicatedSuite(t *testing.T) {
 
 		for _, own := range tolerances {
 			cs := suites[own]
-			if got, want := cs.FastSummaryAt(own), cs.FastSummary(); got != want {
+			if got, want := cs.FastSummaryAt(own), cs.Suite().FastSummary(); got != want {
 				t.Errorf("seed %d: FastSummaryAt(own %d) = %v, FastSummary = %v", seed, own, got, want)
 			}
 			for _, other := range tolerances {
 				got := cs.FastSummaryAt(other)
-				want := suites[other].FastSummary()
+				want := suites[other].Suite().FastSummary()
 				if got != want {
 					t.Errorf("seed %d: suite@%d.FastSummaryAt(%d) = %v, dedicated suite@%d = %v",
-						seed, own, other, got, suites[other].FastSummary(), other)
+						seed, own, other, got, suites[other].Suite().FastSummary(), other)
 				}
-				if other != own && got != cs.FastSummary() {
+				if other != own && got != cs.Suite().FastSummary() {
 					differed = true
 				}
 			}
 			// Classification at a foreign tolerance reads the recorded
 			// intervals without disturbing them: the suite's own summary is
 			// unchanged afterwards, as are repeated overridden reads.
-			if got, want := cs.FastSummary(), suites[own].Summary(); got != want {
+			if got, want := cs.Suite().FastSummary(), suites[own].Suite().Summary(); got != want {
 				t.Errorf("seed %d: FastSummaryAt mutated suite@%d: FastSummary now %v, want %v",
 					seed, own, got, want)
 			}

@@ -66,9 +66,9 @@ type Monitor struct {
 	// (e.g. "Vehicle", "Arbiter", "CA"); see thesis Table 5.3.
 	Location string
 
-	// eval is the monitor's own goal evaluator; nil for the monitors a
-	// CompiledSuite or LaneSuite records verdicts into.
-	eval        evaluator
+	// eval is the reference evaluator of a NewReference monitor; nil for
+	// the monitors a CompiledSuite or LaneSuite records verdicts into.
+	eval        *temporal.Stepper
 	period      time.Duration
 	step        int
 	inViolation bool
@@ -76,75 +76,19 @@ type Monitor struct {
 	violations  []Interval
 }
 
-// New creates a monitor for the goal at the given location.  The period is
-// the simulation state period used to convert bounded-past operators; it
-// returns an error when the goal's formal definition cannot be monitored at
-// run time (contains future-time operators).  The goal's atoms resolve their
-// state-variable slots on the first observed state; monitors deployed
-// against a known scenario should use NewWithSchema so the resolution
-// happens at compile time.
-func New(g goals.Goal, location string, period time.Duration) (*Monitor, error) {
-	return NewWithSchema(g, location, period, nil)
-}
-
-// NewWithSchema is New with the scenario's symbol table: every atom of the
-// goal formula is resolved to its register slot when the monitor is built,
-// so monitoring cost is a constant number of array loads per state from the
-// very first observation.  The goal is evaluated by a one-formula
-// temporal.Program, the evaluator every monitor suite runs.
-func NewWithSchema(g goals.Goal, location string, period time.Duration, schema *temporal.Schema) (*Monitor, error) {
-	return build(g, location, period, func(f temporal.Formula) (evaluator, error) {
-		p := temporal.NewProgram(period, schema)
-		tap, err := p.Add(f)
-		if err != nil {
-			return nil, err
-		}
-		return &programEval{p: p, tap: tap}, nil
-	})
-}
-
 // NewReference creates a monitor whose goal is evaluated by the reference
 // temporal.Stepper, which reads atoms through the string-keyed State API on
-// every observation — the behaviour of the map-backed state representation.
-// It exists for differential tests that prove the program-evaluated monitors
-// and suites detect exactly the same violations.
+// every observation.  It is the independent oracle of the differential tests
+// that prove the program-evaluated suites (CompiledSuite, LaneSuite) detect
+// exactly the same violations.  The period converts bounded-past operator
+// durations (non-positive defaults to 1 ms); it returns an error when the
+// goal's formal definition cannot be monitored at run time (contains
+// future-time operators).
 func NewReference(g goals.Goal, location string, period time.Duration) (*Monitor, error) {
-	return build(g, location, period, func(f temporal.Formula) (evaluator, error) {
-		s, err := temporal.CompileReference(f, period)
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
-	})
-}
-
-// evaluator steps one goal formula: a one-formula Program or the reference
-// Stepper.
-type evaluator interface {
-	Step(temporal.State) bool
-	Reset()
-}
-
-// programEval is a one-formula Program read through its single tap.
-type programEval struct {
-	p   *temporal.Program
-	tap temporal.Tap
-}
-
-func (e *programEval) Step(st temporal.State) bool {
-	e.p.Step(st)
-	return e.p.Output(e.tap)
-}
-
-func (e *programEval) Reset() { e.p.Reset() }
-
-func build(g goals.Goal, location string, period time.Duration,
-	compile func(temporal.Formula) (evaluator, error)) (*Monitor, error) {
-
 	if g.Formal == nil {
 		return nil, fmt.Errorf("monitor: goal %q has no formal definition", g.Name)
 	}
-	ev, err := compile(g.Formal)
+	ev, err := temporal.CompileReference(g.Formal, period)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: goal %q: %w", g.Name, err)
 	}
@@ -152,15 +96,6 @@ func build(g goals.Goal, location string, period time.Duration,
 		period = time.Millisecond
 	}
 	return &Monitor{Goal: g, Location: location, eval: ev, period: period}, nil
-}
-
-// MustNew is like New but panics on error; for statically known goals.
-func MustNew(g goals.Goal, location string, period time.Duration) *Monitor {
-	m, err := New(g, location, period)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // Observe evaluates the goal on the next state, folds the verdict into the

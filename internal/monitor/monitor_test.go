@@ -22,30 +22,31 @@ func state(auto bool, accel float64) temporal.State {
 	return temporal.NewState().SetBool("autoSource", auto).SetNumber("accel", accel)
 }
 
+// referenceMonitor is NewReference for statically valid test goals.
+func referenceMonitor(g goals.Goal, location string, period time.Duration) *Monitor {
+	m, err := NewReference(g, location, period)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func TestNewMonitorErrors(t *testing.T) {
-	if _, err := New(goals.Goal{Name: "empty"}, "Vehicle", time.Millisecond); err == nil {
+	if _, err := NewReference(goals.Goal{Name: "empty"}, "Vehicle", time.Millisecond); err == nil {
 		t.Error("goal without formal definition should be rejected")
 	}
 	future := goals.New("Achieve[X]", "", temporal.Implies(temporal.Var("A"), temporal.Eventually(temporal.Var("B"))))
-	if _, err := New(future, "Vehicle", time.Millisecond); err == nil {
+	if _, err := NewReference(future, "Vehicle", time.Millisecond); err == nil {
 		t.Error("future-time goal should be rejected")
 	}
-	if _, err := New(accelGoal(), "Vehicle", 0); err != nil {
-		t.Errorf("zero period should default, got error %v", err)
+	m, err := NewReference(accelGoal(), "Vehicle", 0)
+	if err != nil || m.Period() != time.Millisecond {
+		t.Errorf("zero period should default to 1ms, got %v (error %v)", m.Period(), err)
 	}
-}
-
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew should panic on an invalid goal")
-		}
-	}()
-	MustNew(goals.Goal{Name: "bad"}, "Vehicle", time.Millisecond)
 }
 
 func TestMonitorViolationIntervals(t *testing.T) {
-	m := MustNew(accelGoal(), "Vehicle", time.Millisecond)
+	m := referenceMonitor(accelGoal(), "Vehicle", time.Millisecond)
 
 	inputs := []struct {
 		auto  bool
@@ -85,7 +86,7 @@ func TestMonitorViolationIntervals(t *testing.T) {
 }
 
 func TestMonitorFinishIdempotentAndReset(t *testing.T) {
-	m := MustNew(accelGoal(), "Vehicle", time.Millisecond)
+	m := referenceMonitor(accelGoal(), "Vehicle", time.Millisecond)
 	m.Observe(state(true, 3)) // open violation
 	if m.TotalViolationSteps() != 1 {
 		t.Errorf("open violation should count in TotalViolationSteps, got %d", m.TotalViolationSteps())
@@ -102,7 +103,7 @@ func TestMonitorFinishIdempotentAndReset(t *testing.T) {
 }
 
 func TestMonitorRunTrace(t *testing.T) {
-	m := MustNew(accelGoal(), "Vehicle", time.Millisecond)
+	m := referenceMonitor(accelGoal(), "Vehicle", time.Millisecond)
 	tr := temporal.NewTrace(time.Millisecond)
 	tr.Append(state(true, 1))
 	tr.Append(state(true, 3))
@@ -181,8 +182,8 @@ func TestDetectionKindString(t *testing.T) {
 // buildHierarchy creates a parent goal monitored at the vehicle level and a
 // subgoal monitored at the Arbiter level, mirroring goal 1 of the thesis.
 func buildHierarchy(tolerance int) (*Hierarchy, *Monitor, *Monitor) {
-	parent := MustNew(accelGoal(), "Vehicle", time.Millisecond)
-	sub := MustNew(goals.MustParse("Achieve[AutoAccelCommandBelowThreshold]",
+	parent := referenceMonitor(accelGoal(), "Vehicle", time.Millisecond)
+	sub := referenceMonitor(goals.MustParse("Achieve[AutoAccelCommandBelowThreshold]",
 		"The arbiter's acceleration command shall not exceed the threshold.",
 		"cmdFromSubsystem => accelCmd <= 2"), "Arbiter", time.Millisecond)
 	return NewHierarchy(parent, tolerance, sub), parent, sub
@@ -386,7 +387,7 @@ func TestPropMonitorMatchesBatchViolations(t *testing.T) {
 		for i := 0; i < length; i++ {
 			tr.Append(state(r.Intn(2) == 0, r.Float64()*4))
 		}
-		m := MustNew(g, "Vehicle", time.Millisecond)
+		m := referenceMonitor(g, "Vehicle", time.Millisecond)
 		ivs := m.RunTrace(tr)
 		violating := make(map[int]bool)
 		for _, iv := range ivs {
@@ -434,7 +435,7 @@ func TestSumAndRates(t *testing.T) {
 // name — retains only one detection list per name.
 func TestClassifyAllSharedGoalName(t *testing.T) {
 	mk := func(location string) *Hierarchy {
-		parent := MustNew(accelGoal(), location, time.Millisecond)
+		parent := referenceMonitor(accelGoal(), location, time.Millisecond)
 		return NewHierarchy(parent, 0)
 	}
 	suite := NewSuite()

@@ -71,9 +71,7 @@ func runDifferential(t *testing.T, sc Scenario, opts Options, cache suiteCache) 
 	}
 
 	s.Observe(compiled)
-	s.OnStep(func(_ time.Duration, st temporal.State) {
-		refSuite.Observe(st)
-	})
+	s.Observe(refSuite)
 	collision := s.Bus.Schema().Intern(vehicle.SigCollision)
 	s.StopWhen(func(_ time.Duration, st temporal.State) bool {
 		return st.Slot(collision).AsBool()
@@ -98,14 +96,14 @@ func runDifferential(t *testing.T, sc Scenario, opts Options, cache suiteCache) 
 		t.Errorf("%s (%s): compiled-program detections diverge from the string-keyed reference\nprogram: %#v\nref:     %#v",
 			sc.Name, opts.Label(), progDetections, refDetections)
 	}
-	if got, want := compiled.Report(), refSuite.Report(); !reflect.DeepEqual(got, want) {
+	if got, want := compiled.Suite().Report(), refSuite.Report(); !reflect.DeepEqual(got, want) {
 		t.Errorf("%s (%s): compiled-program violation report diverges from the reference suite",
 			sc.Name, opts.Label())
 	}
 	// The counting classifier used by summary-only runs must agree with the
 	// detection-materializing one on every suite.
-	if got := compiled.FastSummary(); got != progSummary {
-		t.Errorf("%s (%s): FastSummary %v != ClassifyAll summary %v",
+	if got := compiled.FastSummaryAt(tol); got != progSummary {
+		t.Errorf("%s (%s): FastSummaryAt %v != ClassifyAll summary %v",
 			sc.Name, opts.Label(), got, progSummary)
 	}
 	if got := refSuite.FastSummary(); got != refSummary {

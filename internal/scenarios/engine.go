@@ -257,15 +257,6 @@ type task struct {
 	groups [][]Job
 }
 
-// scheduledDuration normalizes a scenario's run length the way every
-// execution path does before simulating.
-func scheduledDuration(sc Scenario) time.Duration {
-	if sc.Duration <= 0 {
-		return DefaultDuration
-	}
-	return sc.Duration
-}
-
 // maxGroupWidth bounds how many jobs one dynamics group may carry.  The
 // bound keeps per-group memory O(1) and — because the dispatcher holds one
 // window token per undispatched job — bounds the window share a pending
@@ -358,7 +349,7 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 			if len(group) == 0 {
 				return true
 			}
-			d := scheduledDuration(group[0].Scenario)
+			d := group[0].Scenario.ScheduledDuration()
 			if len(batch.groups) > 0 && d != batchDur && !sendBatch() {
 				return false
 			}
@@ -658,9 +649,7 @@ func (c *variantCache) lookup(job Job) (Result, bool) {
 		return Result{}, false
 	}
 	sc := job.Scenario
-	if sc.Duration <= 0 {
-		sc.Duration = DefaultDuration
-	}
+	sc.Duration = sc.ScheduledDuration()
 	return Result{Scenario: sc, Steps: cs.steps, Summary: cs.summary, Collision: cs.collision}, true
 }
 

@@ -92,10 +92,7 @@ const (
 // difference in timing or commanded values splits the key.
 func (j Job) DynamicsKey() string {
 	sc := j.Scenario
-	d := sc.Duration
-	if d <= 0 {
-		d = DefaultDuration
-	}
+	d := sc.ScheduledDuration()
 	sched, err := json.Marshal(sc.Driver)
 	if err != nil {
 		// DriverAction holds only values and pointers to values; its

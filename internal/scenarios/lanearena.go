@@ -85,11 +85,7 @@ func (a *laneArena) run(groups [][]Job, out []Result) {
 		a.sets[l].configure(lead.Scenario, lead.Options)
 		initVehicleBus(a.sim.Bus.Lane(l), lead.Scenario)
 	}
-	d := groups[0][0].Scenario.Duration
-	if d <= 0 {
-		d = DefaultDuration
-	}
-	stopped := a.sim.Run(d, uint64(1)<<uint(k)-1)
+	stopped := a.sim.Run(groups[0][0].Scenario.ScheduledDuration(), uint64(1)<<uint(k)-1)
 	a.suite.Finish()
 
 	idx := 0
@@ -98,9 +94,7 @@ func (a *laneArena) run(groups [][]Job, out []Result) {
 		collision := stopped&(uint64(1)<<uint(l)) != 0
 		for _, j := range groups[l] {
 			jsc := j.Scenario
-			if jsc.Duration <= 0 {
-				jsc.Duration = DefaultDuration
-			}
+			jsc.Duration = jsc.ScheduledDuration()
 			out[idx] = Result{
 				Scenario:  jsc,
 				Steps:     steps,

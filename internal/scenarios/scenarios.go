@@ -16,9 +16,8 @@ import (
 const Period = time.Millisecond
 
 // DefaultDuration is the scheduled simulation time a zero-valued
-// Scenario.Duration resolves to (20 s, as in the thesis).  It is exported so
-// out-of-process consumers of results (internal/dist) can normalize a job's
-// duration exactly the way the run itself does.
+// Scenario.Duration resolves to (20 s, as in the thesis); see
+// Scenario.ScheduledDuration.
 const DefaultDuration = 20 * time.Second
 
 // Scenario is one of the ten evaluation scenarios of thesis Section 5.4.
@@ -56,6 +55,16 @@ type Scenario struct {
 	// thesis implementation accepted engagement in reverse, so the check
 	// is off by default).
 	ACCDirectionCheck bool `json:"acc_direction_check,omitempty"`
+}
+
+// ScheduledDuration is the simulated time the scenario is scheduled for: its
+// Duration, or DefaultDuration when that is not positive.  Every execution
+// path, identity key and rebuilt result normalizes the run length through it.
+func (sc Scenario) ScheduledDuration() time.Duration {
+	if sc.Duration <= 0 {
+		return DefaultDuration
+	}
+	return sc.Duration
 }
 
 // Result is the outcome of one monitored scenario run.
@@ -504,9 +513,7 @@ func runJobCached(sc Scenario, opts Options, retention Retention, cache suiteCac
 	// Normalize the default duration into the scenario recorded on the
 	// Result, so Result.TerminatedEarly compares the executed steps against
 	// the duration that was actually scheduled.
-	if sc.Duration <= 0 {
-		sc.Duration = DefaultDuration
-	}
+	sc.Duration = sc.ScheduledDuration()
 
 	var (
 		trace *temporal.Trace
@@ -529,7 +536,7 @@ func runJobCached(sc Scenario, opts Options, retention Retention, cache suiteCac
 	if retention == SummaryOnly {
 		// Only the counts survive this retention policy, so classify without
 		// materializing detections (identical summary, zero retained state).
-		out.Summary = suite.FastSummary()
+		out.Summary = suite.FastSummaryAt(tol)
 	} else {
 		detections, summary := suite.ClassifyAll()
 		out.Summary = summary

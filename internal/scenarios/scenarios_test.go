@@ -72,7 +72,8 @@ func TestVehicleSafetyGoals(t *testing.T) {
 	}
 	// All nine goals are monitorable at run time (past-time only).
 	for _, g := range r.All() {
-		if _, err := monitor.New(g, "Vehicle", Period); err != nil {
+		cs := monitor.NewCompiledSuite(Period, nil)
+		if err := cs.AddHierarchy(monitor.GoalAt{Goal: g, Location: "Vehicle"}, 0); err != nil {
 			t.Errorf("goal %s is not monitorable: %v", g.Name, err)
 		}
 	}

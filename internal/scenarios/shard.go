@@ -57,10 +57,7 @@ type Job struct {
 // configurations violate the contract and must not be sharded, cached or
 // deduplicated by key.
 func (j Job) Key() string {
-	d := j.Scenario.Duration
-	if d <= 0 {
-		d = DefaultDuration
-	}
+	d := j.Scenario.ScheduledDuration()
 	return j.Scenario.Name + "|" + strconv.FormatInt(int64(d), 10) + "|" + j.Options.Label()
 }
 

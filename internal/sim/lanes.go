@@ -8,7 +8,7 @@ import (
 
 // LaneBus is a lane-widened signal bus: one pair of double-buffered register
 // files carrying N independent simulations' signals side by side, with a
-// scalar *Bus view per lane.  Components bound to lane l's view read and
+// *Bus view per lane.  Components bound to lane l's view read and
 // write only lane l of every slot's contiguous lane group, so K component
 // sets drive K trajectories through one shared state — and one Commit, still
 // a single pointer-free plane memmove, publishes all lanes at once.
@@ -35,7 +35,7 @@ func NewLaneBus(lanes int) *LaneBus {
 	}
 	lb.views = make([]*Bus, lanes)
 	for l := range lb.views {
-		lb.views[l] = &Bus{schema: schema, current: lb.current, pending: lb.pending, lanes: lanes, lane: l}
+		lb.views[l] = &Bus{lb: lb, lane: l}
 	}
 	return lb
 }
@@ -47,7 +47,7 @@ func (lb *LaneBus) Lanes() int { return lb.lanes }
 // vocabulary (and the same enumeration strings) once.
 func (lb *LaneBus) Schema() *temporal.Schema { return lb.schema }
 
-// Lane returns lane l's scalar bus view.  The view is stable across runs;
+// Lane returns lane l's bus view.  The view is stable across runs;
 // components bind their handles against it once.
 func (lb *LaneBus) Lane(l int) *Bus { return lb.views[l] }
 
@@ -55,9 +55,9 @@ func (lb *LaneBus) Lane(l int) *Bus { return lb.views[l] }
 // (temporal.Program.StepLanes).  It is mutated in place by the next Commit.
 func (lb *LaneBus) State() temporal.State { return lb.current }
 
-// Commit publishes all lanes' buffered writes at once — the same
-// plane-by-plane memmove as the scalar bus commit, over planes N lanes wide.
-// Unwritten lanes keep their previous value (hold semantics per lane).
+// Commit publishes all lanes' buffered writes at once: a plane-by-plane
+// memmove of the pending register file over the current one.  Unwritten
+// lanes keep their previous value (hold semantics per lane).
 func (lb *LaneBus) Commit() { lb.current.CopyFrom(lb.pending) }
 
 // Reset clears both register files while keeping the schema, the interned
@@ -75,8 +75,7 @@ type LaneObserver interface {
 	// ObserveLanes is invoked once per tick with the committed widened state.
 	ObserveLanes(state temporal.State)
 	// LaneStopped is invoked when a lane's stop predicate fires, after that
-	// tick's ObserveLanes (matching the scalar kernel, where the stopping
-	// step's state is still observed).
+	// tick's ObserveLanes (the stopping step's state is still observed).
 	LaneStopped(lane int)
 }
 
@@ -84,8 +83,9 @@ type LaneObserver interface {
 // per tick, every active lane's components step against their own lane view,
 // one Commit publishes all lanes, observers see the widened state once, and
 // per-lane stop predicates retire lanes from the active mask individually.
-// The per-step cost that the scalar kernel pays once per variant — commit,
-// program step, observer dispatch — is paid once per batch.
+// The per-step cost of commit, program step and observer dispatch is paid
+// once per batch, not once per variant.  Its Run is the package's only
+// per-tick loop; a Simulation is a LaneSim of width 1.
 type LaneSim struct {
 	// Period is the state period (1 ms by default, as in the thesis).
 	Period time.Duration
@@ -146,19 +146,15 @@ func (s *LaneSim) Reset() {
 			}
 		}
 	}
-	for l := range s.steps {
-		s.steps[l] = 0
-	}
+	clear(s.steps)
 }
 
-// Steps returns the number of ticks lane l executed in the last Run —
-// including the tick its stop predicate fired on, matching the scalar
-// kernel's executed-step count.
+// Steps returns the number of ticks lane l executed in the last Run (each
+// Run counts from zero), including the tick its stop predicate fired on.
 func (s *LaneSim) Steps(l int) int { return s.steps[l] }
 
 // Run executes the batch for the given duration over the lanes of the active
-// mask, discarding state like the scalar RunDiscard (observers receive the
-// live widened state).  A lane whose stop predicate fires is retired from
+// mask, recording nothing (observers receive the live widened state).  A lane whose stop predicate fires is retired from
 // the mask — its components stop stepping and its signals freeze — without
 // desynchronizing the remaining lanes.  Run returns the mask of lanes whose
 // stop predicate fired.
@@ -166,6 +162,7 @@ func (s *LaneSim) Run(d time.Duration, active uint64) (stopped uint64) {
 	lanes := s.Lanes()
 	active &= uint64(1)<<uint(lanes) - 1
 	total := int(d / s.Period)
+	clear(s.steps)
 	for i := 0; i < total && active != 0; i++ {
 		now := time.Duration(i) * s.Period
 		for l := 0; l < lanes; l++ {

@@ -24,15 +24,18 @@ func TestLaneBusBoolWordSeams(t *testing.T) {
 		names[s] = fmt.Sprintf("b%02d", s)
 	}
 	want := func(s, l int) bool { return (s*7+l*3)%2 == 0 }
+	vars := make([][]BoolVar, slots)
 	for s, name := range names {
+		vars[s] = make([]BoolVar, lanes)
 		for l := 0; l < lanes; l++ {
-			lb.Lane(l).WriteBool(name, want(s, l))
+			vars[s][l] = lb.Lane(l).BoolVar(name)
+			vars[s][l].Write(want(s, l))
 		}
 	}
 	lb.Commit()
-	for s, name := range names {
+	for s := range names {
 		for l := 0; l < lanes; l++ {
-			if got := lb.Lane(l).ReadBool(name); got != want(s, l) {
+			if got := vars[s][l].Read(); got != want(s, l) {
 				t.Fatalf("slot %d lane %d (bit %d): got %v, want %v",
 					s, l, s*lanes+l, got, want(s, l))
 			}
@@ -43,10 +46,10 @@ func TestLaneBusBoolWordSeams(t *testing.T) {
 	// slot, adjacent lanes — adjacent physical bits across the word seam)
 	// must be untouched.
 	seam := 12 // lane group spans bits 60..64
-	lb.Lane(2).WriteBool(names[seam], !want(seam, 2))
+	vars[seam][2].Write(!want(seam, 2))
 	lb.Commit()
 	for l := 0; l < lanes; l++ {
-		got := lb.Lane(l).ReadBool(names[seam])
+		got := vars[seam][l].Read()
 		exp := want(seam, l)
 		if l == 2 {
 			exp = !exp
@@ -63,13 +66,14 @@ func TestLaneBusBoolWordSeams(t *testing.T) {
 // ids, and every lane view reads back its own value.
 func TestLaneBusEnumInterningShared(t *testing.T) {
 	lb := NewLaneBus(3)
-	lb.Lane(0).WriteString("src", "ACC")
-	lb.Lane(1).WriteString("src", "Driver")
-	lb.Lane(2).WriteString("src", "ACC")
+	src := []StringVar{lb.Lane(0).StringVar("src"), lb.Lane(1).StringVar("src"), lb.Lane(2).StringVar("src")}
+	src[0].Write("ACC")
+	src[1].Write("Driver")
+	src[2].Write("ACC")
 	lb.Commit()
 
 	for l, want := range []string{"ACC", "Driver", "ACC"} {
-		if got := lb.Lane(l).ReadString("src"); got != want {
+		if got := src[l].Read(); got != want {
 			t.Errorf("lane %d: ReadString = %q, want %q", l, got, want)
 		}
 	}
@@ -126,21 +130,22 @@ func TestStringVarIDs(t *testing.T) {
 // special casing in the commit.
 func TestLaneBusHoldSemantics(t *testing.T) {
 	lb := NewLaneBus(2)
-	lb.Lane(0).WriteNumber("v", 1)
-	lb.Lane(1).WriteNumber("v", 2)
+	v0, v1 := lb.Lane(0).NumVar("v"), lb.Lane(1).NumVar("v")
+	v0.Write(1)
+	v1.Write(2)
 	lb.Commit()
-	lb.Lane(1).WriteNumber("v", 3)
+	v1.Write(3)
 	lb.Commit()
-	if got := lb.Lane(0).ReadNumber("v"); got != 1 {
+	if got := v0.Read(); got != 1 {
 		t.Errorf("unwritten lane 0 moved: got %v, want held 1", got)
 	}
-	if got := lb.Lane(1).ReadNumber("v"); got != 3 {
+	if got := v1.Read(); got != 3 {
 		t.Errorf("lane 1 = %v, want 3", got)
 	}
 }
 
 // laneCounter increments a per-lane signal each tick; its Step writes
-// through the scalar Component interface, proving unmodified components run
+// through the plain Component interface, proving unmodified components run
 // on lane views.
 type laneCounter struct {
 	n int
@@ -157,7 +162,7 @@ func (c *laneCounter) Reset() { c.n = 0 }
 
 // TestLaneSimEarlyStopSteps runs three counter lanes with staggered stop
 // thresholds: each stopping lane must retire at its own tick (Steps includes
-// the stopping tick, matching the scalar kernel), later ticks must not step
+// the stopping tick), later ticks must not step
 // it, and a lane whose predicate never fires runs the full schedule.
 func TestLaneSimEarlyStopSteps(t *testing.T) {
 	const lanes = 3
@@ -194,7 +199,7 @@ func TestLaneSimEarlyStopSteps(t *testing.T) {
 	}
 
 	// A retired lane's committed signals freeze at their stopping value.
-	if got := s.Bus.Lane(0).ReadNumber("n"); got != 5 {
+	if got := counters[0].v.Read(); got != 5 {
 		t.Errorf("retired lane 0 signal = %v, want frozen 5", got)
 	}
 

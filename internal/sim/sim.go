@@ -6,10 +6,14 @@
 // Components exchange data through a Bus of named signals.  A value written
 // during one step becomes visible to readers at the next step, matching the
 // KAOS convention — used throughout the thesis — that monitored values are
-// observed one state late.  The kernel records a temporal.Trace of the
-// committed state at every step, which the monitor package and the figure
-// extractors consume; RunDiscard skips the recording for callers that only
-// need the observers' verdicts (e.g. summary-only scenario sweeps).
+// observed one state late.
+//
+// The one per-tick loop is LaneSim.Run, which steps K independent component
+// sets in lockstep over one lane-widened LaneBus.  A Simulation is that
+// kernel at width 1: its Run records a temporal.Trace of the committed state
+// at every step, which the monitor package and the figure extractors
+// consume; RunDiscard skips the recording for callers that only need the
+// observers' verdicts.
 package sim
 
 import (
@@ -32,96 +36,35 @@ type Component interface {
 // Reads observe the values committed at the end of the previous step; writes
 // are buffered and become visible after the current step commits.
 //
-// The bus owns the run's temporal.Schema: every signal name is interned to a
-// dense slot index once, and the double-buffered current/pending states are
-// register files over that schema.  Hot components resolve their signals to
-// typed handles (NumVar/BoolVar/StringVar) up front and read/write by slot;
-// the name-keyed Read*/Write* methods remain as the schema-resolving
-// compatibility path.
-// A Bus may also be one lane's view of a lane-widened register file
-// (LaneBus): the double-buffered states are then shared by all lanes and
-// every slot access is routed to the view's lane of the slot's contiguous
-// lane group.  Components are oblivious — a lane view is just a *Bus whose
-// handles resolve to lane-strided physical indices.
+// A Bus is one lane's view of a LaneBus: the double-buffered register files
+// and the run's temporal.Schema belong to the LaneBus, and every slot access
+// is routed to the view's lane of the slot's contiguous lane group
+// (slot*lanes + lane; the identity at width 1).  Components resolve their
+// signals to typed handles (NumVar/BoolVar/StringVar) once and read/write by
+// slot; they are oblivious to the lane width.
 type Bus struct {
-	schema  *temporal.Schema
-	current temporal.State
-	pending temporal.State
-	lanes   int // lane width of the backing states (0/1 = scalar bus)
-	lane    int // which lane this view addresses
+	lb   *LaneBus
+	lane int
 }
 
-// NewBus returns an empty bus with a fresh schema.
-func NewBus() *Bus {
-	schema := temporal.NewSchema()
-	return &Bus{
-		schema:  schema,
-		current: temporal.NewStateWith(schema),
-		pending: temporal.NewStateWith(schema),
-	}
-}
+// NewBus returns the only lane view of a fresh width-1 LaneBus, for
+// components stepped by hand outside a Simulation.
+func NewBus() *Bus { return NewLaneBus(1).Lane(0) }
 
 // Schema returns the bus' symbol table, shared by every state snapshot of
 // the run.  Monitors compiled against it resolve their atoms at compile
 // time (temporal.NewProgram with this schema).
-func (b *Bus) Schema() *temporal.Schema { return b.schema }
+func (b *Bus) Schema() *temporal.Schema { return b.lb.schema }
 
-// physOf maps a schema slot onto the physical register index this bus view
-// addresses: the identity for a scalar bus, the view's lane of the slot's
-// lane group for a lane view.
-func (b *Bus) physOf(slot int) int {
-	if b.lanes > 1 {
-		return slot*b.lanes + b.lane
-	}
-	return slot
-}
-
-// Read returns the visible value of a signal (invalid Value when absent).
-func (b *Bus) Read(name string) temporal.Value {
-	if i, ok := b.schema.Lookup(name); ok {
-		return b.current.Slot(b.physOf(i))
-	}
-	return temporal.Value{}
-}
-
-// ReadNumber returns the visible numeric value of a signal (NaN if absent).
-func (b *Bus) ReadNumber(name string) float64 { return b.Read(name).AsNumber() }
-
-// ReadBool returns the visible boolean value of a signal.
-func (b *Bus) ReadBool(name string) bool { return b.Read(name).AsBool() }
-
-// ReadString returns the visible string value of a signal.
-func (b *Bus) ReadString(name string) string { return b.Read(name).AsString() }
-
-// Has reports whether the signal has a visible value.
-func (b *Bus) Has(name string) bool { return b.Read(name).IsValid() }
-
-// Write buffers a new value for a signal; it becomes visible next step.
-func (b *Bus) Write(name string, v temporal.Value) {
-	b.pending.SetSlot(b.physOf(b.schema.Intern(name)), v)
-}
-
-// WriteNumber buffers a numeric signal value.
-func (b *Bus) WriteNumber(name string, f float64) {
-	b.pending.SetSlotNumber(b.physOf(b.schema.Intern(name)), f)
-}
-
-// WriteBool buffers a boolean signal value.
-func (b *Bus) WriteBool(name string, v bool) {
-	b.pending.SetSlotBool(b.physOf(b.schema.Intern(name)), v)
-}
-
-// WriteString buffers a string signal value.
-func (b *Bus) WriteString(name, s string) {
-	b.pending.SetSlotString(b.physOf(b.schema.Intern(name)), s)
-}
+// physOf maps a schema slot onto the register index this view addresses.
+func (b *Bus) physOf(slot int) int { return slot*b.lb.lanes + b.lane }
 
 // Init sets a signal's initial value so that it is visible from the very
 // first step.  Call before Simulation.Run.
 func (b *Bus) Init(name string, v temporal.Value) {
-	i := b.physOf(b.schema.Intern(name))
-	b.current.SetSlot(i, v)
-	b.pending.SetSlot(i, v)
+	i := b.physOf(b.lb.schema.Intern(name))
+	b.lb.current.SetSlot(i, v)
+	b.lb.pending.SetSlot(i, v)
 }
 
 // InitNumber initialises a numeric signal.
@@ -133,26 +76,14 @@ func (b *Bus) InitBool(name string, v bool) { b.Init(name, temporal.Bool(v)) }
 // InitString initialises a string signal.
 func (b *Bus) InitString(name, s string) { b.Init(name, temporal.String(s)) }
 
-// Commit makes all buffered writes visible: a plane-by-plane memmove of the
-// pending register file over the current one.  Signals that were not written
-// this step keep their previous value (hold semantics: once initialised or
-// written, a signal's last value persists in the pending buffer).  The
-// simulation kernel commits after each step; external drivers stepping
-// components by hand call it directly.
-func (b *Bus) Commit() { b.current.CopyFrom(b.pending) }
+// Commit makes the buffered writes of every lane of the backing LaneBus
+// visible (LaneBus.Commit).  The simulation kernel commits after each step;
+// external drivers stepping components by hand call it directly.
+func (b *Bus) Commit() { b.lb.Commit() }
 
-// Snapshot returns an independent copy of the visible state.
-func (b *Bus) Snapshot() temporal.State { return b.current.Clone() }
-
-// Reset clears both register files to the absent value while keeping the
-// schema, the interned vocabulary and the plane capacity, so the same bus
-// can carry run after run: slot handles, compiled monitors and enumeration
-// ids resolved against the schema all stay valid, and the next run's Init
-// calls write into already-sized planes.
-func (b *Bus) Reset() {
-	b.current.Reset()
-	b.pending.Reset()
-}
+// Snapshot returns an independent copy of the visible state (every lane of
+// the backing LaneBus; at width 1, exactly this bus' signals).
+func (b *Bus) Snapshot() temporal.State { return b.lb.current.Clone() }
 
 // NumVar is a slot-indexed handle to a numeric bus signal: Read observes the
 // committed value (NaN when absent) and Write buffers the next value, with
@@ -165,7 +96,7 @@ type NumVar struct {
 
 // NumVar resolves a numeric signal to a typed handle, interning the name.
 func (b *Bus) NumVar(name string) NumVar {
-	return NumVar{read: b.current, write: b.pending, slot: b.physOf(b.schema.Intern(name))}
+	return NumVar{read: b.lb.current, write: b.lb.pending, slot: b.physOf(b.lb.schema.Intern(name))}
 }
 
 // Read returns the visible value of the signal (NaN when absent).
@@ -183,7 +114,7 @@ type BoolVar struct {
 
 // BoolVar resolves a boolean signal to a typed handle, interning the name.
 func (b *Bus) BoolVar(name string) BoolVar {
-	return BoolVar{read: b.current, write: b.pending, slot: b.physOf(b.schema.Intern(name))}
+	return BoolVar{read: b.lb.current, write: b.lb.pending, slot: b.physOf(b.lb.schema.Intern(name))}
 }
 
 // Read returns the visible value of the signal (false when absent).
@@ -201,7 +132,7 @@ type StringVar struct {
 
 // StringVar resolves a string signal to a typed handle, interning the name.
 func (b *Bus) StringVar(name string) StringVar {
-	return StringVar{read: b.current, write: b.pending, slot: b.physOf(b.schema.Intern(name))}
+	return StringVar{read: b.lb.current, write: b.lb.pending, slot: b.physOf(b.lb.schema.Intern(name))}
 }
 
 // Read returns the visible value of the signal ("" when absent).
@@ -227,7 +158,7 @@ func (v StringVar) WriteID(id int32) { v.write.SetSlotStringID(v.slot, id) }
 // Ids are stable for the schema's lifetime — across Reset and shared by
 // every lane view of a LaneBus — so a component interns its values once
 // when it binds its handles and writes ids with StringVar.WriteID.
-func (b *Bus) EnumID(s string) int32 { return b.schema.InternString(s) }
+func (b *Bus) EnumID(s string) int32 { return b.lb.schema.InternString(s) }
 
 // Resetter is implemented by components that can rewind themselves to their
 // initial conditions, so a fully built simulation — bus, schema, resolved
@@ -254,60 +185,56 @@ func (s StepFunc) Name() string { return s.ComponentName }
 // Step implements Component.
 func (s StepFunc) Step(now time.Duration, bus *Bus) { s.Fn(now, bus) }
 
-// Simulation is a fixed-step simulation of a set of components.
+// Simulation is a fixed-step simulation of one component set: the lane
+// kernel (LaneSim) at width 1, plus what a single run adds on top of it —
+// per-step trace recording (Run) and scalar observers and stop predicates.
 type Simulation struct {
 	// Period is the state period (1 ms by default, as in the thesis).
 	Period time.Duration
-	// Bus is the shared signal bus.
+	// Bus is the shared signal bus: the kernel's only lane view.  Initialise
+	// it in place; Run and RunDiscard panic when it has been replaced.
 	Bus *Bus
 
-	components []Component
-	observers  []func(now time.Duration, state temporal.State)
-	stop       func(now time.Duration, state temporal.State) bool
+	kernel *LaneSim
+	rec    recorder
 }
 
 // New returns a simulation with the given state period (defaulting to the
 // thesis' 1 ms when non-positive).
 func New(period time.Duration) *Simulation {
-	if period <= 0 {
-		period = time.Millisecond
-	}
-	return &Simulation{Period: period, Bus: NewBus()}
+	k := NewLaneSim(period, 1)
+	s := &Simulation{Period: k.Period, Bus: k.Bus.Lane(0), kernel: k}
+	k.Observe(&s.rec)
+	return s
 }
 
 // Add registers components; they are stepped in registration order.
-func (s *Simulation) Add(cs ...Component) {
-	s.components = append(s.components, cs...)
-}
-
-// OnStep registers an observer invoked with the committed state after every
-// step (e.g. run-time goal monitors).  Observers must not mutate the state.
-func (s *Simulation) OnStep(fn func(now time.Duration, state temporal.State)) {
-	s.observers = append(s.observers, fn)
-}
+func (s *Simulation) Add(cs ...Component) { s.kernel.AddLane(0, cs...) }
 
 // StateObserver consumes each committed state of a run.  A whole monitor
 // suite compiled to a shared evaluation program (monitor.CompiledSuite) is
 // one StateObserver: the simulation hands it each state once and the program
-// fans the verdicts out to every monitor internally.
+// fans the verdicts out to every monitor internally.  Observers must not
+// mutate the state.
 type StateObserver interface {
 	Observe(state temporal.State)
 }
 
-// Observe registers a StateObserver as a single observer of every committed
-// state.
+// Observe registers a StateObserver of every committed state.
 func (s *Simulation) Observe(obs StateObserver) {
-	s.OnStep(func(_ time.Duration, st temporal.State) { obs.Observe(st) })
+	s.rec.observers = append(s.rec.observers, obs)
 }
 
 // StopWhen registers an early-termination predicate evaluated on the
 // committed state after every step; the thesis' scenarios terminate early
 // when the simulated vehicle model faults.
 func (s *Simulation) StopWhen(fn func(now time.Duration, state temporal.State) bool) {
-	s.stop = fn
+	s.kernel.StopLaneWhen(func(_ int, now time.Duration, _ temporal.State) bool {
+		return fn(now, s.rec.last)
+	})
 }
 
-// Reset rewinds the simulation for another run: both bus register files are
+// Reset rewinds the simulation for another run: the bus register files are
 // cleared (keeping the schema, the interned vocabulary and the plane
 // capacity) and every component implementing Resetter is restored to its
 // initial conditions.  Registered observers and the stop predicate are kept;
@@ -316,18 +243,17 @@ func (s *Simulation) StopWhen(fn func(now time.Duration, state temporal.State) b
 // a reusable arena: the steady state of a sweep allocates nothing per step
 // and only O(1) bookkeeping per run.
 func (s *Simulation) Reset() {
-	s.Bus.Reset()
-	for _, c := range s.components {
-		if r, ok := c.(Resetter); ok {
-			r.Reset()
-		}
-	}
+	s.kernel.Reset()
+	s.rec.Reset()
 }
 
 // Run executes the simulation for the given duration (or until the stop
 // predicate fires) and returns the recorded trace of committed states.
+// Observers and the stop predicate receive the recorded snapshot.
 func (s *Simulation) Run(d time.Duration) *temporal.Trace {
-	trace, _, _ := s.run(d, true)
+	trace := temporal.NewTraceWithCapacity(s.Period, int(d/s.Period))
+	s.rec.trace = trace
+	s.drive(d)
 	return trace
 }
 
@@ -335,7 +261,7 @@ func (s *Simulation) Run(d time.Duration) *temporal.Trace {
 // and the stop predicate receive the live bus state instead of a per-step
 // snapshot, so a run allocates O(1) state instead of O(steps).  It returns
 // the number of executed steps and an independent copy of the final committed
-// state.
+// state (nil when no step ran).
 //
 // Observers registered on a discarding run must treat the state as valid only
 // for the duration of the call: it is mutated in place by the next commit.
@@ -344,41 +270,47 @@ func (s *Simulation) Run(d time.Duration) *temporal.Trace {
 // immediately and retain only operator state — which is what makes
 // trace-free sweeps possible.
 func (s *Simulation) RunDiscard(d time.Duration) (steps int, last temporal.State) {
-	_, steps, last = s.run(d, false)
+	s.drive(d)
+	if steps = s.kernel.Steps(0); steps > 0 {
+		last = s.Bus.Snapshot()
+	}
 	return steps, last
 }
 
-func (s *Simulation) run(d time.Duration, retain bool) (*temporal.Trace, int, temporal.State) {
-	steps := int(d / s.Period)
-	var trace *temporal.Trace
-	if retain {
-		trace = temporal.NewTraceWithCapacity(s.Period, steps)
+// drive runs the width-1 kernel for d and then drops the run's recording.
+func (s *Simulation) drive(d time.Duration) {
+	if s.Bus != s.kernel.Bus.Lane(0) {
+		panic("sim: Simulation.Bus was replaced; initialise the bus sim.New built instead")
 	}
-	executed := 0
-	for i := 0; i < steps; i++ {
-		now := time.Duration(i) * s.Period
-		for _, c := range s.components {
-			c.Step(now, s.Bus)
-		}
-		s.Bus.Commit()
-		snapshot := s.Bus.current
-		if retain {
-			trace.AppendClone(snapshot)
-			snapshot = trace.Last()
-		}
-		executed++
-		for _, obs := range s.observers {
-			obs(now, snapshot)
-		}
-		if s.stop != nil && s.stop(now, snapshot) {
-			break
-		}
-	}
-	var last temporal.State
-	if retain {
-		last = trace.Last()
-	} else if executed > 0 {
-		last = s.Bus.Snapshot()
-	}
-	return trace, executed, last
+	s.kernel.Period = s.Period
+	s.kernel.Run(d, 1)
+	s.rec.Reset()
 }
+
+// recorder is a Simulation's width-1 LaneObserver: it records each committed
+// state into the running trace, if any, and hands the recorded copy (the live
+// state under RunDiscard) to the scalar observers and the stop predicate.
+type recorder struct {
+	observers []StateObserver
+	trace     *temporal.Trace // the trace Run is recording; nil under RunDiscard
+	last      temporal.State  // the state this tick's observers saw
+}
+
+// ObserveLanes implements LaneObserver.
+func (r *recorder) ObserveLanes(st temporal.State) {
+	if r.trace != nil {
+		r.trace.AppendClone(st)
+		st = r.trace.Last()
+	}
+	r.last = st
+	for _, obs := range r.observers {
+		obs.Observe(st)
+	}
+}
+
+// LaneStopped implements LaneObserver; the kernel ends a one-lane run when
+// its only lane stops.
+func (r *recorder) LaneStopped(int) {}
+
+// Reset drops the per-run recording state; the observers stay registered.
+func (r *recorder) Reset() { r.trace, r.last = nil, nil }

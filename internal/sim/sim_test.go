@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,12 +11,13 @@ import (
 
 func TestBusOneStepDelay(t *testing.T) {
 	b := NewBus()
-	b.WriteNumber("x", 5)
-	if b.Has("x") {
+	x := b.NumVar("x")
+	x.Write(5)
+	if !math.IsNaN(x.Read()) {
 		t.Error("written value must not be visible before commit")
 	}
 	b.Commit()
-	if got := b.ReadNumber("x"); got != 5 {
+	if got := x.Read(); got != 5 {
 		t.Errorf("after commit, x = %v", got)
 	}
 }
@@ -25,7 +28,7 @@ func TestBusHoldSemantics(t *testing.T) {
 	b.Commit()
 	// No write this step: the value holds.
 	b.Commit()
-	if got := b.ReadNumber("x"); got != 1 {
+	if got := b.NumVar("x").Read(); got != 1 {
 		t.Errorf("x should hold its value, got %v", got)
 	}
 }
@@ -36,22 +39,24 @@ func TestBusInitVisibleImmediately(t *testing.T) {
 	b.InitString("cmd", "STOP")
 	b.InitNumber("speed", 2.5)
 	b.Init("raw", temporal.Number(7))
-	if !b.ReadBool("enabled") || b.ReadString("cmd") != "STOP" || b.ReadNumber("speed") != 2.5 || b.ReadNumber("raw") != 7 {
+	if !b.BoolVar("enabled").Read() || b.StringVar("cmd").Read() != "STOP" ||
+		b.NumVar("speed").Read() != 2.5 || b.NumVar("raw").Read() != 7 {
 		t.Error("Init values must be visible before the first commit")
 	}
 }
 
 func TestBusTypedAccessors(t *testing.T) {
 	b := NewBus()
-	b.WriteBool("flag", true)
-	b.WriteString("mode", "GO")
-	b.Write("v", temporal.Number(3))
+	flag, mode, v := b.BoolVar("flag"), b.StringVar("mode"), b.NumVar("v")
+	flag.Write(true)
+	mode.Write("GO")
+	v.Write(3)
 	b.Commit()
-	if !b.ReadBool("flag") || b.ReadString("mode") != "GO" || b.Read("v").AsNumber() != 3 {
+	if !flag.Read() || mode.Read() != "GO" || v.Read() != 3 {
 		t.Error("typed accessors round-trip failed")
 	}
-	if b.Has("missing") {
-		t.Error("Has(missing) should be false")
+	if got := b.NumVar("missing").Read(); !math.IsNaN(got) || b.Snapshot().Has("missing") {
+		t.Errorf("absent signal reads %v, want NaN and no value", got)
 	}
 }
 
@@ -59,7 +64,7 @@ func TestBusSnapshotIsIndependent(t *testing.T) {
 	b := NewBus()
 	b.InitNumber("x", 1)
 	snap := b.Snapshot()
-	b.WriteNumber("x", 2)
+	b.NumVar("x").Write(2)
 	b.Commit()
 	if snap.Number("x") != 1 {
 		t.Error("snapshot must not alias the live bus state")
@@ -104,17 +109,18 @@ func TestSimulationIntegratorTrace(t *testing.T) {
 	s := New(10 * time.Millisecond)
 	s.Bus.InitNumber("speed", 0)
 	s.Bus.InitNumber("accelCmd", 0)
+	speed, accelCmd := s.Bus.NumVar("speed"), s.Bus.NumVar("accelCmd")
 
-	controller := StepFunc{ComponentName: "controller", Fn: func(_ time.Duration, b *Bus) {
-		if b.ReadNumber("speed") < 1.0 {
-			b.WriteNumber("accelCmd", 10)
+	controller := StepFunc{ComponentName: "controller", Fn: func(time.Duration, *Bus) {
+		if speed.Read() < 1.0 {
+			accelCmd.Write(10)
 		} else {
-			b.WriteNumber("accelCmd", 0)
+			accelCmd.Write(0)
 		}
 	}}
-	plant := StepFunc{ComponentName: "plant", Fn: func(_ time.Duration, b *Bus) {
+	plant := StepFunc{ComponentName: "plant", Fn: func(time.Duration, *Bus) {
 		dt := 0.010
-		b.WriteNumber("speed", b.ReadNumber("speed")+b.ReadNumber("accelCmd")*dt)
+		speed.Write(speed.Read() + accelCmd.Read()*dt)
 	}}
 	s.Add(controller, plant)
 
@@ -135,14 +141,15 @@ func TestSimulationIntegratorTrace(t *testing.T) {
 	}
 }
 
+// observeFunc adapts a closure to StateObserver.
+type observeFunc func(temporal.State)
+
+func (f observeFunc) Observe(st temporal.State) { f(st) }
+
 func TestSimulationObserversAndStop(t *testing.T) {
-	s := New(time.Millisecond)
-	s.Bus.InitNumber("count", 0)
-	s.Add(StepFunc{ComponentName: "counter", Fn: func(_ time.Duration, b *Bus) {
-		b.WriteNumber("count", b.ReadNumber("count")+1)
-	}})
+	s := newCountingSim()
 	var observed int
-	s.OnStep(func(_ time.Duration, st temporal.State) { observed++ })
+	s.Observe(observeFunc(func(temporal.State) { observed++ }))
 	s.StopWhen(func(_ time.Duration, st temporal.State) bool { return st.Number("count") >= 5 })
 
 	tr := s.Run(time.Second)
@@ -167,8 +174,9 @@ func TestSimulationZeroDuration(t *testing.T) {
 func newCountingSim() *Simulation {
 	s := New(time.Millisecond)
 	s.Bus.InitNumber("count", 0)
-	s.Add(StepFunc{ComponentName: "counter", Fn: func(_ time.Duration, b *Bus) {
-		b.WriteNumber("count", b.ReadNumber("count")+1)
+	count := s.Bus.NumVar("count")
+	s.Add(StepFunc{ComponentName: "counter", Fn: func(time.Duration, *Bus) {
+		count.Write(count.Read() + 1)
 	}})
 	return s
 }
@@ -182,7 +190,7 @@ func TestRunDiscardMatchesRun(t *testing.T) {
 
 	s := newCountingSim()
 	var observed []float64
-	s.OnStep(func(_ time.Duration, st temporal.State) { observed = append(observed, st.Number("count")) })
+	s.Observe(observeFunc(func(st temporal.State) { observed = append(observed, st.Number("count")) }))
 	steps, last := s.RunDiscard(10 * time.Millisecond)
 
 	if steps != tr.Len() {
@@ -210,7 +218,7 @@ func TestRunDiscardStopAndLastIndependence(t *testing.T) {
 	if steps != 5 {
 		t.Fatalf("early stop should halt after 5 steps, got %d", steps)
 	}
-	s.Bus.WriteNumber("count", 99)
+	s.Bus.NumVar("count").Write(99)
 	s.Bus.Commit()
 	if last.Number("count") != 5 {
 		t.Error("RunDiscard's final state must not alias the live bus state")
@@ -228,14 +236,14 @@ func TestRunDiscardStopAndLastIndependence(t *testing.T) {
 func TestRunTraceSnapshotsIndependentOfLiveBus(t *testing.T) {
 	s := newCountingSim()
 	s.Add(StepFunc{ComponentName: "late", Fn: func(now time.Duration, b *Bus) {
-		b.WriteBool("odd", int(b.ReadNumber("count"))%2 == 1)
+		b.BoolVar("odd").Write(int(b.NumVar("count").Read())%2 == 1)
 		if now >= 700*time.Millisecond {
-			b.WriteString("phase", "late")
+			b.StringVar("phase").Write("late") // interns "phase" mid-run
 		}
 	}})
 	tr := s.Run(time.Second)
-	s.Bus.WriteNumber("count", -1)
-	s.Bus.WriteString("phase", "mutated")
+	s.Bus.NumVar("count").Write(-1)
+	s.Bus.StringVar("phase").Write("mutated")
 	s.Bus.Commit()
 	s.Reset()
 	if tr.Len() != 1000 {
@@ -255,20 +263,21 @@ func TestRunTraceSnapshotsIndependentOfLiveBus(t *testing.T) {
 	}
 }
 
-// TestBusResetKeepsVocabularyAndHandles checks that Bus.Reset clears every
-// signal while keeping the schema and resolved slot handles valid, so a
-// reused bus carries the next run without re-interning.
+// TestBusResetKeepsVocabularyAndHandles checks that Simulation.Reset clears
+// every bus signal while keeping the schema and resolved slot handles valid,
+// so a reused bus carries the next run without re-interning.
 func TestBusResetKeepsVocabularyAndHandles(t *testing.T) {
-	bus := NewBus()
+	s := New(time.Millisecond)
+	bus := s.Bus
 	speed := bus.NumVar("speed")
 	mode := bus.StringVar("mode")
 	bus.InitNumber("speed", 7)
 	bus.InitString("mode", "GO")
 
 	before := bus.Schema().Len()
-	bus.Reset()
-	if bus.Has("speed") || bus.Has("mode") {
-		t.Fatal("signals survived Bus.Reset")
+	s.Reset()
+	if st := bus.Snapshot(); st.Has("speed") || st.Has("mode") {
+		t.Fatal("signals survived Simulation.Reset")
 	}
 	if bus.Schema().Len() != before {
 		t.Fatalf("schema width changed across Reset: %d != %d", bus.Schema().Len(), before)
@@ -294,7 +303,7 @@ type resettableCounter struct {
 func (c *resettableCounter) Name() string { return "counter" }
 func (c *resettableCounter) Step(_ time.Duration, bus *Bus) {
 	c.steps++
-	bus.WriteNumber("count", float64(c.steps))
+	bus.NumVar("count").Write(float64(c.steps))
 }
 func (c *resettableCounter) Reset() { c.steps = 0 }
 
@@ -307,11 +316,33 @@ func TestSimulationResetRewindsComponentsAndBus(t *testing.T) {
 	_, last1 := s.RunDiscard(5 * time.Millisecond)
 
 	s.Reset()
-	if s.Bus.Has("count") {
+	if s.Bus.Snapshot().Has("count") {
 		t.Fatal("bus state survived Simulation.Reset")
 	}
 	_, last2 := s.RunDiscard(5 * time.Millisecond)
 	if got, want := last2.Number("count"), last1.Number("count"); got != want {
 		t.Errorf("second run after Reset ended at count %v, first run at %v", got, want)
+	}
+}
+
+// TestSimulationReplacedBusPanics checks that a run refuses a Bus field that
+// no longer is the simulation's own lane view: the kernel would step the
+// components against the original bus and silently ignore the replacement.
+func TestSimulationReplacedBusPanics(t *testing.T) {
+	for name, run := range map[string]func(*Simulation){
+		"Run":        func(s *Simulation) { s.Run(time.Millisecond) },
+		"RunDiscard": func(s *Simulation) { s.RunDiscard(time.Millisecond) },
+	} {
+		s := New(time.Millisecond)
+		s.Bus = NewBus()
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Simulation.Bus was replaced") {
+					t.Errorf("%s with a replaced Bus: recovered %q, want the replaced-bus panic", name, msg)
+				}
+			}()
+			run(s)
+		}()
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/temporal"
 )
 
 const testPeriod = time.Millisecond
@@ -162,7 +161,7 @@ func TestObjectRanges(t *testing.T) {
 func TestObjectCollisionDetection(t *testing.T) {
 	s := newSim()
 	s.Add(
-		StaticSignal{SigVehiclePosition, temporal.Number(0)},
+		StaticSignal{SigVehiclePosition, 0},
 		&Object{InitialDistance: 2, Speed: -3}, // object closing fast (oncoming)
 	)
 	tr := s.Run(2 * time.Second)
@@ -177,18 +176,18 @@ func TestObjectCollisionDetection(t *testing.T) {
 	}
 }
 
-// StaticSignal is a test helper component that republishes a constant value
-// every step.
+// StaticSignal is a test helper component that republishes a constant
+// numeric value every step.
 type StaticSignal struct {
 	Signal string
-	Value  temporal.Value
+	Value  float64
 }
 
 // Name implements sim.Component.
 func (s StaticSignal) Name() string { return "static:" + s.Signal }
 
 // Step implements sim.Component.
-func (s StaticSignal) Step(_ time.Duration, bus *sim.Bus) { bus.Write(s.Signal, s.Value) }
+func (s StaticSignal) Step(_ time.Duration, bus *sim.Bus) { bus.NumVar(s.Signal).Write(s.Value) }
 
 func TestDriverScheduleAndPulses(t *testing.T) {
 	throttle := Level(0.5)
