@@ -122,12 +122,12 @@ func (d *Drive) Reset() {
 func (d *Drive) Step(_ time.Duration, bus *sim.Bus) {
 	v := d.on(bus)
 	dt := v.stepSeconds()
-	command := v.driveCommand.Read()
+	command := v.driveCommand.ReadID()
 	target := v.driveTarget.Read()
-	braked := v.emergencyBrake.Read() == "APPLIED"
+	braked := v.emergencyBrake.ReadID() == v.appliedID
 
 	var desired float64
-	if command == "GO" && !braked {
+	if command == v.goID && !braked {
 		direction := 1.0
 		if target < d.position {
 			direction = -1
@@ -197,15 +197,15 @@ func (m *DoorMotor) Step(_ time.Duration, bus *sim.Bus) {
 	}
 	dt := v.stepSeconds()
 	rate := dt / DoorTravelTime.Seconds()
-	command := v.doorMotorCommand.Read()
+	command := v.doorMotorCommand.ReadID()
 	blocked := v.doorBlocked.Read()
 
 	switch command {
-	case "CLOSE":
+	case v.closeID:
 		if !blocked {
 			m.position += rate
 		}
-	case "OPEN":
+	case v.openID:
 		m.position -= rate
 	}
 	if m.position > 1 {
@@ -280,10 +280,10 @@ func (c *DriveController) Step(_ time.Duration, bus *sim.Bus) {
 	target := v.dispatchTarget.Read()
 	position := v.elevatorPosition.Read()
 	doorClosed := v.doorClosed.Read()
-	doorCommand := v.doorMotorCommand.Read()
+	doorCommand := v.doorMotorCommand.ReadID()
 	weight := v.elevatorWeight.Read()
 
-	command := "STOP"
+	command := v.stopID
 	targetPos := position
 	haveTarget := target >= 1
 	if haveTarget {
@@ -295,16 +295,16 @@ func (c *DriveController) Step(_ time.Duration, bus *sim.Bus) {
 	}
 	if haveTarget {
 		arrived := math.Abs(targetPos-position) < 0.01
-		doorSafe := (doorClosed && doorCommand != "OPEN") || c.IgnoreDoorState
+		doorSafe := (doorClosed && doorCommand != v.openID) || c.IgnoreDoorState
 		overweight := weight > WeightThreshold && !c.IgnoreOverweight
 		nearLimit := targetPos > position &&
 			position >= HoistwayUpperLimit-MaxStoppingDistance &&
 			!c.IgnoreHoistwayLimit
 		if !arrived && doorSafe && !overweight && !nearLimit {
-			command = "GO"
+			command = v.goID
 		}
 	}
-	v.driveCommand.Write(command)
+	v.driveCommand.WriteID(command)
 	v.driveTarget.Write(targetPos)
 	atFloor := 0.0
 	if target >= 1 && math.Abs(floorPosition(target)-position) < 0.01 {
@@ -341,14 +341,14 @@ func (c *DoorController) Step(_ time.Duration, bus *sim.Bus) {
 	v := c.on(bus)
 	dt := time.Duration(v.stepSeconds() * float64(time.Second))
 	stopped := v.elevatorStopped.Read()
-	driveCommand := v.driveCommand.Read()
+	driveCommand := v.driveCommand.ReadID()
 	blocked := v.doorBlocked.Read()
 	atFloor := v.atTargetFloor.Read()
 	position := v.elevatorPosition.Read()
 	target := v.dispatchTarget.Read()
 
 	arrivedAt := 0.0
-	if atFloor >= 1 && stopped && driveCommand != "GO" {
+	if atFloor >= 1 && stopped && driveCommand != v.goID {
 		arrivedAt = atFloor
 	}
 	if c.OpenWhileMoving && target >= 1 && math.Abs(floorPosition(target)-position) < 0.6 {
@@ -364,19 +364,19 @@ func (c *DoorController) Step(_ time.Duration, bus *sim.Bus) {
 		c.dwellRemaining = DoorDwellTime / 2
 	}
 
-	command := "CLOSE"
+	command := v.closeID
 	if c.dwellRemaining > 0 {
-		command = "OPEN"
+		command = v.openID
 		c.dwellRemaining -= dt
 	}
 	// Subgoal Achieve[CloseDoorWhenElevatorMovingOrMoved]: when the car is
 	// moving or commanded to move and the doorway is clear, close the doors
 	// (overrides the dwell, except in the defective variant).
-	if (!stopped || driveCommand == "GO") && !blocked && !c.OpenWhileMoving {
-		command = "CLOSE"
+	if (!stopped || driveCommand == v.goID) && !blocked && !c.OpenWhileMoving {
+		command = v.closeID
 		c.dwellRemaining = 0
 	}
-	v.doorMotorCommand.Write(command)
+	v.doorMotorCommand.WriteID(command)
 }
 
 // EmergencyBrake is the redundant-responsibility agent of Figure 4.11: it
@@ -402,11 +402,11 @@ func (b *EmergencyBrake) Step(_ time.Duration, bus *sim.Bus) {
 	if !b.Disabled && v.elevatorPosition.Read() >= HoistwayUpperLimit-MaxEmergencyBrakingDistance {
 		b.applied = true
 	}
-	state := "RELEASED"
+	state := v.releasedID
 	if b.applied {
-		state = "APPLIED"
+		state = v.appliedID
 	}
-	v.emergencyBrake.Write(state)
+	v.emergencyBrake.WriteID(state)
 }
 
 // PassengerAction is one scheduled passenger behaviour.

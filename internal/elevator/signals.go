@@ -28,6 +28,12 @@ type busVars struct {
 	hallCall       sim.NumVar
 	emergencyBrake sim.StringVar
 	atTargetFloor  sim.NumVar
+
+	// Interned enumeration ids of the command and brake values, bound once
+	// so the per-step writes and checks compare ids, not strings.
+	goID, stopID          int32
+	openID, closeID       int32
+	appliedID, releasedID int32
 }
 
 // bindVars resolves every elevator signal against the bus schema once.
@@ -54,6 +60,13 @@ func bindVars(bus *sim.Bus) *busVars {
 		hallCall:       bus.NumVar(SigHallCall),
 		emergencyBrake: bus.StringVar(SigEmergencyBrake),
 		atTargetFloor:  bus.NumVar(SigAtTargetFloor),
+
+		goID:       bus.EnumID("GO"),
+		stopID:     bus.EnumID("STOP"),
+		openID:     bus.EnumID("OPEN"),
+		closeID:    bus.EnumID("CLOSE"),
+		appliedID:  bus.EnumID("APPLIED"),
+		releasedID: bus.EnumID("RELEASED"),
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 // *Bus view per lane.  Components bound to lane l's view read and
 // write only lane l of every slot's contiguous lane group, so K component
 // sets drive K trajectories through one shared state — and one Commit, still
-// a single pointer-free plane memmove, publishes all lanes at once.
+// a single pointer-free plane memmove, publishes all lanes at once.  The
+// register files are never replaced, which is what keeps a bound handle's
+// slot covered for the handle's life (see Bus.bind).
 type LaneBus struct {
 	schema  *temporal.Schema
 	lanes   int

@@ -79,9 +79,9 @@ func TestLaneBusEnumInterningShared(t *testing.T) {
 	}
 	slot := lb.Schema().Intern("src")
 	st := lb.State()
-	id0 := st.SlotStringIDLane(slot, 0)
-	id1 := st.SlotStringIDLane(slot, 1)
-	id2 := st.SlotStringIDLane(slot, 2)
+	id0 := st.SlotStringID(slot*3 + 0)
+	id1 := st.SlotStringID(slot*3 + 1)
+	id2 := st.SlotStringID(slot*3 + 2)
 	if id0 < 0 || id1 < 0 || id2 < 0 {
 		t.Fatalf("string ids not set: %d,%d,%d", id0, id1, id2)
 	}
@@ -175,7 +175,7 @@ func TestLaneSimEarlyStopSteps(t *testing.T) {
 	}
 	thresholds := []float64{5, 12, 1 << 30} // lane 2 never stops
 	s.StopLaneWhen(func(lane int, _ time.Duration, st temporal.State) bool {
-		return st.SlotNumberLane(slot, lane) >= thresholds[lane]
+		return st.SlotNumber(slot*lanes+lane) >= thresholds[lane]
 	})
 
 	var stops []int

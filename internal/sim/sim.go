@@ -6,7 +6,11 @@
 // Components exchange data through a Bus of named signals.  A value written
 // during one step becomes visible to readers at the next step, matching the
 // KAOS convention — used throughout the thesis — that monitored values are
-// observed one state late.
+// observed one state late.  Components resolve each signal once into a typed
+// handle (NumVar, BoolVar, StringVar); binding covers the handle's slot in
+// both register files, so every later NumVar/BoolVar Read or Write and
+// StringVar ReadID or WriteID is one unchecked plane load or store, inlined
+// at the call site.
 //
 // The one per-tick loop is LaneSim.Run, which steps K independent component
 // sets in lockstep over one lane-widened LaneBus.  A Simulation is that
@@ -85,9 +89,23 @@ func (b *Bus) Commit() { b.lb.Commit() }
 // the backing LaneBus; at width 1, exactly this bus' signals).
 func (b *Bus) Snapshot() temporal.State { return b.lb.current.Clone() }
 
+// bind resolves a signal name to this view's register index and covers it in
+// both register files (temporal.Registers.Cover).  The LaneBus never
+// replaces its register files and their planes never shrink, so the index
+// stays in range for the handle's whole life: later interning may reallocate
+// the planes, but a handle holds the register files, not the planes.  That
+// is what lets the handle methods below use the unchecked plane accessors.
+func (b *Bus) bind(name string) (read, write temporal.State, slot int) {
+	slot = b.physOf(b.lb.schema.Intern(name))
+	b.lb.current.Cover()
+	b.lb.pending.Cover()
+	return b.lb.current, b.lb.pending, slot
+}
+
 // NumVar is a slot-indexed handle to a numeric bus signal: Read observes the
 // committed value (NaN when absent) and Write buffers the next value, with
-// no per-access name resolution.
+// no per-access name resolution.  Both compile to one plane load or store
+// at the call site.
 type NumVar struct {
 	read  temporal.State
 	write temporal.State
@@ -96,14 +114,15 @@ type NumVar struct {
 
 // NumVar resolves a numeric signal to a typed handle, interning the name.
 func (b *Bus) NumVar(name string) NumVar {
-	return NumVar{read: b.lb.current, write: b.lb.pending, slot: b.physOf(b.lb.schema.Intern(name))}
+	r, w, slot := b.bind(name)
+	return NumVar{read: r, write: w, slot: slot}
 }
 
 // Read returns the visible value of the signal (NaN when absent).
-func (v NumVar) Read() float64 { return v.read.SlotNumber(v.slot) }
+func (v NumVar) Read() float64 { return v.read.LoadNumber(v.slot) }
 
 // Write buffers a new value; it becomes visible after the next commit.
-func (v NumVar) Write(f float64) { v.write.SetSlotNumber(v.slot, f) }
+func (v NumVar) Write(f float64) { v.write.StoreNumber(v.slot, f) }
 
 // BoolVar is a slot-indexed handle to a boolean bus signal.
 type BoolVar struct {
@@ -114,14 +133,15 @@ type BoolVar struct {
 
 // BoolVar resolves a boolean signal to a typed handle, interning the name.
 func (b *Bus) BoolVar(name string) BoolVar {
-	return BoolVar{read: b.lb.current, write: b.lb.pending, slot: b.physOf(b.lb.schema.Intern(name))}
+	r, w, slot := b.bind(name)
+	return BoolVar{read: r, write: w, slot: slot}
 }
 
 // Read returns the visible value of the signal (false when absent).
-func (v BoolVar) Read() bool { return v.read.SlotBool(v.slot) }
+func (v BoolVar) Read() bool { return v.read.LoadBool(v.slot) }
 
 // Write buffers a new value; it becomes visible after the next commit.
-func (v BoolVar) Write(x bool) { v.write.SetSlotBool(v.slot, x) }
+func (v BoolVar) Write(x bool) { v.write.StoreBool(v.slot, x) }
 
 // StringVar is a slot-indexed handle to a string (enumeration) bus signal.
 type StringVar struct {
@@ -132,7 +152,8 @@ type StringVar struct {
 
 // StringVar resolves a string signal to a typed handle, interning the name.
 func (b *Bus) StringVar(name string) StringVar {
-	return StringVar{read: b.lb.current, write: b.lb.pending, slot: b.physOf(b.lb.schema.Intern(name))}
+	r, w, slot := b.bind(name)
+	return StringVar{read: r, write: w, slot: slot}
 }
 
 // Read returns the visible value of the signal ("" when absent).
@@ -141,7 +162,7 @@ func (v StringVar) Read() string { return v.read.SlotString(v.slot) }
 // ReadID returns the interned enumeration id of the visible value (-1 when
 // the signal does not hold a string): comparing it with an id from EnumID
 // is Read() == s without a string compare.
-func (v StringVar) ReadID() int32 { return v.read.SlotStringID(v.slot) }
+func (v StringVar) ReadID() int32 { return v.read.LoadStringID(v.slot) }
 
 // Write buffers a new value; it becomes visible after the next commit.
 // Enumeration strings are interned in the bus schema, so a repeated write is
@@ -152,7 +173,7 @@ func (v StringVar) Write(s string) { v.write.SetSlotString(v.slot, s) }
 // WriteID buffers an enumeration value by its interned id, which must come
 // from EnumID on this bus (or any lane view sharing its schema): two plane
 // stores, no map read.
-func (v StringVar) WriteID(id int32) { v.write.SetSlotStringID(v.slot, id) }
+func (v StringVar) WriteID(id int32) { v.write.StoreStringID(v.slot, id) }
 
 // EnumID interns an enumeration value in the bus schema and returns its id.
 // Ids are stable for the schema's lifetime — across Reset and shared by

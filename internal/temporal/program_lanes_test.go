@@ -32,8 +32,9 @@ func randomLaneFormula(r *rand.Rand, depth int, pool *[]Formula) Formula {
 // mixed-kind fallbacks and the unknown-state-is-false convention are covered.
 func setRandomLaneVar(r *rand.Rand, wide State, lane int, scalar State, name string) {
 	slot := wide.Schema().Intern(name)
+	i := slot*wide.Lanes() + lane
 	absent := func() {
-		wide.SetSlot(wide.laneIndex(slot, lane), Value{})
+		wide.SetSlot(i, Value{})
 		scalar.SetSlot(slot, Value{})
 	}
 	switch name {
@@ -43,18 +44,18 @@ func setRandomLaneVar(r *rand.Rand, wide State, lane int, scalar State, name str
 			return
 		}
 		b := r.Intn(2) == 0
-		wide.SetSlotBoolLane(slot, lane, b)
+		wide.SetSlotBool(i, b)
 		scalar.SetSlotBool(slot, b)
 	case "N", "M":
 		switch r.Intn(12) {
 		case 0:
 			absent()
 		case 1:
-			wide.SetSlotStringLane(slot, lane, "oops")
+			wide.SetSlotString(i, "oops")
 			scalar.SetSlotString(slot, "oops")
 		default:
 			f := float64(r.Intn(5))
-			wide.SetSlotNumberLane(slot, lane, f)
+			wide.SetSlotNumber(i, f)
 			scalar.SetSlotNumber(slot, f)
 		}
 	case "S":
@@ -63,12 +64,12 @@ func setRandomLaneVar(r *rand.Rand, wide State, lane int, scalar State, name str
 			absent()
 		case 1:
 			f := float64(r.Intn(3))
-			wide.SetSlotNumberLane(slot, lane, f)
+			wide.SetSlotNumber(i, f)
 			scalar.SetSlotNumber(slot, f)
 		default:
 			colors := []string{"red", "green", "blue"}
 			c := colors[r.Intn(len(colors))]
-			wide.SetSlotStringLane(slot, lane, c)
+			wide.SetSlotString(i, c)
 			scalar.SetSlotString(slot, c)
 		}
 	}
@@ -275,9 +276,9 @@ func TestStepLanesResetReuse(t *testing.T) {
 		var got []uint64
 		for step := 0; step < 40; step++ {
 			for l := 0; l < 3; l++ {
-				wide.SetSlotBoolLane(schema.Intern("A"), l, r.Intn(2) == 0)
-				wide.SetSlotBoolLane(schema.Intern("B"), l, r.Intn(2) == 0)
-				wide.SetSlotNumberLane(schema.Intern("N"), l, float64(r.Intn(6)))
+				wide.SetSlotBool(schema.Intern("A")*3+l, r.Intn(2) == 0)
+				wide.SetSlotBool(schema.Intern("B")*3+l, r.Intn(2) == 0)
+				wide.SetSlotNumber(schema.Intern("N")*3+l, float64(r.Intn(6)))
 			}
 			p.StepLanes(wide)
 			got = append(got, p.OutputMask(tap))

@@ -281,25 +281,25 @@ func TestRegistersKindCycleEveryAccessor(t *testing.T) {
 		s := NewStateWithLanes(schema, width)
 		lane := width - 1
 		for l := 0; l < width; l++ {
-			s.SetSlotNumberLane(slot, l, 7)
+			s.SetSlotNumber(slot*width+l, 7)
 		}
-		i := s.laneIndex(slot, lane)
+		i := slot*width + lane
 		steps := []struct {
 			name  string
 			write func()
 			want  slotReads
 		}{
-			{"bool true", func() { s.SetSlotBoolLane(slot, lane, true) },
+			{"bool true", func() { s.SetSlotBool(i, true) },
 				slotReads{Bool(true), 1, 1, true, true, -1, "true"}},
-			{"number NaN", func() { s.SetSlotNumberLane(slot, lane, nan) },
+			{"number NaN", func() { s.SetSlotNumber(i, nan) },
 				slotReads{Number(nan), nan, nan, true, true, -1, "NaN"}},
-			{"string", func() { s.SetSlotStringLane(slot, lane, "GO") },
+			{"string", func() { s.SetSlotString(i, "GO") },
 				slotReads{String("GO"), nan, nan, true, true, goID, "GO"}},
-			{"empty string", func() { s.SetSlotStringIDLane(slot, lane, 0) },
+			{"empty string", func() { s.SetSlotStringID(i, 0) },
 				slotReads{String(""), nan, nan, true, false, 0, ""}},
 			{"absent", func() { s.SetSlot(i, Value{}) },
 				slotReads{Value{}, nan, nan, false, false, -1, ""}},
-			{"bool false", func() { s.SetSlotBoolLane(slot, lane, false) },
+			{"bool false", func() { s.SetSlotBool(i, false) },
 				slotReads{Bool(false), 0, 0, true, false, -1, "false"}},
 		}
 		seven := slotReads{Number(7), 7, 7, true, true, -1, "7"}
@@ -309,7 +309,7 @@ func TestRegistersKindCycleEveryAccessor(t *testing.T) {
 				t.Errorf("width %d, %s: reads %+v, want %+v", width, st.name, got, st.want)
 			}
 			for l := 0; l < lane; l++ {
-				if got := readSlot(s, s.laneIndex(slot, l)); !got.equal(seven) {
+				if got := readSlot(s, slot*width+l); !got.equal(seven) {
 					t.Errorf("width %d, %s: neighbour lane %d reads %+v, want %+v", width, st.name, l, got, seven)
 				}
 			}
@@ -360,5 +360,77 @@ func TestRegistersCopyFromNarrowerKeepsTail(t *testing.T) {
 	}
 	if !wide.Bool("tb") || wide.Number("tn") != 2.5 || wide.StringVal("ts") != "ACC" {
 		t.Errorf("tail slots clobbered by a narrower CopyFrom: %v", wide)
+	}
+}
+
+// TestRegistersCoverAndUncheckedAccessors checks the bind-time contract of
+// the unchecked accessors at widths 1 and 4: Cover brings a name interned
+// after the state was sized into range, every Store*/Load* pair reads back
+// exactly what the checked Slot* accessors read, Reset makes the loads
+// absent again, and an uncovered slot panics instead of being dropped.
+func TestRegistersCoverAndUncheckedAccessors(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		schema := NewSchema()
+		schema.Intern("sized")
+		s := NewStateWithLanes(schema, width)
+		slot := schema.Intern("late")
+		goID := schema.InternString("GO")
+		s.Cover()
+		lane := width - 1
+		i := slot*width + lane
+
+		unchecked := func() (float64, bool, int32) { return s.LoadNumber(i), s.LoadBool(i), s.LoadStringID(i) }
+		agree := func(step string) {
+			t.Helper()
+			n, b, id := unchecked()
+			if !sameFloat(n, s.SlotNumber(i)) || b != s.SlotBool(i) || id != s.SlotStringID(i) {
+				t.Errorf("width %d, %s: unchecked loads %v/%v/%d, checked %v/%v/%d",
+					width, step, n, b, id, s.SlotNumber(i), s.SlotBool(i), s.SlotStringID(i))
+			}
+		}
+		if n, b, id := unchecked(); !math.IsNaN(n) || b || id != -1 {
+			t.Fatalf("width %d: covered slot before any write loads %v/%v/%d, want NaN/false/-1", width, n, b, id)
+		}
+		for _, st := range []struct {
+			name  string
+			store func()
+		}{
+			{"number", func() { s.StoreNumber(i, 2.5) }},
+			{"bool true", func() { s.StoreBool(i, true) }},
+			{"enum", func() { s.StoreStringID(i, goID) }},
+			{"zero number", func() { s.StoreNumber(i, 0) }},
+			{"bool false", func() { s.StoreBool(i, false) }},
+			{"NaN number", func() { s.StoreNumber(i, math.NaN()) }},
+		} {
+			st.store()
+			agree(st.name)
+		}
+		s.StoreStringID(i, goID)
+		if got := s.SlotString(i); got != "GO" {
+			t.Errorf("width %d: StoreStringID then SlotString = %q, want GO", width, got)
+		}
+		for l := 0; l < lane; l++ {
+			if k := s.SlotKind(slot*width + l); k != KindInvalid {
+				t.Errorf("width %d: stores on lane %d touched lane %d (kind %v)", width, lane, l, k)
+			}
+		}
+		s.Reset()
+		if n, b, id := unchecked(); !math.IsNaN(n) || b || id != -1 {
+			t.Errorf("width %d: after Reset loads %v/%v/%d, want NaN/false/-1", width, n, b, id)
+		}
+
+		uncovered := schema.Intern("uncovered") * width
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("width %d: StoreNumber on an uncovered slot did not panic", width)
+				}
+			}()
+			s.StoreNumber(uncovered, 1)
+		}()
+		s.SetSlotNumber(uncovered, 1) // the checked form grows instead
+		if got := s.LoadNumber(uncovered); got != 1 {
+			t.Errorf("width %d: SetSlotNumber past the planes then LoadNumber = %v, want 1", width, got)
+		}
 	}
 }

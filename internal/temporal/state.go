@@ -21,7 +21,18 @@ import (
 //
 // The name-keyed Value API (Get/Set/Slot/SetSlot) is preserved on top of the
 // planes; hot paths use the typed plane accessors (SlotNumber/SlotBool/
-// SlotStringID and the SetSlot* family) directly.
+// SlotStringID and the SetSlot* family) directly.  Those check their slot:
+// reads resolve the nil State and out-of-range slots to the absent value,
+// writes grow the planes to the schema width first.
+//
+// Planes never shrink: Cover appends, Reset clears only the kind plane and
+// CopyFrom grows its destination.  So a caller that resolves a slot once and
+// calls Cover has covered that slot for the register file's whole life, and
+// may use the unchecked Load*/Store* forms from then on: the same semantics
+// as the checked accessors, one plane load or store each, small enough to
+// inline at every call site.  A slot that was never covered panics on Go's
+// own bounds check; nothing is dropped silently.  The bus' typed handles
+// (sim.NumVar/BoolVar/StringVar) are built this way.
 type Registers struct {
 	schema *Schema
 	kinds  []uint8   // Kind per slot (KindInvalid = no value)
@@ -83,49 +94,6 @@ func (s *Registers) Lanes() int {
 	return s.lanes
 }
 
-// laneIndex maps a logical (slot, lane) pair onto the physical slot-major
-// register index.
-func (s *Registers) laneIndex(slot, lane int) int { return slot*s.Lanes() + lane }
-
-// SlotNumberLane reads lane lane of slot i with SlotNumber semantics.
-func (s *Registers) SlotNumberLane(i, lane int) float64 {
-	return s.SlotNumber(s.laneIndex(i, lane))
-}
-
-// SetSlotNumberLane stores a number at lane lane of slot i.
-func (s *Registers) SetSlotNumberLane(i, lane int, f float64) {
-	s.SetSlotNumber(s.laneIndex(i, lane), f)
-}
-
-// SlotBoolLane reads lane lane of slot i with SlotBool semantics.
-func (s *Registers) SlotBoolLane(i, lane int) bool {
-	return s.SlotBool(s.laneIndex(i, lane))
-}
-
-// SetSlotBoolLane stores a boolean at lane lane of slot i.
-func (s *Registers) SetSlotBoolLane(i, lane int, b bool) {
-	s.SetSlotBool(s.laneIndex(i, lane), b)
-}
-
-// SlotStringIDLane reads the interned enumeration id at lane lane of slot i
-// (-1 when that lane does not hold a string).
-func (s *Registers) SlotStringIDLane(i, lane int) int32 {
-	return s.SlotStringID(s.laneIndex(i, lane))
-}
-
-// SetSlotStringLane stores an enumeration string at lane lane of slot i,
-// interning it in the shared schema string table: lanes share one interning
-// space, so equal strings in different lanes compare as equal small ints.
-func (s *Registers) SetSlotStringLane(i, lane int, str string) {
-	s.SetSlotString(s.laneIndex(i, lane), str)
-}
-
-// SetSlotStringIDLane stores an already-interned enumeration id at lane lane
-// of slot i.
-func (s *Registers) SetSlotStringIDLane(i, lane int, id int32) {
-	s.SetSlotStringID(s.laneIndex(i, lane), id)
-}
-
 // Schema returns the symbol table this state resolves names against (nil
 // for the nil State).
 func (s *Registers) Schema() *Schema {
@@ -150,13 +118,18 @@ func (s *Registers) Clone() State {
 	}
 }
 
-// grow widens the register file to at least the schema width, for states
-// sized before the schema interned further names.  Appending past a plane's
-// capacity reallocates it, and trace snapshots carry capacity-capped
+// Cover grows the register file to at least the current schema width, for
+// states sized before the schema interned further names; every slot the
+// schema has interned so far is then in range for the unchecked Load*/Store*
+// accessors for the rest of the register file's life (planes never shrink).
+// The checked SetSlot* forms call it on an out-of-range write; a handle that
+// resolves its slot calls it once, at bind time.  Appending past a plane's
+// capacity reallocates it, which a handle never notices (it holds the
+// register file, not the planes), and trace snapshots carry capacity-capped
 // sub-slices of a shared slab, so growing one never overwrites a neighbour.
 //
 //lint:allocok schema-growth slow path; runs only when a name was interned after the state was sized, never in steady state
-func (s *Registers) grow() {
+func (s *Registers) Cover() {
 	n := s.schema.Len() * s.Lanes()
 	if n <= len(s.kinds) {
 		return
@@ -175,7 +148,7 @@ func (s *Registers) CopyFrom(src State) {
 	}
 	n := len(src.kinds)
 	if len(s.kinds) < n {
-		s.grow()
+		s.Cover()
 	}
 	copy(s.kinds[:n], src.kinds)
 	copy(s.vals[:n], src.vals)
@@ -227,12 +200,16 @@ func (s *Registers) SlotNumber(i int) float64 {
 	if s == nil || i < 0 || i >= len(s.kinds) {
 		return math.NaN()
 	}
-	switch Kind(s.kinds[i]) {
-	case KindNumber, KindBool:
+	return s.LoadNumber(i)
+}
+
+// LoadNumber is SlotNumber without the nil and range checks: slot i must be
+// covered (Cover), or the plane index panics.
+func (s *Registers) LoadNumber(i int) float64 {
+	if k := Kind(s.kinds[i]); k == KindNumber || k == KindBool {
 		return s.vals[i]
-	default:
-		return math.NaN()
 	}
+	return math.NaN()
 }
 
 // SlotNumberOK is SlotNumber paired with Value.IsValid: the second result is
@@ -260,6 +237,12 @@ func (s *Registers) SlotBool(i int) bool {
 	if s == nil || i < 0 || i >= len(s.kinds) {
 		return false
 	}
+	return s.LoadBool(i)
+}
+
+// LoadBool is SlotBool without the nil and range checks: slot i must be
+// covered (Cover), or the plane index panics.
+func (s *Registers) LoadBool(i int) bool {
 	return Kind(s.kinds[i]) != KindInvalid && s.vals[i] != 0
 }
 
@@ -268,7 +251,16 @@ func (s *Registers) SlotBool(i int) bool {
 // it lets equality against an enumeration constant compare two numbers
 // instead of two strings.
 func (s *Registers) SlotStringID(i int) int32 {
-	if s == nil || i < 0 || i >= len(s.kinds) || Kind(s.kinds[i]) != KindString {
+	if s == nil || i < 0 || i >= len(s.kinds) {
+		return -1
+	}
+	return s.LoadStringID(i)
+}
+
+// LoadStringID is SlotStringID without the nil and range checks: slot i must
+// be covered (Cover), or the plane index panics.
+func (s *Registers) LoadStringID(i int) int32 {
+	if Kind(s.kinds[i]) != KindString {
 		return -1
 	}
 	return int32(s.vals[i])
@@ -296,7 +288,7 @@ func (s *Registers) SetSlot(i int, v Value) {
 		s.SetSlotString(i, v.s)
 	default:
 		if i >= len(s.kinds) {
-			s.grow()
+			s.Cover()
 		}
 		s.kinds[i] = uint8(KindInvalid)
 	}
@@ -305,8 +297,14 @@ func (s *Registers) SetSlot(i int, v Value) {
 // SetSlotNumber stores a number at slot i on the value plane.
 func (s *Registers) SetSlotNumber(i int, f float64) {
 	if i >= len(s.kinds) {
-		s.grow()
+		s.Cover()
 	}
+	s.StoreNumber(i, f)
+}
+
+// StoreNumber is SetSlotNumber without the Cover check: slot i must be
+// covered (Cover), or the plane index panics.
+func (s *Registers) StoreNumber(i int, f float64) {
 	s.kinds[i] = uint8(KindNumber)
 	s.vals[i] = f
 }
@@ -314,8 +312,14 @@ func (s *Registers) SetSlotNumber(i int, f float64) {
 // SetSlotBool stores a boolean at slot i on the value plane, as 0 or 1.
 func (s *Registers) SetSlotBool(i int, b bool) {
 	if i >= len(s.kinds) {
-		s.grow()
+		s.Cover()
 	}
+	s.StoreBool(i, b)
+}
+
+// StoreBool is SetSlotBool without the Cover check: slot i must be covered
+// (Cover), or the plane index panics.
+func (s *Registers) StoreBool(i int, b bool) {
 	s.kinds[i] = uint8(KindBool)
 	s.vals[i] = float64(b2u(b))
 }
@@ -324,7 +328,7 @@ func (s *Registers) SetSlotBool(i int, b bool) {
 // schema's string table (a map read for every string already seen).
 func (s *Registers) SetSlotString(i int, str string) {
 	if i >= len(s.kinds) {
-		s.grow()
+		s.Cover()
 	}
 	s.kinds[i] = uint8(KindString)
 	s.vals[i] = float64(s.schema.InternString(str))
@@ -334,8 +338,14 @@ func (s *Registers) SetSlotString(i int, str string) {
 // id must come from this state's Schema.
 func (s *Registers) SetSlotStringID(i int, id int32) {
 	if i >= len(s.kinds) {
-		s.grow()
+		s.Cover()
 	}
+	s.StoreStringID(i, id)
+}
+
+// StoreStringID is SetSlotStringID without the Cover check: slot i must be
+// covered (Cover), or the plane index panics.
+func (s *Registers) StoreStringID(i int, id int32) {
 	s.kinds[i] = uint8(KindString)
 	s.vals[i] = float64(id)
 }
