@@ -20,8 +20,8 @@
 // trace copies each snapshot into chunked slabs instead of allocating one
 // per state, and goal formulas compiled into a temporal.Program evaluate
 // their atoms directly on the value plane — every atom kernel is one float
-// compare per lane, and no string is hashed or Value constructed anywhere on
-// the per-step path.  Components
+// compare per lane, re-run only when its operand's lane group changed, and
+// no string is hashed or Value constructed anywhere on the per-step path.  Components
 // address signals through typed handles (sim.Bus.NumVar/BoolVar/StringVar);
 // the name-keyed state API remains for the reference evaluator, and
 // differential tests prove the plane-backed and string-keyed evaluations
@@ -72,9 +72,9 @@
 // ragged remainder or WithLanes(1) simply runs one active lane.  Per-lane
 // stop masks retire collided lanes early.  WithGrouping(false) is the
 // per-job reference — every job runs on its own through the path
-// RunWithOptions uses, sharing nothing with lane execution — and
-// differential tests prove the laned stream byte-identical to it across the
-// full evaluation.  Engine.LaneStats reports batches widened, lanes carried
+// RunWithOptions uses, without grouping or lane batching, though on the same
+// width-1 lane program — and differential tests prove the laned stream
+// byte-identical to it across the full evaluation.  Engine.LaneStats reports batches widened, lanes carried
 // and ragged (single-group) batches; BENCH_9.json records the speedup.
 //
 // Monitoring is evaluated as one composed artifact: temporal.Program

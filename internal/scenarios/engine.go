@@ -182,8 +182,13 @@ func WithResultCache() EngineOption {
 // either way (the grouped-vs-ungrouped differential tests are the proof).
 // Grouping applies only under SummaryOnly retention; KeepTrace results own
 // their suites and always run per job.  With grouping disabled every job
-// runs on its own through the path RunWithOptions uses, which shares nothing
-// with grouped lane execution and is the reference it is tested against.
+// runs on its own through the path RunWithOptions uses: its own simulation,
+// no dynamics grouping and no lane batching across variants, which makes it
+// the reference grouped execution is tested against.  It still shares the
+// components, the simulation kernel (at width 1) and the compiled lane
+// program with its change-gated atom kernels; the reference Stepper
+// differentials (differential_test.go here, program_lanes_test.go in
+// internal/temporal) are the independent oracle for that evaluator.
 func WithGrouping(enabled bool) EngineOption { return func(e *Engine) { e.grouping = enabled } }
 
 // defaultLaneWidth is the lane-batch width summary-only engines use unless
@@ -475,8 +480,12 @@ func borrowLaneArena(lanes int) *laneArena {
 // cost is the simulation itself, not its construction.  Every other job
 // (KeepTrace, or grouping disabled) runs on its own through runJobCached,
 // the code RunWithOptions uses, reusing only the worker's compiled monitor
-// suites; it shares nothing with lane execution, which makes it the
-// reference the laned and grouped differentials compare against.
+// suites.  It simulates every job alone, so it is the reference the laned
+// and grouped differentials compare against for grouping, lane batching and
+// arena reuse.  It shares the simulation kernel and the change-gated lane
+// program (at width 1) with lane execution; the reference Stepper
+// differentials (differential_test.go, and program_lanes_test.go in
+// internal/temporal) check that evaluator independently.
 func (e *Engine) runWorker(tasks <-chan task, results chan<- StreamResult) {
 	if e.grouped() {
 		la := borrowLaneArena(e.lanes)

@@ -5,9 +5,12 @@ package scenarios
 // StreamResult, in the same order, under the same index and Job.Key,
 // folding to the same aggregate — as the same Engine at WithGrouping(false),
 // whose per-job execution (runJobCached, the code RunWithOptions uses)
-// shares nothing with lane batching.  The laned path steps several dynamics
-// groups in lockstep through one widened simulation, so these tests are the
-// proof that widening is unobservable downstream.
+// simulates every job alone, without grouping or lane batching.  The laned
+// path steps several dynamics groups in lockstep through one widened
+// simulation, so these tests are the proof that widening is unobservable
+// downstream.  Both paths run the same change-gated lane program (the
+// per-job path at width 1); differential_test.go and internal/temporal's
+// program_lanes_test.go check it against the reference Stepper.
 
 import (
 	"bytes"

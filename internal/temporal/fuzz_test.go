@@ -68,6 +68,10 @@ func FuzzStepLanesMatchesReference(f *testing.F) {
 	f.Add(int64(0), uint8(3), []byte{1, 10, 50})
 	f.Add(int64(7), uint8(0), []byte{})
 	f.Add(int64(42), uint8(7), []byte{63, 2, 2, 30})
+	// Long holds: most steps change no watched operand group, so almost
+	// every atom keeps last step's mask (widths 1 and 4).
+	f.Add(int64(3), uint8(0), []byte{63, 63, 63})
+	f.Add(int64(5), uint8(3), []byte{63, 63, 63})
 	f.Fuzz(func(t *testing.T, seed int64, width uint8, holds []byte) {
 		d := laneDiff{seed: seed, lanes: 1 + int(width)%8, steps: 150, resetAt: 100, swapAt: 50}
 		if len(holds) > 0 {

@@ -60,21 +60,35 @@ type Program struct {
 	lbool []uint64
 	lcnt  [][]int32
 
-	// Lane-mode lowering (program_lanes.go): the typed atom kernels bound to
-	// lschema, the CSR parent adjacency (node i's parents are
-	// lpar[lparAt[i]:lparAt[i+1]]), and node bitsets — lops (every
+	// Lane-mode lowering (program_lanes.go): the atom kernels bound to
+	// lschema, the watch table, the CSR parent adjacency (node i's parents
+	// are lpar[lparAt[i]:lparAt[i+1]]), and node bitsets — lops (every
 	// connective and temporal node, a full pass), lalways (the stateful
 	// temporal nodes, evaluated every step) and ldirty (nodes whose inputs
 	// changed this step).  lfull forces a full pass on the next StepLanes.
-	latoms  []laneAtom
-	latomAt [atomOther + 2]int // latoms[latomAt[k]:latomAt[k+1]] have kind k
-	lschema *Schema
-	lpar    []int32
-	lparAt  []int32
-	lops    []uint64
-	lalways []uint64
-	ldirty  []uint64
-	lfull   bool
+	//
+	// bindAtoms orders latoms as the watched typed atoms grouped by operand
+	// slot, then from lwAt[len(lwBase)] the atoms run every step.  Watch
+	// group g reads the lane group at physical index lwBase[g], its atoms
+	// are latoms[lwAt[g]:lwAt[g+1]], and its shadow — the group's kinds and
+	// values as its atoms last evaluated them — is
+	// lshKind/lshVal[g*lanes:(g+1)*lanes].  lchanged lists this step's
+	// changed groups; lnoKind and lnoVal are one all-absent lane group.
+	latoms   []laneAtom
+	lwBase   []int
+	lwAt     []int32
+	lshKind  []uint8
+	lshVal   []float64
+	lchanged []int32
+	lnoKind  []uint8
+	lnoVal   []float64
+	lschema  *Schema
+	lpar     []int32
+	lparAt   []int32
+	lops     []uint64
+	lalways  []uint64
+	ldirty   []uint64
+	lfull    bool
 }
 
 // Tap is a handle to one registered formula's per-step output.

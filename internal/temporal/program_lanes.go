@@ -3,8 +3,9 @@ package temporal
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // Lane-batched program evaluation.
@@ -20,33 +21,51 @@ import (
 // mask bit sequence is identical to feeding lane l's trace through the
 // formula's reference Stepper.  Width 1 over a scalar State is Program.Step.
 //
-// SetLanes lowers the node array into two parts:
+// SetLanes lowers the node array into three parts:
 //
-//   - Typed atom kernels.  Every atom becomes a laneAtom, sorted by kind and
-//     comparison operator.  Each typed kernel is one branch-free compare per
-//     lane over the slot's contiguous value-plane lane vector when every lane
-//     holds the expected kind: a boolean variable is != 0, a numeric
-//     comparison is its CompareOp against the constant, and enumeration
-//     ==/!= compares the stored ids.  Lanes of mixed kinds fall back to the
-//     per-lane SlotBool/SlotNumberOK semantics, and a slot beyond the state's
-//     width (a name interned after the state was sized) reads as absent on
-//     every lane, exactly as the string-keyed reference treats it.  Constants,
-//     variable-to-variable comparisons and (at width 1 only) predicates
-//     evaluate lane by lane through the per-slot accessors.
+//   - Atom kernels.  Every atom becomes a laneAtom evaluated by atomLanes.
+//     A typed atom (a boolean variable, a numeric comparison against a
+//     constant, enumeration ==/!=) is one branch-free compare per lane over
+//     its operand slot's contiguous lane group when every lane holds the
+//     expected kind: != 0, its CompareOp against the constant, or the stored
+//     id against the constant's interned id.  Lanes of mixed kinds fall back
+//     to the per-lane SlotBool/SlotNumberOK semantics, and a slot beyond the
+//     state's width (a name interned after the state was sized) reads as
+//     absent on every lane, exactly as the string-keyed reference treats it.
+//     Constants, variable-to-variable comparisons and (at width 1 only)
+//     predicates evaluate lane by lane through the per-slot accessors.
+//   - A watch table.  A typed atom's mask is a function of its operand lane
+//     group alone — the group's kind and value lanes — and of constants that
+//     change only with the schema.  bindAtoms groups the typed atoms by
+//     operand slot (CSR) and the program keeps a shadow of each watched
+//     group as it last evaluated it.  StepLanes compares every watched group
+//     with its shadow (a kind byte or the bits of a value differ) and re-runs
+//     only the atoms of the groups that changed, refreshing their shadows;
+//     the atoms of an unchanged group keep last step's mask, which is what
+//     re-running them would compute.  Constants, variable-to-variable
+//     comparisons and predicates run every step.  The comparison is against
+//     what the program last saw, not against the bus' writes, so it holds for
+//     any State sequence: the live bus, a fresh trace snapshot per step, a
+//     state mutated by hand.  A same-value write is not a change.
 //   - Change propagation.  A CSR parent adjacency and an "always" bitset of
-//     the stateful temporal nodes.  Each StepLanes runs every atom kernel and
-//     marks the parents of every atom whose mask changed in a dirty bitset;
-//     it then walks the dirty and always bits in ascending node index (which
-//     is topological order), re-evaluates only those nodes, and marks the
-//     parents of every node whose mask changed.  A connective is a pure
-//     function of its children's masks, so an unmarked connective's stored
-//     mask is already what a full pass would compute: OutputMask is
-//     bit-identical to evaluating every node, at the cost of what changed.
-//     The first StepLanes after SetLanes or Reset, and after the observed
-//     state's schema changes, evaluates every node.
+//     the stateful temporal nodes.  Every atom whose mask changed marks its
+//     parents in a dirty bitset; StepLanes then walks the dirty and always
+//     bits in ascending node index (which is topological order),
+//     re-evaluates only those nodes, and marks the parents of every node
+//     whose mask changed.  A connective is a pure function of its children's
+//     masks, so an unmarked connective's stored mask is already what a full
+//     pass would compute: OutputMask is bit-identical to evaluating every
+//     node, at the cost of what changed.
 //
-// SetLanes allocates everything lane mode needs; StepLanes allocates
-// nothing.  A program in lane mode is still not safe for concurrent use.
+// The first StepLanes after SetLanes or Reset, and after the observed state's
+// schema changes, is a full pass: every atom and every node is evaluated and
+// every shadow refreshed (a schema change moves the operand slots, so the
+// watch table is rebuilt first).
+//
+// SetLanes allocates everything lane mode needs; StepLanes allocates nothing,
+// and neither does its watch-table rebuild once the new schema has interned
+// every name the program reads.  A program in lane mode is still not safe for
+// concurrent use.
 
 // MaxLanes is the widest supported lane batch: one bit per lane in the
 // uint64 node masks.
@@ -64,14 +83,37 @@ const (
 
 // laneAtom is one atom node lowered to a lane kernel.  base is the physical
 // register index of lane 0 of the operand slot in the schema the kernels are
-// bound to (-1 for the nil State); c is the constant operand, for atomEnum
-// the enumeration constant's interned id in that schema.
+// bound to (-1 for the nil State and for untyped atoms); c is the constant
+// operand, for atomEnum the enumeration constant's interned id in that
+// schema.
 type laneAtom struct {
 	node int
 	kind atomKind
 	cmp  CompareOp
 	c    float64
 	base int
+}
+
+// watched reports whether atom a re-runs only when its operand lane group
+// changes: a typed atom bound to a slot.  Every other atom (constants,
+// variable-to-variable comparisons, predicates and the typed atoms of the
+// nil State) runs every step.
+func (a *laneAtom) watched() bool { return a.kind < atomOther && a.base >= 0 }
+
+// compareAtomOrder orders the watched atoms first, by operand slot so each
+// watched group is one contiguous run, then the every-step atoms, and by
+// node for a total order.
+func compareAtomOrder(a, b laneAtom) int {
+	if wa, wb := a.watched(), b.watched(); wa != wb {
+		if wa {
+			return -1
+		}
+		return 1
+	}
+	if a.base != b.base {
+		return a.base - b.base
+	}
+	return a.node - b.node
 }
 
 // SetLanes switches the program into lane mode at the given width,
@@ -126,16 +168,17 @@ func (p *Program) SetLanes(lanes int) error {
 		}
 		p.forKids(i, func(k int) { p.lparAt[k+1]++ })
 	}
-	sort.SliceStable(p.latoms, func(i, j int) bool {
-		a, b := &p.latoms[i], &p.latoms[j]
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		return a.cmp < b.cmp
-	})
-	for k := range p.latomAt {
-		p.latomAt[k] = sort.Search(len(p.latoms), func(i int) bool { return p.latoms[i].kind >= atomKind(k) })
-	}
+	// At most one watched group per atom: the watch table and the shadows
+	// (plus one all-absent group behind them) are sized here, so a rebind
+	// to a new schema only reslices them.
+	na := len(p.latoms)
+	p.lwBase = make([]int, 0, na)
+	groups := make([]int32, 2*na+1)
+	p.lwAt, p.lchanged = groups[:0:na+1], groups[na+1:]
+	kinds := make([]uint8, (na+1)*lanes)
+	p.lshKind, p.lnoKind = kinds[:na*lanes], kinds[na*lanes:]
+	vals := make([]float64, (na+1)*lanes)
+	p.lshVal, p.lnoVal = vals[:na*lanes], vals[na*lanes:]
 	for i := 0; i < n; i++ {
 		p.lparAt[i+1] += p.lparAt[i]
 	}
@@ -213,8 +256,11 @@ func (p *Program) resetLanes() {
 	}
 }
 
-// bindAtoms resolves every atom kernel's operand slot and enumeration id
-// against st's schema.
+// bindAtoms resolves every typed atom's operand slot and enumeration id
+// against st's schema and rebuilds the watch table: the watched atoms are
+// sorted by operand slot ahead of the every-step atoms, and each distinct
+// watched slot becomes one group.  The tables were sized by SetLanes, so
+// with every name already interned the rebuild allocates nothing.
 //
 //lint:allocok schema rebind through Schema.Intern and InternString; runs on the first step after SetLanes or Reset and on a schema change, never in steady state
 func (p *Program) bindAtoms(st State) {
@@ -234,13 +280,25 @@ func (p *Program) bindAtoms(st State) {
 			a.c = float64(n.eref.idIn(sc))
 		}
 	}
+	slices.SortFunc(p.latoms, compareAtomOrder)
+	p.lwBase = p.lwBase[:0]
+	p.lwAt = p.lwAt[:0]
+	i := 0
+	for ; i < len(p.latoms) && p.latoms[i].watched(); i++ {
+		if base := p.latoms[i].base; len(p.lwBase) == 0 || p.lwBase[len(p.lwBase)-1] != base {
+			p.lwBase = append(p.lwBase, base)
+			p.lwAt = append(p.lwAt, int32(i))
+		}
+	}
+	p.lwAt = append(p.lwAt, int32(i))
 }
 
 // StepLanes evaluates the program against the next lane-widened state and
-// advances all per-lane temporal operator state by one step: every atom
-// kernel runs, then every node whose inputs changed and every stateful
-// temporal node is re-evaluated in topological order.  The state must carry
-// at least Lanes() lanes.
+// advances all per-lane temporal operator state by one step: the atoms whose
+// operand lane group changed since they last ran and the atoms that run
+// every step are evaluated, then every node whose inputs changed and every
+// stateful temporal node is re-evaluated in topological order.  The state
+// must carry at least Lanes() lanes.
 func (p *Program) StepLanes(st State) {
 	lanes := p.lanes
 	if lanes == 0 || len(p.lmask) != len(p.nodes) {
@@ -264,69 +322,34 @@ func (p *Program) StepLanes(st State) {
 		kinds, vals = st.kinds, st.vals
 	}
 	fullMask := p.laneFull()
-	at := &p.latomAt
+	atoms := p.latoms
 
-	bools := p.latoms[at[atomBool]:at[atomBool+1]]
-	for i := range bools {
-		a := &bools[i]
-		var out uint64
-		if base, end := a.base, a.base+lanes; base >= 0 && end <= len(kinds) {
-			if uniform(kinds[base:end], KindBool) {
-				out = ^eqLanes(vals[base:end], 0) & fullMask
-			} else {
-				for l := 0; l < lanes; l++ {
-					out |= b2u(st.SlotBool(base+l)) << (uint(l) & 63)
-				}
-			}
+	// A changed watch group refreshes its shadow and re-runs its atoms; a
+	// full pass treats every group as changed.
+	var groups []int32
+	if full {
+		groups = p.lchanged[:len(p.lwBase)]
+		for g := range groups {
+			groups[g] = int32(g)
 		}
-		p.setAtomMask(a.node, out)
+	} else {
+		groups = p.changedGroups(kinds, vals)
 	}
-
-	numbers := p.latoms[at[atomNum]:at[atomNum+1]]
-	for i := range numbers {
-		a := &numbers[i]
-		var out uint64
-		if base, end := a.base, a.base+lanes; base >= 0 && end <= len(kinds) {
-			if uniform(kinds[base:end], KindNumber) {
-				out = compareLanes(vals[base:end], a.c, a.cmp)
-			} else {
-				// Bools compare as 0/1, strings as NaN (still a valid
-				// operand, so != holds) and absent values as false.
-				for l := 0; l < lanes; l++ {
-					if f, ok := st.SlotNumberOK(base + l); ok {
-						out |= b2u(compareNumbers(f, a.c, a.cmp)) << (uint(l) & 63)
-					}
-				}
-			}
+	for _, g := range groups {
+		ks, vs := p.operandGroup(p.lwBase[g], kinds, vals)
+		copy(p.lshKind[int(g)*lanes:], ks)
+		copy(p.lshVal[int(g)*lanes:], vs)
+		for i := p.lwAt[g]; i < p.lwAt[g+1]; i++ {
+			a := &atoms[i]
+			p.setAtomMask(a.node, p.atomLanes(a, st, ks, vs, fullMask))
 		}
-		p.setAtomMask(a.node, out)
 	}
-
-	enums := p.latoms[at[atomEnum]:at[atomEnum+1]]
-	for i := range enums {
-		a := &enums[i]
-		var out uint64
-		if base, end := a.base, a.base+lanes; base >= 0 && end <= len(kinds) {
-			eq := a.cmp == OpEq
-			if uniform(kinds[base:end], KindString) {
-				out = eqLanes(vals[base:end], a.c)
-				if !eq {
-					out = ^out & fullMask
-				}
-			} else {
-				for l, k := range kinds[base:end] {
-					if Kind(k) != KindInvalid {
-						match := Kind(k) == KindString && vals[base+l] == a.c
-						out |= b2u(match == eq) << (uint(l) & 63)
-					}
-				}
-			}
-		}
-		p.setAtomMask(a.node, out)
-	}
-
-	for _, a := range p.latoms[at[atomOther]:at[atomOther+1]] {
-		p.setAtomMask(a.node, p.otherAtomLanes(a.node, st))
+	rest := atoms[p.lwAt[len(p.lwBase)]:]
+	for i := range rest {
+		// Untyped atoms read the state through their own slot references;
+		// a typed atom here is one of the nil State, absent on every lane.
+		a := &rest[i]
+		p.setAtomMask(a.node, p.atomLanes(a, st, p.lnoKind, p.lnoVal, fullMask))
 	}
 
 	always := p.lalways
@@ -353,6 +376,54 @@ func (p *Program) StepLanes(st State) {
 		}
 	}
 	p.steps++
+}
+
+// atomLanes evaluates atom a for every lane.  ks and vs are a typed atom's
+// operand lane group (all-absent kinds for a slot beyond the state's width);
+// the other atoms read st through otherAtomLanes.
+func (p *Program) atomLanes(a *laneAtom, st State, ks []uint8, vs []float64, full uint64) uint64 {
+	var out uint64
+	switch a.kind {
+	case atomBool:
+		if uniform(ks, KindBool) {
+			return ^eqLanes(vs, 0) & full
+		}
+		for l, k := range ks {
+			out |= b2u(Kind(k) != KindInvalid && vs[l] != 0) << (uint(l) & 63)
+		}
+	case atomNum:
+		if uniform(ks, KindNumber) {
+			return compareLanes(vs, a.c, a.cmp)
+		}
+		// Bools compare as 0/1, strings as NaN (still a valid operand, so
+		// != holds) and absent values as false.
+		for l, k := range ks {
+			switch Kind(k) {
+			case KindNumber, KindBool:
+				out |= b2u(compareNumbers(vs[l], a.c, a.cmp)) << (uint(l) & 63)
+			case KindString:
+				out |= b2u(compareNumbers(math.NaN(), a.c, a.cmp)) << (uint(l) & 63)
+			}
+		}
+	case atomEnum:
+		eq := a.cmp == OpEq
+		if uniform(ks, KindString) {
+			out = eqLanes(vs, a.c)
+			if !eq {
+				out = ^out & full
+			}
+			return out
+		}
+		for l, k := range ks {
+			if Kind(k) != KindInvalid {
+				match := Kind(k) == KindString && vs[l] == a.c
+				out |= b2u(match == eq) << (uint(l) & 63)
+			}
+		}
+	default:
+		out = p.otherAtomLanes(a.node, st)
+	}
+	return out
 }
 
 // setAtomMask stores atom node i's mask for this step and, when it changed,
@@ -490,6 +561,66 @@ func uniform(ks []uint8, k Kind) bool {
 		}
 	}
 	return true
+}
+
+// operandGroup returns the kind and value lanes of the operand lane group
+// at physical index base; a slot beyond the state's width is absent on every
+// lane.
+func (p *Program) operandGroup(base int, kinds []uint8, vals []float64) ([]uint8, []float64) {
+	if end := base + p.lanes; end <= len(kinds) {
+		return kinds[base:end], vals[base:end]
+	}
+	return p.lnoKind, p.lnoVal
+}
+
+// changedGroups lists the watch groups whose operand lane group differs from
+// its shadow on any lane: a different kind byte or different value bits, so
+// a NaN equals itself and -0 is a change from 0.  When every watched slot is
+// inside the state (the groups are sorted by slot, so the last one decides),
+// the scalar width and the production lane width (4) compare straight-line;
+// otherwise, and at other widths, a loop compares each lane, and a slot
+// beyond the state's width compares as absent (kind and value 0, what
+// operandGroup stores in its shadow).  The loop alone would be correct at
+// every width, but it doubles BenchmarkStepLanes' ns/tick at widths 1 and 4
+// (the compare runs for every watched group on every tick).
+func (p *Program) changedGroups(kinds []uint8, vals []float64) []int32 {
+	changed := p.lchanged[:0]
+	watched := p.lwBase
+	lanes := p.lanes
+	inside := len(watched) == 0 || watched[len(watched)-1]+lanes <= len(kinds)
+	shk, shv := p.lshKind[:len(watched)*lanes], p.lshVal[:len(watched)*lanes]
+	switch {
+	case inside && lanes == 1:
+		for g, base := range watched {
+			if kinds[base] != shk[g] || math.Float64bits(vals[base]) != math.Float64bits(shv[g]) {
+				changed = append(changed, int32(g))
+			}
+		}
+	case inside && lanes == 4:
+		for g, base := range watched {
+			k, v := kinds[base:base+4], (*[4]float64)(vals[base:base+4])
+			sk, sv := shk[4*g:4*g+4], (*[4]float64)(shv[4*g:4*g+4])
+			if binary.LittleEndian.Uint32(k) != binary.LittleEndian.Uint32(sk) ||
+				(math.Float64bits(v[0])^math.Float64bits(sv[0]))|
+					(math.Float64bits(v[1])^math.Float64bits(sv[1]))|
+					(math.Float64bits(v[2])^math.Float64bits(sv[2]))|
+					(math.Float64bits(v[3])^math.Float64bits(sv[3])) != 0 {
+				changed = append(changed, int32(g))
+			}
+		}
+	default:
+		for g, base := range watched {
+			ks, vs := p.operandGroup(base, kinds, vals)
+			sk, sv := shk[g*lanes:(g+1)*lanes], shv[g*lanes:(g+1)*lanes]
+			for l, k := range ks {
+				if k != sk[l] || math.Float64bits(vs[l]) != math.Float64bits(sv[l]) {
+					changed = append(changed, int32(g))
+					break
+				}
+			}
+		}
+	}
+	return changed
 }
 
 // b2u converts a bool to 0/1 without a branch.

@@ -26,10 +26,13 @@ func randomLaneFormula(r *rand.Rand, depth int, pool *[]Formula) Formula {
 
 // setRandomLaneVar writes one variable's value for one lane of the widened
 // state and the same value into that lane's scalar shadow state (the state
-// the lane's reference steppers read).  With small
-// probability the value is absent (the slot is cleared) or of a surprising
-// kind (a string in a numeric slot, a number in the enum slot), so the
-// mixed-kind fallbacks and the unknown-state-is-false convention are covered.
+// the lane's reference steppers read).  With small probability the value is
+// absent (the slot is cleared) or of a surprising kind (a string in a numeric
+// slot, a number in the enum slot), so the mixed-kind fallbacks and the
+// unknown-state-is-false convention are covered.  The draws also probe change
+// gating: a boolean slot sometimes holds the number 0 or 1 (the value bits of
+// false and true under another kind), a numeric slot sometimes holds a bool,
+// and numbers include NaN and -0.
 func setRandomLaneVar(r *rand.Rand, wide State, lane int, scalar State, name string) {
 	slot := wide.Schema().Intern(name)
 	i := slot*wide.Lanes() + lane
@@ -37,35 +40,46 @@ func setRandomLaneVar(r *rand.Rand, wide State, lane int, scalar State, name str
 		wide.SetSlot(i, Value{})
 		scalar.SetSlot(slot, Value{})
 	}
-	switch name {
-	case "A", "B", "C":
-		if r.Intn(12) == 0 {
-			absent()
-			return
-		}
-		b := r.Intn(2) == 0
+	number := func(f float64) {
+		wide.SetSlotNumber(i, f)
+		scalar.SetSlotNumber(slot, f)
+	}
+	boolean := func(b bool) {
 		wide.SetSlotBool(i, b)
 		scalar.SetSlotBool(slot, b)
-	case "N", "M":
+	}
+	switch name {
+	case "A", "B", "C":
 		switch r.Intn(12) {
+		case 0:
+			absent()
+		case 1:
+			number(float64(r.Intn(2)))
+		default:
+			boolean(r.Intn(2) == 0)
+		}
+	case "N", "M":
+		switch r.Intn(16) {
 		case 0:
 			absent()
 		case 1:
 			wide.SetSlotString(i, "oops")
 			scalar.SetSlotString(slot, "oops")
+		case 2:
+			boolean(r.Intn(2) == 0)
+		case 3:
+			number(math.NaN())
+		case 4:
+			number(math.Copysign(0, -1))
 		default:
-			f := float64(r.Intn(5))
-			wide.SetSlotNumber(i, f)
-			scalar.SetSlotNumber(slot, f)
+			number(float64(r.Intn(5)))
 		}
 	case "S":
 		switch r.Intn(12) {
 		case 0:
 			absent()
 		case 1:
-			f := float64(r.Intn(3))
-			wide.SetSlotNumber(i, f)
-			scalar.SetSlotNumber(slot, f)
+			number(float64(r.Intn(3)))
 		default:
 			colors := []string{"red", "green", "blue"}
 			c := colors[r.Intn(len(colors))]

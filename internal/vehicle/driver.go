@@ -106,7 +106,12 @@ func (d *Driver) Step(now time.Duration, bus *sim.Bus) {
 	d.lcaEngage = false
 	d.paEngage = false
 
-	for _, a := range d.Schedule {
+	// By index: a DriverAction is ~130 bytes, and a range-by-value loop
+	// copies every entry on every tick.  Entries that fire in the same tick
+	// apply in schedule order, so the later one wins.
+	schedule := d.Schedule
+	for i := range schedule {
+		a := &schedule[i]
 		if now < a.At || now >= a.At+step {
 			continue
 		}

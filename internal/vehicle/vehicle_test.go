@@ -231,6 +231,33 @@ func TestDriverScheduleAndPulses(t *testing.T) {
 	}
 }
 
+// TestDriverSameTickActionsApplyInScheduleOrder pins the order of actions
+// that fire inside one step window: each applies in schedule order, so when
+// two set the same input the later schedule entry wins, while an input only
+// the earlier entry names keeps its value.
+func TestDriverSameTickActionsApplyInScheduleOrder(t *testing.T) {
+	s := newSim()
+	s.Add(&Driver{
+		Schedule: []DriverAction{
+			// Both fire in the tick at 5 ms: its window is [At, At+1ms).
+			{At: 4*time.Millisecond + 500*time.Microsecond, Throttle: Level(0.3), Brake: Level(0.2)},
+			{At: 5 * time.Millisecond, Throttle: Level(0.7)},
+			{At: 8 * time.Millisecond, Gear: GearSel("R")},
+			{At: 8 * time.Millisecond, Gear: GearSel("D")},
+		},
+	})
+	tr := s.Run(12 * time.Millisecond)
+	if got := tr.At(5).Number(SigThrottleLevel); got != 0.7 {
+		t.Errorf("throttle at 5 ms = %v, want the later entry's 0.7", got)
+	}
+	if got := tr.At(5).Number(SigBrakeLevel); got != 0.2 {
+		t.Errorf("brake at 5 ms = %v, want 0.2 from the earlier entry", got)
+	}
+	if got := tr.At(9).StringVal(SigGear); got != "D" {
+		t.Errorf("gear at 9 ms = %q, want the later entry's D", got)
+	}
+}
+
 func TestDriverDefaultGear(t *testing.T) {
 	s := newSim()
 	s.Add(&Driver{})
