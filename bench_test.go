@@ -629,8 +629,11 @@ func BenchmarkDefectSweepLaned(b *testing.B) {
 }
 
 // stepLanesDuration is the length of each variant's recorded trajectory in
-// BenchmarkStepLanes.
-const stepLanesDuration = 4 * time.Second
+// BenchmarkStepLanes: the whole scheduled run, because the first seconds of
+// a defect variant barely move and would time little but the change-gating
+// compare.  Over the full 20 s the share of atoms the gated program re-runs
+// is close to the full DefectSweep's.
+const stepLanesDuration = scenarios.DefaultDuration
 
 // laneWrite is one recorded register change of a lane trajectory: the
 // physical lane-state index, the new kind and the payload (the number, 0/1

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,13 +28,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run parses args and writes the selected tables to out.
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("icpa", flag.ContinueOnError)
 	system := fs.String("system", "all", "which system to analyse: elevator, vehicle or all")
 	goalName := fs.String("goal", "", "print only the analysis of the named goal")
@@ -63,13 +65,16 @@ func run(args []string) error {
 			continue
 		}
 		printed++
-		fmt.Println(a.Render())
+		fmt.Fprintln(out, a.Render())
 		if *verify {
-			fmt.Println("Subgoal realizability:")
-			for name, r := range a.CheckRealizability() {
-				fmt.Printf("  %-60s %s\n", name, r)
+			// Subgoals print in the analysis' declaration order, not the
+			// result map's iteration order, so the output is reproducible.
+			fmt.Fprintln(out, "Subgoal realizability:")
+			checks := a.CheckRealizability()
+			for _, sg := range a.Subgoals {
+				fmt.Fprintf(out, "  %-60s %s\n", sg.Goal.Name, checks[sg.Goal.Name])
 			}
-			fmt.Println()
+			fmt.Fprintln(out)
 		}
 	}
 	if *goalName != "" && printed == 0 {
@@ -77,33 +82,33 @@ func run(args []string) error {
 	}
 
 	if *patterns {
-		fmt.Println("Table 4.5: goal controllability and observability requirements for A => B")
+		fmt.Fprintln(out, "Table 4.5: goal controllability and observability requirements for A => B")
 		for _, t := range core.Table4_5() {
-			fmt.Println(t.Render())
+			fmt.Fprintln(out, t.Render())
 		}
-		fmt.Println("Appendix B: goal realizability patterns and alternative goals")
+		fmt.Fprintln(out, "Appendix B: goal realizability patterns and alternative goals")
 		for _, t := range core.AppendixBTables() {
-			fmt.Println(t.Render())
+			fmt.Fprintln(out, t.Render())
 		}
 	}
 
 	if *hazards {
 		tree := hazard.VehicleUnintendedAccelerationTree()
-		fmt.Println(tree.Render())
-		fmt.Printf("Top event probability (independent basic events): %.3e\n", tree.TopProbability())
-		fmt.Println("Minimal cut sets:")
+		fmt.Fprintln(out, tree.Render())
+		fmt.Fprintf(out, "Top event probability (independent basic events): %.3e\n", tree.TopProbability())
+		fmt.Fprintln(out, "Minimal cut sets:")
 		for _, cs := range tree.MinimalCutSets() {
-			fmt.Printf("  %s\n", cs)
+			fmt.Fprintf(out, "  %s\n", cs)
 		}
-		fmt.Println()
-		fmt.Println(hazard.VehicleRadarFMEA().Render())
-		fmt.Println(hazard.VehiclePHA().Render())
+		fmt.Fprintln(out)
+		fmt.Fprintln(out, hazard.VehicleRadarFMEA().Render())
+		fmt.Fprintln(out, hazard.VehiclePHA().Render())
 	}
 
 	if *lessons {
-		fmt.Println("Lessons from applying ICPA to the semi-autonomous vehicle (§5.3.2, §6.1):")
+		fmt.Fprintln(out, "Lessons from applying ICPA to the semi-autonomous vehicle (§5.3.2, §6.1):")
 		for _, l := range scenarios.LessonsFromICPA() {
-			fmt.Printf("  - %s\n", l)
+			fmt.Fprintf(out, "  - %s\n", l)
 		}
 	}
 	return nil

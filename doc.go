@@ -70,11 +70,15 @@
 // equal-duration dynamics groups into lane tasks (WithLanes, default width
 // 4), and grouped summary-only runs are lane batches at every width: a
 // ragged remainder or WithLanes(1) simply runs one active lane.  Per-lane
-// stop masks retire collided lanes early.  WithGrouping(false) is the
-// per-job reference — every job runs on its own through the path
-// RunWithOptions uses, without grouping or lane batching, though on the same
-// width-1 lane program — and differential tests prove the laned stream
-// byte-identical to it across the full evaluation.  Engine.LaneStats reports batches widened, lanes carried
+// stop masks retire collided lanes early.  The lane arena is the one
+// execution path: WithGrouping(false) runs each job as a one-lane batch on a
+// width-1 arena, and a KeepTrace run (the Engine's, or RunWithOptions) gets a
+// fresh width-1 arena that records every committed state and whose schema,
+// trace and suite its Result keeps.  The tests' reference run — a scalar
+// sim.Simulation observed by string-keyed Stepper monitors — is the
+// independent oracle: the laned, grouped, arena and differential tests
+// compare the NDJSON stream, the aggregate, the detections and the violation
+// report against it.  Engine.LaneStats reports batches widened, lanes carried
 // and ragged (single-group) batches; BENCH_9.json records the speedup.
 //
 // Monitoring is evaluated as one composed artifact: temporal.Program

@@ -37,11 +37,12 @@ func testSweep(t *testing.T) scenarios.Sweep {
 
 // singleProcess evaluates src in one process and returns the NDJSON run
 // lines plus the aggregate — the reference every distributed run must match
-// byte for byte.  It runs the engine's per-job path (WithGrouping(false)):
-// every job simulated alone, without the grouping and lane batching the
-// workers execute.  Both paths share the width-1 lane program and its change
-// gating, which the scenarios and temporal Stepper differentials
-// (differential_test.go, program_lanes_test.go) check independently.
+// byte for byte.  It runs the engine without grouping (WithGrouping(false)):
+// every job simulated alone as a one-lane batch, without the grouping and
+// lane batching the workers execute.  Both share the lane arena and its
+// change-gated program, which the scenarios and temporal Stepper
+// differentials (differential_test.go, program_lanes_test.go) check
+// independently.
 func singleProcess(t *testing.T, src scenarios.JobSource) ([]byte, AggregateReport) {
 	t.Helper()
 	engine := scenarios.NewEngine(scenarios.WithRetention(scenarios.SummaryOnly), scenarios.WithGrouping(false))

@@ -88,15 +88,6 @@ func runSlotBind(prog *Program) []Diagnostic {
 						diags = append(diags, flagRawName(prog, pkg, f, call.Args[i], fn)...)
 					}
 				}
-				// Pred's second argument lists the variables the predicate
-				// reads; literal elements of that slice bind slots too.
-				if key == [3]string{temporalPath, "", "Pred"} && len(call.Args) > 1 {
-					if lit, ok := call.Args[1].(*ast.CompositeLit); ok {
-						for _, el := range lit.Elts {
-							diags = append(diags, flagRawName(prog, pkg, f, el, fn)...)
-						}
-					}
-				}
 				return true
 			})
 		}

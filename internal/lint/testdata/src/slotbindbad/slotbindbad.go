@@ -23,11 +23,8 @@ func Atoms() []temporal.Formula {
 	}
 }
 
-func Predicate() temporal.Formula {
-	return temporal.Pred("nonneg",
-		[]string{"Speed"}, // want "raw string literal \"Speed\" binds a signal slot"
-		func(s temporal.State) bool { return s.Number("Speed") >= 0 },
-	)
+func Comparison() temporal.Formula {
+	return temporal.Compare("Speed", temporal.OpGe, temporal.Number(0)) // want "raw string literal \"Speed\" binds a signal slot"
 }
 
 func Lookup(sc *temporal.Schema) (int, bool) {

@@ -24,10 +24,7 @@ func Atoms() []temporal.Formula {
 		temporal.Var(SigDoorOpen),
 		temporal.Ge(SigSpeed, 1),
 		temporal.CompareVars(SigSpeed, temporal.OpLe, SigLimit),
-		temporal.Pred("nonneg",
-			[]string{SigSpeed},
-			func(s temporal.State) bool { return s.Number(SigSpeed) >= 0 },
-		),
+		temporal.Compare(SigSpeed, temporal.OpGe, temporal.Number(0)),
 	}
 }
 

@@ -105,7 +105,7 @@ func TestArenaVariantSteadyStateAllocs(t *testing.T) {
 	skipIfAllocCountsUnreliable(t)
 	jobs := thesisScenarioJobs(2 * time.Second)
 	for _, width := range arenaWidths {
-		a := newLaneArena(width)
+		a := newLaneArena(width, matchTolerance)
 		groups := make([][]Job, width)
 		for l := range groups {
 			groups[l] = []Job{jobs[l]}
@@ -124,24 +124,28 @@ func TestArenaVariantSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestTraceRecordingAllocs gates KeepTrace recording: a reused thesis
-// simulation that records 2 000 more ticks may allocate only the few extra
+// TestTraceRecordingAllocs gates KeepTrace recording on its production path,
+// RunWithOptions (a fresh width-1 lane arena with a trace observer): a
+// thesis run that records 2 000 more ticks may allocate only the few extra
 // trace chunks those ticks fill (three objects per 512 snapshots), not one
 // register file per tick.  Cloning every tick would add ~10 000.
 func TestTraceRecordingAllocs(t *testing.T) {
 	skipIfAllocCountsUnreliable(t)
-	s := warmSimulation(t)
+	sc, ok := ScenarioByNumber(1)
+	if !ok {
+		t.Fatal("scenario 1 missing")
+	}
 	allocsAt := func(d time.Duration) float64 {
+		sc.Duration = d
 		return testing.AllocsPerRun(3, func() {
-			s.Reset()
-			if n := s.Run(d).Len(); n != int(d/Period) {
+			if n := RunWithOptions(sc, Options{}).Trace.Len(); n != int(d/Period) {
 				t.Fatalf("recorded %d states, want %d", n, int(d/Period))
 			}
 		})
 	}
 	short, long := allocsAt(2*time.Second), allocsAt(4*time.Second)
 	if extra := long - short; extra > 16 {
-		t.Errorf("KeepTrace Run allocates %v objects at 2 s and %v at 4 s: the extra 2 000 ticks add %v, want <= 16",
+		t.Errorf("KeepTrace RunWithOptions allocates %v objects at 2 s and %v at 4 s: the extra 2 000 ticks add %v, want <= 16",
 			short, long, extra)
 	}
 }

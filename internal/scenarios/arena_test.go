@@ -1,14 +1,15 @@
 package scenarios
 
-// Differential tests for the lane arena: the same variant executed on a
-// reused arena — one lane-widened bus, per-lane component sets and one
-// compiled lane program, rewound between batches — must be indistinguishable
-// from a fresh, fully rebuilt per-job run.  Each arena is deliberately reused
-// across every batch of a sweep, exactly as an Engine worker reuses it, so
-// these tests prove that LaneSim.Reset, LaneSuite.Reset, the component Reset
-// paths and the absolute reconfiguration in vehicleSet.configure leave no
-// state behind — at width 1 (the WithLanes(1) layout) and at the default
-// width, where every lane follows a differently configured one.
+// Differential tests for lane-arena reuse: a variant executed on an arena that
+// is reused batch after batch — one lane-widened bus, per-lane component sets
+// and one compiled lane program, rewound between batches — must match the
+// reference run of that variant (differential_test.go).  Each arena is
+// deliberately reused across every batch of a sweep, exactly as an Engine
+// worker reuses it, so these tests prove that LaneSim.Reset, LaneSuite.Reset,
+// the component Reset paths and the absolute reconfiguration in
+// vehicleSet.configure leave no state behind — at width 1 (the WithLanes(1)
+// and WithGrouping(false) layout) and at the default width, where every lane
+// follows a differently configured one.
 
 import (
 	"context"
@@ -19,49 +20,30 @@ import (
 // arenaWidths are the lane widths the reuse differentials drive.
 var arenaWidths = []int{1, defaultLaneWidth}
 
-// newTestArenas builds one reusable lane arena per width in arenaWidths.
+// newTestArenas builds one reusable summary-only lane arena per width in
+// arenaWidths.
 func newTestArenas() []*laneArena {
 	arenas := make([]*laneArena, len(arenaWidths))
 	for i, w := range arenaWidths {
-		arenas[i] = newLaneArena(w)
+		arenas[i] = newLaneArena(w, matchTolerance)
 	}
 	return arenas
 }
 
-// assertArenasMatchFresh runs jobs — every job its own dynamics group — on
-// each reused arena in consecutive batches of the arena's width, and compares
-// everything each summary-only Result retains with a fresh runJob of the
-// same job.  The jobs must share one scheduled duration, as the dispatcher
-// guarantees for a lane batch.
-func assertArenasMatchFresh(t *testing.T, arenas []*laneArena, jobs []Job) {
+// assertArenasMatchReference runs jobs — every job its own dynamics group —
+// on each reused arena and compares each lane with the reference.  The jobs
+// must share one scheduled duration, as the dispatcher guarantees for a lane
+// batch.
+func assertArenasMatchReference(t *testing.T, arenas []*laneArena, jobs []Job) {
 	t.Helper()
-	want := make([]string, len(jobs))
-	for i, j := range jobs {
-		want[i] = mustJSON(t, runJob(j.Scenario, j.Options, SummaryOnly))
-	}
 	for _, a := range arenas {
-		for lo := 0; lo < len(jobs); lo += a.lanes {
-			hi := min(lo+a.lanes, len(jobs))
-			groups := make([][]Job, 0, hi-lo)
-			for _, j := range jobs[lo:hi] {
-				groups = append(groups, []Job{j})
-			}
-			got := make([]Result, len(groups))
-			a.run(groups, got)
-			for i, res := range got {
-				j := jobs[lo+i]
-				if g := mustJSON(t, res); g != want[lo+i] {
-					t.Errorf("width %d, lane %d, %s (%s): arena result differs from fresh\n arena: %s\n fresh: %s",
-						a.lanes, i, j.Scenario.Name, j.Options.Label(), g, want[lo+i])
-				}
-			}
-		}
+		assertArenaMatchesReference(t, a, singletons(jobs))
 	}
 }
 
-// TestArenaMatchesFreshThesisScenarios proves arena-reuse equivalence on the
-// ten thesis scenarios in both defect configurations.  Each subtest batches
-// its scenario with the next one, so a four-lane batch mixes four distinct
+// TestArenaMatchesFreshThesisScenarios checks arena reuse on the ten thesis
+// scenarios in both defect configurations.  Each subtest batches its
+// scenario with the next one, so a four-lane batch mixes four distinct
 // trajectories and every batch follows a differently configured one.  -short
 // trims the durations; the full 20 s runs execute in CI.
 func TestArenaMatchesFreshThesisScenarios(t *testing.T) {
@@ -79,48 +61,24 @@ func TestArenaMatchesFreshThesisScenarios(t *testing.T) {
 			{Scenario: next, Options: Options{CorrectDefects: true}},
 		}
 		t.Run(sc.Name, func(t *testing.T) {
-			assertArenasMatchFresh(t, arenas, jobs)
+			assertArenasMatchReference(t, arenas, jobs)
 		})
 	}
 }
 
-// TestArenaMatchesFreshSweeps extends the equivalence proof across every
-// variant of the sweep presets an Engine worker actually runs the arena
-// over: the 120-variant DefaultSweep, the tolerance sweep (which classifies
-// neighbouring lanes at different tolerances) and the defect sweep
-// (per-feature corrections and perturbed driver schedules).
+// TestArenaMatchesFreshSweeps extends the check across every variant of the
+// sweep presets an Engine worker runs the arena over: the 120-variant
+// DefaultSweep, the tolerance sweep (which classifies neighbouring lanes at
+// different tolerances) and the defect sweep (per-feature corrections and
+// perturbed driver schedules).
 func TestArenaMatchesFreshSweeps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three full sweep presets through the arenas")
 	}
 	arenas := newTestArenas()
-	for _, preset := range []struct {
-		name  string
-		sweep Sweep
-	}{
-		{"default", DefaultSweep()},
-		{"tolerance", ToleranceSweep()},
-		{"defects", DefectSweep()},
-	} {
-		preset := preset
-		t.Run(preset.name, func(t *testing.T) {
-			sw := preset.sweep
-			for i := range sw.Families {
-				sw.Families[i].Base.Duration = 1 * time.Second
-			}
-			src := sw.Source()
-			var jobs []Job
-			for {
-				job, ok := src.Next()
-				if !ok {
-					break
-				}
-				jobs = append(jobs, job)
-			}
-			if len(jobs) != sw.Size() {
-				t.Fatalf("sweep source yielded %d variants, want %d", len(jobs), sw.Size())
-			}
-			assertArenasMatchFresh(t, arenas, jobs)
+	for _, preset := range []string{"default", "tolerance", "defects"} {
+		t.Run(preset, func(t *testing.T) {
+			assertArenasMatchReference(t, arenas, sweepJobs(t, preset, 1*time.Second))
 		})
 	}
 }

@@ -179,16 +179,13 @@ func WithResultCache() EngineOption {
 // sweep pays for ~1/K the simulation work.  Every job still produces its own
 // StreamResult under its own index and Job.Key, in source order, so sinks,
 // caches, sharding and the distributed merge observe byte-identical output
-// either way (the grouped-vs-ungrouped differential tests are the proof).
-// Grouping applies only under SummaryOnly retention; KeepTrace results own
-// their suites and always run per job.  With grouping disabled every job
-// runs on its own through the path RunWithOptions uses: its own simulation,
-// no dynamics grouping and no lane batching across variants, which makes it
-// the reference grouped execution is tested against.  It still shares the
-// components, the simulation kernel (at width 1) and the compiled lane
-// program with its change-gated atom kernels; the reference Stepper
-// differentials (differential_test.go here, program_lanes_test.go in
-// internal/temporal) are the independent oracle for that evaluator.
+// either way.  Grouping applies only under SummaryOnly retention; KeepTrace
+// results own their suites and always run per job.  With grouping disabled
+// every job is dispatched on its own and runs as a one-lane batch on a
+// width-1 arena: the same lane arena, without dynamics grouping or lane
+// batching across variants.  Either way the tests check the stream against
+// an independent reference run (a scalar simulation observed by string-keyed
+// reference Stepper monitors).
 func WithGrouping(enabled bool) EngineOption { return func(e *Engine) { e.grouping = enabled } }
 
 // defaultLaneWidth is the lane-batch width summary-only engines use unless
@@ -209,10 +206,10 @@ const defaultLaneWidth = 4
 // defaultLaneWidth, n <= 1 runs each dynamics group as a one-lane batch, and
 // widths above temporal.MaxLanes are clamped.  The width is inert when
 // grouping is disabled or under KeepTrace retention, where every job runs on
-// its own.  Results stream under each job's original index and Job.Key at
-// every width, so sinks, caches, sharding and the distributed merge observe
-// byte-identical output — the laned-vs-per-job differential tests are the
-// proof.
+// its own as a one-lane batch.  Results stream under each job's original
+// index and Job.Key at every width, so sinks, caches, sharding and the
+// distributed merge observe byte-identical output — the laned differential
+// tests check each width against the reference run.
 func WithLanes(n int) EngineOption {
 	return func(e *Engine) {
 		if n < 1 {
@@ -407,7 +404,7 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			e.runWorker(tasks, results)
+			e.runWorker(width, tasks, results)
 		}()
 	}
 	go func() {
@@ -464,57 +461,38 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 // at the requested width.
 var laneArenaPool sync.Pool
 
-// borrowLaneArena fetches a lane arena of the given width from the pool,
-// building one when the pool is empty or holds a different width.
+// borrowLaneArena fetches a summary-only lane arena of the given width from
+// the pool, building one when the pool is empty or holds a different width.
+// Pooled arenas classify at the default tolerance; each job's summary is
+// re-classified at its own (FastSummaryAt).
 func borrowLaneArena(lanes int) *laneArena {
 	if a, _ := laneArenaPool.Get().(*laneArena); a != nil && a.lanes == lanes {
 		return a
 	}
-	return newLaneArena(lanes)
+	return newLaneArena(lanes, matchTolerance)
 }
 
-// runWorker executes dispatched tasks until the task channel closes.  The
-// Engine has exactly two execution paths.  Grouped summary-only tasks run on
-// a borrowed lane arena — per-lane component sets over one lane-widened bus
-// and one compiled lane program, rewound between batches — so the per-variant
-// cost is the simulation itself, not its construction.  Every other job
-// (KeepTrace, or grouping disabled) runs on its own through runJobCached,
-// the code RunWithOptions uses, reusing only the worker's compiled monitor
-// suites.  It simulates every job alone, so it is the reference the laned
-// and grouped differentials compare against for grouping, lane batching and
-// arena reuse.  It shares the simulation kernel and the change-gated lane
-// program (at width 1) with lane execution; the reference Stepper
-// differentials (differential_test.go, and program_lanes_test.go in
-// internal/temporal) check that evaluator independently.
-func (e *Engine) runWorker(tasks <-chan task, results chan<- StreamResult) {
-	if e.grouped() {
-		la := borrowLaneArena(e.lanes)
-		defer laneArenaPool.Put(la)
+// runWorker executes dispatched tasks until the task channel closes.  Every
+// task runs on a lane arena.  Summary-only tasks share one arena borrowed
+// for the stream — per-lane component sets over one lane-widened bus and
+// one compiled lane program, rewound between batches — so the per-variant
+// cost is the simulation itself, not its construction; it is width lanes
+// wide (1 without grouping, where every task is one job).  A KeepTrace task
+// is one job on a fresh width-1 arena (runTraced), because its Result keeps
+// the arena's trace and suite.
+func (e *Engine) runWorker(width int, tasks <-chan task, results chan<- StreamResult) {
+	if e.retention == KeepTrace {
 		for t := range tasks {
-			e.runLaneTask(la, t, results)
+			job := t.groups[0][0]
+			results <- StreamResult{Index: t.idx, Job: job, Result: runTraced(job)}
 		}
 		return
 	}
-	cache := make(suiteCache)
+	la := borrowLaneArena(width)
+	defer laneArenaPool.Put(la)
 	for t := range tasks {
-		job := t.groups[0][0]
-		results <- StreamResult{Index: t.idx, Job: job, Result: e.runSingle(job, cache)}
+		e.runLaneTask(la, t, results)
 	}
-}
-
-// runSingle executes one job on its own.  Summary-only results go through
-// the result cache; a KeepTrace Result owns its trace and suite and is never
-// memoized.
-func (e *Engine) runSingle(job Job, cache suiteCache) Result {
-	if e.retention != SummaryOnly {
-		return runJobCached(job.Scenario, job.Options, e.retention, cache)
-	}
-	if res, hit := e.cache.lookup(job); hit {
-		return res
-	}
-	res := runJobCached(job.Scenario, job.Options, e.retention, cache)
-	e.cache.store(job, res)
-	return res
 }
 
 // runLaneTask executes one lane batch — consecutive dynamics groups with
@@ -524,8 +502,8 @@ func (e *Engine) runSingle(job Job, cache suiteCache) Result {
 // group's DynamicsKey) run as ONE lane-widened simulation, one group per
 // lane; a batch with a single survivor runs with one active lane.  Every
 // job's result streams under its own index and key, so batching is invisible
-// to the collector, the cache, sharding and the distributed merge.  The
-// task's GroupStats and LaneStats are recorded in one update.
+// to the collector, the cache, sharding and the distributed merge.  Under
+// grouping the task's GroupStats and LaneStats are recorded in one update.
 func (e *Engine) runLaneTask(la *laneArena, t task, results chan<- StreamResult) {
 	total := 0
 	for _, g := range t.groups {
@@ -575,7 +553,9 @@ func (e *Engine) runLaneTask(la *laneArena, t task, results chan<- StreamResult)
 			}
 		}
 	}
-	e.recordTask(gs, len(live))
+	if e.grouped() {
+		e.recordTask(gs, len(live))
+	}
 
 	flat = 0
 	for _, g := range t.groups {

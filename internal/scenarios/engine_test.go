@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/monitor"
 	"repro/internal/vehicle"
 )
 
@@ -31,7 +32,7 @@ func shortSweep(t *testing.T) Sweep {
 }
 
 // runEach runs every job on its own through RunWithOptions, in order: the
-// per-job reference the Engine's streams are compared against.
+// batch the Engine's streams are compared against.
 func runEach(jobs []Job) []Result {
 	out := make([]Result, len(jobs))
 	for i, j := range jobs {
@@ -344,7 +345,7 @@ func TestDefectSetAxis(t *testing.T) {
 	// scenario 2 avoids the collision that the seeded system hits.
 	sc2, _ := ScenarioByNumber(2)
 	sc2.Duration = 20 * time.Second
-	res := runJob(sc2, Options{CorrectDefects: true, Defects: DefectSet{CorrectCA: true}}, SummaryOnly)
+	res := RunWithOptions(sc2, Options{CorrectDefects: true, Defects: DefectSet{CorrectCA: true}})
 	if res.Collision {
 		t.Error("CorrectDefects must correct every subsystem regardless of Options.Defects")
 	}
@@ -699,5 +700,46 @@ func TestEngineKeepTraceWorkerInvariance(t *testing.T) {
 	}
 	if seq, par := render(1), render(4); seq != par {
 		t.Errorf("rendered output differs between 1 and 4 workers:\n%s\n---\n%s", seq, par)
+	}
+}
+
+// TestEngineKeepTraceResultsOwnTheirState streams the ten thesis scenarios
+// under KeepTrace on one worker and on three and captures, at delivery, each
+// Result's rendered violation table, trace length, last recorded state and
+// violation report.  Re-read after the stream has ended, every value must be
+// unchanged: a KeepTrace Result owns its arena's schema, trace and suite, so
+// no later job may disturb it — the invariant that forbids pooling the
+// KeepTrace arena.  Under -race it is also the evidence that no two runs
+// share that state.
+func TestEngineKeepTraceResultsOwnTheirState(t *testing.T) {
+	type snapshot struct {
+		table  string
+		steps  int
+		last   string
+		report []monitor.ViolationReport
+	}
+	take := func(r Result) snapshot {
+		return snapshot{RenderViolationTable(r), r.Trace.Len(), r.Trace.Last().String(), r.Suite.Report()}
+	}
+	for _, workers := range []int{1, 3} {
+		var results []Result
+		var delivered []snapshot
+		err := NewEngine(WithWorkers(workers)).Stream(context.Background(), SliceSource(thesisScenarioJobs(DefaultDuration)), SinkFunc(
+			func(sr StreamResult) error {
+				results = append(results, sr.Result)
+				delivered = append(delivered, take(sr.Result))
+				return nil
+			}))
+		if err != nil {
+			t.Fatalf("Stream(WithWorkers(%d)): %v", workers, err)
+		}
+		for i, r := range results {
+			if got := take(r); !reflect.DeepEqual(got, delivered[i]) {
+				t.Errorf("workers %d: result %d (%s) changed after delivery", workers, i, r.Scenario.Name)
+			}
+			if i > 0 && r.Trace.Last().Schema() == results[i-1].Trace.Last().Schema() {
+				t.Errorf("workers %d: results %d and %d share a schema", workers, i-1, i)
+			}
+		}
 	}
 }

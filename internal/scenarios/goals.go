@@ -350,21 +350,12 @@ const matchTolerance = 150
 // evaluation program (suite-level CSE over every goal and subgoal formula)
 // against the scenario's symbol table (typically sim.Bus.Schema()): the ~30
 // overlapping formulas of Table 5.3 are evaluated in a single pass per state,
-// with each shared atom read once.  The returned suite is reusable across
-// runs via Reset.
+// with each shared atom read once, classified at the default matching
+// tolerance.  The returned suite is reusable across runs via Reset.
 func BuildSuiteWithSchema(period time.Duration, schema *temporal.Schema) *monitor.CompiledSuite {
-	return buildCompiledSuite(period, schema, matchTolerance)
-}
-
-// buildCompiledSuite compiles the plan into one shared program with the given
-// matching tolerance (non-positive selects the default).
-func buildCompiledSuite(period time.Duration, schema *temporal.Schema, tolerance int) *monitor.CompiledSuite {
-	if tolerance <= 0 {
-		tolerance = matchTolerance
-	}
 	cs := monitor.NewCompiledSuite(period, schema)
 	for _, spec := range monitoringPlan() {
-		cs.MustAddHierarchy(spec.Parent, tolerance, spec.Children...)
+		cs.MustAddHierarchy(spec.Parent, matchTolerance, spec.Children...)
 	}
 	return cs
 }

@@ -1,93 +1,57 @@
 package scenarios
 
 // Differential tests for dynamics-grouped execution: an Engine with grouping
-// enabled must produce byte-identical output — every StreamResult, in the
-// same order, under the same index and Job.Key, folding to the same
-// aggregate — as the same Engine with grouping disabled.  The grouped path
+// enabled must produce, byte for byte, the reference result stream
+// (differential_test.go) — every StreamResult in the same order, under the
+// same index and Job.Key, folding to the same aggregate.  The grouped path
 // shares one simulation pass across a dynamics group and classifies its
-// recorded violation intervals once per job (FastSummaryAt), so these tests
-// are the proof that the sharing is unobservable downstream.
+// recorded violation intervals once per job (FastSummaryAt); the reference
+// simulates and classifies every job on its own, so these tests are the
+// proof that the sharing is unobservable downstream.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"testing"
 	"time"
-
-	"repro/internal/monitor"
 )
 
-// streamBytes runs src through an Engine built with opts and returns the
-// deterministic NDJSON encoding of the full result stream (index, job key,
-// marshalled Result per line) together with the marshalled aggregate.
-func streamBytes(t *testing.T, src JobSource, opts ...EngineOption) ([]byte, []byte) {
-	t.Helper()
-	engine := NewEngine(opts...)
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	var acc Accumulator
-	err := engine.Stream(context.Background(), src, Tee(SinkFunc(func(sr StreamResult) error {
-		return enc.Encode(struct {
-			Index  int    `json:"index"`
-			Key    string `json:"key"`
-			Result Result `json:"result"`
-		}{sr.Index, sr.Job.Key(), sr.Result})
-	}), &acc))
-	if err != nil {
-		t.Fatal(err)
+// dynamicsGroups splits jobs into runs of consecutive equal DynamicsKeys, as
+// the dispatcher does below maxGroupWidth.
+func dynamicsGroups(jobs []Job) [][]Job {
+	var groups [][]Job
+	for i, j := range jobs {
+		if i == 0 || j.DynamicsKey() != jobs[i-1].DynamicsKey() {
+			groups = append(groups, nil)
+		}
+		groups[len(groups)-1] = append(groups[len(groups)-1], j)
 	}
-	agg, err := json.Marshal(acc.SweepResult())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), agg
-}
-
-// assertGroupedMatchesUngrouped is the core differential: one sweep, two
-// engines differing only in WithGrouping, byte-identical stream and
-// aggregate.
-func assertGroupedMatchesUngrouped(t *testing.T, sw Sweep, opts ...EngineOption) {
-	t.Helper()
-	base := append([]EngineOption{WithRetention(SummaryOnly)}, opts...)
-	gotStream, gotAgg := streamBytes(t, sw.Source(), append(base, WithGrouping(true))...)
-	wantStream, wantAgg := streamBytes(t, sw.Source(), append(base, WithGrouping(false))...)
-	if !bytes.Equal(gotStream, wantStream) {
-		t.Errorf("grouped result stream differs from ungrouped (%d vs %d bytes)",
-			len(gotStream), len(wantStream))
-	}
-	if !bytes.Equal(gotAgg, wantAgg) {
-		t.Errorf("grouped aggregate differs from ungrouped:\n grouped:   %s\n ungrouped: %s",
-			gotAgg, wantAgg)
-	}
+	return groups
 }
 
 // TestGroupedMatchesUngroupedTolerance proves grouped execution on the sweep
 // it exists for: the tolerance axis is innermost, so every family forms one
 // width-3 dynamics group and the grouped engine simulates each trajectory
-// once instead of three times.  It runs the thesis' full 20 s durations:
-// shorter runs record too few violation intervals for the three tolerances
-// to classify differently, and the test checks that some family does, so
-// the differential really covers per-tolerance classification of a shared
-// pass.
+// once instead of three times.  The grouped stream must match the reference,
+// and the same groups run directly on a four-lane arena must match every
+// lane's violation report and, at each job's tolerance, its detections.  It
+// runs the thesis' full 20 s durations: shorter runs record too few
+// violation intervals for the three tolerances to classify differently, and
+// the test checks that some family does, so the differential really covers
+// per-tolerance classification of a shared pass.
 func TestGroupedMatchesUngroupedTolerance(t *testing.T) {
-	sw := ToleranceSweep()
-	assertGroupedMatchesUngrouped(t, sw)
-
-	var sums []monitor.Summary
-	err := NewEngine(WithRetention(SummaryOnly), WithGrouping(false)).Stream(context.Background(), sw.Source(),
-		SinkFunc(func(sr StreamResult) error {
-			sums = append(sums, sr.Result.Summary)
-			return nil
-		}))
-	if err != nil {
-		t.Fatal(err)
+	jobs := ToleranceSweep().Jobs()
+	assertStreamMatchesReference(t, NewEngine(WithRetention(SummaryOnly)), jobs)
+	groups := dynamicsGroups(jobs)
+	if len(groups) != 10 {
+		t.Fatalf("tolerance sweep forms %d dynamics groups, want 10", len(groups))
 	}
-	width := len(sw.Families[0].Tolerances)
+	assertArenaMatchesReference(t, newLaneArena(defaultLaneWidth, matchTolerance), groups)
+
 	sensitive := 0
-	for i := 0; i+width <= len(sums); i += width {
-		for k := 1; k < width; k++ {
-			if sums[i+k] != sums[i] {
+	refs := referenceOf(t, jobs)
+	for i, g := range groups {
+		for k := 1; k < len(g); k++ {
+			if refs[3*i+k].Summary != refs[3*i].Summary {
 				sensitive++
 				break
 			}
@@ -105,56 +69,27 @@ func TestGroupedMatchesUngroupedTolerance(t *testing.T) {
 // anything.
 func TestGroupedMatchesUngroupedSweeps(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the defect and huge sweep presets twice each")
+		t.Skip("runs the defect and huge sweep presets")
 	}
-	for _, preset := range []struct {
-		name  string
-		sweep Sweep
-	}{
-		{"defects", DefectSweep()},
-		{"huge", HugeSweep()},
-	} {
-		preset := preset
-		t.Run(preset.name, func(t *testing.T) {
-			sw := preset.sweep
-			for i := range sw.Families {
-				sw.Families[i].Base.Duration = 500 * time.Millisecond
-			}
-			assertGroupedMatchesUngrouped(t, sw)
+	for _, preset := range []string{"defects", "huge"} {
+		t.Run(preset, func(t *testing.T) {
+			assertStreamMatchesReference(t, NewEngine(WithRetention(SummaryOnly)), sweepJobs(t, preset, 500*time.Millisecond))
 		})
 	}
 }
 
 // TestGroupedMatchesUngroupedWithCache layers the result cache over grouped
 // execution and re-streams the sweep, so partially and fully cached groups
-// (the miss-subset path of runLaneTask) are exercised and still produce
-// identical bytes.
+// (the miss-subset path of runLaneTask) are exercised and still produce the
+// reference bytes.
 func TestGroupedMatchesUngroupedWithCache(t *testing.T) {
-	sw := ToleranceSweep()
-	for i := range sw.Families {
-		sw.Families[i].Base.Duration = 500 * time.Millisecond
-	}
-	grouped := NewEngine(WithRetention(SummaryOnly), WithResultCache(), WithGrouping(true))
-	ungrouped := NewEngine(WithRetention(SummaryOnly), WithResultCache(), WithGrouping(false))
-	collect := func(e *Engine) []byte {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		err := e.Stream(context.Background(), sw.Source(), SinkFunc(func(sr StreamResult) error {
-			return enc.Encode(sr.Result)
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	jobs := sweepJobs(t, "tolerance", 500*time.Millisecond)
+	grouped := NewEngine(WithRetention(SummaryOnly), WithResultCache())
 	for pass := 0; pass < 2; pass++ {
-		g, u := collect(grouped), collect(ungrouped)
-		if !bytes.Equal(g, u) {
-			t.Fatalf("pass %d: grouped+cache stream differs from ungrouped+cache", pass)
-		}
+		assertStreamMatchesReference(t, grouped, jobs)
 	}
-	if hits, misses := grouped.CacheStats(); hits != sw.Size() || misses != sw.Size() {
-		t.Fatalf("grouped cache stats hits=%d misses=%d, want %d/%d", hits, misses, sw.Size(), sw.Size())
+	if hits, misses := grouped.CacheStats(); hits != len(jobs) || misses != len(jobs) {
+		t.Fatalf("grouped cache stats hits=%d misses=%d, want %d/%d", hits, misses, len(jobs), len(jobs))
 	}
 }
 
@@ -211,6 +146,9 @@ func TestGroupStatsZeroWhenInapplicable(t *testing.T) {
 	if gs := off.GroupStats(); gs != (GroupStats{}) {
 		t.Fatalf("WithGrouping(false) recorded stats %+v, want zero", gs)
 	}
+	if ls := off.LaneStats(); ls != (LaneStats{}) {
+		t.Fatalf("WithGrouping(false) recorded lane stats %+v, want zero", ls)
+	}
 	if gs := (GroupStats{}); gs.MeanWidth() != 0 {
 		t.Fatalf("zero GroupStats MeanWidth = %v, want 0", gs.MeanWidth())
 	}
@@ -223,6 +161,9 @@ func TestGroupStatsZeroWhenInapplicable(t *testing.T) {
 	}
 	if gs := keep.GroupStats(); gs != (GroupStats{}) {
 		t.Fatalf("KeepTrace recorded stats %+v, want zero", gs)
+	}
+	if ls := keep.LaneStats(); ls != (LaneStats{}) {
+		t.Fatalf("KeepTrace recorded lane stats %+v, want zero", ls)
 	}
 }
 

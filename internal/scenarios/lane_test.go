@@ -1,21 +1,17 @@
 package scenarios
 
 // Differential tests for lane-batched execution: an Engine at the default
-// lane width and at WithLanes(1) must produce byte-identical output — every
-// StreamResult, in the same order, under the same index and Job.Key,
-// folding to the same aggregate — as the same Engine at WithGrouping(false),
-// whose per-job execution (runJobCached, the code RunWithOptions uses)
-// simulates every job alone, without grouping or lane batching.  The laned
-// path steps several dynamics groups in lockstep through one widened
-// simulation, so these tests are the proof that widening is unobservable
-// downstream.  Both paths run the same change-gated lane program (the
-// per-job path at width 1); differential_test.go and internal/temporal's
-// program_lanes_test.go check it against the reference Stepper.
+// lane width and at WithLanes(1) must produce, byte for byte, the reference
+// result stream (differential_test.go) — every StreamResult in the same
+// order, under the same index and Job.Key, folding to the same aggregate.
+// The laned path steps several dynamics groups in lockstep through one
+// widened simulation; the reference runs each job alone on a scalar
+// simulation with string-keyed Stepper monitors.  The arena-level checks
+// also compare every lane's violation report and detections.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -23,23 +19,13 @@ import (
 	"repro/internal/vehicle"
 )
 
-// assertLanedMatchesScalar is the core differential: one sweep streamed by
-// grouped engines at the default lane width and at width 1, each
-// byte-identical in stream and aggregate to the per-job reference engine.
-func assertLanedMatchesScalar(t *testing.T, src func() JobSource, opts ...EngineOption) {
+// assertLanedMatchesScalar is the core differential: one job list streamed by
+// grouped summary-only engines at the default lane width and at width 1, each
+// byte-identical in stream and aggregate to the reference.
+func assertLanedMatchesScalar(t *testing.T, jobs []Job) {
 	t.Helper()
-	base := append([]EngineOption{WithRetention(SummaryOnly)}, opts...)
-	wantStream, wantAgg := streamBytes(t, src(), append(base, WithGrouping(false))...)
 	for _, width := range []int{defaultLaneWidth, 1} {
-		gotStream, gotAgg := streamBytes(t, src(), append(base, WithLanes(width))...)
-		if !bytes.Equal(gotStream, wantStream) {
-			t.Errorf("width %d: laned result stream differs from per-job (%d vs %d bytes)",
-				width, len(gotStream), len(wantStream))
-		}
-		if !bytes.Equal(gotAgg, wantAgg) {
-			t.Errorf("width %d: laned aggregate differs from per-job:\n laned:   %s\n per-job: %s",
-				width, gotAgg, wantAgg)
-		}
+		assertStreamMatchesReference(t, NewEngine(WithRetention(SummaryOnly), WithLanes(width)), jobs)
 	}
 }
 
@@ -58,11 +44,14 @@ func thesisScenarioJobs(d time.Duration) []Job {
 
 // TestLanedMatchesScalarScenarios proves lane batching on the ten thesis
 // scenarios: ten width-1 dynamics groups with equal durations batch into
-// 4+4+2 lanes, and the widened runs must reproduce the per-job stream byte
-// for byte — including each scenario's own collision step and summary.
+// 4+4+2 lanes, and the widened runs must reproduce the reference stream byte
+// for byte — including each scenario's own collision step and summary.  The
+// same batches run directly on a four-lane arena must match every lane's
+// violation report and detections too.
 func TestLanedMatchesScalarScenarios(t *testing.T) {
 	jobs := thesisScenarioJobs(1 * time.Second)
-	assertLanedMatchesScalar(t, func() JobSource { return SliceSource(jobs) })
+	assertLanedMatchesScalar(t, jobs)
+	assertArenaMatchesReference(t, newLaneArena(defaultLaneWidth, matchTolerance), singletons(jobs))
 }
 
 // TestLanedMatchesScalarSweeps extends the differential across the sweep
@@ -81,16 +70,8 @@ func TestLanedMatchesScalarSweeps(t *testing.T) {
 		{"defects", 500 * time.Millisecond},
 		{"huge", 500 * time.Millisecond},
 	} {
-		preset := preset
 		t.Run(preset.name, func(t *testing.T) {
-			sw, err := SweepBySize(preset.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range sw.Families {
-				sw.Families[i].Base.Duration = preset.d
-			}
-			assertLanedMatchesScalar(t, sw.Source)
+			assertLanedMatchesScalar(t, sweepJobs(t, preset.name, preset.d))
 		})
 	}
 }
@@ -99,30 +80,14 @@ func TestLanedMatchesScalarSweeps(t *testing.T) {
 // execution: a first pass primes the first seven jobs, so the second pass
 // dispatches a fully cached batch (nothing simulated), a batch with a single
 // surviving group (one active lane, counted as ragged) and an uncached
-// two-lane batch — and must still match the per-job engine byte for byte.
+// two-lane batch — and must still match the reference byte for byte.
 func TestLanedMatchesScalarWithCache(t *testing.T) {
 	jobs := thesisScenarioJobs(500 * time.Millisecond)
 	primed := jobs[:7]
 
 	laned := NewEngine(WithRetention(SummaryOnly), WithResultCache())
-	perJob := NewEngine(WithRetention(SummaryOnly), WithResultCache(), WithGrouping(false))
-	collect := func(e *Engine, js []Job) []byte {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		err := e.Stream(context.Background(), SliceSource(js), SinkFunc(func(sr StreamResult) error {
-			return enc.Encode(sr.Result)
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	collect(laned, primed)
-	collect(perJob, primed)
-	g, s := collect(laned, jobs), collect(perJob, jobs)
-	if !bytes.Equal(g, s) {
-		t.Fatal("laned+cache stream differs from per-job+cache")
-	}
+	streamBytes(t, laned, primed)
+	assertStreamMatchesReference(t, laned, jobs)
 	wantHits, wantMisses := len(primed), len(jobs)
 	if hits, misses := laned.CacheStats(); hits != wantHits || misses != wantMisses {
 		t.Fatalf("laned cache stats hits=%d misses=%d, want %d/%d", hits, misses, wantHits, wantMisses)
@@ -136,22 +101,18 @@ func TestLanedMatchesScalarWithCache(t *testing.T) {
 
 // TestLaneArenaMatchesScalarArena drives the lane harness directly, outside
 // the Engine: every 4-lane batch of thesis-scenario groups (4+4+2, so the
-// last batch is ragged) must produce, per lane, the Steps, Summary and
-// Collision a width-1 lane arena — the scalar layout — computes for that
-// group on its own.
+// last batch is ragged) must produce, per lane, the Steps, Summary,
+// Collision and violation report a width-1 lane arena — the scalar layout —
+// computes for that group on its own.
 func TestLaneArenaMatchesScalarArena(t *testing.T) {
-	jobs := thesisScenarioJobs(1 * time.Second)
-	scalar := newLaneArena(1)
-	la := newLaneArena(4)
-	for lo := 0; lo < len(jobs); lo += 4 {
-		hi := min(lo+4, len(jobs))
-		groups := make([][]Job, 0, hi-lo)
-		for _, j := range jobs[lo:hi] {
-			groups = append(groups, []Job{j})
-		}
-		got := make([]Result, len(groups))
-		la.run(groups, got)
-		for i, g := range groups {
+	groups := singletons(thesisScenarioJobs(1 * time.Second))
+	scalar := newLaneArena(1, matchTolerance)
+	la := newLaneArena(4, matchTolerance)
+	for lo := 0; lo < len(groups); lo += la.lanes {
+		batch := groups[lo:min(lo+la.lanes, len(groups))]
+		got := make([]Result, len(batch))
+		la.run(batch, got)
+		for i, g := range batch {
 			want := make([]Result, 1)
 			scalar.run([][]Job{g}, want)
 			if got[i].Steps == 0 {
@@ -161,24 +122,18 @@ func TestLaneArenaMatchesScalarArena(t *testing.T) {
 				t.Errorf("lane %d (%s): laned result differs\n laned:  %s\n scalar: %s",
 					i, g[0].Scenario.Name, gj, wj)
 			}
+			if !reflect.DeepEqual(la.suite.LaneSuiteOf(i).Report(), scalar.suite.LaneSuiteOf(0).Report()) {
+				t.Errorf("lane %d (%s): violation report differs from the scalar arena's", i, g[0].Scenario.Name)
+			}
 		}
 	}
-}
-
-func mustJSON(t *testing.T, v any) string {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }
 
 // TestLaneEarlyStopPerLane pins per-lane early termination: a batch mixing a
 // colliding trajectory (scenario 7 with seeded defects) and non-colliding
 // ones must retire only the colliding lane — its Steps stop at the collision
 // and TerminatedEarly holds — while sibling lanes run their full schedule,
-// all byte-identical to per-job execution.
+// each as in its reference run.
 func TestLaneEarlyStopPerLane(t *testing.T) {
 	sc7, ok := ScenarioByNumber(7)
 	if !ok {
@@ -195,39 +150,35 @@ func TestLaneEarlyStopPerLane(t *testing.T) {
 		{Scenario: sc1, Options: Options{CorrectDefects: true}},
 	}
 
-	collect := func(opts ...EngineOption) []StreamResult {
-		var out []StreamResult
-		err := NewEngine(append([]EngineOption{WithRetention(SummaryOnly)}, opts...)...).
-			Stream(context.Background(), SliceSource(jobs), SinkFunc(func(sr StreamResult) error {
-				out = append(out, sr)
-				return nil
-			}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+	var laned []Result
+	err := NewEngine(WithRetention(SummaryOnly)).Stream(context.Background(), SliceSource(jobs), SinkFunc(func(sr StreamResult) error {
+		laned = append(laned, sr.Result)
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	laned, perJob := collect(), collect(WithGrouping(false))
+	refs := referenceOf(t, jobs)
 
 	early := 0
 	for i := range jobs {
-		l, s := laned[i], perJob[i]
-		if l.Result.Steps != s.Result.Steps || l.Result.Collision != s.Result.Collision {
-			t.Errorf("job %d: laned Steps=%d Collision=%v, per-job Steps=%d Collision=%v",
-				i, l.Result.Steps, l.Result.Collision, s.Result.Steps, s.Result.Collision)
+		l, r := laned[i], refs[i]
+		if l.Steps != r.Steps || l.Collision != r.Collision {
+			t.Errorf("job %d: laned Steps=%d Collision=%v, reference Steps=%d Collision=%v",
+				i, l.Steps, l.Collision, r.Steps, r.Collision)
 		}
-		if l.Result.TerminatedEarly() != s.Result.TerminatedEarly() {
-			t.Errorf("job %d: laned TerminatedEarly=%v, per-job %v",
-				i, l.Result.TerminatedEarly(), s.Result.TerminatedEarly())
+		if l.TerminatedEarly() != r.TerminatedEarly() {
+			t.Errorf("job %d: laned TerminatedEarly=%v, reference %v",
+				i, l.TerminatedEarly(), r.TerminatedEarly())
 		}
-		if l.Result.TerminatedEarly() {
+		if l.TerminatedEarly() {
 			early++
 		}
 	}
 	if early == 0 || early == len(jobs) {
 		t.Fatalf("want a mix of early-stopped and full-schedule lanes, got %d/%d early", early, len(jobs))
 	}
-	if !laned[0].Result.TerminatedEarly() {
+	if !laned[0].TerminatedEarly() {
 		t.Error("scenario 7 with seeded defects should stop its lane at the collision")
 	}
 }
@@ -283,7 +234,7 @@ func TestLaneStatsCounters(t *testing.T) {
 func TestZeroAllocLaneStep(t *testing.T) {
 	skipIfAllocCountsUnreliable(t)
 	const lanes = 4
-	a := newLaneArena(lanes)
+	a := newLaneArena(lanes, matchTolerance)
 
 	// Warm-up: run a real batch so every handle is bound, every enumeration
 	// interned and the recorders grown to their watermark.

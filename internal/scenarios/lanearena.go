@@ -9,7 +9,7 @@ import (
 	"repro/internal/vehicle"
 )
 
-// laneArena is the Engine's reusable summary-only simulation: K independent
+// laneArena is the one execution path of every scenario run: K independent
 // vehicle component sets — one per lane, each bound to its own lane view of
 // a shared lane-widened bus — stepped in lockstep by one sim.LaneSim and
 // observed by one monitor.LaneSuite, whose lane program evaluates every
@@ -18,12 +18,16 @@ import (
 // commit, one program step and one observer dispatch per tick instead of one
 // per variant.  Lanes that collide are retired from the active mask
 // individually (their intervals closed at their own step count), so an
-// early-stopping variant never desynchronizes the batch.  Every grouped
-// summary-only run executes here: at width 1, and for a batch with a single
-// group, the batch simply has one active lane.
+// early-stopping variant never desynchronizes the batch.
 //
-// A laneArena is built once per worker and rewound between batches; it is
-// not safe for concurrent use.
+// Summary-only runs use pooled arenas, rewound between batches: width
+// WithLanes when grouped, width 1 (one job per batch) otherwise.  A KeepTrace
+// run gets a fresh width-1 arena of its own (runTraced), whose schema, trace
+// and lane suite the Result keeps.  The independent check of this path is the
+// tests' reference run: a scalar sim.Simulation observed by string-keyed
+// reference Stepper monitors.
+//
+// A laneArena is not safe for concurrent use.
 type laneArena struct {
 	lanes int
 	sim   *sim.LaneSim
@@ -36,10 +40,11 @@ type laneArena struct {
 	collision int
 }
 
-// newLaneArena builds the reusable lane-batched simulation at the given
-// width: per-lane components constructed and bound once, the lane suite
-// compiled and sealed once, the per-lane stop predicate registered once.
-func newLaneArena(lanes int) *laneArena {
+// newLaneArena builds a lane-batched simulation at the given width whose
+// hierarchies classify at the given matching tolerance: per-lane components
+// constructed and bound once, the lane suite compiled and sealed once, the
+// per-lane stop predicate registered once.
+func newLaneArena(lanes, tolerance int) *laneArena {
 	a := &laneArena{lanes: lanes}
 	a.sim = sim.NewLaneSim(Period, lanes)
 	a.sets = make([]*vehicleSet, lanes)
@@ -51,11 +56,11 @@ func newLaneArena(lanes int) *laneArena {
 	}
 	a.suite = monitor.NewLaneSuite(Period, a.sim.Bus.Schema(), lanes)
 	for _, spec := range monitoringPlan() {
-		a.suite.MustAddHierarchy(spec.Parent, matchTolerance, spec.Children...)
+		a.suite.MustAddHierarchy(spec.Parent, tolerance, spec.Children...)
 	}
 	if err := a.suite.Seal(); err != nil {
-		// The vehicle plan contains no predicate atoms; failing to seal is a
-		// programming error, not a data condition.
+		// Every plan lane-steps at widths 1 to temporal.MaxLanes; failing
+		// to seal is a programming error, not a data condition.
 		panic(err)
 	}
 	a.sim.Observe(a.suite)
@@ -72,10 +77,9 @@ func newLaneArena(lanes int) *laneArena {
 // is classified from the lane's recorded violation intervals at that job's
 // own tolerance (FastSummaryAt) — sound because the tolerance parameterizes
 // only the final interval matching, never which intervals a run records.
-// out receives one Result per job, in group order then job order, exactly
-// what runJob would produce for each job on its own.  Groups beyond
-// len(groups) lanes are the caller's problem; unused lanes stay inert for
-// the batch.
+// out receives one Result per job, in group order then job order.  Groups
+// beyond len(groups) lanes are the caller's problem; unused lanes stay inert
+// for the batch.
 func (a *laneArena) run(groups [][]Job, out []Result) {
 	k := len(groups)
 	a.sim.Reset()
@@ -104,4 +108,33 @@ func (a *laneArena) run(groups [][]Job, out []Result) {
 			idx++
 		}
 	}
+}
+
+// traceRecorder is a KeepTrace arena's width-1 observer: it appends a slab
+// copy of every committed state to the run's preallocated trace.
+type traceRecorder struct{ trace *temporal.Trace }
+
+// ObserveLanes implements sim.LaneObserver.
+func (r *traceRecorder) ObserveLanes(st temporal.State) { r.trace.AppendClone(st) }
+
+// LaneStopped implements sim.LaneObserver; the run simply ends.
+func (r *traceRecorder) LaneStopped(int) {}
+
+// runTraced executes one KeepTrace job on a fresh width-1 arena built at the
+// job's tolerance, recording every committed state.  The Result owns the
+// arena's schema (through its trace), the trace and the lane suite, so the
+// arena is never reused: no later run can disturb an earlier Result.
+func runTraced(job Job) Result {
+	a := newLaneArena(1, job.Options.tolerance())
+	rec := &traceRecorder{trace: temporal.NewTraceWithCapacity(Period, int(job.Scenario.ScheduledDuration()/Period))}
+	a.sim.Observe(rec)
+	out := make([]Result, 1)
+	a.run([][]Job{{job}}, out)
+	res := out[0]
+	res.Trace = rec.trace
+	res.Suite = a.suite.LaneSuiteOf(0)
+	// ClassifyAll materializes the detections; its summary equals the
+	// counted one run just computed.
+	res.Detections, res.Summary = res.Suite.ClassifyAll()
+	return res
 }

@@ -337,9 +337,10 @@ func (o Options) Label() string {
 // RunWithOptions executes one scenario with the full Table 5.3 monitoring
 // suite under explicit options (the zero Options keep the thesis' seeded
 // defects in place), retaining the full trace and monitor suite on the
-// Result.
+// Result.  It runs on the caller's goroutine, on a fresh width-1 lane arena —
+// exactly what a KeepTrace Engine worker does for each job.
 func RunWithOptions(sc Scenario, opts Options) Result {
-	return runJob(sc, opts, KeepTrace)
+	return runTraced(Job{Scenario: sc, Options: opts})
 }
 
 // vehicleSet is the typed component set of one vehicle simulation, kept so a
@@ -444,12 +445,13 @@ func initVehicleBus(bus *sim.Bus, sc Scenario) {
 	}
 }
 
-// NewSimulation builds the simulation for one scenario: the initialised bus
-// (which interns the full signal vocabulary into the run's schema) and the
-// component set with the configured defects, sharing one resolved handle
-// table.  It is the setup half of runJob, exposed for callers that attach
-// their own observers — the differential tests and the substrate benchmarks.
-// Grouped summary-only Engine workers run on a reused lane arena instead.
+// NewSimulation builds a scalar simulation of one scenario: the initialised
+// bus (which interns the full signal vocabulary into the run's schema) and
+// the component set with the configured defects, sharing one resolved handle
+// table.  No scenario run executes through it — the Engine and
+// RunWithOptions run every job on a lane arena — so it serves callers that
+// attach their own observers: the tests' reference run (string-keyed
+// Stepper monitors over this simulation) and the substrate benchmarks.
 func NewSimulation(sc Scenario, opts Options) *sim.Simulation {
 	s := sim.New(Period)
 	initVehicleBus(s.Bus, sc)
@@ -460,89 +462,4 @@ func NewSimulation(sc Scenario, opts Options) *sim.Simulation {
 	vehicle.BindAll(s.Bus, components...)
 	s.Add(components...)
 	return s
-}
-
-// suiteCache reuses compiled monitor suites across the runs executed by one
-// worker, keyed by the effective hit-matching tolerance (the only option that
-// changes the suite's structure).  A sweep worker therefore compiles the
-// ~30-formula monitoring plan once per tolerance instead of once per variant;
-// each reuse Resets the program and re-resolves its atoms against the next
-// run's schema on the first observation.  A cache is owned by a single
-// goroutine and must never be shared.
-type suiteCache map[int]*monitor.CompiledSuite
-
-// runJob executes one scenario under the given trace-retention policy,
-// compiling a fresh monitor suite for the run.
-func runJob(sc Scenario, opts Options, retention Retention) Result {
-	return runJobCached(sc, opts, retention, nil)
-}
-
-// runJobCached is runJob with an optional per-worker suite cache.  It is the
-// single execution path shared by RunWithOptions and the streaming Engine;
-// under SummaryOnly the simulation records no trace at all (the suite
-// observes the live bus state), so a run allocates O(1) retained state
-// instead of O(steps).  The whole monitoring plan is evaluated as one shared
-// program (suite-level CSE across every goal and subgoal formula), registered
-// with the simulation as a single observer.
-func runJobCached(sc Scenario, opts Options, retention Retention, cache suiteCache) Result {
-	s := NewSimulation(sc, opts)
-
-	tol := opts.tolerance()
-	var suite *monitor.CompiledSuite
-	// Reuse is only sound when the Result does not retain the suite: a
-	// KeepTrace result hands its suite to the caller, so a later run must
-	// not Reset it.
-	if cache != nil && retention == SummaryOnly {
-		if cached, ok := cache[tol]; ok {
-			cached.Reset()
-			suite = cached
-		}
-	}
-	if suite == nil {
-		suite = buildCompiledSuite(Period, s.Bus.Schema(), tol)
-		if cache != nil && retention == SummaryOnly {
-			cache[tol] = suite
-		}
-	}
-	s.Observe(suite)
-	collision := s.Bus.Schema().Intern(vehicle.SigCollision)
-	s.StopWhen(func(_ time.Duration, st temporal.State) bool {
-		return st.Slot(collision).AsBool()
-	})
-
-	// Normalize the default duration into the scenario recorded on the
-	// Result, so Result.TerminatedEarly compares the executed steps against
-	// the duration that was actually scheduled.
-	sc.Duration = sc.ScheduledDuration()
-
-	var (
-		trace *temporal.Trace
-		steps int
-		last  temporal.State
-	)
-	if retention == SummaryOnly {
-		steps, last = s.RunDiscard(sc.Duration)
-	} else {
-		trace = s.Run(sc.Duration)
-		steps, last = trace.Len(), trace.Last()
-	}
-	suite.Finish()
-
-	out := Result{
-		Scenario:  sc,
-		Steps:     steps,
-		Collision: last != nil && last.Bool(vehicle.SigCollision),
-	}
-	if retention == SummaryOnly {
-		// Only the counts survive this retention policy, so classify without
-		// materializing detections (identical summary, zero retained state).
-		out.Summary = suite.FastSummaryAt(tol)
-	} else {
-		detections, summary := suite.ClassifyAll()
-		out.Summary = summary
-		out.Trace = trace
-		out.Suite = suite.Suite()
-		out.Detections = detections
-	}
-	return out
 }

@@ -219,28 +219,6 @@ func (c compareVarsFormula) String() string {
 	return fmt.Sprintf("%s %s %s", c.left, c.op, c.right)
 }
 
-// predFormula is a named predicate over the whole state, used for domain
-// predicates such as IsStopped(es) or InForwardMotion(vsp.value) whose
-// definition is richer than a single comparison.
-type predFormula struct {
-	name string
-	vars []string
-	fn   func(State) bool
-}
-
-// Pred returns an atom evaluated by fn over the current state.  The listed
-// variables are the ones the predicate reads; they drive monitorability and
-// controllability analysis in ICPA.
-func Pred(name string, vars []string, fn func(State) bool) Formula {
-	sorted := append([]string(nil), vars...)
-	sort.Strings(sorted)
-	return predFormula{name: name, vars: sorted, fn: fn}
-}
-
-func (p predFormula) Eval(tr *Trace, i int) bool { return p.fn(tr.At(i)) }
-func (p predFormula) Vars() []string             { return append([]string(nil), p.vars...) }
-func (p predFormula) String() string             { return p.name }
-
 // ---------------------------------------------------------------------------
 // Propositional connectives
 // ---------------------------------------------------------------------------

@@ -94,25 +94,6 @@ func TestComparisonAtoms(t *testing.T) {
 	}
 }
 
-func TestPredAtom(t *testing.T) {
-	stopped := Pred("IsStopped(es)", []string{"es"}, func(s State) bool {
-		v := s.Number("es")
-		return v > -0.01 && v < 0.01
-	})
-	tr := NewTrace(time.Millisecond)
-	tr.Append(NewState().SetNumber("es", 0))
-	tr.Append(NewState().SetNumber("es", 1.2))
-	if got := evalAll(stopped, tr); !reflect.DeepEqual(got, []bool{true, false}) {
-		t.Errorf("pred eval = %v", got)
-	}
-	if got := stopped.Vars(); !reflect.DeepEqual(got, []string{"es"}) {
-		t.Errorf("pred vars = %v", got)
-	}
-	if stopped.String() != "IsStopped(es)" {
-		t.Errorf("pred string = %q", stopped.String())
-	}
-}
-
 func TestPastTimeOperators(t *testing.T) {
 	tr := boolTrace(t, map[string][]bool{
 		"P": {false, true, true, false, true},

@@ -216,7 +216,6 @@ const (
 	opCompareStrEq
 	opCompareVarsNum
 	opCompareVars
-	opPred
 	opNot
 	opAnd
 	opOr
@@ -231,8 +230,9 @@ const (
 	opInitially
 )
 
-// isAtom reports whether the op reads the state (the ops up to opPred).
-func (op progOp) isAtom() bool { return op <= opPred }
+// isAtom reports whether the op reads the state (the ops up to
+// opCompareVars).
+func (op progOp) isAtom() bool { return op <= opCompareVars }
 
 // isTemporal reports whether the op carries per-run operator state (the ops
 // from opPrev on).
@@ -251,7 +251,6 @@ type pnode struct {
 	cval  float64 // the constant's AsNumber, for opCompareNum
 	eref  enumRef // the constant's interned id, for opCompareStrEq
 	konst bool    // the value of an opConst node
-	fn    func(State) bool
 	n     int
 }
 
@@ -291,13 +290,6 @@ func (p *Program) compile(f Formula) (int, error) {
 			node.op = opCompareVarsNum
 		}
 		return p.internNode(key, node), nil
-	case predFormula:
-		// Predicate atoms are never shared: two predicates may render and
-		// list variables identically yet close over different functions, so
-		// structural identity cannot be established.  Each occurrence gets
-		// its own node.
-		p.atomRefs++
-		return p.appendNode(pnode{op: opPred, fn: ff.fn}), nil
 	case notFormula:
 		a, err := p.compile(ff.f)
 		if err != nil {
@@ -390,14 +382,9 @@ func (p *Program) internNode(key string, n pnode) int {
 	if i, ok := p.intern[key]; ok {
 		return i
 	}
-	i := p.appendNode(n)
-	p.intern[key] = i
-	return i
-}
-
-func (p *Program) appendNode(n pnode) int {
 	i := len(p.nodes)
 	p.nodes = append(p.nodes, n)
+	p.intern[key] = i
 	return i
 }
 

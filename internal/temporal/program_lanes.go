@@ -32,8 +32,8 @@ import (
 //     to the per-lane SlotBool/SlotNumberOK semantics, and a slot beyond the
 //     state's width (a name interned after the state was sized) reads as
 //     absent on every lane, exactly as the string-keyed reference treats it.
-//     Constants, variable-to-variable comparisons and (at width 1 only)
-//     predicates evaluate lane by lane through the per-slot accessors.
+//     Constants and variable-to-variable comparisons evaluate lane by lane
+//     through the per-slot accessors.
 //   - A watch table.  A typed atom's mask is a function of its operand lane
 //     group alone — the group's kind and value lanes — and of constants that
 //     change only with the schema.  bindAtoms groups the typed atoms by
@@ -42,8 +42,8 @@ import (
 //     with its shadow (a kind byte or the bits of a value differ) and re-runs
 //     only the atoms of the groups that changed, refreshing their shadows;
 //     the atoms of an unchanged group keep last step's mask, which is what
-//     re-running them would compute.  Constants, variable-to-variable
-//     comparisons and predicates run every step.  The comparison is against
+//     re-running them would compute.  Constants and variable-to-variable
+//     comparisons run every step.  The comparison is against
 //     what the program last saw, not against the bus' writes, so it holds for
 //     any State sequence: the live bus, a fresh trace snapshot per step, a
 //     state mutated by hand.  A same-value write is not a change.
@@ -78,7 +78,7 @@ const (
 	atomBool  atomKind = iota // opVar: value plane != 0
 	atomNum                   // opCompareNum: value plane CompareOp constant
 	atomEnum                  // opCompareStrEq: value plane ==/!= interned id
-	atomOther                 // opConst, opCompareVarsNum, opCompareVars, opPred: per-lane Value semantics
+	atomOther                 // opConst, opCompareVarsNum, opCompareVars: per-lane Value semantics
 )
 
 // laneAtom is one atom node lowered to a lane kernel.  base is the physical
@@ -96,8 +96,8 @@ type laneAtom struct {
 
 // watched reports whether atom a re-runs only when its operand lane group
 // changes: a typed atom bound to a slot.  Every other atom (constants,
-// variable-to-variable comparisons, predicates and the typed atoms of the
-// nil State) runs every step.
+// variable-to-variable comparisons and the typed atoms of the nil State)
+// runs every step.
 func (a *laneAtom) watched() bool { return a.kind < atomOther && a.base >= 0 }
 
 // compareAtomOrder orders the watched atoms first, by operand slot so each
@@ -118,19 +118,12 @@ func compareAtomOrder(a, b laneAtom) int {
 
 // SetLanes switches the program into lane mode at the given width,
 // allocating per-node lane registers, the atom kernels and the change
-// propagation tables.  It fails for widths outside [1, MaxLanes] and, above
-// width 1, for programs containing predicate atoms (an opaque
-// func(State) bool closure reads a scalar State, not one lane of a widened
-// one).  All formulas must be registered before SetLanes; Add after SetLanes
-// is rejected by StepLanes.
+// propagation tables.  It fails for widths outside [1, MaxLanes].  All
+// formulas must be registered before SetLanes; Add after SetLanes is
+// rejected by StepLanes.
 func (p *Program) SetLanes(lanes int) error {
 	if lanes < 1 || lanes > MaxLanes {
 		return fmt.Errorf("temporal: lane width %d outside [1, %d]", lanes, MaxLanes)
-	}
-	for i := range p.nodes {
-		if lanes > 1 && p.nodes[i].op == opPred {
-			return fmt.Errorf("temporal: program contains a predicate atom; predicates cannot be lane-stepped above width 1")
-		}
 	}
 	n := len(p.nodes)
 	words := (n + 63) / 64
@@ -438,10 +431,9 @@ func (p *Program) setAtomMask(i int, out uint64) {
 	}
 }
 
-// otherAtomLanes evaluates the atoms without a typed kernel (constants,
-// variable-to-variable comparisons and predicates) lane by lane through the
-// range-checked per-slot accessors.  A predicate reads the whole State, which
-// SetLanes allows only at width 1.
+// otherAtomLanes evaluates the atoms without a typed kernel (constants and
+// variable-to-variable comparisons) lane by lane through the range-checked
+// per-slot accessors.
 func (p *Program) otherAtomLanes(i int, st State) uint64 {
 	n := &p.nodes[i]
 	lanes := p.lanes
@@ -451,8 +443,6 @@ func (p *Program) otherAtomLanes(i int, st State) uint64 {
 		if n.konst {
 			out = p.laneFull()
 		}
-	case opPred:
-		out = b2u(n.fn(st))
 	case opCompareVarsNum:
 		lslot, lok := n.ref.resolve(st)
 		rslot, rok := n.ref2.resolve(st)

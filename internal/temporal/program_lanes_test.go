@@ -309,19 +309,17 @@ func TestStepLanesResetReuse(t *testing.T) {
 	}
 }
 
-// TestSetLanesRejects covers the lane-mode guards: predicate atoms cannot be
-// lane-stepped above width 1, and widths outside [1, MaxLanes] are invalid.
+// TestSetLanesRejects covers the lane-mode guard: widths outside
+// [1, MaxLanes] are invalid, and every program lane-steps at any width
+// inside it.
 func TestSetLanesRejects(t *testing.T) {
-	p := NewProgram(time.Millisecond, NewSchema())
-	p.MustAdd(Pred("custom", nil, func(State) bool { return true }))
-	if err := p.SetLanes(4); err == nil {
-		t.Fatal("SetLanes(4) accepted a program with a predicate atom")
-	}
-	if err := p.SetLanes(1); err != nil {
-		t.Fatalf("SetLanes(1) rejected a predicate atom: %v", err)
-	}
 	q := NewProgram(time.Millisecond, NewSchema())
-	q.MustAdd(Var("A"))
+	q.MustAdd(And(Var("A"), True, CompareVars("X", OpLe, "Y")))
+	for _, w := range []int{1, 4, MaxLanes} {
+		if err := q.SetLanes(w); err != nil {
+			t.Fatalf("SetLanes(%d) rejected a valid width: %v", w, err)
+		}
+	}
 	if err := q.SetLanes(0); err == nil {
 		t.Fatal("SetLanes(0) accepted")
 	}

@@ -194,27 +194,6 @@ func TestProgramResetReuse(t *testing.T) {
 	}
 }
 
-// TestProgramPredicatesNotShared pins the conservative treatment of opaque
-// predicates: structural identity cannot be established for closures, so
-// each occurrence evaluates independently.
-func TestProgramPredicatesNotShared(t *testing.T) {
-	trueCount, falseCount := 0, 0
-	pt := Pred("P", []string{"A"}, func(State) bool { trueCount++; return true })
-	pf := Pred("P", []string{"A"}, func(State) bool { falseCount++; return false })
-
-	p := NewProgram(time.Millisecond, NewSchema())
-	t1 := p.MustAdd(pt)
-	t2 := p.MustAdd(pf)
-	p.Step(NewState())
-	if !p.Output(t1) || p.Output(t2) {
-		t.Errorf("outputs = %v/%v, want true/false: identically named predicates must not be merged",
-			p.Output(t1), p.Output(t2))
-	}
-	if trueCount != 1 || falseCount != 1 {
-		t.Errorf("predicate calls = %d/%d, want 1/1", trueCount, falseCount)
-	}
-}
-
 // TestProgramRejectsFutureTime mirrors the Stepper's compile-time check.
 func TestProgramRejectsFutureTime(t *testing.T) {
 	p := NewProgram(time.Millisecond, nil)

@@ -72,7 +72,7 @@ type compiler struct {
 
 func (c *compiler) compile(f Formula) (stepNode, error) {
 	switch ff := f.(type) {
-	case constFormula, varFormula, compareFormula, compareVarsFormula, predFormula:
+	case constFormula, varFormula, compareFormula, compareVarsFormula:
 		return &atomNode{f: f}, nil
 	case notFormula:
 		n, err := c.compile(ff.f)
