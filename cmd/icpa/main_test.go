@@ -35,6 +35,12 @@ func TestRunVehicleAnalyses(t *testing.T) {
 	runGolden(t, "vehicle-autoaccel.golden", "-system", "vehicle", "-goal", "AutoAccel")
 }
 
+// TestRunVehicleVerify pins all nine vehicle analyses with their subgoal
+// realizability rows, including every unrealizable row and its causes.
+func TestRunVehicleVerify(t *testing.T) {
+	runGolden(t, "vehicle-verify.golden", "-system", "vehicle", "-verify")
+}
+
 func TestRunPatternsAndHazards(t *testing.T) {
 	runGolden(t, "elevator-patterns-hazard.golden", "-system", "elevator", "-patterns", "-hazard")
 }

@@ -65,9 +65,20 @@ func TestRunUnknownScenario(t *testing.T) {
 	}
 }
 
+// TestRunTablesAndGoals pins the Table 5.3 monitoring locations, the goal
+// catalogue and scenario 7's classification detail byte for byte.
 func TestRunTablesAndGoals(t *testing.T) {
-	if err := run([]string{"-n", "7", "-table53", "-goals", "-detail"}, io.Discard); err != nil {
+	args := []string{"-n", "7", "-table53", "-goals", "-detail"}
+	var got bytes.Buffer
+	if err := run(args, &got); err != nil {
 		t.Fatalf("run with table/goal flags: %v", err)
+	}
+	want, err := os.ReadFile("testdata/table53-goals-detail-n7.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("scenarios %v output differs from testdata/table53-goals-detail-n7.golden", args)
 	}
 }
 

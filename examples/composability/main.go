@@ -9,13 +9,18 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/goals"
 	"repro/internal/temporal"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the four classifications and the three restriction tactics to w.
+func run(w io.Writer) {
 	parent := goals.MustParse("Maintain[StopWhenObjectInPath]",
 		"The vehicle shall be stopped whenever an object is in its path.",
 		"ObjectInPath => StopVehicle")
@@ -23,7 +28,7 @@ func main() {
 
 	show := func(title string, d core.Decomposition) {
 		res := core.Classify(d, space)
-		fmt.Printf("%-70s %s\n", title, res)
+		fmt.Fprintf(w, "%-70s %s\n", title, res)
 	}
 
 	// Eq. 3.5/3.6: exact decomposition through Collision Avoidance, with the
@@ -71,7 +76,7 @@ func main() {
 		Reductions: [][]goals.Goal{{goals.MustParse("G1", "", "Detected => CAStop")}},
 	})
 
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// Conjunctive split (§3.3.4): a disjunctive antecedent splits into cases
 	// that can be assured independently.
@@ -79,9 +84,9 @@ func main() {
 		"Whether or not the object is detected, the vehicle shall be stopped when one is present.",
 		"(InPathDetected | InPathNotDetected) => StopVehicle")
 	if subs, ok := core.SplitConjunctiveGoal(uncertain); ok {
-		fmt.Println("Conjunctive split of the detection-uncertainty goal (Eqs. 3.39-3.41):")
+		fmt.Fprintln(w, "Conjunctive split of the detection-uncertainty goal (Eqs. 3.39-3.41):")
 		for _, s := range subs {
-			fmt.Printf("  %s\n", s.Formal)
+			fmt.Fprintf(w, "  %s\n", s.Formal)
 		}
 	}
 
@@ -92,7 +97,7 @@ func main() {
 	if reduced, ok := core.ORReduceGoal(disjunctive, func(f temporal.Formula) bool {
 		return f.String() == "BrakeApplied"
 	}); ok {
-		fmt.Printf("OR-reduction keeps the realizable disjunct: %s (more restrictive)\n", reduced.Formal)
+		fmt.Fprintf(w, "OR-reduction keeps the realizable disjunct: %s (more restrictive)\n", reduced.Formal)
 	}
 
 	// Safety envelope (Eqs. 3.47-3.48): restrict the requesting variable by
@@ -101,6 +106,6 @@ func main() {
 		"Autonomous acceleration shall not exceed 2 m/s².",
 		"VehicleAcceleration <= 2")
 	if sub, ok := core.SafetyEnvelope(accel, "VehicleAccelerationRequest", 0.5); ok {
-		fmt.Printf("Safety envelope on the request variable: %s\n", sub.Formal)
+		fmt.Fprintf(w, "Safety envelope on the request variable: %s\n", sub.Formal)
 	}
 }

@@ -11,20 +11,29 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/elevator"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the ICPA table, the subgoal realizability and the four
+// scenarios' monitoring results to w.
+func run(w io.Writer) {
 	// The ICPA behind the Table 4.4 subgoals.
 	analysis := elevator.DoorDriveICPA()
-	fmt.Println(analysis.Render())
+	fmt.Fprintln(w, analysis.Render())
 
-	fmt.Println("Subgoal realizability (after granting the cross-monitoring of Table 4.4):")
-	for name, r := range analysis.CheckRealizability() {
-		fmt.Printf("  %-55s %s\n", name, r)
+	fmt.Fprintln(w, "Subgoal realizability (after granting the cross-monitoring of Table 4.4):")
+	// Subgoals print in the analysis' declaration order, not the result
+	// map's iteration order, so the output is reproducible.
+	checks := analysis.CheckRealizability()
+	for _, sg := range analysis.Subgoals {
+		fmt.Fprintf(w, "  %-55s %s\n", sg.Goal.Name, checks[sg.Goal.Name])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	for _, sc := range []elevator.Scenario{
 		elevator.NominalScenario(),
@@ -33,10 +42,10 @@ func main() {
 		elevator.HoistwayUnprotectedScenario(),
 	} {
 		res := elevator.Run(sc)
-		fmt.Printf("Scenario %-22s  %s\n", sc.Name, res.Summary)
+		fmt.Fprintf(w, "Scenario %-22s  %s\n", sc.Name, res.Summary)
 		for _, row := range res.Suite.Report() {
-			fmt.Printf("    %s\n", row)
+			fmt.Fprintf(w, "    %s\n", row)
 		}
-		fmt.Printf("    %s\n\n", res.Summary.CompositionEvidence())
+		fmt.Fprintf(w, "    %s\n\n", res.Summary.CompositionEvidence())
 	}
 }
