@@ -21,7 +21,7 @@
 //
 // -json switches output to newline-delimited JSON, one object per finding:
 //
-//	{"file":"internal/core/tactics.go","line":151,"col":36,"analyzer":"slotbind","message":"..."}
+//	{"file":"internal/vehicle/driver.go","line":42,"col":2,"analyzer":"slotbind","message":"..."}
 //
 // -only restricts the run to a comma-separated subset of analyzers; unknown
 // names are an error listing the available suite.

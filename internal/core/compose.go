@@ -3,11 +3,11 @@
 //
 //   - the formal framework for composable and emergent goals of Chapter 3
 //     (fully composable, fully composable with redundancy, emergent,
-//     emergent-but-partially-composable, conjunctive and disjunctive
-//     reduction, restriction tactics), and
+//     emergent-but-partially-composable, conjunctive split, OR-reduction
+//     and the safety-envelope restriction), and
 //   - Indirect Control Path Analysis (ICPA) of Chapter 4: the system control
 //     model, indirect-control-path search, indirect-control relationships,
-//     goal coverage strategies, goal elaboration tactics, realizability
+//     goal coverage strategies, the goal elaboration record, realizability
 //     pattern tables (Table 4.5 and Appendix B) and the ICPA table itself.
 //
 // The run-time counterpart (hierarchical monitoring, hit/false-positive/
@@ -82,15 +82,6 @@ type Decomposition struct {
 	Assumptions []temporal.Formula
 }
 
-// Subgoals returns all subgoals across all reductions, in order.
-func (d Decomposition) Subgoals() []goals.Goal {
-	var out []goals.Goal
-	for _, r := range d.Reductions {
-		out = append(out, r...)
-	}
-	return out
-}
-
 // ClassificationResult is the outcome of classifying a decomposition over a
 // finite state space.
 type ClassificationResult struct {
@@ -147,7 +138,7 @@ func Classify(d Decomposition, space goals.StateSpace) ClassificationResult {
 			// assured in the system; ICPA records them for that purpose).
 			continue
 		}
-		parent := evalOnState(d.Parent.Formal, s)
+		parent := goals.HoldsInState(d.Parent.Formal, s)
 		satisfied := anyReductionSatisfied(d.Reductions, s)
 		allSubgoals := allSubgoalsSatisfied(d.Reductions, s)
 
@@ -193,7 +184,7 @@ func Classify(d Decomposition, space goals.StateSpace) ClassificationResult {
 
 func assumptionsHold(assumptions []temporal.Formula, s temporal.State) bool {
 	for _, a := range assumptions {
-		if !evalOnState(a, s) {
+		if !goals.HoldsInState(a, s) {
 			return false
 		}
 	}
@@ -204,7 +195,7 @@ func anyReductionSatisfied(reductions [][]goals.Goal, s temporal.State) bool {
 	for _, red := range reductions {
 		ok := true
 		for _, g := range red {
-			if !evalOnState(g.Formal, s) {
+			if !goals.HoldsInState(g.Formal, s) {
 				ok = false
 				break
 			}
@@ -219,21 +210,12 @@ func anyReductionSatisfied(reductions [][]goals.Goal, s temporal.State) bool {
 func allSubgoalsSatisfied(reductions [][]goals.Goal, s temporal.State) bool {
 	for _, red := range reductions {
 		for _, g := range red {
-			if !evalOnState(g.Formal, s) {
+			if !goals.HoldsInState(g.Formal, s) {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-func evalOnState(f temporal.Formula, s temporal.State) bool {
-	if f == nil {
-		return true
-	}
-	tr := temporal.NewTrace(0)
-	tr.Append(s)
-	return f.Eval(tr, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -256,7 +238,7 @@ func SplitConjunctiveGoal(g goals.Goal) ([]goals.Goal, bool) {
 	}
 	if ant, con := temporal.Antecedent(g.Formal), temporal.Consequent(g.Formal); ant != nil {
 		// (A ∨ X) ⇒ B  →  A ⇒ B and X ⇒ B.
-		parts := disjuncts(ant)
+		parts := temporal.Disjuncts(ant)
 		if len(parts) > 1 {
 			out := make([]goals.Goal, 0, len(parts))
 			for i, p := range parts {
@@ -270,7 +252,7 @@ func SplitConjunctiveGoal(g goals.Goal) ([]goals.Goal, bool) {
 		}
 		return nil, false
 	}
-	parts := conjuncts(g.Formal)
+	parts := temporal.Conjuncts(g.Formal)
 	if len(parts) > 1 {
 		out := make([]goals.Goal, 0, len(parts))
 		for i, p := range parts {
@@ -303,7 +285,7 @@ func ORReduceGoal(g goals.Goal, keep func(temporal.Formula) bool) (goals.Goal, b
 	if ant, con := temporal.Antecedent(g.Formal), temporal.Consequent(g.Formal); ant != nil {
 		// (A ∧ X) ⇒ B: drop antecedent conjuncts not kept — the antecedent
 		// becomes weaker, hence the goal more restrictive.
-		parts := conjuncts(ant)
+		parts := temporal.Conjuncts(ant)
 		if len(parts) > 1 {
 			var kept []temporal.Formula
 			for _, p := range parts {
@@ -321,7 +303,7 @@ func ORReduceGoal(g goals.Goal, keep func(temporal.Formula) bool) (goals.Goal, b
 		}
 		return g, false
 	}
-	parts := disjuncts(g.Formal)
+	parts := temporal.Disjuncts(g.Formal)
 	if len(parts) > 1 {
 		var kept []temporal.Formula
 		for _, p := range parts {
@@ -390,9 +372,3 @@ func thresholdOf(f temporal.Formula) (threshold, bool) {
 	}
 	return threshold{}, false
 }
-
-// conjuncts flattens top-level conjunctions of a formula.
-func conjuncts(f temporal.Formula) []temporal.Formula { return temporal.Conjuncts(f) }
-
-// disjuncts flattens top-level disjunctions of a formula.
-func disjuncts(f temporal.Formula) []temporal.Formula { return temporal.Disjuncts(f) }

@@ -170,18 +170,6 @@ func TestClassifyNilParentFormula(t *testing.T) {
 	}
 }
 
-func TestDecompositionSubgoals(t *testing.T) {
-	d := Decomposition{
-		Reductions: [][]goals.Goal{
-			{mustGoal("A", "A"), mustGoal("B", "B")},
-			{mustGoal("C", "C")},
-		},
-	}
-	if got := len(d.Subgoals()); got != 3 {
-		t.Errorf("Subgoals() len = %d, want 3", got)
-	}
-}
-
 func TestClassificationResultString(t *testing.T) {
 	r := ClassificationResult{Class: FullyComposable, SubgoalsSufficient: true, SubgoalsNecessary: true}
 	if !strings.Contains(r.String(), "fully composable") {

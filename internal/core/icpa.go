@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/goals"
@@ -255,16 +254,6 @@ func (a *Analysis) AddRelationship(variable string, subsystems []string, formula
 	return id
 }
 
-// Relationship returns the relationship with the given ID.
-func (a *Analysis) Relationship(id int) (ControlRelationship, bool) {
-	for _, r := range a.Relationships {
-		if r.ID == id {
-			return r, true
-		}
-	}
-	return ControlRelationship{}, false
-}
-
 // SetCoverage performs step 4: choose the goal coverage strategy.
 func (a *Analysis) SetCoverage(c CoverageStrategy) { a.Coverage = c }
 
@@ -282,85 +271,6 @@ func (a *Analysis) AddElaboration(derivation string, tactic Tactic, relationship
 // AddSubgoal performs step 6 for one subgoal: record a resulting subsystem
 // safety subgoal.
 func (a *Analysis) AddSubgoal(sg SubsystemGoal) { a.Subgoals = append(a.Subgoals, sg) }
-
-// CriticalAssumptions returns the indirect control relationships referenced
-// by the goal elaboration; together with the subgoals they form the
-// decomposition of the parent goal.
-func (a *Analysis) CriticalAssumptions() []ControlRelationship {
-	used := make(map[int]bool)
-	for _, e := range a.Elaboration {
-		for _, id := range e.UsesRelationships {
-			used[id] = true
-		}
-	}
-	var out []ControlRelationship
-	for _, r := range a.Relationships {
-		if used[r.ID] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// SubgoalsFor returns the subgoals assigned to the named subsystem.
-func (a *Analysis) SubgoalsFor(subsystem string) []SubsystemGoal {
-	var out []SubsystemGoal
-	for _, sg := range a.Subgoals {
-		if sg.Subsystem == subsystem {
-			out = append(out, sg)
-		}
-	}
-	return out
-}
-
-// AssignedSubsystems returns the sorted set of subsystems that received
-// subgoals.
-func (a *Analysis) AssignedSubsystems() []string {
-	seen := make(map[string]struct{})
-	for _, sg := range a.Subgoals {
-		seen[sg.Subsystem] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Decomposition converts the analysis into a Chapter 3 decomposition: the
-// subgoals grouped into reductions (primary and, when redundant
-// responsibility is used, secondary), with the critical assumptions attached.
-func (a *Analysis) Decomposition() Decomposition {
-	var primary, secondary []goals.Goal
-	for _, sg := range a.Subgoals {
-		if sg.Redundant {
-			secondary = append(secondary, sg.Goal)
-		} else {
-			primary = append(primary, sg.Goal)
-		}
-	}
-	d := Decomposition{Parent: a.Goal}
-	if len(primary) > 0 {
-		d.Reductions = append(d.Reductions, primary)
-	}
-	if len(secondary) > 0 {
-		d.Reductions = append(d.Reductions, secondary)
-	}
-	for _, r := range a.CriticalAssumptions() {
-		if r.Formula != nil {
-			d.Assumptions = append(d.Assumptions, r.Formula)
-		}
-	}
-	return d
-}
-
-// Verify classifies the analysis' decomposition over a finite state space
-// (exact for propositional goals): it reports whether the derived subgoals
-// fully or partially compose the parent goal under the critical assumptions.
-func (a *Analysis) Verify(space goals.StateSpace) ClassificationResult {
-	return Classify(a.Decomposition(), space)
-}
 
 // CheckRealizability checks each derived subgoal against the capability sets
 // of its assigned subsystem in the model, returning a map from subgoal name

@@ -86,23 +86,26 @@ func TestAnalysisWorkflow(t *testing.T) {
 	if len(a.Relationships) != 5 {
 		t.Fatalf("expected 5 relationships, got %d", len(a.Relationships))
 	}
-	if r, ok := a.Relationship(3); !ok || !strings.Contains(r.Comment, "blocked") {
-		t.Errorf("Relationship(3) = %+v, ok=%v", r, ok)
+	// Relationships are numbered from 1 in the order they are recorded.
+	for i, r := range a.Relationships {
+		if r.ID != i+1 {
+			t.Errorf("relationship %d has ID %d", i, r.ID)
+		}
 	}
-	if _, ok := a.Relationship(99); ok {
-		t.Error("Relationship(99) should not exist")
+	if r := a.Relationships[2]; !strings.Contains(r.Comment, "blocked") {
+		t.Errorf("relationship 3 = %+v", r)
 	}
-	if got := a.CriticalAssumptions(); len(got) != 5 {
-		t.Errorf("all 5 relationships are referenced by the elaboration, got %d", len(got))
+	used := make(map[int]bool)
+	for _, e := range a.Elaboration {
+		for _, id := range e.UsesRelationships {
+			used[id] = true
+		}
 	}
-	if got := a.AssignedSubsystems(); len(got) != 2 || got[0] != "DoorController" {
-		t.Errorf("AssignedSubsystems() = %v", got)
+	if len(used) != 5 {
+		t.Errorf("all 5 relationships are referenced by the elaboration, got %d", len(used))
 	}
-	if got := a.SubgoalsFor("DriveController"); len(got) != 1 {
-		t.Errorf("SubgoalsFor(DriveController) = %d subgoals", len(got))
-	}
-	if got := a.SubgoalsFor("Arbiter"); len(got) != 0 {
-		t.Errorf("SubgoalsFor(Arbiter) = %d subgoals, want 0", len(got))
+	if len(a.Subgoals) != 2 || a.Subgoals[0].Subsystem != "DoorController" || a.Subgoals[1].Subsystem != "DriveController" {
+		t.Errorf("subgoals should be assigned to DoorController and DriveController: %+v", a.Subgoals)
 	}
 }
 
@@ -163,8 +166,18 @@ func TestAnalysisDecompositionAndVerify(t *testing.T) {
 		Restrictive: true,
 	})
 
-	d := a.Decomposition()
-	if len(d.Reductions) != 1 || len(d.Reductions[0]) != 2 {
+	// The decomposition: the two subgoals as one shared reduction, under the
+	// relationships the elaboration relies on.
+	d := Decomposition{Parent: a.Goal}
+	var reduction []goals.Goal
+	for _, sg := range a.Subgoals {
+		reduction = append(reduction, sg.Goal)
+	}
+	d.Reductions = [][]goals.Goal{reduction}
+	for _, id := range a.Elaboration[0].UsesRelationships {
+		d.Assumptions = append(d.Assumptions, a.Relationships[id-1].Formula)
+	}
+	if len(d.Reductions[0]) != 2 {
 		t.Fatalf("Decomposition reductions = %+v", d.Reductions)
 	}
 	if len(d.Assumptions) != 2 {
@@ -172,7 +185,7 @@ func TestAnalysisDecompositionAndVerify(t *testing.T) {
 	}
 
 	space := goals.BooleanStateSpace("DoorClosed", "Moving", "GoCommanded", "OpenCommanded")
-	res := a.Verify(space)
+	res := Classify(d, space)
 	if !res.SubgoalsSufficient {
 		t.Errorf("subgoals + assumptions should be sufficient for the parent: %s", res)
 	}
@@ -184,16 +197,6 @@ func TestAnalysisDecompositionAndVerify(t *testing.T) {
 	}
 	if res.Class != PartiallyComposableWithRedundancy {
 		t.Errorf("Class = %v, want partially composable with redundancy", res.Class)
-	}
-}
-
-func TestDecompositionSecondaryReduction(t *testing.T) {
-	a := NewAnalysis(goals.MustParse("G", "", "A => B"), NewSystemModel("x"))
-	a.AddSubgoal(SubsystemGoal{Subsystem: "P", Goal: goals.MustParse("G1", "", "A => B")})
-	a.AddSubgoal(SubsystemGoal{Subsystem: "S", Goal: goals.MustParse("G2", "", "B"), Redundant: true})
-	d := a.Decomposition()
-	if len(d.Reductions) != 2 {
-		t.Fatalf("expected primary and secondary reductions, got %d", len(d.Reductions))
 	}
 }
 

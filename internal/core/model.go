@@ -1,188 +1,41 @@
 package core
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/goals"
 	"repro/internal/temporal"
 )
 
-// VariableKind classifies a system state variable by how it is produced,
-// which determines where an indirect control path continues (thesis §4.2,
-// Figure 4.4).
-type VariableKind int
-
-// Variable kinds.
-const (
-	// VarSensed is produced by a sensor observing the physical system
-	// (e.g. ElevatorSpeed, DoorClosed, VehicleAcceleration).
-	VarSensed VariableKind = iota + 1
-	// VarActuated is a physical quantity changed by an actuator after an
-	// actuation delay (e.g. DriveSpeed, door position).
-	VarActuated
-	// VarCommand is an actuation signal or set point produced by a
-	// software agent (e.g. DriveCommand, AccelerationCommand).
-	VarCommand
-	// VarShared is a shared variable or network message between software
-	// agents (e.g. DispatchRequest, AccelerationRequest).
-	VarShared
-	// VarEnvironmental is controlled by an environmental agent outside the
-	// design (e.g. ThrottlePedal, DoorBlocked).
-	VarEnvironmental
-)
-
-// String names the variable kind.
-func (k VariableKind) String() string {
-	switch k {
-	case VarSensed:
-		return "sensed"
-	case VarActuated:
-		return "actuated"
-	case VarCommand:
-		return "command"
-	case VarShared:
-		return "shared"
-	case VarEnvironmental:
-		return "environmental"
-	default:
-		return "unknown"
-	}
-}
-
-// Variable is a named system state variable with its kind and description.
-type Variable struct {
-	// Name is the variable name as used in goal formulas.
-	Name string
-	// Kind classifies how the variable is produced.
-	Kind VariableKind
-	// Description is free text shown in ICPA tables.
-	Description string
-}
-
 // SystemModel is the functional decomposition an ICPA runs against: the
-// agents (subsystems, actuators, sensors, environmental agents), the state
-// variables they monitor and control, and the formally defined
-// indirect-control relationships among those variables.
+// agents (subsystems, actuators, sensors, environmental agents) and the
+// state variables each one monitors and controls.
 type SystemModel struct {
 	// Name identifies the modelled system.
 	Name string
 
 	agents     map[string]goals.Agent
 	agentOrder []string
-	vars       map[string]Variable
-	varOrder   []string
 }
 
 // NewSystemModel returns an empty system model.
 func NewSystemModel(name string) *SystemModel {
-	return &SystemModel{
-		Name:   name,
-		agents: make(map[string]goals.Agent),
-		vars:   make(map[string]Variable),
-	}
+	return &SystemModel{Name: name, agents: make(map[string]goals.Agent)}
 }
 
-// AddAgent registers an agent (replacing any previous agent with the same
-// name) and implicitly registers its variables if they are unknown.
+// AddAgent registers an agent, replacing any previous agent with the same
+// name in its original registration position.
 func (m *SystemModel) AddAgent(a goals.Agent) {
 	if _, ok := m.agents[a.Name]; !ok {
 		m.agentOrder = append(m.agentOrder, a.Name)
 	}
 	m.agents[a.Name] = a
-	for _, v := range a.Controls {
-		m.ensureVariable(v, defaultKindFor(a.Kind))
-	}
-	for _, v := range a.Monitors {
-		m.ensureVariable(v, VarShared)
-	}
-}
-
-func defaultKindFor(k goals.AgentKind) VariableKind {
-	switch k {
-	case goals.KindSensor:
-		return VarSensed
-	case goals.KindActuator:
-		return VarActuated
-	case goals.KindEnvironment:
-		return VarEnvironmental
-	default:
-		return VarCommand
-	}
-}
-
-func (m *SystemModel) ensureVariable(name string, kind VariableKind) {
-	if _, ok := m.vars[name]; ok {
-		return
-	}
-	m.vars[name] = Variable{Name: name, Kind: kind}
-	m.varOrder = append(m.varOrder, name)
-}
-
-// AddVariable registers (or refines) a variable's kind and description.
-func (m *SystemModel) AddVariable(v Variable) {
-	if _, ok := m.vars[v.Name]; !ok {
-		m.varOrder = append(m.varOrder, v.Name)
-	}
-	m.vars[v.Name] = v
 }
 
 // Agent returns the named agent.
 func (m *SystemModel) Agent(name string) (goals.Agent, bool) {
 	a, ok := m.agents[name]
 	return a, ok
-}
-
-// Agents returns all agents in registration order.
-func (m *SystemModel) Agents() []goals.Agent {
-	out := make([]goals.Agent, 0, len(m.agentOrder))
-	for _, n := range m.agentOrder {
-		out = append(out, m.agents[n])
-	}
-	return out
-}
-
-// Variable returns metadata for a variable.
-func (m *SystemModel) Variable(name string) (Variable, bool) {
-	v, ok := m.vars[name]
-	return v, ok
-}
-
-// Variables returns all known variables in registration order.
-func (m *SystemModel) Variables() []Variable {
-	out := make([]Variable, 0, len(m.varOrder))
-	for _, n := range m.varOrder {
-		out = append(out, m.vars[n])
-	}
-	return out
-}
-
-// DirectControllers returns the agents that directly control the variable.
-// Unlike strict KAOS controllability, more than one agent may directly
-// control a variable (thesis §4.2): e.g. every hall-button controller sends
-// the same hall-call message type.
-func (m *SystemModel) DirectControllers(variable string) []goals.Agent {
-	var out []goals.Agent
-	for _, n := range m.agentOrder {
-		a := m.agents[n]
-		if a.CanControl(variable) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Observers returns the agents that monitor the variable.
-func (m *SystemModel) Observers(variable string) []goals.Agent {
-	var out []goals.Agent
-	for _, n := range m.agentOrder {
-		a := m.agents[n]
-		if a.CanMonitor(variable) {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // ControlSource is one stop along an indirect control path: an agent that
@@ -211,48 +64,6 @@ type ControlPath struct {
 	Variable string
 	// Sources are the agents along the path, ordered by level then name.
 	Sources []ControlSource
-}
-
-// SourcesAtLevel returns the path's control sources at the given level.
-func (p ControlPath) SourcesAtLevel(level int) []ControlSource {
-	var out []ControlSource
-	for _, s := range p.Sources {
-		if s.Level == level {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// MaxLevel returns the deepest indirection level on the path (0 when empty).
-func (p ControlPath) MaxLevel() int {
-	max := 0
-	for _, s := range p.Sources {
-		if s.Level > max {
-			max = s.Level
-		}
-	}
-	return max
-}
-
-// AgentNames returns the names of all agents on the path, sorted.
-func (p ControlPath) AgentNames() []string {
-	out := make([]string, 0, len(p.Sources))
-	for _, s := range p.Sources {
-		out = append(out, s.Agent)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// String renders the path compactly.
-func (p ControlPath) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:", p.Variable)
-	for _, s := range p.Sources {
-		fmt.Fprintf(&b, " [L%d %s -> %s]", s.Level, s.Agent, strings.Join(s.Controls, ","))
-	}
-	return b.String()
 }
 
 // IndirectControlPath traces the indirect control path of one variable
@@ -338,23 +149,6 @@ func (m *SystemModel) IndirectControlPaths(g goals.Goal, maxDepth int) []Control
 	return out
 }
 
-// InfluencingAgents returns the names of every agent that directly or
-// indirectly influences any variable of the goal, sorted.
-func (m *SystemModel) InfluencingAgents(g goals.Goal, maxDepth int) []string {
-	seen := make(map[string]struct{})
-	for _, p := range m.IndirectControlPaths(g, maxDepth) {
-		for _, s := range p.Sources {
-			seen[s.Agent] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ControlRelationship is one numbered, formally defined indirect control
 // relationship recorded during ICPA step 3 (thesis §4.4.2).  Relationships
 // become critical assumptions of the decomposition when referenced by the
@@ -372,9 +166,4 @@ type ControlRelationship struct {
 	Formula temporal.Formula
 	// Comment is the natural-language reading shown in the ICPA table.
 	Comment string
-}
-
-// String renders the relationship as an ICPA table row.
-func (r ControlRelationship) String() string {
-	return fmt.Sprintf("%02d  %s\n    %% %s", r.ID, r.Formula, r.Comment)
 }

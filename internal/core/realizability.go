@@ -135,19 +135,6 @@ func (c PatternCase) ConsequentVars() []string {
 	}
 }
 
-// Formula builds the abstract goal formula of the pattern case.
-func (c PatternCase) Formula() temporal.Formula {
-	ant := c.antecedentFormula(false)
-	con := c.consequentFormula(false)
-	switch c.Mark {
-	case MarkPrevAntecedent:
-		ant = c.antecedentFormula(true)
-	case MarkPrevConsequent:
-		con = c.consequentFormula(true)
-	}
-	return temporal.Implies(ant, con)
-}
-
 func (c PatternCase) antecedentFormula(prev bool) temporal.Formula {
 	wrap := func(v string) temporal.Formula {
 		if prev {
@@ -182,15 +169,6 @@ func (c PatternCase) consequentFormula(prev bool) temporal.Formula {
 	default:
 		return wrap("B")
 	}
-}
-
-// String renders the pattern case.
-func (c PatternCase) String() string {
-	parts := make([]string, 0, len(c.Caps))
-	for _, v := range append(c.AntecedentVars(), c.ConsequentVars()...) {
-		parts = append(parts, fmt.Sprintf("%s:%s", v, c.Caps[v]))
-	}
-	return fmt.Sprintf("%s [%s] (%s)", c.Shape, c.Mark, strings.Join(parts, ", "))
 }
 
 // PatternOutcome is the result of analysing a pattern case: whether the goal

@@ -123,16 +123,6 @@ func Model() *core.SystemModel {
 		[]string{SigElevatorPosition}, []string{SigEmergencyBrake}))
 	m.AddAgent(goals.NewAgent("Passenger", goals.KindEnvironment,
 		nil, []string{SigDoorBlocked, "CarButtonPress", "HallButtonPress", "CarLoad"}))
-
-	m.AddVariable(core.Variable{Name: SigDoorClosed, Kind: core.VarSensed, Description: "door fully closed (sensed)"})
-	m.AddVariable(core.Variable{Name: SigElevatorStopped, Kind: core.VarSensed, Description: "elevator stopped (sensed)"})
-	m.AddVariable(core.Variable{Name: SigElevatorSpeed, Kind: core.VarSensed, Description: "elevator speed (sensed)"})
-	m.AddVariable(core.Variable{Name: SigElevatorPosition, Kind: core.VarSensed, Description: "elevator position in hoistway (sensed)"})
-	m.AddVariable(core.Variable{Name: SigElevatorWeight, Kind: core.VarSensed, Description: "car load (sensed)"})
-	m.AddVariable(core.Variable{Name: SigDriveCommand, Kind: core.VarCommand, Description: "drive actuation signal"})
-	m.AddVariable(core.Variable{Name: SigDoorMotorCommand, Kind: core.VarCommand, Description: "door motor actuation signal"})
-	m.AddVariable(core.Variable{Name: SigDispatchTarget, Kind: core.VarShared, Description: "dispatch request (network message)"})
-	m.AddVariable(core.Variable{Name: SigDoorBlocked, Kind: core.VarEnvironmental, Description: "doorway blocked by a passenger"})
 	return m
 }
 

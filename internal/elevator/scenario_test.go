@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/goals"
 	"repro/internal/monitor"
+	"repro/internal/temporal"
 )
 
 // TestNominalScenarioNoViolations is the baseline: a defect-free ride
@@ -127,23 +129,56 @@ func TestRunDefaultDuration(t *testing.T) {
 // critical actuation-delay assumptions.
 func TestDoorDriveDecomposition(t *testing.T) {
 	a := DoorDriveICPA()
-	d := a.Decomposition()
-	if len(d.Reductions) != 1 {
-		t.Fatalf("shared-responsibility ICPA should yield one reduction, got %d", len(d.Reductions))
+	primary, secondary := reductions(a)
+	if len(primary) == 0 || len(secondary) != 0 {
+		t.Fatalf("shared-responsibility ICPA should yield one reduction, got %d primary and %d secondary subgoals",
+			len(primary), len(secondary))
 	}
-	if len(d.Reductions[0]) != 2 {
-		t.Errorf("reduction should contain the two Table 4.4 subgoals, got %d", len(d.Reductions[0]))
+	if len(primary) != 2 {
+		t.Errorf("reduction should contain the two Table 4.4 subgoals, got %d", len(primary))
 	}
-	if len(d.Assumptions) == 0 {
+	if len(criticalAssumptions(a)) == 0 {
 		t.Error("the decomposition must carry the indirect-control relationships as assumptions")
 	}
 	// The hoistway ICPA uses redundant responsibility: two reductions.
-	hd := HoistwayICPA().Decomposition()
-	if len(hd.Reductions) != 2 {
-		t.Errorf("redundant-responsibility ICPA should yield two reductions, got %d", len(hd.Reductions))
+	if hp, hs := reductions(HoistwayICPA()); len(hp) == 0 || len(hs) == 0 {
+		t.Errorf("redundant-responsibility ICPA should yield two reductions, got %d primary and %d secondary subgoals",
+			len(hp), len(hs))
 	}
 	// Degenerate verification input is handled gracefully.
+	d := core.Decomposition{Parent: a.Goal, Reductions: [][]goals.Goal{primary}, Assumptions: criticalAssumptions(a)}
 	if res := core.Classify(d, nil); res.Class != core.Emergent {
 		t.Errorf("classification over an empty space should be emergent, got %s", res)
 	}
+}
+
+// reductions splits the analysis' subgoals into the primary reduction and
+// the redundant (secondary) one.
+func reductions(a *core.Analysis) (primary, secondary []goals.Goal) {
+	for _, sg := range a.Subgoals {
+		if sg.Redundant {
+			secondary = append(secondary, sg.Goal)
+		} else {
+			primary = append(primary, sg.Goal)
+		}
+	}
+	return primary, secondary
+}
+
+// criticalAssumptions returns the formulas of the relationships the goal
+// elaboration relies on.
+func criticalAssumptions(a *core.Analysis) []temporal.Formula {
+	used := make(map[int]bool)
+	for _, e := range a.Elaboration {
+		for _, id := range e.UsesRelationships {
+			used[id] = true
+		}
+	}
+	var out []temporal.Formula
+	for _, r := range a.Relationships {
+		if used[r.ID] && r.Formula != nil {
+			out = append(out, r.Formula)
+		}
+	}
+	return out
 }

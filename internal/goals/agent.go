@@ -1,7 +1,6 @@
 package goals
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -72,11 +71,6 @@ func (a Agent) CanMonitor(name string) bool { return contains(a.Monitors, name) 
 
 // CanControl reports whether the agent directly controls the variable.
 func (a Agent) CanControl(name string) bool { return contains(a.Controls, name) }
-
-// String renders the agent with its capability sets.
-func (a Agent) String() string {
-	return fmt.Sprintf("%s (%s) Mon=%v Ctrl=%v", a.Name, a.Kind, a.Monitors, a.Controls)
-}
 
 func contains(list []string, s string) bool {
 	for _, x := range list {

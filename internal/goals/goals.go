@@ -3,8 +3,8 @@
 // (Black, 2009).
 //
 // A Goal pairs an informal, natural-language definition with a formal
-// temporal-logic definition (thesis Figure 2.6).  Goals are classified into
-// the Achieve / Cease / Maintain / Avoid patterns of Table 2.2.  Agents are
+// temporal-logic definition (thesis Figure 2.6); goal names follow the
+// Achieve / Cease / Maintain / Avoid patterns of Table 2.2.  Agents are
 // the entities that monitor and control state variables; a goal is
 // realizable by an agent when the agent can monitor every monitored variable
 // and control every controlled variable of the goal (thesis §2.3.2).
@@ -19,39 +19,6 @@ import (
 
 	"repro/internal/temporal"
 )
-
-// Class is the goal pattern classification of thesis Table 2.2.
-type Class int
-
-// Goal pattern classes.
-const (
-	// ClassUnknown is returned when a formula does not match a pattern.
-	ClassUnknown Class = iota
-	// ClassAchieve is the pattern P ⇒ ♦Q.
-	ClassAchieve
-	// ClassCease is the pattern P ⇒ ♦¬Q.
-	ClassCease
-	// ClassMaintain is the pattern P ⇒ qQ.
-	ClassMaintain
-	// ClassAvoid is the pattern P ⇒ q¬Q.
-	ClassAvoid
-)
-
-// String returns the KAOS keyword for the class.
-func (c Class) String() string {
-	switch c {
-	case ClassAchieve:
-		return "Achieve"
-	case ClassCease:
-		return "Cease"
-	case ClassMaintain:
-		return "Maintain"
-	case ClassAvoid:
-		return "Avoid"
-	default:
-		return "Unknown"
-	}
-}
 
 // Goal is a formally specified system or subsystem goal.
 type Goal struct {
@@ -138,40 +105,6 @@ func (g Goal) Vars() []string {
 		return nil
 	}
 	return g.Formal.Vars()
-}
-
-// Class classifies the goal into the Achieve/Cease/Maintain/Avoid patterns
-// of Table 2.2 based on its name prefix, falling back to the formal
-// structure: goals whose consequent references the future with Eventually
-// are Achieve/Cease goals, the rest Maintain/Avoid.
-func (g Goal) Class() Class {
-	name := g.Name
-	if i := strings.Index(name, "["); i > 0 {
-		name = name[:i]
-	}
-	switch name {
-	case "Achieve":
-		return ClassAchieve
-	case "Cease":
-		return ClassCease
-	case "Maintain":
-		return ClassMaintain
-	case "Avoid":
-		return ClassAvoid
-	}
-	if g.Formal == nil {
-		return ClassUnknown
-	}
-	if temporal.ReferencesFuture(g.Formal) {
-		return ClassAchieve
-	}
-	return ClassMaintain
-}
-
-// Holds reports whether the goal's formal definition holds at every state of
-// the trace (the entailment interpretation of thesis goals).
-func (g Goal) Holds(tr *temporal.Trace) bool {
-	return temporal.HoldsThroughout(g.Formal, tr)
 }
 
 // String renders the goal in the thesis' goal-box format.

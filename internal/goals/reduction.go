@@ -2,8 +2,6 @@ package goals
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/temporal"
 )
@@ -52,18 +50,6 @@ func (c ReductionCheck) Complete() bool {
 	return c.Entails && c.Minimal && c.Consistent && c.NonTrivial
 }
 
-// String summarises the check.
-func (c ReductionCheck) String() string {
-	flag := func(b bool) string {
-		if b {
-			return "yes"
-		}
-		return "no"
-	}
-	return fmt.Sprintf("entails=%s minimal=%s consistent=%s nontrivial=%s",
-		flag(c.Entails), flag(c.Minimal), flag(c.Consistent), flag(c.NonTrivial))
-}
-
 // StateSpace is a finite set of candidate system states used for bounded
 // (exact, for propositional goals over the enumerated variables) checking of
 // decompositions.
@@ -90,21 +76,12 @@ func BooleanStateSpace(vars ...string) StateSpace {
 	return out
 }
 
-// Restrict returns the subset of the state space satisfying the formula,
-// used to model domain knowledge when checking decompositions.
-func (sp StateSpace) Restrict(f temporal.Formula) StateSpace {
-	var out StateSpace
-	for _, s := range sp {
-		if evalOnState(f, s) {
-			out = append(out, s)
-		}
+// HoldsInState evaluates a state-wise formula on a single state by wrapping
+// it in a one-element trace.  A nil formula (an informal definition) holds.
+func HoldsInState(f temporal.Formula, s temporal.State) bool {
+	if f == nil {
+		return true
 	}
-	return out
-}
-
-// evalOnState evaluates a (state-wise) formula on a single state by wrapping
-// it in a one-element trace.
-func evalOnState(f temporal.Formula, s temporal.State) bool {
 	tr := temporal.NewTrace(0)
 	tr.Append(s)
 	return f.Eval(tr, 0)
@@ -130,7 +107,7 @@ func CheckAndReduction(red AndReduction, space StateSpace) ReductionCheck {
 	// Condition 1: entailment.
 	check.Entails = true
 	for _, s := range space {
-		if evalAllOnState(all, s) && !evalOnState(red.Parent.Formal, s) {
+		if evalAllOnState(all, s) && !HoldsInState(red.Parent.Formal, s) {
 			check.Entails = false
 			check.Counterexample = s
 			break
@@ -161,7 +138,7 @@ func CheckAndReduction(red AndReduction, space StateSpace) ReductionCheck {
 			reduced = append(reduced, red.Assumptions...)
 			entailsWithout := true
 			for _, s := range space {
-				if evalAllOnState(reduced, s) && !evalOnState(red.Parent.Formal, s) {
+				if evalAllOnState(reduced, s) && !HoldsInState(red.Parent.Formal, s) {
 					entailsWithout = false
 					break
 				}
@@ -191,30 +168,10 @@ func CheckAndReduction(red AndReduction, space StateSpace) ReductionCheck {
 
 func evalAllOnState(fs []temporal.Formula, s temporal.State) bool {
 	for _, f := range fs {
-		if !evalOnState(f, s) {
+		if !HoldsInState(f, s) {
 			return false
 		}
 	}
-	return true
-}
-
-// IsPartialAndReduction reports whether the subgoals form a partial
-// and-reduction of the parent: they are consistent and there exists some
-// extension (within the state space's variable vocabulary, approximated by
-// the parent goal itself as the missing subgoal) that completes the
-// reduction.  It returns false when the subgoals already entail the parent
-// (then they are a complete reduction, not a partial one).
-func IsPartialAndReduction(red AndReduction, space StateSpace) bool {
-	check := CheckAndReduction(red, space)
-	if check.Entails {
-		return false
-	}
-	if !check.Consistent {
-		return false
-	}
-	// Adding the parent itself as the missing subgoal always completes the
-	// reduction (Darimont's existence condition); the interesting content
-	// is that the current subgoals do not yet entail the parent.
 	return true
 }
 
@@ -239,12 +196,6 @@ func (r *Registry) Add(g Goal) {
 	r.goals[g.Name] = g
 }
 
-// Get returns the named goal.
-func (r *Registry) Get(name string) (Goal, bool) {
-	g, ok := r.goals[name]
-	return g, ok
-}
-
 // MustGet returns the named goal and panics when it is absent; intended for
 // the static catalogues where absence is a programming error.
 func (r *Registry) MustGet(name string) Goal {
@@ -258,9 +209,6 @@ func (r *Registry) MustGet(name string) Goal {
 // Len returns the number of registered goals.
 func (r *Registry) Len() int { return len(r.goals) }
 
-// Names returns the goal names in insertion order.
-func (r *Registry) Names() []string { return append([]string(nil), r.order...) }
-
 // All returns the goals in insertion order.
 func (r *Registry) All() []Goal {
 	out := make([]Goal, 0, len(r.order))
@@ -268,21 +216,4 @@ func (r *Registry) All() []Goal {
 		out = append(out, r.goals[n])
 	}
 	return out
-}
-
-// ByClass returns the registered goals of the given class, sorted by name.
-func (r *Registry) ByClass(c Class) []Goal {
-	var out []Goal
-	for _, g := range r.goals {
-		if g.Class() == c {
-			out = append(out, g)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// String lists the registered goal names.
-func (r *Registry) String() string {
-	return fmt.Sprintf("Registry[%s]", strings.Join(r.order, ", "))
 }

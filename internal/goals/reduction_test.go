@@ -1,8 +1,6 @@
 package goals
 
 import (
-	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -36,19 +34,6 @@ func TestBooleanStateSpacePanicsOnTooManyVars(t *testing.T) {
 	BooleanStateSpace(vars...)
 }
 
-func TestStateSpaceRestrict(t *testing.T) {
-	sp := BooleanStateSpace("A", "B")
-	onlyA := sp.Restrict(temporal.Var("A"))
-	if len(onlyA) != 2 {
-		t.Fatalf("Restrict(A) len = %d, want 2", len(onlyA))
-	}
-	for _, s := range onlyA {
-		if !s.Bool("A") {
-			t.Error("restricted state violates the restriction")
-		}
-	}
-}
-
 // chainReduction is the decomposition of Table 3.1: G: A=>B decomposed as
 // {A=>C, C=>D, D=>B}.
 func chainReduction() AndReduction {
@@ -70,7 +55,7 @@ func TestAndReductionTables3_1_3_2(t *testing.T) {
 	red1 := chainReduction()
 	check1 := CheckAndReduction(red1, space)
 	if !check1.Complete() {
-		t.Errorf("Table 3.1 first and-reduction should be complete: %s", check1)
+		t.Errorf("Table 3.1 first and-reduction should be complete: %+v", check1)
 	}
 
 	red2 := AndReduction{
@@ -82,7 +67,7 @@ func TestAndReductionTables3_1_3_2(t *testing.T) {
 	}
 	check2 := CheckAndReduction(red2, space)
 	if !check2.Complete() {
-		t.Errorf("Table 3.1 second and-reduction should be complete: %s", check2)
+		t.Errorf("Table 3.1 second and-reduction should be complete: %+v", check2)
 	}
 
 	// Table 3.2: with the hidden dependency F => !C (emergence X1), the
@@ -100,8 +85,8 @@ func TestAndReductionTables3_1_3_2(t *testing.T) {
 	if checkPartial.Entails {
 		t.Error("partial and-reduction must not entail the parent")
 	}
-	if !IsPartialAndReduction(partial, space) {
-		t.Error("dropping a subgoal should leave a partial and-reduction")
+	if !checkPartial.Consistent {
+		t.Error("dropping a subgoal should leave a consistent, partial and-reduction")
 	}
 	if checkPartial.Counterexample == nil {
 		t.Error("failed entailment should produce a counterexample state")
@@ -160,7 +145,7 @@ func TestAndReductionNonTrivial(t *testing.T) {
 	stronger := AndReduction{Parent: parent, Subgoals: []Goal{MustParse("G1", "", "B")}}
 	check := CheckAndReduction(stronger, space)
 	if !check.NonTrivial || !check.Entails {
-		t.Errorf("single stronger subgoal should be a non-trivial entailing reduction: %s", check)
+		t.Errorf("single stronger subgoal should be a non-trivial entailing reduction: %+v", check)
 	}
 
 	empty := AndReduction{Parent: parent}
@@ -198,7 +183,7 @@ func TestAndReductionWithAssumptions(t *testing.T) {
 	red.Assumptions = []temporal.Formula{temporal.MustParse("ObjectInPath => Detected")}
 	check := CheckAndReduction(red, space)
 	if !check.Entails {
-		t.Fatalf("with the detection assumption the subgoals should entail the parent: %s", check)
+		t.Fatalf("with the detection assumption the subgoals should entail the parent: %+v", check)
 	}
 }
 
@@ -206,27 +191,6 @@ func TestCheckAndReductionEmptySpace(t *testing.T) {
 	check := CheckAndReduction(chainReduction(), nil)
 	if check.Complete() {
 		t.Error("empty state space should not certify a reduction")
-	}
-}
-
-func TestIsPartialAndReductionRejectsComplete(t *testing.T) {
-	space := BooleanStateSpace("A", "B", "C", "D")
-	if IsPartialAndReduction(chainReduction(), space) {
-		t.Error("a complete reduction is not a partial one")
-	}
-	inconsistent := AndReduction{
-		Parent:   MustParse("G", "", "A => B"),
-		Subgoals: []Goal{MustParse("G1", "", "A"), MustParse("G2", "", "!A")},
-	}
-	if IsPartialAndReduction(inconsistent, space) {
-		t.Error("inconsistent subgoals cannot form a partial reduction")
-	}
-}
-
-func TestReductionCheckString(t *testing.T) {
-	s := ReductionCheck{Entails: true, Minimal: true, Consistent: true, NonTrivial: true}.String()
-	if !strings.Contains(s, "entails=yes") || !strings.Contains(s, "nontrivial=yes") {
-		t.Errorf("String() = %q", s)
 	}
 }
 
@@ -238,45 +202,14 @@ func TestPropChainEntailment(t *testing.T) {
 		s := temporal.NewState().SetBool("A", a).SetBool("B", b).SetBool("C", c).SetBool("D", d)
 		all := true
 		for _, g := range red.Subgoals {
-			if !evalOnState(g.Formal, s) {
+			if !HoldsInState(g.Formal, s) {
 				all = false
 			}
 		}
 		if !all {
 			return true
 		}
-		return evalOnState(red.Parent.Formal, s)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropRestrictSubset(t *testing.T) {
-	// Restrict never grows the state space and all surviving states
-	// satisfy the restriction.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		sp := BooleanStateSpace("A", "B", "C")
-		var cond temporal.Formula
-		switch r.Intn(3) {
-		case 0:
-			cond = temporal.Var("A")
-		case 1:
-			cond = temporal.Not(temporal.Var("B"))
-		default:
-			cond = temporal.And(temporal.Var("A"), temporal.Var("C"))
-		}
-		sub := sp.Restrict(cond)
-		if len(sub) > len(sp) {
-			return false
-		}
-		for _, s := range sub {
-			if !evalOnState(cond, s) {
-				return false
-			}
-		}
-		return true
+		return HoldsInState(red.Parent.Formal, s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -297,26 +230,11 @@ func TestRegistry(t *testing.T) {
 	if r.Len() != 2 {
 		t.Errorf("Len() = %d, want 2", r.Len())
 	}
-	if got, ok := r.Get("Maintain[A]"); !ok || got.Name != "Maintain[A]" {
-		t.Error("Get failed")
-	}
-	if _, ok := r.Get("missing"); ok {
-		t.Error("Get(missing) should fail")
-	}
 	if got := r.MustGet("Achieve[B]"); got.Name != "Achieve[B]" {
 		t.Error("MustGet failed")
 	}
-	if names := r.Names(); len(names) != 2 || names[0] != "Maintain[A]" {
-		t.Errorf("Names() = %v", names)
-	}
-	if all := r.All(); len(all) != 2 || all[1].Name != "Achieve[B]" {
+	if all := r.All(); len(all) != 2 || all[0].Name != "Maintain[A]" || all[1].Name != "Achieve[B]" {
 		t.Errorf("All() = %v", all)
-	}
-	if got := r.ByClass(ClassAchieve); len(got) != 1 || got[0].Name != "Achieve[B]" {
-		t.Errorf("ByClass(Achieve) = %v", got)
-	}
-	if !strings.Contains(r.String(), "Maintain[A]") {
-		t.Errorf("String() = %q", r.String())
 	}
 }
 

@@ -75,19 +75,6 @@ type PHA struct {
 // Add appends an entry.
 func (p *PHA) Add(e PHAEntry) { p.Entries = append(p.Entries, e) }
 
-// BySeverity returns entries of at least the given severity, most severe
-// first.
-func (p *PHA) BySeverity(min Severity) []PHAEntry {
-	var out []PHAEntry
-	for _, e := range p.Entries {
-		if e.Severity >= min {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Severity > out[j].Severity })
-	return out
-}
-
 // Render writes the PHA as a plain-text table.
 func (p *PHA) Render() string {
 	var b strings.Builder
@@ -226,19 +213,6 @@ func (t *FaultTree) MinimalCutSets() []CutSet {
 	return minimize(raw)
 }
 
-// SinglePointFailures returns the basic events that alone cause the top
-// event.
-func (t *FaultTree) SinglePointFailures() []string {
-	var out []string
-	for _, cs := range t.MinimalCutSets() {
-		if len(cs) == 1 {
-			out = append(out, cs[0])
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 func cutSets(e *Event) []CutSet {
 	switch e.Gate {
 	case GateBasic:
@@ -374,17 +348,6 @@ type FMEA struct {
 
 // Add appends a failure mode.
 func (f *FMEA) Add(m FailureMode) { f.Rows = append(f.Rows, m) }
-
-// ByComponent returns the failure modes of one component.
-func (f *FMEA) ByComponent(component string) []FailureMode {
-	var out []FailureMode
-	for _, m := range f.Rows {
-		if m.Component == component {
-			out = append(out, m)
-		}
-	}
-	return out
-}
 
 // HighestRisk returns the n rows with the highest probability (all rows when
 // n exceeds the table size).

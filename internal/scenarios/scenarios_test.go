@@ -1,10 +1,12 @@
 package scenarios
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/goals"
 	"repro/internal/monitor"
 	"repro/internal/temporal"
 	"repro/internal/vehicle"
@@ -61,12 +63,13 @@ func TestVehicleSafetyGoals(t *testing.T) {
 	if r.Len() != 9 {
 		t.Fatalf("expected the nine goals of Tables 5.1/5.2, got %d", r.Len())
 	}
+	all := r.All()
 	for _, name := range GoalNames {
-		g, ok := r.Get(name)
-		if !ok {
+		i := slices.IndexFunc(all, func(g goals.Goal) bool { return g.Name == name })
+		if i < 0 {
 			t.Fatalf("missing goal %s", name)
 		}
-		if g.InformalDef == "" || g.Formal == nil {
+		if g := all[i]; g.InformalDef == "" || g.Formal == nil {
 			t.Errorf("goal %s must have informal and formal definitions", name)
 		}
 	}

@@ -685,30 +685,3 @@ func IsDelayed(f Formula) bool {
 		return false
 	}
 }
-
-// HoldsThroughout reports whether f holds at every state of the trace.  The
-// thesis' entailment goals (P ⇒ Q) assert their body in all states; this is
-// the whole-trace check used by tests and composability analysis.
-func HoldsThroughout(f Formula, tr *Trace) bool {
-	for i := 0; i < tr.Len(); i++ {
-		if !f.Eval(tr, i) {
-			return false
-		}
-	}
-	return true
-}
-
-// ViolationIndices returns the state indices at which f is false, up to the
-// optional limit (0 means no limit).
-func ViolationIndices(f Formula, tr *Trace, limit int) []int {
-	var out []int
-	for i := 0; i < tr.Len(); i++ {
-		if !f.Eval(tr, i) {
-			out = append(out, i)
-			if limit > 0 && len(out) >= limit {
-				return out
-			}
-		}
-	}
-	return out
-}

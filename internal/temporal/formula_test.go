@@ -253,22 +253,6 @@ func TestReferencesFuture(t *testing.T) {
 	}
 }
 
-func TestHoldsThroughoutAndViolations(t *testing.T) {
-	tr := boolTrace(t, map[string][]bool{"P": {true, true, false, true, false}})
-	if HoldsThroughout(Var("P"), tr) {
-		t.Error("HoldsThroughout should be false")
-	}
-	if !HoldsThroughout(Or(Var("P"), Not(Var("P"))), tr) {
-		t.Error("tautology should hold throughout")
-	}
-	if got := ViolationIndices(Var("P"), tr, 0); !reflect.DeepEqual(got, []int{2, 4}) {
-		t.Errorf("ViolationIndices = %v", got)
-	}
-	if got := ViolationIndices(Var("P"), tr, 1); !reflect.DeepEqual(got, []int{2}) {
-		t.Errorf("limited ViolationIndices = %v", got)
-	}
-}
-
 func TestFormulaStrings(t *testing.T) {
 	tests := []struct {
 		f    Formula

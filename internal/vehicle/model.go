@@ -81,18 +81,5 @@ func Model() *core.SystemModel {
 	m.AddAgent(goals.NewAgent("ObjectSensors", goals.KindSensor,
 		[]string{"Environment"},
 		[]string{SigObjectDistance, SigObjectSpeed, SigRearObjectDistance}))
-
-	m.AddVariable(core.Variable{Name: SigVehicleAccel, Kind: core.VarSensed, Description: "vehicle longitudinal acceleration (sensed)"})
-	m.AddVariable(core.Variable{Name: SigVehicleJerk, Kind: core.VarSensed, Description: "vehicle longitudinal jerk (sensed)"})
-	m.AddVariable(core.Variable{Name: SigVehicleSpeed, Kind: core.VarSensed, Description: "vehicle speed (sensed)"})
-	m.AddVariable(core.Variable{Name: SigAccelCommand, Kind: core.VarCommand, Description: "arbitrated acceleration command"})
-	m.AddVariable(core.Variable{Name: SigSteerCommand, Kind: core.VarCommand, Description: "arbitrated steering command"})
-	m.AddVariable(core.Variable{Name: SigAccelSource, Kind: core.VarShared, Description: "source tag of the acceleration command"})
-	m.AddVariable(core.Variable{Name: SigThrottlePedal, Kind: core.VarEnvironmental, Description: "driver throttle pedal"})
-	m.AddVariable(core.Variable{Name: SigBrakePedal, Kind: core.VarEnvironmental, Description: "driver brake pedal"})
-	m.AddVariable(core.Variable{Name: SigSteeringActive, Kind: core.VarEnvironmental, Description: "driver steering-wheel activity"})
-	for _, f := range FeatureNames {
-		m.AddVariable(core.Variable{Name: SigAccelRequest(f), Kind: core.VarShared, Description: f + " acceleration request"})
-	}
 	return m
 }
