@@ -499,20 +499,59 @@ func BenchmarkBusCommit(b *testing.B) {
 	}
 }
 
+// thesisTrace returns the recorded trace of scenario n's 20 s run.
+func thesisTrace(n int) *temporal.Trace {
+	sc, ok := scenarios.ScenarioByNumber(n)
+	if !ok {
+		panic(fmt.Sprintf("scenario %d missing", n))
+	}
+	return scenarios.RunWithOptions(sc, scenarios.Options{}).Trace
+}
+
 // BenchmarkStateSnapshot measures recording the committed state into a
-// trace, the per-step cost of trace retention.  The trace is replaced every
-// 20 000 snapshots, the length of one thesis run at the 1 ms state period.
+// trace, the per-tick cost of KeepTrace retention.  It replays the recorded
+// trajectories of scenario 1 (the memory gate's run) and scenario 8 (the most
+// slots changed per tick of the ten) into a fresh trace per 20 s run, so
+// every tick compares a changing state with the last one recorded.  One op is
+// one tick: ns/op and B/op are ns and bytes per tick.  The replay is a Walk
+// of the recorded trace, whose per-tick cost (a few entries copied into one
+// hot scratch state) is included.
 func BenchmarkStateSnapshot(b *testing.B) {
-	const run = 20000
-	state := vehicleSizedBus().Snapshot()
-	var trace *temporal.Trace
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%run == 0 {
-			trace = temporal.NewTraceWithCapacity(time.Millisecond, run)
-		}
-		trace.AppendClone(state)
+	for _, n := range []int{1, 8} {
+		src := thesisTrace(n)
+		b.Run(fmt.Sprintf("s%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				trace := temporal.NewTraceWithCapacity(time.Millisecond, src.Len())
+				src.Walk(func(_ int, s temporal.State) {
+					if done < b.N {
+						trace.Append(s)
+						done++
+					}
+				})
+			}
+		})
+	}
+}
+
+// traceAtSink keeps BenchmarkTraceAt's result live.
+var traceAtSink temporal.State
+
+// BenchmarkTraceAt measures random access into a recorded trace: At rebuilds
+// a tick from the keyframe before it plus the deltas after the keyframe.
+// Together with BenchmarkStateSnapshot's B/op it is the trade-off the
+// keyframe interval is chosen on.
+func BenchmarkTraceAt(b *testing.B) {
+	for _, n := range []int{1, 8} {
+		tr := thesisTrace(n)
+		b.Run(fmt.Sprintf("s%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				traceAtSink = tr.At(int(uint64(i) * 7919 % uint64(tr.Len())))
+			}
+		})
 	}
 }
 

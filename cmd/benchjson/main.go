@@ -18,6 +18,10 @@
 // monitoring program on a replayed defect-sweep trajectory at widths 1 and
 // 4, the evaluation layer of the lane batches).
 //
+// The document also records the environment the numbers depend on: the Go
+// version, GOMAXPROCS, and the -short, -count and -benchtime the benchmarks
+// ran with, so two documents are comparable only when these agree.
+//
 // Usage:
 //
 //	go run ./cmd/benchjson [-out BENCH_9.json] [-bench regex]
@@ -32,6 +36,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -61,6 +66,14 @@ type Report struct {
 	Goarch string `json:"goarch,omitempty"`
 	CPU    string `json:"cpu,omitempty"`
 	Pkg    string `json:"pkg,omitempty"`
+	// GoVersion and GOMAXPROCS are the toolchain and parallelism the
+	// benchmarks ran under (go test inherits both from this process).
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	// Short, Count and Benchtime echo the go test flags of the run.
+	Short     bool   `json:"short"`
+	Count     int    `json:"count"`
+	Benchtime string `json:"benchtime"`
 	// Benchmarks are the parsed results in output order.
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -104,6 +117,7 @@ func run(out, bench, benchtime string, count int, pkg string, short bool) error 
 	if len(report.Benchmarks) == 0 {
 		return fmt.Errorf("benchjson: no benchmark results matched %q", bench)
 	}
+	report.stampEnv(benchtime, count, short)
 	doc, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
@@ -114,6 +128,13 @@ func run(out, bench, benchtime string, count int, pkg string, short bool) error 
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmark(s) to %s\n", len(report.Benchmarks), out)
 	return nil
+}
+
+// stampEnv records the toolchain, GOMAXPROCS and go test flags of the run.
+func (r *Report) stampEnv(benchtime string, count int, short bool) {
+	r.GoVersion = runtime.Version()
+	r.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	r.Short, r.Count, r.Benchtime = short, count, benchtime
 }
 
 // ParseBenchOutput parses `go test -bench -benchmem` output.  When the same

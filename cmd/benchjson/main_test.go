@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -83,5 +85,43 @@ func TestParseBenchLineRejectsNonResults(t *testing.T) {
 		if _, ok := parseBenchLine(line); ok {
 			t.Errorf("parseBenchLine accepted %q", line)
 		}
+	}
+}
+
+func TestReportRecordsEnvironment(t *testing.T) {
+	rep, err := ParseBenchOutput(strings.NewReader(sampleOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.stampEnv("3x", 5, true)
+	if rep.GoVersion != runtime.Version() || rep.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Errorf("toolchain environment = %q, GOMAXPROCS %d; want %q, %d",
+			rep.GoVersion, rep.GOMAXPROCS, runtime.Version(), runtime.GOMAXPROCS(0))
+	}
+	doc, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back map[string]any
+	if err := json.Unmarshal(doc, &back); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]any{
+		"go_version": runtime.Version(),
+		"gomaxprocs": float64(runtime.GOMAXPROCS(0)),
+		"short":      true,
+		"count":      float64(5),
+		"benchtime":  "3x",
+	} {
+		if got, ok := back[key]; !ok || got != want {
+			t.Errorf("JSON %q = %v (present %v), want %v", key, got, ok, want)
+		}
+	}
+
+	// A run without -short still records the flag, as false.
+	rep.stampEnv("1x", 1, false)
+	doc, _ = json.Marshal(rep)
+	if !strings.Contains(string(doc), `"short":false`) {
+		t.Errorf("a run without -short must record \"short\":false: %s", doc)
 	}
 }

@@ -119,21 +119,12 @@ const (
 	TacticSplitByChaining
 	// TacticSplitByCase splits by case (Figure 4.3).
 	TacticSplitByCase
-	// TacticInterlock coordinates agents with interlock variables
-	// (Eqs. 4.14–4.23).
-	TacticInterlock
-	// TacticLockout adds a lockout agent that prevents an action
-	// (Eqs. 4.27–4.30).
-	TacticLockout
 	// TacticSafetyMargin restricts a threshold by a safety margin
 	// (Eq. 4.31).
 	TacticSafetyMargin
 	// TacticORReduction applies OR-reduction to a disjunctive goal
 	// (§3.3.5, §4.5.2).
 	TacticORReduction
-	// TacticInitialState discharges the initial-state case from the
-	// specified initial conditions.
-	TacticInitialState
 )
 
 // String names the tactic.
@@ -147,16 +138,10 @@ func (t Tactic) String() string {
 		return "Split lack of monitorability/controllability by chaining"
 	case TacticSplitByCase:
 		return "Split lack of monitorability/controllability by case"
-	case TacticInterlock:
-		return "Interlock"
-	case TacticLockout:
-		return "Lockout"
 	case TacticSafetyMargin:
 		return "Safety margin"
 	case TacticORReduction:
 		return "OR-reduction"
-	case TacticInitialState:
-		return "Initial state"
 	default:
 		return "(none)"
 	}

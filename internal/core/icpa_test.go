@@ -154,7 +154,7 @@ func TestAnalysisDecompositionAndVerify(t *testing.T) {
 		temporal.MustParse("!DoorClosed => OpenCommanded"), "the door is open only when commanded open")
 	a.SetCoverage(CoverageStrategy{Assignment: SharedResponsibility, Scope: Restrictive,
 		Responsible: []string{"DoorController", "DriveController"}})
-	a.AddElaboration("coordination via command observation", TacticInterlock, []int{relGo, relOpen}, "")
+	a.AddElaboration("coordination via command observation", TacticSplitByCase, []int{relGo, relOpen}, "")
 	a.AddSubgoal(SubsystemGoal{
 		Subsystem:   "DoorController",
 		Goal:        goals.MustParse("Achieve[CloseDoorWhenMoving]", "", "GoCommanded => DoorClosed"),
@@ -264,11 +264,8 @@ func TestEnumStrings(t *testing.T) {
 		TacticIntroduceAccuracy:  "Introduce accuracy goal",
 		TacticSplitByChaining:    "Split lack of monitorability/controllability by chaining",
 		TacticSplitByCase:        "Split lack of monitorability/controllability by case",
-		TacticInterlock:          "Interlock",
-		TacticLockout:            "Lockout",
 		TacticSafetyMargin:       "Safety margin",
 		TacticORReduction:        "OR-reduction",
-		TacticInitialState:       "Initial state",
 		TacticNone:               "(none)",
 	}
 	for v, want := range tactics {

@@ -191,9 +191,7 @@ func (m *Monitor) RunTrace(tr *temporal.Trace) []Interval {
 		panic("monitor: RunTrace on a program-fed monitor; its goal is evaluated by its suite's shared program")
 	}
 	m.Reset()
-	for i := 0; i < tr.Len(); i++ {
-		m.Observe(tr.At(i))
-	}
+	tr.Walk(func(_ int, st temporal.State) { m.Observe(st) })
 	m.Finish()
 	return m.Violations()
 }

@@ -14,6 +14,7 @@ package scenarios
 // instrumentation perturbs allocation counts).
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -147,5 +148,34 @@ func TestTraceRecordingAllocs(t *testing.T) {
 	if extra := long - short; extra > 16 {
 		t.Errorf("KeepTrace RunWithOptions allocates %v objects at 2 s and %v at 4 s: the extra 2 000 ticks add %v, want <= 16",
 			short, long, extra)
+	}
+}
+
+// TestTraceRecordingBytes gates the bytes a KeepTrace run allocates: a 20 s
+// scenario-1 RunWithOptions, arena, suite and trace included, must allocate
+// under a quarter of what one full register-file snapshot per tick would
+// hold (9 bytes per slot per tick).  The trace records keyframes plus the
+// slots that changed, ~4 of the 78 per tick on this scenario.
+func TestTraceRecordingBytes(t *testing.T) {
+	skipIfAllocCountsUnreliable(t)
+	sc, ok := ScenarioByNumber(1)
+	if !ok {
+		t.Fatal("scenario 1 missing")
+	}
+	sc.Duration = DefaultDuration
+	RunWithOptions(sc, Options{}) // warm: one-time package state is not the run's
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := RunWithOptions(sc, Options{})
+	runtime.ReadMemStats(&after)
+	ticks := res.Trace.Len()
+	if ticks != int(DefaultDuration/Period) {
+		t.Fatalf("recorded %d states, want %d", ticks, int(DefaultDuration/Period))
+	}
+	dense := uint64(res.Trace.Last().Schema().Len()) * 9 * uint64(ticks)
+	if got := after.TotalAlloc - before.TotalAlloc; got > dense/4 {
+		t.Errorf("a 20 s KeepTrace run allocates %d bytes, want <= %d (a quarter of %d dense snapshot bytes)", got, dense/4, dense)
+	} else {
+		t.Logf("a 20 s KeepTrace run allocates %d bytes (%.1f%% of %d dense snapshot bytes)", got, 100*float64(got)/float64(dense), dense)
 	}
 }

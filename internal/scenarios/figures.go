@@ -68,18 +68,22 @@ func FigureSeries(r Result, fig Figure) map[string][]float64 {
 		timeSeries[i] = float64(i) * Period.Seconds()
 	}
 	out["time_s"] = timeSeries
-	for _, sig := range fig.Signals {
-		series := make([]float64, n)
-		for i := 0; i < n; i++ {
-			v := r.Trace.At(i).Get(sig)
+	series := make([][]float64, len(fig.Signals))
+	for k := range series {
+		series[k] = make([]float64, n)
+	}
+	r.Trace.Walk(func(i int, st temporal.State) {
+		for k, sig := range fig.Signals {
+			v := st.Get(sig)
 			if v.Kind() == temporal.KindString {
-				series[i] = sourceIndex(v.AsString())
+				series[k][i] = sourceIndex(v.AsString())
 			} else {
-				series[i] = v.AsNumber()
+				series[k][i] = v.AsNumber()
 			}
 		}
-		series = sanitize(series)
-		out[sig] = series
+	})
+	for k, sig := range fig.Signals {
+		out[sig] = sanitize(series[k])
 	}
 	return out
 }

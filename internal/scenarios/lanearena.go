@@ -110,12 +110,12 @@ func (a *laneArena) run(groups [][]Job, out []Result) {
 	}
 }
 
-// traceRecorder is a KeepTrace arena's width-1 observer: it appends a slab
-// copy of every committed state to the run's preallocated trace.
+// traceRecorder is a KeepTrace arena's width-1 observer: it records every
+// committed state into the run's preallocated trace.
 type traceRecorder struct{ trace *temporal.Trace }
 
 // ObserveLanes implements sim.LaneObserver.
-func (r *traceRecorder) ObserveLanes(st temporal.State) { r.trace.AppendClone(st) }
+func (r *traceRecorder) ObserveLanes(st temporal.State) { r.trace.Append(st) }
 
 // LaneStopped implements sim.LaneObserver; the run simply ends.
 func (r *traceRecorder) LaneStopped(int) {}

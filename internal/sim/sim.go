@@ -236,7 +236,8 @@ func (s *Simulation) Add(cs ...Component) { s.kernel.AddLane(0, cs...) }
 // suite compiled to a shared evaluation program (monitor.CompiledSuite) is
 // one StateObserver: the simulation hands it each state once and the program
 // fans the verdicts out to every monitor internally.  Observers must not
-// mutate the state.
+// mutate the state, and may read it only during the call: it is the live
+// committed state, which the next step overwrites.
 type StateObserver interface {
 	Observe(state temporal.State)
 }
@@ -250,8 +251,8 @@ func (s *Simulation) Observe(obs StateObserver) {
 // committed state after every step; the thesis' scenarios terminate early
 // when the simulated vehicle model faults.
 func (s *Simulation) StopWhen(fn func(now time.Duration, state temporal.State) bool) {
-	s.kernel.StopLaneWhen(func(_ int, now time.Duration, _ temporal.State) bool {
-		return fn(now, s.rec.last)
+	s.kernel.StopLaneWhen(func(_ int, now time.Duration, st temporal.State) bool {
+		return fn(now, st)
 	})
 }
 
@@ -270,7 +271,9 @@ func (s *Simulation) Reset() {
 
 // Run executes the simulation for the given duration (or until the stop
 // predicate fires) and returns the recorded trace of committed states.
-// Observers and the stop predicate receive the recorded snapshot.
+// Observers and the stop predicate receive the live committed state, as
+// under RunDiscard: it is valid only for the duration of the call, and the
+// trace keeps the record (read it back with Trace.At or Trace.Walk).
 func (s *Simulation) Run(d time.Duration) *temporal.Trace {
 	trace := temporal.NewTraceWithCapacity(s.Period, int(d/s.Period))
 	s.rec.trace = trace
@@ -278,14 +281,13 @@ func (s *Simulation) Run(d time.Duration) *temporal.Trace {
 	return trace
 }
 
-// RunDiscard executes the simulation like Run but records no trace: observers
-// and the stop predicate receive the live bus state instead of a per-step
-// snapshot, so a run allocates O(1) state instead of O(steps).  It returns
-// the number of executed steps and an independent copy of the final committed
-// state (nil when no step ran).
+// RunDiscard executes the simulation like Run but records no trace, so a run
+// allocates O(1) state instead of O(steps).  It returns the number of
+// executed steps and an independent copy of the final committed state (nil
+// when no step ran).
 //
-// Observers registered on a discarding run must treat the state as valid only
-// for the duration of the call: it is mutated in place by the next commit.
+// Observers of either kind of run must treat the state as valid only for
+// the duration of the call: it is mutated in place by the next commit.
 // Incremental monitors (temporal.Program, the reference temporal.Stepper and
 // everything built on them) already satisfy this — they evaluate atoms
 // immediately and retain only operator state — which is what makes
@@ -309,21 +311,18 @@ func (s *Simulation) drive(d time.Duration) {
 }
 
 // recorder is a Simulation's width-1 LaneObserver: it records each committed
-// state into the running trace, if any, and hands the recorded copy (the live
-// state under RunDiscard) to the scalar observers and the stop predicate.
+// state into the running trace, if any, and hands the live state to the
+// scalar observers and the stop predicate.
 type recorder struct {
 	observers []StateObserver
 	trace     *temporal.Trace // the trace Run is recording; nil under RunDiscard
-	last      temporal.State  // the state this tick's observers saw
 }
 
 // ObserveLanes implements LaneObserver.
 func (r *recorder) ObserveLanes(st temporal.State) {
 	if r.trace != nil {
-		r.trace.AppendClone(st)
-		st = r.trace.Last()
+		r.trace.Append(st)
 	}
-	r.last = st
 	for _, obs := range r.observers {
 		obs.Observe(st)
 	}
@@ -334,4 +333,4 @@ func (r *recorder) ObserveLanes(st temporal.State) {
 func (r *recorder) LaneStopped(int) {}
 
 // Reset drops the per-run recording state; the observers stay registered.
-func (r *recorder) Reset() { r.trace, r.last = nil, nil }
+func (r *recorder) Reset() { r.trace = nil }

@@ -117,6 +117,13 @@ func mergeVars(fs ...Formula) []string {
 // Atomic formulas
 // ---------------------------------------------------------------------------
 
+// atomFormula is an atomic formula: one whose truth at a tick depends on that
+// tick's state alone.  Eval of an atom is holds of the state at index i.
+type atomFormula interface {
+	Formula
+	holds(s State) bool
+}
+
 // constFormula is the constant true/false formula.
 type constFormula bool
 
@@ -127,6 +134,7 @@ var True Formula = constFormula(true)
 var False Formula = constFormula(false)
 
 func (c constFormula) Eval(*Trace, int) bool { return bool(c) }
+func (c constFormula) holds(State) bool      { return bool(c) }
 func (c constFormula) Vars() []string        { return nil }
 func (c constFormula) String() string {
 	if c {
@@ -141,7 +149,8 @@ type varFormula struct{ name string }
 // Var returns an atom that is true when the named variable is truthy.
 func Var(name string) Formula { return varFormula{name: name} }
 
-func (v varFormula) Eval(tr *Trace, i int) bool { return tr.At(i).Bool(v.name) }
+func (v varFormula) Eval(tr *Trace, i int) bool { return v.holds(tr.At(i)) }
+func (v varFormula) holds(s State) bool         { return s.Bool(v.name) }
 func (v varFormula) Vars() []string             { return []string{v.name} }
 func (v varFormula) String() string             { return v.name }
 
@@ -175,8 +184,9 @@ func Gt(name string, x float64) Formula { return Compare(name, OpGt, Number(x)) 
 // Ge returns the atom "name >= x".
 func Ge(name string, x float64) Formula { return Compare(name, OpGe, Number(x)) }
 
-func (c compareFormula) Eval(tr *Trace, i int) bool {
-	v := tr.At(i).Get(c.name)
+func (c compareFormula) Eval(tr *Trace, i int) bool { return c.holds(tr.At(i)) }
+func (c compareFormula) holds(s State) bool {
+	v := s.Get(c.name)
 	if !v.IsValid() {
 		return false
 	}
@@ -199,8 +209,8 @@ func CompareVars(left string, op CompareOp, right string) Formula {
 	return compareVarsFormula{left: left, op: op, right: right}
 }
 
-func (c compareVarsFormula) Eval(tr *Trace, i int) bool {
-	s := tr.At(i)
+func (c compareVarsFormula) Eval(tr *Trace, i int) bool { return c.holds(tr.At(i)) }
+func (c compareVarsFormula) holds(s State) bool {
 	lv, rv := s.Get(c.left), s.Get(c.right)
 	if !lv.IsValid() || !rv.IsValid() {
 		return false

@@ -3,7 +3,6 @@ package temporal
 import (
 	"math"
 	"strings"
-	"time"
 )
 
 // Registers is the slot-indexed register file backing a State, stored as two
@@ -125,8 +124,7 @@ func (s *Registers) Clone() State {
 // The checked SetSlot* forms call it on an out-of-range write; a handle that
 // resolves its slot calls it once, at bind time.  Appending past a plane's
 // capacity reallocates it, which a handle never notices (it holds the
-// register file, not the planes), and trace snapshots carry capacity-capped
-// sub-slices of a shared slab, so growing one never overwrites a neighbour.
+// register file, not the planes).
 //
 //lint:allocok schema-growth slow path; runs only when a name was interned after the state was sized, never in steady state
 func (s *Registers) Cover() {
@@ -438,181 +436,4 @@ func (s *Registers) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// Trace is a finite, fixed-period sequence of states.  Index 0 is the
-// initial state S0 referenced by the Initially operator.
-type Trace struct {
-	// Period is the sampling period between consecutive states.  The
-	// thesis' vehicle evaluation uses a 1 ms state period.
-	Period time.Duration
-
-	states []State
-
-	// The unused tail of the current snapshot chunk AppendClone copies
-	// into: register headers plus kind and value slabs, each snapshot
-	// taking width entries of both slabs.
-	regs  []Registers
-	kinds []uint8
-	vals  []float64
-	width int
-}
-
-// traceChunk is the most snapshots one AppendClone chunk holds.
-const traceChunk = 512
-
-// NewTrace returns an empty trace with the given sampling period.  A zero
-// period defaults to one millisecond, the state period used in the thesis.
-func NewTrace(period time.Duration) *Trace {
-	return NewTraceWithCapacity(period, 0)
-}
-
-// NewTraceWithCapacity returns an empty trace preallocated for n states, for
-// recorders that know the run length up front (a 20 s run at the thesis' 1 ms
-// period appends 20 000 states; growing the backing array incrementally costs
-// over a dozen reallocations per run).
-func NewTraceWithCapacity(period time.Duration, n int) *Trace {
-	if period <= 0 {
-		period = time.Millisecond
-	}
-	t := &Trace{Period: period}
-	if n > 0 {
-		t.states = make([]State, 0, n)
-	}
-	return t
-}
-
-// Append adds a state snapshot to the end of the trace.  The state is stored
-// by reference; callers that keep mutating a working state must Clone first.
-func (t *Trace) Append(s State) { t.states = append(t.states, s) }
-
-// AppendClone adds an independent copy of the state to the trace.  The copy
-// lives in the trace's current chunk: one array of register headers plus one
-// kind slab and one value slab, sized for min(512, remaining capacity)
-// snapshots of the state's width, so recording a run allocates three objects
-// per chunk instead of a register file per state.  A width change (a name interned
-// mid-run) starts a new chunk.  Each snapshot's planes are capacity-capped
-// sub-slices of the slabs, so a later write that grows one snapshot
-// reallocates its planes instead of overwriting its neighbour.
-func (t *Trace) AppendClone(s State) {
-	if s == nil {
-		t.states = append(t.states, s.Clone())
-		return
-	}
-	n := len(s.kinds)
-	if len(t.regs) == 0 || n != t.width {
-		c := min(traceChunk, max(cap(t.states)-len(t.states), 1))
-		t.regs = make([]Registers, c)
-		t.kinds = make([]uint8, c*n)
-		t.vals = make([]float64, c*n)
-		t.width = n
-	}
-	r := &t.regs[0]
-	*r = Registers{schema: s.schema, kinds: t.kinds[:n:n], vals: t.vals[:n:n], lanes: s.lanes}
-	copy(r.kinds, s.kinds)
-	copy(r.vals, s.vals)
-	t.regs, t.kinds, t.vals = t.regs[1:], t.kinds[n:], t.vals[n:]
-	t.states = append(t.states, r)
-}
-
-// Len returns the number of states in the trace.
-func (t *Trace) Len() int { return len(t.states) }
-
-// At returns the state at index i.  It panics when i is out of range, as an
-// out-of-range access indicates a programming error in an evaluator.
-func (t *Trace) At(i int) State { return t.states[i] }
-
-// Last returns the most recent state, or nil for an empty trace.
-func (t *Trace) Last() State {
-	if len(t.states) == 0 {
-		return nil
-	}
-	return t.states[len(t.states)-1]
-}
-
-// Time returns the simulation time of state index i.
-func (t *Trace) Time(i int) time.Duration { return time.Duration(i) * t.Period }
-
-// StepsFor converts a duration into a whole number of trace steps, rounding
-// up so that bounded-past operators never under-approximate their window.
-func (t *Trace) StepsFor(d time.Duration) int {
-	if d <= 0 {
-		return 0
-	}
-	p := t.Period
-	if p <= 0 {
-		p = time.Millisecond
-	}
-	steps := int((d + p - 1) / p)
-	if steps < 1 {
-		steps = 1
-	}
-	return steps
-}
-
-// Slice returns a shallow sub-trace covering states [from, to).
-func (t *Trace) Slice(from, to int) *Trace {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(t.states) {
-		to = len(t.states)
-	}
-	if to < 0 {
-		to = 0
-	}
-	if from > to {
-		from = to
-	}
-	return &Trace{Period: t.Period, states: t.states[from:to]}
-}
-
-// Series extracts the numeric time series of one variable, useful for
-// regenerating the thesis' scenario figures.  The name is resolved to a slot
-// once per schema, so extraction over a single-run trace never re-hashes it.
-func (t *Trace) Series(name string) []float64 {
-	out := make([]float64, len(t.states))
-	var (
-		schema *Schema
-		slot   int
-		ok     bool
-	)
-	for i, s := range t.states {
-		if sc := s.Schema(); sc != schema {
-			schema = sc
-			if sc != nil {
-				slot, ok = sc.Lookup(name)
-			} else { // a nil State in the trace: every variable is absent
-				ok = false
-			}
-		}
-		if ok {
-			out[i] = s.SlotNumber(slot)
-		} else {
-			out[i] = math.NaN()
-		}
-	}
-	return out
-}
-
-// BoolSeries extracts the boolean time series of one variable.
-func (t *Trace) BoolSeries(name string) []bool {
-	out := make([]bool, len(t.states))
-	var (
-		schema *Schema
-		slot   int
-		ok     bool
-	)
-	for i, s := range t.states {
-		if sc := s.Schema(); sc != schema {
-			schema = sc
-			if sc != nil {
-				slot, ok = sc.Lookup(name)
-			} else {
-				ok = false
-			}
-		}
-		out[i] = ok && s.SlotBool(slot)
-	}
-	return out
 }

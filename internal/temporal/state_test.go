@@ -105,40 +105,6 @@ func TestTraceStepsFor(t *testing.T) {
 	}
 }
 
-func TestTraceSlice(t *testing.T) {
-	tr := NewTrace(time.Millisecond)
-	for i := 0; i < 5; i++ {
-		tr.Append(NewState().SetNumber("x", float64(i)))
-	}
-	sub := tr.Slice(1, 3)
-	if sub.Len() != 2 {
-		t.Fatalf("Slice len = %d, want 2", sub.Len())
-	}
-	if got := sub.At(0).Number("x"); got != 1 {
-		t.Errorf("Slice At(0).x = %v, want 1", got)
-	}
-	// Out-of-range bounds are clamped rather than panicking.
-	for _, tt := range []struct{ from, to, len, first int }{
-		{-2, 100, 5, 0},
-		{4, 2, 0, -1},
-		{0, -1, 0, -1},
-		{-3, -1, 0, -1},
-		{3, -5, 0, -1},
-		{7, 9, 0, -1},
-		{2, 99, 3, 2},
-		{-1, 2, 2, 0},
-	} {
-		sub := tr.Slice(tt.from, tt.to)
-		if sub.Len() != tt.len {
-			t.Errorf("Slice(%d, %d) len = %d, want %d", tt.from, tt.to, sub.Len(), tt.len)
-			continue
-		}
-		if tt.first >= 0 && sub.At(0).Number("x") != float64(tt.first) {
-			t.Errorf("Slice(%d, %d) starts at x = %v, want %d", tt.from, tt.to, sub.At(0).Number("x"), tt.first)
-		}
-	}
-}
-
 // TestTraceAppendCloneIndependentOfLive records snapshots of one live state
 // and mutates it after each: every snapshot keeps the values it was recorded
 // with.
@@ -159,10 +125,10 @@ func TestTraceAppendCloneIndependentOfLive(t *testing.T) {
 	}
 }
 
-// TestTraceSlabSnapshotGrowKeepsNeighbour grows one snapshot of a chunk (a
-// write to a name interned after it was recorded) and checks that its slab
-// neighbour is untouched.
-func TestTraceSlabSnapshotGrowKeepsNeighbour(t *testing.T) {
+// TestTraceAtReturnsIndependentCopy mutates the states At returns, in place
+// and by interning names that grow their planes: the trace still reads every
+// tick as recorded, and a second At of the same tick is a fresh copy.
+func TestTraceAtReturnsIndependentCopy(t *testing.T) {
 	live := NewState().SetNumber("a", 1).SetString("m", "ACC")
 	tr := NewTraceWithCapacity(time.Millisecond, 2)
 	tr.AppendClone(live)
@@ -170,43 +136,53 @@ func TestTraceSlabSnapshotGrowKeepsNeighbour(t *testing.T) {
 	tr.AppendClone(live)
 
 	first, second := tr.At(0), tr.At(1)
-	first.SetNumber("a", 10)      // in place, inside its own slab range
+	first.SetNumber("a", 10)      // in place
 	first.SetBool("grown", true)  // interns a name: first's planes grow
 	first.SetNumber("extra", 3.5) // and grow again
-	if got := second.String(); got != "{a=2, m='ACC'}" {
-		t.Errorf("neighbour snapshot = %s, want {a=2, m='ACC'}", got)
-	}
+	second.SetString("m", "LCA")
 	if got := first.String(); got != "{a=10, extra=3.5, grown=true, m='ACC'}" {
-		t.Errorf("grown snapshot = %s", got)
+		t.Errorf("mutated copy = %s", got)
+	}
+	for i, want := range []string{"{a=1, m='ACC'}", "{a=2, m='ACC'}"} {
+		if got := tr.At(i).String(); got != want {
+			t.Errorf("At(%d) after mutating earlier copies = %s, want %s", i, got, want)
+		}
+	}
+	if tr.At(1) == tr.At(1) {
+		t.Error("At returned the same register file twice")
+	}
+	if got := tr.Last().String(); got != "{a=2, m='ACC'}" {
+		t.Errorf("Last() = %s, want {a=2, m='ACC'}", got)
 	}
 }
 
-// TestTraceMidRunInternStartsChunk interns a name between recordings: the
-// next snapshot starts a new, wider chunk, and the earlier, narrower
-// snapshots still read their own values and treat the new name as absent.
-func TestTraceMidRunInternStartsChunk(t *testing.T) {
+// TestTraceMidRunInternStartsKeyframe interns a name between recordings: the
+// next tick starts a keyframe of the wider register file, and the earlier,
+// narrower ticks still read their own values and treat the new name as
+// absent.
+func TestTraceMidRunInternStartsKeyframe(t *testing.T) {
 	live := NewState().SetNumber("x", 0)
 	tr := NewTraceWithCapacity(time.Millisecond, 8)
 	for i := 0; i < 3; i++ {
 		tr.AppendClone(live.SetNumber("x", float64(i)))
 	}
-	if tr.width != 1 || len(tr.regs) != 5 {
-		t.Fatalf("first chunk: width %d with %d free, want width 1 with 5 free", tr.width, len(tr.regs))
+	if len(tr.keys) != 1 || tr.keys[0].width != 1 {
+		t.Fatalf("before the intern: keyframes %+v, want one of width 1", tr.keys)
 	}
 	live.SetBool("late", true)
 	for i := 3; i < 5; i++ {
 		tr.AppendClone(live.SetNumber("x", float64(i)))
 	}
-	if tr.width != 2 || len(tr.regs) != 3 {
-		t.Errorf("after the intern: width %d with %d free, want a new width-2 chunk with 3 free", tr.width, len(tr.regs))
+	if len(tr.keys) != 2 || tr.keys[1].tick != 3 || tr.keys[1].width != 2 {
+		t.Errorf("after the intern: keyframes %+v, want a second one of width 2 at tick 3", tr.keys)
 	}
 	for i := 0; i < 5; i++ {
 		st := tr.At(i)
 		if got := st.Number("x"); got != float64(i) {
-			t.Errorf("snapshot %d: x = %v, want %d", i, got, i)
+			t.Errorf("tick %d: x = %v, want %d", i, got, i)
 		}
 		if got, want := st.Has("late"), i >= 3; got != want {
-			t.Errorf("snapshot %d: Has(late) = %v, want %v", i, got, want)
+			t.Errorf("tick %d: Has(late) = %v, want %v", i, got, want)
 		}
 	}
 }

@@ -8,15 +8,16 @@ import (
 // Stepper is the reference incremental evaluator for a past-time formula: it
 // consumes one state per simulation step and reports whether the formula
 // holds at that step, without re-scanning the trace.  It walks the formula
-// tree node by node and evaluates every atom through the generic Formula.Eval
-// string-keyed path — the behaviour of the map-backed State representation —
-// so it shares no evaluation code with Program, the production evaluator.
+// tree node by node and evaluates every atom on the state through the same
+// string-keyed lookups as Formula.Eval — the behaviour of the map-backed
+// State representation — so it shares no evaluation code with Program, the
+// production evaluator.
 // It exists as the independent oracle the differential tests compare
 // Program (and every suite built on it) against.
 type Stepper struct {
-	root    stepNode
-	scratch *Trace // single reusable state the atoms evaluate against
-	steps   int
+	root  stepNode
+	cur   State // the state being stepped, which the atoms read
+	steps int
 }
 
 // CompileReference builds a reference Stepper for a past-time formula.  The
@@ -36,15 +37,14 @@ func CompileReference(f Formula, period time.Duration) (*Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Stepper{root: root, scratch: NewTrace(period)}
-	s.scratch.Append(NewState())
-	return s, nil
+	return &Stepper{root: root}, nil
 }
 
 // Step feeds the next state and reports whether the formula holds at it.
 func (s *Stepper) Step(st State) bool {
-	s.scratch.states[0] = st
+	s.cur = st
 	r := s.root.step(s)
+	s.cur = nil
 	s.steps++
 	return r
 }
@@ -73,7 +73,7 @@ type compiler struct {
 func (c *compiler) compile(f Formula) (stepNode, error) {
 	switch ff := f.(type) {
 	case constFormula, varFormula, compareFormula, compareVarsFormula:
-		return &atomNode{f: f}, nil
+		return &atomNode{f: f.(atomFormula)}, nil
 	case notFormula:
 		n, err := c.compile(ff.f)
 		if err != nil {
@@ -171,11 +171,11 @@ func (c *compiler) compileAll(fs []Formula) ([]stepNode, error) {
 	return out, nil
 }
 
-// atomNode evaluates an atom through the generic Formula.Eval string-keyed
-// path.
-type atomNode struct{ f Formula }
+// atomNode evaluates an atom on the stepped state by name, as Formula.Eval
+// does.
+type atomNode struct{ f atomFormula }
 
-func (n *atomNode) step(s *Stepper) bool { return n.f.Eval(s.scratch, 0) }
+func (n *atomNode) step(s *Stepper) bool { return n.f.holds(s.cur) }
 func (n *atomNode) reset()               {}
 
 type notNode struct{ c stepNode }
