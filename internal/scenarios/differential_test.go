@@ -304,11 +304,15 @@ func mustJSON(t *testing.T, v any) string {
 // TestVehiclePlanProgramSharing pins the point of the compiled suite on the
 // real monitoring plan: the Table 5.3 goal and subgoal formulas overlap
 // heavily, so the shared program evaluates far fewer atoms per step than the
-// per-monitor suite reads.
+// per-monitor suite reads.  The exact counts are pinned too, so a change to
+// the compiler's hash-consing shows here.
 func TestVehiclePlanProgramSharing(t *testing.T) {
 	cs := BuildSuiteWithSchema(Period, temporal.NewSchema())
 	s := cs.Program().Stats()
 	t.Logf("program stats: %+v", s)
+	if want := (temporal.ProgramStats{Formulas: 49, Nodes: 159, NodeRefs: 360, Atoms: 73, AtomRefs: 180}); s != want {
+		t.Errorf("program stats = %+v, want %+v", s, want)
+	}
 	if s.Formulas < 30 {
 		t.Fatalf("monitoring plan compiled %d formulas, want the full Table 5.3 plan (>= 30)", s.Formulas)
 	}
