@@ -16,7 +16,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/goals"
 	"repro/internal/temporal"
@@ -349,26 +348,12 @@ type threshold struct {
 // thresholdOf recognises goals of the form "v <= limit" or "v < limit"
 // (optionally as the consequent of an implication) and extracts the bound.
 func thresholdOf(f temporal.Formula) (threshold, bool) {
-	if f == nil {
-		return threshold{}, false
-	}
 	if con := temporal.Consequent(f); con != nil {
 		return thresholdOf(con)
 	}
-	s := f.String()
-	for _, op := range []struct {
-		text string
-		op   temporal.CompareOp
-	}{{" <= ", temporal.OpLe}, {" < ", temporal.OpLt}} {
-		if idx := strings.Index(s, op.text); idx > 0 {
-			variable := strings.TrimSpace(s[:idx])
-			var limit float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(s[idx+len(op.text):]), "%g", &limit); err == nil {
-				if !strings.ContainsAny(variable, "()!&|") {
-					return threshold{variable: variable, op: op.op, limit: limit}, true
-				}
-			}
-		}
+	name, op, val, ok := temporal.Comparison(f)
+	if ok && (op == temporal.OpLe || op == temporal.OpLt) && val.Kind() == temporal.KindNumber {
+		return threshold{variable: name, op: op, limit: val.AsNumber()}, true
 	}
 	return threshold{}, false
 }

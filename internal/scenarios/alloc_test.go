@@ -125,6 +125,20 @@ func TestArenaVariantSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestArenaBuildAllocs gates the cost of building a width-1 lane arena: the
+// per-lane components, the compiled Table 5.3 suite and its lane lowering.
+// Every KeepTrace job and every RunWithOptions builds one (runTraced), so
+// on the thesis traces this is most of a run's allocations.  With the
+// compiler's hash-cons keys built in a stack buffer the build allocates 601
+// objects; building every key as a string cost 1 054 (Go 1.24).
+func TestArenaBuildAllocs(t *testing.T) {
+	skipIfAllocCountsUnreliable(t)
+	newLaneArena(1, matchTolerance) // warm: the cached monitoring plan is not the arena's
+	if allocs := testing.AllocsPerRun(5, func() { newLaneArena(1, matchTolerance) }); allocs > 601 {
+		t.Errorf("building a width-1 lane arena allocates %v objects, want <= 601", allocs)
+	}
+}
+
 // TestTraceRecordingAllocs gates KeepTrace recording on its production path,
 // RunWithOptions (a fresh width-1 lane arena with a trace observer): a
 // thesis run that records 2 000 more ticks may allocate only the few extra

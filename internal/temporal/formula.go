@@ -1,7 +1,7 @@
 package temporal
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -22,6 +22,11 @@ import (
 //	l<T P                        true at least once within duration T before now (PrevWithin)
 //	S0 ⊨ P                       true in the initial state (Initially)
 //	m P, ♦P, qP                  next / eventually / always (future time)
+//
+// Every constructor returns one immutable node whose operator comes from
+// the operator enum below.  That enum is the one place where an operator is
+// added: Eval, Vars, String and the structural queries here, the reference
+// Stepper and the Program compiler all switch on it.
 type Formula interface {
 	// Eval evaluates the formula at index i of trace tr.
 	Eval(tr *Trace, i int) bool
@@ -29,6 +34,66 @@ type Formula interface {
 	Vars() []string
 	// String renders the formula in the thesis' ASCII notation.
 	String() string
+}
+
+// operator is the operator of a formula node and of a compiled Program
+// node.  The order matters: the atoms come first, then the connectives,
+// the past-time operators and the future-time ones (isAtom, isTemporal).
+type operator uint8
+
+const (
+	// Atoms read the state of one tick.
+	opConst       operator = iota // val, a Bool
+	opVar                         // name is truthy
+	opCompare                     // name cmp val
+	opCompareVars                 // name cmp right
+	// Connectives.
+	opNot
+	opAnd
+	opOr
+	opImplies
+	opIff
+	// Past-time operators, which carry state from tick to tick.
+	opPrev
+	opOnce
+	opHist
+	opBecame
+	opPrevFor    // d
+	opPrevWithin // d
+	opInitially
+	// Future-time operators, for specification and realizability analysis
+	// only; no run-time monitor compiles them.
+	opNext
+	opEventually
+	opAlways
+)
+
+// isAtom reports whether the operator reads the state.
+func (op operator) isAtom() bool { return op <= opCompareVars }
+
+// isTemporal reports whether the operator carries per-run state.
+func (op operator) isTemporal() bool { return op >= opPrev && op <= opInitially }
+
+// opNames renders the operators of one child as name(child); opSeps joins
+// the children of the others as (a) sep (b).
+var (
+	opNames = [...]string{opNot: "!", opPrev: "prev", opOnce: "once", opHist: "hist", opBecame: "became",
+		opPrevFor: "prevfor", opPrevWithin: "prevwithin", opInitially: "initially",
+		opNext: "next", opEventually: "eventually", opAlways: "always"}
+	opSeps = [...]string{opAnd: " & ", opOr: " | ", opImplies: " => ", opIff: " <=> "}
+)
+
+// node is every formula: an operator, its atom operands, the window of the
+// bounded-past operators (zero for every other operator) and the operand
+// formulas.
+type node struct {
+	op    operator
+	cmp   CompareOp
+	name  string
+	right string
+	val   Value
+	d     time.Duration
+	kids  []Formula
 }
 
 // CompareOp is a comparison operator used by atomic formulas.
@@ -94,76 +159,18 @@ func compareValues(a, b Value, op CompareOp) bool {
 	}
 }
 
-// mergeVars merges and de-duplicates the variable sets of sub-formulas.
-func mergeVars(fs ...Formula) []string {
-	seen := make(map[string]struct{})
-	for _, f := range fs {
-		if f == nil {
-			continue
-		}
-		for _, v := range f.Vars() {
-			seen[v] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Atomic formulas
-// ---------------------------------------------------------------------------
-
-// atomFormula is an atomic formula: one whose truth at a tick depends on that
-// tick's state alone.  Eval of an atom is holds of the state at index i.
-type atomFormula interface {
-	Formula
-	holds(s State) bool
-}
-
-// constFormula is the constant true/false formula.
-type constFormula bool
-
 // True is the constant true formula.
-var True Formula = constFormula(true)
+var True Formula = &node{op: opConst, val: Bool(true)}
 
 // False is the constant false formula.
-var False Formula = constFormula(false)
-
-func (c constFormula) Eval(*Trace, int) bool { return bool(c) }
-func (c constFormula) holds(State) bool      { return bool(c) }
-func (c constFormula) Vars() []string        { return nil }
-func (c constFormula) String() string {
-	if c {
-		return "true"
-	}
-	return "false"
-}
-
-// varFormula is a boolean state-variable atom, e.g. "DoorClosed".
-type varFormula struct{ name string }
+var False Formula = &node{op: opConst, val: Bool(false)}
 
 // Var returns an atom that is true when the named variable is truthy.
-func Var(name string) Formula { return varFormula{name: name} }
-
-func (v varFormula) Eval(tr *Trace, i int) bool { return v.holds(tr.At(i)) }
-func (v varFormula) holds(s State) bool         { return s.Bool(v.name) }
-func (v varFormula) Vars() []string             { return []string{v.name} }
-func (v varFormula) String() string             { return v.name }
-
-// compareFormula compares a state variable with a constant value.
-type compareFormula struct {
-	name string
-	op   CompareOp
-	val  Value
-}
+func Var(name string) Formula { return &node{op: opVar, name: name} }
 
 // Compare returns an atom comparing the named variable with a constant.
 func Compare(name string, op CompareOp, val Value) Formula {
-	return compareFormula{name: name, op: op, val: val}
+	return &node{op: opCompare, name: name, cmp: op, val: val}
 }
 
 // Eq returns the atom "name == val".
@@ -184,467 +191,300 @@ func Gt(name string, x float64) Formula { return Compare(name, OpGt, Number(x)) 
 // Ge returns the atom "name >= x".
 func Ge(name string, x float64) Formula { return Compare(name, OpGe, Number(x)) }
 
-func (c compareFormula) Eval(tr *Trace, i int) bool { return c.holds(tr.At(i)) }
-func (c compareFormula) holds(s State) bool {
-	v := s.Get(c.name)
-	if !v.IsValid() {
-		return false
-	}
-	return compareValues(v, c.val, c.op)
-}
-func (c compareFormula) Vars() []string { return []string{c.name} }
-func (c compareFormula) String() string {
-	return fmt.Sprintf("%s %s %s", c.name, c.op, c.val)
-}
-
-// compareVarsFormula compares two state variables.
-type compareVarsFormula struct {
-	left  string
-	op    CompareOp
-	right string
-}
-
 // CompareVars returns an atom comparing two state variables.
 func CompareVars(left string, op CompareOp, right string) Formula {
-	return compareVarsFormula{left: left, op: op, right: right}
+	return &node{op: opCompareVars, name: left, cmp: op, right: right}
 }
 
-func (c compareVarsFormula) Eval(tr *Trace, i int) bool { return c.holds(tr.At(i)) }
-func (c compareVarsFormula) holds(s State) bool {
-	lv, rv := s.Get(c.left), s.Get(c.right)
-	if !lv.IsValid() || !rv.IsValid() {
-		return false
+// Comparison returns the variable, operator and constant of an atom built by
+// Compare (or Eq, Ne, Lt, Le, Gt, Ge); ok is false for every other formula.
+func Comparison(f Formula) (name string, op CompareOp, val Value, ok bool) {
+	if n, isNode := f.(*node); isNode && n.op == opCompare {
+		return n.name, n.cmp, n.val, true
 	}
-	return compareValues(lv, rv, c.op)
+	return "", 0, Value{}, false
 }
-func (c compareVarsFormula) Vars() []string {
-	if c.left == c.right {
-		return []string{c.left}
-	}
-	vs := []string{c.left, c.right}
-	sort.Strings(vs)
-	return vs
-}
-func (c compareVarsFormula) String() string {
-	return fmt.Sprintf("%s %s %s", c.left, c.op, c.right)
-}
-
-// ---------------------------------------------------------------------------
-// Propositional connectives
-// ---------------------------------------------------------------------------
-
-type notFormula struct{ f Formula }
 
 // Not returns the negation ¬f.
-func Not(f Formula) Formula { return notFormula{f: f} }
-
-func (n notFormula) Eval(tr *Trace, i int) bool { return !n.f.Eval(tr, i) }
-func (n notFormula) Vars() []string             { return n.f.Vars() }
-func (n notFormula) String() string             { return "!(" + n.f.String() + ")" }
-
-type andFormula struct{ fs []Formula }
+func Not(f Formula) Formula { return &node{op: opNot, kids: []Formula{f}} }
 
 // And returns the conjunction of the given formulas (true when empty).
 func And(fs ...Formula) Formula {
 	if len(fs) == 1 {
 		return fs[0]
 	}
-	return andFormula{fs: fs}
+	return &node{op: opAnd, kids: fs}
 }
-
-func (a andFormula) Eval(tr *Trace, i int) bool {
-	for _, f := range a.fs {
-		if !f.Eval(tr, i) {
-			return false
-		}
-	}
-	return true
-}
-func (a andFormula) Vars() []string { return mergeVars(a.fs...) }
-func (a andFormula) String() string { return joinFormulas(a.fs, " & ") }
-
-type orFormula struct{ fs []Formula }
 
 // Or returns the disjunction of the given formulas (false when empty).
 func Or(fs ...Formula) Formula {
 	if len(fs) == 1 {
 		return fs[0]
 	}
-	return orFormula{fs: fs}
+	return &node{op: opOr, kids: fs}
 }
-
-func (o orFormula) Eval(tr *Trace, i int) bool {
-	for _, f := range o.fs {
-		if f.Eval(tr, i) {
-			return true
-		}
-	}
-	return false
-}
-func (o orFormula) Vars() []string { return mergeVars(o.fs...) }
-func (o orFormula) String() string { return joinFormulas(o.fs, " | ") }
-
-func joinFormulas(fs []Formula, sep string) string {
-	if len(fs) == 0 {
-		if sep == " & " {
-			return "true"
-		}
-		return "false"
-	}
-	parts := make([]string, len(fs))
-	for i, f := range fs {
-		parts[i] = "(" + f.String() + ")"
-	}
-	return strings.Join(parts, sep)
-}
-
-type impliesFormula struct{ ant, con Formula }
 
 // Implies returns the material implication ant → con evaluated state-wise.
 // Safety goals in the thesis use the entailment pattern P ⇒ Q, meaning the
 // implication holds in every state; Eval checks the current state and the
 // monitor layer checks it continuously.
-func Implies(ant, con Formula) Formula { return impliesFormula{ant: ant, con: con} }
+func Implies(ant, con Formula) Formula { return &node{op: opImplies, kids: []Formula{ant, con}} }
 
-func (im impliesFormula) Eval(tr *Trace, i int) bool {
-	return !im.ant.Eval(tr, i) || im.con.Eval(tr, i)
+// Iff returns the biconditional a ⇔ b.
+func Iff(a, b Formula) Formula { return &node{op: opIff, kids: []Formula{a, b}} }
+
+// Prev returns l f: true when f held in the previous state.  In the initial
+// state there is no previous state and Prev is false, matching the KAOS
+// convention that monitored values are unknown before the first observation.
+func Prev(f Formula) Formula { return &node{op: opPrev, kids: []Formula{f}} }
+
+// Once returns the "true in some previous state" operator.
+func Once(f Formula) Formula { return &node{op: opOnce, kids: []Formula{f}} }
+
+// Historically returns the "true in all previous states" operator (vacuously
+// true in the initial state).
+func Historically(f Formula) Formula { return &node{op: opHist, kids: []Formula{f}} }
+
+// Became returns @f = f ∧ l¬f: f is true now and was false in the previous
+// state.  In the initial state Became is true when f is true, because the
+// thesis treats the initial state as the instant the condition first holds.
+func Became(f Formula) Formula { return &node{op: opBecame, kids: []Formula{f}} }
+
+// PrevFor returns ln<T f: f held continuously for duration T ending at the
+// previous state.  It is false until the trace contains at least T worth of
+// history, reflecting that actuation-delay assumptions cannot be discharged
+// before the delay has elapsed.
+func PrevFor(f Formula, d time.Duration) Formula {
+	return &node{op: opPrevFor, d: d, kids: []Formula{f}}
 }
-func (im impliesFormula) Vars() []string { return mergeVars(im.ant, im.con) }
-func (im impliesFormula) String() string {
-	return "(" + im.ant.String() + ") => (" + im.con.String() + ")"
+
+// PrevWithin returns l<T f: f held at least once within duration T before the
+// current state.
+func PrevWithin(f Formula, d time.Duration) Formula {
+	return &node{op: opPrevWithin, d: d, kids: []Formula{f}}
+}
+
+// Initially returns S0 ⊨ f: f held in the initial state of the trace.
+func Initially(f Formula) Formula { return &node{op: opInitially, kids: []Formula{f}} }
+
+// Next returns m f: f holds in the next state (false at the end of a trace).
+func Next(f Formula) Formula { return &node{op: opNext, kids: []Formula{f}} }
+
+// Eventually returns ♦f: f holds now or in some future state of the trace.
+// Goals containing Eventually are not realizable by run-time monitors (the
+// thesis, §4.5.3); the realizability analysis flags them.
+func Eventually(f Formula) Formula { return &node{op: opEventually, kids: []Formula{f}} }
+
+// Always returns qf: f holds now and in all future states of the trace.
+func Always(f Formula) Formula { return &node{op: opAlways, kids: []Formula{f}} }
+
+// holds evaluates an atom on one state.
+func (f *node) holds(s State) bool {
+	switch f.op {
+	case opConst:
+		return f.val.b
+	case opVar:
+		return s.Bool(f.name)
+	case opCompare:
+		v := s.Get(f.name)
+		return v.IsValid() && compareValues(v, f.val, f.cmp)
+	default: // opCompareVars
+		l, r := s.Get(f.name), s.Get(f.right)
+		return l.IsValid() && r.IsValid() && compareValues(l, r, f.cmp)
+	}
+}
+
+// Eval evaluates the formula at index i of trace tr.  The bounded-past
+// windows are converted to steps at the trace's period.
+func (f *node) Eval(tr *Trace, i int) bool {
+	switch f.op {
+	case opConst:
+		return f.val.b
+	case opVar, opCompare, opCompareVars:
+		return f.holds(tr.At(i))
+	case opAnd, opOr:
+		// And is false at its first false operand, Or true at its first
+		// true one.
+		stop := f.op == opOr
+		for _, k := range f.kids {
+			if k.Eval(tr, i) == stop {
+				return stop
+			}
+		}
+		return !stop
+	}
+	k := f.kids[0]
+	switch f.op {
+	case opNot:
+		return !k.Eval(tr, i)
+	case opImplies:
+		return !k.Eval(tr, i) || f.kids[1].Eval(tr, i)
+	case opIff:
+		return k.Eval(tr, i) == f.kids[1].Eval(tr, i)
+	case opPrev:
+		return i > 0 && k.Eval(tr, i-1)
+	case opOnce:
+		return evalsTo(true, k, tr, 0, i)
+	case opHist:
+		return !evalsTo(false, k, tr, 0, i)
+	case opBecame:
+		return k.Eval(tr, i) && (i == 0 || !k.Eval(tr, i-1))
+	case opPrevFor:
+		n := stepsFor(f.d, tr.Period)
+		return n == 0 || (i >= n && !evalsTo(false, k, tr, i-n, i))
+	case opPrevWithin:
+		return evalsTo(true, k, tr, max(i-stepsFor(f.d, tr.Period), 0), i)
+	case opInitially:
+		return tr.Len() > 0 && k.Eval(tr, 0)
+	case opNext:
+		return i+1 < tr.Len() && k.Eval(tr, i+1)
+	case opEventually:
+		return evalsTo(true, k, tr, i, tr.Len())
+	default: // opAlways
+		return !evalsTo(false, k, tr, i, tr.Len())
+	}
+}
+
+// evalsTo reports whether f evaluates to want at some index in [lo, hi).
+func evalsTo(want bool, f Formula, tr *Trace, lo, hi int) bool {
+	for j := lo; j < hi; j++ {
+		if f.Eval(tr, j) == want {
+			return true
+		}
+	}
+	return false
+}
+
+// Vars returns the sorted, de-duplicated state variables referenced.
+func (f *node) Vars() []string {
+	switch f.op {
+	case opConst:
+		return nil
+	case opVar, opCompare:
+		return []string{f.name}
+	case opCompareVars:
+		if f.name == f.right {
+			return []string{f.name}
+		}
+		vs := []string{f.name, f.right}
+		sort.Strings(vs)
+		return vs
+	case opAnd, opOr, opImplies, opIff:
+		return mergeVars(f.kids)
+	default:
+		return f.kids[0].Vars()
+	}
+}
+
+// mergeVars merges and de-duplicates the variable sets of sub-formulas.
+func mergeVars(fs []Formula) []string {
+	seen := make(map[string]struct{})
+	for _, f := range fs {
+		if f == nil {
+			continue
+		}
+		for _, v := range f.Vars() {
+			seen[v] = struct{}{}
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for v := range seen {
+		out = append(out, v)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// String renders the formula in the thesis' ASCII notation.
+func (f *node) String() string {
+	switch f.op {
+	case opConst:
+		return f.val.String()
+	case opVar:
+		return f.name
+	case opCompare:
+		return f.name + " " + f.cmp.String() + " " + f.val.String()
+	case opCompareVars:
+		return f.name + " " + f.cmp.String() + " " + f.right
+	case opAnd, opOr, opImplies, opIff:
+		if len(f.kids) == 0 { // And() and Or()
+			return Bool(f.op == opAnd).String()
+		}
+		parts := make([]string, len(f.kids))
+		for i, k := range f.kids {
+			parts[i] = "(" + k.String() + ")"
+		}
+		return strings.Join(parts, opSeps[f.op])
+	case opPrevFor, opPrevWithin:
+		return opNames[f.op] + "[" + f.d.String() + "](" + f.kids[0].String() + ")"
+	default:
+		return opNames[f.op] + "(" + f.kids[0].String() + ")"
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Structural queries
+// ---------------------------------------------------------------------------
+
+// anyOp reports whether f or any formula below it has one of the operators.
+func anyOp(f Formula, ops ...operator) bool {
+	n, ok := f.(*node)
+	if !ok {
+		return false
+	}
+	if slices.Contains(ops, n.op) {
+		return true
+	}
+	for _, k := range n.kids {
+		if anyOp(k, ops...) {
+			return true
+		}
+	}
+	return false
+}
+
+// IsPastTime reports whether the formula uses only propositional and
+// past-time operators, i.e. whether it can be monitored incrementally at
+// run time without reference to the future.
+func IsPastTime(f Formula) bool { return !anyOp(f, opNext, opEventually, opAlways) }
+
+// ReferencesFuture reports whether the formula contains an unbounded
+// future-time operator (Eventually), which makes a goal unrealizable per the
+// thesis' realizability rules.
+func ReferencesFuture(f Formula) bool { return anyOp(f, opEventually) }
+
+// kidsOf returns the operands of f when it is a node with the operator op.
+func kidsOf(f Formula, op operator) ([]Formula, bool) {
+	if n, ok := f.(*node); ok && n.op == op {
+		return n.kids, true
+	}
+	return nil, false
 }
 
 // Antecedent returns the antecedent of an implication formula, or nil when
 // the formula is not an implication.  ICPA uses the antecedent/consequent
 // split to infer monitored versus controlled variable sets.
 func Antecedent(f Formula) Formula {
-	if im, ok := f.(impliesFormula); ok {
-		return im.ant
+	if kids, ok := kidsOf(f, opImplies); ok {
+		return kids[0]
 	}
 	return nil
 }
 
 // Consequent returns the consequent of an implication formula, or nil.
 func Consequent(f Formula) Formula {
-	if im, ok := f.(impliesFormula); ok {
-		return im.con
+	if kids, ok := kidsOf(f, opImplies); ok {
+		return kids[1]
 	}
 	return nil
-}
-
-type iffFormula struct{ a, b Formula }
-
-// Iff returns the biconditional a ⇔ b.
-func Iff(a, b Formula) Formula { return iffFormula{a: a, b: b} }
-
-func (f iffFormula) Eval(tr *Trace, i int) bool { return f.a.Eval(tr, i) == f.b.Eval(tr, i) }
-func (f iffFormula) Vars() []string             { return mergeVars(f.a, f.b) }
-func (f iffFormula) String() string {
-	return "(" + f.a.String() + ") <=> (" + f.b.String() + ")"
-}
-
-// ---------------------------------------------------------------------------
-// Past-time temporal operators
-// ---------------------------------------------------------------------------
-
-type prevFormula struct{ f Formula }
-
-// Prev returns l f: true when f held in the previous state.  In the initial
-// state there is no previous state and Prev is false, matching the KAOS
-// convention that monitored values are unknown before the first observation.
-func Prev(f Formula) Formula { return prevFormula{f: f} }
-
-func (p prevFormula) Eval(tr *Trace, i int) bool {
-	if i == 0 {
-		return false
-	}
-	return p.f.Eval(tr, i-1)
-}
-func (p prevFormula) Vars() []string { return p.f.Vars() }
-func (p prevFormula) String() string { return "prev(" + p.f.String() + ")" }
-
-type onceFormula struct{ f Formula }
-
-// Once returns the "true in some previous state" operator.
-func Once(f Formula) Formula { return onceFormula{f: f} }
-
-func (o onceFormula) Eval(tr *Trace, i int) bool {
-	for j := 0; j < i; j++ {
-		if o.f.Eval(tr, j) {
-			return true
-		}
-	}
-	return false
-}
-func (o onceFormula) Vars() []string { return o.f.Vars() }
-func (o onceFormula) String() string { return "once(" + o.f.String() + ")" }
-
-type historicallyFormula struct{ f Formula }
-
-// Historically returns the "true in all previous states" operator (vacuously
-// true in the initial state).
-func Historically(f Formula) Formula { return historicallyFormula{f: f} }
-
-func (h historicallyFormula) Eval(tr *Trace, i int) bool {
-	for j := 0; j < i; j++ {
-		if !h.f.Eval(tr, j) {
-			return false
-		}
-	}
-	return true
-}
-func (h historicallyFormula) Vars() []string { return h.f.Vars() }
-func (h historicallyFormula) String() string { return "hist(" + h.f.String() + ")" }
-
-type becameFormula struct{ f Formula }
-
-// Became returns @f = f ∧ l¬f: f is true now and was false in the previous
-// state.  In the initial state Became is true when f is true, because the
-// thesis treats the initial state as the instant the condition first holds.
-func Became(f Formula) Formula { return becameFormula{f: f} }
-
-func (b becameFormula) Eval(tr *Trace, i int) bool {
-	if !b.f.Eval(tr, i) {
-		return false
-	}
-	if i == 0 {
-		return true
-	}
-	return !b.f.Eval(tr, i-1)
-}
-func (b becameFormula) Vars() []string { return b.f.Vars() }
-func (b becameFormula) String() string { return "became(" + b.f.String() + ")" }
-
-type prevForFormula struct {
-	f Formula
-	d time.Duration
-}
-
-// PrevFor returns ln<T f: f held continuously for duration T ending at the
-// previous state.  It is false until the trace contains at least T worth of
-// history, reflecting that actuation-delay assumptions cannot be discharged
-// before the delay has elapsed.
-func PrevFor(f Formula, d time.Duration) Formula { return prevForFormula{f: f, d: d} }
-
-func (p prevForFormula) Eval(tr *Trace, i int) bool {
-	n := tr.StepsFor(p.d)
-	if n == 0 {
-		return true
-	}
-	if i < n {
-		return false
-	}
-	for j := i - n; j < i; j++ {
-		if !p.f.Eval(tr, j) {
-			return false
-		}
-	}
-	return true
-}
-func (p prevForFormula) Vars() []string { return p.f.Vars() }
-func (p prevForFormula) String() string {
-	return fmt.Sprintf("prevfor[%s](%s)", p.d, p.f.String())
-}
-
-type prevWithinFormula struct {
-	f Formula
-	d time.Duration
-}
-
-// PrevWithin returns l<T f: f held at least once within duration T before the
-// current state.
-func PrevWithin(f Formula, d time.Duration) Formula { return prevWithinFormula{f: f, d: d} }
-
-func (p prevWithinFormula) Eval(tr *Trace, i int) bool {
-	n := tr.StepsFor(p.d)
-	lo := i - n
-	if lo < 0 {
-		lo = 0
-	}
-	for j := lo; j < i; j++ {
-		if p.f.Eval(tr, j) {
-			return true
-		}
-	}
-	return false
-}
-func (p prevWithinFormula) Vars() []string { return p.f.Vars() }
-func (p prevWithinFormula) String() string {
-	return fmt.Sprintf("prevwithin[%s](%s)", p.d, p.f.String())
-}
-
-type initiallyFormula struct{ f Formula }
-
-// Initially returns S0 ⊨ f: f held in the initial state of the trace.
-func Initially(f Formula) Formula { return initiallyFormula{f: f} }
-
-func (n initiallyFormula) Eval(tr *Trace, i int) bool {
-	if tr.Len() == 0 {
-		return false
-	}
-	return n.f.Eval(tr, 0)
-}
-func (n initiallyFormula) Vars() []string { return n.f.Vars() }
-func (n initiallyFormula) String() string { return "initially(" + n.f.String() + ")" }
-
-// ---------------------------------------------------------------------------
-// Future-time operators (specification and realizability analysis only)
-// ---------------------------------------------------------------------------
-
-type nextFormula struct{ f Formula }
-
-// Next returns m f: f holds in the next state (false at the end of a trace).
-func Next(f Formula) Formula { return nextFormula{f: f} }
-
-func (n nextFormula) Eval(tr *Trace, i int) bool {
-	if i+1 >= tr.Len() {
-		return false
-	}
-	return n.f.Eval(tr, i+1)
-}
-func (n nextFormula) Vars() []string { return n.f.Vars() }
-func (n nextFormula) String() string { return "next(" + n.f.String() + ")" }
-
-type eventuallyFormula struct{ f Formula }
-
-// Eventually returns ♦f: f holds now or in some future state of the trace.
-// Goals containing Eventually are not realizable by run-time monitors (the
-// thesis, §4.5.3); the realizability analysis flags them.
-func Eventually(f Formula) Formula { return eventuallyFormula{f: f} }
-
-func (e eventuallyFormula) Eval(tr *Trace, i int) bool {
-	for j := i; j < tr.Len(); j++ {
-		if e.f.Eval(tr, j) {
-			return true
-		}
-	}
-	return false
-}
-func (e eventuallyFormula) Vars() []string { return e.f.Vars() }
-func (e eventuallyFormula) String() string { return "eventually(" + e.f.String() + ")" }
-
-type alwaysFormula struct{ f Formula }
-
-// Always returns qf: f holds now and in all future states of the trace.
-func Always(f Formula) Formula { return alwaysFormula{f: f} }
-
-func (a alwaysFormula) Eval(tr *Trace, i int) bool {
-	for j := i; j < tr.Len(); j++ {
-		if !a.f.Eval(tr, j) {
-			return false
-		}
-	}
-	return true
-}
-func (a alwaysFormula) Vars() []string { return a.f.Vars() }
-func (a alwaysFormula) String() string { return "always(" + a.f.String() + ")" }
-
-// ---------------------------------------------------------------------------
-// Structural queries
-// ---------------------------------------------------------------------------
-
-// IsPastTime reports whether the formula uses only propositional and
-// past-time operators, i.e. whether it can be monitored incrementally at
-// run time without reference to the future.
-func IsPastTime(f Formula) bool {
-	switch ff := f.(type) {
-	case nextFormula, eventuallyFormula, alwaysFormula:
-		return false
-	case notFormula:
-		return IsPastTime(ff.f)
-	case andFormula:
-		for _, sub := range ff.fs {
-			if !IsPastTime(sub) {
-				return false
-			}
-		}
-		return true
-	case orFormula:
-		for _, sub := range ff.fs {
-			if !IsPastTime(sub) {
-				return false
-			}
-		}
-		return true
-	case impliesFormula:
-		return IsPastTime(ff.ant) && IsPastTime(ff.con)
-	case iffFormula:
-		return IsPastTime(ff.a) && IsPastTime(ff.b)
-	case prevFormula:
-		return IsPastTime(ff.f)
-	case onceFormula:
-		return IsPastTime(ff.f)
-	case historicallyFormula:
-		return IsPastTime(ff.f)
-	case becameFormula:
-		return IsPastTime(ff.f)
-	case prevForFormula:
-		return IsPastTime(ff.f)
-	case prevWithinFormula:
-		return IsPastTime(ff.f)
-	case initiallyFormula:
-		return IsPastTime(ff.f)
-	default:
-		return true
-	}
-}
-
-// ReferencesFuture reports whether the formula contains an unbounded
-// future-time operator (Eventually), which makes a goal unrealizable per the
-// thesis' realizability rules.
-func ReferencesFuture(f Formula) bool {
-	switch ff := f.(type) {
-	case eventuallyFormula:
-		return true
-	case nextFormula:
-		return ReferencesFuture(ff.f)
-	case alwaysFormula:
-		return ReferencesFuture(ff.f)
-	case notFormula:
-		return ReferencesFuture(ff.f)
-	case andFormula:
-		for _, sub := range ff.fs {
-			if ReferencesFuture(sub) {
-				return true
-			}
-		}
-		return false
-	case orFormula:
-		for _, sub := range ff.fs {
-			if ReferencesFuture(sub) {
-				return true
-			}
-		}
-		return false
-	case impliesFormula:
-		return ReferencesFuture(ff.ant) || ReferencesFuture(ff.con)
-	case iffFormula:
-		return ReferencesFuture(ff.a) || ReferencesFuture(ff.b)
-	case prevFormula:
-		return ReferencesFuture(ff.f)
-	case onceFormula:
-		return ReferencesFuture(ff.f)
-	case historicallyFormula:
-		return ReferencesFuture(ff.f)
-	case becameFormula:
-		return ReferencesFuture(ff.f)
-	case prevForFormula:
-		return ReferencesFuture(ff.f)
-	case prevWithinFormula:
-		return ReferencesFuture(ff.f)
-	case initiallyFormula:
-		return ReferencesFuture(ff.f)
-	default:
-		return false
-	}
 }
 
 // Conjuncts returns the top-level conjuncts of a formula: the operands of a
 // top-level And, or the formula itself otherwise.  ICPA's conjunctive-goal
 // splitting (thesis §3.3.4) is built on this.
 func Conjuncts(f Formula) []Formula {
-	if a, ok := f.(andFormula); ok {
-		return append([]Formula(nil), a.fs...)
+	if kids, ok := kidsOf(f, opAnd); ok {
+		return append([]Formula(nil), kids...)
 	}
 	return []Formula{f}
 }
@@ -653,8 +493,8 @@ func Conjuncts(f Formula) []Formula {
 // top-level Or, or the formula itself otherwise.  OR-reduction (thesis
 // §3.3.5) is built on this.
 func Disjuncts(f Formula) []Formula {
-	if o, ok := f.(orFormula); ok {
-		return append([]Formula(nil), o.fs...)
+	if kids, ok := kidsOf(f, opOr); ok {
+		return append([]Formula(nil), kids...)
 	}
 	return []Formula{f}
 }
@@ -665,33 +505,19 @@ func Disjuncts(f Formula) []Formula {
 // antecedent of a goal is observed at least one state before the controlled
 // action, which is a precondition for realizability (thesis §4.5.3).
 func IsDelayed(f Formula) bool {
-	switch ff := f.(type) {
-	case prevFormula, onceFormula, historicallyFormula, becameFormula,
-		prevForFormula, prevWithinFormula, initiallyFormula:
+	n, ok := f.(*node)
+	switch {
+	case !ok:
+		return false
+	case n.op == opConst || n.op.isTemporal():
 		return true
-	case constFormula:
-		return true
-	case notFormula:
-		return IsDelayed(ff.f)
-	case andFormula:
-		for _, sub := range ff.fs {
-			if !IsDelayed(sub) {
-				return false
-			}
-		}
-		return len(ff.fs) > 0
-	case orFormula:
-		for _, sub := range ff.fs {
-			if !IsDelayed(sub) {
-				return false
-			}
-		}
-		return len(ff.fs) > 0
-	case impliesFormula:
-		return IsDelayed(ff.ant) && IsDelayed(ff.con)
-	case iffFormula:
-		return IsDelayed(ff.a) && IsDelayed(ff.b)
-	default:
+	case n.op < opNot || n.op > opIff:
 		return false
 	}
+	for _, k := range n.kids {
+		if !IsDelayed(k) {
+			return false
+		}
+	}
+	return len(n.kids) > 0
 }

@@ -1,9 +1,9 @@
 package temporal
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strconv"
-	"strings"
+	"math"
 	"time"
 )
 
@@ -206,186 +206,89 @@ func (p *Program) Stats() ProgramStats {
 	return s
 }
 
-// progOp enumerates the node kinds of a compiled program.
-type progOp uint8
-
-const (
-	opConst progOp = iota
-	opVar
-	opCompareNum
-	opCompareStrEq
-	opCompareVarsNum
-	opCompareVars
-	opNot
-	opAnd
-	opOr
-	opImplies
-	opIff
-	opPrev
-	opOnce
-	opHist
-	opBecame
-	opPrevFor
-	opPrevWithin
-	opInitially
-)
-
-// isAtom reports whether the op reads the state (the ops up to
-// opCompareVars).
-func (op progOp) isAtom() bool { return op <= opCompareVars }
-
-// isTemporal reports whether the op carries per-run operator state (the ops
-// from opPrev on).
-func (op progOp) isTemporal() bool { return op >= opPrev }
-
-// pnode is one node of the flat program: its operator, operand node indices
-// (always smaller than the node's own index) and the lowered atom operands.
-// The per-run operator state lives in the program's lane registers.
+// pnode is one node of the flat program: its operator, its operand node
+// indices (each smaller than the node's own index), the bounded-past window
+// in steps, and the formula node it was compiled from, whose atom operands
+// are also resolved here against a schema.  The per-run operator state
+// lives in the program's lane registers.
 type pnode struct {
-	op    progOp
-	a, b  int
-	kids  []int
-	ref   slotRef
-	ref2  slotRef
-	cmp   CompareOp
-	cval  float64 // the constant's AsNumber, for opCompareNum
-	eref  enumRef // the constant's interned id, for opCompareStrEq
-	konst bool    // the value of an opConst node
-	n     int
+	op   operator
+	kids []int
+	n    int
+	f    *node
+	ref  slotRef // the variable of opVar and opCompare, the left one of opCompareVars
+	ref2 slotRef // the right variable of opCompareVars
+	eref enumRef // a string constant of opCompare
 }
 
 // compile lowers one formula node, hash-consing it against every node the
 // program already holds.  Children are compiled first, so their indices are
 // available for both the structural key and the evaluation order invariant.
+// The key is built in a stack buffer and looked up without allocating; it
+// keeps the children's order, so And(a, b) and And(b, a) are two nodes,
+// which costs a node and never correctness.
 func (p *Program) compile(f Formula) (int, error) {
-	p.nodeRefs++
-	switch ff := f.(type) {
-	case constFormula:
-		p.atomRefs++
-		return p.internNode("c|"+strconv.FormatBool(bool(ff)),
-			pnode{op: opConst, konst: bool(ff)}), nil
-	case varFormula:
-		p.atomRefs++
-		return p.internNode("v|"+ff.name,
-			pnode{op: opVar, ref: p.newSlotRef(ff.name)}), nil
-	case compareFormula:
-		p.atomRefs++
-		key := "k|" + ff.name + "|" + strconv.Itoa(int(ff.op)) + "|" + valueKey(ff.val)
-		// All comparisons against a non-string constant — and ordered
-		// comparisons against any constant — reduce to one float compare on
-		// the value plane (AsNumber maps bools to 0/1 and strings to NaN,
-		// which no comparison or inequality misclassifies); equality against
-		// an enumeration constant compares the interned id the value plane
-		// stores for a string.
-		node := pnode{op: opCompareNum, ref: p.newSlotRef(ff.name), cmp: ff.op, cval: ff.val.AsNumber()}
-		if ff.val.kind == KindString && (ff.op == OpEq || ff.op == OpNe) {
-			node = pnode{op: opCompareStrEq, ref: p.newSlotRef(ff.name), cmp: ff.op, eref: p.newEnumRef(ff.val.s)}
-		}
-		return p.internNode(key, node), nil
-	case compareVarsFormula:
-		p.atomRefs++
-		key := "K|" + ff.left + "|" + strconv.Itoa(int(ff.op)) + "|" + ff.right
-		node := pnode{op: opCompareVars, ref: p.newSlotRef(ff.left), cmp: ff.op, ref2: p.newSlotRef(ff.right)}
-		if ff.op != OpEq && ff.op != OpNe {
-			node.op = opCompareVarsNum
-		}
-		return p.internNode(key, node), nil
-	case notFormula:
-		a, err := p.compile(ff.f)
-		if err != nil {
-			return 0, err
-		}
-		return p.internNode("!|"+strconv.Itoa(a), pnode{op: opNot, a: a}), nil
-	case andFormula:
-		return p.compileNary(opAnd, "&|", ff.fs)
-	case orFormula:
-		return p.compileNary(opOr, "||", ff.fs)
-	case impliesFormula:
-		a, err := p.compile(ff.ant)
-		if err != nil {
-			return 0, err
-		}
-		b, err := p.compile(ff.con)
-		if err != nil {
-			return 0, err
-		}
-		return p.internNode("=>|"+strconv.Itoa(a)+"|"+strconv.Itoa(b),
-			pnode{op: opImplies, a: a, b: b}), nil
-	case iffFormula:
-		a, err := p.compile(ff.a)
-		if err != nil {
-			return 0, err
-		}
-		b, err := p.compile(ff.b)
-		if err != nil {
-			return 0, err
-		}
-		return p.internNode("<=>|"+strconv.Itoa(a)+"|"+strconv.Itoa(b),
-			pnode{op: opIff, a: a, b: b}), nil
-	case prevFormula:
-		return p.compileUnary(opPrev, "p|", ff.f, 0)
-	case onceFormula:
-		return p.compileUnary(opOnce, "o|", ff.f, 0)
-	case historicallyFormula:
-		return p.compileUnary(opHist, "h|", ff.f, 0)
-	case becameFormula:
-		return p.compileUnary(opBecame, "b|", ff.f, 0)
-	case prevForFormula:
-		return p.compileUnary(opPrevFor, "pf|", ff.f, stepsFor(ff.d, p.period))
-	case prevWithinFormula:
-		return p.compileUnary(opPrevWithin, "pw|", ff.f, stepsFor(ff.d, p.period))
-	case initiallyFormula:
-		return p.compileUnary(opInitially, "i|", ff.f, 0)
-	default:
+	nd, ok := f.(*node)
+	if !ok {
 		return 0, fmt.Errorf("temporal: cannot compile formula node %T", f)
 	}
-}
-
-// compileUnary interns a single-child operator node; n is the bounded-past
-// window in steps (part of the structural identity for the bounded ops).
-func (p *Program) compileUnary(op progOp, tag string, child Formula, n int) (int, error) {
-	a, err := p.compile(child)
-	if err != nil {
-		return 0, err
-	}
-	key := tag + strconv.Itoa(a)
-	if n != 0 {
-		key += "|" + strconv.Itoa(n)
-	}
-	return p.internNode(key, pnode{op: op, a: a, n: n}), nil
-}
-
-// compileNary interns an and/or node over its children's node indices.  The
-// key preserves child order: And(a, b) and And(b, a) evaluate identically but
-// are interned separately, which costs a node and never correctness.
-func (p *Program) compileNary(op progOp, tag string, fs []Formula) (int, error) {
-	kids := make([]int, len(fs))
-	var key strings.Builder
-	key.WriteString(tag)
-	for i, f := range fs {
-		a, err := p.compile(f)
+	p.nodeRefs++
+	var kb [4]int
+	kids := kb[:0]
+	for _, k := range nd.kids {
+		i, err := p.compile(k)
 		if err != nil {
 			return 0, err
 		}
-		kids[i] = a
-		if i > 0 {
-			key.WriteByte(',')
-		}
-		key.WriteString(strconv.Itoa(a))
+		kids = append(kids, i)
 	}
-	return p.internNode(key.String(), pnode{op: op, kids: kids}), nil
-}
+	n := stepsFor(nd.d, p.period) // 0 but for PrevFor and PrevWithin
 
-// internNode returns the existing node for a structural key or appends a new
-// one.
-func (p *Program) internNode(key string, n pnode) int {
-	if i, ok := p.intern[key]; ok {
-		return i
+	var kbuf [64]byte
+	key := append(kbuf[:0], byte(nd.op), byte(nd.cmp))
+	if nd.op.isAtom() {
+		p.atomRefs++
+		key = appendKeyString(appendKeyString(key, nd.name), nd.right)
+		key = append(key, byte(nd.val.kind))
+		switch nd.val.kind {
+		case KindBool:
+			key = append(key, byte(b2u(nd.val.b)))
+		case KindNumber:
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(nd.val.f))
+		case KindString:
+			key = appendKeyString(key, nd.val.s)
+		}
+	}
+	for _, k := range kids {
+		key = binary.AppendUvarint(key, uint64(k))
+	}
+	key = binary.AppendUvarint(key, uint64(n))
+	if i, ok := p.intern[string(key)]; ok {
+		return i, nil
+	}
+
+	pn := pnode{op: nd.op, kids: append([]int(nil), kids...), n: n, f: nd}
+	switch nd.op {
+	case opVar:
+		pn.ref = p.newSlotRef(nd.name)
+	case opCompare:
+		pn.ref = p.newSlotRef(nd.name)
+		if nd.val.kind == KindString {
+			pn.eref = p.newEnumRef(nd.val.s)
+		}
+	case opCompareVars:
+		pn.ref, pn.ref2 = p.newSlotRef(nd.name), p.newSlotRef(nd.right)
 	}
 	i := len(p.nodes)
-	p.nodes = append(p.nodes, n)
-	p.intern[key] = i
-	return i
+	p.nodes = append(p.nodes, pn)
+	p.intern[string(key)] = i
+	return i, nil
+}
+
+// appendKeyString appends s to a structural key, length first, so no two
+// operand lists encode alike.
+func appendKeyString(key []byte, s string) []byte {
+	return append(binary.AppendUvarint(key, uint64(len(s))), s...)
 }
 
 // newSlotRef resolves an atom's variable name against the program's schema:
@@ -412,20 +315,15 @@ func (p *Program) newEnumRef(s string) enumRef {
 	return e
 }
 
-// valueKey renders a Value with its kind tag for structural identity: the
-// number 2 and the string "2" render differently, and two NaN constants
-// intern separately (NaN never equals itself, so sharing them is pointless
-// but harmless either way).
-func valueKey(v Value) string {
-	return strconv.Itoa(int(v.kind)) + ":" + v.String()
-}
-
 // stepsFor converts a bounded-past operator's duration into a whole number of
-// steps at the given period, rounding up so the window is never
-// under-approximated.
+// steps at the given period (1 ms when the period is not positive), rounding
+// up so the window is never under-approximated.
 func stepsFor(d, period time.Duration) int {
 	if d <= 0 {
 		return 0
+	}
+	if period <= 0 {
+		period = time.Millisecond
 	}
 	steps := int((d + period - 1) / period)
 	if steps < 1 {

@@ -76,9 +76,9 @@ type atomKind uint8
 
 const (
 	atomBool  atomKind = iota // opVar: value plane != 0
-	atomNum                   // opCompareNum: value plane CompareOp constant
-	atomEnum                  // opCompareStrEq: value plane ==/!= interned id
-	atomOther                 // opConst, opCompareVarsNum, opCompareVars: per-lane Value semantics
+	atomNum                   // opCompare against a non-string or ordered: value plane CompareOp constant
+	atomEnum                  // opCompare ==/!= a string: value plane ==/!= interned id
+	atomOther                 // opConst, opCompareVars: per-lane Value semantics
 )
 
 // laneAtom is one atom node lowered to a lane kernel.  base is the physical
@@ -139,16 +139,7 @@ func (p *Program) SetLanes(lanes int) error {
 	for i := range p.nodes {
 		nd := &p.nodes[i]
 		if nd.op.isAtom() {
-			a := laneAtom{node: i, kind: atomOther, cmp: nd.cmp, c: nd.cval}
-			switch nd.op {
-			case opVar:
-				a.kind = atomBool
-			case opCompareNum:
-				a.kind = atomNum
-			case opCompareStrEq:
-				a.kind = atomEnum
-			}
-			p.latoms = append(p.latoms, a)
+			p.latoms = append(p.latoms, lowerAtom(i, nd))
 			continue
 		}
 		p.lops[i>>6] |= 1 << (uint(i) & 63)
@@ -159,7 +150,9 @@ func (p *Program) SetLanes(lanes int) error {
 		case opPrevFor, opPrevWithin:
 			p.lcnt[i] = make([]int32, lanes)
 		}
-		p.forKids(i, func(k int) { p.lparAt[k+1]++ })
+		for _, k := range nd.kids {
+			p.lparAt[k+1]++
+		}
 	}
 	// At most one watched group per atom: the watch table and the shadows
 	// (plus one all-absent group behind them) are sized here, so a rebind
@@ -178,31 +171,34 @@ func (p *Program) SetLanes(lanes int) error {
 	p.lpar = make([]int32, p.lparAt[n])
 	fill := append([]int32(nil), p.lparAt[:n]...)
 	for i := range p.nodes {
-		p.forKids(i, func(k int) {
+		// A child shared twice, as in And(a, a), lists its parent twice.
+		for _, k := range p.nodes[i].kids {
 			p.lpar[fill[k]] = int32(i)
 			fill[k]++
-		})
+		}
 	}
 	p.resetLanes()
 	return nil
 }
 
-// forKids calls fn with each child node index of node i (a child shared
-// twice, as in And(a, a), is visited twice).
-func (p *Program) forKids(i int, fn func(k int)) {
-	n := &p.nodes[i]
-	switch {
-	case n.op.isAtom():
-	case n.op == opAnd || n.op == opOr:
-		for _, k := range n.kids {
-			fn(k)
-		}
-	case n.op == opImplies || n.op == opIff:
-		fn(n.a)
-		fn(n.b)
-	default:
-		fn(n.a)
+// lowerAtom picks the lane kernel of atom node i; this is the one place the
+// choice is made.  A variable is the bool kernel, ==/!= against a string
+// constant compares the constant's interned id, and every other comparison
+// with a constant is one float compare on the value plane against the
+// constant's AsNumber, which maps bools to 0/1 and strings to NaN (no
+// comparison or inequality misclassifies them).  Constants and
+// variable-to-variable comparisons keep per-lane Value semantics.
+func lowerAtom(i int, nd *pnode) laneAtom {
+	a := laneAtom{node: i, kind: atomOther}
+	switch f := nd.f; {
+	case f.op == opVar:
+		a.kind = atomBool
+	case f.op == opCompare && f.val.kind == KindString && (f.cmp == OpEq || f.cmp == OpNe):
+		a.kind, a.cmp = atomEnum, f.cmp
+	case f.op == opCompare:
+		a.kind, a.cmp, a.c = atomNum, f.cmp, f.val.AsNumber()
 	}
+	return a
 }
 
 // Lanes returns the lane width set by SetLanes or by the first Step (0
@@ -438,21 +434,10 @@ func (p *Program) otherAtomLanes(i int, st State) uint64 {
 	n := &p.nodes[i]
 	lanes := p.lanes
 	var out uint64
-	switch n.op {
+	switch f := n.f; f.op {
 	case opConst:
-		if n.konst {
+		if f.val.b {
 			out = p.laneFull()
-		}
-	case opCompareVarsNum:
-		lslot, lok := n.ref.resolve(st)
-		rslot, rok := n.ref2.resolve(st)
-		if lok && rok {
-			lbase, rbase := lslot*lanes, rslot*lanes
-			for l := 0; l < lanes; l++ {
-				lf, lv := st.SlotNumberOK(lbase + l)
-				rf, rv := st.SlotNumberOK(rbase + l)
-				out |= b2u(lv && rv && compareNumbers(lf, rf, n.cmp)) << (uint(l) & 63)
-			}
 		}
 	case opCompareVars:
 		lslot, lok := n.ref.resolve(st)
@@ -461,7 +446,7 @@ func (p *Program) otherAtomLanes(i int, st State) uint64 {
 			lbase, rbase := lslot*lanes, rslot*lanes
 			for l := 0; l < lanes; l++ {
 				lv, rv := st.Slot(lbase+l), st.Slot(rbase+l)
-				out |= b2u(lv.IsValid() && rv.IsValid() && compareValues(lv, rv, n.cmp)) << (uint(l) & 63)
+				out |= b2u(lv.IsValid() && rv.IsValid() && compareValues(lv, rv, f.cmp)) << (uint(l) & 63)
 			}
 		}
 	}
@@ -472,42 +457,43 @@ func (p *Program) otherAtomLanes(i int, st State) uint64 {
 // current masks, advancing the node's per-lane temporal state.
 func (p *Program) nodeLanes(i int, full uint64) uint64 {
 	n := &p.nodes[i]
+	k := n.kids
 	masks := p.lmask
 	steps := p.steps
 	var out uint64
 	switch n.op {
 	case opNot:
-		out = ^masks[n.a] & full
+		out = ^masks[k[0]] & full
 	case opAnd:
 		out = full
-		for _, k := range n.kids {
-			out &= masks[k]
+		for _, c := range k {
+			out &= masks[c]
 		}
 	case opOr:
-		for _, k := range n.kids {
-			out |= masks[k]
+		for _, c := range k {
+			out |= masks[c]
 		}
 	case opImplies:
-		out = (^masks[n.a] | masks[n.b]) & full
+		out = (^masks[k[0]] | masks[k[1]]) & full
 	case opIff:
-		out = ^(masks[n.a] ^ masks[n.b]) & full
+		out = ^(masks[k[0]] ^ masks[k[1]]) & full
 	case opPrev:
 		if steps > 0 {
 			out = p.lbool[i]
 		}
-		p.lbool[i] = masks[n.a]
+		p.lbool[i] = masks[k[0]]
 	case opOnce:
 		out = p.lbool[i]
-		p.lbool[i] |= masks[n.a]
+		p.lbool[i] |= masks[k[0]]
 	case opHist:
 		out = p.lbool[i]
-		p.lbool[i] &= masks[n.a]
+		p.lbool[i] &= masks[k[0]]
 	case opBecame:
-		cur := masks[n.a]
+		cur := masks[k[0]]
 		out = cur &^ p.lbool[i]
 		p.lbool[i] = cur
 	case opPrevFor:
-		cur := masks[n.a]
+		cur := masks[k[0]]
 		cnt := p.lcnt[i]
 		win := int32(n.n)
 		for l := range cnt {
@@ -519,7 +505,7 @@ func (p *Program) nodeLanes(i int, full uint64) uint64 {
 			}
 		}
 	case opPrevWithin:
-		cur := masks[n.a]
+		cur := masks[k[0]]
 		cnt := p.lcnt[i]
 		for l := range cnt {
 			out |= b2u(cnt[l] >= 0 && steps-int(cnt[l]) <= n.n) << (uint(l) & 63)
@@ -529,7 +515,7 @@ func (p *Program) nodeLanes(i int, full uint64) uint64 {
 		}
 	case opInitially:
 		if steps == 0 {
-			p.lbool[i] = masks[n.a]
+			p.lbool[i] = masks[k[0]]
 		}
 		out = p.lbool[i]
 	}

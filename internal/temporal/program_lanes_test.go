@@ -8,7 +8,7 @@ import (
 )
 
 // laneVocabulary extends the random-formula vocabulary with enumeration
-// atoms, so lane stepping's opCompareStrEq path is exercised alongside the
+// atoms, so lane stepping's enumeration kernel is exercised alongside the
 // numeric and boolean atoms randomPastFormula generates.
 func randomLaneFormula(r *rand.Rand, depth int, pool *[]Formula) Formula {
 	if r.Intn(6) == 0 {

@@ -25,7 +25,10 @@ func randomPastFormula(r *rand.Rand, depth int, pool *[]Formula) Formula {
 		case 2:
 			f = CompareVars("N", CompareOp(1+r.Intn(6)), "M")
 		default:
-			f = constFormula(r.Intn(2) == 0)
+			f = False
+			if r.Intn(2) == 0 {
+				f = True
+			}
 		}
 	} else {
 		sub := func() Formula { return randomPastFormula(r, depth-1, pool) }

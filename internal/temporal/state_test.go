@@ -57,7 +57,7 @@ func TestStateString(t *testing.T) {
 func TestTraceAppendAndAt(t *testing.T) {
 	tr := NewTrace(time.Millisecond)
 	tr.Append(NewState().SetNumber("x", 0))
-	tr.AppendClone(NewState().SetNumber("x", 1))
+	tr.Append(NewState().SetNumber("x", 1))
 	if tr.Len() != 2 {
 		t.Fatalf("Len() = %d, want 2", tr.Len())
 	}
@@ -66,9 +66,6 @@ func TestTraceAppendAndAt(t *testing.T) {
 	}
 	if got := tr.Last().Number("x"); got != 1 {
 		t.Errorf("Last().x = %v, want 1", got)
-	}
-	if got := tr.Time(2); got != 2*time.Millisecond {
-		t.Errorf("Time(2) = %v", got)
 	}
 }
 
@@ -86,22 +83,36 @@ func TestTraceEmptyLast(t *testing.T) {
 	}
 }
 
-func TestTraceStepsFor(t *testing.T) {
-	tr := NewTrace(time.Millisecond)
+// TestStepsFor pins the one duration-to-steps rule of the bounded-past
+// operators: round up, nothing for a non-positive duration, and the thesis'
+// 1 ms for a non-positive period (a zero Trace, Program or Stepper period).
+func TestStepsFor(t *testing.T) {
 	tests := []struct {
-		d    time.Duration
-		want int
+		d, period time.Duration
+		want      int
 	}{
-		{0, 0},
-		{-time.Second, 0},
-		{time.Millisecond, 1},
-		{1500 * time.Microsecond, 2},
-		{200 * time.Millisecond, 200},
+		{0, time.Millisecond, 0},
+		{-time.Second, time.Millisecond, 0},
+		{time.Millisecond, time.Millisecond, 1},
+		{1500 * time.Microsecond, time.Millisecond, 2},
+		{200 * time.Millisecond, time.Millisecond, 200},
+		{200 * time.Millisecond, 0, 200},
+		{1500 * time.Microsecond, -time.Second, 2},
+		{time.Nanosecond, time.Second, 1},
+		{25 * time.Millisecond, 10 * time.Millisecond, 3},
 	}
 	for _, tt := range tests {
-		if got := tr.StepsFor(tt.d); got != tt.want {
-			t.Errorf("StepsFor(%v) = %d, want %d", tt.d, got, tt.want)
+		if got := stepsFor(tt.d, tt.period); got != tt.want {
+			t.Errorf("stepsFor(%v, %v) = %d, want %d", tt.d, tt.period, got, tt.want)
 		}
+	}
+	// Eval on a trace with no period uses the same rule.
+	tr := &Trace{}
+	for i := 0; i < 3; i++ {
+		tr.Append(NewState().SetBool("A", true))
+	}
+	if f := PrevFor(Var("A"), 1500*time.Microsecond); f.Eval(tr, 1) || !f.Eval(tr, 2) {
+		t.Errorf("%s on a zero-period trace: want false at 1 and true at 2 (two 1 ms steps)", f)
 	}
 }
 
@@ -113,7 +124,7 @@ func TestTraceAppendCloneIndependentOfLive(t *testing.T) {
 	tr := NewTraceWithCapacity(time.Millisecond, 3)
 	for i := 0; i < 3; i++ {
 		live.SetNumber("n", float64(i)).SetBool("b", i%2 == 0).SetString("s", "S"+strconv.Itoa(i))
-		tr.AppendClone(live)
+		tr.Append(live)
 	}
 	live.SetNumber("n", -1).SetBool("b", false).SetString("s", "live")
 	live.Set("n", Value{})
@@ -131,9 +142,9 @@ func TestTraceAppendCloneIndependentOfLive(t *testing.T) {
 func TestTraceAtReturnsIndependentCopy(t *testing.T) {
 	live := NewState().SetNumber("a", 1).SetString("m", "ACC")
 	tr := NewTraceWithCapacity(time.Millisecond, 2)
-	tr.AppendClone(live)
+	tr.Append(live)
 	live.SetNumber("a", 2)
-	tr.AppendClone(live)
+	tr.Append(live)
 
 	first, second := tr.At(0), tr.At(1)
 	first.SetNumber("a", 10)      // in place
@@ -164,14 +175,14 @@ func TestTraceMidRunInternStartsKeyframe(t *testing.T) {
 	live := NewState().SetNumber("x", 0)
 	tr := NewTraceWithCapacity(time.Millisecond, 8)
 	for i := 0; i < 3; i++ {
-		tr.AppendClone(live.SetNumber("x", float64(i)))
+		tr.Append(live.SetNumber("x", float64(i)))
 	}
 	if len(tr.keys) != 1 || tr.keys[0].width != 1 {
 		t.Fatalf("before the intern: keyframes %+v, want one of width 1", tr.keys)
 	}
 	live.SetBool("late", true)
 	for i := 3; i < 5; i++ {
-		tr.AppendClone(live.SetNumber("x", float64(i)))
+		tr.Append(live.SetNumber("x", float64(i)))
 	}
 	if len(tr.keys) != 2 || tr.keys[1].tick != 3 || tr.keys[1].width != 2 {
 		t.Errorf("after the intern: keyframes %+v, want a second one of width 2 at tick 3", tr.keys)

@@ -8,14 +8,14 @@ import (
 // Stepper is the reference incremental evaluator for a past-time formula: it
 // consumes one state per simulation step and reports whether the formula
 // holds at that step, without re-scanning the trace.  It walks the formula
-// tree node by node and evaluates every atom on the state through the same
-// string-keyed lookups as Formula.Eval — the behaviour of the map-backed
-// State representation — so it shares no evaluation code with Program, the
-// production evaluator.
+// tree node by node and evaluates every atom on the stepped state by name,
+// through the State's string-keyed Get and Bool — the behaviour of the
+// map-backed State representation — so it shares no evaluation code with
+// Program, the production evaluator.
 // It exists as the independent oracle the differential tests compare
 // Program (and every suite built on it) against.
 type Stepper struct {
-	root  stepNode
+	root  *stepNode
 	cur   State // the state being stepped, which the atoms read
 	steps int
 }
@@ -32,12 +32,13 @@ func CompileReference(f Formula, period time.Duration) (*Stepper, error) {
 	if !IsPastTime(f) {
 		return nil, fmt.Errorf("temporal: formula %q contains future-time operators and cannot be compiled to a run-time monitor", f)
 	}
-	c := &compiler{period: period}
-	root, err := c.compile(f)
+	root, err := compileStep(f, period)
 	if err != nil {
 		return nil, err
 	}
-	return &Stepper{root: root}, nil
+	st := &Stepper{root: root}
+	st.Reset()
+	return st, nil
 }
 
 // Step feeds the next state and reports whether the formula holds at it.
@@ -59,282 +60,106 @@ func (s *Stepper) Reset() {
 	s.root.reset()
 }
 
-// stepNode is one node of the compiled evaluator tree.
-type stepNode interface {
-	step(s *Stepper) bool
-	reset()
+// stepNode is one node of the evaluator tree: the formula node and the
+// operator's state between steps.
+type stepNode struct {
+	f    *node
+	kids []*stepNode
+	n    int  // the window in steps of PrevFor and PrevWithin
+	b    bool // prev: the child's last value; once: seen; hist: all previous; became: previous true; initially: the initial value
+	cnt  int  // PrevFor: the child's run length; PrevWithin: the step it was last true (-1 never)
 }
 
-// compiler lowers a Formula tree into stepNodes.
-type compiler struct {
-	period time.Duration
-}
-
-func (c *compiler) compile(f Formula) (stepNode, error) {
-	switch ff := f.(type) {
-	case constFormula, varFormula, compareFormula, compareVarsFormula:
-		return &atomNode{f: f.(atomFormula)}, nil
-	case notFormula:
-		n, err := c.compile(ff.f)
-		if err != nil {
-			return nil, err
-		}
-		return &notNode{c: n}, nil
-	case andFormula:
-		cs, err := c.compileAll(ff.fs)
-		if err != nil {
-			return nil, err
-		}
-		return &andNode{cs: cs}, nil
-	case orFormula:
-		cs, err := c.compileAll(ff.fs)
-		if err != nil {
-			return nil, err
-		}
-		return &orNode{cs: cs}, nil
-	case impliesFormula:
-		a, err := c.compile(ff.ant)
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.compile(ff.con)
-		if err != nil {
-			return nil, err
-		}
-		return &impliesNode{a: a, b: b}, nil
-	case iffFormula:
-		a, err := c.compile(ff.a)
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.compile(ff.b)
-		if err != nil {
-			return nil, err
-		}
-		return &iffNode{a: a, b: b}, nil
-	case prevFormula:
-		n, err := c.compile(ff.f)
-		if err != nil {
-			return nil, err
-		}
-		return &prevNode{c: n}, nil
-	case onceFormula:
-		n, err := c.compile(ff.f)
-		if err != nil {
-			return nil, err
-		}
-		return &onceNode{c: n}, nil
-	case historicallyFormula:
-		n, err := c.compile(ff.f)
-		if err != nil {
-			return nil, err
-		}
-		return &histNode{c: n, allPrev: true}, nil
-	case becameFormula:
-		n, err := c.compile(ff.f)
-		if err != nil {
-			return nil, err
-		}
-		return &becameNode{c: n}, nil
-	case prevForFormula:
-		n, err := c.compile(ff.f)
-		if err != nil {
-			return nil, err
-		}
-		return &prevForNode{c: n, n: stepsFor(ff.d, c.period)}, nil
-	case prevWithinFormula:
-		n, err := c.compile(ff.f)
-		if err != nil {
-			return nil, err
-		}
-		return &prevWithinNode{c: n, n: stepsFor(ff.d, c.period), lastTrue: -1}, nil
-	case initiallyFormula:
-		n, err := c.compile(ff.f)
-		if err != nil {
-			return nil, err
-		}
-		return &initiallyNode{c: n}, nil
-	default:
+// compileStep builds the evaluator tree of a formula, children first.
+func compileStep(f Formula, period time.Duration) (*stepNode, error) {
+	nd, ok := f.(*node)
+	if !ok {
 		return nil, fmt.Errorf("temporal: cannot compile formula node %T", f)
 	}
-}
-
-func (c *compiler) compileAll(fs []Formula) ([]stepNode, error) {
-	out := make([]stepNode, len(fs))
-	for i, f := range fs {
-		n, err := c.compile(f)
+	sn := &stepNode{f: nd, kids: make([]*stepNode, len(nd.kids)), n: stepsFor(nd.d, period)}
+	for i, k := range nd.kids {
+		c, err := compileStep(k, period)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = n
+		sn.kids[i] = c
 	}
-	return out, nil
+	return sn, nil
 }
 
-// atomNode evaluates an atom on the stepped state by name, as Formula.Eval
-// does.
-type atomNode struct{ f atomFormula }
-
-func (n *atomNode) step(s *Stepper) bool { return n.f.holds(s.cur) }
-func (n *atomNode) reset()               {}
-
-type notNode struct{ c stepNode }
-
-func (n *notNode) step(s *Stepper) bool { return !n.c.step(s) }
-func (n *notNode) reset()               { n.c.reset() }
-
-type andNode struct{ cs []stepNode }
-
-func (n *andNode) step(s *Stepper) bool {
-	// Every child is stepped even after the result is known so that all
-	// temporal sub-operators advance their internal state.
-	out := true
-	for _, c := range n.cs {
-		if !c.step(s) {
-			out = false
+// step evaluates the node at the Stepper's current state.  Every child is
+// stepped, also once the result is known, so that all temporal
+// sub-operators advance their state.
+func (n *stepNode) step(s *Stepper) bool {
+	switch n.f.op {
+	case opConst, opVar, opCompare, opCompareVars:
+		return n.f.holds(s.cur)
+	case opAnd, opOr:
+		and := n.f.op == opAnd
+		out := and
+		for _, c := range n.kids {
+			if c.step(s) != and {
+				out = !and
+			}
 		}
+		return out
 	}
-	return out
+	a := n.kids[0].step(s)
+	switch n.f.op {
+	case opNot:
+		return !a
+	case opImplies:
+		b := n.kids[1].step(s)
+		return !a || b
+	case opIff:
+		return a == n.kids[1].step(s)
+	case opPrev:
+		out := s.steps > 0 && n.b
+		n.b = a
+		return out
+	case opOnce:
+		out := n.b
+		n.b = n.b || a
+		return out
+	case opHist:
+		out := n.b
+		n.b = n.b && a
+		return out
+	case opBecame:
+		out := a && !n.b
+		n.b = a
+		return out
+	case opPrevFor:
+		out := n.n == 0 || (s.steps >= n.n && n.cnt >= n.n)
+		if a {
+			n.cnt++
+		} else {
+			n.cnt = 0
+		}
+		return out
+	case opPrevWithin:
+		out := n.cnt >= 0 && s.steps-n.cnt <= n.n
+		if a {
+			n.cnt = s.steps
+		}
+		return out
+	default: // opInitially
+		if s.steps == 0 {
+			n.b = a
+		}
+		return n.b
+	}
 }
-func (n *andNode) reset() {
-	for _, c := range n.cs {
+
+// reset rewinds the node and its children to their state before the first
+// step.
+func (n *stepNode) reset() {
+	n.b = n.f.op == opHist
+	n.cnt = 0
+	if n.f.op == opPrevWithin {
+		n.cnt = -1
+	}
+	for _, c := range n.kids {
 		c.reset()
 	}
 }
-
-type orNode struct{ cs []stepNode }
-
-func (n *orNode) step(s *Stepper) bool {
-	out := false
-	for _, c := range n.cs {
-		if c.step(s) {
-			out = true
-		}
-	}
-	return out
-}
-func (n *orNode) reset() {
-	for _, c := range n.cs {
-		c.reset()
-	}
-}
-
-type impliesNode struct{ a, b stepNode }
-
-func (n *impliesNode) step(s *Stepper) bool {
-	av := n.a.step(s)
-	bv := n.b.step(s)
-	return !av || bv
-}
-func (n *impliesNode) reset() { n.a.reset(); n.b.reset() }
-
-type iffNode struct{ a, b stepNode }
-
-func (n *iffNode) step(s *Stepper) bool {
-	av := n.a.step(s)
-	bv := n.b.step(s)
-	return av == bv
-}
-func (n *iffNode) reset() { n.a.reset(); n.b.reset() }
-
-type prevNode struct {
-	c    stepNode
-	prev bool
-}
-
-func (n *prevNode) step(s *Stepper) bool {
-	out := s.steps > 0 && n.prev
-	n.prev = n.c.step(s)
-	return out
-}
-func (n *prevNode) reset() { n.prev = false; n.c.reset() }
-
-type onceNode struct {
-	c    stepNode
-	seen bool
-}
-
-func (n *onceNode) step(s *Stepper) bool {
-	out := n.seen
-	if n.c.step(s) {
-		n.seen = true
-	}
-	return out
-}
-func (n *onceNode) reset() { n.seen = false; n.c.reset() }
-
-type histNode struct {
-	c       stepNode
-	allPrev bool
-}
-
-func (n *histNode) step(s *Stepper) bool {
-	out := n.allPrev
-	if !n.c.step(s) {
-		n.allPrev = false
-	}
-	return out
-}
-func (n *histNode) reset() { n.allPrev = true; n.c.reset() }
-
-type becameNode struct {
-	c        stepNode
-	prevTrue bool
-}
-
-func (n *becameNode) step(s *Stepper) bool {
-	cur := n.c.step(s)
-	out := cur && !n.prevTrue
-	n.prevTrue = cur
-	return out
-}
-func (n *becameNode) reset() { n.prevTrue = false; n.c.reset() }
-
-type prevForNode struct {
-	c   stepNode
-	n   int
-	run int
-}
-
-func (n *prevForNode) step(s *Stepper) bool {
-	out := n.n == 0 || (s.steps >= n.n && n.run >= n.n)
-	if n.c.step(s) {
-		n.run++
-	} else {
-		n.run = 0
-	}
-	return out
-}
-func (n *prevForNode) reset() { n.run = 0; n.c.reset() }
-
-type prevWithinNode struct {
-	c        stepNode
-	n        int
-	lastTrue int
-}
-
-func (n *prevWithinNode) step(s *Stepper) bool {
-	i := s.steps
-	out := n.lastTrue >= 0 && i-n.lastTrue <= n.n
-	if n.c.step(s) {
-		n.lastTrue = i
-	}
-	return out
-}
-func (n *prevWithinNode) reset() { n.lastTrue = -1; n.c.reset() }
-
-type initiallyNode struct {
-	c       stepNode
-	have    bool
-	initial bool
-}
-
-func (n *initiallyNode) step(s *Stepper) bool {
-	cur := n.c.step(s)
-	if !n.have {
-		n.initial = cur
-		n.have = true
-	}
-	return n.initial
-}
-func (n *initiallyNode) reset() { n.have = false; n.initial = false; n.c.reset() }

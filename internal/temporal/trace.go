@@ -120,9 +120,6 @@ func (t *Trace) Append(s State) {
 	t.ends = append(t.ends, uint32(t.fill))
 }
 
-// AppendClone is Append, whose recording is already a copy.
-func (t *Trace) AppendClone(s State) { t.Append(s) }
-
 // keyframe records every slot of s and makes s the shadow.
 func (t *Trace) keyframe(tick int, s State, tags []uint32, vals []float64) {
 	t.keys = append(t.keys, traceKey{tick: tick, entry: t.fill, schema: s.schema, width: len(s.kinds), lanes: s.lanes})
@@ -260,26 +257,6 @@ func (t *Trace) Walk(fn func(i int, s State)) {
 		}
 		fn(i, st)
 	}
-}
-
-// Time returns the simulation time of state index i.
-func (t *Trace) Time(i int) time.Duration { return time.Duration(i) * t.Period }
-
-// StepsFor converts a duration into a whole number of trace steps, rounding
-// up so that bounded-past operators never under-approximate their window.
-func (t *Trace) StepsFor(d time.Duration) int {
-	if d <= 0 {
-		return 0
-	}
-	p := t.Period
-	if p <= 0 {
-		p = time.Millisecond
-	}
-	steps := int((d + p - 1) / p)
-	if steps < 1 {
-		steps = 1
-	}
-	return steps
 }
 
 // Series extracts the numeric time series of one variable, useful for
