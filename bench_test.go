@@ -454,8 +454,7 @@ func BenchmarkViolationClassification(b *testing.B) {
 	res := scenarios.RunWithOptions(sc, scenarios.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = res.Suite.Classify()
-		_ = res.Suite.Summary()
+		_, _ = res.Suite.ClassifyAll()
 	}
 }
 

@@ -64,7 +64,7 @@ func TestElevatorSimulationReuse(t *testing.T) {
 		s.RunDiscard(duration)
 		suite.Finish()
 
-		got := suite.Suite().FastSummary()
+		got := suite.FastSummaryAt(matchTolerance)
 		want := Run(sc).Summary
 		if got != want {
 			t.Errorf("pass %d, %s: reused-simulation summary %v != fresh-run summary %v",

@@ -25,9 +25,8 @@
 //   - hotpathalloc: functions statically reachable from the per-step hot
 //     roots (Registers.CopyFrom, Bus.Commit and LaneBus.Commit,
 //     LaneSim.Run, Program.Step and StepLanes, CompiledSuite.Observe,
-//     LaneSuite.ObserveLanes, Suite.FastSummary and the FastSummaryAt
-//     methods) must
-//     not contain allocating constructs or string-keyed map index
+//     LaneSuite.ObserveLanes and the FastSummaryAt methods) must not
+//     contain allocating constructs or string-keyed map index
 //     expressions, complementing the runtime AllocsPerRun gates with a
 //     source-level proof.  Escape hatch: //lint:allocok reason on the
 //     function (the one-time lowering, a cold schema rebind);

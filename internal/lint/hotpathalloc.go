@@ -11,11 +11,11 @@ import (
 // hot path: every function statically reachable from the hot roots — the
 // register-plane commit (Registers.CopyFrom, Bus.Commit), the shared
 // evaluation program (Program.Step, Program.StepLanes, CompiledSuite.Observe,
-// LaneSuite.ObserveLanes) and the summary-only classification
-// (Suite.FastSummary and the tolerance-overriding FastSummaryAt) — must not
-// contain allocating constructs.  The runtime AllocsPerRun gates prove
-// particular benchmarks allocation-free; this analyzer proves the property
-// for every path through the source, including ones no benchmark exercises.
+// LaneSuite.ObserveLanes) and the summary-only classification (the
+// FastSummaryAt methods) — must not contain allocating constructs.  The
+// runtime AllocsPerRun gates prove particular benchmarks allocation-free;
+// this analyzer proves the property for every path through the source,
+// including ones no benchmark exercises.
 //
 // Flagged constructs: make/new, slice and map composite literals, &composite
 // literals, func literals (closures), append that does not reassign its own
@@ -56,7 +56,6 @@ func hotRootKeys(modPath string) [][3]string {
 		{temporal, "Program", "StepLanes"},
 		{monitor, "CompiledSuite", "Observe"},
 		{monitor, "LaneSuite", "ObserveLanes"},
-		{monitor, "Suite", "FastSummary"},
 		{monitor, "Suite", "FastSummaryAt"},
 		{monitor, "CompiledSuite", "FastSummaryAt"},
 		{monitor, "LaneSuite", "FastSummaryAt"},

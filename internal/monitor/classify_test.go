@@ -3,6 +3,7 @@ package monitor
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func classifyQuadratic(h *Hierarchy) []Detection {
 			sort.Strings(matched)
 			out = append(out, Detection{
 				Kind: Hit, GoalName: h.Parent.Goal.Name, Location: h.Parent.Location,
-				Interval: pv, MatchedSubgoals: uniqueStrings(matched),
+				Interval: pv, MatchedSubgoals: slices.Compact(matched),
 			})
 		} else {
 			out = append(out, Detection{
@@ -63,18 +64,19 @@ func classifyQuadratic(h *Hierarchy) []Detection {
 
 // TestClassifySortMergeMatchesQuadratic drives a hierarchy through thousands
 // of random states — producing hundreds of violation intervals per monitor —
-// and requires the sort-merge classification to equal the all-pairs
-// reference, element for element, across several tolerances.
+// and requires, at every tolerance, the sort-merge classification to equal
+// the all-pairs reference element for element and the counting path
+// (Suite.FastSummaryAt) to equal the reference's summary.
 func TestClassifySortMergeMatchesQuadratic(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
-		tolerance := []int{0, 1, 3, 10}[seed%4]
 		parent := referenceMonitor(goals.New("G", "", temporal.Var("p")), "Vehicle", time.Millisecond)
 		children := []*Monitor{
 			referenceMonitor(goals.New("Ga", "", temporal.Var("c0")), "Arbiter", time.Millisecond),
 			referenceMonitor(goals.New("Gb", "", temporal.Var("c1")), "CA", time.Millisecond),
 			referenceMonitor(goals.New("Gc", "", temporal.Var("c2")), "ACC", time.Millisecond),
 		}
-		h := NewHierarchy(parent, tolerance, children...)
+		suite := NewSuite()
+		suite.Add(NewHierarchy(parent, 0, children...))
 
 		r := rand.New(rand.NewSource(seed))
 		st := temporal.NewState()
@@ -83,18 +85,24 @@ func TestClassifySortMergeMatchesQuadratic(t *testing.T) {
 			st.SetBool("c0", r.Intn(3) > 0)
 			st.SetBool("c1", r.Intn(8) > 0)
 			st.SetBool("c2", r.Intn(2) > 0)
-			h.Observe(st)
+			suite.Observe(st)
 		}
-		h.Finish()
+		suite.Finish()
 
 		if n := parent.ViolationCount(); n < 100 {
 			t.Fatalf("seed %d: only %d parent intervals; the population is too small to exercise the merge", seed, n)
 		}
-		got := h.Classify()
-		want := classifyQuadratic(h)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d tolerance %d: sort-merge classification diverges from the all-pairs reference (%d vs %d detections)",
-				seed, tolerance, len(got), len(want))
+		for _, tolerance := range []int{0, 1, 3, 10} {
+			h := NewHierarchy(parent, tolerance, children...)
+			got := h.Classify()
+			want := classifyQuadratic(h)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d tolerance %d: sort-merge classification diverges from the all-pairs reference (%d vs %d detections)",
+					seed, tolerance, len(got), len(want))
+			}
+			if got, want := suite.FastSummaryAt(tolerance), Summarize(want); got != want {
+				t.Fatalf("seed %d tolerance %d: FastSummaryAt = %v, all-pairs reference = %v", seed, tolerance, got, want)
+			}
 		}
 	}
 }

@@ -111,7 +111,7 @@ func (cs *CompiledSuite) FastSummaryAt(tolerance int) Summary {
 }
 
 // Suite returns the underlying hierarchy suite, for consumers of the
-// classification and reporting API (Classify, Report, Monitors, tables,
+// classification and reporting API (ClassifyAll, Report, Monitors, tables,
 // figures).  Its monitors are program-fed: calling Observe on them (or on
 // the returned suite) panics, because their verdicts come from the shared
 // program.

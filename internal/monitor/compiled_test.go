@@ -195,8 +195,8 @@ func TestCompiledSuiteErrors(t *testing.T) {
 }
 
 // TestCompiledSuiteAddAfterLowering pins the lowering boundary: the plan is
-// lowered on the first Observe or Reset, after which AddHierarchy fails and
-// registers nothing.
+// lowered (the suite sealed) on the first Observe or Reset, after which
+// AddHierarchy fails with a sealed-suite error and registers nothing.
 func TestCompiledSuiteAddAfterLowering(t *testing.T) {
 	g := GoalAt{Goal: goals.MustParse("G", "", "A"), Location: "Vehicle"}
 	for name, lower := range map[string]func(*CompiledSuite){
@@ -208,8 +208,8 @@ func TestCompiledSuiteAddAfterLowering(t *testing.T) {
 			t.Fatalf("%s: AddHierarchy before lowering: %v", name, err)
 		}
 		lower(cs)
-		if err := cs.AddHierarchy(g, 1); err == nil {
-			t.Errorf("AddHierarchy after %s succeeded", name)
+		if err := cs.AddHierarchy(g, 1); err == nil || !strings.Contains(err.Error(), "sealed") {
+			t.Errorf("AddHierarchy after %s: err = %v, want a sealed-suite error", name, err)
 		}
 		if n := len(cs.Suite().Monitors()); n != 1 {
 			t.Errorf("after %s: %d monitors registered, want 1", name, n)

@@ -8,10 +8,11 @@ import (
 
 // TestFastSummaryAtMatchesDedicatedSuite is the monitor-level proof behind
 // grouped scenario execution: classifying one observed run at tolerance B via
-// FastSummaryAt must equal the FastSummary of a suite BUILT at tolerance B
-// that observed the identical states.  The recorded violation intervals
-// depend only on the observations, never on the registered tolerance, so one
-// observation pass supports classification at any number of tolerances.
+// FastSummaryAt must equal the ClassifyAll summary of a suite BUILT at
+// tolerance B that observed the identical states.  The recorded violation
+// intervals depend only on the observations, never on the registered
+// tolerance, so one observation pass supports classification at any number
+// of tolerances.
 func TestFastSummaryAtMatchesDedicatedSuite(t *testing.T) {
 	tolerances := []int{1, 4, 16}
 	differed := false
@@ -35,32 +36,34 @@ func TestFastSummaryAtMatchesDedicatedSuite(t *testing.T) {
 				cs.Observe(st)
 			}
 		}
-		for _, cs := range suites {
+		classified := make(map[int]Summary, len(tolerances))
+		for tol, cs := range suites {
 			cs.Finish()
+			_, classified[tol] = cs.ClassifyAll()
 		}
 
 		for _, own := range tolerances {
 			cs := suites[own]
-			if got, want := cs.FastSummaryAt(own), cs.Suite().FastSummary(); got != want {
-				t.Errorf("seed %d: FastSummaryAt(own %d) = %v, FastSummary = %v", seed, own, got, want)
+			if got, want := cs.FastSummaryAt(own), classified[own]; got != want {
+				t.Errorf("seed %d: FastSummaryAt(own %d) = %v, ClassifyAll = %v", seed, own, got, want)
 			}
 			for _, other := range tolerances {
-				got := cs.FastSummaryAt(other)
-				want := suites[other].Suite().FastSummary()
+				got, want := cs.FastSummaryAt(other), classified[other]
 				if got != want {
-					t.Errorf("seed %d: suite@%d.FastSummaryAt(%d) = %v, dedicated suite@%d = %v",
-						seed, own, other, got, suites[other].Suite().FastSummary(), other)
+					t.Errorf("seed %d: suite@%d.FastSummaryAt(%d) = %v, dedicated suite@%d ClassifyAll = %v",
+						seed, own, other, got, other, want)
 				}
-				if other != own && got != cs.Suite().FastSummary() {
+				if other != own && got != classified[own] {
 					differed = true
 				}
 			}
 			// Classification at a foreign tolerance reads the recorded
-			// intervals without disturbing them: the suite's own summary is
-			// unchanged afterwards, as are repeated overridden reads.
-			if got, want := cs.Suite().FastSummary(), suites[own].Suite().Summary(); got != want {
-				t.Errorf("seed %d: FastSummaryAt mutated suite@%d: FastSummary now %v, want %v",
-					seed, own, got, want)
+			// intervals without disturbing them: the suite's own
+			// classification is unchanged afterwards, as are repeated
+			// overridden reads.
+			if _, got := cs.ClassifyAll(); got != classified[own] {
+				t.Errorf("seed %d: FastSummaryAt mutated suite@%d: ClassifyAll now %v, want %v",
+					seed, own, got, classified[own])
 			}
 			first := cs.FastSummaryAt(tolerances[0])
 			if again := cs.FastSummaryAt(tolerances[0]); again != first {

@@ -64,16 +64,13 @@ func NewLaneSuite(period time.Duration, schema *temporal.Schema, lanes int) *Lan
 	return ls
 }
 
-// Lanes returns the lane width.
-func (ls *LaneSuite) Lanes() int { return ls.lanes }
-
 // AddHierarchy compiles a parent goal and its subgoals into the shared lane
 // program and registers the hierarchy — with per-lane interval recorders —
 // at the given matching tolerance.  On error nothing is registered: every
 // goal is validated before any of them is compiled into the shared program.
 func (ls *LaneSuite) AddHierarchy(parent GoalAt, tolerance int, children ...GoalAt) error {
 	if ls.sealed {
-		return fmt.Errorf("monitor: AddHierarchy after Seal (a CompiledSuite seals on its first Observe or Reset)")
+		return fmt.Errorf("monitor: AddHierarchy on a sealed suite (a LaneSuite seals in Seal, a CompiledSuite on its first Observe or Reset)")
 	}
 	all := make([]GoalAt, 0, 1+len(children))
 	all = append(all, parent)
@@ -216,7 +213,6 @@ func (ls *LaneSuite) closeLane(lane int) {
 			m.violations = append(m.violations, Interval{Start: int(ls.starts[i][lane]), End: end})
 			ls.viol[i] &^= bit
 		}
-		ls.monitors[i][lane].step = end
 	}
 	ls.active &^= bit
 }

@@ -13,6 +13,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -145,7 +146,7 @@ func (m *Monitor) Reset() {
 	m.violations = m.violations[:0]
 }
 
-// Steps returns the number of states observed.
+// Steps returns the number of states a reference monitor observed.
 func (m *Monitor) Steps() int { return m.step }
 
 // Period returns the state period the monitor was created with.
@@ -161,39 +162,9 @@ func (m *Monitor) Violations() []Interval {
 // ViolationCount returns the number of distinct violation intervals.
 func (m *Monitor) ViolationCount() int { return len(m.violations) }
 
-// Violated reports whether the goal was violated at least once.
-func (m *Monitor) Violated() bool { return len(m.violations) > 0 || m.inViolation }
-
-// TotalViolationSteps returns the total number of violating states.
-func (m *Monitor) TotalViolationSteps() int {
-	total := 0
-	for _, v := range m.violations {
-		total += v.Steps()
-	}
-	if m.inViolation {
-		total += m.step - m.current.Start
-	}
-	return total
-}
-
 // String summarises the monitor.
 func (m *Monitor) String() string {
 	return fmt.Sprintf("%s @ %s: %d violation(s)", m.Goal.Name, m.Location, m.ViolationCount())
-}
-
-// RunTrace replays a recorded trace through the monitor (resetting it first)
-// and returns the violation intervals.  It is the batch counterpart of
-// Observe for offline analysis of recorded scenarios.  Like Observe, it
-// panics on a program-fed monitor (one retained from a CompiledSuite run):
-// such monitors cannot re-evaluate their goal on their own.
-func (m *Monitor) RunTrace(tr *temporal.Trace) []Interval {
-	if m.eval == nil {
-		panic("monitor: RunTrace on a program-fed monitor; its goal is evaluated by its suite's shared program")
-	}
-	m.Reset()
-	tr.Walk(func(_ int, st temporal.State) { m.Observe(st) })
-	m.Finish()
-	return m.Violations()
 }
 
 // ---------------------------------------------------------------------------
@@ -283,40 +254,32 @@ func (h *Hierarchy) Finish() {
 }
 
 // Classify matches parent violations against child violations and returns
-// the hits, false negatives and false positives (thesis §5.1.2).
-//
-// Violation intervals are recorded in trace order, so each monitor's list is
-// sorted by Start and End and pairwise disjoint.  Matching is therefore a
-// sort-merge per child: for each parent violation the overlapping child
-// violations form one contiguous range, and the range's lower bound only ever
-// advances — O(parent + child + matches) instead of the all-pairs scan.
+// the hits, false negatives and false positives (thesis §5.1.2): the parent
+// violations in trace order, each a hit listing the sorted names of the
+// subgoals that matched it or a false negative, then every unmatched child
+// violation as a false positive, child by child.
 func (h *Hierarchy) Classify() []Detection {
-	pvs := h.Parent.Violations()
+	pvs := h.Parent.violations
 	matched := make([][]string, len(pvs))
+	var pmBuf, cmBuf []bool
 	var falsePositives []Detection
-
 	for _, c := range h.Children {
-		cvs := c.Violations()
-		matchedChild := make([]bool, len(cvs))
-		// lo is the first child interval not entirely before the current
-		// parent interval.  Child ends are non-decreasing (disjoint, ordered
-		// intervals) and parent starts are non-decreasing, so a child skipped
-		// here can never overlap a later parent and lo advances monotonically.
-		lo := 0
-		for i, pv := range pvs {
-			pStart, pEnd := pv.Start-h.Tolerance, pv.End+h.Tolerance
-			for lo < len(cvs) && cvs[lo].End+h.Tolerance <= pStart {
-				lo++
-			}
-			for j := lo; j < len(cvs) && cvs[j].Start-h.Tolerance < pEnd; j++ {
+		cvs := c.violations
+		if len(cvs) == 0 {
+			continue
+		}
+		pm := resizeCleared(&pmBuf, len(pvs))
+		cm := resizeCleared(&cmBuf, len(cvs))
+		matchChild(pvs, cvs, h.Tolerance, pm, cm)
+		for i, ok := range pm {
+			if ok {
 				matched[i] = append(matched[i], c.Goal.Name)
-				matchedChild[j] = true
 			}
 		}
-		for j, cv := range cvs {
-			if !matchedChild[j] {
+		for j, ok := range cm {
+			if !ok {
 				falsePositives = append(falsePositives, Detection{
-					Kind: FalsePositive, GoalName: c.Goal.Name, Location: c.Location, Interval: cv,
+					Kind: FalsePositive, GoalName: c.Goal.Name, Location: c.Location, Interval: cvs[j],
 				})
 			}
 		}
@@ -324,20 +287,43 @@ func (h *Hierarchy) Classify() []Detection {
 
 	var out []Detection
 	for i, pv := range pvs {
+		d := Detection{Kind: FalseNegative, GoalName: h.Parent.Goal.Name, Location: h.Parent.Location, Interval: pv}
 		if names := matched[i]; len(names) > 0 {
-			sort.Strings(names)
-			out = append(out, Detection{
-				Kind: Hit, GoalName: h.Parent.Goal.Name, Location: h.Parent.Location,
-				Interval: pv, MatchedSubgoals: uniqueStrings(names),
-			})
-		} else {
-			out = append(out, Detection{
-				Kind: FalseNegative, GoalName: h.Parent.Goal.Name, Location: h.Parent.Location,
-				Interval: pv,
-			})
+			slices.Sort(names)
+			d.Kind, d.MatchedSubgoals = Hit, slices.Compact(names)
 		}
+		out = append(out, d)
 	}
 	return append(out, falsePositives...)
+}
+
+// matchChild is the interval matching rule of §5.1.2 for one child monitor:
+// it sets pm[i] when parent violation i and some child violation overlap once
+// both are widened by tol states on each side, and cm[j] when child
+// violation j overlaps some parent violation.  It never clears a flag, so pm
+// accumulates across the children of a hierarchy.
+//
+// Violation intervals are recorded in trace order, so each list is sorted by
+// Start and End and pairwise disjoint.  Matching is therefore a sort-merge:
+// for each parent violation the overlapping child violations form one
+// contiguous range whose lower bound only ever advances — O(parent + child +
+// matches) instead of the all-pairs scan.
+func matchChild(pvs, cvs []Interval, tol int, pm, cm []bool) {
+	// lo is the first child interval not entirely before the current parent
+	// interval.  Child ends are non-decreasing (disjoint, ordered intervals)
+	// and parent starts are non-decreasing, so a child skipped here can never
+	// overlap a later parent and lo advances monotonically.
+	lo := 0
+	for i, pv := range pvs {
+		pStart, pEnd := pv.Start-tol, pv.End+tol
+		for lo < len(cvs) && cvs[lo].End+tol <= pStart {
+			lo++
+		}
+		for j := lo; j < len(cvs) && cvs[j].Start-tol < pEnd; j++ {
+			pm[i] = true
+			cm[j] = true
+		}
+	}
 }
 
 // Summary aggregates a classified detection list.
@@ -370,16 +356,6 @@ func (s Summary) Add(o Summary) Summary {
 	s.FalseNegatives += o.FalseNegatives
 	s.FalsePositives += o.FalsePositives
 	return s
-}
-
-// Sum aggregates summaries across runs, e.g. over every variant of a
-// scenario sweep.
-func Sum(summaries ...Summary) Summary {
-	var total Summary
-	for _, s := range summaries {
-		total = total.Add(s)
-	}
-	return total
 }
 
 // Total returns the number of classified detections.
@@ -433,19 +409,6 @@ func (s Summary) CompositionEvidence() string {
 	}
 }
 
-func uniqueStrings(in []string) []string {
-	seen := make(map[string]struct{}, len(in))
-	out := in[:0]
-	for _, s := range in {
-		if _, ok := seen[s]; ok {
-			continue
-		}
-		seen[s] = struct{}{}
-		out = append(out, s)
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Monitor suites (Table 5.3 style goal x location matrices)
 // ---------------------------------------------------------------------------
@@ -456,7 +419,7 @@ type Suite struct {
 	hierarchies []*Hierarchy
 
 	// pmScratch / cmScratch are the reusable parent- and child-matched flag
-	// buffers of FastSummary, so a summary-only classification allocates
+	// buffers of FastSummaryAt, so a summary-only classification allocates
 	// nothing at steady state.  A Suite is single-goroutine, like its
 	// monitors.
 	pmScratch, cmScratch []bool
@@ -496,20 +459,11 @@ func (s *Suite) Monitors() []*Monitor {
 	return out
 }
 
-// Classify classifies every hierarchy and returns the detections keyed by
-// parent goal name.
-func (s *Suite) Classify() map[string][]Detection {
-	m, _ := s.ClassifyAll()
-	return m
-}
-
 // ClassifyAll classifies every hierarchy exactly once and returns both the
 // detections keyed by parent goal name and the aggregate summary.  The
 // summary is folded per hierarchy, not from the map, so hierarchies sharing
 // a parent goal name (e.g. one goal monitored at several locations) are all
-// counted even though the map retains only the last one per name.  It is the
-// single-pass form of calling Classify and Summary separately, each of which
-// reclassifies every hierarchy.
+// counted even though the map retains only the last one per name.
 func (s *Suite) ClassifyAll() (map[string][]Detection, Summary) {
 	out := make(map[string][]Detection, len(s.hierarchies))
 	var sum Summary
@@ -521,35 +475,17 @@ func (s *Suite) ClassifyAll() (map[string][]Detection, Summary) {
 	return out, sum
 }
 
-// Summary aggregates the classification of all hierarchies.
-func (s *Suite) Summary() Summary {
-	_, sum := s.ClassifyAll()
-	return sum
-}
-
-// FastSummary computes exactly the Summary ClassifyAll returns — the same
-// sort-merge matching per hierarchy — without materializing any Detection,
-// interval copy or per-goal map.  It is the classification path for
-// summary-only sweeps, where only the hit / false-negative / false-positive
-// counts survive the run: with the suite's reusable scratch buffers it
-// allocates nothing at steady state.
-func (s *Suite) FastSummary() Summary {
-	var sum Summary
-	for _, h := range s.hierarchies {
-		sum = sum.Add(h.countSummaryAt(h.Tolerance, &s.pmScratch, &s.cmScratch))
-	}
-	return sum
-}
-
-// FastSummaryAt is FastSummary with the hit-matching tolerance overridden:
-// every hierarchy is classified as if it had been built with the given
-// window instead of its own.  The tolerance only parameterizes the
-// final interval matching — it never influences which violations a run
-// records — so one suite's recorded intervals can be classified at K
-// different tolerances after a single observation pass, which is what turns
-// a grouped K-tolerance sweep into one simulation instead of K.  Like
-// FastSummary it reuses the suite's scratch buffers and allocates nothing
-// at steady state.
+// FastSummaryAt computes exactly the Summary ClassifyAll returns — the same
+// matching rule per hierarchy — without materializing any Detection or
+// per-goal map, with every hierarchy's hit-matching tolerance overridden by
+// the given window.  It is the classification path for summary-only sweeps,
+// where only the hit / false-negative / false-positive counts survive the
+// run: with the suite's reusable scratch buffers it allocates nothing at
+// steady state.  The tolerance only parameterizes the final interval
+// matching — it never influences which violations a run records — so one
+// suite's recorded intervals can be classified at K different tolerances
+// after a single observation pass, which is what turns a grouped K-tolerance
+// sweep into one simulation instead of K.
 func (s *Suite) FastSummaryAt(tolerance int) Summary {
 	var sum Summary
 	for _, h := range s.hierarchies {
@@ -561,26 +497,19 @@ func (s *Suite) FastSummaryAt(tolerance int) Summary {
 // resizeCleared returns (*buf)[:n] with every flag false, growing the backing
 // array only when n exceeds its capacity.
 func resizeCleared(buf *[]bool, n int) []bool {
-	b := *buf
-	if cap(b) < n {
-		b = make([]bool, n)
-		*buf = b
-	} else {
-		b = b[:n]
-		for i := range b {
-			b[i] = false
-		}
+	if cap(*buf) < n {
+		*buf = make([]bool, n)
 	}
+	b := (*buf)[:n]
+	clear(b)
 	return b
 }
 
 // countSummaryAt is the counting form of Classify at an explicit matching
 // tolerance: each parent violation is one hit (some child violation
 // corresponds) or one false negative, and each unmatched child violation is
-// one false positive.  The interval matching is the same monotone sort-merge
-// per child; only the detections themselves are never built.  Classify reads
-// h.Tolerance; callers wanting its behaviour pass it explicitly (FastSummary)
-// or override it per call (FastSummaryAt).
+// one false positive.  It runs the same matchChild rule; only the detections
+// themselves are never built.
 func (h *Hierarchy) countSummaryAt(tolerance int, pmBuf, cmBuf *[]bool) Summary {
 	pvs := h.Parent.violations
 	pm := resizeCleared(pmBuf, len(pvs))
@@ -591,17 +520,7 @@ func (h *Hierarchy) countSummaryAt(tolerance int, pmBuf, cmBuf *[]bool) Summary 
 			continue
 		}
 		cm := resizeCleared(cmBuf, len(cvs))
-		lo := 0
-		for i, pv := range pvs {
-			pStart, pEnd := pv.Start-tolerance, pv.End+tolerance
-			for lo < len(cvs) && cvs[lo].End+tolerance <= pStart {
-				lo++
-			}
-			for j := lo; j < len(cvs) && cvs[j].Start-tolerance < pEnd; j++ {
-				pm[i] = true
-				cm[j] = true
-			}
-		}
+		matchChild(pvs, cvs, tolerance, pm, cm)
 		for _, matched := range cm {
 			if !matched {
 				sum.FalsePositives++

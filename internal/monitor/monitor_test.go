@@ -68,14 +68,8 @@ func TestMonitorViolationIntervals(t *testing.T) {
 	if got := m.Violations(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Violations() = %v, want %v", got, want)
 	}
-	if !m.Violated() {
-		t.Error("Violated() should be true")
-	}
 	if got := m.ViolationCount(); got != 2 {
 		t.Errorf("ViolationCount() = %d", got)
-	}
-	if got := m.TotalViolationSteps(); got != 3 {
-		t.Errorf("TotalViolationSteps() = %d, want 3", got)
 	}
 	if m.Steps() != len(inputs) {
 		t.Errorf("Steps() = %d", m.Steps())
@@ -88,34 +82,47 @@ func TestMonitorViolationIntervals(t *testing.T) {
 func TestMonitorFinishIdempotentAndReset(t *testing.T) {
 	m := referenceMonitor(accelGoal(), "Vehicle", time.Millisecond)
 	m.Observe(state(true, 3)) // open violation
-	if m.TotalViolationSteps() != 1 {
-		t.Errorf("open violation should count in TotalViolationSteps, got %d", m.TotalViolationSteps())
+	if m.ViolationCount() != 0 {
+		t.Errorf("an open violation is recorded only by Finish, got %d", m.ViolationCount())
 	}
 	m.Finish()
 	m.Finish()
 	if m.ViolationCount() != 1 {
 		t.Errorf("ViolationCount() = %d, want 1", m.ViolationCount())
 	}
+	m.Observe(state(true, 3)) // open again
 	m.Reset()
-	if m.ViolationCount() != 0 || m.Steps() != 0 || m.Violated() {
+	// Reset also drops the open violation, so Finish has nothing to close.
+	m.Finish()
+	if m.ViolationCount() != 0 || m.Steps() != 0 {
 		t.Error("Reset should clear all state")
 	}
 }
 
-func TestMonitorRunTrace(t *testing.T) {
+// replay observes every state of a recorded trace on the reset monitor and
+// returns its violation intervals.
+func replay(m *Monitor, tr *temporal.Trace) []Interval {
+	m.Reset()
+	tr.Walk(func(_ int, st temporal.State) { m.Observe(st) })
+	m.Finish()
+	return m.Violations()
+}
+
+func TestMonitorResetReplaysTrace(t *testing.T) {
 	m := referenceMonitor(accelGoal(), "Vehicle", time.Millisecond)
 	tr := temporal.NewTrace(time.Millisecond)
 	tr.Append(state(true, 1))
 	tr.Append(state(true, 3))
 	tr.Append(state(true, 1))
-	got := m.RunTrace(tr)
+	got := replay(m, tr)
 	want := []Interval{{Start: 1, End: 2}}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RunTrace() = %v, want %v", got, want)
+		t.Errorf("replay = %v, want %v", got, want)
 	}
-	// RunTrace resets, so a second call yields the same result.
-	if got2 := m.RunTrace(tr); !reflect.DeepEqual(got2, want) {
-		t.Errorf("second RunTrace() = %v", got2)
+	// Reset rewinds the evaluator too, so a second replay yields the same
+	// result.
+	if got2 := replay(m, tr); !reflect.DeepEqual(got2, want) {
+		t.Errorf("second replay = %v", got2)
 	}
 }
 
@@ -333,12 +340,15 @@ func TestSuite(t *testing.T) {
 	if parent.ViolationCount() != 1 || sub.ViolationCount() != 1 {
 		t.Fatalf("expected one violation each, got %d / %d", parent.ViolationCount(), sub.ViolationCount())
 	}
-	byGoal := s.Classify()
+	byGoal, sum := s.ClassifyAll()
 	if len(byGoal[parent.Goal.Name]) == 0 {
-		t.Error("Classify() should include the parent goal")
+		t.Error("ClassifyAll() should include the parent goal")
 	}
-	if sum := s.Summary(); sum.Hits != 1 {
-		t.Errorf("Summary() = %s", sum)
+	if sum.Hits != 1 {
+		t.Errorf("ClassifyAll() summary = %s", sum)
+	}
+	if fast := s.FastSummaryAt(5); fast != sum {
+		t.Errorf("FastSummaryAt(5) = %s, ClassifyAll summary = %s", fast, sum)
 	}
 	report := s.Report()
 	if len(report) != 2 {
@@ -388,7 +398,7 @@ func TestPropMonitorMatchesBatchViolations(t *testing.T) {
 			tr.Append(state(r.Intn(2) == 0, r.Float64()*4))
 		}
 		m := referenceMonitor(g, "Vehicle", time.Millisecond)
-		ivs := m.RunTrace(tr)
+		ivs := replay(m, tr)
 		violating := make(map[int]bool)
 		for _, iv := range ivs {
 			for i := iv.Start; i < iv.End; i++ {
@@ -410,9 +420,9 @@ func TestPropMonitorMatchesBatchViolations(t *testing.T) {
 func TestSumAndRates(t *testing.T) {
 	a := Summary{Hits: 2, FalseNegatives: 1}
 	b := Summary{Hits: 1, FalsePositives: 3}
-	total := Sum(a, b)
+	total := a.Add(b)
 	if total != (Summary{Hits: 3, FalseNegatives: 1, FalsePositives: 3}) {
-		t.Errorf("Sum = %+v", total)
+		t.Errorf("Add = %+v", total)
 	}
 	if total.Total() != 7 {
 		t.Errorf("Total = %d, want 7", total.Total())
@@ -424,7 +434,7 @@ func TestSumAndRates(t *testing.T) {
 		t.Errorf("FalsePositiveRate = %g, want 3/7", got)
 	}
 	var empty Summary
-	if Sum() != empty || empty.FalseNegativeRate() != 0 || empty.FalsePositiveRate() != 0 {
+	if empty.Add(empty) != empty || empty.FalseNegativeRate() != 0 || empty.FalsePositiveRate() != 0 {
 		t.Error("empty summaries must aggregate to zero without dividing by zero")
 	}
 }
@@ -453,7 +463,7 @@ func TestClassifyAllSharedGoalName(t *testing.T) {
 	if sum.FalseNegatives != 2 {
 		t.Errorf("aggregate counted %d false negatives, want 2 (one per hierarchy)", sum.FalseNegatives)
 	}
-	if got := suite.Summary(); got != sum {
-		t.Errorf("Summary() = %v, ClassifyAll sum = %v", got, sum)
+	if got := suite.FastSummaryAt(0); got != sum {
+		t.Errorf("FastSummaryAt(0) = %v, ClassifyAll sum = %v", got, sum)
 	}
 }

@@ -11,7 +11,7 @@ package scenarios
 // (monitor.NewReference) whose atoms evaluate through the string-keyed State
 // API on every step and whose intervals Monitor.Observe records one monitor
 // at a time.  It shares the vehicle components, the simulation loop and the
-// Hierarchy classification arithmetic (ClassifyAll, FastSummary), which the
+// Hierarchy classification arithmetic (ClassifyAll, FastSummaryAt), which the
 // sim and monitor packages test on their own.
 //
 // Every TestDifferential*, TestArena*, TestLaned* and TestGrouped* test
@@ -115,7 +115,7 @@ func referenceOf(t *testing.T, jobs []Job) []Result {
 			for e := range work {
 				e.once.Do(func() {
 					e.res = referenceRun(e.job)
-					e.fast = e.res.Suite.FastSummary()
+					e.fast = e.res.Suite.FastSummaryAt(e.job.Options.tolerance())
 				})
 			}
 		}()
@@ -129,7 +129,7 @@ func referenceOf(t *testing.T, jobs []Job) []Result {
 	out := make([]Result, len(jobs))
 	for i, e := range entries {
 		if e.fast != e.res.Summary {
-			t.Fatalf("%s: reference FastSummary %v != ClassifyAll summary %v", jobs[i].Key(), e.fast, e.res.Summary)
+			t.Fatalf("%s: reference FastSummaryAt %v != ClassifyAll summary %v", jobs[i].Key(), e.fast, e.res.Summary)
 		}
 		out[i] = e.res
 	}

@@ -33,7 +33,7 @@ func cachedRun(t *testing.T, number int) Result {
 
 func violated(r Result, goalName string) bool {
 	for _, m := range r.Suite.Monitors() {
-		if m.Goal.Name == goalName && m.Violated() {
+		if m.Goal.Name == goalName && m.ViolationCount() > 0 {
 			return true
 		}
 	}
@@ -42,7 +42,7 @@ func violated(r Result, goalName string) bool {
 
 func violatedAt(r Result, goalName, location string) bool {
 	for _, m := range r.Suite.Monitors() {
-		if m.Goal.Name == goalName && m.Location == location && m.Violated() {
+		if m.Goal.Name == goalName && m.Location == location && m.ViolationCount() > 0 {
 			return true
 		}
 	}
