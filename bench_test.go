@@ -8,8 +8,11 @@ package repro
 // cmd/elevator and cmd/figures.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -869,3 +872,62 @@ func BenchmarkDistSweep(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCoordinatorMerge isolates the coordinator merge at fixed input:
+// the 1296 huge-sweep variants as canned 2-shard NDJSON (synthetic results,
+// no simulation), parsed, deduplicated, released in source order and
+// aggregated by Coordinator.Run.  ns/line is the merge cost of one result;
+// internal/dist's TestCoordinatorMergeAllocs gates its allocations.
+func BenchmarkCoordinatorMerge(b *testing.B) {
+	const shards = 2
+	var jobs []scenarios.Job
+	streams := make(cannedShards, shards)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	src := scenarios.HugeSweep().Source()
+	for job, ok := src.Next(); ok; job, ok = src.Next() {
+		i := len(jobs)
+		jobs = append(jobs, job)
+		sc := job.Scenario
+		sc.Duration = sc.ScheduledDuration()
+		res := scenarios.Result{Scenario: sc, Steps: 1000 + i, Collision: i%7 == 0,
+			Summary: monitor.Summary{Hits: i % 5, FalseNegatives: i % 3, FalsePositives: i % 2}}
+		buf.Reset()
+		if err := enc.Encode(dist.NewRunReport(scenarios.StreamResult{Index: i, Job: job, Result: res})); err != nil {
+			b.Fatal(err)
+		}
+		k := job.Shard(shards)
+		streams[k] = append(streams[k], buf.Bytes()...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coord, err := dist.New(dist.Options{Workers: shards, Transport: streams})
+		if err != nil {
+			b.Fatal(err)
+		}
+		acc, err := coord.Run(context.Background(), scenarios.SliceSource(jobs),
+			scenarios.SinkFunc(func(scenarios.StreamResult) error { return nil }))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if acc.Runs() != len(jobs) {
+			b.Fatalf("merged %d of %d lines", acc.Runs(), len(jobs))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(jobs)), "ns/line")
+}
+
+// cannedShards serves fixed NDJSON per shard index: workers with no
+// simulation behind them.
+type cannedShards [][]byte
+
+func (c cannedShards) Start(_ context.Context, spec dist.ShardSpec) (dist.Worker, error) {
+	return cannedShardWorker{bytes.NewReader(c[spec.Index])}, nil
+}
+
+type cannedShardWorker struct{ out io.Reader }
+
+func (w cannedShardWorker) Output() io.Reader { return w.out }
+func (cannedShardWorker) Wait() error         { return nil }
+func (cannedShardWorker) Kill() error         { return nil }

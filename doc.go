@@ -114,9 +114,9 @@
 // variant's canonical identity (scenarios.Job.Key), a pure function of the
 // variant, so every process derives the same partition without coordination —
 // and a coordinator (cmd/sweepd) merges the workers' NDJSON streams back
-// into source order, dropping any variant key it has already merged and
-// folding per-shard aggregates through Accumulator.Merge, producing output
-// byte-identical to a single process.
+// into source order, dropping any variant it has already merged and folding
+// the rest into one Accumulator on arrival, producing output byte-identical
+// to a single process.
 // Dead or stalled workers are re-queued with the proved prefix of their shard
 // seeded into the replacement's result cache, so fault recovery re-simulates
 // only what was genuinely lost; the SIGKILL chaos test proves the merged

@@ -166,11 +166,23 @@ func New(opts Options) (*Coordinator, error) {
 	return &Coordinator{opts: opts}, nil
 }
 
-// jobRef is the coordinator's record of one enumerated variant.
-type jobRef struct {
-	index int
-	job   scenarios.Job
-	shard int
+// variant is the coordinator's record of one enumerated job, indexed by its
+// position in source order.
+type variant struct {
+	job    scenarios.Job
+	shard  int              // owner shard
+	proved bool             // a worker delivered it; later deliveries are duplicates
+	res    scenarios.Result // the rebuilt result, once proved
+}
+
+// shardRun is the coordinator's record of one shard.
+type shardRun struct {
+	total, remaining int // enumerated and undelivered variants
+	attempt, spawned int // current attempt, workers actually started
+	worker           Worker
+	lastSeen         time.Time
+	poisoned         error // protocol error that poisoned the current attempt
+	retired          error // terminal error of a shard retired under AllowPartial
 }
 
 // arrival is one parsed run line.
@@ -200,10 +212,10 @@ func (c *Coordinator) Run(ctx context.Context, src scenarios.JobSource, sink sce
 	// The shard key contract requires unique keys; enforce it here so a
 	// violating source fails loudly instead of silently losing variants to
 	// deduplication.
-	var jobs []jobRef
-	byName := make(map[string]jobRef)
+	var vars []variant
+	byName := make(map[string]int)
 	seenKeys := make(map[string]struct{})
-	shardTotal := make([]int, n)
+	shards := make([]shardRun, n)
 	for {
 		job, ok := src.Next()
 		if !ok {
@@ -218,46 +230,30 @@ func (c *Coordinator) Run(ctx context.Context, src scenarios.JobSource, sink sce
 		if _, dup := byName[name]; dup {
 			return nil, fmt.Errorf("dist: duplicate variant name %q in source", name)
 		}
-		ref := jobRef{index: len(jobs), job: job, shard: job.Shard(n)}
-		byName[name] = ref
-		jobs = append(jobs, ref)
-		shardTotal[ref.shard]++
+		byName[name] = len(vars)
+		v := variant{job: job, shard: job.Shard(n)}
+		vars = append(vars, v)
+		shards[v.shard].total++
+		shards[v.shard].remaining++
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	shardRemaining := make([]int, n)
-	copy(shardRemaining, shardTotal)
-
 	st := &runState{
-		c:              c,
-		ctx:            ctx,
-		sink:           sink,
-		arrivals:       make(chan arrival, 64),
-		exits:          make(chan exitEvent, n),
-		respawns:       make(chan int, n),
-		refs:           jobs,
-		byName:         byName,
-		total:          n,
-		maxAttempts:    c.opts.maxAttempts(),
-		shardTotal:     shardTotal,
-		shardRemaining: shardRemaining,
-		remaining:      len(jobs),
-		attempt:        make([]int, n),
-		spawned:        make([]int, n),
-		workers:        make([]Worker, n),
-		lastSeen:       make([]time.Time, n),
-		dead:           make([]bool, n),
-		failure:        make([]error, n),
-		poisoned:       make([]error, n),
-		delivered:      make(map[string]struct{}),
-		pending:        make(map[int]scenarios.StreamResult),
-		accs:           make([]*scenarios.Accumulator, n),
-		rng:            rand.New(rand.NewSource(c.opts.Seed)),
-	}
-	for i := range st.accs {
-		st.accs[i] = &scenarios.Accumulator{}
+		c:           c,
+		ctx:         ctx,
+		sink:        sink,
+		arrivals:    make(chan arrival, 64),
+		exits:       make(chan exitEvent, n),
+		respawns:    make(chan int, n),
+		vars:        vars,
+		byName:      byName,
+		shards:      shards,
+		maxAttempts: c.opts.maxAttempts(),
+		remaining:   len(vars),
+		acc:         &scenarios.Accumulator{},
+		rng:         rand.New(rand.NewSource(c.opts.Seed)),
 	}
 	defer st.reapAll()
 
@@ -303,15 +299,7 @@ func (c *Coordinator) Run(ctx context.Context, src scenarios.JobSource, sink sce
 			return nil, ctx.Err()
 		}
 	}
-
-	// Merge the per-shard partials in shard order.  Merge order does not
-	// affect the aggregate (TestAccumulatorMergeEquivalence); a fixed order
-	// just keeps the walk deterministic.
-	merged := &scenarios.Accumulator{}
-	for _, acc := range st.accs {
-		merged.Merge(acc)
-	}
-	return st.outcome(merged), nil
+	return st.outcome(), nil
 }
 
 // runState is the bookkeeping of one Run call, owned by the main loop.
@@ -323,56 +311,46 @@ type runState struct {
 	exits    chan exitEvent
 	respawns chan int
 
-	refs           []jobRef
-	byName         map[string]jobRef
-	total          int
-	maxAttempts    int
-	shardTotal     []int // enumerated variants per shard
-	shardRemaining []int // undelivered variants per shard
-	remaining      int   // undelivered variants overall (retired shards excluded)
+	vars        []variant      // every enumerated job, in source order
+	byName      map[string]int // variant name → index in vars
+	shards      []shardRun
+	maxAttempts int
+	remaining   int // undelivered variants overall (retired shards excluded)
+	live        int // workers whose reader has not yet reported an exit
+	next        int // next index owed to the sink
 
-	attempt  []int // current attempt per shard
-	spawned  []int // workers actually started per shard
-	workers  []Worker
-	lastSeen []time.Time
-	live     int
-
-	dead     []bool  // shards retired under AllowPartial
-	failure  []error // terminal error of a retired shard
-	poisoned []error // protocol error that poisoned the current attempt
-
-	delivered map[string]struct{}            // variant keys already merged
-	proved    []ProvedResult                 // merged results, arrival order
-	pending   map[int]scenarios.StreamResult // out-of-order buffer by index
-	next      int                            // next index owed to the sink
-	accs      []*scenarios.Accumulator
-	rng       *rand.Rand // seeded jitter source for retry backoff
+	acc *scenarios.Accumulator // aggregate of every proved variant
+	rng *rand.Rand             // seeded jitter source for retry backoff
 }
 
-// spawn starts (or restarts) the worker for one shard, seeding every variant
-// already proved by any worker so the replacement replays them from cache.
+// spawn starts (or restarts) the worker for one shard, seeding the variants
+// of that shard already proved so the replacement replays them from cache.
 // A refused spawn is a failed attempt like any other: it consumes budget and
 // schedules a backed-off retry rather than aborting the run.
 func (st *runState) spawn(shard int) error {
-	if st.shardRemaining[shard] == 0 || st.dead[shard] {
+	sh := &st.shards[shard]
+	if sh.remaining == 0 || sh.retired != nil {
 		return nil
 	}
-	attempt := st.attempt[shard]
-	spec := ShardSpec{Index: shard, Total: st.total}
-	if attempt > 0 {
-		spec.Seed = st.proved
+	spec := ShardSpec{Index: shard, Total: len(st.shards)}
+	if sh.attempt > 0 {
+		for _, v := range st.vars {
+			if v.proved && v.shard == shard {
+				spec.Seed = append(spec.Seed, ProvedResult{Options: v.job.Options, Result: v.res})
+			}
+		}
 	}
-	st.spawned[shard]++
+	sh.spawned++
 	w, err := st.c.opts.Transport.Start(st.ctx, spec)
 	if err != nil {
-		return st.attemptFailed(shard, fmt.Errorf("spawning shard %s attempt %d: %w", spec, attempt, err))
+		return st.attemptFailed(shard, fmt.Errorf("spawning shard %s attempt %d: %w", spec, sh.attempt, err))
 	}
-	st.workers[shard] = w
-	st.lastSeen[shard] = time.Now()
+	sh.worker = w
+	sh.lastSeen = time.Now()
 	st.live++
-	go readWorker(w, shard, attempt, st.arrivals, st.exits)
+	go readWorker(w, shard, sh.attempt, st.arrivals, st.exits)
 	if h := st.c.opts.Hooks.OnSpawn; h != nil {
-		h(shard, attempt, w)
+		h(shard, sh.attempt, w)
 	}
 	return nil
 }
@@ -408,66 +386,53 @@ func readWorker(w Worker, shard, attempt int, arrivals chan<- arrival, exits cha
 	exits <- exitEvent{shard: shard, attempt: attempt, err: readErr}
 }
 
-// handleArrival merges one run line: dedup by variant key, fold into the
-// owner shard's accumulator, release contiguous results to the sink.  A
-// syntactically valid line naming a variant the coordinator never enumerated
-// is protocol corruption: it poisons the delivering attempt (kill + re-queue)
-// instead of failing the whole run.
+// handleArrival merges one run line: drop it if its variant is already
+// proved, else rebuild the result, fold it into the aggregate and release
+// what the ordered stream is now owed.  A syntactically valid line naming a
+// variant the coordinator never enumerated is protocol corruption: it
+// poisons the delivering attempt (kill + re-queue) instead of failing the
+// whole run.
 func (st *runState) handleArrival(a arrival) error {
-	if a.attempt == st.attempt[a.shard] {
-		st.lastSeen[a.shard] = time.Now()
+	if a.attempt == st.shards[a.shard].attempt {
+		st.shards[a.shard].lastSeen = time.Now()
 	}
-	ref, ok := st.byName[a.report.Name]
+	i, ok := st.byName[a.report.Name]
 	if !ok {
 		st.poisonAttempt(a.shard, a.attempt,
 			fmt.Errorf("dist: shard %d reported unknown variant %q", a.shard, a.report.Name))
 		return nil
 	}
-	key := ref.job.Key()
+	v := &st.vars[i]
 	if h := st.c.opts.Hooks.OnResult; h != nil {
-		h(a.shard, a.attempt, key)
+		h(a.shard, a.attempt, v.job.Key())
 	}
-	if st.dead[ref.shard] {
-		return nil // the shard was retired; its holes are already released
+	owner := &st.shards[v.shard]
+	if v.proved || owner.retired != nil {
+		return nil // a re-delivery, or a retired shard whose holes are released
 	}
-	if _, dup := st.delivered[key]; dup {
-		return nil // idempotent re-delivery from a re-queued or slow worker
-	}
-	st.delivered[key] = struct{}{}
-	res := a.report.Result(ref.job)
-	st.proved = append(st.proved, ProvedResult{Options: ref.job.Options, Result: res})
-	st.accs[ref.shard].Add(res)
-	st.shardRemaining[ref.shard]--
+	v.proved = true
+	v.res = a.report.Result(v.job)
+	st.acc.Add(v.res)
+	owner.remaining--
 	st.remaining--
-
-	st.pending[ref.index] = scenarios.StreamResult{Index: ref.index, Job: ref.job, Result: res}
 	return st.releaseReady()
 }
 
-// releaseReady delivers every result the ordered stream is now owed: buffered
-// results at the next index, and — once a shard has been retired — the holes
-// its undelivered variants leave, which would otherwise dam the stream.
+// releaseReady delivers every result the ordered stream is now owed: proved
+// variants from the next index on, skipping the holes a retired shard's
+// undelivered variants leave, which would otherwise dam the stream.
 func (st *runState) releaseReady() error {
-	for {
-		if sr, ok := st.pending[st.next]; ok {
-			delete(st.pending, st.next)
-			st.next++
-			if err := st.sink.Consume(sr); err != nil {
+	for ; st.next < len(st.vars); st.next++ {
+		v := &st.vars[st.next]
+		if v.proved {
+			if err := st.sink.Consume(scenarios.StreamResult{Index: st.next, Job: v.job, Result: v.res}); err != nil {
 				return fmt.Errorf("dist: sink: %w", err)
 			}
-			continue
+		} else if st.shards[v.shard].retired == nil {
+			return nil // owed, not yet proved; a retired shard's hole is skipped
 		}
-		if st.next < len(st.refs) {
-			ref := st.refs[st.next]
-			if st.dead[ref.shard] {
-				if _, done := st.delivered[ref.job.Key()]; !done {
-					st.next++ // a retired shard's hole: skip, the stream stays ordered
-					continue
-				}
-			}
-		}
-		return nil
 	}
+	return nil
 }
 
 // drainArrivals processes every result already buffered in the arrivals
@@ -489,13 +454,14 @@ func (st *runState) drainArrivals() error {
 // The kill surfaces as an ordinary exit whose cause is the recorded error,
 // so the re-queue path (budget, backoff, seeding) is shared with crashes.
 func (st *runState) poisonAttempt(shard, attempt int, cause error) {
-	if attempt != st.attempt[shard] || st.workers[shard] == nil {
+	sh := &st.shards[shard]
+	if attempt != sh.attempt || sh.worker == nil {
 		return // a replaced worker's stale line
 	}
-	if st.poisoned[shard] == nil {
-		st.poisoned[shard] = cause
+	if sh.poisoned == nil {
+		sh.poisoned = cause
 	}
-	st.workers[shard].Kill()
+	sh.worker.Kill()
 }
 
 // handleExit reaps one worker.  An exit with the shard complete is success
@@ -503,17 +469,18 @@ func (st *runState) poisonAttempt(shard, attempt int, cause error) {
 // truth); an exit with work outstanding counts against the shard's attempt
 // budget.
 func (st *runState) handleExit(e exitEvent) error {
-	if e.attempt != st.attempt[e.shard] {
+	sh := &st.shards[e.shard]
+	if e.attempt != sh.attempt {
 		return nil // an already-replaced worker finally reaped
 	}
-	st.workers[e.shard] = nil
+	sh.worker = nil
 	st.live--
 	cause := e.err
-	if p := st.poisoned[e.shard]; p != nil {
-		cause = p // the protocol fault that triggered the kill, not the kill itself
-		st.poisoned[e.shard] = nil
+	if sh.poisoned != nil {
+		cause = sh.poisoned // the protocol fault that triggered the kill, not the kill itself
+		sh.poisoned = nil
 	}
-	if st.shardRemaining[e.shard] == 0 {
+	if sh.remaining == 0 {
 		return nil
 	}
 	return st.attemptFailed(e.shard, exitError(cause))
@@ -524,28 +491,28 @@ func (st *runState) handleExit(e exitEvent) error {
 // budget either fails the run with a ShardError or, under AllowPartial,
 // retires the shard and releases the stream past its holes.
 func (st *runState) attemptFailed(shard int, cause error) error {
-	used := st.attempt[shard] + 1
+	sh := &st.shards[shard]
+	used := sh.attempt + 1
 	if used >= st.maxAttempts {
 		serr := &ShardError{
 			Shard:      shard,
-			Total:      st.total,
+			Total:      len(st.shards),
 			Attempts:   used,
-			Unfinished: st.shardRemaining[shard],
+			Unfinished: sh.remaining,
 			Cause:      cause,
 		}
 		if !st.c.opts.AllowPartial {
 			return serr
 		}
-		st.dead[shard] = true
-		st.failure[shard] = serr
-		st.remaining -= st.shardRemaining[shard]
+		sh.retired = serr
+		st.remaining -= sh.remaining
 		if h := st.c.opts.Hooks.OnRetire; h != nil {
 			h(shard, serr)
 		}
 		return st.releaseReady()
 	}
-	st.attempt[shard]++
-	delay := st.backoffDelay(st.attempt[shard])
+	sh.attempt++
+	delay := st.backoffDelay(sh.attempt)
 	if delay <= 0 {
 		return st.spawn(shard)
 	}
@@ -585,17 +552,17 @@ func backoffDelay(rng *rand.Rand, base, max time.Duration, attempt int) time.Dur
 }
 
 // outcome freezes the per-shard completion records of a finished run.
-func (st *runState) outcome(merged *scenarios.Accumulator) *Outcome {
-	o := &Outcome{Accumulator: merged, Shards: make([]ShardCompletion, st.total)}
-	for s := 0; s < st.total; s++ {
+func (st *runState) outcome() *Outcome {
+	o := &Outcome{Accumulator: st.acc, Shards: make([]ShardCompletion, len(st.shards))}
+	for s, sh := range st.shards {
 		comp := ShardCompletion{
-			Done:     st.shardTotal[s] - st.shardRemaining[s],
-			Total:    st.shardTotal[s],
-			Complete: st.shardRemaining[s] == 0,
-			Attempts: st.spawned[s],
+			Done:     sh.total - sh.remaining,
+			Total:    sh.total,
+			Complete: sh.remaining == 0,
+			Attempts: sh.spawned,
 		}
-		if err := st.failure[s]; err != nil {
-			comp.Error = err.Error()
+		if sh.retired != nil {
+			comp.Error = sh.retired.Error()
 			o.Partial = true
 		}
 		o.Shards[s] = comp
@@ -615,12 +582,9 @@ func exitError(err error) error {
 // killStalled kills current workers that have been silent past the stall
 // timeout; the resulting exit event re-queues their shards.
 func (st *runState) killStalled(now time.Time) {
-	for shard, w := range st.workers {
-		if w == nil || st.shardRemaining[shard] == 0 {
-			continue
-		}
-		if now.Sub(st.lastSeen[shard]) > st.c.opts.StallTimeout {
-			w.Kill()
+	for _, sh := range st.shards {
+		if sh.worker != nil && sh.remaining > 0 && now.Sub(sh.lastSeen) > st.c.opts.StallTimeout {
+			sh.worker.Kill()
 		}
 	}
 }
@@ -629,9 +593,9 @@ func (st *runState) killStalled(now time.Time) {
 // finish, so Run never leaks goroutines or child processes — on success,
 // on error, and on cancellation alike.
 func (st *runState) reapAll() {
-	for _, w := range st.workers {
-		if w != nil {
-			w.Kill()
+	for _, sh := range st.shards {
+		if sh.worker != nil {
+			sh.worker.Kill()
 		}
 	}
 	for st.live > 0 {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/monitor"
 	"repro/internal/scenarios"
 )
 
@@ -140,18 +141,25 @@ func TestCoordinatorKillRequeue(t *testing.T) {
 		t.Fatalf("victim shard %d owns %d variants; the kill would be a no-op", victim, counts[victim])
 	}
 
-	// Hooks run on the coordinator's goroutine, so no locking is needed.
+	// Hooks and Transport.Start run on the coordinator's goroutine, so no
+	// locking is needed.
 	workers := make(map[int]Worker)
 	killed := false
-	seeded := -1
+	seeded, foreign := -1, 0
 	gotStream, gotAgg := distributed(t, Options{
 		Workers:     n,
 		MaxAttempts: 3,
 		Transport: &seedSpyTransport{
 			inner: &holdTransport{inner: &LocalTransport{Source: sw.Source}, hold: victim},
-			onSeed: func(shard, seedLen int) {
-				if shard == victim {
-					seeded = seedLen
+			onSeed: func(spec ShardSpec) {
+				if spec.Index != victim {
+					return
+				}
+				seeded = len(spec.Seed)
+				for _, p := range spec.Seed {
+					if p.Job().Shard(n) != victim {
+						foreign++
+					}
 				}
 			},
 		},
@@ -174,6 +182,9 @@ func TestCoordinatorKillRequeue(t *testing.T) {
 		t.Error("the re-queued victim was never spawned with a seed")
 	} else if seeded == 0 {
 		t.Error("the replacement worker was seeded with nothing; proved results should carry over")
+	}
+	if foreign > 0 {
+		t.Errorf("the replacement for shard %d was seeded with %d of %d results owned by other shards", victim, foreign, seeded)
 	}
 }
 
@@ -223,15 +234,15 @@ func (w *heldWorker) Kill() error {
 	return w.Worker.Kill()
 }
 
-// seedSpyTransport reports the seed size of each respawn.
+// seedSpyTransport reports the spec of each seeded respawn.
 type seedSpyTransport struct {
 	inner  Transport
-	onSeed func(shard, seedLen int)
+	onSeed func(spec ShardSpec)
 }
 
 func (t *seedSpyTransport) Start(ctx context.Context, spec ShardSpec) (Worker, error) {
 	if len(spec.Seed) > 0 && t.onSeed != nil {
-		t.onSeed(spec.Index, len(spec.Seed))
+		t.onSeed(spec)
 	}
 	return t.inner.Start(ctx, spec)
 }
@@ -382,16 +393,95 @@ type brokenShardTransport struct {
 
 func (t *brokenShardTransport) Start(ctx context.Context, spec ShardSpec) (Worker, error) {
 	if spec.Index == t.broken {
-		return emptyWorker{}, nil
+		return cannedWorker{strings.NewReader("")}, nil
 	}
 	return t.inner.Start(ctx, spec)
 }
 
-type emptyWorker struct{}
+// cannedWorker serves fixed output and exits cleanly.
+type cannedWorker struct{ out io.Reader }
 
-func (emptyWorker) Output() io.Reader { return strings.NewReader("") }
-func (emptyWorker) Wait() error       { return nil }
-func (emptyWorker) Kill() error       { return nil }
+func (w cannedWorker) Output() io.Reader { return w.out }
+func (cannedWorker) Wait() error         { return nil }
+func (cannedWorker) Kill() error         { return nil }
+
+// cannedTransport serves fixed NDJSON per shard index: workers with no
+// simulation behind them.
+type cannedTransport [][]byte
+
+func (c cannedTransport) Start(_ context.Context, spec ShardSpec) (Worker, error) {
+	return cannedWorker{bytes.NewReader(c[spec.Index])}, nil
+}
+
+// cannedHugeStream returns the huge sweep's 1296 jobs and, per shard of an
+// n-way partition, the NDJSON its worker sends: the shard's run lines in
+// source order, then its aggregate trailer.  The results are synthetic, so
+// nothing is simulated.
+func cannedHugeStream(t *testing.T, n int) ([]scenarios.Job, cannedTransport) {
+	t.Helper()
+	var jobs []scenarios.Job
+	streams := make(cannedTransport, n)
+	accs := make([]scenarios.Accumulator, n)
+	src := scenarios.HugeSweep().Source()
+	for job, ok := src.Next(); ok; job, ok = src.Next() {
+		i := len(jobs)
+		jobs = append(jobs, job)
+		sc := job.Scenario
+		sc.Duration = sc.ScheduledDuration()
+		res := scenarios.Result{Scenario: sc, Steps: 1000 + i, Collision: i%7 == 0,
+			Summary: monitor.Summary{Hits: i % 5, FalseNegatives: i % 3, FalsePositives: i % 2}}
+		line, err := json.Marshal(NewRunReport(scenarios.StreamResult{Index: i, Job: job, Result: res}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := job.Shard(n)
+		streams[k] = append(append(streams[k], line...), '\n')
+		accs[k].Add(res)
+	}
+	for k := range streams {
+		line, err := json.Marshal(NewAggregateReport(&accs[k]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[k] = append(append(streams[k], line...), '\n')
+	}
+	return jobs, streams
+}
+
+// TestCoordinatorMergeAllocs bounds the allocations of the coordinator
+// merge alone: a canned 2-shard stream of the huge sweep parsed, deduplicated,
+// released in source order and aggregated, with no simulation.  A merge that
+// again rebuilds variant keys per line, or keeps per-variant maps, exceeds it.
+func TestCoordinatorMergeAllocs(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation counts need an uninstrumented, full run")
+	}
+	const shards, maxPerLine = 2, 18
+	jobs, streams := cannedHugeStream(t, shards)
+	allocs := testing.AllocsPerRun(3, func() {
+		coord, err := New(Options{Workers: shards, Transport: streams})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		out, err := coord.Run(context.Background(), scenarios.SliceSource(jobs), scenarios.SinkFunc(
+			func(sr scenarios.StreamResult) error {
+				if sr.Index != next {
+					t.Fatalf("released index %d, want %d", sr.Index, next)
+				}
+				next++
+				return nil
+			}))
+		if err != nil || next != len(jobs) || out.Runs() != len(jobs) {
+			t.Fatalf("merged %d of %d lines (err %v)", next, len(jobs), err)
+		}
+	})
+	perLine := allocs / float64(len(jobs))
+	t.Logf("%.1f allocations per merged line (%d lines)", perLine, len(jobs))
+	if perLine > maxPerLine {
+		t.Errorf("the merge allocates %.1f times per line, more than %d", perLine, maxPerLine)
+	}
+}
 
 // TestCoordinatorSinkError propagates a sink failure out of Run.
 func TestCoordinatorSinkError(t *testing.T) {

@@ -50,24 +50,24 @@
 //
 // Each worker streams RunReport NDJSON lines; the coordinator
 // maps each line back to the job it enumerated itself, rebuilds the
-// scenarios.Result, and merges it: a variant key already merged is dropped,
-// the rest are folded into one Accumulator per shard and released to the
-// ResultSink in global source order.  When every variant has been delivered the
-// per-shard accumulators are merged (Accumulator.Merge, order-independent)
-// into the final aggregate.
+// scenarios.Result, and merges it.  Its state is one table of variants in
+// source order (job, owner shard, proved flag, rebuilt result) and one record
+// per shard (counts, attempt, worker, retirement).  A variant already proved
+// is dropped; the rest are folded into the one Accumulator that is the final
+// aggregate and released to the ResultSink in global source order.
 //
 // # Re-queue and idempotence
 //
 // Worker loss is detected two ways: process exit with the shard incomplete,
 // and a per-shard stall timeout (no output line for StallTimeout).  Either
 // way the shard is re-queued: a replacement worker is spawned for the same
-// shard, its ShardSpec.Seed holding (as ProvedResults) every variant any
-// worker already proved, so the engine's result cache replays the proved
+// shard, its ShardSpec.Seed holding (as ProvedResults) every variant of that
+// shard already proved, so the engine's result cache replays the proved
 // prefix instead of re-simulating it and only the genuinely unfinished
 // variants cost simulation time.  Re-delivery is
-// harmless by construction: results are idempotent by variant key, and the
-// coordinator records every key it has merged, so a slow-then-recovered
-// worker's duplicates are dropped on arrival.  Every variant therefore reaches the output exactly once, in
+// harmless by construction: results are idempotent per variant, and the
+// coordinator marks every variant it has merged as proved, so a
+// slow-then-recovered worker's duplicates are dropped on arrival.  Every variant therefore reaches the output exactly once, in
 // source order, whatever the failure history.
 //
 // # Retry budgets and backoff

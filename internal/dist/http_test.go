@@ -117,7 +117,7 @@ func TestHTTPTransportKillRequeue(t *testing.T) {
 		MaxAttempts: 3,
 		Transport: &seedSpyTransport{
 			inner:  &HTTPTransport{Hosts: []string{srv.URL}},
-			onSeed: func(shard, seedLen int) { seeded = seeded || (shard == victim && seedLen > 0) },
+			onSeed: func(spec ShardSpec) { seeded = seeded || spec.Index == victim },
 		},
 		Hooks: Hooks{
 			OnSpawn: func(shard, attempt int, w Worker) {

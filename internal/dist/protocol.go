@@ -1,9 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"repro/internal/monitor"
 	"repro/internal/scenarios"
@@ -117,10 +117,13 @@ func NewAggregateReport(acc *scenarios.Accumulator) AggregateReport {
 // corrupted stream should surface as a worker failure, not be silently
 // skipped.
 func ParseResultLine(line []byte) (RunReport, bool, error) {
-	if len(strings.TrimSpace(string(line))) == 0 {
+	if len(bytes.TrimSpace(line)) == 0 {
 		return RunReport{}, false, nil
 	}
+	// One decode: the outer Name shadows the embedded RunReport's, so its
+	// presence alone marks a run line.
 	var probe struct {
+		RunReport
 		Name *string `json:"name"`
 		Runs *int    `json:"runs"`
 	}
@@ -129,11 +132,8 @@ func ParseResultLine(line []byte) (RunReport, bool, error) {
 	}
 	switch {
 	case probe.Name != nil:
-		var rep RunReport
-		if err := json.Unmarshal(line, &rep); err != nil {
-			return RunReport{}, false, fmt.Errorf("dist: malformed run report %q: %w", truncateForError(line), err)
-		}
-		return rep, true, nil
+		probe.RunReport.Name = *probe.Name
+		return probe.RunReport, true, nil
 	case probe.Runs != nil:
 		return RunReport{}, false, nil // aggregate trailer
 	default:

@@ -154,6 +154,26 @@ func TestParseResultLine(t *testing.T) {
 	if _, _, err := ParseResultLine([]byte(`{"neither":"run nor trailer"}`)); err == nil {
 		t.Error("unrecognized JSON must be an error")
 	}
+
+	// A present name marks a run line, whatever else the line holds; a null
+	// one does not; a run field of the wrong type is an error, also on a line
+	// that would otherwise be a trailer.
+	for _, c := range []struct {
+		line    string
+		ok, bad bool
+		want    RunReport
+	}{
+		{line: `{"name":"x","runs":3,"steps":7}`, ok: true, want: RunReport{Name: "x", Steps: 7}},
+		{line: `{"name":""}`, ok: true},
+		{line: `{"name":null}`, bad: true},
+		{line: `{"name":"x","hits":"x"}`, bad: true},
+		{line: `{"runs":1,"hits":"x"}`, bad: true},
+	} {
+		rep, ok, err := ParseResultLine([]byte(c.line))
+		if ok != c.ok || (err != nil) != c.bad || rep != c.want {
+			t.Errorf("%s: got %+v ok=%v err=%v, want %+v ok=%v error=%v", c.line, rep, ok, err, c.want, c.ok, c.bad)
+		}
+	}
 }
 
 // TestParseResultLineHardening pins satellite guarantees of the protocol

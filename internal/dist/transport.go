@@ -18,8 +18,8 @@ type ShardSpec struct {
 	Index int `json:"index"`
 	// Total is the shard count; every worker of one sweep shares it.
 	Total int `json:"total"`
-	// Seed holds variants any worker already proved, so a replacement
-	// worker replays them from cache instead of re-simulating.
+	// Seed holds the variants of this shard already proved, so a
+	// replacement worker replays them from cache instead of re-simulating.
 	Seed []ProvedResult `json:"seed,omitempty"`
 }
 

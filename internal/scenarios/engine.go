@@ -659,7 +659,7 @@ func (c *variantCache) store(job Job, res Result) {
 // variant key, exactly as if this Engine had computed it: a later stream that
 // reaches the same key replays the seeded summary instead of simulating.  It
 // is the re-queue fast path of distributed execution — a replacement worker
-// is seeded with every variant any worker already proved, so it only pays
+// is seeded with the variants of its shard already proved, so it only pays
 // for the dead shard's genuinely unfinished work.  Seeding an Engine built
 // without WithResultCache is a no-op, as is re-seeding a key that is already
 // cached.
@@ -794,30 +794,6 @@ func (a *Accumulator) Add(r Result) {
 func (a *Accumulator) Consume(sr StreamResult) error {
 	a.Add(sr.Result)
 	return nil
-}
-
-// Merge folds another accumulator's aggregate into this one, as if every
-// result the other accumulated had been added here instead.  Addition over
-// run, collision and early-termination counts and the classification summary
-// is commutative and associative, so merging per-shard accumulators in any
-// order yields exactly the aggregate a single accumulator over the union of
-// their results would hold — the invariant distributed merging depends on
-// (TestAccumulatorMergeEquivalence).  The other accumulator is read under
-// its own lock and left unchanged; merging an accumulator into itself is a
-// no-op rather than a double-count.
-func (a *Accumulator) Merge(o *Accumulator) {
-	if o == nil || o == a {
-		return
-	}
-	o.mu.Lock()
-	runs, collisions, early, sum := o.runs, o.collisions, o.early, o.sum
-	o.mu.Unlock()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.runs += runs
-	a.collisions += collisions
-	a.early += early
-	a.sum = a.sum.Add(sum)
 }
 
 // Runs returns the number of results folded so far.

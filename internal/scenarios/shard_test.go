@@ -125,73 +125,6 @@ func TestShardSourcePreservesOrder(t *testing.T) {
 	}
 }
 
-// TestAccumulatorMergeEquivalence is the merge property test: partition the
-// results of a real sweep into per-shard accumulators, merge them in several
-// orders, and require every merged aggregate to equal the single-process
-// accumulator that consumed the whole stream.
-func TestAccumulatorMergeEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the 30-variant tolerance sweep")
-	}
-	engine := NewEngine(WithRetention(SummaryOnly))
-	var single Accumulator
-	const n = 4
-	parts := make([]*Accumulator, n)
-	for i := range parts {
-		parts[i] = &Accumulator{}
-	}
-	err := engine.Stream(context.Background(), ToleranceSweep().Source(), SinkFunc(
-		func(sr StreamResult) error {
-			single.Add(sr.Result)
-			parts[sr.Job.Shard(n)].Add(sr.Result)
-			return nil
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	orders := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}}
-	for _, order := range orders {
-		var merged Accumulator
-		for _, i := range order {
-			// Merge copies, so the parts survive for the next order.
-			part := &Accumulator{}
-			part.Merge(parts[i])
-			merged.Merge(part)
-		}
-		if merged.Runs() != single.Runs() ||
-			merged.Collisions() != single.Collisions() ||
-			merged.EarlyTerminations() != single.EarlyTerminations() ||
-			merged.Summary() != single.Summary() {
-			t.Errorf("merge order %v: runs=%d collisions=%d early=%d sum=%+v, single: runs=%d collisions=%d early=%d sum=%+v",
-				order, merged.Runs(), merged.Collisions(), merged.EarlyTerminations(), merged.Summary(),
-				single.Runs(), single.Collisions(), single.EarlyTerminations(), single.Summary())
-		}
-	}
-
-	// Tree-shaped merge (pairwise, then root) must also agree: merge is
-	// associative, so a coordinator may fold partials however it likes.
-	left, right, tree := &Accumulator{}, &Accumulator{}, &Accumulator{}
-	left.Merge(parts[0])
-	left.Merge(parts[1])
-	right.Merge(parts[2])
-	right.Merge(parts[3])
-	tree.Merge(left)
-	tree.Merge(right)
-	if tree.Runs() != single.Runs() || tree.Summary() != single.Summary() {
-		t.Errorf("tree merge diverges: runs=%d sum=%+v, single runs=%d sum=%+v",
-			tree.Runs(), tree.Summary(), single.Runs(), single.Summary())
-	}
-
-	// Self-merge and nil-merge are no-ops, not double counting.
-	runs := single.Runs()
-	single.Merge(&single)
-	single.Merge(nil)
-	if single.Runs() != runs {
-		t.Errorf("self/nil merge changed runs: %d -> %d", runs, single.Runs())
-	}
-}
-
 // TestEngineSeedResult checks the re-queue fast path: a seeded variant
 // replays from the cache — sentinel summary and all — without simulating.
 func TestEngineSeedResult(t *testing.T) {
