@@ -231,7 +231,7 @@ func (c *Coordinator) Run(ctx context.Context, src scenarios.JobSource, sink sce
 			return nil, fmt.Errorf("dist: duplicate variant name %q in source", name)
 		}
 		byName[name] = len(vars)
-		v := variant{job: job, shard: job.Shard(n)}
+		v := variant{job: job, shard: scenarios.ShardOfKey(key, n)}
 		vars = append(vars, v)
 		shards[v.shard].total++
 		shards[v.shard].remaining++

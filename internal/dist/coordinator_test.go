@@ -456,7 +456,7 @@ func TestCoordinatorMergeAllocs(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation counts need an uninstrumented, full run")
 	}
-	const shards, maxPerLine = 2, 18
+	const shards, maxPerLine = 2, 14
 	jobs, streams := cannedHugeStream(t, shards)
 	allocs := testing.AllocsPerRun(3, func() {
 		coord, err := New(Options{Workers: shards, Transport: streams})

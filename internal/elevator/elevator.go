@@ -58,9 +58,6 @@ const (
 	// floor rather than a boolean avoids the race between a new dispatch
 	// target and a stale arrival flag.
 	SigAtTargetFloor = "AtTargetFloor"
-	// SigPeriodSeconds carries the simulation step period, published by the
-	// scenario runner so that components integrate with the right step.
-	SigPeriodSeconds = "SimPeriodSeconds"
 )
 
 // Physical and policy parameters of the modelled installation.
@@ -108,9 +105,6 @@ type Drive struct {
 	binding
 }
 
-// Name implements sim.Component.
-func (d *Drive) Name() string { return "Drive" }
-
 // Reset implements sim.Resetter: the car returns to rest at the bottom
 // landing.
 func (d *Drive) Reset() {
@@ -119,9 +113,11 @@ func (d *Drive) Reset() {
 }
 
 // Step implements sim.Component.
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
 func (d *Drive) Step(_ time.Duration, bus *sim.Bus) {
-	v := d.on(bus)
-	dt := v.stepSeconds()
+	v := d.vars
+	dt := bus.StepSeconds()
 	command := v.driveCommand.ReadID()
 	target := v.driveTarget.Read()
 	braked := v.emergencyBrake.ReadID() == v.appliedID
@@ -176,9 +172,6 @@ type DoorMotor struct {
 	binding
 }
 
-// Name implements sim.Component.
-func (m *DoorMotor) Name() string { return "DoorMotor" }
-
 // Reset implements sim.Resetter: the door re-latches its StartClosed initial
 // position on the next first step.
 func (m *DoorMotor) Reset() {
@@ -187,15 +180,17 @@ func (m *DoorMotor) Reset() {
 }
 
 // Step implements sim.Component.
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
 func (m *DoorMotor) Step(_ time.Duration, bus *sim.Bus) {
-	v := m.on(bus)
+	v := m.vars
 	if !m.started {
 		if m.StartClosed {
 			m.position = 1
 		}
 		m.started = true
 	}
-	dt := v.stepSeconds()
+	dt := bus.StepSeconds()
 	rate := dt / DoorTravelTime.Seconds()
 	command := v.doorMotorCommand.ReadID()
 	blocked := v.doorBlocked.Read()
@@ -226,15 +221,14 @@ type DispatchController struct {
 	binding
 }
 
-// Name implements sim.Component.
-func (c *DispatchController) Name() string { return "DispatchController" }
-
 // Reset implements sim.Resetter: pending destinations are forgotten.
 func (c *DispatchController) Reset() { c.target = 0 }
 
 // Step implements sim.Component.
-func (c *DispatchController) Step(_ time.Duration, bus *sim.Bus) {
-	v := c.on(bus)
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
+func (c *DispatchController) Step(_ time.Duration, _ *sim.Bus) {
+	v := c.vars
 	if f := v.carCall.Read(); f >= 1 {
 		c.target = f
 	}
@@ -267,16 +261,15 @@ type DriveController struct {
 	binding
 }
 
-// Name implements sim.Component.
-func (c *DriveController) Name() string { return "DriveController" }
-
 // Reset implements sim.Resetter: the controller is stateless beyond its
 // seeded-defect configuration, which survives a reset.
 func (c *DriveController) Reset() {}
 
 // Step implements sim.Component.
-func (c *DriveController) Step(_ time.Duration, bus *sim.Bus) {
-	v := c.on(bus)
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
+func (c *DriveController) Step(_ time.Duration, _ *sim.Bus) {
+	v := c.vars
 	target := v.dispatchTarget.Read()
 	position := v.elevatorPosition.Read()
 	doorClosed := v.doorClosed.Read()
@@ -327,9 +320,6 @@ type DoorController struct {
 	binding
 }
 
-// Name implements sim.Component.
-func (c *DoorController) Name() string { return "DoorController" }
-
 // Reset implements sim.Resetter.
 func (c *DoorController) Reset() {
 	c.dwellRemaining = 0
@@ -337,9 +327,11 @@ func (c *DoorController) Reset() {
 }
 
 // Step implements sim.Component.
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
 func (c *DoorController) Step(_ time.Duration, bus *sim.Bus) {
-	v := c.on(bus)
-	dt := time.Duration(v.stepSeconds() * float64(time.Second))
+	v := c.vars
+	dt := time.Duration(bus.StepSeconds() * float64(time.Second))
 	stopped := v.elevatorStopped.Read()
 	driveCommand := v.driveCommand.ReadID()
 	blocked := v.doorBlocked.Read()
@@ -390,15 +382,14 @@ type EmergencyBrake struct {
 	binding
 }
 
-// Name implements sim.Component.
-func (b *EmergencyBrake) Name() string { return "EmergencyBrake" }
-
 // Reset implements sim.Resetter: the latched brake releases.
 func (b *EmergencyBrake) Reset() { b.applied = false }
 
 // Step implements sim.Component.
-func (b *EmergencyBrake) Step(_ time.Duration, bus *sim.Bus) {
-	v := b.on(bus)
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
+func (b *EmergencyBrake) Step(_ time.Duration, _ *sim.Bus) {
+	v := b.vars
 	if !b.Disabled && v.elevatorPosition.Read() >= HoistwayUpperLimit-MaxEmergencyBrakingDistance {
 		b.applied = true
 	}
@@ -435,9 +426,6 @@ type Passenger struct {
 	binding
 }
 
-// Name implements sim.Component.
-func (p *Passenger) Name() string { return "Passenger" }
-
 // Reset implements sim.Resetter: the doorway clears and the car unloads.
 // The action schedule is configuration and survives.
 func (p *Passenger) Reset() {
@@ -446,9 +434,11 @@ func (p *Passenger) Reset() {
 }
 
 // Step implements sim.Component.
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
 func (p *Passenger) Step(now time.Duration, bus *sim.Bus) {
-	v := p.on(bus)
-	step := time.Duration(v.stepSeconds() * float64(time.Second))
+	v := p.vars
+	step := time.Duration(bus.StepSeconds() * float64(time.Second))
 	carCall, hallCall := 0.0, 0.0
 	for _, a := range p.Actions {
 		if now >= a.At && now < a.At+step {

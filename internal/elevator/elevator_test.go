@@ -20,37 +20,20 @@ func TestFloorPosition(t *testing.T) {
 	}
 }
 
-func TestStepSecondsDefault(t *testing.T) {
-	bus := sim.NewBus()
-	if got := bindVars(bus).stepSeconds(); got != 0.01 {
-		t.Errorf("default step = %v, want 0.01", got)
-	}
-	bus.InitNumber(SigPeriodSeconds, 0.002)
-	if got := bindVars(bus).stepSeconds(); got != 0.002 {
-		t.Errorf("step = %v, want 0.002", got)
-	}
+// testSim is a simulation at the elevator's default period whose Add binds
+// the elevator components it registers, as Run does with BindAll.
+type testSim struct{ *sim.Simulation }
+
+// Add binds the components to the simulation's bus and registers them.
+func (s testSim) Add(cs ...sim.Component) {
+	BindAll(s.Bus, cs...)
+	s.Simulation.Add(cs...)
 }
 
-func TestComponentNames(t *testing.T) {
-	names := map[string]interface{ Name() string }{
-		"Drive":              &Drive{},
-		"DoorMotor":          &DoorMotor{},
-		"DispatchController": &DispatchController{},
-		"DriveController":    &DriveController{},
-		"DoorController":     &DoorController{},
-		"EmergencyBrake":     &EmergencyBrake{},
-		"Passenger":          &Passenger{},
-	}
-	for want, c := range names {
-		if got := c.Name(); got != want {
-			t.Errorf("Name() = %q, want %q", got, want)
-		}
-	}
-}
+func newSim() testSim { return testSim{sim.New(DefaultPeriod)} }
 
 func TestDriveRespondsToCommands(t *testing.T) {
-	s := sim.New(DefaultPeriod)
-	s.Bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
+	s := newSim()
 	s.Bus.InitString(SigDriveCommand, "GO")
 	s.Bus.InitNumber(SigDriveTarget, 9)
 	s.Bus.InitString(SigEmergencyBrake, "RELEASED")
@@ -73,8 +56,7 @@ func TestDriveRespondsToCommands(t *testing.T) {
 }
 
 func TestDriveStopsOnEmergencyBrake(t *testing.T) {
-	s := sim.New(DefaultPeriod)
-	s.Bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
+	s := newSim()
 	s.Bus.InitString(SigDriveCommand, "GO")
 	s.Bus.InitNumber(SigDriveTarget, 100)
 	s.Bus.InitString(SigEmergencyBrake, "APPLIED")
@@ -86,8 +68,7 @@ func TestDriveStopsOnEmergencyBrake(t *testing.T) {
 }
 
 func TestDoorMotorTravelAndBlocking(t *testing.T) {
-	s := sim.New(DefaultPeriod)
-	s.Bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
+	s := newSim()
 	s.Bus.InitString(SigDoorMotorCommand, "CLOSE")
 	s.Bus.InitBool(SigDoorBlocked, false)
 	s.Add(NewDoorMotor())
@@ -102,8 +83,7 @@ func TestDoorMotorTravelAndBlocking(t *testing.T) {
 	}
 
 	// A blocked door never closes.
-	s2 := sim.New(DefaultPeriod)
-	s2.Bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
+	s2 := newSim()
 	s2.Bus.InitString(SigDoorMotorCommand, "CLOSE")
 	s2.Bus.InitBool(SigDoorBlocked, true)
 	s2.Add(NewDoorMotor())
@@ -114,8 +94,7 @@ func TestDoorMotorTravelAndBlocking(t *testing.T) {
 }
 
 func TestDoorMotorStartClosedAndOpen(t *testing.T) {
-	s := sim.New(DefaultPeriod)
-	s.Bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
+	s := newSim()
 	s.Bus.InitString(SigDoorMotorCommand, "OPEN")
 	s.Add(&DoorMotor{StartClosed: true})
 	tr := s.Run(3 * time.Second)
@@ -131,8 +110,7 @@ func TestDoorMotorStartClosedAndOpen(t *testing.T) {
 }
 
 func TestDispatchControllerLatchesCalls(t *testing.T) {
-	s := sim.New(DefaultPeriod)
-	s.Bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
+	s := newSim()
 	s.Bus.InitNumber(SigCarCall, 0)
 	s.Bus.InitNumber(SigHallCall, 3)
 	s.Add(&DispatchController{})
@@ -143,9 +121,8 @@ func TestDispatchControllerLatchesCalls(t *testing.T) {
 }
 
 func TestDriveControllerDoorInterlock(t *testing.T) {
-	s := sim.New(DefaultPeriod)
+	s := newSim()
 	bus := s.Bus
-	bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
 	bus.InitNumber(SigDispatchTarget, 3)
 	bus.InitNumber(SigElevatorPosition, 0)
 	bus.InitBool(SigDoorClosed, false)
@@ -176,9 +153,8 @@ func TestDriveControllerDoorInterlock(t *testing.T) {
 }
 
 func TestDriveControllerOverweightAndLimit(t *testing.T) {
-	s := sim.New(DefaultPeriod)
+	s := newSim()
 	bus := s.Bus
-	bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
 	bus.InitNumber(SigDispatchTarget, 5)
 	bus.InitNumber(SigElevatorPosition, 0)
 	bus.InitBool(SigDoorClosed, true)
@@ -201,9 +177,8 @@ func TestDriveControllerOverweightAndLimit(t *testing.T) {
 }
 
 func TestEmergencyBrakeLatches(t *testing.T) {
-	s := sim.New(DefaultPeriod)
+	s := newSim()
 	bus := s.Bus
-	bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
 	bus.InitNumber(SigElevatorPosition, HoistwayUpperLimit)
 	s.Add(&EmergencyBrake{})
 	tr := s.Run(30 * time.Millisecond)
@@ -218,7 +193,7 @@ func TestEmergencyBrakeLatches(t *testing.T) {
 	}
 
 	disabled := &EmergencyBrake{Disabled: true}
-	s2 := sim.New(DefaultPeriod)
+	s2 := newSim()
 	s2.Bus.InitNumber(SigElevatorPosition, HoistwayUpperLimit)
 	s2.Add(disabled)
 	tr = s2.Run(30 * time.Millisecond)
@@ -228,8 +203,7 @@ func TestEmergencyBrakeLatches(t *testing.T) {
 }
 
 func TestPassengerSchedule(t *testing.T) {
-	s := sim.New(DefaultPeriod)
-	s.Bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
+	s := newSim()
 	s.Add(&Passenger{Actions: []PassengerAction{
 		{At: 20 * time.Millisecond, CarCall: 3, AddWeight: 80},
 		{At: 40 * time.Millisecond, HallCall: 2, BlockDoorFor: 30 * time.Millisecond},

@@ -190,7 +190,6 @@ func BuildSuiteWithSchema(period time.Duration, schema *temporal.Schema) *monito
 // signal is visible from the first step.  On a reset, reused bus every name
 // is already interned and each Init is two plane stores.
 func initElevatorBus(bus *sim.Bus) {
-	bus.InitNumber(SigPeriodSeconds, DefaultPeriod.Seconds())
 	bus.InitString(SigDriveCommand, "STOP")
 	bus.InitString(SigDoorMotorCommand, "OPEN")
 	bus.InitString(SigEmergencyBrake, "RELEASED")

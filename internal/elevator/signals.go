@@ -3,14 +3,9 @@ package elevator
 import "repro/internal/sim"
 
 // busVars is the elevator system's view of the bus, with every signal the
-// components touch resolved to a slot-indexed handle exactly once per run.
-// Components bind lazily on their first Step (guarded by a pointer compare),
-// so they work whether driven by a Simulation or stepped by hand in tests.
+// components touch resolved to a slot-indexed handle exactly once, by
+// BindAll, before the first step.
 type busVars struct {
-	bus *sim.Bus
-
-	periodSeconds sim.NumVar
-
 	doorClosed       sim.BoolVar
 	doorBlocked      sim.BoolVar
 	doorPosition     sim.NumVar
@@ -36,13 +31,10 @@ type busVars struct {
 	appliedID, releasedID int32
 }
 
-// bindVars resolves every elevator signal against the bus schema once.
+// bindVars resolves every elevator signal against the bus schema once (for
+// BindAll).
 func bindVars(bus *sim.Bus) *busVars {
 	return &busVars{
-		bus: bus,
-
-		periodSeconds: bus.NumVar(SigPeriodSeconds),
-
 		doorClosed:       bus.BoolVar(SigDoorClosed),
 		doorBlocked:      bus.BoolVar(SigDoorBlocked),
 		doorPosition:     bus.NumVar(SigDoorPosition),
@@ -70,26 +62,18 @@ func bindVars(bus *sim.Bus) *busVars {
 	}
 }
 
-// binding caches a component's busVars; components embed it and call on()
-// at the top of Step.  The pointer guard re-binds when the component is
-// reused against a different bus, so hand-constructed components work
-// without BindAll.
+// binding holds a component's busVars, set by BindAll; every Step reads
+// its handles from vars.
 type binding struct {
 	vars *busVars
-}
-
-func (b *binding) on(bus *sim.Bus) *busVars {
-	if b.vars == nil || b.vars.bus != bus {
-		b.vars = bindVars(bus)
-	}
-	return b.vars
 }
 
 func (b *binding) setVars(v *busVars) { b.vars = v }
 
 // BindAll resolves one shared handle set against the bus and hands it to
-// every elevator component in the list, so a run builds the handle table
-// once instead of once per component.
+// every elevator component in the list.  It is the only binder: an elevator
+// component must be bound, against the bus it will be stepped on, before its
+// first Step.
 func BindAll(bus *sim.Bus, comps ...sim.Component) {
 	v := bindVars(bus)
 	for _, c := range comps {
@@ -97,12 +81,4 @@ func BindAll(bus *sim.Bus, comps ...sim.Component) {
 			b.setVars(v)
 		}
 	}
-}
-
-// stepSeconds returns the simulation period in seconds (10 ms default).
-func (v *busVars) stepSeconds() float64 {
-	if dt := v.periodSeconds.Read(); dt > 0 {
-		return dt
-	}
-	return 0.01
 }

@@ -25,12 +25,14 @@
 //   - hotpathalloc: functions statically reachable from the per-step hot
 //     roots (Registers.CopyFrom, Bus.Commit and LaneBus.Commit,
 //     LaneSim.Run, Program.Step and StepLanes, CompiledSuite.Observe,
-//     LaneSuite.ObserveLanes and the FastSummaryAt methods) must not
-//     contain allocating constructs or string-keyed map index
+//     LaneSuite.ObserveLanes and the FastSummaryAt methods, plus the 16
+//     vehicle and elevator component Step methods marked //lint:hotroot)
+//     must not contain allocating constructs or string-keyed map index
 //     expressions, complementing the runtime AllocsPerRun gates with a
 //     source-level proof.  Escape hatch: //lint:allocok reason on the
-//     function (the one-time lowering, a cold schema rebind);
-//     //lint:hotroot marks additional roots.
+//     function (the one-time lowering, a cold schema rebind, the
+//     vehicle's interning of an unbound gear); //lint:hotroot reason
+//     marks additional roots.
 //
 //   - determinism: the simulation kernel and the component packages must
 //     not read wall-clock time, use the global math/rand source, launch

@@ -169,7 +169,7 @@ func TestTraceRecordingAllocs(t *testing.T) {
 // scenario-1 RunWithOptions, arena, suite and trace included, must allocate
 // under a quarter of what one full register-file snapshot per tick would
 // hold (9 bytes per slot per tick).  The trace records keyframes plus the
-// slots that changed, ~4 of the 78 per tick on this scenario.
+// slots that changed, ~4 of the 77 per tick on this scenario.
 func TestTraceRecordingBytes(t *testing.T) {
 	skipIfAllocCountsUnreliable(t)
 	sc, ok := ScenarioByNumber(1)

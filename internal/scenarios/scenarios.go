@@ -416,7 +416,6 @@ func (vs *vehicleSet) configure(sc Scenario, opts Options) {
 // interns the full vocabulary into the run's schema; on a reset arena bus
 // every name is already interned and each Init is two plane stores.
 func initVehicleBus(bus *sim.Bus, sc Scenario) {
-	bus.InitNumber(vehicle.SigPeriodSeconds, Period.Seconds())
 	bus.InitString(vehicle.SigGear, sc.Gear)
 	bus.InitString(vehicle.SigAccelSource, vehicle.SourceNone)
 	bus.InitString(vehicle.SigSteerSource, vehicle.SourceNone)

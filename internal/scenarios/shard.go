@@ -67,11 +67,14 @@ func (j Job) Key() string {
 // computes it and of the Go version, so every participant in a distributed
 // sweep derives the same owner for the same variant.  Non-positive n and
 // n == 1 both yield the single shard 0.
-func (j Job) Shard(n int) int {
+func (j Job) Shard(n int) int { return ShardOfKey(j.Key(), n) }
+
+// ShardOfKey is Job.Shard for a caller that already holds the job's Key.
+func ShardOfKey(key string, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	return int(fnv1a64(j.Key()) % uint64(n))
+	return int(fnv1a64(key) % uint64(n))
 }
 
 // ShardSource filters src down to the jobs owned by shard index in an

@@ -15,11 +15,12 @@ import (
 // register files are never replaced, which is what keeps a bound handle's
 // slot covered for the handle's life (see Bus.bind).
 type LaneBus struct {
-	schema  *temporal.Schema
-	lanes   int
-	current temporal.State
-	pending temporal.State
-	views   []*Bus
+	schema      *temporal.Schema
+	lanes       int
+	current     temporal.State
+	pending     temporal.State
+	views       []*Bus
+	stepSeconds float64 // the running LaneSim's period (Bus.StepSeconds)
 }
 
 // NewLaneBus returns a lane bus of the given width (clamped up to 1) with a
@@ -164,6 +165,7 @@ func (s *LaneSim) Run(d time.Duration, active uint64) (stopped uint64) {
 	lanes := s.Lanes()
 	active &= uint64(1)<<uint(lanes) - 1
 	total := int(d / s.Period)
+	s.Bus.stepSeconds = s.Period.Seconds()
 	clear(s.steps)
 	for i := 0; i < total && active != 0; i++ {
 		now := time.Duration(i) * s.Period

@@ -152,8 +152,6 @@ type laneCounter struct {
 	v NumVar
 }
 
-func (c *laneCounter) Name() string { return "laneCounter" }
-
 func (c *laneCounter) Step(now time.Duration, bus *Bus) {
 	c.n++
 	c.v.Write(float64(c.n))

@@ -6,11 +6,13 @@
 // Components exchange data through a Bus of named signals.  A value written
 // during one step becomes visible to readers at the next step, matching the
 // KAOS convention — used throughout the thesis — that monitored values are
-// observed one state late.  Components resolve each signal once into a typed
-// handle (NumVar, BoolVar, StringVar); binding covers the handle's slot in
-// both register files, so every later NumVar/BoolVar Read or Write and
-// StringVar ReadID or WriteID is one unchecked plane load or store, inlined
-// at the call site.
+// observed one state late.  A component's contract is Step alone: whoever
+// builds a component set resolves each signal once into a typed handle
+// (NumVar, BoolVar, StringVar) before the first step, and binding covers the
+// handle's slot in both register files, so every later NumVar/BoolVar Read or
+// Write and StringVar ReadID or WriteID is one unchecked plane load or store,
+// inlined at the call site.  The step period is not a signal: the running
+// simulation publishes it to its components through Bus.StepSeconds.
 //
 // The one per-tick loop is LaneSim.Run, which steps K independent component
 // sets in lockstep over one lane-widened LaneBus.  A Simulation is that
@@ -27,12 +29,9 @@ import (
 )
 
 // Component is a simulated subsystem that is stepped once per state period.
+// Step advances the component by one period: it reads the bus values
+// committed at the previous step and writes its outputs for the next step.
 type Component interface {
-	// Name identifies the component (used for diagnostics).
-	Name() string
-	// Step advances the component by one state period.  The component
-	// reads the bus values committed at the previous step and writes its
-	// outputs for the next step.
 	Step(now time.Duration, bus *Bus)
 }
 
@@ -54,6 +53,11 @@ type Bus struct {
 // NewBus returns the only lane view of a fresh width-1 LaneBus, for
 // components stepped by hand outside a Simulation.
 func NewBus() *Bus { return NewLaneBus(1).Lane(0) }
+
+// StepSeconds returns the state period, in seconds, of the simulation that
+// is stepping this bus (LaneSim.Run publishes it at the start of every run;
+// 0 before the first run).
+func (b *Bus) StepSeconds() float64 { return b.lb.stepSeconds }
 
 // Schema returns the bus' symbol table, shared by every state snapshot of
 // the run.  Monitors compiled against it resolve their atoms at compile
@@ -194,14 +198,12 @@ type Resetter interface {
 
 // StepFunc adapts a plain function into a Component.
 type StepFunc struct {
-	// ComponentName is the reported name.
+	// ComponentName labels the function for the reader of the code that
+	// registers it; the kernel never reads it.
 	ComponentName string
 	// Fn is invoked once per step.
 	Fn func(now time.Duration, bus *Bus)
 }
-
-// Name implements Component.
-func (s StepFunc) Name() string { return s.ComponentName }
 
 // Step implements Component.
 func (s StepFunc) Step(now time.Duration, bus *Bus) { s.Fn(now, bus) }

@@ -95,10 +95,32 @@ func TestSimulationDefaultPeriod(t *testing.T) {
 	}
 }
 
-func TestStepFuncName(t *testing.T) {
-	c := StepFunc{ComponentName: "integrator"}
-	if c.Name() != "integrator" {
-		t.Errorf("Name() = %q", c.Name())
+// TestBusStepSecondsFollowsPeriod checks that a component sees the period of
+// the simulation stepping it: on every lane of a LaneSim, and on a
+// Simulation whose Period changes between runs.
+func TestBusStepSecondsFollowsPeriod(t *testing.T) {
+	var seen []float64
+	record := StepFunc{ComponentName: "record", Fn: func(_ time.Duration, b *Bus) {
+		seen = append(seen, b.StepSeconds())
+	}}
+
+	ls := NewLaneSim(2*time.Millisecond, 2)
+	ls.AddLane(0, record)
+	ls.AddLane(1, record)
+	ls.Run(4*time.Millisecond, 0b11)
+	if want := (2 * time.Millisecond).Seconds(); len(seen) != 4 || seen[0] != want || seen[3] != want {
+		t.Fatalf("LaneSim lanes saw StepSeconds %v, want 4 × %v", seen, want)
+	}
+
+	s := New(10 * time.Millisecond)
+	s.Add(record)
+	for _, period := range []time.Duration{10 * time.Millisecond, 250 * time.Microsecond} {
+		seen = seen[:0]
+		s.Period = period
+		s.RunDiscard(4 * period)
+		if len(seen) != 4 || seen[0] != period.Seconds() || seen[3] != period.Seconds() {
+			t.Errorf("Simulation at %v: components saw StepSeconds %v, want 4 × %v", period, seen, period.Seconds())
+		}
 	}
 }
 
@@ -300,7 +322,6 @@ type resettableCounter struct {
 	steps int
 }
 
-func (c *resettableCounter) Name() string { return "counter" }
 func (c *resettableCounter) Step(_ time.Duration, bus *Bus) {
 	c.steps++
 	bus.NumVar("count").Write(float64(c.steps))

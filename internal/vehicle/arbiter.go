@@ -71,9 +71,6 @@ func NewArbiter() *Arbiter {
 	}
 }
 
-// Name implements sim.Component.
-func (a *Arbiter) Name() string { return "Arbiter" }
-
 // Reset implements sim.Resetter.
 func (a *Arbiter) Reset() {
 	a.prevCommand = 0
@@ -83,14 +80,16 @@ func (a *Arbiter) Reset() {
 }
 
 // Step implements sim.Component.
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
 func (a *Arbiter) Step(now time.Duration, bus *sim.Bus) {
-	v := a.on(bus)
+	v := a.vars
 	if !a.started {
 		// The zero value of prevCandidate is a feature index; normalise it
 		// to "no source yet" so the first step registers a source change.
 		a.prevCandidate = srcNone
 	}
-	dt := v.stepSeconds()
+	dt := bus.StepSeconds()
 	reverse := v.reverse()
 
 	// ----- Stage 1: acceleration arbitration ---------------------------

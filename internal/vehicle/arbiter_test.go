@@ -3,13 +3,11 @@ package vehicle
 import (
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // arbiterSim builds a simulation containing only the arbiter, with feature
 // and driver signals injected directly onto the bus.
-func arbiterSim() *sim.Simulation {
+func arbiterSim() testSim {
 	s := newSim()
 	for _, f := range FeatureNames {
 		s.Bus.InitBool(SigActive(f), false)
@@ -89,7 +87,7 @@ func TestArbiterDriverPedalMapping(t *testing.T) {
 }
 
 func TestArbiterDriverOverridesSoftRequests(t *testing.T) {
-	build := func(request float64, overrideDelay time.Duration) *sim.Simulation {
+	build := func(request float64, overrideDelay time.Duration) testSim {
 		s := arbiterSim()
 		s.Bus.InitNumber(SigThrottleLevel, 0.4)
 		s.Bus.InitBool(SigActive(SourceACC), true)

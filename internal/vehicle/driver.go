@@ -72,9 +72,6 @@ type Driver struct {
 	binding
 }
 
-// Name implements sim.Component.
-func (d *Driver) Name() string { return "Driver" }
-
 // Reset implements sim.Resetter: all pedal, HMI and gear state clears and
 // InitialGear re-latches on the next first step.  Schedule and InitialGear
 // are configuration and survive.
@@ -89,8 +86,10 @@ func (d *Driver) Reset() {
 }
 
 // Step implements sim.Component.
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
 func (d *Driver) Step(now time.Duration, bus *sim.Bus) {
-	v := d.on(bus)
+	v := d.vars
 	if !d.started {
 		d.gear = d.InitialGear
 		if d.gear == "" {
@@ -98,7 +97,7 @@ func (d *Driver) Step(now time.Duration, bus *sim.Bus) {
 		}
 		d.started = true
 	}
-	step := time.Duration(v.stepSeconds() * float64(time.Second))
+	step := time.Duration(bus.StepSeconds() * float64(time.Second))
 	// The go confirmation and engage requests are pulses: they last one
 	// state unless re-asserted.
 	d.hmiGo = false

@@ -11,21 +11,21 @@ import (
 // subsystem through its slot-indexed handles and maintains the request-jerk
 // signal used by the jerk subgoal monitors.
 type featureOutputs struct {
-	idx         int // index into FeatureNames / busVars.features
 	prevRequest float64
 	havePrev    bool
 }
 
-// reset clears the request-jerk history; idx is configuration and survives.
+// reset clears the request-jerk history.
 func (f *featureOutputs) reset() {
 	f.prevRequest = 0
 	f.havePrev = false
 }
 
-func (f *featureOutputs) publish(v *busVars, active bool, accelRequest float64, requestingAccel bool,
+// publish writes the outputs of feature idx (an index into FeatureNames).
+func (f *featureOutputs) publish(v *busVars, idx int, active bool, accelRequest float64, requestingAccel bool,
 	steerRequest float64, requestingSteer bool) {
 
-	dt := v.stepSeconds()
+	dt := v.bus.StepSeconds()
 	jerk := 0.0
 	if f.havePrev && dt > 0 {
 		jerk = (accelRequest - f.prevRequest) / dt
@@ -33,7 +33,7 @@ func (f *featureOutputs) publish(v *busVars, active bool, accelRequest float64, 
 	f.prevRequest = accelRequest
 	f.havePrev = true
 
-	fv := &v.features[f.idx]
+	fv := &v.features[idx]
 	fv.active.Write(active)
 	fv.accelRequest.Write(accelRequest)
 	fv.requestingAccel.Write(requestingAccel)
@@ -70,12 +70,8 @@ func NewCollisionAvoidance() *CollisionAvoidance {
 		IntermittentBraking: true,
 		CancelPeriod:        400 * time.Millisecond,
 		CancelDuration:      60 * time.Millisecond,
-		out:                 featureOutputs{idx: idxCA},
 	}
 }
-
-// Name implements sim.Component.
-func (c *CollisionAvoidance) Name() string { return "CollisionAvoidance" }
 
 // Reset implements sim.Resetter.
 func (c *CollisionAvoidance) Reset() {
@@ -85,9 +81,10 @@ func (c *CollisionAvoidance) Reset() {
 }
 
 // Step implements sim.Component.
-func (c *CollisionAvoidance) Step(now time.Duration, bus *sim.Bus) {
-	v := c.on(bus)
-	c.out.idx = idxCA
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
+func (c *CollisionAvoidance) Step(now time.Duration, _ *sim.Bus) {
+	v := c.vars
 	enabled := v.caEnabled.Read()
 	speed := v.speed.Read()
 	distance := v.objectDistance.Read()
@@ -128,7 +125,7 @@ func (c *CollisionAvoidance) Step(now time.Duration, bus *sim.Bus) {
 			}
 		}
 	}
-	c.out.publish(v, active, request, active, 0, false)
+	c.out.publish(v, idxCA, active, request, active, 0, false)
 }
 
 // RearCollisionAvoidance (RCA) should stop the vehicle when reversing toward
@@ -149,19 +146,17 @@ type RearCollisionAvoidance struct {
 // NewRearCollisionAvoidance returns an RCA subsystem with the thesis' defect
 // enabled.
 func NewRearCollisionAvoidance() *RearCollisionAvoidance {
-	return &RearCollisionAvoidance{NeverEngages: true, out: featureOutputs{idx: idxRCA}}
+	return &RearCollisionAvoidance{NeverEngages: true}
 }
-
-// Name implements sim.Component.
-func (c *RearCollisionAvoidance) Name() string { return "RearCollisionAvoidance" }
 
 // Reset implements sim.Resetter.
 func (c *RearCollisionAvoidance) Reset() { c.out.reset() }
 
 // Step implements sim.Component.
-func (c *RearCollisionAvoidance) Step(_ time.Duration, bus *sim.Bus) {
-	v := c.on(bus)
-	c.out.idx = idxRCA
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
+func (c *RearCollisionAvoidance) Step(_ time.Duration, _ *sim.Bus) {
+	v := c.vars
 	enabled := v.rcaEnabled.Read()
 	reverse := v.reverse()
 	speed := v.speed.Read()
@@ -173,7 +168,7 @@ func (c *RearCollisionAvoidance) Step(_ time.Duration, bus *sim.Bus) {
 		active = true
 		request = -CABrakeRequest // decelerate reverse motion (positive accel)
 	}
-	c.out.publish(v, active, request, active, 0, false)
+	c.out.publish(v, idxRCA, active, request, active, 0, false)
 }
 
 // AdaptiveCruiseControl (ACC) controls the vehicle to a set speed, or to a
@@ -209,12 +204,8 @@ func NewAdaptiveCruiseControl() *AdaptiveCruiseControl {
 		ControlWhenNotEngaged: true,
 		EngageWithoutChecks:   true,
 		DecelWhileLCA:         true,
-		out:                   featureOutputs{idx: idxACC},
 	}
 }
-
-// Name implements sim.Component.
-func (c *AdaptiveCruiseControl) Name() string { return "AdaptiveCruiseControl" }
 
 // Engaged reports whether ACC is currently engaged.
 func (c *AdaptiveCruiseControl) Engaged() bool { return c.engaged }
@@ -227,9 +218,10 @@ func (c *AdaptiveCruiseControl) Reset() {
 }
 
 // Step implements sim.Component.
-func (c *AdaptiveCruiseControl) Step(_ time.Duration, bus *sim.Bus) {
-	v := c.on(bus)
-	c.out.idx = idxACC
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
+func (c *AdaptiveCruiseControl) Step(_ time.Duration, _ *sim.Bus) {
+	v := c.vars
 	enabled := v.accEnabled.Read()
 	engageRequest := v.accEngageRequest.Read()
 	speed := v.speed.Read()
@@ -292,7 +284,7 @@ func (c *AdaptiveCruiseControl) Step(_ time.Duration, bus *sim.Bus) {
 			request = -1.5
 		}
 	}
-	c.out.publish(v, active, request, controlling, 0, false)
+	c.out.publish(v, idxACC, active, request, controlling, 0, false)
 }
 
 // LaneChangeAssist (LCA) performs a lane-change manoeuvre in conjunction
@@ -310,11 +302,8 @@ type LaneChangeAssist struct {
 
 // NewLaneChangeAssist returns an LCA subsystem.
 func NewLaneChangeAssist() *LaneChangeAssist {
-	return &LaneChangeAssist{out: featureOutputs{idx: idxLCA}}
+	return &LaneChangeAssist{}
 }
-
-// Name implements sim.Component.
-func (c *LaneChangeAssist) Name() string { return "LaneChangeAssist" }
 
 // Reset implements sim.Resetter.
 func (c *LaneChangeAssist) Reset() {
@@ -323,9 +312,10 @@ func (c *LaneChangeAssist) Reset() {
 }
 
 // Step implements sim.Component.
-func (c *LaneChangeAssist) Step(_ time.Duration, bus *sim.Bus) {
-	v := c.on(bus)
-	c.out.idx = idxLCA
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
+func (c *LaneChangeAssist) Step(_ time.Duration, _ *sim.Bus) {
+	v := c.vars
 	enabled := v.lcaEnabled.Read()
 	if !enabled {
 		c.engaged = false
@@ -342,7 +332,7 @@ func (c *LaneChangeAssist) Step(_ time.Duration, bus *sim.Bus) {
 	// reports that it is requesting both acceleration and steering, which
 	// is what goal 3 (acceleration/steering agreement) checks.
 	accelRequest := number(v.features[idxACC].accelRequest)
-	c.out.publish(v, active, accelRequest, active, steer, active)
+	c.out.publish(v, idxLCA, active, accelRequest, active, steer, active)
 }
 
 // ParkAssist (PA) finds a parking space and parks the vehicle when engaged.
@@ -363,11 +353,8 @@ type ParkAssist struct {
 
 // NewParkAssist returns a PA subsystem with the thesis' defect enabled.
 func NewParkAssist() *ParkAssist {
-	return &ParkAssist{SpuriousRequests: true, out: featureOutputs{idx: idxPA}}
+	return &ParkAssist{SpuriousRequests: true}
 }
-
-// Name implements sim.Component.
-func (c *ParkAssist) Name() string { return "ParkAssist" }
 
 // Reset implements sim.Resetter.
 func (c *ParkAssist) Reset() {
@@ -376,9 +363,10 @@ func (c *ParkAssist) Reset() {
 }
 
 // Step implements sim.Component.
-func (c *ParkAssist) Step(now time.Duration, bus *sim.Bus) {
-	v := c.on(bus)
-	c.out.idx = idxPA
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
+func (c *ParkAssist) Step(now time.Duration, _ *sim.Bus) {
+	v := c.vars
 	enabled := v.paEnabled.Read()
 	if !enabled {
 		c.engaged = false
@@ -420,5 +408,5 @@ func (c *ParkAssist) Step(now time.Duration, bus *sim.Bus) {
 		}
 		requestingAccel = false
 	}
-	c.out.publish(v, active, request, requestingAccel, steer, requestingSteer)
+	c.out.publish(v, idxPA, active, request, requestingAccel, steer, requestingSteer)
 }

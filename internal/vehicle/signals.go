@@ -44,14 +44,10 @@ type featureVars struct {
 }
 
 // busVars is the vehicle system's view of the bus, with every signal the
-// components touch resolved to a slot-indexed handle exactly once per run.
-// Each component binds lazily on its first Step (guarded by a pointer
-// compare), so components keep working whether they are driven by a
-// Simulation or stepped by hand in tests.
+// components touch resolved to a slot-indexed handle exactly once, by
+// BindAll, before the first step.
 type busVars struct {
 	bus *sim.Bus
-
-	periodSeconds sim.NumVar
 
 	// Vehicle state (sensed).
 	speed         sim.NumVar
@@ -115,14 +111,11 @@ type busVars struct {
 	gearDID, gearRID int32
 }
 
-// bindVars resolves every vehicle signal against the bus schema.  It runs
-// once per component per run; all per-step traffic afterwards is slot
-// indexed.
+// bindVars resolves every vehicle signal against the bus schema (for
+// BindAll); all per-step traffic afterwards is slot indexed.
 func bindVars(bus *sim.Bus) *busVars {
 	v := &busVars{
 		bus: bus,
-
-		periodSeconds: bus.NumVar(SigPeriodSeconds),
 
 		speed:         bus.NumVar(SigVehicleSpeed),
 		accel:         bus.NumVar(SigVehicleAccel),
@@ -207,6 +200,8 @@ func (v *busVars) sourceID(src int) int32 {
 
 // gearID returns the interned id of a gear selection; the two thesis gears
 // are bound ids, any other scheduled string is interned on the bus.
+//
+//lint:allocok a scheduled gear other than D or R interns its id; no thesis scenario or sweep schedules one
 func (v *busVars) gearID(gear string) int32 {
 	switch gear {
 	case "D":
@@ -221,27 +216,18 @@ func (v *busVars) gearID(gear string) int32 {
 // reverse reports whether the committed gear is "R".
 func (v *busVars) reverse() bool { return v.gear.ReadID() == v.gearRID }
 
-// binding caches a component's busVars; components embed it and call on()
-// at the top of Step.  The pointer guard re-binds when the component is
-// reused against a different bus, so hand-constructed components work
-// without BindAll.
+// binding holds a component's busVars, set by BindAll; every Step reads
+// its handles from vars.
 type binding struct {
 	vars *busVars
-}
-
-func (b *binding) on(bus *sim.Bus) *busVars {
-	if b.vars == nil || b.vars.bus != bus {
-		b.vars = bindVars(bus)
-	}
-	return b.vars
 }
 
 func (b *binding) setVars(v *busVars) { b.vars = v }
 
 // BindAll resolves one shared handle set against the bus and hands it to
 // every vehicle component in the list (non-vehicle components are left
-// alone), so a run builds the ~80-handle table once instead of once per
-// component.  Components not covered here still bind lazily on first Step.
+// alone).  It is the only binder: a vehicle component must be bound, against
+// the bus view it will be stepped on, before its first Step.
 func BindAll(bus *sim.Bus, comps ...sim.Component) {
 	v := bindVars(bus)
 	for _, c := range comps {
@@ -249,14 +235,6 @@ func BindAll(bus *sim.Bus, comps ...sim.Component) {
 			b.setVars(v)
 		}
 	}
-}
-
-// stepSeconds returns the simulation period in seconds (1 ms default).
-func (v *busVars) stepSeconds() float64 {
-	if dt := v.periodSeconds.Read(); dt > 0 {
-		return dt
-	}
-	return 0.001
 }
 
 // number reads a numeric handle, mapping the absent-signal NaN to 0 for

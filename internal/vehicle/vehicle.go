@@ -54,9 +54,6 @@ var FeatureNames = []string{
 
 // Bus signal names.  Goal formulas reference these names directly.
 const (
-	// SigPeriodSeconds carries the simulation step period in seconds.
-	SigPeriodSeconds = "SimPeriodSeconds"
-
 	// Vehicle state (sensed).
 	SigVehicleSpeed     = "Vehicle.Speed"
 	SigVehicleAccel     = "Vehicle.Accel"
@@ -237,9 +234,6 @@ type Dynamics struct {
 	binding
 }
 
-// Name implements sim.Component.
-func (d *Dynamics) Name() string { return "VehicleDynamics" }
-
 // Reset implements sim.Resetter: the vehicle returns to rest at the origin
 // and re-latches InitialSpeed on the next first step.
 func (d *Dynamics) Reset() {
@@ -249,13 +243,15 @@ func (d *Dynamics) Reset() {
 }
 
 // Step implements sim.Component.
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
 func (d *Dynamics) Step(_ time.Duration, bus *sim.Bus) {
-	v := d.on(bus)
+	v := d.vars
 	if !d.started {
 		d.speed = d.InitialSpeed
 		d.started = true
 	}
-	dt := v.stepSeconds()
+	dt := bus.StepSeconds()
 	cmd := number(v.accelCommand)
 	source := v.accelSource.Read()
 	reverse := v.reverse()
@@ -329,9 +325,6 @@ type Object struct {
 	binding
 }
 
-// Name implements sim.Component.
-func (o *Object) Name() string { return "Object" }
-
 // Reset implements sim.Resetter: the object re-latches its initial placement
 // relative to the host on the next first step.
 func (o *Object) Reset() {
@@ -340,9 +333,11 @@ func (o *Object) Reset() {
 }
 
 // Step implements sim.Component.
+//
+//lint:hotroot stepped every tick by LaneSim.Run through the sim.Component interface, an edge the analyzer cannot follow
 func (o *Object) Step(_ time.Duration, bus *sim.Bus) {
-	v := o.on(bus)
-	dt := v.stepSeconds()
+	v := o.vars
+	dt := bus.StepSeconds()
 	host := number(v.position)
 	if !o.started {
 		o.position = host + o.InitialDistance

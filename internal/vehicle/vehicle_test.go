@@ -10,11 +10,20 @@ import (
 
 const testPeriod = time.Millisecond
 
+// testSim is a simulation whose Add binds the vehicle components it
+// registers, as the scenario runners do with BindAll.
+type testSim struct{ *sim.Simulation }
+
+// Add binds the components to the simulation's bus and registers them.
+func (s testSim) Add(cs ...sim.Component) {
+	BindAll(s.Bus, cs...)
+	s.Simulation.Add(cs...)
+}
+
 // newSim returns a simulation with the standard bus initialisation used by
 // the component tests.
-func newSim() *sim.Simulation {
-	s := sim.New(testPeriod)
-	s.Bus.InitNumber(SigPeriodSeconds, testPeriod.Seconds())
+func newSim() testSim {
+	s := testSim{sim.New(testPeriod)}
 	s.Bus.InitString(SigGear, "D")
 	s.Bus.InitString(SigAccelSource, SourceNone)
 	s.Bus.InitNumber(SigAccelCommand, 0)
@@ -32,25 +41,6 @@ func TestSignalNameHelpers(t *testing.T) {
 		SigRequestingSteer("PA") != "PA.RequestingSteer" || SigRequestJerk("CA") != "CA.RequestJerk" ||
 		SigSelected("RCA") != "RCA.Selected" {
 		t.Error("signal name helpers produced unexpected names")
-	}
-}
-
-func TestComponentNames(t *testing.T) {
-	comps := map[string]sim.Component{
-		"VehicleDynamics":        &Dynamics{},
-		"Object":                 &Object{},
-		"Driver":                 &Driver{},
-		"CollisionAvoidance":     NewCollisionAvoidance(),
-		"RearCollisionAvoidance": NewRearCollisionAvoidance(),
-		"AdaptiveCruiseControl":  NewAdaptiveCruiseControl(),
-		"LaneChangeAssist":       NewLaneChangeAssist(),
-		"ParkAssist":             NewParkAssist(),
-		"Arbiter":                NewArbiter(),
-	}
-	for want, c := range comps {
-		if got := c.Name(); got != want {
-			t.Errorf("Name() = %q, want %q", got, want)
-		}
 	}
 }
 
@@ -182,9 +172,6 @@ type StaticSignal struct {
 	Signal string
 	Value  float64
 }
-
-// Name implements sim.Component.
-func (s StaticSignal) Name() string { return "static:" + s.Signal }
 
 // Step implements sim.Component.
 func (s StaticSignal) Step(_ time.Duration, bus *sim.Bus) { bus.NumVar(s.Signal).Write(s.Value) }
