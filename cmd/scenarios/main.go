@@ -196,14 +196,10 @@ func run(args []string, w io.Writer) error {
 
 	switch {
 	case *stream:
-		enc := json.NewEncoder(w)
-		err := engine.Stream(ctx, src, scenarios.Tee(&acc, scenarios.SinkFunc(
-			func(sr scenarios.StreamResult) error {
-				return enc.Encode(dist.NewRunReport(sr))
-			})))
+		err := engine.Stream(ctx, src, scenarios.Tee(&acc, dist.RunLineSink(w)))
 		// The final aggregate line covers exactly the runs that completed,
 		// so a timed-out stream still ends with a valid partial aggregate.
-		if encErr := enc.Encode(dist.NewAggregateReport(&acc)); encErr != nil && err == nil {
+		if encErr := json.NewEncoder(w).Encode(dist.NewAggregateReport(&acc)); encErr != nil && err == nil {
 			err = encErr
 		}
 		return err

@@ -128,10 +128,7 @@ func run(args []string, w io.Writer) error {
 
 	var sink scenarios.ResultSink = scenarios.SinkFunc(func(scenarios.StreamResult) error { return nil })
 	if *stream {
-		enc := json.NewEncoder(w)
-		sink = scenarios.SinkFunc(func(sr scenarios.StreamResult) error {
-			return enc.Encode(dist.NewRunReport(sr))
-		})
+		sink = dist.RunLineSink(w)
 	}
 
 	outcome, err := coord.Run(ctx, source(), sink)

@@ -50,7 +50,10 @@
 //
 // Each worker streams RunReport NDJSON lines; the coordinator
 // maps each line back to the job it enumerated itself, rebuilds the
-// scenarios.Result, and merges it.  Its state is one table of variants in
+// scenarios.Result, and merges it.  Run lines travel without reflection: one
+// hand-written writer, RunReport.AppendJSON (fuzz-proven byte-identical to
+// json.Encoder.Encode), and a canonical decode in ParseResultLine that hands
+// any other layout to its encoding/json fallback, the reference decoder.  Its state is one table of variants in
 // source order (job, owner shard, proved flag, rebuilt result) and one record
 // per shard (counts, attempt, worker, retirement).  A variant already proved
 // is dropped; the rest are folded into the one Accumulator that is the final

@@ -226,3 +226,28 @@ func TestParseResultLineHardening(t *testing.T) {
 		t.Errorf("error quoting a %d-byte line is %d bytes long; the quote must be truncated", len(huge), len(err.Error()))
 	}
 }
+
+// TestCanonicalDecodeTakesEveryRunLine requires the canonical decode to
+// accept every run line of the huge sweep's canned worker streams (written
+// by encoding/json, which AppendJSON matches byte for byte) and to agree with
+// the encoding/json reference on each, so the coordinator never hands a
+// worker's run line to the fallback.
+func TestCanonicalDecodeTakesEveryRunLine(t *testing.T) {
+	jobs, streams := cannedHugeStream(t, 2)
+	runs := 0
+	for _, stream := range streams {
+		for _, line := range bytes.SplitAfter(stream, []byte("\n")) {
+			want, isRun, err := referenceParseResultLine(line)
+			if err != nil || !isRun {
+				continue // the aggregate trailer, or the empty tail
+			}
+			runs++
+			if got, ok := decodeRunLine(line); !ok || !sameReport(got, want) {
+				t.Fatalf("canonical decode of %q: %+v (ok=%v), want %+v", line, got, ok, want)
+			}
+		}
+	}
+	if runs != len(jobs) {
+		t.Errorf("decoded %d run lines, want %d", runs, len(jobs))
+	}
+}

@@ -76,15 +76,10 @@ func (s *WorkerServer) Serve(ctx context.Context, spec ShardSpec, w io.Writer) e
 	for _, p := range spec.Seed {
 		engine.SeedResult(p.Job(), p.Result)
 	}
-	enc := json.NewEncoder(w)
 	var acc scenarios.Accumulator
 	src := scenarios.ShardSource(s.Source(), spec.Index, spec.Total)
-	err := engine.Stream(ctx, src, scenarios.Tee(&acc, scenarios.SinkFunc(
-		func(sr scenarios.StreamResult) error {
-			return enc.Encode(NewRunReport(sr))
-		})))
-	if err != nil {
+	if err := engine.Stream(ctx, src, scenarios.Tee(&acc, RunLineSink(w))); err != nil {
 		return err
 	}
-	return enc.Encode(NewAggregateReport(&acc))
+	return json.NewEncoder(w).Encode(NewAggregateReport(&acc))
 }

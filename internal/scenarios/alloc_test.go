@@ -193,3 +193,48 @@ func TestTraceRecordingBytes(t *testing.T) {
 		t.Logf("a 20 s KeepTrace run allocates %d bytes (%.1f%% of %d dense snapshot bytes)", got, 100*float64(got)/float64(dense), dense)
 	}
 }
+
+// TestZeroAllocVariantKeys gates the per-job key work of a sweep: hashing a
+// job to its shard (the coordinator's and every worker's ShardSource), the
+// dispatcher's DynamicsKey compare in its two reused buffers, and a result
+// cache hit looked up by a key built into a reused buffer must not allocate.
+func TestZeroAllocVariantKeys(t *testing.T) {
+	skipIfAllocCountsUnreliable(t)
+	jobs := DefectSweep().Jobs()
+	a, b := jobs[1], jobs[len(jobs)-1]
+	if allocs := testing.AllocsPerRun(100, func() { _ = a.Shard(3) }); allocs != 0 {
+		t.Errorf("Job.Shard allocates %v objects, want 0", allocs)
+	}
+
+	var keys groupKeys
+	i := 0
+	compare := func() {
+		j := a
+		if i%2 == 1 {
+			j = b
+		}
+		i++
+		if !keys.matches(j) {
+			keys.open()
+		}
+	}
+	compare()
+	compare()
+	if allocs := testing.AllocsPerRun(100, compare); allocs != 0 {
+		t.Errorf("the dispatcher's DynamicsKey compare allocates %v objects, want 0", allocs)
+	}
+
+	c := newVariantCache()
+	c.store(a.Key(), Result{Steps: 7})
+	var key []byte
+	hit := func() {
+		key = a.appendKey(key[:0])
+		if res, ok := c.lookup(key, a); !ok || res.Steps != 7 {
+			t.Fatal("the stored variant misses the cache")
+		}
+	}
+	hit()
+	if allocs := testing.AllocsPerRun(100, hit); allocs != 0 {
+		t.Errorf("a result cache hit allocates %v objects, want 0", allocs)
+	}
+}

@@ -1,6 +1,7 @@
 package scenarios
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"sync"
@@ -323,7 +324,7 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 		defer close(tasks)
 		var (
 			group      []Job
-			groupKey   string
+			keys       groupKeys
 			groupStart int
 			batch      task
 			batchDur   time.Duration
@@ -382,15 +383,12 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 			}
 			// Single-job groups never compare keys, so per-job dispatch
 			// never derives one.
-			var key string
-			if groupCap > 1 {
-				key = job.DynamicsKey()
-			}
-			if len(group) > 0 && key != groupKey && !flush() {
+			if groupCap > 1 && !keys.matches(job) && len(group) > 0 && !flush() {
 				return
 			}
 			if len(group) == 0 {
-				groupStart, groupKey = idx, key
+				groupStart = idx
+				keys.open()
 			}
 			group = append(group, job)
 			if len(group) == groupCap && !flush() {
@@ -451,6 +449,21 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 	return ctx.Err()
 }
 
+// groupKeys is the dispatcher's pair of reused DynamicsKey buffers: the open
+// group's key and the incoming job's.  matches builds the incoming key and
+// compares; open makes the key last built the open group's, swapping the
+// buffers, so grouping allocates nothing once both have grown to a key.
+type groupKeys struct{ group, next []byte }
+
+// matches reports whether job's DynamicsKey equals the open group's.
+func (k *groupKeys) matches(job Job) bool {
+	k.next = job.appendDynamicsKey(k.next[:0])
+	return bytes.Equal(k.next, k.group)
+}
+
+// open starts a group keyed by the job matches last saw.
+func (k *groupKeys) open() { k.group, k.next = k.next, k.group }
+
 // laneArenaPool recycles lane arenas across Stream calls and Engine
 // lifetimes: an arena's schema, handle tables and compiled lane program
 // depend on nothing job-specific, so a worker borrows one for the duration of
@@ -490,9 +503,23 @@ func (e *Engine) runWorker(width int, tasks <-chan task, results chan<- StreamRe
 	}
 	la := borrowLaneArena(width)
 	defer laneArenaPool.Put(la)
+	var s laneScratch
 	for t := range tasks {
-		e.runLaneTask(la, t, results)
+		e.runLaneTask(la, &s, t, results)
 	}
+}
+
+// laneScratch is one worker's reused working set for runLaneTask, so a task
+// allocates nothing for its bookkeeping once the slices have grown to the
+// largest batch.
+type laneScratch struct {
+	key      []byte   // the variant key of the job being resolved
+	out      []Result // one result per task job, in flat order
+	missJobs []Job    // the cache misses, group by group
+	missIdx  []int    // each miss's flat index into out
+	missKeys []string // each miss's variant key, kept to store its result
+	live     [][]Job  // per surviving group: its run of missJobs
+	miss     []Result // the lane batch's results, one per miss
 }
 
 // runLaneTask executes one lane batch — consecutive dynamics groups with
@@ -504,66 +531,78 @@ func (e *Engine) runWorker(width int, tasks <-chan task, results chan<- StreamRe
 // job's result streams under its own index and key, so batching is invisible
 // to the collector, the cache, sharding and the distributed merge.  Under
 // grouping the task's GroupStats and LaneStats are recorded in one update.
-func (e *Engine) runLaneTask(la *laneArena, t task, results chan<- StreamResult) {
+func (e *Engine) runLaneTask(la *laneArena, s *laneScratch, t task, results chan<- StreamResult) {
 	total := 0
 	for _, g := range t.groups {
 		total += len(g)
 	}
-	out := make([]Result, total)
+	s.out = growResults(s.out, total)
+	// missJobs never grows past total, so the live runs cut from it below
+	// stay valid while it fills.
+	if cap(s.missJobs) < total {
+		s.missJobs = make([]Job, 0, total)
+	}
+	s.missJobs, s.missIdx, s.missKeys, s.live = s.missJobs[:0], s.missIdx[:0], s.missKeys[:0], s.live[:0]
 
-	// Per-group cache resolution, preserving flat job order.
-	var (
-		live    [][]Job // miss subset per surviving group
-		liveIdx [][]int // flat out-indices of those misses
-		misses  int
-		gs      GroupStats
-	)
+	// Per-group cache resolution, preserving flat job order.  Each job's key
+	// is built once, into s.key; only a miss keeps it, as a string, for the
+	// store below.
+	var gs GroupStats
 	flat := 0
 	for _, g := range t.groups {
-		var missJobs []Job
-		var missIdx []int
+		first := len(s.missJobs)
 		for _, job := range g {
-			if res, hit := e.cache.lookup(job); hit {
-				out[flat] = res
-			} else {
-				missJobs = append(missJobs, job)
-				missIdx = append(missIdx, flat)
+			if e.cache != nil {
+				s.key = job.appendKey(s.key[:0])
+				if res, hit := e.cache.lookup(s.key, job); hit {
+					s.out[flat] = res
+					flat++
+					continue
+				}
+				s.missKeys = append(s.missKeys, string(s.key))
 			}
+			s.missJobs = append(s.missJobs, job)
+			s.missIdx = append(s.missIdx, flat)
 			flat++
 		}
 		gs.Groups++
 		gs.Jobs += len(g)
-		if len(missJobs) > 0 {
+		if len(s.missJobs) > first {
 			gs.Sims++
-			live = append(live, missJobs)
-			liveIdx = append(liveIdx, missIdx)
-			misses += len(missJobs)
+			s.live = append(s.live, s.missJobs[first:])
 		}
 	}
 
-	if len(live) > 0 {
-		miss := make([]Result, misses)
-		la.run(live, miss)
-		mi := 0
-		for gi := range live {
-			for k := range live[gi] {
-				out[liveIdx[gi][k]] = miss[mi]
-				e.cache.store(live[gi][k], miss[mi])
-				mi++
+	if len(s.live) > 0 {
+		s.miss = growResults(s.miss, len(s.missJobs))
+		la.run(s.live, s.miss)
+		for mi, res := range s.miss {
+			s.out[s.missIdx[mi]] = res
+			if e.cache != nil {
+				e.cache.store(s.missKeys[mi], res)
 			}
 		}
 	}
 	if e.grouped() {
-		e.recordTask(gs, len(live))
+		e.recordTask(gs, len(s.live))
 	}
 
 	flat = 0
 	for _, g := range t.groups {
 		for _, job := range g {
-			results <- StreamResult{Index: t.idx + flat, Job: job, Result: out[flat]}
+			results <- StreamResult{Index: t.idx + flat, Job: job, Result: s.out[flat]}
 			flat++
 		}
 	}
+}
+
+// growResults returns rs resized to n, reallocating only when it lacks the
+// capacity.
+func growResults(rs []Result, n int) []Result {
+	if cap(rs) < n {
+		return make([]Result, n)
+	}
+	return rs[:n]
 }
 
 // recordTask folds one executed lane task into the Engine's counters: its
@@ -600,9 +639,10 @@ type cachedSummary struct {
 	collision bool
 }
 
-// variantCache memoizes summary-only results keyed by variant label.  It is
+// variantCache memoizes summary-only results keyed by variant key.  It is
 // shared across an Engine's workers; a run costs milliseconds, so one mutex
-// around the map is invisible next to the work it saves.
+// around the map is invisible next to the work it saves.  An Engine built
+// without WithResultCache has a nil cache and never calls it.
 type variantCache struct {
 	mu     sync.Mutex
 	m      map[string]cachedSummary
@@ -612,22 +652,13 @@ type variantCache struct {
 
 func newVariantCache() *variantCache { return &variantCache{m: make(map[string]cachedSummary)} }
 
-// key identifies a variant.  It is the job's canonical variant key — the
-// scenario name (which every sweep generator derives from the full parameter
-// assignment), the effective duration and the options label — shared with
-// distributed sharding and the coordinator's deduplication so "already
-// proved" means the same thing everywhere.
-func (c *variantCache) key(job Job) string { return job.Key() }
-
-// lookup returns the memoized Result for the job's variant label.  A nil
-// cache (the default Engine) never hits.
-func (c *variantCache) lookup(job Job) (Result, bool) {
-	if c == nil {
-		return Result{}, false
-	}
-	key := c.key(job)
+// lookup returns the memoized Result for the variant whose key (Job.Key,
+// shared with distributed sharding and the coordinator's deduplication, so
+// "already proved" means the same thing everywhere) is in key; job rebuilds
+// the Result's Scenario.  The map index by string(key) does not allocate.
+func (c *variantCache) lookup(key []byte, job Job) (Result, bool) {
 	c.mu.Lock()
-	cs, ok := c.m[key]
+	cs, ok := c.m[string(key)]
 	if ok {
 		c.hits++
 	} else {
@@ -642,12 +673,9 @@ func (c *variantCache) lookup(job Job) (Result, bool) {
 	return Result{Scenario: sc, Steps: cs.steps, Summary: cs.summary, Collision: cs.collision}, true
 }
 
-// store memoizes a freshly computed summary-only result.
-func (c *variantCache) store(job Job, res Result) {
-	if c == nil {
-		return
-	}
-	key := c.key(job)
+// store memoizes a freshly computed summary-only result under its variant
+// key.
+func (c *variantCache) store(key string, res Result) {
 	c.mu.Lock()
 	if _, ok := c.m[key]; !ok {
 		c.m[key] = cachedSummary{steps: res.Steps, summary: res.Summary, collision: res.Collision}
@@ -663,7 +691,11 @@ func (c *variantCache) store(job Job, res Result) {
 // for the dead shard's genuinely unfinished work.  Seeding an Engine built
 // without WithResultCache is a no-op, as is re-seeding a key that is already
 // cached.
-func (e *Engine) SeedResult(job Job, res Result) { e.cache.store(job, res) }
+func (e *Engine) SeedResult(job Job, res Result) {
+	if e.cache != nil {
+		e.cache.store(job.Key(), res)
+	}
+}
 
 // CacheStats returns the result cache's hit and miss counts (zero when the
 // Engine was built without WithResultCache).

@@ -1,9 +1,10 @@
 package scenarios
 
 import (
-	"encoding/json"
+	"math"
 	"strconv"
-	"strings"
+
+	"repro/internal/vehicle"
 )
 
 // ---------------------------------------------------------------------------
@@ -87,37 +88,92 @@ const (
 // guaranteed to drive the simulation identically, so the Engine groups
 // consecutive equal-key jobs into one simulation pass.
 //
-// The driver schedule is embedded in its canonical JSON encoding — the same
-// deterministic encoding the distributed wire contract round-trips — so any
-// difference in timing or commanded values splits the key.
+// The encoding is written by hand (appendDynamicsKey) and is injective: the
+// gear is length-prefixed, every scheduled action is its time followed by
+// one tagged token per set field, each float by its IEEE-754 bits, so any
+// difference in timing or commanded values splits the key, and no value —
+// NaN and ±Inf included — can make the encoding fail.  A nil and an empty
+// schedule drive the same trajectory and share a key.  TestDriverActionFieldsKeyed
+// fails on a DriverAction field the encoding leaves out.
 func (j Job) DynamicsKey() string {
+	var buf [256]byte
+	return string(j.appendDynamicsKey(buf[:0]))
+}
+
+// appendDynamicsKey appends the DynamicsKey to b.  The dispatcher compares
+// keys built into two reused buffers, so grouping allocates nothing per job.
+func (j Job) appendDynamicsKey(b []byte) []byte {
 	sc := j.Scenario
-	d := sc.ScheduledDuration()
-	sched, err := json.Marshal(sc.Driver)
-	if err != nil {
-		// DriverAction holds only values and pointers to values; its
-		// encoding cannot fail.
-		panic(err)
+	b = append(b, "dur="...)
+	b = strconv.AppendInt(b, int64(sc.ScheduledDuration()), 10)
+	b = append(b, "|speed="...)
+	b = strconv.AppendFloat(b, sc.InitialSpeed, 'g', -1, 64)
+	b = append(b, "|gear="...)
+	b = appendLenString(b, sc.Gear)
+	b = append(b, "|objdist="...)
+	b = strconv.AppendFloat(b, sc.ObjectDistance, 'g', -1, 64)
+	b = append(b, "|objspeed="...)
+	b = strconv.AppendFloat(b, sc.ObjectSpeed, 'g', -1, 64)
+	b = append(b, "|acccheck="...)
+	b = strconv.AppendBool(b, sc.ACCDirectionCheck)
+	b = append(b, "|fixed="...)
+	b = j.Options.defects().appendLabel(b)
+	b = append(b, "|driver="...)
+	for i := range sc.Driver {
+		b = appendDriverAction(b, &sc.Driver[i])
 	}
-	var b strings.Builder
-	b.Grow(96 + len(sched))
-	b.WriteString("dur=")
-	b.WriteString(strconv.FormatInt(int64(d), 10))
-	b.WriteString("|speed=")
-	b.WriteString(strconv.FormatFloat(sc.InitialSpeed, 'g', -1, 64))
-	b.WriteString("|gear=")
-	b.WriteString(sc.Gear)
-	b.WriteString("|objdist=")
-	b.WriteString(strconv.FormatFloat(sc.ObjectDistance, 'g', -1, 64))
-	b.WriteString("|objspeed=")
-	b.WriteString(strconv.FormatFloat(sc.ObjectSpeed, 'g', -1, 64))
-	b.WriteString("|acccheck=")
-	b.WriteString(strconv.FormatBool(sc.ACCDirectionCheck))
-	b.WriteString("|fixed=")
-	b.WriteString(j.Options.defects().label())
-	b.WriteString("|driver=")
-	b.Write(sched)
-	return b.String()
+	return b
+}
+
+// appendDriverAction appends one scheduled action: '@' and its time in
+// nanoseconds, then, for every set field, an upper-case tag and the value —
+// a float as the hex of its bits, a flag as 0 or 1, the gear length-prefixed.
+// Tags never occur inside a value (hex digits are lower-case), so the tokens
+// parse back unambiguously.
+func appendDriverAction(b []byte, a *vehicle.DriverAction) []byte {
+	b = append(b, '@')
+	b = strconv.AppendInt(b, int64(a.At), 10)
+	b = appendFloatField(b, 'T', a.Throttle)
+	b = appendFloatField(b, 'B', a.Brake)
+	b = appendFloatField(b, 'S', a.Steering)
+	b = appendFlagField(b, 'C', a.EnableCA)
+	b = appendFlagField(b, 'R', a.EnableRCA)
+	b = appendFlagField(b, 'A', a.EnableACC)
+	b = appendFlagField(b, 'L', a.EnableLCA)
+	b = appendFlagField(b, 'P', a.EnablePA)
+	b = appendFlagField(b, 'X', a.EngageACC)
+	b = appendFlagField(b, 'Y', a.EngageLCA)
+	b = appendFlagField(b, 'Z', a.EngagePA)
+	b = appendFloatField(b, 'V', a.SetSpeed)
+	b = appendFlagField(b, 'G', a.Go)
+	if a.Gear != nil {
+		b = append(b, 'D')
+		b = appendLenString(b, *a.Gear)
+	}
+	return b
+}
+
+func appendFloatField(b []byte, tag byte, v *float64) []byte {
+	if v == nil {
+		return b
+	}
+	return strconv.AppendUint(append(b, tag), math.Float64bits(*v), 16)
+}
+
+func appendFlagField(b []byte, tag byte, v *bool) []byte {
+	if v == nil {
+		return b
+	}
+	if *v {
+		return append(b, tag, '1')
+	}
+	return append(b, tag, '0')
+}
+
+// appendLenString appends s as its decimal length, ':' and its bytes.
+func appendLenString(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	return append(append(b, ':'), s...)
 }
 
 // MonitorKey returns the canonical identity of the observation side of a

@@ -1,7 +1,12 @@
 package scenarios
 
 import (
+	"context"
+	"encoding/json"
+	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,7 +15,7 @@ import (
 
 // flipField mutates one reflect-addressable field to a distinct value,
 // returning false for kinds the table does not cover.  Slices (the driver
-// schedule) grow by one zero element, which changes their canonical JSON
+// schedule) grow by one zero element, which adds an action to their key
 // encoding.
 func flipField(fv reflect.Value) bool {
 	switch fv.Kind() {
@@ -204,6 +209,125 @@ func TestToleranceVariantsShareDynamics(t *testing.T) {
 				t.Errorf("family %q: duplicate Job.Key %q", f.Base.Name, j.Key())
 			}
 			seenKey[j.Key()] = true
+		}
+	}
+}
+
+// TestDriverActionFieldsKeyed is the DriverAction counterpart of
+// TestScenarioFieldsClassified: DynamicsKey encodes the schedule by hand, so
+// a field added to vehicle.DriverAction and left out of appendDriverAction
+// would silently group jobs whose trajectories differ.  Every field, set on
+// its own, must change the key, and a set pointer field must change it again
+// when its value changes; the single-field keys must all differ, so no two
+// fields share an encoding.
+func TestDriverActionFieldsKeyed(t *testing.T) {
+	withAction := func(a vehicle.DriverAction) Job {
+		return Job{Scenario: Scenario{Name: "base", Gear: "D", Driver: []vehicle.DriverAction{a}}}
+	}
+	base := withAction(vehicle.DriverAction{}).DynamicsKey()
+	seen := map[string]string{base: "no field"}
+	rt := reflect.TypeOf(vehicle.DriverAction{})
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		var a vehicle.DriverAction
+		fv := reflect.ValueOf(&a).Elem().Field(i)
+		if fv.Kind() == reflect.Pointer {
+			fv.Set(reflect.New(fv.Type().Elem()))
+			set := withAction(a).DynamicsKey()
+			if prev, dup := seen[set]; dup {
+				t.Errorf("DriverAction.%s set to its zero value keys like %s: %q", name, prev, set)
+			}
+			seen[set] = name
+			fv = fv.Elem()
+			name += " (value)"
+		}
+		if !flipField(fv) {
+			t.Fatalf("DriverAction.%s has kind %s: extend flipField", name, fv.Kind())
+		}
+		key := withAction(a).DynamicsKey()
+		if prev, dup := seen[key]; dup {
+			t.Errorf("DriverAction.%s keys like %s: %q", name, prev, key)
+		}
+		seen[key] = name
+	}
+}
+
+// jsonDynamicsKey is the reference DynamicsKey: the encoding the key had
+// before the schedule was hand-encoded, with the schedule embedded as its
+// encoding/json form.  It cannot key a non-finite schedule value.
+func jsonDynamicsKey(t *testing.T, j Job) string {
+	t.Helper()
+	sc := j.Scenario
+	sched, err := json.Marshal(sc.Driver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return "dur=" + strconv.FormatInt(int64(sc.ScheduledDuration()), 10) +
+		"|speed=" + strconv.FormatFloat(sc.InitialSpeed, 'g', -1, 64) +
+		"|gear=" + sc.Gear +
+		"|objdist=" + strconv.FormatFloat(sc.ObjectDistance, 'g', -1, 64) +
+		"|objspeed=" + strconv.FormatFloat(sc.ObjectSpeed, 'g', -1, 64) +
+		"|acccheck=" + strconv.FormatBool(sc.ACCDirectionCheck) +
+		"|fixed=" + string(j.Options.defects().appendLabel(nil)) +
+		"|driver=" + string(sched)
+}
+
+// TestDynamicsKeyMatchesJSONReference checks the hand-written key against
+// the encoding/json reference over every sweep preset plus copies of the
+// default sweep with shifted schedules (clamping at zero makes some shifts
+// collide): two jobs share the hand-written key exactly when they share the
+// reference key, so grouping is unchanged.
+func TestDynamicsKeyMatchesJSONReference(t *testing.T) {
+	var jobs []Job
+	for _, sw := range []Sweep{DefaultSweep(), WideSweep(), HugeSweep(), DefectSweep(), ToleranceSweep()} {
+		jobs = append(jobs, sw.Jobs()...)
+	}
+	for _, j := range DefaultSweep().Jobs() {
+		for _, d := range []time.Duration{-3 * time.Second, -time.Nanosecond, time.Nanosecond, 250 * time.Millisecond} {
+			j.Scenario.Driver = ShiftSchedule(j.Scenario.Driver, d)
+			jobs = append(jobs, j)
+		}
+	}
+	byRef := make(map[string]string)
+	byKey := make(map[string]string)
+	for _, j := range jobs {
+		ref, key := jsonDynamicsKey(t, j), j.DynamicsKey()
+		if k, ok := byRef[ref]; ok && k != key {
+			t.Fatalf("jobs sharing reference key %q split into %q and %q", ref, k, key)
+		}
+		if r, ok := byKey[key]; ok && r != ref {
+			t.Fatalf("jobs with reference keys %q and %q share key %q", r, ref, key)
+		}
+		byRef[ref], byKey[key] = key, ref
+	}
+	if len(byKey) < 2 {
+		t.Fatalf("only %d distinct keys over %d jobs", len(byKey), len(jobs))
+	}
+}
+
+// TestNonFiniteScheduleGroups runs grouped jobs whose schedule commands a
+// NaN or infinite level.  The key used to embed the schedule's encoding/json
+// form, which fails on such values, and the panic in the dispatcher
+// goroutine killed the process; the hand encoding keys them like any value.
+func TestNonFiniteScheduleGroups(t *testing.T) {
+	sc, ok := ScenarioByNumber(1)
+	if !ok {
+		t.Fatal("scenario 1 missing")
+	}
+	sc.Duration = 20 * time.Millisecond
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sc.Driver = []vehicle.DriverAction{{Throttle: vehicle.Level(v)}}
+		a, b := Job{Scenario: sc}, Job{Scenario: sc, Options: Options{MatchTolerance: 50}}
+		if a.DynamicsKey() != b.DynamicsKey() || !strings.Contains(a.DynamicsKey(), "@0T") {
+			t.Errorf("throttle %v: keys %q and %q, want one key with the throttle", v, a.DynamicsKey(), b.DynamicsKey())
+		}
+		e := NewEngine(WithWorkers(1), WithRetention(SummaryOnly))
+		acc, err := e.Accumulate(context.Background(), SliceSource([]Job{a, b}))
+		if err != nil || acc.Runs() != 2 {
+			t.Fatalf("throttle %v: %v", v, err)
+		}
+		if gs := e.GroupStats(); gs.Jobs != 2 || gs.Sims != 1 {
+			t.Errorf("throttle %v: group stats %+v, want 2 jobs in 1 simulation", v, gs)
 		}
 	}
 }

@@ -65,6 +65,9 @@ func newLaneArena(lanes, tolerance int) *laneArena {
 	}
 	a.sim.Observe(a.suite)
 	a.collision = a.sim.Bus.Schema().Intern(vehicle.SigCollision)
+	for l, vs := range a.sets {
+		vs.init.bind(a.sim.Bus.Lane(l))
+	}
 	a.sim.StopLaneWhen(func(lane int, _ time.Duration, st temporal.State) bool {
 		return st.SlotBool(a.collision*lanes + lane)
 	})
@@ -87,7 +90,7 @@ func (a *laneArena) run(groups [][]Job, out []Result) {
 	for l := 0; l < k; l++ {
 		lead := groups[l][0]
 		a.sets[l].configure(lead.Scenario, lead.Options)
-		initVehicleBus(a.sim.Bus.Lane(l), lead.Scenario)
+		a.sets[l].init.set(lead.Scenario)
 	}
 	stopped := a.sim.Run(groups[0][0].Scenario.ScheduledDuration(), uint64(1)<<uint(k)-1)
 	a.suite.Finish()

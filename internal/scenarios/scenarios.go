@@ -2,7 +2,6 @@ package scenarios
 
 import (
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/monitor"
@@ -255,13 +254,14 @@ var AllDefectsCorrected = DefectSet{
 	CorrectCA: true, CorrectRCA: true, CorrectACC: true, CorrectPA: true, CorrectArbiter: true,
 }
 
-// label renders the corrected subsystems compactly for variant names.
-func (d DefectSet) label() string {
+// appendLabel appends the corrected subsystems compactly, for variant names
+// and keys: "none", or the corrected subsystems joined by '+'.
+func (d DefectSet) appendLabel(b []byte) []byte {
 	if d == (DefectSet{}) {
-		return "none"
+		return append(b, "none"...)
 	}
-	var parts []string
-	for _, p := range []struct {
+	n := len(b)
+	for _, p := range [...]struct {
 		on   bool
 		name string
 	}{
@@ -269,10 +269,13 @@ func (d DefectSet) label() string {
 		{d.CorrectPA, "PA"}, {d.CorrectArbiter, "Arbiter"},
 	} {
 		if p.on {
-			parts = append(parts, p.name)
+			if len(b) > n {
+				b = append(b, '+')
+			}
+			b = append(b, p.name...)
 		}
 	}
-	return strings.Join(parts, "+")
+	return b
 }
 
 // Options configures a scenario run beyond the scenario definition itself.
@@ -324,14 +327,18 @@ func (o Options) tolerance() int {
 // Options is also added here, so sweep variant names can never collide on an
 // unlabelled option.
 func (o Options) Label() string {
-	var b strings.Builder
-	b.WriteString("corrected=")
-	b.WriteString(strconv.FormatBool(o.CorrectDefects))
-	b.WriteString(",tol=")
-	b.WriteString(strconv.Itoa(o.MatchTolerance))
-	b.WriteString(",fixed=")
-	b.WriteString(o.Defects.label())
-	return b.String()
+	var buf [64]byte
+	return string(o.appendLabel(buf[:0]))
+}
+
+// appendLabel appends the Label to b without allocating when b has room.
+func (o Options) appendLabel(b []byte) []byte {
+	b = append(b, "corrected="...)
+	b = strconv.AppendBool(b, o.CorrectDefects)
+	b = append(b, ",tol="...)
+	b = strconv.AppendInt(b, int64(o.MatchTolerance), 10)
+	b = append(b, ",fixed="...)
+	return o.Defects.appendLabel(b)
 }
 
 // RunWithOptions executes one scenario with the full Table 5.3 monitoring
@@ -356,6 +363,8 @@ type vehicleSet struct {
 	pa       *vehicle.ParkAssist
 	arbiter  *vehicle.Arbiter
 	dynamics *vehicle.Dynamics
+	// init writes the scenario's initial signal values on the set's bus.
+	init vehicleInit
 }
 
 // newVehicleSet constructs the component set with the constructors' default
@@ -411,36 +420,70 @@ func (vs *vehicleSet) configure(sc Scenario, opts Options) {
 	}
 }
 
-// initVehicleBus (re)initialises the scenario's signal vocabulary on the bus
-// so every signal is visible from the very first step.  On a fresh bus it
-// interns the full vocabulary into the run's schema; on a reset arena bus
-// every name is already interned and each Init is two plane stores.
-func initVehicleBus(bus *sim.Bus, sc Scenario) {
-	bus.InitString(vehicle.SigGear, sc.Gear)
-	bus.InitString(vehicle.SigAccelSource, vehicle.SourceNone)
-	bus.InitString(vehicle.SigSteerSource, vehicle.SourceNone)
-	bus.InitNumber(vehicle.SigAccelCommand, 0)
-	bus.InitNumber(vehicle.SigSteerCommand, 0)
-	bus.InitNumber(vehicle.SigVehicleSpeed, sc.InitialSpeed)
-	bus.InitNumber(vehicle.SigVehicleAccel, 0)
-	bus.InitNumber(vehicle.SigVehicleJerk, 0)
-	bus.InitNumber(vehicle.SigVehiclePosition, 0)
-	bus.InitBool(vehicle.SigVehicleStopped, sc.InitialSpeed == 0)
-	bus.InitBool(vehicle.SigInForwardMotion, sc.InitialSpeed > 0)
-	bus.InitBool(vehicle.SigInBackwardMotion, sc.InitialSpeed < 0)
-	bus.InitBool(vehicle.SigAccelFromSubsystem, false)
-	bus.InitBool(vehicle.SigSteerFromSubsystem, false)
-	bus.InitBool(vehicle.SigAccelSteeringAgreement, true)
-	bus.InitNumber(vehicle.SigObjectDistance, 1e9)
-	bus.InitNumber(vehicle.SigRearObjectDistance, 1e9)
-	for _, f := range vehicle.FeatureNames {
-		bus.InitBool(vehicle.SigActive(f), false)
-		bus.InitNumber(vehicle.SigAccelRequest(f), 0)
-		bus.InitBool(vehicle.SigRequestingAccel(f), false)
-		bus.InitNumber(vehicle.SigSteerRequest(f), 0)
-		bus.InitBool(vehicle.SigRequestingSteer(f), false)
-		bus.InitNumber(vehicle.SigRequestJerk(f), 0)
-		bus.InitBool(vehicle.SigSelected(f), false)
+// vehicleInit holds the handles of every signal a run initialises, so that
+// the scenario's initial values are written by slot: bind resolves ~50
+// names once per bus, and set is then plane stores alone.
+type vehicleInit struct {
+	gear, accelSource, steerSource sim.StringVar
+	speed                          sim.NumVar
+	stopped, forward, backward     sim.BoolVar
+	agreement                      sim.BoolVar
+	far                            [2]sim.NumVar                          // object distances: nothing in range
+	zero                           [5 + 3*vehicle.NumFeatures]sim.NumVar  // numbers that start at 0
+	off                            [2 + 4*vehicle.NumFeatures]sim.BoolVar // flags that start false
+}
+
+// bind resolves the initialised vocabulary on bus; on a fresh bus it interns
+// the names into the bus schema in this order.
+func (vi *vehicleInit) bind(bus *sim.Bus) {
+	vi.gear = bus.StringVar(vehicle.SigGear)
+	vi.accelSource = bus.StringVar(vehicle.SigAccelSource)
+	vi.steerSource = bus.StringVar(vehicle.SigSteerSource)
+	vi.zero[0] = bus.NumVar(vehicle.SigAccelCommand)
+	vi.zero[1] = bus.NumVar(vehicle.SigSteerCommand)
+	vi.speed = bus.NumVar(vehicle.SigVehicleSpeed)
+	vi.zero[2] = bus.NumVar(vehicle.SigVehicleAccel)
+	vi.zero[3] = bus.NumVar(vehicle.SigVehicleJerk)
+	vi.zero[4] = bus.NumVar(vehicle.SigVehiclePosition)
+	vi.stopped = bus.BoolVar(vehicle.SigVehicleStopped)
+	vi.forward = bus.BoolVar(vehicle.SigInForwardMotion)
+	vi.backward = bus.BoolVar(vehicle.SigInBackwardMotion)
+	vi.off[0] = bus.BoolVar(vehicle.SigAccelFromSubsystem)
+	vi.off[1] = bus.BoolVar(vehicle.SigSteerFromSubsystem)
+	vi.agreement = bus.BoolVar(vehicle.SigAccelSteeringAgreement)
+	vi.far[0] = bus.NumVar(vehicle.SigObjectDistance)
+	vi.far[1] = bus.NumVar(vehicle.SigRearObjectDistance)
+	for i, f := range vehicle.FeatureNames {
+		z, o := vi.zero[5+3*i:], vi.off[2+4*i:]
+		o[0] = bus.BoolVar(vehicle.SigActive(f))
+		z[0] = bus.NumVar(vehicle.SigAccelRequest(f))
+		o[1] = bus.BoolVar(vehicle.SigRequestingAccel(f))
+		z[1] = bus.NumVar(vehicle.SigSteerRequest(f))
+		o[2] = bus.BoolVar(vehicle.SigRequestingSteer(f))
+		z[2] = bus.NumVar(vehicle.SigRequestJerk(f))
+		o[3] = bus.BoolVar(vehicle.SigSelected(f))
+	}
+}
+
+// set (re)initialises the scenario's signal vocabulary so every signal is
+// visible from the very first step.
+func (vi *vehicleInit) set(sc Scenario) {
+	vi.gear.Init(sc.Gear)
+	vi.accelSource.Init(vehicle.SourceNone)
+	vi.steerSource.Init(vehicle.SourceNone)
+	vi.speed.Init(sc.InitialSpeed)
+	vi.stopped.Init(sc.InitialSpeed == 0)
+	vi.forward.Init(sc.InitialSpeed > 0)
+	vi.backward.Init(sc.InitialSpeed < 0)
+	vi.agreement.Init(true)
+	for i := range vi.far {
+		vi.far[i].Init(1e9)
+	}
+	for i := range vi.zero {
+		vi.zero[i].Init(0)
+	}
+	for i := range vi.off {
+		vi.off[i].Init(false)
 	}
 }
 
@@ -453,8 +496,9 @@ func initVehicleBus(bus *sim.Bus, sc Scenario) {
 // Stepper monitors over this simulation) and the substrate benchmarks.
 func NewSimulation(sc Scenario, opts Options) *sim.Simulation {
 	s := sim.New(Period)
-	initVehicleBus(s.Bus, sc)
 	vs := newVehicleSet()
+	vs.init.bind(s.Bus)
+	vs.init.set(sc)
 	vs.configure(sc, opts)
 	components := vs.components()
 	// One shared handle table for the whole run instead of one per component.

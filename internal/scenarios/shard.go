@@ -15,13 +15,15 @@ import "strconv"
 // surfaces.  Job.Key is that identity; Job.Shard hashes it with FNV-1a (a
 // fixed published constant-defined hash, stable across processes, platforms
 // and Go releases); ShardSource filters any JobSource down to one shard.
+// Keys are built by appending into caller buffers (appendKey), so hashing a
+// job to its shard, or looking it up in the result cache, allocates nothing.
 
 // fnv1a64 is the 64-bit FNV-1a hash.  It is written out rather than taken
 // from hash/fnv to make the shard contract self-evident: the hash of a
 // variant key is defined by these two published constants and nothing else,
 // so any process — today's or a future Go version's — computes the same
 // shard for the same key.
-func fnv1a64(s string) uint64 {
+func fnv1a64[S string | []byte](s S) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -57,8 +59,21 @@ type Job struct {
 // configurations violate the contract and must not be sharded, cached or
 // deduplicated by key.
 func (j Job) Key() string {
-	d := j.Scenario.ScheduledDuration()
-	return j.Scenario.Name + "|" + strconv.FormatInt(int64(d), 10) + "|" + j.Options.Label()
+	var buf [keyBufLen]byte
+	return string(j.appendKey(buf[:0]))
+}
+
+// keyBufLen sizes the stack buffers keys are built in: every sweep
+// generator's keys fit, and a longer one only spills to the heap.
+const keyBufLen = 160
+
+// appendKey appends the Key to b.
+func (j Job) appendKey(b []byte) []byte {
+	b = append(b, j.Scenario.Name...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(j.Scenario.ScheduledDuration()), 10)
+	b = append(b, '|')
+	return j.Options.appendLabel(b)
 }
 
 // Shard returns the index of the shard that owns this job in an n-way
@@ -67,7 +82,13 @@ func (j Job) Key() string {
 // computes it and of the Go version, so every participant in a distributed
 // sweep derives the same owner for the same variant.  Non-positive n and
 // n == 1 both yield the single shard 0.
-func (j Job) Shard(n int) int { return ShardOfKey(j.Key(), n) }
+func (j Job) Shard(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	var buf [keyBufLen]byte
+	return int(fnv1a64(j.appendKey(buf[:0])) % uint64(n))
+}
 
 // ShardOfKey is Job.Shard for a caller that already holds the job's Key.
 func ShardOfKey(key string, n int) int {

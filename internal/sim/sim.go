@@ -128,6 +128,13 @@ func (v NumVar) Read() float64 { return v.read.LoadNumber(v.slot) }
 // Write buffers a new value; it becomes visible after the next commit.
 func (v NumVar) Write(f float64) { v.write.StoreNumber(v.slot, f) }
 
+// Init sets the signal in both register files, so the value is visible from
+// the very first step: Bus.InitNumber through a resolved handle.
+func (v NumVar) Init(f float64) {
+	v.read.StoreNumber(v.slot, f)
+	v.write.StoreNumber(v.slot, f)
+}
+
 // BoolVar is a slot-indexed handle to a boolean bus signal.
 type BoolVar struct {
 	read  temporal.State
@@ -146,6 +153,13 @@ func (v BoolVar) Read() bool { return v.read.LoadBool(v.slot) }
 
 // Write buffers a new value; it becomes visible after the next commit.
 func (v BoolVar) Write(x bool) { v.write.StoreBool(v.slot, x) }
+
+// Init sets the signal in both register files: Bus.InitBool through a
+// resolved handle.
+func (v BoolVar) Init(x bool) {
+	v.read.StoreBool(v.slot, x)
+	v.write.StoreBool(v.slot, x)
+}
 
 // StringVar is a slot-indexed handle to a string (enumeration) bus signal.
 type StringVar struct {
@@ -178,6 +192,13 @@ func (v StringVar) Write(s string) { v.write.SetSlotString(v.slot, s) }
 // from EnumID on this bus (or any lane view sharing its schema): two plane
 // stores, no map read.
 func (v StringVar) WriteID(id int32) { v.write.StoreStringID(v.slot, id) }
+
+// Init sets the signal in both register files, interning s: Bus.InitString
+// through a resolved handle.
+func (v StringVar) Init(s string) {
+	v.read.SetSlotString(v.slot, s)
+	v.write.SetSlotString(v.slot, s)
+}
 
 // EnumID interns an enumeration value in the bus schema and returns its id.
 // Ids are stable for the schema's lifetime — across Reset and shared by

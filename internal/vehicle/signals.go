@@ -18,6 +18,10 @@ const (
 	numFeatures
 )
 
+// NumFeatures is the number of feature subsystems, len(FeatureNames), for
+// callers that size per-feature arrays.
+const NumFeatures = numFeatures
+
 func init() {
 	// FeatureNames is an indexed literal over the idx* constants; this trips
 	// at package load if a feature is added to one side but not the other.
