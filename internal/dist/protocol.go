@@ -128,8 +128,8 @@ func NewAggregateReport(acc *scenarios.Accumulator) AggregateReport {
 // aggregate trailer or blank line, and an error for anything else — a
 // corrupted stream should surface as a worker failure, not be silently
 // skipped.  A line in exactly the layout AppendJSON writes is decoded
-// without encoding/json; any other line is decoded by encoding/json, with
-// the same result the canonical decode would give.
+// without encoding/json; every other line goes to encoding/json, which
+// would decode a canonical line to the same report (FuzzParseResultLine).
 func ParseResultLine(line []byte) (RunReport, bool, error) {
 	if rep, ok := decodeRunLine(line); ok {
 		return rep, true, nil

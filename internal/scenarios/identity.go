@@ -93,8 +93,9 @@ const (
 // one tagged token per set field, each float by its IEEE-754 bits, so any
 // difference in timing or commanded values splits the key, and no value —
 // NaN and ±Inf included — can make the encoding fail.  A nil and an empty
-// schedule drive the same trajectory and share a key.  TestDriverActionFieldsKeyed
-// fails on a DriverAction field the encoding leaves out.
+// schedule drive the same trajectory and share a key.
+// TestDriverActionFieldsKeyed fails on a DriverAction field the encoding
+// leaves out.
 func (j Job) DynamicsKey() string {
 	var buf [256]byte
 	return string(j.appendDynamicsKey(buf[:0]))
