@@ -64,17 +64,19 @@
 // per-lane uint64 verdict mask: typed atom kernels read whole lane groups of
 // the planes, and change propagation re-evaluates only the connectives whose
 // children's masks changed (plus the stateful temporal operators), so a
-// quiet tick costs little more than its atoms.  monitor.LaneSuite folds mask
-// diffs into per-lane violation intervals, touching per-lane state only on
-// ticks where some lane's verdict changed.  The Engine's dispatcher batches consecutive
+// quiet tick costs little more than its atoms.  StepLanes also reports which
+// goal verdicts changed, and monitor.LaneSuite folds only those into per-lane
+// violation intervals, touching per-lane state only on ticks where some
+// lane's verdict changed.  The Engine's dispatcher batches consecutive
 // equal-duration dynamics groups into lane tasks (WithLanes, default width
 // 4), and grouped summary-only runs are lane batches at every width: a
 // ragged remainder or WithLanes(1) simply runs one active lane.  Per-lane
 // stop masks retire collided lanes early.  The lane arena is the one
 // execution path: WithGrouping(false) runs each job as a one-lane batch on a
-// width-1 arena, and a KeepTrace run (the Engine's, or RunWithOptions) gets a
-// fresh width-1 arena that records every committed state and whose schema,
-// trace and suite its Result keeps.  The tests' reference run — a scalar
+// width-1 arena, and a KeepTrace run (the Engine's, or RunWithOptions) is a
+// one-lane batch on a pooled width-1 arena that also records every committed
+// state; its Result owns a trace over a clone of the arena's schema and a
+// clone of the lane's suite, so the arena serves the next job.  The tests' reference run — a scalar
 // sim.Simulation observed by string-keyed Stepper monitors — is the
 // independent oracle: the laned, grouped, arena and differential tests
 // compare the NDJSON stream, the aggregate, the detections and the violation

@@ -257,10 +257,28 @@ func (c *Coordinator) Run(ctx context.Context, src scenarios.JobSource, sink sce
 	}
 	defer st.reapAll()
 
-	for shard := 0; shard < n; shard++ {
-		if err := st.spawn(shard); err != nil {
+	// The ordered stream owes its first result to the shard holding the
+	// first variant, so that shard starts alone and the rest start once the
+	// main loop has handled its first event (a run line, its exit, or a
+	// retry).  Started together on one host, the shards' workers keep every
+	// CPU busy, and a busy Go scheduler polls the network only every few
+	// milliseconds: the first line would wait there for a poll that falls
+	// anywhere in that window.  On separate hosts the rest start one first
+	// line later.
+	first := 0
+	if len(vars) > 0 {
+		first = vars[0].shard
+	}
+	if err := st.spawn(first); err != nil {
+		return nil, err
+	}
+	// waitOn is the shard the rest wait for, -1 once they have started.
+	waitOn := first
+	if st.shards[first].worker == nil {
+		if err := st.spawnRest(first); err != nil {
 			return nil, err
 		}
+		waitOn = -1
 	}
 
 	var stall <-chan time.Time
@@ -298,8 +316,26 @@ func (c *Coordinator) Run(ctx context.Context, src scenarios.JobSource, sink sce
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
+		if waitOn >= 0 {
+			if err := st.spawnRest(waitOn); err != nil {
+				return nil, err
+			}
+			waitOn = -1
+		}
 	}
 	return st.outcome(), nil
+}
+
+// spawnRest starts every shard but first, in shard order.
+func (st *runState) spawnRest(first int) error {
+	for shard := range st.shards {
+		if shard != first {
+			if err := st.spawn(shard); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // runState is the bookkeeping of one Run call, owned by the main loop.

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -482,6 +483,64 @@ func TestCoordinatorMergeAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per merged line (%d lines)", perLine, len(jobs))
 	if perLine > maxPerLine {
 		t.Errorf("the merge allocates %.1f times per line, more than %d", perLine, maxPerLine)
+	}
+}
+
+// startLogTransport logs every Start into the run's event log and refuses
+// the first attempt of shard refuse (-1 refuses none).
+type startLogTransport struct {
+	inner  Transport
+	refuse int
+	log    *[]string
+}
+
+func (t *startLogTransport) Start(ctx context.Context, spec ShardSpec) (Worker, error) {
+	*t.log = append(*t.log, "start "+strconv.Itoa(spec.Index))
+	if spec.Index == t.refuse {
+		t.refuse = -1
+		return nil, errors.New("refused")
+	}
+	return t.inner.Start(ctx, spec)
+}
+
+// TestCoordinatorStartsFirstOwnerAlone pins the spawn order: the shard that
+// owns the first variant starts alone, and the others start only after the
+// main loop has handled its first event — its first run line, or the retry
+// a refused start schedules.
+func TestCoordinatorStartsFirstOwnerAlone(t *testing.T) {
+	const shards = 3
+	jobs, streams := cannedHugeStream(t, shards)
+	owner := jobs[0].Shard(shards)
+	for _, refused := range []bool{false, true} {
+		var log []string
+		tr := &startLogTransport{inner: streams, refuse: -1, log: &log}
+		if refused {
+			tr.refuse = owner
+		}
+		coord, err := New(Options{Workers: shards, MaxAttempts: 2, RetryBackoff: 10 * time.Millisecond, Transport: tr, Hooks: Hooks{
+			OnResult: func(shard, _ int, _ string) { log = append(log, "result "+strconv.Itoa(shard)) },
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := coord.Run(context.Background(), scenarios.SliceSource(jobs),
+			scenarios.SinkFunc(func(scenarios.StreamResult) error { return nil })); err != nil {
+			t.Fatal(err)
+		}
+		first := "start " + strconv.Itoa(owner)
+		want := []string{first, "result " + strconv.Itoa(owner)}
+		if refused {
+			// The refusal leaves nothing running until the backed-off
+			// retry, so the rest start at once.
+			next := 0
+			if owner == 0 {
+				next = 1
+			}
+			want = []string{first, "start " + strconv.Itoa(next)}
+		}
+		if len(log) < 2 || log[0] != want[0] || log[1] != want[1] {
+			t.Errorf("refused=%v: events begin %q, want %q", refused, log[:min(len(log), 4)], want)
+		}
 	}
 }
 

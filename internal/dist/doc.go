@@ -59,6 +59,13 @@
 // is dropped; the rest are folded into the one Accumulator that is the final
 // aggregate and released to the ResultSink in global source order.
 //
+// The shard that owns the first variant starts first and alone; the others
+// start once the main loop has handled its first event (a run line, its
+// exit, or a retry).  The ordered stream can release nothing before that
+// shard reports, and when every shard runs on one host their workers keep
+// every CPU busy, so a line read then waits for the Go scheduler's next
+// network poll, which falls anywhere in a window of milliseconds.
+//
 // # Re-queue and idempotence
 //
 // Worker loss is detected two ways: process exit with the shard incomplete,

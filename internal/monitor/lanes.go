@@ -17,6 +17,11 @@ import (
 // ticks where some lane's verdict actually changed, which for the thesis'
 // goals is a few dozen transitions over a 20 000-step run.
 //
+// The fold is change-driven: the program reports which taps' masks changed
+// this step (every tap after a full pass), and a node-to-tap table built at
+// Seal leads from each of those to the monitors reading it, so a tick whose
+// verdicts all held touches no per-tap state at all.
+//
 // Lanes correspond to scenario variants with different trajectories; each
 // lane's recorded intervals (and its FastSummaryAt classification) are
 // step-for-step identical to observing that lane's run with a per-monitor
@@ -37,10 +42,18 @@ type LaneSuite struct {
 	//lint:resetok program output taps are assigned at compile time and never move
 	taps []temporal.Tap
 
-	viol      []uint64  // per-tap mask of lanes currently inside a violation
-	starts    [][]int32 // per-tap per-lane open-interval start step
-	laneSteps []int     // per-lane observed step count
-	active    uint64    // lanes still contributing
+	// Seal sizes these: viol is the per-tap mask of lanes currently inside
+	// a violation, starts[i*lanes+l] tap i's open-interval start step on
+	// lane l, and tapOf[tapAt[n]:tapAt[n+1]] the taps (indices into taps)
+	// that read program node n.
+	viol   []uint64
+	starts []int32
+	//lint:resetok the node-to-tap table is built once at Seal from the taps, which never move
+	tapAt []int32
+	//lint:resetok the node-to-tap table is built once at Seal from the taps, which never move
+	tapOf     []int32
+	laneSteps []int  // per-lane observed step count
+	active    uint64 // lanes still contributing
 }
 
 // NewLaneSuite returns an empty lane suite of the given width.  The period
@@ -102,8 +115,6 @@ func (ls *LaneSuite) AddHierarchy(parent GoalAt, tolerance int, children ...Goal
 		}
 		ls.monitors = append(ls.monitors, row)
 		ls.taps = append(ls.taps, tap)
-		ls.viol = append(ls.viol, 0)
-		ls.starts = append(ls.starts, make([]int32, ls.lanes))
 	}
 	for l := 0; l < ls.lanes; l++ {
 		ls.suites[l].Add(NewHierarchy(perLane[l][0], tolerance, perLane[l][1:]...))
@@ -119,13 +130,32 @@ func (ls *LaneSuite) MustAddHierarchy(parent GoalAt, tolerance int, children ...
 	}
 }
 
-// Seal switches the shared program into lane mode; no further hierarchies
-// can be added.  It fails when the plan cannot be lane-stepped (predicate
-// atoms) or the width is out of range.
+// Seal switches the shared program into lane mode and sizes the interval
+// bookkeeping; no further hierarchies can be added.  It fails when the width
+// is out of range.
 func (ls *LaneSuite) Seal() error {
 	if err := ls.program.SetLanes(ls.lanes); err != nil {
 		return err
 	}
+	nt, nodes := len(ls.taps), ls.program.Stats().Nodes
+	ls.viol = make([]uint64, nt)
+	tables := make([]int32, nt*ls.lanes+nodes+1+nt)
+	ls.starts, tables = tables[:nt*ls.lanes], tables[nt*ls.lanes:]
+	ls.tapAt, ls.tapOf = tables[:nodes+1], tables[nodes+1:]
+	// Counting sort of the taps by node: tapAt[n+1] counts node n's taps,
+	// then the prefix sums place them.
+	for _, tap := range ls.taps {
+		ls.tapAt[tap+1]++
+	}
+	for n := 0; n < nodes; n++ {
+		ls.tapAt[n+1] += ls.tapAt[n]
+	}
+	for i, tap := range ls.taps {
+		ls.tapOf[ls.tapAt[tap]] = int32(i)
+		ls.tapAt[tap]++
+	}
+	copy(ls.tapAt[1:], ls.tapAt[:nodes])
+	ls.tapAt[0] = 0
 	ls.sealed = true
 	ls.active = uint64(1)<<uint(ls.lanes) - 1
 	return nil
@@ -142,17 +172,9 @@ func (ls *LaneSuite) Reset(activeCount int) {
 			m.Reset()
 		}
 	}
-	for i := range ls.viol {
-		ls.viol[i] = 0
-	}
-	for _, starts := range ls.starts {
-		for l := range starts {
-			starts[l] = 0
-		}
-	}
-	for l := range ls.laneSteps {
-		ls.laneSteps[l] = 0
-	}
+	clear(ls.viol)
+	clear(ls.starts)
+	clear(ls.laneSteps)
 	if activeCount < 0 {
 		activeCount = 0
 	}
@@ -163,32 +185,37 @@ func (ls *LaneSuite) Reset(activeCount int) {
 }
 
 // ObserveLanes implements sim.LaneObserver: it advances the lane program one
-// widened state and folds each tap's per-lane verdict mask into the per-lane
-// violation intervals.  Only taps whose violating-lane mask changed this tick
-// touch any per-lane state.
+// widened state and folds the per-lane verdict mask of every tap the program
+// reports changed into the per-lane violation intervals.  A tap whose mask
+// held keeps its violating lanes: the fold of an unchanged mask is a no-op,
+// also after a lane stopped (closeLane clears the lane from both masks).
+// Only taps whose violating-lane mask changed touch any per-lane state.
 func (ls *LaneSuite) ObserveLanes(st temporal.State) {
 	ls.program.StepLanes(st)
 	active := ls.active
-	for i, tap := range ls.taps {
+	lanes := ls.lanes
+	for _, node := range ls.program.ChangedTaps() {
 		// A set verdict bit means the goal holds on that lane; violating
 		// lanes are the active lanes whose bit is clear.
-		v := ^ls.program.OutputMask(tap) & active
-		diff := (v ^ ls.viol[i]) & active
-		if diff == 0 {
-			continue
-		}
-		starts := ls.starts[i]
-		row := ls.monitors[i]
-		for d := diff; d != 0; d &= d - 1 {
-			l := bits.TrailingZeros64(d)
-			if v&(1<<uint(l)) != 0 {
-				starts[l] = int32(ls.laneSteps[l])
-			} else {
-				m := row[l]
-				m.violations = append(m.violations, Interval{Start: int(starts[l]), End: ls.laneSteps[l]})
+		v := ^ls.program.OutputMask(node) & active
+		for _, i := range ls.tapOf[ls.tapAt[node]:ls.tapAt[node+1]] {
+			diff := (v ^ ls.viol[i]) & active
+			if diff == 0 {
+				continue
 			}
+			starts := ls.starts[int(i)*lanes : int(i+1)*lanes]
+			row := ls.monitors[i]
+			for d := diff; d != 0; d &= d - 1 {
+				l := bits.TrailingZeros64(d)
+				if v&(1<<uint(l)) != 0 {
+					starts[l] = int32(ls.laneSteps[l])
+				} else {
+					m := row[l]
+					m.violations = append(m.violations, Interval{Start: int(starts[l]), End: ls.laneSteps[l]})
+				}
+			}
+			ls.viol[i] = (ls.viol[i] &^ active) | v
 		}
-		ls.viol[i] = (ls.viol[i] &^ active) | v
 	}
 	for a := active; a != 0; a &= a - 1 {
 		ls.laneSteps[bits.TrailingZeros64(a)]++
@@ -210,7 +237,7 @@ func (ls *LaneSuite) closeLane(lane int) {
 	for i := range ls.taps {
 		if ls.viol[i]&bit != 0 {
 			m := ls.monitors[i][lane]
-			m.violations = append(m.violations, Interval{Start: int(ls.starts[i][lane]), End: end})
+			m.violations = append(m.violations, Interval{Start: int(ls.starts[i*ls.lanes+lane]), End: end})
 			ls.viol[i] &^= bit
 		}
 	}

@@ -431,6 +431,48 @@ func NewSuite() *Suite { return &Suite{} }
 // Add registers a hierarchy.
 func (s *Suite) Add(h *Hierarchy) { s.hierarchies = append(s.hierarchies, h) }
 
+// Clone returns an independent copy of the suite with every hierarchy's
+// matching tolerance set to the given window: the same goals, locations and
+// recorded violation intervals, in one allocation each for the hierarchies,
+// the monitors, the child lists and the intervals.  The copy's monitors
+// record nothing further (Observe on them panics, as on a program-fed
+// monitor), so it serves classification and reports.  A lane arena that
+// reuses its suite for run after run hands each run's result a clone.
+func (s *Suite) Clone(tolerance int) *Suite {
+	nm, ni := 0, 0
+	for _, h := range s.hierarchies {
+		nm += 1 + len(h.Children)
+		ni += len(h.Parent.violations)
+		for _, c := range h.Children {
+			ni += len(c.violations)
+		}
+	}
+	hs := make([]Hierarchy, len(s.hierarchies))
+	out := &Suite{hierarchies: make([]*Hierarchy, len(s.hierarchies))}
+	ms := make([]Monitor, 0, nm)
+	kids := make([]*Monitor, 0, nm-len(s.hierarchies))
+	ivs := make([]Interval, 0, ni)
+	clone := func(m *Monitor) *Monitor {
+		c := *m
+		c.eval = nil
+		n := len(ivs)
+		ivs = append(ivs, m.violations...)
+		c.violations = ivs[n:len(ivs):len(ivs)]
+		ms = append(ms, c)
+		return &ms[len(ms)-1]
+	}
+	for i, h := range s.hierarchies {
+		hs[i] = Hierarchy{Parent: clone(h.Parent), Tolerance: tolerance}
+		n := len(kids)
+		for _, c := range h.Children {
+			kids = append(kids, clone(c))
+		}
+		hs[i].Children = kids[n:len(kids):len(kids)]
+		out.hierarchies[i] = &hs[i]
+	}
+	return out
+}
+
 // Hierarchies returns the registered hierarchies.
 func (s *Suite) Hierarchies() []*Hierarchy { return s.hierarchies }
 

@@ -14,6 +14,7 @@ package scenarios
 // instrumentation perturbs allocation counts).
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -127,10 +128,12 @@ func TestArenaVariantSteadyStateAllocs(t *testing.T) {
 
 // TestArenaBuildAllocs gates the cost of building a width-1 lane arena: the
 // per-lane components, the compiled Table 5.3 suite and its lane lowering.
-// Every KeepTrace job and every RunWithOptions builds one (runTraced), so
-// on the thesis traces this is most of a run's allocations.  With the
-// compiler's hash-cons keys built in a stack buffer the build allocates 601
-// objects; building every key as a string cost 1 054 (Go 1.24).
+// Engine workers and RunWithOptions borrow pooled arenas, so a build is paid
+// once per worker, not once per job; it still sets how fast a cold worker
+// gets to its first result.  With the compiler's hash-cons keys built in a
+// stack buffer the build allocated 601 objects, and building every key as a
+// string cost 1 054 (Go 1.24); with the lane suite's interval tables sized
+// once at Seal it allocates 540.
 func TestArenaBuildAllocs(t *testing.T) {
 	skipIfAllocCountsUnreliable(t)
 	newLaneArena(1, matchTolerance) // warm: the cached monitoring plan is not the arena's
@@ -140,7 +143,7 @@ func TestArenaBuildAllocs(t *testing.T) {
 }
 
 // TestTraceRecordingAllocs gates KeepTrace recording on its production path,
-// RunWithOptions (a fresh width-1 lane arena with a trace observer): a
+// RunWithOptions (a pooled width-1 lane arena recording a trace): a
 // thesis run that records 2 000 more ticks may allocate only the few extra
 // trace chunks those ticks fill (three objects per 512 snapshots), not one
 // register file per tick.  Cloning every tick would add ~10 000.
@@ -162,6 +165,39 @@ func TestTraceRecordingAllocs(t *testing.T) {
 	if extra := long - short; extra > 16 {
 		t.Errorf("KeepTrace RunWithOptions allocates %v objects at 2 s and %v at 4 s: the extra 2 000 ticks add %v, want <= 16",
 			short, long, extra)
+	}
+}
+
+// TestKeepTraceJobAllocs gates what a KeepTrace job costs on a warmed
+// Engine: the pooled arena's batch, the trace, and the copies the Result
+// owns (a schema clone, a suite clone and its classification).  Ten 2 s
+// thesis scenarios on one worker measure ~42 objects per job (Go 1.24), and
+// building a fresh arena per job cost ~600 more.  The bound of 64 leaves
+// room for one arena rebuilt in the three measured passes (+18 per job, a
+// pooled arena the GC dropped) and for nothing proportional to the jobs.
+func TestKeepTraceJobAllocs(t *testing.T) {
+	skipIfAllocCountsUnreliable(t)
+	jobs := thesisScenarioJobs(2 * time.Second)
+	e := NewEngine(WithWorkers(1))
+	pass := func() {
+		n := 0
+		err := e.Stream(context.Background(), SliceSource(jobs), SinkFunc(func(sr StreamResult) error {
+			if sr.Result.Trace == nil || sr.Result.Suite == nil {
+				t.Fatalf("job %d: KeepTrace result without its trace or suite", sr.Index)
+			}
+			n++
+			return nil
+		}))
+		if err != nil || n != len(jobs) {
+			t.Fatalf("stream delivered %d of %d results: %v", n, len(jobs), err)
+		}
+	}
+	pass() // warm: the worker's arena enters the pool
+	perJob := testing.AllocsPerRun(3, pass) / float64(len(jobs))
+	if perJob > 64 {
+		t.Errorf("a KeepTrace job on a warmed Engine allocates %.1f objects, want <= 64", perJob)
+	} else {
+		t.Logf("a KeepTrace job on a warmed Engine allocates %.1f objects", perJob)
 	}
 }
 

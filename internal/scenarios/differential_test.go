@@ -343,6 +343,29 @@ func TestDifferentialThesisScenarios(t *testing.T) {
 	}
 }
 
+// TestDifferentialKeepTraceTolerance checks that a KeepTrace Result is
+// classified at its job's tolerance although the pooled arena it ran on
+// classifies at the default: scenario 1 at a one-step window, where the
+// Arbiter's jerk-command violations lead the vehicle's by ~9 steps and no
+// longer match, against the reference at that window.
+func TestDifferentialKeepTraceTolerance(t *testing.T) {
+	sc, ok := ScenarioByNumber(1)
+	if !ok {
+		t.Fatal("scenario 1 missing")
+	}
+	if testing.Short() {
+		sc.Duration = 14 * time.Second
+	}
+	jobs := []Job{{Scenario: sc, Options: Options{MatchTolerance: 1}}, {Scenario: sc}}
+	refs := referenceOf(t, jobs)
+	if refs[0].Summary == refs[1].Summary {
+		t.Fatalf("tolerance 1 classifies like the default (%v); the test would not tell them apart", refs[0].Summary)
+	}
+	for i, j := range jobs {
+		assertTracedMatchesReference(t, j, RunWithOptions(j.Scenario, j.Options), refs[i])
+	}
+}
+
 // assertSweepMatchesReference streams a sweep through a KeepTrace engine
 // (every Result checked for detections and report) and through a
 // summary-only engine without grouping (pooled width-1 arenas reused job

@@ -138,6 +138,12 @@ type Engine struct {
 	grouping  bool
 	lanes     int
 	cache     *variantCache
+	// free returns executed tasks to the dispatcher, so their job buffers
+	// serve later batches of this and later streams.  At most one task per
+	// worker plus the one being filled and the one being sent circulate per
+	// stream, which sizes the buffer; a task returned to a full list is
+	// dropped.
+	free chan task
 
 	statsMu   sync.Mutex
 	stats     GroupStats
@@ -152,6 +158,10 @@ type EngineOption func(*Engine)
 func WithWorkers(n int) EngineOption { return func(e *Engine) { e.workers = n } }
 
 // WithRetention sets the trace-retention policy applied to every Result.
+// Either way a worker runs its jobs on one pooled lane arena; under
+// KeepTrace each job is a one-lane batch that also records its trace, and
+// its Result gets copies of the trace's schema and the monitor suite, so
+// the arena serves the next job.
 func WithRetention(r Retention) EngineOption { return func(e *Engine) { e.retention = r } }
 
 // WithResultCache memoizes summary-only Results keyed by the variant label
@@ -232,6 +242,10 @@ func NewEngine(opts ...EngineOption) *Engine {
 	for _, opt := range opts {
 		opt(e)
 	}
+	if e.retention == KeepTrace {
+		e.cache = nil // a KeepTrace Result owns its trace and suite; none is memoized
+	}
+	e.free = make(chan task, e.workerCount()+1)
 	return e
 }
 
@@ -254,10 +268,13 @@ func (e *Engine) grouped() bool {
 // groups with equal scheduled duration, executed as one lane batch.  Per-job
 // dispatch sends one group holding one job.  idx is the source index of the
 // first job; a task's jobs are contiguous in source order, so job i of the
-// flattened task streams under index idx+i.
+// flattened task streams under index idx+i.  The groups are cut from jobs,
+// one buffer for the whole batch; the worker hands an executed task back to
+// the dispatcher, which refills both slices for a later batch.
 type task struct {
 	idx    int
 	groups [][]Job
+	jobs   []Job
 }
 
 // maxGroupWidth bounds how many jobs one dynamics group may carry.  The
@@ -323,20 +340,36 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 	go func() {
 		defer close(tasks)
 		var (
-			group      []Job
 			keys       groupKeys
 			groupStart int
-			batch      task
 			batchDur   time.Duration
+			// open is where the open group starts in batch.jobs: the
+			// batch's closed groups come before it.
+			open int
 		)
-		// sendBatch dispatches the pending batch; its slices are handed to
-		// the worker, never reused.
+		// take returns an executed task's buffers emptied, or new ones.  A
+		// batch never holds more than width*groupCap jobs, so appending to
+		// its jobs never moves the groups already cut from them.
+		take := func() task {
+			select {
+			case t := <-e.free:
+				return task{groups: t.groups[:0], jobs: t.jobs[:0]}
+			default:
+				return task{groups: make([][]Job, 0, width), jobs: make([]Job, 0, width*groupCap)}
+			}
+		}
+		batch := take()
+		// sendBatch dispatches the batch's closed groups.  The open group's
+		// jobs move to the next batch's buffer, because the worker hands
+		// the sent one back for reuse.
 		sendBatch := func() bool {
 			if len(batch.groups) == 0 {
 				return true
 			}
 			t := batch
-			batch = task{}
+			batch = take()
+			batch.jobs = append(batch.jobs, t.jobs[open:]...)
+			open = 0
 			select {
 			case tasks <- t:
 				return true
@@ -345,22 +378,23 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 			}
 			return false
 		}
-		// flush closes the pending group into the batch, sending the batch
+		// flush closes the open group into the batch, sending the batch
 		// first on a scheduled-duration mismatch and afterwards at full
 		// width.
 		flush := func() bool {
-			if len(group) == 0 {
+			if len(batch.jobs) == open {
 				return true
 			}
-			d := group[0].Scenario.ScheduledDuration()
+			d := batch.jobs[open].Scenario.ScheduledDuration()
 			if len(batch.groups) > 0 && d != batchDur && !sendBatch() {
 				return false
 			}
 			if len(batch.groups) == 0 {
 				batch.idx, batchDur = groupStart, d
 			}
-			batch.groups = append(batch.groups, group)
-			group = nil
+			end := len(batch.jobs)
+			batch.groups = append(batch.groups, batch.jobs[open:end:end])
+			open = end
 			if len(batch.groups) == width {
 				return sendBatch()
 			}
@@ -383,15 +417,15 @@ func (e *Engine) Stream(ctx context.Context, src JobSource, sink ResultSink) err
 			}
 			// Single-job groups never compare keys, so per-job dispatch
 			// never derives one.
-			if groupCap > 1 && !keys.matches(job) && len(group) > 0 && !flush() {
+			if groupCap > 1 && !keys.matches(job) && len(batch.jobs) > open && !flush() {
 				return
 			}
-			if len(group) == 0 {
+			if len(batch.jobs) == open {
 				groupStart = idx
 				keys.open()
 			}
-			group = append(group, job)
-			if len(group) == groupCap && !flush() {
+			batch.jobs = append(batch.jobs, job)
+			if len(batch.jobs)-open == groupCap && !flush() {
 				return
 			}
 		}
@@ -464,48 +498,70 @@ func (k *groupKeys) matches(job Job) bool {
 // open starts a group keyed by the job matches last saw.
 func (k *groupKeys) open() { k.group, k.next = k.next, k.group }
 
-// laneArenaPool recycles lane arenas across Stream calls and Engine
-// lifetimes: an arena's schema, handle tables and compiled lane program
-// depend on nothing job-specific, so a worker borrows one for the duration of
-// a stream and returns it, and repeated sweeps (tests, benchmarks, a
-// long-lived service evaluating batch after batch) skip the per-worker setup
-// entirely.  Widths can differ across Engines, so the pool is width-checked
-// on borrow: a mismatched arena is dropped (for the GC) and a fresh one built
-// at the requested width.
-var laneArenaPool sync.Pool
+// laneArenas recycles lane arenas across Stream calls, Engine lifetimes and
+// RunWithOptions calls: an arena's schema, handle tables and compiled lane
+// program depend on nothing job-specific, so a worker borrows one for the
+// duration of a stream and returns it, and repeated sweeps (tests,
+// benchmarks, a long-lived service evaluating batch after batch) skip the
+// per-worker setup entirely.
+//
+// It is a bounded stack, not a sync.Pool.  A sync.Pool empties itself over
+// two GCs, and a KeepTrace pass runs several (each job allocates its trace):
+// an arena returned by a worker that finished first was gone about one pass
+// in three, and the next pass rebuilt it (~540 objects).  Widths can differ
+// across Engines, so a borrow that finds an arena of another width on top
+// drops it (for the GC) and builds one at the requested width; the stack
+// holds at most one arena per GOMAXPROCS, a default Engine's workers.
+var laneArenas arenaPool
 
-// borrowLaneArena fetches a summary-only lane arena of the given width from
-// the pool, building one when the pool is empty or holds a different width.
-// Pooled arenas classify at the default tolerance; each job's summary is
-// re-classified at its own (FastSummaryAt).
-func borrowLaneArena(lanes int) *laneArena {
-	if a, _ := laneArenaPool.Get().(*laneArena); a != nil && a.lanes == lanes {
+type arenaPool struct {
+	mu   sync.Mutex
+	free []*laneArena
+}
+
+// borrow takes the most recently returned arena when it has the given
+// width, or builds one.  Pooled arenas classify at the default tolerance;
+// each job's summary is re-classified at its own (FastSummaryAt), and a
+// KeepTrace Result's suite is a clone at the job's tolerance.
+func (p *arenaPool) borrow(lanes int) *laneArena {
+	p.mu.Lock()
+	var a *laneArena
+	if n := len(p.free); n > 0 {
+		a, p.free[n-1], p.free = p.free[n-1], nil, p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if a != nil && a.lanes == lanes {
 		return a
 	}
 	return newLaneArena(lanes, matchTolerance)
 }
 
-// runWorker executes dispatched tasks until the task channel closes.  Every
-// task runs on a lane arena.  Summary-only tasks share one arena borrowed
-// for the stream — per-lane component sets over one lane-widened bus and
-// one compiled lane program, rewound between batches — so the per-variant
-// cost is the simulation itself, not its construction; it is width lanes
-// wide (1 without grouping, where every task is one job).  A KeepTrace task
-// is one job on a fresh width-1 arena (runTraced), because its Result keeps
-// the arena's trace and suite.
-func (e *Engine) runWorker(width int, tasks <-chan task, results chan<- StreamResult) {
-	if e.retention == KeepTrace {
-		for t := range tasks {
-			job := t.groups[0][0]
-			results <- StreamResult{Index: t.idx, Job: job, Result: runTraced(job)}
-		}
-		return
+// put returns an arena to the stack, or drops it when the stack is full.
+func (p *arenaPool) put(a *laneArena) {
+	p.mu.Lock()
+	if len(p.free) < runtime.GOMAXPROCS(0) {
+		p.free = append(p.free, a)
 	}
-	la := borrowLaneArena(width)
-	defer laneArenaPool.Put(la)
+	p.mu.Unlock()
+}
+
+// runWorker executes dispatched tasks until the task channel closes, every
+// one on the lane arena the worker borrows for the stream: per-lane
+// component sets over one lane-widened bus and one compiled lane program,
+// rewound between batches, so the per-variant cost is the simulation itself,
+// not its construction.  The arena is width lanes wide (1 without grouping
+// and under KeepTrace, where every task is one job).  Each executed task
+// goes back to the dispatcher through e.free.
+func (e *Engine) runWorker(width int, tasks <-chan task, results chan<- StreamResult) {
+	la := laneArenas.borrow(width)
+	defer laneArenas.put(la)
 	var s laneScratch
 	for t := range tasks {
 		e.runLaneTask(la, &s, t, results)
+		select {
+		case e.free <- t:
+		default:
+		}
 	}
 }
 
@@ -527,10 +583,12 @@ type laneScratch struct {
 // resolved per job first; a group whose jobs all hit drops out of the batch
 // entirely.  The surviving groups' miss subsets (each still sharing its
 // group's DynamicsKey) run as ONE lane-widened simulation, one group per
-// lane; a batch with a single survivor runs with one active lane.  Every
-// job's result streams under its own index and key, so batching is invisible
-// to the collector, the cache, sharding and the distributed merge.  Under
-// grouping the task's GroupStats and LaneStats are recorded in one update.
+// lane; a batch with a single survivor runs with one active lane.  A
+// KeepTrace task is one job, run as a one-lane batch that records its trace
+// (laneArena.runTraced).  Every job's result streams under its own index and
+// key, so batching is invisible to the collector, the cache, sharding and
+// the distributed merge.  Under grouping the task's GroupStats and LaneStats
+// are recorded in one update.
 func (e *Engine) runLaneTask(la *laneArena, s *laneScratch, t task, results chan<- StreamResult) {
 	total := 0
 	for _, g := range t.groups {
@@ -575,7 +633,11 @@ func (e *Engine) runLaneTask(la *laneArena, s *laneScratch, t task, results chan
 
 	if len(s.live) > 0 {
 		s.miss = growResults(s.miss, len(s.missJobs))
-		la.run(s.live, s.miss)
+		if e.retention == KeepTrace {
+			s.miss[0] = la.runTraced(s.live[0][0])
+		} else {
+			la.run(s.live, s.miss)
+		}
 		for mi, res := range s.miss {
 			s.out[s.missIdx[mi]] = res
 			if e.cache != nil {
@@ -594,6 +656,10 @@ func (e *Engine) runLaneTask(la *laneArena, s *laneScratch, t task, results chan
 			flat++
 		}
 	}
+	// Delivered results belong to the sink: the scratch must not keep a
+	// KeepTrace Result's trace alive until the next task overwrites it.
+	clear(s.out)
+	clear(s.miss)
 }
 
 // growResults returns rs resized to n, reallocating only when it lacks the

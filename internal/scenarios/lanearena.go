@@ -20,10 +20,11 @@ import (
 // individually (their intervals closed at their own step count), so an
 // early-stopping variant never desynchronizes the batch.
 //
-// Summary-only runs use pooled arenas, rewound between batches: width
-// WithLanes when grouped, width 1 (one job per batch) otherwise.  A KeepTrace
-// run gets a fresh width-1 arena of its own (runTraced), whose schema, trace
-// and lane suite the Result keeps.  The independent check of this path is the
+// Every run uses a pooled arena, rewound between batches: width WithLanes
+// for grouped summary-only sweeps, width 1 (one job per batch) otherwise.  A
+// KeepTrace job is a one-lane batch that also records its trace (runTraced);
+// its Result gets copies of the trace's schema and of the lane suite, so the
+// arena goes on to the next job.  The independent check of this path is the
 // tests' reference run: a scalar sim.Simulation observed by string-keyed
 // reference Stepper monitors.
 //
@@ -35,6 +36,9 @@ type laneArena struct {
 	sets []*vehicleSet
 	//lint:resetok the lane suite survives across batches (compiling the plan is the cost the arena amortizes); run rewinds it via LaneSuite.Reset before each batch
 	suite *monitor.LaneSuite
+	// rec records the committed states of a KeepTrace run; it is idle
+	// (no trace) during every other batch.
+	rec traceRecorder
 	// collision is the stop-predicate slot (logical; lane l reads physical
 	// index collision*lanes+l), resolved once per arena.
 	collision int
@@ -64,6 +68,7 @@ func newLaneArena(lanes, tolerance int) *laneArena {
 		panic(err)
 	}
 	a.sim.Observe(a.suite)
+	a.sim.Observe(&a.rec)
 	a.collision = a.sim.Bus.Schema().Intern(vehicle.SigCollision)
 	for l, vs := range a.sets {
 		vs.init.bind(a.sim.Bus.Lane(l))
@@ -113,29 +118,35 @@ func (a *laneArena) run(groups [][]Job, out []Result) {
 	}
 }
 
-// traceRecorder is a KeepTrace arena's width-1 observer: it records every
-// committed state into the run's preallocated trace.
+// traceRecorder is every arena's recording observer: while trace is set (a
+// KeepTrace run) it appends each committed state to it.
 type traceRecorder struct{ trace *temporal.Trace }
 
 // ObserveLanes implements sim.LaneObserver.
-func (r *traceRecorder) ObserveLanes(st temporal.State) { r.trace.Append(st) }
+func (r *traceRecorder) ObserveLanes(st temporal.State) {
+	if r.trace != nil {
+		r.trace.Append(st)
+	}
+}
 
 // LaneStopped implements sim.LaneObserver; the run simply ends.
 func (r *traceRecorder) LaneStopped(int) {}
 
-// runTraced executes one KeepTrace job on a fresh width-1 arena built at the
-// job's tolerance, recording every committed state.  The Result owns the
-// arena's schema (through its trace), the trace and the lane suite, so the
-// arena is never reused: no later run can disturb an earlier Result.
-func runTraced(job Job) Result {
-	a := newLaneArena(1, job.Options.tolerance())
-	rec := &traceRecorder{trace: temporal.NewTraceWithCapacity(Period, int(job.Scenario.ScheduledDuration()/Period))}
-	a.sim.Observe(rec)
-	out := make([]Result, 1)
-	a.run([][]Job{{job}}, out)
+// runTraced executes one KeepTrace job as a one-lane batch on a width-1
+// arena, recording every committed state into a fresh trace.  The arena
+// runs other jobs afterwards, so the Result gets copies it owns: the trace
+// reads against a private clone of the arena's schema, and the suite is a
+// clone of the lane's suite at the job's tolerance, whose classification
+// supplies the detections.
+func (a *laneArena) runTraced(job Job) Result {
+	a.rec.trace = temporal.NewTraceWithCapacity(Period, int(job.Scenario.ScheduledDuration()/Period))
+	var out [1]Result
+	a.run([][]Job{{job}}, out[:])
 	res := out[0]
-	res.Trace = rec.trace
-	res.Suite = a.suite.LaneSuiteOf(0)
+	res.Trace, a.rec.trace = a.rec.trace, nil
+	schema := a.sim.Bus.Schema()
+	res.Trace.ReplaceSchema(schema, schema.Clone())
+	res.Suite = a.suite.LaneSuiteOf(0).Clone(job.Options.tolerance())
 	// ClassifyAll materializes the detections; its summary equals the
 	// counted one run just computed.
 	res.Detections, res.Summary = res.Suite.ClassifyAll()

@@ -344,10 +344,13 @@ func (o Options) appendLabel(b []byte) []byte {
 // RunWithOptions executes one scenario with the full Table 5.3 monitoring
 // suite under explicit options (the zero Options keep the thesis' seeded
 // defects in place), retaining the full trace and monitor suite on the
-// Result.  It runs on the caller's goroutine, on a fresh width-1 lane arena —
-// exactly what a KeepTrace Engine worker does for each job.
+// Result.  It runs on the caller's goroutine, on a width-1 lane arena from
+// the pool the Engine's workers borrow from — exactly what a KeepTrace
+// Engine worker does for each job.
 func RunWithOptions(sc Scenario, opts Options) Result {
-	return runTraced(Job{Scenario: sc, Options: opts})
+	a := laneArenas.borrow(1)
+	defer laneArenas.put(a)
+	return a.runTraced(Job{Scenario: sc, Options: opts})
 }
 
 // vehicleSet is the typed component set of one vehicle simulation, kept so a

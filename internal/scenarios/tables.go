@@ -3,43 +3,144 @@ package scenarios
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"time"
+	"unicode/utf8"
 
 	"repro/internal/monitor"
 )
 
+// tableRule is the violation table's rule line.
+var tableRule = strings.Repeat("-", 110) + "\n"
+
 // RenderViolationTable renders the Appendix D violation table for one
 // scenario: every goal and subgoal that was violated, where it was
-// monitored, and the start time and duration of each violation.
+// monitored, and the start time and duration of each violation.  It appends
+// into one builder (no fmt), since a KeepTrace sweep renders one table per
+// variant.
 func RenderViolationTable(r Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Scenario %d: %s\n", r.Scenario.Number, r.Scenario.Description)
-	fmt.Fprintf(&b, "Simulated %.3f s of %.0f s", float64(r.Trace.Len())*Period.Seconds(), r.Scenario.Duration.Seconds())
-	if r.Collision {
-		fmt.Fprintf(&b, " (terminated early: collision)")
-	}
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, strings.Repeat("-", 110))
 	report := r.Suite.Report()
+	var b strings.Builder
+	b.Grow(400 + 160*len(report))
+	var num [32]byte
+	b.WriteString("Scenario ")
+	b.Write(strconv.AppendInt(num[:0], int64(r.Scenario.Number), 10))
+	b.WriteString(": ")
+	b.WriteString(r.Scenario.Description)
+	b.WriteString("\nSimulated ")
+	b.Write(strconv.AppendFloat(num[:0], float64(r.Trace.Len())*Period.Seconds(), 'f', 3, 64))
+	b.WriteString(" s of ")
+	b.Write(strconv.AppendFloat(num[:0], r.Scenario.Duration.Seconds(), 'f', 0, 64))
+	b.WriteString(" s")
+	if r.Collision {
+		b.WriteString(" (terminated early: collision)")
+	}
+	b.WriteByte('\n')
+	b.WriteString(tableRule)
 	if len(report) == 0 {
-		fmt.Fprintln(&b, "(no goal or subgoal violations)")
+		b.WriteString("(no goal or subgoal violations)\n")
 		return b.String()
 	}
-	fmt.Fprintf(&b, "%-58s %-10s %-10s %s\n", "Goal/Subgoal", "Location", "Count", "Violations (start, duration)")
+	writePadded(&b, "Goal/Subgoal", 58)
+	writePadded(&b, "Location", 10)
+	writePadded(&b, "Count", 10)
+	b.WriteString("Violations (start, duration)\n")
 	for _, row := range report {
-		var spans []string
+		writePadded(&b, row.GoalName, 58)
+		writePadded(&b, row.Location, 10)
+		count := strconv.AppendInt(num[:0], int64(len(row.Violations)), 10)
+		b.Write(count)
+		pad(&b, len(count), 10)
 		for i, iv := range row.Violations {
+			if i > 0 {
+				b.WriteString("  ")
+			}
 			if i >= 4 {
-				spans = append(spans, fmt.Sprintf("(+%d more)", len(row.Violations)-i))
+				b.WriteString("(+")
+				b.Write(strconv.AppendInt(num[:0], int64(len(row.Violations)-i), 10))
+				b.WriteString(" more)")
 				break
 			}
-			spans = append(spans, fmt.Sprintf("%.3fs/%s", iv.StartTime(row.Period).Seconds(), iv.Duration(row.Period)))
+			b.Write(strconv.AppendFloat(num[:0], iv.StartTime(row.Period).Seconds(), 'f', 3, 64))
+			b.WriteString("s/")
+			b.Write(appendDuration(num[:0], iv.Duration(row.Period)))
 		}
-		fmt.Fprintf(&b, "%-58s %-10s %-10d %s\n", row.GoalName, row.Location, len(row.Violations), strings.Join(spans, "  "))
+		b.WriteByte('\n')
 	}
-	fmt.Fprintln(&b)
-	fmt.Fprintf(&b, "Classification: %s\n", r.Summary)
+	b.WriteString("\nClassification: ")
+	b.WriteString(r.Summary.String())
+	b.WriteByte('\n')
 	return b.String()
+}
+
+// writePadded writes s left-aligned in a field of width runes and one
+// separating space, as fmt's %-*s followed by a space.
+func writePadded(b *strings.Builder, s string, width int) {
+	b.WriteString(s)
+	pad(b, utf8.RuneCountInString(s), width)
+}
+
+// pad fills a field of width runes holding n of them, then writes the
+// separating space.
+func pad(b *strings.Builder, n, width int) {
+	for ; n < width; n++ {
+		b.WriteByte(' ')
+	}
+	b.WriteByte(' ')
+}
+
+// appendDuration appends d formatted exactly as time.Duration.String formats
+// it ("1ms", "391ms", "1.5s", "2m0.25s"), without building the string.
+func appendDuration(b []byte, d time.Duration) []byte {
+	if d < 0 {
+		return append(b, d.String()...)
+	}
+	u := uint64(d)
+	switch {
+	case u == 0:
+		return append(b, "0s"...)
+	case u < uint64(time.Microsecond):
+		return append(strconv.AppendUint(b, u, 10), "ns"...)
+	case u < uint64(time.Millisecond):
+		return append(appendDecimal(b, u, 3), "µs"...)
+	case u < uint64(time.Second):
+		return append(appendDecimal(b, u, 6), "ms"...)
+	}
+	secs := u / uint64(time.Second)
+	if secs >= 3600 {
+		b = append(strconv.AppendUint(b, secs/3600, 10), 'h')
+	}
+	if secs >= 60 {
+		b = append(strconv.AppendUint(b, secs/60%60, 10), 'm')
+	}
+	b = appendDecimal(b, secs%60*uint64(time.Second)+u%uint64(time.Second), 9)
+	return append(b, 's')
+}
+
+// appendDecimal appends v scaled down by 10^prec: the integer part, then a
+// point and the fraction without trailing zeros when it is not zero.
+func appendDecimal(b []byte, v uint64, prec int) []byte {
+	scale := uint64(1)
+	for i := 0; i < prec; i++ {
+		scale *= 10
+	}
+	b = strconv.AppendUint(b, v/scale, 10)
+	frac := v % scale
+	if frac == 0 {
+		return b
+	}
+	for frac%10 == 0 {
+		frac /= 10
+		prec--
+	}
+	var digits [9]byte
+	for i := prec - 1; i >= 0; i-- {
+		digits[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	b = append(b, '.')
+	return append(b, digits[:prec]...)
 }
 
 // RenderClassificationDetail lists every hit, false negative and false

@@ -74,21 +74,34 @@ type Program struct {
 	// values as its atoms last evaluated them — is
 	// lshKind/lshVal[g*lanes:(g+1)*lanes].  lchanged lists this step's
 	// changed groups; lnoKind and lnoVal are one all-absent lane group.
-	latoms   []laneAtom
-	lwBase   []int
-	lwAt     []int32
-	lshKind  []uint8
-	lshVal   []float64
-	lchanged []int32
-	lnoKind  []uint8
-	lnoVal   []float64
-	lschema  *Schema
-	lpar     []int32
-	lparAt   []int32
-	lops     []uint64
-	lalways  []uint64
-	ldirty   []uint64
-	lfull    bool
+	// The table was bound to lschema at lbindLen names over a state of
+	// lbindWidth registers; a full pass keeps it while all three hold.
+	//
+	// ltap marks the tap nodes (every node a formula's verdict is read
+	// from), ltapAll lists them once each, and ltapChg the taps whose mask
+	// changed in the last step; lfullStep records that it was a full pass,
+	// after which every tap counts as changed.
+	latoms     []laneAtom
+	lwBase     []int
+	lwAt       []int32
+	lshKind    []uint8
+	lshVal     []float64
+	lchanged   []int32
+	lnoKind    []uint8
+	lnoVal     []float64
+	lschema    *Schema
+	lbindLen   int
+	lbindWidth int
+	lpar       []int32
+	lparAt     []int32
+	lops       []uint64
+	lalways    []uint64
+	ldirty     []uint64
+	ltap       []uint64
+	ltapAll    []Tap
+	ltapChg    []Tap
+	lfull      bool
+	lfullStep  bool
 }
 
 // Tap is a handle to one registered formula's per-step output.

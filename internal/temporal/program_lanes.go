@@ -59,8 +59,13 @@ import (
 //
 // The first StepLanes after SetLanes or Reset, and after the observed state's
 // schema changes, is a full pass: every atom and every node is evaluated and
-// every shadow refreshed (a schema change moves the operand slots, so the
-// watch table is rebuilt first).
+// every shadow refreshed.  A schema change moves the operand slots, so the
+// watch table is rebuilt first; after Reset it is kept when the state brings
+// the schema it was bound to, at the same length, in a register file of the
+// same width (a reused arena's next batch).
+//
+// StepLanes also records which taps' masks changed (ChangedTaps; every tap
+// after a full pass), so an observer folds only the verdicts that moved.
 //
 // SetLanes allocates everything lane mode needs; StepLanes allocates nothing,
 // and neither does its watch-table rebuild once the new schema has interned
@@ -132,9 +137,8 @@ func (p *Program) SetLanes(lanes int) error {
 	p.lbool = make([]uint64, n)
 	p.lcnt = make([][]int32, n)
 	p.latoms = p.latoms[:0]
-	p.lops = make([]uint64, words)
-	p.lalways = make([]uint64, words)
-	p.ldirty = make([]uint64, words)
+	sets := make([]uint64, 4*words)
+	p.lops, p.lalways, p.ldirty, p.ltap = sets[:words], sets[words:2*words], sets[2*words:3*words], sets[3*words:]
 	p.lparAt = make([]int32, n+1)
 	for i := range p.nodes {
 		nd := &p.nodes[i]
@@ -165,6 +169,21 @@ func (p *Program) SetLanes(lanes int) error {
 	p.lshKind, p.lnoKind = kinds[:na*lanes], kinds[na*lanes:]
 	vals := make([]float64, (na+1)*lanes)
 	p.lshVal, p.lnoVal = vals[:na*lanes], vals[na*lanes:]
+	// A node two formulas share is one tap.
+	taps := 0
+	for _, r := range p.roots {
+		if p.ltap[r>>6]&(1<<(uint(r)&63)) == 0 {
+			p.ltap[r>>6] |= 1 << (uint(r) & 63)
+			taps++
+		}
+	}
+	tapLists := make([]Tap, 2*taps)
+	p.ltapAll, p.ltapChg = tapLists[:0:taps], tapLists[taps:taps]
+	for i := 0; i < n; i++ {
+		if p.ltap[i>>6]&(1<<(uint(i)&63)) != 0 {
+			p.ltapAll = append(p.ltapAll, Tap(i))
+		}
+	}
 	for i := 0; i < n; i++ {
 		p.lparAt[i+1] += p.lparAt[i]
 	}
@@ -177,6 +196,7 @@ func (p *Program) SetLanes(lanes int) error {
 			fill[k]++
 		}
 	}
+	p.lbindWidth = -1 // no state is bound yet
 	p.resetLanes()
 	return nil
 }
@@ -251,10 +271,13 @@ func (p *Program) resetLanes() {
 // watched slot becomes one group.  The tables were sized by SetLanes, so
 // with every name already interned the rebuild allocates nothing.
 //
-//lint:allocok schema rebind through Schema.Intern and InternString; runs on the first step after SetLanes or Reset and on a schema change, never in steady state
+//lint:allocok schema rebind through Schema.Intern and InternString; runs on the first step after SetLanes, on a schema change, and after a Reset once the schema grew or the state's width changed, never in steady state
 func (p *Program) bindAtoms(st State) {
 	sc := st.Schema()
-	p.lschema = sc
+	p.lschema, p.lbindLen, p.lbindWidth = sc, 0, 0
+	if st != nil {
+		p.lbindLen, p.lbindWidth = sc.Len(), len(st.kinds)
+	}
 	for i := range p.latoms {
 		a := &p.latoms[i]
 		n := &p.nodes[a.node]
@@ -294,11 +317,12 @@ func (p *Program) StepLanes(st State) {
 		panic("temporal: StepLanes before SetLanes (or formulas added after SetLanes)")
 	}
 	full := p.lfull
-	if full || st.Schema() != p.lschema {
+	if st.Schema() != p.lschema || full && !p.watchCurrent(st) {
 		p.bindAtoms(st)
 		full = true
 	}
-	p.lfull = false
+	p.lfull, p.lfullStep = false, full
+	p.ltapChg = p.ltapChg[:0]
 	masks := p.lmask
 	dirty := p.ldirty
 	if full {
@@ -353,6 +377,7 @@ func (p *Program) StepLanes(st State) {
 				continue
 			}
 			masks[i] = out
+			p.noteTap(i)
 			// Parents have larger indices: those in this word join the
 			// pending set, later words are picked up by the outer loop.
 			for _, j := range p.lpar[p.lparAt[i]:p.lparAt[i+1]] {
@@ -415,6 +440,26 @@ func (p *Program) atomLanes(a *laneAtom, st State, ks []uint8, vs []float64, ful
 	return out
 }
 
+// watchCurrent reports whether the watch table is still bound to what st
+// presents: the same schema at the same length, and a state of the same
+// width.  A full pass after Reset then keeps the table instead of rebinding
+// and re-sorting the atoms.
+func (p *Program) watchCurrent(st State) bool {
+	if st == nil {
+		return p.lbindWidth == 0
+	}
+	return len(st.kinds) == p.lbindWidth && st.schema.Len() == p.lbindLen
+}
+
+// noteTap records that node i's mask changed this step when i is a tap.
+// Every node's mask is stored at most once per step, so ltapChg (sized to
+// the taps) never grows.
+func (p *Program) noteTap(i int) {
+	if p.ltap[i>>6]&(1<<(uint(i)&63)) != 0 {
+		p.ltapChg = append(p.ltapChg, Tap(i))
+	}
+}
+
 // setAtomMask stores atom node i's mask for this step and, when it changed,
 // schedules every parent of the atom for re-evaluation.
 func (p *Program) setAtomMask(i int, out uint64) {
@@ -422,6 +467,7 @@ func (p *Program) setAtomMask(i int, out uint64) {
 		return
 	}
 	p.lmask[i] = out
+	p.noteTap(i)
 	for _, j := range p.lpar[p.lparAt[i]:p.lparAt[i+1]] {
 		p.ldirty[j>>6] |= 1 << (uint(j) & 63)
 	}
@@ -650,6 +696,19 @@ func compareLanes(vec []float64, c float64, op CompareOp) uint64 {
 		out |= b2u(compareNumbers(f, c, op)) << (uint(l) & 63)
 	}
 	return out
+}
+
+// ChangedTaps lists, once each and in no particular order, the taps whose
+// OutputMask changed in the last StepLanes; after a full pass (the first
+// step after SetLanes or Reset, and a step that rebound the atoms to a new
+// schema) it lists every tap, since the masks before it are not a previous
+// step of the same run.  Two formulas compiled to one node are one tap.  The
+// slice is valid until the next StepLanes.
+func (p *Program) ChangedTaps() []Tap {
+	if p.lfullStep {
+		return p.ltapAll
+	}
+	return p.ltapChg
 }
 
 // OutputMask reads the per-lane verdict mask a tap's formula produced for the

@@ -1,8 +1,10 @@
 package temporal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -165,6 +167,7 @@ func (d laneDiff) run(t testing.TB) {
 		held[l] = make([]int, len(laneVars))
 	}
 
+	prevMasks := make(map[Tap]uint64) // each tap's mask after the previous step
 	for step := 0; step < d.steps; step++ {
 		if step == d.swapAt {
 			sc := NewSchema()
@@ -206,6 +209,10 @@ func (d laneDiff) run(t testing.TB) {
 			}
 		}
 		laneProg.StepLanes(wide)
+		full := step == 0 || step == d.resetAt || step == d.swapAt
+		if err := checkChangedTaps(laneProg, taps, prevMasks, full); err != nil {
+			t.Fatalf("seed %d step %d width %d: %v", d.seed, step, d.lanes, err)
+		}
 		for l := 0; l < d.lanes; l++ {
 			for i, s := range refs[l] {
 				want := s.Step(shadows[l])
@@ -217,6 +224,32 @@ func (d laneDiff) run(t testing.TB) {
 			}
 		}
 	}
+}
+
+// checkChangedTaps requires p.ChangedTaps to list, each once, exactly the
+// taps whose OutputMask differs from prev — every tap after a full pass —
+// and records this step's masks in prev.
+func checkChangedTaps(p *Program, taps []Tap, prev map[Tap]uint64, full bool) error {
+	listed := make(map[Tap]bool)
+	for _, tp := range p.ChangedTaps() {
+		if listed[tp] {
+			return fmt.Errorf("ChangedTaps lists tap %d twice", tp)
+		}
+		if !slices.Contains(taps, tp) {
+			return fmt.Errorf("ChangedTaps lists node %d, which is no tap", tp)
+		}
+		listed[tp] = true
+	}
+	for _, tp := range taps {
+		m, was := p.OutputMask(tp), prev[tp]
+		if want := full || m != was; listed[tp] != want {
+			return fmt.Errorf("tap %d (mask %b, previous %b, full pass %v): listed %v, want %v", tp, m, was, full, listed[tp], want)
+		}
+	}
+	for _, tp := range taps {
+		prev[tp] = p.OutputMask(tp)
+	}
+	return nil
 }
 
 // TestStepLanesMatchesReference is the lane mode's differential test: a

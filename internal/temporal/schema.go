@@ -1,6 +1,10 @@
 package temporal
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+)
 
 // Schema is an interned symbol table mapping state-variable names to dense
 // slot indices.  A Schema is created once per scenario (the sim.Bus owns one
@@ -43,6 +47,18 @@ func NewSchema() *Schema {
 		index:   make(map[string]int),
 		enums:   []string{""},
 		enumIdx: map[string]int32{"": emptyEnumID},
+	}
+}
+
+// Clone returns an independent copy of the symbol table: the same slots and
+// enumeration ids, so a state recorded against sc reads the same against the
+// copy, while whatever either interns afterwards stays its own.
+func (sc *Schema) Clone() *Schema {
+	return &Schema{
+		index:   maps.Clone(sc.index),
+		names:   slices.Clone(sc.names),
+		enums:   slices.Clone(sc.enums),
+		enumIdx: maps.Clone(sc.enumIdx),
 	}
 }
 

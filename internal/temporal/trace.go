@@ -196,6 +196,18 @@ func (t *Trace) replay(r *Registers, from, to, j int) int {
 	return j
 }
 
+// ReplaceSchema makes every tick recorded against old read against sc
+// instead.  sc must resolve every slot and enumeration id the recorded ticks
+// use as old does, as old.Clone() does: a recorder that reuses one bus for
+// run after run hands each trace a private copy of the run's schema this way.
+func (t *Trace) ReplaceSchema(old, sc *Schema) {
+	for i := range t.keys {
+		if t.keys[i].schema == old {
+			t.keys[i].schema = sc
+		}
+	}
+}
+
 // Len returns the number of states in the trace.
 func (t *Trace) Len() int { return len(t.ends) }
 

@@ -295,3 +295,45 @@ func TestTraceWalkAllocations(t *testing.T) {
 		t.Errorf("Walk allocates %v objects over 100 ticks and %v over 2000, want the same <= 3", short, long)
 	}
 }
+
+// TestTraceReplaceSchemaOnClone pins how a reused recorder hands a trace
+// its own schema: after ReplaceSchema onto a Clone, every tick reads the
+// same names, values and enumeration strings against the clone, and names
+// or strings interned afterwards into either schema stay out of the other.
+func TestTraceReplaceSchemaOnClone(t *testing.T) {
+	sc := NewSchema()
+	st := NewStateWith(sc)
+	tr := NewTrace(time.Millisecond)
+	for i := 0; i < 300; i++ {
+		st.Set("n", Number(float64(i%7)))
+		st.Set("gear", String([]string{"P", "D", "R"}[i%3]))
+		st.Set("on", Bool(i%2 == 0))
+		tr.Append(st)
+	}
+	want := make([]string, tr.Len())
+	tr.Walk(func(i int, s State) { want[i] = s.String() })
+
+	clone := sc.Clone()
+	tr.ReplaceSchema(sc, clone)
+	sc.Intern("later")
+	sc.InternString("N")
+	clone.Intern("other")
+	if _, ok := clone.Lookup("later"); ok {
+		t.Error("a name interned into the source schema after Clone shows in the clone")
+	}
+	if _, ok := sc.Lookup("other"); ok {
+		t.Error("a name interned into the clone shows in the source schema")
+	}
+	if _, ok := clone.LookupString("N"); ok {
+		t.Error("a string interned into the source schema after Clone shows in the clone")
+	}
+	for _, i := range []int{0, 1, 127, 128, 129, 299} {
+		s := tr.At(i)
+		if s.Schema() != clone {
+			t.Fatalf("tick %d reads against %p, want the clone %p", i, s.Schema(), clone)
+		}
+		if got := s.String(); got != want[i] {
+			t.Errorf("tick %d after ReplaceSchema = %s, want %s", i, got, want[i])
+		}
+	}
+}
