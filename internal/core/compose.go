@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/goals"
 	"repro/internal/temporal"
@@ -120,6 +121,10 @@ func (r ClassificationResult) String() string {
 //     X remains), or sufficient but not necessary with redundancy (hidden Y
 //     remains),
 //   - emergent otherwise.
+//
+// Every state is read from one goals.Verdicts row whose columns are the
+// parent, the assumptions and then each reduction's subgoals in order, so
+// each formula is evaluated once per state.
 func Classify(d Decomposition, space goals.StateSpace) ClassificationResult {
 	var res ClassificationResult
 	if len(space) == 0 || len(d.Reductions) == 0 {
@@ -127,35 +132,42 @@ func Classify(d Decomposition, space goals.StateSpace) ClassificationResult {
 		return res
 	}
 
+	fs := append([]temporal.Formula{d.Parent.Formal}, d.Assumptions...)
+	for _, red := range d.Reductions {
+		for _, g := range red {
+			fs = append(fs, g.Formal)
+		}
+	}
+
 	res.SubgoalsSufficient = true
 	res.SubgoalsNecessary = true
-
-	for _, s := range space {
-		if !assumptionsHold(d.Assumptions, s) {
+	for j, row := range goals.Verdicts(space, fs...) {
+		if slices.Contains(row[1:1+len(d.Assumptions)], false) {
 			// States excluded by the critical assumptions are outside the
 			// decomposition's domain (the assumptions must themselves be
 			// assured in the system; ICPA records them for that purpose).
 			continue
 		}
-		parent := goals.HoldsInState(d.Parent.Formal, s)
-		satisfied := anyReductionSatisfied(d.Reductions, s)
-		allSubgoals := allSubgoalsSatisfied(d.Reductions, s)
+		parent, satisfied := row[0], false
+		subgoals := row[1+len(d.Assumptions):]
+		for _, red := range d.Reductions {
+			satisfied = satisfied || !slices.Contains(subgoals[:len(red)], false)
+			subgoals = subgoals[len(red):]
+		}
 
-		if satisfied && !parent {
+		switch {
+		case satisfied && !parent:
 			res.SubgoalsSufficient = false
 			if res.DemonState == nil {
-				res.DemonState = s
+				res.DemonState = space[j]
 			}
-		}
-		if parent && !satisfied {
-			// With a single reduction, necessity in the thesis' sense
-			// (Eq. 3.16: any subgoal violation implies a parent violation)
-			// is about the individual subgoals.
-			if !allSubgoals {
-				res.SubgoalsNecessary = false
-				if res.AngelState == nil {
-					res.AngelState = s
-				}
+		case parent && !satisfied:
+			// No reduction holds, so some subgoal is violated while the
+			// parent holds: necessity in the thesis' sense (Eq. 3.16: any
+			// subgoal violation implies a parent violation) fails.
+			res.SubgoalsNecessary = false
+			if res.AngelState == nil {
+				res.AngelState = space[j]
 			}
 		}
 	}
@@ -179,42 +191,6 @@ func Classify(d Decomposition, space goals.StateSpace) ClassificationResult {
 		res.Class = Emergent
 	}
 	return res
-}
-
-func assumptionsHold(assumptions []temporal.Formula, s temporal.State) bool {
-	for _, a := range assumptions {
-		if !goals.HoldsInState(a, s) {
-			return false
-		}
-	}
-	return true
-}
-
-func anyReductionSatisfied(reductions [][]goals.Goal, s temporal.State) bool {
-	for _, red := range reductions {
-		ok := true
-		for _, g := range red {
-			if !goals.HoldsInState(g.Formal, s) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
-}
-
-func allSubgoalsSatisfied(reductions [][]goals.Goal, s temporal.State) bool {
-	for _, red := range reductions {
-		for _, g := range red {
-			if !goals.HoldsInState(g.Formal, s) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------------

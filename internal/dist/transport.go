@@ -43,10 +43,12 @@ type Worker interface {
 }
 
 // Transport spawns workers.  It is deliberately small — spawn and stream —
-// so that process-local execution (ExecTransport), in-process execution
-// (LocalTransport) and a future HTTP/socket transport are interchangeable
-// under the same Coordinator.  Start must not block on the worker finishing;
-// the context cancels the worker's whole lifetime.
+// so that its implementations are interchangeable under the same
+// Coordinator: child processes (ExecTransport), in-process workers
+// (LocalTransport), remote worker daemons over HTTP (HTTPTransport), and
+// FaultTransport, which wraps any of them in seeded fault injection.  Start
+// must not block on the worker finishing; the context cancels the worker's
+// whole lifetime.
 type Transport interface {
 	Start(ctx context.Context, spec ShardSpec) (Worker, error)
 }

@@ -2,6 +2,7 @@ package goals
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/temporal"
 )
@@ -76,8 +77,10 @@ func BooleanStateSpace(vars ...string) StateSpace {
 	return out
 }
 
-// HoldsInState evaluates a state-wise formula on a single state by wrapping
-// it in a one-element trace.  A nil formula (an informal definition) holds.
+// HoldsInState evaluates a state-wise formula on a single state: the state
+// wrapped in a one-element trace, with the formula evaluated at index 0.  A
+// nil formula (an informal definition) holds.  It is one cell of the Verdicts
+// table, which the Chapter 3 analyses read instead of calling it per check.
 func HoldsInState(f temporal.Formula, s temporal.State) bool {
 	if f == nil {
 		return true
@@ -87,68 +90,77 @@ func HoldsInState(f temporal.Formula, s temporal.State) bool {
 	return f.Eval(tr, 0)
 }
 
+// Verdicts evaluates each formula once in each state of the space and
+// returns the verdict table: one row per state in space order, one column
+// per formula, Verdicts(space, fs...)[j][i] == HoldsInState(fs[i], space[j]).
+// CheckAndReduction and core.Classify answer every condition from the
+// table's columns, so no formula is evaluated twice in a state.
+func Verdicts(space StateSpace, fs ...temporal.Formula) [][]bool {
+	rows := make([][]bool, len(space))
+	cells := make([]bool, len(space)*len(fs))
+	for j, s := range space {
+		row := cells[j*len(fs) : (j+1)*len(fs) : (j+1)*len(fs)]
+		for i, f := range fs {
+			row[i] = HoldsInState(f, s)
+		}
+		rows[j] = row
+	}
+	return rows
+}
+
 // CheckAndReduction evaluates Darimont's four conditions for the candidate
 // decomposition over the state space.  Temporal operators in the goals are
 // evaluated state-wise (each state of the space is treated as both initial
 // and current), which is exact for the propositional goals of Chapter 3 and
-// conservative otherwise.
+// conservative otherwise.  Every condition is read from one Verdicts table
+// whose columns are the parent, the subgoals and then the assumptions; the
+// minimality check drops one subgoal column at a time.
 func CheckAndReduction(red AndReduction, space StateSpace) ReductionCheck {
 	var check ReductionCheck
 	if len(space) == 0 {
 		return check
 	}
 
-	all := make([]temporal.Formula, 0, len(red.Subgoals)+len(red.Assumptions))
+	fs := make([]temporal.Formula, 0, 1+len(red.Subgoals)+len(red.Assumptions))
+	fs = append(fs, red.Parent.Formal)
 	for _, g := range red.Subgoals {
-		all = append(all, g.Formal)
+		fs = append(fs, g.Formal)
 	}
-	all = append(all, red.Assumptions...)
+	fs = append(fs, red.Assumptions...)
+	rows := Verdicts(space, fs...)
+
+	// counterexample returns the first state in which every subgoal but the
+	// skipped one and every assumption hold while the parent does not, or
+	// -1 when there is none (skip -1 keeps every subgoal).
+	counterexample := func(skip int) int {
+		return slices.IndexFunc(rows, func(row []bool) bool {
+			return !row[0] && holdsAllBut(row[1:], skip)
+		})
+	}
 
 	// Condition 1: entailment.
-	check.Entails = true
-	for _, s := range space {
-		if evalAllOnState(all, s) && !HoldsInState(red.Parent.Formal, s) {
-			check.Entails = false
-			check.Counterexample = s
-			break
-		}
+	if j := counterexample(-1); j >= 0 {
+		check.Counterexample = space[j]
+	} else {
+		check.Entails = true
 	}
 
 	// Condition 3: consistency.
-	for _, s := range space {
-		if evalAllOnState(all, s) {
-			check.Consistent = true
-			break
-		}
-	}
+	check.Consistent = slices.ContainsFunc(rows, func(row []bool) bool {
+		return holdsAllBut(row[1:], -1)
+	})
 
 	// Condition 2: minimal sufficiency — removing any single subgoal must
 	// break entailment.  Assumptions are domain properties, not subgoals,
 	// and are never removed.
-	check.Minimal = true
 	if check.Entails {
 		for i := range red.Subgoals {
-			reduced := make([]temporal.Formula, 0, len(all)-1)
-			for j, g := range red.Subgoals {
-				if j == i {
-					continue
-				}
-				reduced = append(reduced, g.Formal)
-			}
-			reduced = append(reduced, red.Assumptions...)
-			entailsWithout := true
-			for _, s := range space {
-				if evalAllOnState(reduced, s) && !HoldsInState(red.Parent.Formal, s) {
-					entailsWithout = false
-					break
-				}
-			}
-			if entailsWithout {
-				check.Minimal = false
+			if counterexample(i) < 0 {
 				check.RedundantSubgoals = append(check.RedundantSubgoals, i)
 			}
 		}
 	}
+	check.Minimal = len(check.RedundantSubgoals) == 0
 
 	// Condition 4: not a restatement.  More than one subgoal always
 	// qualifies; a single subgoal qualifies only when it differs
@@ -160,15 +172,15 @@ func CheckAndReduction(red AndReduction, space StateSpace) ReductionCheck {
 	case len(red.Subgoals) == 1:
 		same := red.Subgoals[0].Formal.String() == red.Parent.Formal.String()
 		check.NonTrivial = !same || len(red.Assumptions) > 0
-	default:
-		check.NonTrivial = false
 	}
 	return check
 }
 
-func evalAllOnState(fs []temporal.Formula, s temporal.State) bool {
-	for _, f := range fs {
-		if !HoldsInState(f, s) {
+// holdsAllBut reports whether every verdict of the row holds, the one at
+// index skip aside.
+func holdsAllBut(row []bool, skip int) bool {
+	for i, ok := range row {
+		if !ok && i != skip {
 			return false
 		}
 	}

@@ -14,7 +14,6 @@ package monitor
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -440,13 +439,10 @@ func (s *Suite) Add(h *Hierarchy) { s.hierarchies = append(s.hierarchies, h) }
 // reuses its suite for run after run hands each run's result a clone.
 func (s *Suite) Clone(tolerance int) *Suite {
 	nm, ni := 0, 0
-	for _, h := range s.hierarchies {
-		nm += 1 + len(h.Children)
-		ni += len(h.Parent.violations)
-		for _, c := range h.Children {
-			ni += len(c.violations)
-		}
-	}
+	s.eachMonitor(func(m *Monitor) {
+		nm++
+		ni += len(m.violations)
+	})
 	hs := make([]Hierarchy, len(s.hierarchies))
 	out := &Suite{hierarchies: make([]*Hierarchy, len(s.hierarchies))}
 	ms := make([]Monitor, 0, nm)
@@ -493,12 +489,21 @@ func (s *Suite) Finish() {
 // Monitors returns every monitor in the suite (parents then children, per
 // hierarchy).
 func (s *Suite) Monitors() []*Monitor {
-	var out []*Monitor
-	for _, h := range s.hierarchies {
-		out = append(out, h.Parent)
-		out = append(out, h.Children...)
-	}
+	n := 0
+	s.eachMonitor(func(*Monitor) { n++ })
+	out := make([]*Monitor, 0, n)
+	s.eachMonitor(func(m *Monitor) { out = append(out, m) })
 	return out
+}
+
+// eachMonitor calls fn on every monitor in Monitors order.
+func (s *Suite) eachMonitor(fn func(*Monitor)) {
+	for _, h := range s.hierarchies {
+		fn(h.Parent)
+		for _, c := range h.Children {
+			fn(c)
+		}
+	}
 }
 
 // ClassifyAll classifies every hierarchy exactly once and returns both the
@@ -593,25 +598,39 @@ type ViolationReport struct {
 }
 
 // Report collects a violation report row for every monitor in the suite that
-// recorded at least one violation, sorted by goal name then location.
+// recorded at least one violation, sorted by goal name then location.  The
+// rows' intervals are copies, held in one slab.
 func (s *Suite) Report() []ViolationReport {
-	var out []ViolationReport
-	for _, m := range s.Monitors() {
-		if m.ViolationCount() == 0 {
-			continue
+	rows, ni := 0, 0
+	s.eachMonitor(func(m *Monitor) {
+		if n := len(m.violations); n > 0 {
+			rows++
+			ni += n
 		}
+	})
+	if rows == 0 {
+		return nil
+	}
+	out := make([]ViolationReport, 0, rows)
+	ivs := make([]Interval, 0, ni)
+	s.eachMonitor(func(m *Monitor) {
+		if len(m.violations) == 0 {
+			return
+		}
+		n := len(ivs)
+		ivs = append(ivs, m.violations...)
 		out = append(out, ViolationReport{
 			GoalName:   m.Goal.Name,
 			Location:   m.Location,
-			Violations: m.Violations(),
+			Violations: ivs[n:len(ivs):len(ivs)],
 			Period:     m.Period(),
 		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].GoalName != out[j].GoalName {
-			return out[i].GoalName < out[j].GoalName
+	})
+	slices.SortFunc(out, func(a, b ViolationReport) int {
+		if c := strings.Compare(a.GoalName, b.GoalName); c != 0 {
+			return c
 		}
-		return out[i].Location < out[j].Location
+		return strings.Compare(a.Location, b.Location)
 	})
 	return out
 }

@@ -28,7 +28,12 @@ import (
 // added: Eval, Vars, String and the structural queries here, the reference
 // Stepper and the Program compiler all switch on it.
 type Formula interface {
-	// Eval evaluates the formula at index i of trace tr.
+	// Eval evaluates the formula at index i of trace tr.  It is the
+	// definitional evaluator, not a fast one: every atom materialises its
+	// tick through Trace.At, and once, hist, prevfor and prevwithin re-walk
+	// earlier indices, so evaluating every index of an n-tick trace costs
+	// O(n²).  Callers that scan a long trace step the Stepper or a Program
+	// over Trace.Walk instead.
 	Eval(tr *Trace, i int) bool
 	// Vars returns the sorted, de-duplicated state variables referenced.
 	Vars() []string
