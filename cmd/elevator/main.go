@@ -16,8 +16,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"repro/internal/elevator"
+	"repro/internal/monitor"
 )
 
 func main() {
@@ -58,11 +60,7 @@ func run(args []string, w io.Writer) error {
 			fmt.Fprintf(w, "    %s\n", row)
 		}
 		if *verbose {
-			for goalName, ds := range res.Detections {
-				for _, d := range ds {
-					fmt.Fprintf(w, "    [%s] %s at %s (%s)\n", d.Kind, goalName, d.Interval, d.Location)
-				}
-			}
+			writeDetections(w, res.Detections)
 		}
 		fmt.Fprintln(w)
 	}
@@ -70,4 +68,20 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("no scenario named %q", *scenarioName)
 	}
 	return nil
+}
+
+// writeDetections prints every detection, goal by goal in sorted goal-name
+// order, as scenarios.RenderClassificationDetail does, so the output never
+// follows map order.
+func writeDetections(w io.Writer, detections map[string][]monitor.Detection) {
+	names := make([]string, 0, len(detections))
+	for name := range detections {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, d := range detections[name] {
+			fmt.Fprintf(w, "    [%s] %s at %s (%s)\n", d.Kind, name, d.Interval, d.Location)
+		}
+	}
 }

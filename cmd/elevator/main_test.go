@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"testing"
+
+	"repro/internal/monitor"
 )
 
 // TestVerboseGolden pins the full -v output — violation rows and every
@@ -21,6 +23,32 @@ func TestVerboseGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("elevator -v output differs from testdata/verbose.golden\ngot:\n%s", got.Bytes())
+	}
+}
+
+// TestWriteDetectionsSortsGoals renders detections under two goals: the
+// goals print in sorted name order whatever the map order, and each goal's
+// detections keep their own order.  None of the five scenarios detects
+// under two goals today, so the golden alone would not notice map order.
+func TestWriteDetectionsSortsGoals(t *testing.T) {
+	detections := map[string][]monitor.Detection{
+		"Maintain[Zeta]": {
+			{Kind: monitor.Hit, Location: "drive", Interval: monitor.Interval{Start: 4, End: 6}},
+		},
+		"Maintain[Alpha]": {
+			{Kind: monitor.FalseNegative, Location: "door", Interval: monitor.Interval{Start: 9, End: 12}},
+			{Kind: monitor.Hit, Location: "door", Interval: monitor.Interval{Start: 1, End: 2}},
+		},
+	}
+	const want = "    [false negative] Maintain[Alpha] at [9,12) (door)\n" +
+		"    [hit] Maintain[Alpha] at [1,2) (door)\n" +
+		"    [hit] Maintain[Zeta] at [4,6) (drive)\n"
+	for i := 0; i < 20; i++ {
+		var got bytes.Buffer
+		writeDetections(&got, detections)
+		if got.String() != want {
+			t.Fatalf("detections printed as\n%swant\n%s", got.String(), want)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 // Command sweepworker is the worker of a distributed sweep.  Every shard it
 // evaluates goes through the one shard evaluator, dist.WorkerServer: the
-// input is a JSON dist.ShardSpec — shard index, total, and the
-// already-proved results to seed the engine's cache with — and the output
-// is the exact `scenarios -stream` NDJSON protocol: one run line per
-// variant of the shard, then the aggregate trailer line.
+// input is a JSON dist.ShardSpec — shard index, total, and how many of the
+// shard's leading variants to skip because the coordinator already holds
+// them — and the output is the exact `scenarios -stream` NDJSON protocol:
+// one run line per unskipped variant of the shard, then the aggregate
+// trailer line over those runs.
 //
 // It runs in one of two modes:
 //
@@ -32,9 +33,11 @@
 //	sweepworker [-stdio | -addr host:port] [-sweep-size s] [-n number]
 //	            [-corrected] [-workers n]
 //
-// By hand, one shard of three:
+// By hand, one shard of three, and the same shard resumed after its first
+// four variants:
 //
 //	echo '{"index":0,"total":3}' | sweepworker -stdio
+//	echo '{"index":0,"total":3,"skip":4}' | sweepworker -stdio
 package main
 
 import (

@@ -27,7 +27,7 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-addr", "definitely-not-an-address"}, nil, io.Discard); err == nil {
 		t.Error("an unbindable -addr should fail the daemon")
 	}
-	for _, spec := range []string{"", "not json", `{"index":3,"total":3}`, `{"index":0,"total":0}`} {
+	for _, spec := range []string{"", "not json", `{"index":3,"total":3}`, `{"index":0,"total":0}`, `{"index":0,"total":1,"skip":-1}`} {
 		var out bytes.Buffer
 		if err := run([]string{"-stdio", "-n", "7"}, strings.NewReader(spec), &out); err == nil {
 			t.Errorf("-stdio with spec %q should fail", spec)
@@ -193,58 +193,49 @@ func TestStdioShardPartition(t *testing.T) {
 	}
 }
 
-// TestStdioSeedReplay replays a whole stdio run from its spec's Seed: with
-// every variant proved, the seeded output must be byte-identical to the
-// unseeded one.
-func TestStdioSeedReplay(t *testing.T) {
+// TestStdioSkipResumes checks a resumed shard: with the spec's skip at k,
+// -stdio prints exactly the unskipped run's lines from k on, then a trailer
+// over those runs alone.  A skip past the shard's end leaves only a trailer
+// over no runs.
+func TestStdioSkipResumes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the scenario-7 corrected family")
+		t.Skip("runs the scenario-7 corrected family twice")
 	}
-	first := stdioShard(t, dist.ShardSpec{Index: 0, Total: 1})
-
-	// Rebuild ProvedResults from the first stream, exactly as the
-	// coordinator does: enumerate the same source, map each report back to
-	// its job, and reconstitute the summary-only Result.
 	source, err := scenarios.SweepSourceFor("default", 7, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := make(map[string]scenarios.Job)
+	var jobs []scenarios.Job
 	for src := source(); ; {
 		job, ok := src.Next()
 		if !ok {
 			break
 		}
-		byName[job.Scenario.Name] = job
+		jobs = append(jobs, job)
 	}
-	lines, _ := splitStream(t, first)
-	var proved []dist.ProvedResult
-	for _, line := range lines {
-		rep, ok, err := dist.ParseResultLine([]byte(line))
-		if err != nil || !ok {
-			t.Fatalf("run line %q: ok=%v err=%v", line, ok, err)
-		}
-		job, found := byName[rep.Name]
-		if !found {
-			t.Fatalf("first run reported unknown variant %s", rep.Name)
-		}
-		proved = append(proved, dist.ProvedResult{Options: job.Options, Result: rep.Result(job)})
-	}
-	if len(proved) != len(byName) {
-		t.Fatalf("first run proved %d of %d variants", len(proved), len(byName))
+	full, _ := splitStream(t, stdioShard(t, dist.ShardSpec{Index: 0, Total: 1}))
+	if len(full) != len(jobs) || len(jobs) < 2 {
+		t.Fatalf("the unskipped run printed %d lines for %d variants", len(full), len(jobs))
 	}
 
-	second := stdioShard(t, dist.ShardSpec{Index: 0, Total: 1, Seed: proved})
-	if !bytes.Equal(first, second) {
-		t.Errorf("seeded replay differs from the unseeded run:\n--- unseeded ---\n%s\n--- seeded ---\n%s", first, second)
-	}
-
-	// The replay must come from the seed, not from re-simulation: a marked
-	// seed entry shows up in the output verbatim.
-	proved[0].Result.Summary.Hits += 1000
-	marked, _ := splitStream(t, stdioShard(t, dist.ShardSpec{Index: 0, Total: 1, Seed: proved}))
-	rep, _, err := dist.ParseResultLine([]byte(marked[0]))
-	if err != nil || rep.Hits != proved[0].Result.Summary.Hits {
-		t.Errorf("first variant replayed hits=%d (err %v), want the seeded %d", rep.Hits, err, proved[0].Result.Summary.Hits)
+	for _, k := range []int{len(jobs) / 2, len(jobs) + 3} {
+		lines, agg := splitStream(t, stdioShard(t, dist.ShardSpec{Index: 0, Total: 1, Skip: k}))
+		rest := full[min(k, len(full)):]
+		if got, want := strings.Join(lines, "\n"), strings.Join(rest, "\n"); got != want {
+			t.Errorf("skip %d printed:\n%s\nwant the unskipped run's lines from %d on:\n%s", k, got, k, want)
+		}
+		var acc scenarios.Accumulator
+		for i, line := range rest {
+			rep, _, err := dist.ParseResultLine([]byte(line))
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc.Add(rep.Result(jobs[k+i]))
+		}
+		want, _ := json.Marshal(dist.NewAggregateReport(&acc))
+		got, _ := json.Marshal(agg)
+		if !bytes.Equal(got, want) {
+			t.Errorf("skip %d trailer %s, want %s over the printed runs", k, got, want)
+		}
 	}
 }

@@ -29,9 +29,9 @@ func buildBinary(t *testing.T, name string) string {
 // worker processes over the default sweep, one SIGKILLed mid-shard, and the
 // merged NDJSON stream plus final aggregate must still be byte-identical to
 // the single-process run.  The kill is a true SIGKILL delivered to a child
-// process — no graceful flush, a partial line on the wire is possible — so
-// this covers the whole re-queue path: death detection, seeding the
-// replacement with the proved prefix, and deduplicating re-deliveries.
+// process — no graceful flush — so this covers the whole re-queue path:
+// death detection, and a replacement process that resumes after the proved
+// prefix.
 func TestChaosSIGKILLWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the 120-variant default sweep twice across processes")
@@ -60,33 +60,15 @@ func TestChaosSIGKILLWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const victim = 0
-	workers := make(map[int]Worker)
-	victimResults := 0
-	killed := false
-	coord, err := New(Options{
-		Workers:     3,
-		MaxAttempts: 3,
-		Transport:   &ExecTransport{Argv: []string{workerBin, "-stdio", "-sweep-size", size}},
-		Hooks: Hooks{
-			OnSpawn: func(shard, attempt int, w Worker) { workers[shard] = w },
-			OnResult: func(shard, attempt int, key string) {
-				if shard != victim || attempt != 0 || killed {
-					return
-				}
-				victimResults++
-				// Kill after a handful of results: late enough that the
-				// replacement has a proved prefix to seed, early enough that
-				// real work remains.
-				if victimResults == 5 {
-					killed = true
-					if err := workers[victim].Kill(); err != nil {
-						t.Errorf("SIGKILL: %v", err)
-					}
-				}
-			},
-		},
-	})
+	// Kill shard 0's first worker after five results: late enough that the
+	// replacement has a proved prefix to skip, early enough that real work
+	// remains.
+	tr := &cutTransport{
+		inner: &ExecTransport{Argv: []string{workerBin, "-stdio", "-sweep-size", size}},
+		cut:   0,
+		lines: 5,
+	}
+	coord, err := New(Options{Workers: 3, MaxAttempts: 3, Transport: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +86,11 @@ func TestChaosSIGKILLWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !killed {
-		t.Fatal("no worker was killed; the chaos never happened")
+	if len(tr.skips) == 0 {
+		t.Fatal("no worker was killed and replaced; the chaos never happened")
+	}
+	if tr.skips[0] != tr.lines {
+		t.Errorf("the replacement skips %d variants, want the %d its predecessor delivered", tr.skips[0], tr.lines)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Errorf("distributed output with a SIGKILLed worker differs from single-process output:\n--- single (%d bytes) ---\n%.2000s\n--- merged (%d bytes) ---\n%.2000s",

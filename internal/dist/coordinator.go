@@ -12,21 +12,6 @@ import (
 	"repro/internal/scenarios"
 )
 
-// Hooks are optional observation points, used by tests to inject failures
-// (killing a worker after its k-th result) and by front-ends for progress.
-// All may be nil; all are called from the coordinator's main loop.
-type Hooks struct {
-	// OnSpawn fires after a worker for the given shard and attempt (0-based)
-	// has started.
-	OnSpawn func(shard, attempt int, w Worker)
-	// OnResult fires for every run line a worker delivers, before
-	// deduplication, with the variant key it carries.
-	OnResult func(shard, attempt int, key string)
-	// OnRetire fires when AllowPartial retires a shard that exhausted its
-	// attempt budget, with the terminal error it died on.
-	OnRetire func(shard int, err error)
-}
-
 // Options configures a Coordinator.
 type Options struct {
 	// Workers is the shard count — one worker per shard.  Values below 1
@@ -64,8 +49,6 @@ type Options struct {
 	// byte-identical-to-one-process contract still holds whenever every
 	// shard completes.
 	AllowPartial bool
-	// Hooks observes spawns, results and retirements.
-	Hooks Hooks
 }
 
 // maxAttempts resolves the effective per-shard attempt budget.
@@ -297,10 +280,9 @@ func (c *Coordinator) Run(ctx context.Context, src scenarios.JobSource, sink sce
 		case e := <-st.exits:
 			// A worker's exit is sent only after its last result was placed in
 			// the arrivals channel, but select order between the two channels is
-			// random — so a fast worker (an HTTP response arriving in one burst,
-			// a fully-seeded replay) can be reaped with its results still
-			// buffered.  Drain them first, or finished work would be charged as
-			// a failed attempt.
+			// random — so a fast worker (an HTTP response arriving in one burst)
+			// can be reaped with its results still buffered.  Drain them first,
+			// or finished work would be charged as a failed attempt.
 			if err := st.drainArrivals(); err != nil {
 				return nil, err
 			}
@@ -359,10 +341,12 @@ type runState struct {
 	rng *rand.Rand             // seeded jitter source for retry backoff
 }
 
-// spawn starts (or restarts) the worker for one shard, seeding the variants
-// of that shard already proved so the replacement replays them from cache.
-// A refused spawn is a failed attempt like any other: it consumes budget and
-// schedules a backed-off retry rather than aborting the run.
+// spawn starts (or restarts) the worker for one shard.  A replacement's
+// spec skips the shard's leading run of proved variants, so it resumes
+// where that prefix ends; a proved variant after the first unproved one is
+// run again and its duplicate dropped on arrival.  A refused spawn is a
+// failed attempt like any other: it consumes budget and schedules a
+// backed-off retry rather than aborting the run.
 func (st *runState) spawn(shard int) error {
 	sh := &st.shards[shard]
 	if sh.remaining == 0 || sh.retired != nil {
@@ -371,9 +355,13 @@ func (st *runState) spawn(shard int) error {
 	spec := ShardSpec{Index: shard, Total: len(st.shards)}
 	if sh.attempt > 0 {
 		for _, v := range st.vars {
-			if v.proved && v.shard == shard {
-				spec.Seed = append(spec.Seed, ProvedResult{Options: v.job.Options, Result: v.res})
+			if v.shard != shard {
+				continue
 			}
+			if !v.proved {
+				break
+			}
+			spec.Skip++
 		}
 	}
 	sh.spawned++
@@ -385,9 +373,6 @@ func (st *runState) spawn(shard int) error {
 	sh.lastSeen = time.Now()
 	st.live++
 	go readWorker(w, shard, sh.attempt, st.arrivals, st.exits)
-	if h := st.c.opts.Hooks.OnSpawn; h != nil {
-		h(shard, sh.attempt, w)
-	}
 	return nil
 }
 
@@ -396,8 +381,8 @@ func (st *runState) spawn(shard int) error {
 // A malformed line — invalid JSON, an unrecognized shape, a truncated tail
 // with no trailing newline — never panics and never merges: it stops the
 // read with the offending line quoted in the error, which poisons only this
-// attempt (the coordinator re-queues the shard, seeded with the prefix this
-// worker already proved).
+// attempt (the coordinator re-queues the shard, resuming after the prefix
+// this worker already proved).
 func readWorker(w Worker, shard, attempt int, arrivals chan<- arrival, exits chan<- exitEvent) {
 	var readErr error
 	sc := bufio.NewScanner(w.Output())
@@ -439,9 +424,6 @@ func (st *runState) handleArrival(a arrival) error {
 		return nil
 	}
 	v := &st.vars[i]
-	if h := st.c.opts.Hooks.OnResult; h != nil {
-		h(a.shard, a.attempt, v.job.Key())
-	}
 	owner := &st.shards[v.shard]
 	if v.proved || owner.retired != nil {
 		return nil // a re-delivery, or a retired shard whose holes are released
@@ -488,7 +470,7 @@ func (st *runState) drainArrivals() error {
 
 // poisonAttempt kills the current worker of a shard over a protocol fault.
 // The kill surfaces as an ordinary exit whose cause is the recorded error,
-// so the re-queue path (budget, backoff, seeding) is shared with crashes.
+// so the re-queue path (budget, backoff, resume) is shared with crashes.
 func (st *runState) poisonAttempt(shard, attempt int, cause error) {
 	sh := &st.shards[shard]
 	if attempt != sh.attempt || sh.worker == nil {
@@ -542,9 +524,6 @@ func (st *runState) attemptFailed(shard int, cause error) error {
 		}
 		sh.retired = serr
 		st.remaining -= sh.remaining
-		if h := st.c.opts.Hooks.OnRetire; h != nil {
-			h(shard, serr)
-		}
 		return st.releaseReady()
 	}
 	sh.attempt++

@@ -110,8 +110,9 @@ func TestCoordinatorMatchesSingleProcess(t *testing.T) {
 	requireIdentical(t, wantStream, wantAgg, gotStream, gotAgg)
 }
 
-// TestCoordinatorKillRequeue kills one worker mid-shard and checks the shard
-// is re-queued, the replacement is seeded with the proved prefix, and the
+// TestCoordinatorKillRequeue kills one worker mid-shard and checks the
+// replacement resumes: its spec skips exactly the prefix the victim
+// delivered, it delivers exactly the shard's remaining variants, and the
 // merged output is still byte-identical to single-process.
 func TestCoordinatorKillRequeue(t *testing.T) {
 	if testing.Short() {
@@ -123,129 +124,106 @@ func TestCoordinatorKillRequeue(t *testing.T) {
 	// Pick the shard owning the most variants, so the kill happens with work
 	// genuinely outstanding.
 	const n = 3
-	counts := make([]int, n)
+	var owned [n][]string // variant names per shard, in source order
 	src := sw.Source()
-	for {
-		j, ok := src.Next()
-		if !ok {
-			break
-		}
-		counts[j.Shard(n)]++
+	for j, ok := src.Next(); ok; j, ok = src.Next() {
+		owned[j.Shard(n)] = append(owned[j.Shard(n)], j.Scenario.Name)
 	}
 	victim := 0
-	for s, c := range counts {
-		if c > counts[victim] {
+	for s := range owned {
+		if len(owned[s]) > len(owned[victim]) {
 			victim = s
 		}
 	}
-	if counts[victim] < 2 {
-		t.Fatalf("victim shard %d owns %d variants; the kill would be a no-op", victim, counts[victim])
+	if len(owned[victim]) < 2 {
+		t.Fatalf("victim shard %d owns %d variants; the kill would be a no-op", victim, len(owned[victim]))
 	}
 
-	// Hooks and Transport.Start run on the coordinator's goroutine, so no
-	// locking is needed.
-	workers := make(map[int]Worker)
-	killed := false
-	seeded, foreign := -1, 0
-	gotStream, gotAgg := distributed(t, Options{
-		Workers:     n,
-		MaxAttempts: 3,
-		Transport: &seedSpyTransport{
-			inner: &holdTransport{inner: &LocalTransport{Source: sw.Source}, hold: victim},
-			onSeed: func(spec ShardSpec) {
-				if spec.Index != victim {
-					return
-				}
-				seeded = len(spec.Seed)
-				for _, p := range spec.Seed {
-					if p.Job().Shard(n) != victim {
-						foreign++
-					}
-				}
-			},
-		},
-		Hooks: Hooks{
-			OnSpawn: func(shard, attempt int, w Worker) { workers[shard] = w },
-			OnResult: func(shard, attempt int, key string) {
-				if shard == victim && attempt == 0 && !killed {
-					killed = true
-					workers[victim].Kill()
-				}
-			},
-		},
-	}, sw.Source())
+	delivered := len(owned[victim]) / 2
+	tr := &cutTransport{inner: &LocalTransport{Source: sw.Source}, cut: victim, lines: delivered}
+	gotStream, gotAgg := distributed(t, Options{Workers: n, MaxAttempts: 3, Transport: tr}, sw.Source())
 
 	requireIdentical(t, wantStream, wantAgg, gotStream, gotAgg)
-	if !killed {
-		t.Fatal("the victim worker was never killed; the test exercised nothing")
+	if len(tr.skips) != 1 {
+		t.Fatalf("shard %d was re-queued %d times, want once", victim, len(tr.skips))
 	}
-	if seeded < 0 {
-		t.Error("the re-queued victim was never spawned with a seed")
-	} else if seeded == 0 {
-		t.Error("the replacement worker was seeded with nothing; proved results should carry over")
+	if tr.skips[0] != delivered || delivered == 0 {
+		t.Errorf("the replacement skips %d variants, want the %d its predecessor delivered", tr.skips[0], delivered)
 	}
-	if foreign > 0 {
-		t.Errorf("the replacement for shard %d was seeded with %d of %d results owned by other shards", victim, foreign, seeded)
+	var resumed []string
+	for _, line := range bytes.SplitAfter(tr.resumed.Bytes(), []byte("\n")) {
+		rep, ok, err := ParseResultLine(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			resumed = append(resumed, rep.Name)
+		}
+	}
+	if got, want := strings.Join(resumed, " "), strings.Join(owned[victim][delivered:], " "); got != want {
+		t.Errorf("the replacement delivered %q, want the shard's remaining variants %q", got, want)
 	}
 }
 
-// holdTransport passes only the first output line of shard hold's first
-// worker and then holds that stream open until the worker is killed, so a
-// kill on the first result always lands with the shard unfinished, however
-// fast the worker would otherwise run the rest of it.
-type holdTransport struct {
-	inner Transport
-	hold  int
+// cutTransport passes the first `lines` output lines of shard cut's first
+// worker, then kills that worker and ends its stream, so the shard is
+// re-queued with exactly that prefix delivered, however fast the worker
+// would otherwise finish it.  It records the Skip of every later attempt of
+// the shard and copies their output into resumed.  Start runs on the
+// coordinator's goroutine, and resumed is complete once Run has returned.
+type cutTransport struct {
+	inner      Transport
+	cut, lines int
 
-	mu   sync.Mutex
-	used bool
+	skips   []int
+	resumed bytes.Buffer
+	started bool
 }
 
-func (t *holdTransport) Start(ctx context.Context, spec ShardSpec) (Worker, error) {
+func (t *cutTransport) Start(ctx context.Context, spec ShardSpec) (Worker, error) {
 	w, err := t.inner.Start(ctx, spec)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err != nil || spec.Index != t.hold || t.used {
+	if err != nil || spec.Index != t.cut {
 		return w, err
 	}
-	t.used = true
+	if t.started {
+		t.skips = append(t.skips, spec.Skip)
+		return &cutWorker{Worker: w, out: io.TeeReader(w.Output(), &t.resumed)}, nil
+	}
+	t.started = true
 	pr, pw := io.Pipe()
 	go func() {
-		line, err := bufio.NewReader(w.Output()).ReadBytes('\n')
-		if err != nil {
-			pw.CloseWithError(err)
-			return
+		br := bufio.NewReader(w.Output())
+		for i := 0; i < t.lines; i++ {
+			line, err := br.ReadBytes('\n')
+			if _, werr := pw.Write(line); err == nil {
+				err = werr
+			}
+			if err != nil {
+				pw.CloseWithError(err)
+				return
+			}
 		}
-		pw.Write(line)
+		w.Kill()
+		pw.CloseWithError(errWorkerKilled)
 	}()
-	return &heldWorker{Worker: w, out: pr, pw: pw}, nil
+	return &cutWorker{Worker: w, out: pr, pw: pw}, nil
 }
 
-// heldWorker is a worker whose output holdTransport cut after one line.
-type heldWorker struct {
+// cutWorker is a worker whose output cutTransport replaced; Kill also ends
+// a cut stream.
+type cutWorker struct {
 	Worker
-	out *io.PipeReader
+	out io.Reader
 	pw  *io.PipeWriter
 }
 
-func (w *heldWorker) Output() io.Reader { return w.out }
+func (w *cutWorker) Output() io.Reader { return w.out }
 
-func (w *heldWorker) Kill() error {
-	w.pw.CloseWithError(errWorkerKilled)
-	return w.Worker.Kill()
-}
-
-// seedSpyTransport reports the spec of each seeded respawn.
-type seedSpyTransport struct {
-	inner  Transport
-	onSeed func(spec ShardSpec)
-}
-
-func (t *seedSpyTransport) Start(ctx context.Context, spec ShardSpec) (Worker, error) {
-	if len(spec.Seed) > 0 && t.onSeed != nil {
-		t.onSeed(spec)
+func (w *cutWorker) Kill() error {
+	if w.pw != nil {
+		w.pw.CloseWithError(errWorkerKilled)
 	}
-	return t.inner.Start(ctx, spec)
+	return w.Worker.Kill()
 }
 
 // TestCoordinatorDedupOverlappingWorkers runs every worker over the FULL
@@ -272,7 +250,7 @@ type overlapTransport struct {
 
 func (t *overlapTransport) Start(ctx context.Context, spec ShardSpec) (Worker, error) {
 	full := &LocalTransport{Source: t.source}
-	return full.Start(ctx, ShardSpec{Index: 0, Total: 1, Seed: spec.Seed})
+	return full.Start(ctx, ShardSpec{Index: 0, Total: 1})
 }
 
 // TestCoordinatorStallRequeue gives shard 0 a first worker that hangs
@@ -517,14 +495,19 @@ func TestCoordinatorStartsFirstOwnerAlone(t *testing.T) {
 		if refused {
 			tr.refuse = owner
 		}
-		coord, err := New(Options{Workers: shards, MaxAttempts: 2, RetryBackoff: 10 * time.Millisecond, Transport: tr, Hooks: Hooks{
-			OnResult: func(shard, _ int, _ string) { log = append(log, "result "+strconv.Itoa(shard)) },
-		}})
+		coord, err := New(Options{Workers: shards, MaxAttempts: 2, RetryBackoff: 10 * time.Millisecond, Transport: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The sink sees the first variant as the main loop handles its line,
+		// before that loop starts the other shards.
 		if _, err := coord.Run(context.Background(), scenarios.SliceSource(jobs),
-			scenarios.SinkFunc(func(scenarios.StreamResult) error { return nil })); err != nil {
+			scenarios.SinkFunc(func(sr scenarios.StreamResult) error {
+				if sr.Index == 0 {
+					log = append(log, "result "+strconv.Itoa(owner))
+				}
+				return nil
+			})); err != nil {
 			t.Fatal(err)
 		}
 		first := "start " + strconv.Itoa(owner)

@@ -18,7 +18,7 @@
 // the FNV-1a hash of that key mod the worker count.  Both are pure functions
 // of the variant, independent of process, platform and Go version, so the
 // coordinator and every worker agree on the partition without communicating:
-// a worker receives only a ShardSpec (index, total, proved seed results) and
+// a worker receives only a ShardSpec (index, total, and a skip count) and
 // wraps its own enumeration of the same source in scenarios.ShardSource.
 // The contract requires variant keys to be unique within a source (every
 // sweep generator guarantees this); the coordinator rejects sources that
@@ -39,8 +39,8 @@
 //   - LocalTransport runs WorkerServer in-process over an io.Pipe; Kill
 //     cancels the engine's context.  No processes, no sockets — the fast
 //     path for tests and single-machine runs.
-//   - HTTPTransport POSTs the ShardSpec (shard index, total, proved seed
-//     results) as JSON to long-running sweepworker daemons (see
+//   - HTTPTransport POSTs the ShardSpec (shard index, total, skip) as JSON
+//     to long-running sweepworker daemons (see
 //     cmd/sweepworker) and reads the chunked NDJSON response; Kill cancels
 //     the request context, which tears down the connection mid-stream.
 //     Hosts are assigned round-robin by shard index, so a re-queued shard
@@ -71,14 +71,18 @@
 // Worker loss is detected two ways: process exit with the shard incomplete,
 // and a per-shard stall timeout (no output line for StallTimeout).  Either
 // way the shard is re-queued: a replacement worker is spawned for the same
-// shard, its ShardSpec.Seed holding (as ProvedResults) every variant of that
-// shard already proved, so the engine's result cache replays the proved
-// prefix instead of re-simulating it and only the genuinely unfinished
-// variants cost simulation time.  Re-delivery is
-// harmless by construction: results are idempotent per variant, and the
-// coordinator marks every variant it has merged as proved, so a
-// slow-then-recovered worker's duplicates are dropped on arrival.  Every variant therefore reaches the output exactly once, in
-// source order, whatever the failure history.
+// shard, its ShardSpec.Skip counting the shard's leading variants, in source
+// order, that the coordinator already holds.  The worker drops that many
+// jobs of its shard source without running or reporting them, so it resumes
+// where the proved prefix ends and only the unfinished variants cost
+// simulation time; no result travels back to a worker.  Skip counts only
+// the leading run of proved variants, so a proved variant after an
+// unproved one is run again.  Re-delivery is harmless by construction:
+// results are idempotent per variant, and the coordinator marks every
+// variant it has merged as proved, so a duplicate — from a resumed shard or
+// a slow-then-recovered worker — is dropped on arrival.  Every variant
+// therefore reaches the output exactly once, in source order, whatever the
+// failure history.
 //
 // # Retry budgets and backoff
 //

@@ -17,7 +17,7 @@ import (
 type ExecTransport struct {
 	// Argv is the worker command line, e.g. ["./sweepworker", "-stdio",
 	// "-sweep-size", "huge"].  It is run unchanged for every shard; the
-	// shard and its seed travel on stdin.
+	// shard and its skip count travel on stdin.
 	Argv []string
 	// Dir is the working directory for workers ("" inherits the
 	// coordinator's).

@@ -211,16 +211,11 @@ func TestCoordinatorAllowPartial(t *testing.T) {
 	}
 
 	tr := &refuseShardTransport{inner: &LocalTransport{Source: sw.Source}, refused: victim}
-	retired := -1
-	var retireErr error
 	coord, err := New(Options{
 		Workers:      n,
 		MaxAttempts:  2,
 		AllowPartial: true,
 		Transport:    tr,
-		Hooks: Hooks{
-			OnRetire: func(shard int, err error) { retired, retireErr = shard, err },
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,12 +233,6 @@ func TestCoordinatorAllowPartial(t *testing.T) {
 	if !outcome.Partial {
 		t.Error("outcome of a run with a retired shard must be flagged Partial")
 	}
-	if retired != victim {
-		t.Errorf("OnRetire reported shard %d, want %d", retired, victim)
-	}
-	if !errors.Is(retireErr, ErrShardFailed) {
-		t.Errorf("the retirement cause should match ErrShardFailed, got: %v", retireErr)
-	}
 	if len(outcome.Shards) != n {
 		t.Fatalf("completion map covers %d shards, want %d", len(outcome.Shards), n)
 	}
@@ -252,8 +241,9 @@ func TestCoordinatorAllowPartial(t *testing.T) {
 			if c.Complete || c.Done != 0 || c.Total != counts[s] || c.Attempts != 2 || c.Error == "" {
 				t.Errorf("dead shard completion wrong: %+v (want incomplete, 0/%d, 2 attempts, an error)", c, counts[s])
 			}
-			if !strings.Contains(c.Error, "host permanently down") {
-				t.Errorf("dead shard's error should carry the root cause, got %q", c.Error)
+			if want := fmt.Sprintf("shard %d/%d failed after 2 attempt(s)", victim, n); !strings.Contains(c.Error, want) ||
+				!strings.Contains(c.Error, "host permanently down") {
+				t.Errorf("dead shard's error should be the exhausted budget with its root cause, got %q", c.Error)
 			}
 		} else if !c.Complete || c.Done != c.Total || c.Total != counts[s] || c.Error != "" {
 			t.Errorf("live shard %d completion wrong: %+v (want complete %d/%d, no error)", s, c, counts[s], counts[s])

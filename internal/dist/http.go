@@ -38,7 +38,7 @@ const DefaultShardPath = "/shard"
 // response body is the worker's NDJSON stream.  Kill maps to cancelling the
 // per-request context, which tears the connection down mid-stream — the
 // closest HTTP analogue of SIGKILL — and the coordinator's stall detection,
-// retry budget and seeded re-queue work unchanged on top.
+// retry budget and resuming re-queue work unchanged on top.
 type HTTPTransport struct {
 	// Hosts is the static worker list, as base URLs ("http://host:port") or
 	// bare host:port pairs (http:// is assumed).  Shard i is served by

@@ -69,10 +69,10 @@ func (w *stallAfterWriter) Flush() {
 
 // TestHTTPTransportKillRequeue kills one HTTP worker mid-stream (request
 // cancellation, the HTTP analogue of SIGKILL) and checks the shard is
-// re-queued, the replacement is seeded with the proved prefix, and the merged
-// output stays byte-identical.  The server stalls the victim shard's first
-// attempt after one line, so the kill is guaranteed to land with work
-// genuinely outstanding.
+// re-queued, the replacement skips the proved prefix, and the merged output
+// stays byte-identical.  The server stalls the victim shard's first attempt
+// after one line, so the kill is guaranteed to land on a request that is
+// still producing, with work genuinely outstanding.
 func TestHTTPTransportKillRequeue(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the 12-variant scenario-7 family twice over loopback HTTP, once with a kill")
@@ -108,39 +108,14 @@ func TestHTTPTransportKillRequeue(t *testing.T) {
 	defer srv.Close()
 	wantStream, wantAgg := singleProcess(t, sw.Source())
 
-	workers := make(map[int]Worker)
-	killed := false
-	seeded := false
-	respawned := false
-	gotStream, gotAgg := distributed(t, Options{
-		Workers:     n,
-		MaxAttempts: 3,
-		Transport: &seedSpyTransport{
-			inner:  &HTTPTransport{Hosts: []string{srv.URL}},
-			onSeed: func(spec ShardSpec) { seeded = seeded || spec.Index == victim },
-		},
-		Hooks: Hooks{
-			OnSpawn: func(shard, attempt int, w Worker) {
-				workers[shard] = w
-				respawned = respawned || (shard == victim && attempt > 0)
-			},
-			OnResult: func(shard, attempt int, key string) {
-				if shard == victim && attempt == 0 && !killed {
-					killed = true
-					workers[victim].Kill()
-				}
-			},
-		},
-	}, sw.Source())
+	tr := &cutTransport{inner: &HTTPTransport{Hosts: []string{srv.URL}}, cut: victim, lines: 1}
+	gotStream, gotAgg := distributed(t, Options{Workers: n, MaxAttempts: 3, Transport: tr}, sw.Source())
 	requireIdentical(t, wantStream, wantAgg, gotStream, gotAgg)
-	if !killed {
-		t.Fatal("the victim worker was never killed; the test exercised nothing")
+	if len(tr.skips) == 0 {
+		t.Fatal("the killed shard was never re-queued")
 	}
-	if !respawned {
-		t.Error("the killed shard was never re-queued")
-	}
-	if !seeded {
-		t.Error("the re-queued worker was never seeded with the proved prefix")
+	if tr.skips[0] != 1 {
+		t.Errorf("the replacement skips %d variants, want the 1 its predecessor delivered", tr.skips[0])
 	}
 }
 

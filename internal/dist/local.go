@@ -8,7 +8,7 @@ import (
 
 // LocalTransport runs each shard through an in-process WorkerServer writing
 // the worker protocol into a pipe.  It exercises every coordinator code path
-// — sharded enumeration, seeded caches, kills, re-queues — without spawning
+// — sharded enumeration, kills, resuming re-queues — without spawning
 // processes, so coordinator logic is testable (and benchmarkable) at full
 // fidelity; ExecTransport is the same evaluator behind a process boundary.
 type LocalTransport WorkerServer

@@ -493,22 +493,6 @@ func truncateForError(line []byte) string {
 	return string(line[:max]) + "..."
 }
 
-// ProvedResult is one memoized variant on the wire: the run options together
-// with the summary-only result, which between them carry the full variant
-// key (scenario name, effective duration, options label).  ShardSpec.Seed
-// carries them to a re-queued worker, which loads them into its engine's
-// result cache so already-proved variants replay without simulation.
-type ProvedResult struct {
-	Options scenarios.Options `json:"options"`
-	Result  scenarios.Result  `json:"result"`
-}
-
-// Job reassembles the job this proved result answers, the handle under which
-// it is seeded into an Engine's result cache.
-func (p ProvedResult) Job() scenarios.Job {
-	return scenarios.Job{Scenario: p.Result.Scenario, Options: p.Options}
-}
-
 // maxLineBytes bounds one protocol line.  Run reports are a few hundred
 // bytes; a megabyte of headroom means a malformed stream fails with a parse
 // error rather than a scanner overflow.

@@ -95,37 +95,6 @@ func TestRunReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProvedResultRoundTrip checks the seed wire format: proved results
-// carried in a ShardSpec survive encode → DecodeShardSpec, and Job()
-// reassembles the original variant key, which is what the cache seeds under.
-func TestProvedResultRoundTrip(t *testing.T) {
-	sr := runScenario7(t, scenarios.SummaryOnly)
-	proved := []ProvedResult{
-		{Options: sr.Job.Options, Result: sr.Result},
-		{Options: scenarios.Options{CorrectDefects: true}, Result: sr.Result},
-	}
-	body, err := json.Marshal(ShardSpec{Index: 1, Total: 2, Seed: proved})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := DecodeShardSpec(bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := spec.Seed
-	if len(back) != len(proved) {
-		t.Fatalf("decoded %d proved results, encoded %d", len(back), len(proved))
-	}
-	for i := range proved {
-		if back[i].Job().Key() != proved[i].Job().Key() {
-			t.Errorf("proved result %d: key %q != original %q", i, back[i].Job().Key(), proved[i].Job().Key())
-		}
-		if back[i].Result.Summary != proved[i].Result.Summary {
-			t.Errorf("proved result %d: summary %+v != original %+v", i, back[i].Result.Summary, proved[i].Result.Summary)
-		}
-	}
-}
-
 // TestParseResultLine checks stream-line classification: run lines parse with
 // ok=true, aggregate trailers and blanks are skipped, garbage is an error.
 func TestParseResultLine(t *testing.T) {

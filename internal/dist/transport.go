@@ -7,9 +7,9 @@ import (
 )
 
 // ShardSpec addresses one unit of distributed work: the Index-th of Total
-// deterministic variant shards, plus the already-proved results the worker
-// should seed its result cache with (empty on a first attempt, the proved
-// prefix on a re-queue).
+// deterministic variant shards, and how many of its leading variants the
+// coordinator already holds (zero on a first attempt, the proved prefix on
+// a re-queue).
 // The JSON form is the worker's whole input on every transport: the body of
 // an HTTPTransport shard request and the stdin of an ExecTransport worker;
 // DecodeShardSpec is its one decoder.
@@ -18,9 +18,10 @@ type ShardSpec struct {
 	Index int `json:"index"`
 	// Total is the shard count; every worker of one sweep shares it.
 	Total int `json:"total"`
-	// Seed holds the variants of this shard already proved, so a
-	// replacement worker replays them from cache instead of re-simulating.
-	Seed []ProvedResult `json:"seed,omitempty"`
+	// Skip is the number of leading variants of the shard, in source
+	// order, that the worker drops without running or reporting them: a
+	// replacement worker resumes after its predecessor's proved prefix.
+	Skip int `json:"skip,omitempty"`
 }
 
 // String renders the spec as "i/n", the form error messages name shards by.

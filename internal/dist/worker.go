@@ -10,14 +10,14 @@ import (
 	"repro/internal/scenarios"
 )
 
-// maxShardSpecBytes bounds an encoded ShardSpec.  A seed of every variant of
-// the 1296-variant huge sweep is on the order of a megabyte; 64 MiB of
-// headroom rejects runaway input without constraining real sweeps.
-const maxShardSpecBytes = 64 << 20
+// maxShardSpecBytes bounds an encoded ShardSpec.  A spec is three
+// integers, so a few KiB rejects runaway input with room to spare.
+const maxShardSpecBytes = 4 << 10
 
 // DecodeShardSpec reads one JSON ShardSpec — the body of an HTTP shard
 // request, or the stdin of a `sweepworker -stdio` process — of at most
-// maxShardSpecBytes and checks that it addresses a real shard.
+// maxShardSpecBytes and checks that it addresses a real shard with a
+// non-negative skip.
 func DecodeShardSpec(r io.Reader) (ShardSpec, error) {
 	var spec ShardSpec
 	if err := json.NewDecoder(io.LimitReader(r, maxShardSpecBytes)).Decode(&spec); err != nil {
@@ -29,10 +29,13 @@ func DecodeShardSpec(r io.Reader) (ShardSpec, error) {
 	return spec, nil
 }
 
-// validate checks 0 <= Index < Total.
+// validate checks 0 <= Index < Total and Skip >= 0.
 func (s ShardSpec) validate() error {
 	if s.Total < 1 || s.Index < 0 || s.Index >= s.Total {
 		return fmt.Errorf("dist: invalid shard %d/%d", s.Index, s.Total)
+	}
+	if s.Skip < 0 {
+		return fmt.Errorf("dist: shard %s: negative skip %d", s, s.Skip)
 	}
 	return nil
 }
@@ -56,9 +59,10 @@ type WorkerServer struct {
 }
 
 // Serve evaluates one shard into w as the worker protocol: one RunReport
-// line per variant of the shard, in source order, then the aggregate
-// trailer.  The engine's result cache is seeded with spec.Seed, so a
-// re-queued shard replays its proved prefix without simulating it.  An
+// line per variant of the shard after the first spec.Skip, in source order,
+// then the aggregate trailer over those lines.  The skipped variants are
+// dropped from the shard's source without running or reporting them, so a
+// re-queued shard resumes where its predecessor's proved prefix ends.  An
 // invalid spec is rejected before anything is written; an evaluation error
 // (including ctx cancellation) ends the stream without the trailer.
 func (s *WorkerServer) Serve(ctx context.Context, spec ShardSpec, w io.Writer) error {
@@ -68,16 +72,17 @@ func (s *WorkerServer) Serve(ctx context.Context, spec ShardSpec, w io.Writer) e
 	if err := spec.validate(); err != nil {
 		return err
 	}
+	src := scenarios.ShardSource(s.Source(), spec.Index, spec.Total)
+	for i := 0; i < spec.Skip; i++ {
+		if _, ok := src.Next(); !ok {
+			break
+		}
+	}
 	engine := scenarios.NewEngine(
 		scenarios.WithWorkers(s.Workers),
 		scenarios.WithRetention(scenarios.SummaryOnly),
-		scenarios.WithResultCache(),
 	)
-	for _, p := range spec.Seed {
-		engine.SeedResult(p.Job(), p.Result)
-	}
 	var acc scenarios.Accumulator
-	src := scenarios.ShardSource(s.Source(), spec.Index, spec.Total)
 	if err := engine.Stream(ctx, src, scenarios.Tee(&acc, RunLineSink(w))); err != nil {
 		return err
 	}

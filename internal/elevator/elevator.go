@@ -91,7 +91,11 @@ const (
 )
 
 // floorPosition converts a 1-based floor number to metres.
-func floorPosition(floor float64) float64 { return (floor - 1) * FloorHeight }
+//
+// The conversion rounds the product, so a caller's subtraction is never
+// fused with it into one multiply-add: a fused operation rounds once, and
+// the trajectories would then depend on the target architecture.
+func floorPosition(floor float64) float64 { return float64((floor - 1) * FloorHeight) }
 
 // Drive is the hoistway drive actuator: it accelerates the car toward the
 // commanded target while DriveCommand is GO and brings it to a halt while
@@ -148,7 +152,7 @@ func (d *Drive) Step(_ time.Duration, bus *sim.Bus) {
 	if desired == 0 && math.Abs(d.speed) < 1e-4 {
 		d.speed = 0
 	}
-	d.position += d.speed * dt
+	d.position += float64(d.speed * dt) // no fused multiply-add, as in floorPosition
 	if d.position < 0 {
 		d.position = 0
 		d.speed = 0
@@ -191,7 +195,7 @@ func (m *DoorMotor) Step(_ time.Duration, bus *sim.Bus) {
 		m.started = true
 	}
 	dt := bus.StepSeconds()
-	rate := dt / DoorTravelTime.Seconds()
+	rate := float64(dt / DoorTravelTime.Seconds()) // folds to dt*0.5; no fused multiply-add, as in floorPosition
 	command := v.doorMotorCommand.ReadID()
 	blocked := v.doorBlocked.Read()
 

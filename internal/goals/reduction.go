@@ -170,8 +170,17 @@ func CheckAndReduction(red AndReduction, space StateSpace) ReductionCheck {
 	case len(red.Subgoals) > 1:
 		check.NonTrivial = true
 	case len(red.Subgoals) == 1:
-		same := red.Subgoals[0].Formal.String() == red.Parent.Formal.String()
-		check.NonTrivial = !same || len(red.Assumptions) > 0
+		// A nil (informal-only) formula renders as the empty string, as
+		// Verdicts lets it hold: an informal subgoal is no restatement of a
+		// formal parent.
+		var sub, parent string
+		if f := red.Subgoals[0].Formal; f != nil {
+			sub = f.String()
+		}
+		if f := red.Parent.Formal; f != nil {
+			parent = f.String()
+		}
+		check.NonTrivial = sub != parent || len(red.Assumptions) > 0
 	}
 	return check
 }

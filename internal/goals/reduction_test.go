@@ -47,6 +47,24 @@ func chainReduction() AndReduction {
 	}
 }
 
+// TestCheckAndReductionInformalSubgoal checks a one-subgoal reduction with
+// a nil formula: condition 4 compares renderings, a nil formula renders as
+// the empty string, so an informal subgoal of a formal parent is no
+// restatement, and two informal goals are.  A nil formula holds, as in
+// Verdicts, so the informal subgoal cannot entail A => B.
+func TestCheckAndReductionInformalSubgoal(t *testing.T) {
+	space := BooleanStateSpace("A", "B")
+	informal := Goal{Name: "informal", InformalDef: "x"}
+	check := CheckAndReduction(AndReduction{Parent: MustParse("G", "goal", "A => B"), Subgoals: []Goal{informal}}, space)
+	if !check.NonTrivial || check.Entails || !check.Consistent {
+		t.Errorf("informal subgoal of A => B: %+v, want non-trivial, not entailing, consistent", check)
+	}
+	check = CheckAndReduction(AndReduction{Parent: Goal{Name: "G", InformalDef: "y"}, Subgoals: []Goal{informal}}, space)
+	if check.NonTrivial {
+		t.Errorf("informal subgoal of an informal parent: %+v, want a restatement", check)
+	}
+}
+
 func TestAndReductionTables3_1_3_2(t *testing.T) {
 	// Table 3.1: both {A=>C, C=>D, D=>B} and {A=>E, E=>B} are complete
 	// and-reductions of G: A=>B.

@@ -16,6 +16,7 @@ package scenarios
 import (
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,15 +232,33 @@ func TestTraceRecordingBytes(t *testing.T) {
 }
 
 // TestZeroAllocVariantKeys gates the per-job key work of a sweep: hashing a
-// job to its shard (the coordinator's and every worker's ShardSource), the
-// dispatcher's DynamicsKey compare in its two reused buffers, and a result
-// cache hit looked up by a key built into a reused buffer must not allocate.
+// job to its shard (the coordinator's and every worker's ShardSource) and
+// Key, beyond the string it returns, at any key length; the dispatcher's
+// DynamicsKey compare in its two reused buffers; and a result cache hit
+// looked up by a key built into a reused buffer must not allocate.
 func TestZeroAllocVariantKeys(t *testing.T) {
 	skipIfAllocCountsUnreliable(t)
 	jobs := DefectSweep().Jobs()
 	a, b := jobs[1], jobs[len(jobs)-1]
-	if allocs := testing.AllocsPerRun(100, func() { _ = a.Shard(3) }); allocs != 0 {
-		t.Errorf("Job.Shard allocates %v objects, want 0", allocs)
+	long := a
+	long.Scenario.Name = strings.Repeat("s7-reverse-rca/speed=1.2345678901234567,", 7)
+	long.Options = Options{CorrectDefects: true, MatchTolerance: -1 << 63,
+		Defects: AllDefectsCorrected}
+	if n := len(long.Key()); n <= 250 {
+		t.Fatalf("the long job's key is %d bytes, want over 250", n)
+	}
+	for _, j := range []Job{a, long} {
+		for _, n := range []int{2, 3, 7} {
+			if got, want := j.Shard(n), ShardOfKey(j.Key(), n); got != want {
+				t.Errorf("%d-byte key: Shard(%d) = %d, ShardOfKey = %d", len(j.Key()), n, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = j.Shard(3) }); allocs != 0 {
+			t.Errorf("Job.Shard allocates %v objects on a %d-byte key, want 0", allocs, len(j.Key()))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = j.Key() }); allocs != 1 {
+			t.Errorf("Job.Key allocates %v objects on a %d-byte key, want only its string", allocs, len(j.Key()))
+		}
 	}
 
 	var keys groupKeys

@@ -749,20 +749,6 @@ func (c *variantCache) store(key string, res Result) {
 	c.mu.Unlock()
 }
 
-// SeedResult memoizes an already-proved summary-only result under the job's
-// variant key, exactly as if this Engine had computed it: a later stream that
-// reaches the same key replays the seeded summary instead of simulating.  It
-// is the re-queue fast path of distributed execution — a replacement worker
-// is seeded with the variants of its shard already proved, so it only pays
-// for the dead shard's genuinely unfinished work.  Seeding an Engine built
-// without WithResultCache is a no-op, as is re-seeding a key that is already
-// cached.
-func (e *Engine) SeedResult(job Job, res Result) {
-	if e.cache != nil {
-		e.cache.store(job.Key(), res)
-	}
-}
-
 // CacheStats returns the result cache's hit and miss counts (zero when the
 // Engine was built without WithResultCache).
 func (e *Engine) CacheStats() (hits, misses int) {

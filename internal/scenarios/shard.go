@@ -1,6 +1,9 @@
 package scenarios
 
-import "strconv"
+import (
+	"strconv"
+	"strings"
+)
 
 // ---------------------------------------------------------------------------
 // Deterministic sharding: stable variant keys over any JobSource
@@ -15,20 +18,25 @@ import "strconv"
 // surfaces.  Job.Key is that identity; Job.Shard hashes it with FNV-1a (a
 // fixed published constant-defined hash, stable across processes, platforms
 // and Go releases); ShardSource filters any JobSource down to one shard.
-// Keys are built by appending into caller buffers (appendKey), so hashing a
-// job to its shard, or looking it up in the result cache, allocates nothing.
+// Job.Shard hashes the scenario name straight from its string and the
+// bounded rest of the key through a stack buffer, so hashing a job to its
+// shard allocates nothing at any key length; a result cache lookup builds
+// its key into a reused buffer (appendKey).
 
 // fnv1a64 is the 64-bit FNV-1a hash.  It is written out rather than taken
 // from hash/fnv to make the shard contract self-evident: the hash of a
 // variant key is defined by these two published constants and nothing else,
 // so any process — today's or a future Go version's — computes the same
 // shard for the same key.
-func fnv1a64[S string | []byte](s S) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+func fnv1a64[S string | []byte](s S) uint64 { return fnvAdd(fnvOffset64, s) }
+
+// fnvOffset64 is the FNV-1a offset basis, the hash of the empty input.
+const fnvOffset64 = 14695981039346656037
+
+// fnvAdd continues an FNV-1a hash h over s.  The hash is sequential, so
+// hashing a key piece by piece gives the hash of the whole key.
+func fnvAdd[S string | []byte](h uint64, s S) uint64 {
+	const prime64 = 1099511628211
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= prime64
@@ -59,17 +67,29 @@ type Job struct {
 // configurations violate the contract and must not be sharded, cached or
 // deduplicated by key.
 func (j Job) Key() string {
-	var buf [keyBufLen]byte
-	return string(j.appendKey(buf[:0]))
+	var buf [keyTailLen]byte
+	tail := j.appendKeyTail(buf[:0])
+	var b strings.Builder
+	b.Grow(len(j.Scenario.Name) + len(tail))
+	b.WriteString(j.Scenario.Name)
+	b.Write(tail)
+	return b.String()
 }
 
-// keyBufLen sizes the stack buffers keys are built in: every sweep
-// generator's keys fit, and a longer one only spills to the heap.
-const keyBufLen = 160
+// keyTailLen bounds the key after the scenario name: '|', the duration
+// (at most 20 bytes), '|', then "corrected=false", ",tol=", the tolerance
+// (at most 20 bytes), ",fixed=" and "CA+RCA+ACC+PA+Arbiter", 90 bytes in
+// all.  Names have no bound, so the key is built around them, never in one
+// fixed buffer: a stack buffer of this size holds any tail.
+const keyTailLen = 96
 
 // appendKey appends the Key to b.
 func (j Job) appendKey(b []byte) []byte {
-	b = append(b, j.Scenario.Name...)
+	return j.appendKeyTail(append(b, j.Scenario.Name...))
+}
+
+// appendKeyTail appends the Key after the scenario name to b.
+func (j Job) appendKeyTail(b []byte) []byte {
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(j.Scenario.ScheduledDuration()), 10)
 	b = append(b, '|')
@@ -86,8 +106,9 @@ func (j Job) Shard(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	var buf [keyBufLen]byte
-	return int(fnv1a64(j.appendKey(buf[:0])) % uint64(n))
+	var buf [keyTailLen]byte
+	h := fnvAdd(fnv1a64(j.Scenario.Name), j.appendKeyTail(buf[:0]))
+	return int(h % uint64(n))
 }
 
 // ShardOfKey is Job.Shard for a caller that already holds the job's Key.

@@ -1,12 +1,9 @@
 package scenarios
 
 import (
-	"context"
 	"hash/fnv"
 	"testing"
 	"time"
-
-	"repro/internal/monitor"
 )
 
 // TestJobKeyStable pins the variant key down to the exact string: the key is
@@ -123,43 +120,4 @@ func TestShardSourcePreservesOrder(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestEngineSeedResult checks the re-queue fast path: a seeded variant
-// replays from the cache — sentinel summary and all — without simulating.
-func TestEngineSeedResult(t *testing.T) {
-	sc, _ := ScenarioByNumber(7)
-	job := Job{Scenario: sc, Options: Options{CorrectDefects: true}}
-	sentinel := Result{
-		Scenario:  job.Scenario,
-		Steps:     42,
-		Collision: true,
-		Summary:   monitor.Summary{Hits: 7, FalseNegatives: 3, FalsePositives: 1},
-	}
-	sentinel.Scenario.Duration = DefaultDuration
-
-	engine := NewEngine(WithRetention(SummaryOnly), WithResultCache())
-	engine.SeedResult(job, sentinel)
-	var got []Result
-	err := engine.Stream(context.Background(), SliceSource([]Job{job}), SinkFunc(
-		func(sr StreamResult) error {
-			got = append(got, sr.Result)
-			return nil
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("expected 1 result, got %d", len(got))
-	}
-	if got[0].Steps != 42 || !got[0].Collision || got[0].Summary != sentinel.Summary {
-		t.Errorf("seeded variant re-simulated instead of replaying: %+v", got[0])
-	}
-	if hits, misses := engine.CacheStats(); hits != 1 || misses != 0 {
-		t.Errorf("cache stats = %d hits, %d misses; want 1 hit, 0 misses", hits, misses)
-	}
-
-	// Seeding a cache-less engine is a harmless no-op, so transports can seed
-	// unconditionally.
-	NewEngine().SeedResult(job, sentinel)
 }

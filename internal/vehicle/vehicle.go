@@ -270,12 +270,16 @@ func (d *Dynamics) Step(_ time.Duration, bus *sim.Bus) {
 
 	// Second-order (underdamped) powertrain/brake response: the achieved
 	// acceleration overshoots step changes in the command.
-	d.accelRate += (AccelResponseOmega*AccelResponseOmega*(cmd-d.accel) -
-		2*AccelResponseZeta*AccelResponseOmega*d.accelRate) * dt
-	d.accel += d.accelRate * dt
+	//
+	// The float64(...) conversions round each product before it is added,
+	// so no architecture fuses a multiply-add here: a fused operation
+	// rounds once, and the trajectories would then depend on the target.
+	d.accelRate += float64((float64(AccelResponseOmega*AccelResponseOmega*(cmd-d.accel)) -
+		float64(2*AccelResponseZeta*AccelResponseOmega*d.accelRate)) * dt)
+	d.accel += float64(d.accelRate * dt)
 	jerk := d.accelRate
 
-	d.speed += d.accel * dt
+	d.speed += float64(d.accel * dt)
 
 	// Braking to a stop holds the vehicle at rest for the driver and for
 	// the collision-avoidance / park features.  ACC and LCA lack this
@@ -291,12 +295,12 @@ func (d *Dynamics) Step(_ time.Duration, bus *sim.Bus) {
 		}
 	}
 
-	d.position += d.speed * dt
+	d.position += float64(d.speed * dt)
 
 	// Lateral: the steering command is applied directly (a kinematic
 	// approximation); the lane position drifts with the steering angle.
 	d.steering = number(v.steerCommand)
-	d.lane += d.steering * d.speed * 0.02 * dt
+	d.lane += float64(d.steering * d.speed * 0.02 * dt)
 
 	v.speed.Write(d.speed)
 	v.accel.Write(d.accel)
@@ -343,7 +347,7 @@ func (o *Object) Step(_ time.Duration, bus *sim.Bus) {
 		o.position = host + o.InitialDistance
 		o.started = true
 	}
-	o.position += o.Speed * dt
+	o.position += float64(o.Speed * dt) // no fused multiply-add, as in Dynamics.Step
 
 	gap := o.position - host
 	if o.InitialDistance >= 0 {
